@@ -3,10 +3,13 @@
 use crate::error::DagError;
 use crate::graph::TaskGraph;
 use crate::ids::{DataId, DataVersion, TaskId, VersionedData};
-use crate::param::StreamRole;
+use crate::inline_vec::InlineVec;
+use crate::param::{Param, StreamRole};
+use crate::seg_vec::{SegVec, SEGMENT_SLOTS};
 use crate::spec::TaskSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// The producer and version currently associated with a datum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,11 +30,43 @@ impl VersionInfo {
     }
 }
 
+/// Which dependency discipline a datum is accessed through. A datum is
+/// either a renamed whole value or a channel of elements, never both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Discipline {
+    /// No task has accessed the datum yet.
+    Untouched,
+    /// Accessed through `In`/`Out`/`InOut` at least once.
+    Versioned,
+    /// Accessed as a stream at least once.
+    Stream,
+}
+
+/// Everything the catalog knows about one datum.
+#[derive(Debug, Clone, Copy)]
+struct DataSlot {
+    /// Byte range of the name in its segment's arena.
+    name: (u32, u32),
+    current: VersionInfo,
+    discipline: Discipline,
+    retired: bool,
+}
+
 /// Registry of logical data known to an [`AccessProcessor`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// One slot per datum in a [`SegVec`], names appended to one string
+/// arena per slot segment — registering a datum allocates nothing
+/// beyond the arena's own growth. A segment (slots and names) is
+/// dropped once every datum in it was
+/// [retired](DataCatalog::retire_name).
+#[derive(Debug, Clone, Default)]
 pub struct DataCatalog {
-    names: Vec<String>,
-    current: Vec<VersionInfo>,
+    slots: SegVec<DataSlot>,
+    /// Name bytes of each slot segment.
+    arenas: Vec<String>,
+    /// The arena of the most recently dropped segment, reused by the
+    /// next one.
+    spare_arena: String,
 }
 
 impl DataCatalog {
@@ -41,65 +76,163 @@ impl DataCatalog {
     }
 
     /// Registers a new logical datum and returns its id.
-    pub fn new_data(&mut self, name: impl Into<String>) -> DataId {
-        let id = DataId(self.names.len() as u64);
-        self.names.push(name.into());
-        self.current.push(VersionInfo::initial());
-        id
+    pub fn new_data(&mut self, name: impl AsRef<str>) -> DataId {
+        self.push_named(|arena| arena.push_str(name.as_ref()))
     }
 
-    /// Number of registered data.
+    /// Registers a new logical datum whose name is formatted straight
+    /// into the catalog's arena (no temporary `String`).
+    pub fn new_data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
+        self.push_named(|arena| {
+            arena
+                .write_fmt(name)
+                .expect("formatting into a String cannot fail")
+        })
+    }
+
+    fn push_named(&mut self, write_name: impl FnOnce(&mut String)) -> DataId {
+        let id = self.slots.len();
+        let segment = id / SEGMENT_SLOTS;
+        if segment == self.arenas.len() {
+            self.arenas.push(std::mem::take(&mut self.spare_arena));
+        }
+        let arena = &mut self.arenas[segment];
+        let start = arena.len() as u32;
+        write_name(arena);
+        self.slots.push(DataSlot {
+            name: (start, arena.len() as u32),
+            current: VersionInfo::initial(),
+            discipline: Discipline::Untouched,
+            retired: false,
+        });
+        DataId(id as u64)
+    }
+
+    /// Number of data ids issued (retired data included).
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.slots.len()
     }
 
     /// Returns `true` if no data have been registered.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.slots.is_empty()
     }
 
-    /// The human-readable name of a datum.
+    fn slot(&self, data: DataId) -> Result<&DataSlot, DagError> {
+        self.slots
+            .get(data.index())
+            .ok_or(DagError::UnknownData(data))
+    }
+
+    fn slot_mut(&mut self, data: DataId) -> Result<&mut DataSlot, DagError> {
+        self.slots
+            .get_mut(data.index())
+            .ok_or(DagError::UnknownData(data))
+    }
+
+    /// The human-readable name of a datum (`""` once retired).
     ///
     /// # Errors
     ///
-    /// Returns [`DagError::UnknownData`] if the id is not registered.
+    /// Returns [`DagError::UnknownData`] if the id is not registered
+    /// or its segment was dropped after retirement.
     pub fn name(&self, data: DataId) -> Result<&str, DagError> {
-        self.names
-            .get(data.index())
-            .map(String::as_str)
-            .ok_or(DagError::UnknownData(data))
+        let slot = self.slot(data)?;
+        if slot.retired {
+            return Ok("");
+        }
+        let (start, end) = slot.name;
+        Ok(&self.arenas[data.index() / SEGMENT_SLOTS][start as usize..end as usize])
     }
 
     /// The current version/producer of a datum.
     ///
     /// # Errors
     ///
-    /// Returns [`DagError::UnknownData`] if the id is not registered.
+    /// Returns [`DagError::UnknownData`] if the id is not registered
+    /// or its segment was dropped after retirement.
     pub fn current(&self, data: DataId) -> Result<VersionInfo, DagError> {
-        self.current
-            .get(data.index())
-            .copied()
-            .ok_or(DagError::UnknownData(data))
+        self.slot(data).map(|s| s.current)
     }
 
-    /// Frees the name string of a retired datum, leaving an empty
-    /// tombstone. The id stays valid (lookups return `""`); used by
-    /// lazily-materialized runs to bound catalog memory once a datum
-    /// is closed and all its versions are retired.
-    pub fn retire_name(&mut self, data: DataId) {
-        if let Some(name) = self.names.get_mut(data.index()) {
-            *name = String::new();
+    /// Retires a datum: its name reads as `""` from now on and it
+    /// counts towards dropping its segment. The id stays valid until
+    /// every datum of the segment is retired; then the segment (slots
+    /// and names) is dropped and its number returned so the caller can
+    /// drop the same segment of columns it keeps beside the catalog.
+    /// Used by lazily-materialized runs once a datum is closed and all
+    /// its versions are retired. Retiring twice is a no-op.
+    pub fn retire_name(&mut self, data: DataId) -> Option<usize> {
+        let slot = self.slots.get_mut(data.index())?;
+        if slot.retired {
+            return None;
         }
+        slot.retired = true;
+        let segment = self.slots.retire(data.index())?;
+        self.spare_arena = std::mem::take(&mut self.arenas[segment]);
+        self.spare_arena.clear();
+        Some(segment)
     }
 
     fn bump(&mut self, data: DataId, producer: TaskId) -> Result<DataVersion, DagError> {
-        let info = self
-            .current
-            .get_mut(data.index())
-            .ok_or(DagError::UnknownData(data))?;
+        let info = &mut self.slot_mut(data)?.current;
         info.version = info.version.next();
         info.producer = Some(producer);
         Ok(info.version)
+    }
+}
+
+/// Longest parameter list [`AccessProcessor::register`] checks for
+/// repeated data by scanning all pairs.
+const PAIRWISE_SCAN_MAX: usize = 32;
+
+/// A task declares `param` after `earlier`, both on the same datum:
+/// legal only if both merely read it.
+fn check_repeated_access(spec: &TaskSpec, earlier: &Param, param: &Param) -> Result<(), DagError> {
+    if earlier.direction.is_stream() != param.direction.is_stream() {
+        return Err(DagError::MixedAccess {
+            task: spec.name().to_string(),
+            data: param.data,
+        });
+    }
+    if param.direction.writes() || earlier.direction.writes() || param.direction.is_stream() {
+        return Err(DagError::ConflictingAccess {
+            task: spec.name().to_string(),
+            data: param.data,
+        });
+    }
+    Ok(())
+}
+
+/// The parameters of one spec grouped by datum.
+struct SameDatum {
+    /// Parameter indices sorted by (datum, index).
+    order: Vec<u32>,
+    /// For each parameter: where its datum's group starts in `order`,
+    /// and its own position there.
+    span: Vec<(u32, u32)>,
+}
+
+impl SameDatum {
+    fn group(params: &[Param]) -> Self {
+        let mut order: Vec<u32> = (0..params.len() as u32).collect();
+        order.sort_unstable_by_key(|&k| (params[k as usize].data, k));
+        let mut span = vec![(0, 0); params.len()];
+        let mut start = 0;
+        for (at, &k) in order.iter().enumerate() {
+            if params[k as usize].data != params[order[start] as usize].data {
+                start = at;
+            }
+            span[k as usize] = (start as u32, at as u32);
+        }
+        SameDatum { order, span }
+    }
+
+    /// Indices of the parameters before `i` on the same datum,
+    /// ascending.
+    fn earlier(&self, i: usize) -> &[u32] {
+        let (start, at) = self.span[i];
+        &self.order[start as usize..at as usize]
     }
 }
 
@@ -150,9 +283,6 @@ pub struct AccessProcessor {
     /// datum is a stream from its first stream access onward; mixing
     /// with versioned access is rejected.
     streams: BTreeMap<DataId, StreamEndpoints>,
-    /// Data accessed through the versioned (`In`/`Out`/`InOut`)
-    /// discipline at least once.
-    versioned: BTreeSet<DataId>,
 }
 
 impl AccessProcessor {
@@ -162,14 +292,20 @@ impl AccessProcessor {
     }
 
     /// Registers a new logical datum.
-    pub fn new_data(&mut self, name: impl Into<String>) -> DataId {
+    pub fn new_data(&mut self, name: impl AsRef<str>) -> DataId {
         self.catalog.new_data(name)
+    }
+
+    /// Registers a new logical datum, formatting its name straight
+    /// into the catalog (see [`DataCatalog::new_data_fmt`]).
+    pub fn new_data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
+        self.catalog.new_data_fmt(name)
     }
 
     /// Registers `n` new logical data with a shared name prefix.
     pub fn new_data_batch(&mut self, prefix: &str, n: usize) -> Vec<DataId> {
         (0..n)
-            .map(|i| self.catalog.new_data(format!("{prefix}{i}")))
+            .map(|i| self.catalog.new_data_fmt(format_args!("{prefix}{i}")))
             .collect()
     }
 
@@ -194,10 +330,10 @@ impl AccessProcessor {
         self.validate_accesses(&spec)?;
 
         let id = self.graph.next_task_id();
-        let mut preds: Vec<TaskId> = Vec::new();
-        let mut stream_preds: Vec<TaskId> = Vec::new();
-        let mut consumed: Vec<VersionedData> = Vec::new();
-        let mut produced: Vec<VersionedData> = Vec::new();
+        let mut preds = InlineVec::new();
+        let mut stream_preds = InlineVec::new();
+        let mut consumed = InlineVec::new();
+        let mut produced = InlineVec::new();
 
         for param in spec.params() {
             if param.direction.reads() {
@@ -216,40 +352,35 @@ impl AccessProcessor {
                 // edge; the graph only *gates* on those that have not
                 // released yet.
                 if let Some(eps) = self.streams.get(&param.data) {
-                    stream_preds.extend_from_slice(&eps.producers);
+                    stream_preds.extend(eps.producers.iter().copied());
+                }
+            }
+        }
+        preds.sort_dedup();
+        stream_preds.sort_dedup();
+
+        // Record this task's accesses in the discipline tags and the
+        // stream registry — after wiring, so a producer never becomes
+        // its own stream predecessor.
+        for param in spec.params() {
+            let slot = self.catalog.slot_mut(param.data)?;
+            match param.direction.stream_role() {
+                None => slot.discipline = Discipline::Versioned,
+                Some(role) => {
+                    slot.discipline = Discipline::Stream;
+                    let eps = self.streams.entry(param.data).or_default();
+                    match role {
+                        StreamRole::Produce => eps.producers.push(id),
+                        StreamRole::Consume => eps.consumers.push(id),
+                    }
                 }
             }
         }
 
-        preds.sort_unstable();
-        preds.dedup();
-        stream_preds.sort_unstable();
-        stream_preds.dedup();
         let assigned = self
             .graph
             .add_task(spec, preds, stream_preds, consumed, produced);
         debug_assert_eq!(assigned, id);
-
-        // Record this task's accesses in the stream/versioned
-        // registries — after wiring, so a producer never becomes its
-        // own stream predecessor.
-        let spec = self.graph.node(id).expect("just added").spec();
-        let mut endpoints: Vec<(DataId, StreamRole)> = Vec::new();
-        for param in spec.params() {
-            match param.direction.stream_role() {
-                Some(role) => endpoints.push((param.data, role)),
-                None => {
-                    self.versioned.insert(param.data);
-                }
-            }
-        }
-        for (data, role) in endpoints {
-            let eps = self.streams.entry(data).or_default();
-            match role {
-                StreamRole::Produce => eps.producers.push(id),
-                StreamRole::Consume => eps.consumers.push(id),
-            }
-        }
         Ok(id)
     }
 
@@ -257,17 +388,18 @@ impl AccessProcessor {
         // Pairwise scan instead of hash sets: parameter lists are short
         // (almost always < 16), so O(p²) comparisons beat two HashSet
         // allocations per submission — this sits on the submit hot path.
+        // Long lists (a merge over thousands of chunks) group the
+        // parameters by datum first, which visits the same pairs in
+        // the same order without the quadratic scan.
         let params = spec.params();
+        let grouped = (params.len() > PAIRWISE_SCAN_MAX).then(|| SameDatum::group(params));
         for (i, param) in params.iter().enumerate() {
-            if param.data.index() >= self.catalog.len() {
-                return Err(DagError::UnknownData(param.data));
-            }
             // Cross-submission discipline check: a datum is either a
             // channel of elements or a renamed whole-value, never both.
-            let mixed = if param.direction.is_stream() {
-                self.versioned.contains(&param.data)
-            } else {
-                self.streams.contains_key(&param.data)
+            let mixed = match self.catalog.slot(param.data)?.discipline {
+                Discipline::Untouched => false,
+                Discipline::Versioned => param.direction.is_stream(),
+                Discipline::Stream => !param.direction.is_stream(),
             };
             if mixed {
                 return Err(DagError::MixedAccess {
@@ -275,24 +407,16 @@ impl AccessProcessor {
                     data: param.data,
                 });
             }
-            for earlier in &params[..i] {
-                if earlier.data != param.data {
-                    continue;
+            match &grouped {
+                None => {
+                    for earlier in params[..i].iter().filter(|e| e.data == param.data) {
+                        check_repeated_access(spec, earlier, param)?;
+                    }
                 }
-                if earlier.direction.is_stream() != param.direction.is_stream() {
-                    return Err(DagError::MixedAccess {
-                        task: spec.name().to_string(),
-                        data: param.data,
-                    });
-                }
-                if param.direction.writes()
-                    || earlier.direction.writes()
-                    || param.direction.is_stream()
-                {
-                    return Err(DagError::ConflictingAccess {
-                        task: spec.name().to_string(),
-                        data: param.data,
-                    });
+                Some(grouped) => {
+                    for &j in grouped.earlier(i) {
+                        check_repeated_access(spec, &params[j as usize], param)?;
+                    }
                 }
             }
         }
@@ -326,10 +450,9 @@ impl AccessProcessor {
         &self.catalog
     }
 
-    /// Frees the name of a retired datum (see
-    /// [`DataCatalog::retire_name`]).
-    pub fn retire_data_name(&mut self, data: DataId) {
-        self.catalog.retire_name(data);
+    /// Retires a datum (see [`DataCatalog::retire_name`]).
+    pub fn retire_data_name(&mut self, data: DataId) -> Option<usize> {
+        self.catalog.retire_name(data)
     }
 
     /// Splits the processor into its catalog and graph, consuming it.
@@ -448,6 +571,47 @@ mod tests {
         // Pure duplicate reads are fine.
         ap.register(TaskSpec::new("t2").input(d[0]).input(d[0]))
             .unwrap();
+    }
+
+    /// Long parameter lists take the grouped duplicate check; it must
+    /// accept and reject exactly what the pairwise scan does, with the
+    /// same error.
+    #[test]
+    fn long_parameter_lists_report_the_same_errors_as_short_ones() {
+        let n = PAIRWISE_SCAN_MAX + 40;
+        let (mut ap, d) = ap_with(n + 2);
+        let wide = || TaskSpec::new("wide").inputs(d[..n].iter().copied());
+        // Distinct inputs plus a repeated read: fine.
+        let ok = ap.register(wide().input(d[3]).output(d[n])).unwrap();
+        assert_eq!(ap.graph().node(ok).unwrap().consumed().len(), n + 1);
+        // A write after a read of the same datum, far apart.
+        let err = ap.register(wide().output(d[7])).unwrap_err();
+        assert_eq!(
+            err,
+            DagError::ConflictingAccess {
+                task: "wide".into(),
+                data: d[7]
+            }
+        );
+        // The first offending parameter in declaration order wins,
+        // exactly as in the pairwise scan: the stream end on d[5]
+        // comes before the repeated write on d[9].
+        let err = ap
+            .register(wide().stream_in(d[5]).output(d[9]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DagError::MixedAccess {
+                task: "wide".into(),
+                data: d[5]
+            }
+        );
+        // Unknown data are still caught at their own position.
+        let bogus = DataId::from_raw(10_000);
+        let err = ap.register(wide().input(bogus).output(d[1])).unwrap_err();
+        assert_eq!(err, DagError::UnknownData(bogus));
+        // A rejected spec leaves no trace: the same data still register.
+        ap.register(wide().output(d[n + 1])).unwrap();
     }
 
     #[test]

@@ -2,9 +2,11 @@
 
 use crate::error::DagError;
 use crate::ids::{TaskId, VersionedData};
+use crate::inline_vec::InlineVec;
+use crate::ready::ReadySet;
+use crate::seg_vec::SegVec;
 use crate::spec::TaskSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Lifecycle state of a task in the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -28,30 +30,44 @@ impl TaskState {
     }
 }
 
+/// Dependency and access lists of a node: one entry fits inline, which
+/// covers every stage of a linear pipeline.
+type IdList = InlineVec<TaskId, 1>;
+type ValueList = InlineVec<VersionedData, 1>;
+
+/// First-element (stream) edges of a task. Boxed on the node because
+/// most tasks have none.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct StreamEdges {
+    /// Producers of streams this task consumes. Unlike `preds`, these
+    /// edges release at the producer's *first element* (or completion,
+    /// whichever comes first), not at completion.
+    preds: IdList,
+    /// Consumers of streams this task produces.
+    succs: IdList,
+}
+
 /// One task in the graph: its spec, dependency wiring and state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskNode {
     id: TaskId,
     spec: TaskSpec,
     state: TaskState,
-    preds: Vec<TaskId>,
-    succs: Vec<TaskId>,
-    unfinished_preds: usize,
-    /// Producers of streams this task consumes. Unlike `preds`, these
-    /// edges release at the producer's *first element* (or completion,
-    /// whichever comes first), not at completion.
-    stream_preds: Vec<TaskId>,
-    /// Consumers of streams this task produces.
-    stream_succs: Vec<TaskId>,
-    /// Stream predecessors that have not yet released.
-    unreleased_streams: usize,
     /// Whether this task has released its stream consumers (set at its
     /// first element sent on any of its output streams, or at
     /// completion). Per task, not per stream: one release frees every
     /// stream successor.
     released: bool,
-    consumed: Vec<VersionedData>,
-    produced: Vec<VersionedData>,
+    /// Set by [`TaskGraph::retire_payload`].
+    retired: bool,
+    unfinished_preds: u32,
+    /// Stream predecessors that have not yet released.
+    unreleased_streams: u32,
+    preds: IdList,
+    succs: IdList,
+    streams: Option<Box<StreamEdges>>,
+    consumed: ValueList,
+    produced: ValueList,
 }
 
 impl TaskNode {
@@ -92,27 +108,31 @@ impl TaskNode {
 
     /// Number of predecessors not yet completed.
     pub fn unfinished_predecessors(&self) -> usize {
-        self.unfinished_preds
+        self.unfinished_preds as usize
     }
 
     /// Producers of streams this task consumes (first-element edges).
     pub fn stream_predecessors(&self) -> &[TaskId] {
-        &self.stream_preds
+        self.streams.as_ref().map_or(&[], |s| &s.preds)
     }
 
     /// Consumers of streams this task produces.
     pub fn stream_successors(&self) -> &[TaskId] {
-        &self.stream_succs
+        self.streams.as_ref().map_or(&[], |s| &s.succs)
     }
 
     /// Number of stream predecessors that have not released yet.
     pub fn unreleased_streams(&self) -> usize {
-        self.unreleased_streams
+        self.unreleased_streams as usize
     }
 
     /// Whether this task has released its stream consumers.
     pub fn stream_released(&self) -> bool {
         self.released
+    }
+
+    fn streams_mut(&mut self) -> &mut StreamEdges {
+        self.streams.get_or_insert_with(Box::default)
     }
 }
 
@@ -123,10 +143,15 @@ impl TaskNode {
 /// runtime executes them. Completing a task releases its successors;
 /// the newly-ready successors are returned so schedulers can react
 /// incrementally without rescanning the graph.
+///
+/// Nodes live in a [`SegVec`]: ids are dense and never reissued, but a
+/// segment whose tasks were all [retired](TaskGraph::retire_payload)
+/// is dropped, after which [`TaskGraph::node`] reports its ids as
+/// unknown. Graphs that never retire keep every node.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TaskGraph {
-    nodes: Vec<TaskNode>,
-    ready: BTreeSet<TaskId>,
+    nodes: SegVec<TaskNode>,
+    ready: ReadySet,
     completed_count: usize,
 }
 
@@ -144,34 +169,32 @@ impl TaskGraph {
     /// Adds a task with the given dependency wiring. Called by the
     /// access processor, which guarantees `preds` and `stream_preds`
     /// are deduped, sorted and refer to earlier tasks (so the graph is
-    /// acyclic by construction).
+    /// acyclic by construction). A predecessor whose segment was
+    /// already dropped is necessarily completed and wires no edge.
     pub(crate) fn add_task(
         &mut self,
         spec: TaskSpec,
-        preds: Vec<TaskId>,
-        stream_preds: Vec<TaskId>,
-        consumed: Vec<VersionedData>,
-        produced: Vec<VersionedData>,
+        preds: IdList,
+        stream_preds: IdList,
+        consumed: ValueList,
+        produced: ValueList,
     ) -> TaskId {
         let id = self.next_task_id();
-        let unfinished = preds
-            .iter()
-            .filter(|p| !self.nodes[p.index()].state.is_completed())
-            .count();
+        let mut unfinished = 0;
+        for p in &preds {
+            if let Some(pred) = self.nodes.get_mut(p.index()) {
+                unfinished += u32::from(!pred.state.is_completed());
+                pred.succs.push(id);
+            }
+        }
         // A producer that has already released (first element sent) or
         // completed does not gate a late-submitted consumer.
-        let unreleased = stream_preds
-            .iter()
-            .filter(|p| {
-                let n = &self.nodes[p.index()];
-                !n.released && !n.state.is_completed()
-            })
-            .count();
-        for p in &preds {
-            self.nodes[p.index()].succs.push(id);
-        }
+        let mut unreleased = 0;
         for p in &stream_preds {
-            self.nodes[p.index()].stream_succs.push(id);
+            if let Some(pred) = self.nodes.get_mut(p.index()) {
+                unreleased += u32::from(!pred.released && !pred.state.is_completed());
+                pred.streams_mut().succs.push(id);
+            }
         }
         let state = if unfinished == 0 && unreleased == 0 {
             self.ready.insert(id);
@@ -179,24 +202,30 @@ impl TaskGraph {
         } else {
             TaskState::Pending
         };
+        let streams = (!stream_preds.is_empty()).then(|| {
+            Box::new(StreamEdges {
+                preds: stream_preds,
+                succs: IdList::new(),
+            })
+        });
         self.nodes.push(TaskNode {
             id,
             spec,
             state,
-            preds,
-            succs: Vec::new(),
-            unfinished_preds: unfinished,
-            stream_preds,
-            stream_succs: Vec::new(),
-            unreleased_streams: unreleased,
             released: false,
+            retired: false,
+            unfinished_preds: unfinished,
+            unreleased_streams: unreleased,
+            preds,
+            succs: IdList::new(),
+            streams,
             consumed,
             produced,
         });
         id
     }
 
-    /// Number of tasks in the graph.
+    /// Number of task ids issued (retired tasks included).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -223,21 +252,36 @@ impl TaskGraph {
 
     /// Total number of stream (first-element) edges.
     pub fn stream_edge_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.stream_preds.len()).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.stream_predecessors().len())
+            .sum()
     }
 
     /// Looks up a task node.
     ///
     /// # Errors
     ///
-    /// Returns [`DagError::UnknownTask`] for ids not in the graph.
+    /// Returns [`DagError::UnknownTask`] for ids not in the graph,
+    /// including ids whose segment was dropped after retirement.
     pub fn node(&self, id: TaskId) -> Result<&TaskNode, DagError> {
         self.nodes.get(id.index()).ok_or(DagError::UnknownTask(id))
     }
 
-    /// Iterates over all task nodes in submission order.
+    fn node_mut(&mut self, id: TaskId) -> Result<&mut TaskNode, DagError> {
+        self.nodes
+            .get_mut(id.index())
+            .ok_or(DagError::UnknownTask(id))
+    }
+
+    /// Iterates over all resident task nodes in submission order.
     pub fn nodes(&self) -> impl Iterator<Item = &TaskNode> {
         self.nodes.iter()
+    }
+
+    /// Node segments currently resident (see [`SegVec`]).
+    pub fn resident_segments(&self) -> usize {
+        self.nodes.resident_segments()
     }
 
     /// Direct predecessors of a task. Panics on unknown ids are avoided
@@ -252,15 +296,15 @@ impl TaskGraph {
     }
 
     /// The current set of ready (dependency-free, unscheduled) tasks.
-    pub fn ready_tasks(&self) -> &BTreeSet<TaskId> {
+    pub fn ready_tasks(&self) -> &ReadySet {
         &self.ready
     }
 
     /// Removes and returns an arbitrary (lowest-id) ready task.
     pub fn pop_ready(&mut self) -> Option<TaskId> {
-        let id = *self.ready.iter().next()?;
+        let id = self.ready.first()?;
         self.ready.remove(&id);
-        id.into()
+        Some(id)
     }
 
     /// Marks a ready task as running.
@@ -270,10 +314,7 @@ impl TaskGraph {
     /// Returns [`DagError::InvalidTransition`] unless the task is
     /// currently `Ready`, and [`DagError::UnknownTask`] for unknown ids.
     pub fn mark_running(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
+        let node = self.node_mut(id)?;
         if node.state != TaskState::Ready {
             return Err(DagError::InvalidTransition {
                 task: id,
@@ -298,10 +339,7 @@ impl TaskGraph {
     /// `Ready` or `Running`, and [`DagError::UnknownTask`] for unknown
     /// ids.
     pub fn ensure_running(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
+        let node = self.node_mut(id)?;
         match node.state {
             TaskState::Running => Ok(()),
             TaskState::Ready => {
@@ -334,8 +372,7 @@ impl TaskGraph {
     /// successors are appended to the caller-provided buffer instead of
     /// a fresh `Vec`, and the successor list is walked in place rather
     /// than cloned. Hot executors call this with a pooled buffer so a
-    /// steady-state completion performs no heap allocation beyond
-    /// ready-set maintenance.
+    /// steady-state completion performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -345,10 +382,7 @@ impl TaskGraph {
         id: TaskId,
         newly_ready: &mut Vec<TaskId>,
     ) -> Result<(), DagError> {
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
+        let node = self.node_mut(id)?;
         match node.state {
             TaskState::Running => {}
             TaskState::Ready => {
@@ -400,10 +434,7 @@ impl TaskGraph {
         id: TaskId,
         newly_ready: &mut Vec<TaskId>,
     ) -> Result<(), DagError> {
-        if id.index() >= self.nodes.len() {
-            return Err(DagError::UnknownTask(id));
-        }
-        if !self.nodes[id.index()].released {
+        if !self.node(id)?.released {
             self.release_walk(id, newly_ready);
         }
         Ok(())
@@ -424,8 +455,8 @@ impl TaskGraph {
     /// checks the flag first.
     fn release_walk(&mut self, id: TaskId, newly_ready: &mut Vec<TaskId>) {
         self.nodes[id.index()].released = true;
-        for k in 0..self.nodes[id.index()].stream_succs.len() {
-            let s = self.nodes[id.index()].stream_succs[k];
+        for k in 0..self.nodes[id.index()].stream_successors().len() {
+            let s = self.nodes[id.index()].stream_successors()[k];
             let sn = &mut self.nodes[s.index()];
             sn.unreleased_streams -= 1;
             if sn.unfinished_preds == 0
@@ -446,10 +477,7 @@ impl TaskGraph {
     /// Returns [`DagError::InvalidTransition`] unless the task is
     /// `Running`.
     pub fn mark_failed(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
+        let node = self.node_mut(id)?;
         if node.state != TaskState::Running {
             return Err(DagError::InvalidTransition {
                 task: id,
@@ -468,10 +496,7 @@ impl TaskGraph {
     /// Returns [`DagError::InvalidTransition`] unless the task is
     /// `Failed`.
     pub fn requeue_failed(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
+        let node = self.node_mut(id)?;
         if node.state != TaskState::Failed {
             return Err(DagError::InvalidTransition {
                 task: id,
@@ -483,13 +508,17 @@ impl TaskGraph {
         Ok(())
     }
 
-    /// Frees the heap payload of a finished task — its spec (name,
-    /// parameter accesses), dependency lists and data-access lists —
-    /// leaving a tombstone whose id and state stay valid so task ids
-    /// never shift. Lazily-materialized runs call this once a task
-    /// *and every value it produced* have been retired: nothing will
-    /// traverse the payload again, and dropping it bounds resident
-    /// memory by the live frontier instead of the whole campaign.
+    /// Retires a finished task: frees its heap payload — spec,
+    /// dependency and data-access lists — at once, and counts it
+    /// towards dropping its whole segment. The id stays valid (ids
+    /// never shift) until every task of the segment is retired; then
+    /// the segment is dropped and its number returned, so the caller
+    /// can drop the same segment of the columns it keeps beside the
+    /// graph (see [`SegVec::drop_segment`]). Lazily-materialized runs
+    /// call this once a task *and every value it produced* have been
+    /// retired: nothing will traverse it again, so resident memory is
+    /// bounded by the live frontier instead of the whole campaign.
+    /// Retiring twice is a no-op.
     ///
     /// Completion is the *caller's* claim: engines that track run
     /// state outside the graph (see [`GraphRun`]) leave node states
@@ -500,19 +529,19 @@ impl TaskGraph {
     /// # Errors
     ///
     /// Returns [`DagError::UnknownTask`] for unknown ids.
-    pub fn retire_payload(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
-        node.spec = TaskSpec::new(String::new());
-        node.preds = Vec::new();
-        node.succs = Vec::new();
-        node.stream_preds = Vec::new();
-        node.stream_succs = Vec::new();
-        node.consumed = Vec::new();
-        node.produced = Vec::new();
-        Ok(())
+    pub fn retire_payload(&mut self, id: TaskId) -> Result<Option<usize>, DagError> {
+        let node = self.node_mut(id)?;
+        if node.retired {
+            return Ok(None);
+        }
+        node.retired = true;
+        node.spec = TaskSpec::new("");
+        node.preds.clear();
+        node.succs.clear();
+        node.streams = None;
+        node.consumed.clear();
+        node.produced.clear();
+        Ok(self.nodes.retire(id.index()))
     }
 
     /// Topological order of all tasks (submission order is already
@@ -521,31 +550,42 @@ impl TaskGraph {
     pub fn topological_order(&self) -> Vec<TaskId> {
         // Kahn's algorithm over the full graph — completion and stream
         // edges alike — independent of states.
-        let mut indeg: Vec<usize> = self
-            .nodes
-            .iter()
-            .map(|n| n.preds.len() + n.stream_preds.len())
-            .collect();
-        let mut queue: Vec<TaskId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.preds.is_empty() && n.stream_preds.is_empty())
-            .map(|n| n.id)
-            .collect();
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut indeg = vec![0usize; self.nodes.len()];
+        let mut queue = Vec::new();
+        for n in self.nodes.iter() {
+            let d = n.preds.len() + n.stream_predecessors().len();
+            indeg[n.id.index()] = d;
+            if d == 0 {
+                queue.push(n.id);
+            }
+        }
+        let mut order = Vec::with_capacity(queue.len());
         while let Some(id) = queue.pop() {
             order.push(id);
             let n = &self.nodes[id.index()];
-            for &s in n.succs.iter().chain(n.stream_succs.iter()) {
+            for &s in n.succs.iter().chain(n.stream_successors()) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     queue.push(s);
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len(), "graph must be acyclic");
+        debug_assert_eq!(
+            order.len(),
+            self.nodes.iter().count(),
+            "graph must be acyclic"
+        );
         order
     }
+}
+
+/// Per-task run state of a [`GraphRun`].
+#[derive(Debug, Clone, Copy)]
+struct RunSlot {
+    state: TaskState,
+    released: bool,
+    unfinished: u32,
+    stream_unreleased: u32,
 }
 
 /// Mutable execution state over a borrowed, structurally-immutable
@@ -560,41 +600,50 @@ impl TaskGraph {
 /// including the error conditions.
 #[derive(Debug, Clone)]
 pub struct GraphRun {
-    states: Vec<TaskState>,
-    unfinished: Vec<usize>,
-    stream_unreleased: Vec<usize>,
-    released: Vec<bool>,
-    ready: BTreeSet<TaskId>,
+    slots: SegVec<RunSlot>,
+    ready: ReadySet,
     completed_count: usize,
 }
 
 impl GraphRun {
     /// Snapshots the current lifecycle state of `graph`.
     pub fn new(graph: &TaskGraph) -> Self {
+        debug_assert_eq!(
+            graph.nodes.iter().count(),
+            graph.len(),
+            "a run starts from a graph that retired nothing"
+        );
         GraphRun {
-            states: graph.nodes.iter().map(|n| n.state).collect(),
-            unfinished: graph.nodes.iter().map(|n| n.unfinished_preds).collect(),
-            stream_unreleased: graph.nodes.iter().map(|n| n.unreleased_streams).collect(),
-            released: graph.nodes.iter().map(|n| n.released).collect(),
+            slots: graph
+                .nodes
+                .iter()
+                .map(|n| RunSlot {
+                    state: n.state,
+                    released: n.released,
+                    unfinished: n.unfinished_preds,
+                    stream_unreleased: n.unreleased_streams,
+                })
+                .collect(),
             ready: graph.ready.clone(),
             completed_count: graph.completed_count,
         }
     }
 
-    /// Current lifecycle state of a task, or `None` for unknown ids.
+    /// Current lifecycle state of a task, or `None` for unknown ids
+    /// (including ids of a [dropped](GraphRun::drop_segment) segment).
     pub fn state(&self, id: TaskId) -> Option<TaskState> {
-        self.states.get(id.index()).copied()
+        self.slots.get(id.index()).map(|s| s.state)
     }
 
     /// Number of tasks this run tracks (the graph length at creation
     /// or the last [`GraphRun::grow`]).
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.slots.len()
     }
 
     /// Returns `true` if the run tracks no tasks.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.slots.is_empty()
     }
 
     /// Extends the run to cover tasks appended to `graph` since this
@@ -606,19 +655,28 @@ impl GraphRun {
     /// through a `GraphRun` — so a consumer materialized after its
     /// producer completed in this run starts `Ready`. Dependency edges
     /// only point backward, and the new nodes are scanned in id order,
-    /// so every predecessor's run state exists by the time it is read.
+    /// so every predecessor's run state exists by the time it is read;
+    /// a predecessor of a dropped segment is necessarily completed.
     pub fn grow(&mut self, graph: &TaskGraph) -> usize {
-        let old = self.states.len();
-        for node in &graph.nodes[old..] {
+        let old = self.slots.len();
+        for node in graph.nodes.iter_from(old) {
             let unfinished = node
                 .preds
                 .iter()
-                .filter(|p| !self.states[p.index()].is_completed())
+                .filter(|p| {
+                    self.slots
+                        .get(p.index())
+                        .is_some_and(|s| !s.state.is_completed())
+                })
                 .count();
             let unreleased = node
-                .stream_preds
+                .stream_predecessors()
                 .iter()
-                .filter(|p| !self.released[p.index()] && !self.states[p.index()].is_completed())
+                .filter(|p| {
+                    self.slots
+                        .get(p.index())
+                        .is_some_and(|s| !s.released && !s.state.is_completed())
+                })
                 .count();
             let state = if unfinished == 0 && unreleased == 0 {
                 self.ready.insert(node.id);
@@ -626,16 +684,24 @@ impl GraphRun {
             } else {
                 TaskState::Pending
             };
-            self.states.push(state);
-            self.unfinished.push(unfinished);
-            self.stream_unreleased.push(unreleased);
-            self.released.push(false);
+            self.slots.push(RunSlot {
+                state,
+                released: false,
+                unfinished: unfinished as u32,
+                stream_unreleased: unreleased as u32,
+            });
         }
-        self.states.len() - old
+        self.slots.len() - old
+    }
+
+    /// Drops the run state of a task segment the graph dropped (see
+    /// [`TaskGraph::retire_payload`]).
+    pub fn drop_segment(&mut self, segment: usize) {
+        self.slots.drop_segment(segment);
     }
 
     /// Tasks whose dependencies are satisfied, in ascending id order.
-    pub fn ready_tasks(&self) -> &BTreeSet<TaskId> {
+    pub fn ready_tasks(&self) -> &ReadySet {
         &self.ready
     }
 
@@ -646,7 +712,13 @@ impl GraphRun {
 
     /// Returns `true` once every task has completed.
     pub fn all_completed(&self) -> bool {
-        self.completed_count == self.states.len()
+        self.completed_count == self.slots.len()
+    }
+
+    fn slot_mut(&mut self, id: TaskId) -> Result<&mut RunSlot, DagError> {
+        self.slots
+            .get_mut(id.index())
+            .ok_or(DagError::UnknownTask(id))
     }
 
     /// Marks a ready task as running (see [`TaskGraph::mark_running`]).
@@ -656,17 +728,14 @@ impl GraphRun {
     /// Returns [`DagError::InvalidTransition`] unless the task is
     /// currently `Ready`, and [`DagError::UnknownTask`] for unknown ids.
     pub fn mark_running(&mut self, id: TaskId) -> Result<(), DagError> {
-        let state = self
-            .states
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
-        if *state != TaskState::Ready {
+        let slot = self.slot_mut(id)?;
+        if slot.state != TaskState::Ready {
             return Err(DagError::InvalidTransition {
                 task: id,
-                detail: format!("mark_running from {state:?}"),
+                detail: format!("mark_running from {:?}", slot.state),
             });
         }
-        *state = TaskState::Running;
+        slot.state = TaskState::Running;
         self.ready.remove(&id);
         Ok(())
     }
@@ -675,7 +744,7 @@ impl GraphRun {
     /// (read from `graph`, which must be the graph this run was built
     /// from). Returns how many successors became ready — unlike
     /// [`TaskGraph::complete`] no list is built, keeping completions
-    /// allocation-free apart from ready-set maintenance.
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -683,11 +752,8 @@ impl GraphRun {
     /// `Running` (or `Ready`, accepted so single-threaded drivers may
     /// skip the explicit running transition).
     pub fn complete(&mut self, graph: &TaskGraph, id: TaskId) -> Result<usize, DagError> {
-        let state = self
-            .states
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
-        match *state {
+        let slot = self.slot_mut(id)?;
+        match slot.state {
             TaskState::Running => {}
             TaskState::Ready => {
                 self.ready.remove(&id);
@@ -699,26 +765,39 @@ impl GraphRun {
                 });
             }
         }
-        *state = TaskState::Completed;
+        let slot = &mut self.slots[id.index()];
+        slot.state = TaskState::Completed;
+        let released = slot.released;
         self.completed_count += 1;
         let mut newly_ready = 0;
-        for &s in &graph.nodes[id.index()].succs {
-            self.unfinished[s.index()] -= 1;
-            if self.unfinished[s.index()] == 0
-                && self.stream_unreleased[s.index()] == 0
-                && self.states[s.index()] == TaskState::Pending
-            {
-                self.states[s.index()] = TaskState::Ready;
-                self.ready.insert(s);
-                newly_ready += 1;
-            }
+        for &s in graph.successors(id) {
+            newly_ready += self.release_edge(s, false);
         }
         // Completion releases any consumers still gated on this
         // producer's first element (see `TaskGraph::complete_into`).
-        if !self.released[id.index()] {
+        if !released {
             newly_ready += self.release_walk(graph, id);
         }
         Ok(newly_ready)
+    }
+
+    /// Releases one incoming edge of `id` — a completion edge, or a
+    /// stream (first-element) edge — and promotes the task if nothing
+    /// is left to wait for; returns how many tasks became ready (0 or
+    /// 1).
+    fn release_edge(&mut self, id: TaskId, stream: bool) -> usize {
+        let slot = &mut self.slots[id.index()];
+        if stream {
+            slot.stream_unreleased -= 1;
+        } else {
+            slot.unfinished -= 1;
+        }
+        if slot.unfinished == 0 && slot.stream_unreleased == 0 && slot.state == TaskState::Pending {
+            slot.state = TaskState::Ready;
+            self.ready.insert(id);
+            return 1;
+        }
+        0
     }
 
     /// Marks `id` as having released its stream consumers and promotes
@@ -729,10 +808,7 @@ impl GraphRun {
     ///
     /// Returns [`DagError::UnknownTask`] for ids not in the run.
     pub fn stream_release(&mut self, graph: &TaskGraph, id: TaskId) -> Result<usize, DagError> {
-        if id.index() >= self.states.len() {
-            return Err(DagError::UnknownTask(id));
-        }
-        if self.released[id.index()] {
+        if self.slot_mut(id)?.released {
             return Ok(0);
         }
         Ok(self.release_walk(graph, id))
@@ -740,22 +816,18 @@ impl GraphRun {
 
     /// Whether `id` has released its stream consumers in this run.
     pub fn stream_released(&self, id: TaskId) -> bool {
-        self.released.get(id.index()).copied().unwrap_or(false)
+        self.slots.get(id.index()).is_some_and(|s| s.released)
     }
 
     fn release_walk(&mut self, graph: &TaskGraph, id: TaskId) -> usize {
-        self.released[id.index()] = true;
+        self.slots[id.index()].released = true;
         let mut newly_ready = 0;
-        for &s in &graph.nodes[id.index()].stream_succs {
-            self.stream_unreleased[s.index()] -= 1;
-            if self.unfinished[s.index()] == 0
-                && self.stream_unreleased[s.index()] == 0
-                && self.states[s.index()] == TaskState::Pending
-            {
-                self.states[s.index()] = TaskState::Ready;
-                self.ready.insert(s);
-                newly_ready += 1;
-            }
+        let consumers = graph
+            .nodes
+            .get(id.index())
+            .map_or(&[][..], TaskNode::stream_successors);
+        for &s in consumers {
+            newly_ready += self.release_edge(s, true);
         }
         newly_ready
     }
@@ -767,17 +839,14 @@ impl GraphRun {
     /// Returns [`DagError::InvalidTransition`] unless the task is
     /// `Running`.
     pub fn mark_failed(&mut self, id: TaskId) -> Result<(), DagError> {
-        let state = self
-            .states
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
-        if *state != TaskState::Running {
+        let slot = self.slot_mut(id)?;
+        if slot.state != TaskState::Running {
             return Err(DagError::InvalidTransition {
                 task: id,
-                detail: format!("mark_failed from {state:?}"),
+                detail: format!("mark_failed from {:?}", slot.state),
             });
         }
-        *state = TaskState::Failed;
+        slot.state = TaskState::Failed;
         Ok(())
     }
 
@@ -789,17 +858,14 @@ impl GraphRun {
     /// Returns [`DagError::InvalidTransition`] unless the task is
     /// `Failed`.
     pub fn requeue_failed(&mut self, id: TaskId) -> Result<(), DagError> {
-        let state = self
-            .states
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))?;
-        if *state != TaskState::Failed {
+        let slot = self.slot_mut(id)?;
+        if slot.state != TaskState::Failed {
             return Err(DagError::InvalidTransition {
                 task: id,
-                detail: format!("requeue_failed from {state:?}"),
+                detail: format!("requeue_failed from {:?}", slot.state),
             });
         }
-        *state = TaskState::Ready;
+        slot.state = TaskState::Ready;
         self.ready.insert(id);
         Ok(())
     }
@@ -831,7 +897,7 @@ mod tests {
     fn ready_set_evolves_with_completions() {
         let (mut ap, [a, b, c, d]) = diamond();
         let g = ap.graph_mut();
-        assert_eq!(g.ready_tasks().iter().copied().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(g.ready_tasks().iter().collect::<Vec<_>>(), vec![a]);
         g.mark_running(a).unwrap();
         let newly = g.complete(a).unwrap();
         assert_eq!(newly, vec![b, c]);
@@ -883,10 +949,7 @@ mod tests {
         let mut run = GraphRun::new(graph);
         // Mirror `ready_set_evolves_with_completions` without cloning
         // or mutating the structure.
-        assert_eq!(
-            run.ready_tasks().iter().copied().collect::<Vec<_>>(),
-            vec![a]
-        );
+        assert_eq!(run.ready_tasks().iter().collect::<Vec<_>>(), vec![a]);
         run.mark_running(a).unwrap();
         assert_eq!(run.complete(graph, a).unwrap(), 2, "b and c released");
         assert_eq!(run.state(a), Some(TaskState::Completed));
@@ -987,10 +1050,7 @@ mod tests {
         let (ap, [sensor, feat, sink]) = stream_chain();
         let graph = ap.graph();
         let mut run = GraphRun::new(graph);
-        assert_eq!(
-            run.ready_tasks().iter().copied().collect::<Vec<_>>(),
-            vec![sensor]
-        );
+        assert_eq!(run.ready_tasks().iter().collect::<Vec<_>>(), vec![sensor]);
         run.mark_running(sensor).unwrap();
         // First element propagates readiness down the chain as each
         // stage sends, all three stages concurrently running.

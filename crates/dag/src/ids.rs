@@ -7,7 +7,9 @@ use std::fmt;
 ///
 /// Task ids are dense indices assigned in submission order, which lets
 /// graph structures use `Vec`-backed storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct TaskId(pub(crate) u64);
 
 impl TaskId {
@@ -42,7 +44,9 @@ impl fmt::Display for TaskId {
 /// A `DataId` names the *logical* entity; each write access creates a
 /// new [`DataVersion`] of it, mirroring the renaming performed by the
 /// COMPSs runtime to avoid write-after-read hazards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct DataId(pub(crate) u64);
 
 impl DataId {
@@ -109,7 +113,9 @@ impl fmt::Display for DataVersion {
 /// A concrete `(DataId, DataVersion)` pair: one immutable value in the
 /// dataflow. This is the unit tracked by data managers and storage
 /// backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct VersionedData {
     /// The logical datum.
     pub data: DataId,

@@ -44,7 +44,10 @@ mod dot;
 mod error;
 mod graph;
 mod ids;
+mod inline_vec;
 mod param;
+mod ready;
+mod seg_vec;
 mod source;
 mod spec;
 
@@ -54,6 +57,9 @@ pub use dot::DotOptions;
 pub use error::DagError;
 pub use graph::{GraphRun, TaskGraph, TaskNode, TaskState};
 pub use ids::{DataId, DataVersion, TaskId, VersionedData};
+pub use inline_vec::InlineVec;
 pub use param::{Direction, Param, StreamRole};
+pub use ready::{ReadyIter, ReadySet};
+pub use seg_vec::{SegVec, SEGMENT_SLOTS};
 pub use source::{ExpandSink, GraphSource};
 pub use spec::TaskSpec;

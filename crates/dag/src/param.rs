@@ -21,9 +21,10 @@ pub enum StreamRole {
 /// of versioned whole-value dataflow, the datum is an unbounded channel
 /// of elements, and the consumer is released at the producer's *first
 /// element* rather than at producer completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Direction {
     /// The task only reads the parameter.
+    #[default]
     In,
     /// The task creates/overwrites the parameter without reading it.
     Out,
@@ -99,7 +100,7 @@ impl fmt::Display for Direction {
 
 /// One declared parameter access of a task: a datum plus the direction
 /// in which the task accesses it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Param {
     /// The datum being accessed.
     pub data: DataId,

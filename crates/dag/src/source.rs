@@ -22,6 +22,7 @@
 use crate::error::DagError;
 use crate::ids::{DataId, TaskId};
 use crate::spec::TaskSpec;
+use std::fmt;
 
 /// The surface a [`GraphSource`] expands into: data registration and
 /// task submission, plus the retirement-side `close_data` declaration.
@@ -36,6 +37,20 @@ pub trait ExpandSink<P> {
     /// Registers an initial (externally provided) datum of `bytes`
     /// size, staged everywhere.
     fn initial_data(&mut self, name: &str, bytes: u64) -> DataId;
+
+    /// [`ExpandSink::data`] with a formatted name
+    /// (`sink.data_fmt(format_args!("imp_c{chrom}_{chunk}"))`). Sinks
+    /// that store names in an arena override this to format in place;
+    /// the default builds a temporary `String`.
+    fn data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
+        self.data(&name.to_string())
+    }
+
+    /// [`ExpandSink::initial_data`] with a formatted name (see
+    /// [`ExpandSink::data_fmt`]).
+    fn initial_data_fmt(&mut self, name: fmt::Arguments<'_>, bytes: u64) -> DataId {
+        self.initial_data(&name.to_string(), bytes)
+    }
 
     /// Submits a task with its payload; dependencies are derived from
     /// the access declarations as usual.
@@ -170,7 +185,7 @@ mod tests {
         let mut run = GraphRun::new(sink.ap.graph());
         let mut done = 0;
         while !run.all_completed() {
-            let id = *run.ready_tasks().iter().next().expect("progress");
+            let id = run.ready_tasks().first().expect("progress");
             run.complete(sink.ap.graph(), id).unwrap();
             done += 1;
             src.on_task_complete(id, &mut sink).unwrap();

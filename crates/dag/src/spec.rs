@@ -1,8 +1,10 @@
 //! Task specifications submitted to the access processor.
 
 use crate::ids::DataId;
+use crate::inline_vec::InlineVec;
 use crate::param::{Direction, Param};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Declarative description of a task submission: a name (the task
 /// *type*, e.g. `"impute"`) plus the ordered list of parameter
@@ -24,21 +26,26 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.name(), "transform");
 /// assert_eq!(spec.params().len(), 2);
 /// ```
+///
+/// Names and group labels are `Cow<'static, str>`: the usual string
+/// literal costs nothing to store, a computed `String` is owned. Up to
+/// two parameters live inline, so a typical pipeline stage (one input,
+/// one output) builds its spec without touching the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaskSpec {
-    name: String,
-    params: Vec<Param>,
+    name: Cow<'static, str>,
+    params: InlineVec<Param, 2>,
     /// Free-form label used for grouping in reports and DOT output.
-    group: Option<String>,
+    group: Option<Cow<'static, str>>,
 }
 
 impl TaskSpec {
     /// Creates a task spec with the given task-type name and no
     /// parameters.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         TaskSpec {
             name: name.into(),
-            params: Vec::new(),
+            params: InlineVec::new(),
             group: None,
         }
     }
@@ -92,7 +99,7 @@ impl TaskSpec {
     }
 
     /// Sets a grouping label (e.g. workflow phase) used by reports.
-    pub fn group(mut self, group: impl Into<String>) -> Self {
+    pub fn group(mut self, group: impl Into<Cow<'static, str>>) -> Self {
         self.group = Some(group.into());
         self
     }

@@ -118,7 +118,7 @@ proptest! {
         let (mut ap, ids) = build(&trace).expect("valid traces");
         let g = ap.graph_mut();
         let mut completed = 0usize;
-        while let Some(t) = g.ready_tasks().iter().next_back().copied() {
+        while let Some(t) = g.ready_tasks().last() {
             g.mark_running(t).expect("ready task can run");
             g.complete(t).expect("running task can complete");
             completed += 1;

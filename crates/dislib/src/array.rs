@@ -159,7 +159,9 @@ impl DistMatrix {
             let out = rt.data::<Matrix>(format!("{name}{i}"));
             let f = Arc::clone(&f);
             rt.submit(
-                TaskSpec::new(name).input(src.id()).output(out.id()),
+                TaskSpec::new(name.to_string())
+                    .input(src.id())
+                    .output(out.id()),
                 Constraints::new(),
                 move |ctx| {
                     let block: &Matrix = ctx.input(0);

@@ -232,8 +232,8 @@ impl NodeCapacity {
             && self.memory_mb >= req.required_memory_mb()
             && self.disk_mb >= req.required_disk_mb()
             && self.gpus >= req.required_gpus()
-            && req.required_software().is_subset(&self.software)
-            && req.required_arch().is_none_or(|a| a == self.arch)
+            && (req.software.is_empty() || req.software.is_subset(&self.software))
+            && req.arch.as_deref().is_none_or(|a| a == self.arch)
     }
 
     /// Subtracts a task's requirements from this capacity.

@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within a [`crate::Platform`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

@@ -1,27 +1,35 @@
-//! The data registry: where each versioned datum currently lives.
+//! The data registry: the one table of everything the engine knows
+//! about each versioned datum.
 //!
-//! This is the runtime's data-management view: it tracks, per
-//! [`VersionedData`], the set of nodes holding a copy, its size, and
-//! whether the value was persisted to the storage backend (which makes
-//! it survive node failures — the recovery mechanism of §VI-B).
+//! This is the runtime's data-management view: per [`VersionedData`],
+//! the set of nodes holding a copy, its size, and whether the value was
+//! persisted to the storage backend (which makes it survive node
+//! failures — the recovery mechanism of §VI-B). The same record also
+//! carries what the simulated engine needs for lineage and retirement —
+//! the producing task, the materialized readers still pending and
+//! whether the value was produced — so one probe per access answers
+//! every question about a value.
 //!
 //! Placement queries are the hottest path of paper-scale simulations
 //! (every scheduler probe asks "where does this input live?" for every
 //! candidate node), so the registry keeps a **locality index**
-//! alongside the entries: replica sets are stored sorted in inline
+//! alongside the records: replica sets are stored sorted in inline
 //! small-vector storage (most data has ≤ 4 replicas, so probes touch
 //! no heap at all), and per-node resident-byte totals are maintained
 //! incrementally on every mutation, making [`DataRegistry::bytes_on`]
 //! O(1) and [`DataRegistry::locations_iter`] allocation-free.
 
-use continuum_dag::VersionedData;
+use continuum_dag::{InlineVec, TaskId, VersionedData};
 use continuum_platform::NodeId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Whether a datum is additionally held by the persistent store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StorageResidency {
     /// Only on compute nodes; lost if all of them fail.
+    #[default]
     VolatileOnly,
     /// Persisted: survives any number of node failures.
     Persisted,
@@ -29,116 +37,134 @@ pub enum StorageResidency {
 
 /// Replicas rarely exceed a handful of nodes, so the set lives inline
 /// until the fifth copy; it is kept sorted ascending so membership is
-/// a short scan and iteration order is deterministic.
-const INLINE_REPLICAS: usize = 4;
+/// a short search and iteration order is deterministic.
+type ReplicaSet = InlineVec<NodeId, 4>;
 
-#[derive(Debug, Clone)]
-enum ReplicaSet {
-    Inline {
-        len: u8,
-        slots: [NodeId; INLINE_REPLICAS],
-    },
-    Heap(Vec<NodeId>),
-}
+/// Hasher for keys made of dense ids (a [`VersionedData`] is a `u64`
+/// and a `u32`): one multiply per field, high half folded into the low
+/// half at the end. The keys are issued by this program, so the
+/// collision resistance of the default SipHash buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
 
-impl ReplicaSet {
-    fn new() -> Self {
-        ReplicaSet::Inline {
-            len: 0,
-            slots: [NodeId::from_raw(0); INLINE_REPLICAS],
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            ReplicaSet::Inline { len, slots } => &slots[..*len as usize],
-            ReplicaSet::Heap(v) => v,
-        }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
-    fn len(&self) -> usize {
-        self.as_slice().len()
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
     }
 
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        self.as_slice().binary_search(&node).is_ok()
-    }
-
-    /// Inserts keeping sorted order; returns `true` if newly added.
-    fn insert(&mut self, node: NodeId) -> bool {
-        match self {
-            ReplicaSet::Inline { len, slots } => {
-                let n = *len as usize;
-                let Err(pos) = slots[..n].binary_search(&node) else {
-                    return false;
-                };
-                if n < INLINE_REPLICAS {
-                    slots.copy_within(pos..n, pos + 1);
-                    slots[pos] = node;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(INLINE_REPLICAS * 2);
-                    v.extend_from_slice(&slots[..pos]);
-                    v.push(node);
-                    v.extend_from_slice(&slots[pos..]);
-                    *self = ReplicaSet::Heap(v);
-                }
-                true
-            }
-            ReplicaSet::Heap(v) => {
-                let Err(pos) = v.binary_search(&node) else {
-                    return false;
-                };
-                v.insert(pos, node);
-                true
-            }
-        }
-    }
-
-    /// Removes the node; returns `true` if it was present.
-    fn remove(&mut self, node: NodeId) -> bool {
-        match self {
-            ReplicaSet::Inline { len, slots } => {
-                let n = *len as usize;
-                let Ok(pos) = slots[..n].binary_search(&node) else {
-                    return false;
-                };
-                slots.copy_within(pos + 1..n, pos);
-                *len -= 1;
-                true
-            }
-            ReplicaSet::Heap(v) => {
-                let Ok(pos) = v.binary_search(&node) else {
-                    return false;
-                };
-                v.remove(pos);
-                true
-            }
-        }
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
-#[derive(Debug, Clone)]
-struct DataEntry {
+/// Everything known about one value. A record exists from the moment
+/// the engine first hears of the value (its producer or a reader is
+/// materialized) but only counts as *placed* — visible to placement
+/// queries and to [`DataRegistry::len`] — once it was registered as
+/// initial data or produced on a node.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ValueRecord {
     bytes: u64,
     replicas: ReplicaSet,
-    residency: StorageResidency,
+    /// The task that produces this value, once it is materialized.
+    producer: Option<TaskId>,
+    /// Materialized readers that have not completed yet (lazy runs).
+    pending_readers: u32,
+    placed: bool,
     /// Staged everywhere (initial data without a pinned home).
     ubiquitous: bool,
+    residency: StorageResidency,
+    /// The producing task completed in this run (lazy runs).
+    produced: bool,
+}
+
+impl ValueRecord {
+    /// Size in bytes (0 until placed).
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Live replica locations, ascending.
+    pub(crate) fn replicas(&self) -> &[NodeId] {
+        &self.replicas
+    }
+
+    /// Registered as initial data or produced at least once.
+    pub(crate) fn is_placed(&self) -> bool {
+        self.placed
+    }
+
+    /// Staged everywhere.
+    pub(crate) fn is_ubiquitous(&self) -> bool {
+        self.ubiquitous
+    }
+
+    /// A copy exists on `node` (or the value is staged everywhere).
+    pub(crate) fn is_on(&self, node: NodeId) -> bool {
+        self.ubiquitous || self.replicas.binary_search(&node).is_ok()
+    }
+
+    /// Readable from somewhere: a node copy, ubiquitous staging, or
+    /// the persistent store.
+    pub(crate) fn is_available(&self) -> bool {
+        self.ubiquitous
+            || !self.replicas.is_empty()
+            || self.residency == StorageResidency::Persisted
+    }
+
+    /// The producing task, if materialized.
+    pub(crate) fn producer(&self) -> Option<TaskId> {
+        self.producer
+    }
+}
+
+/// A liveness update applied by [`DataRegistry::settle`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Settle {
+    /// The producing task completed.
+    Produced,
+    /// One materialized reader completed.
+    ReaderDone,
+    /// Nothing changed on the value itself (its datum was closed).
+    Closed,
 }
 
 /// Registry of versioned data placement.
 #[derive(Debug, Clone, Default)]
 pub struct DataRegistry {
-    entries: HashMap<VersionedData, DataEntry>,
+    entries: HashMap<VersionedData, ValueRecord, BuildHasherDefault<IdHasher>>,
+    /// Records that are placed (see [`ValueRecord`]).
+    placed: usize,
     /// Locality index: resident bytes per node (indexed by
     /// [`NodeId::index`]), maintained incrementally on every replica
     /// mutation so `bytes_on` never scans the entries.
     node_bytes: Vec<u64>,
+}
+
+fn add_node_bytes(node_bytes: &mut Vec<u64>, node: NodeId, bytes: u64) {
+    let idx = node.index();
+    if idx >= node_bytes.len() {
+        node_bytes.resize(idx + 1, 0);
+    }
+    node_bytes[idx] += bytes;
+}
+
+fn sub_node_bytes(node_bytes: &mut [u64], node: NodeId, bytes: u64) {
+    if let Some(total) = node_bytes.get_mut(node.index()) {
+        *total -= bytes;
+    }
 }
 
 impl DataRegistry {
@@ -147,130 +173,99 @@ impl DataRegistry {
         Self::default()
     }
 
-    fn add_node_bytes(&mut self, node: NodeId, bytes: u64) {
-        let idx = node.index();
-        if idx >= self.node_bytes.len() {
-            self.node_bytes.resize(idx + 1, 0);
-        }
-        self.node_bytes[idx] += bytes;
-    }
-
-    fn sub_node_bytes(&mut self, node: NodeId, bytes: u64) {
-        let idx = node.index();
-        if let Some(total) = self.node_bytes.get_mut(idx) {
-            *total -= bytes;
-        }
-    }
-
     /// Records production of a datum on a node.
     pub fn record_production(&mut self, vd: VersionedData, node: NodeId, bytes: u64) {
-        let entry = self.entries.entry(vd).or_insert_with(|| DataEntry {
-            bytes,
-            replicas: ReplicaSet::new(),
-            residency: StorageResidency::VolatileOnly,
-            ubiquitous: false,
-        });
-        let old_bytes = entry.bytes;
-        entry.bytes = bytes;
-        let inserted = entry.replicas.insert(node);
+        let rec = self.entries.entry(vd).or_default();
+        if !rec.placed {
+            rec.placed = true;
+            self.placed += 1;
+        }
+        let old_bytes = std::mem::replace(&mut rec.bytes, bytes);
+        let inserted = rec.replicas.insert_sorted(node);
         // Reconcile the index: existing replicas were accounted at the
         // old size, and the producing node gains a copy at the new one.
         if old_bytes != bytes {
-            let prior: Vec<NodeId> = entry
-                .replicas
-                .as_slice()
-                .iter()
-                .copied()
-                .filter(|&r| !(inserted && r == node))
-                .collect();
-            for holder in prior {
-                self.sub_node_bytes(holder, old_bytes);
-                self.add_node_bytes(holder, bytes);
+            for &holder in rec.replicas.iter().filter(|&&r| !(inserted && r == node)) {
+                sub_node_bytes(&mut self.node_bytes, holder, old_bytes);
+                add_node_bytes(&mut self.node_bytes, holder, bytes);
             }
         }
         if inserted {
-            self.add_node_bytes(node, bytes);
+            add_node_bytes(&mut self.node_bytes, node, bytes);
         }
     }
 
-    /// Registers an initial datum pinned to a home node.
+    /// Registers an initial datum pinned to a home node (staged
+    /// everywhere without one), replacing whatever was known about it.
     pub fn record_initial(&mut self, vd: VersionedData, home: Option<NodeId>, bytes: u64) {
-        let mut replicas = ReplicaSet::new();
-        let ubiquitous = match home {
-            Some(h) => {
-                replicas.insert(h);
-                false
-            }
-            None => true,
-        };
-        let previous = self.entries.insert(
-            vd,
-            DataEntry {
-                bytes,
-                replicas,
-                residency: StorageResidency::VolatileOnly,
-                ubiquitous,
-            },
-        );
-        if let Some(prev) = previous {
-            let old_nodes: Vec<NodeId> = prev.replicas.as_slice().to_vec();
-            for node in old_nodes {
-                self.sub_node_bytes(node, prev.bytes);
-            }
+        let rec = self.entries.entry(vd).or_default();
+        for &node in rec.replicas.iter() {
+            sub_node_bytes(&mut self.node_bytes, node, rec.bytes);
         }
+        if !rec.placed {
+            self.placed += 1;
+        }
+        *rec = ValueRecord {
+            bytes,
+            placed: true,
+            ubiquitous: home.is_none(),
+            ..ValueRecord::default()
+        };
         if let Some(h) = home {
-            self.add_node_bytes(h, bytes);
+            rec.replicas.push(h);
+            add_node_bytes(&mut self.node_bytes, h, bytes);
         }
     }
 
     /// Adds a replica after a transfer.
     pub fn add_replica(&mut self, vd: VersionedData, node: NodeId) {
-        if let Some(e) = self.entries.get_mut(&vd) {
-            let bytes = e.bytes;
-            if e.replicas.insert(node) {
-                self.add_node_bytes(node, bytes);
+        if let Some(rec) = self.entries.get_mut(&vd).filter(|r| r.placed) {
+            if rec.replicas.insert_sorted(node) {
+                add_node_bytes(&mut self.node_bytes, node, rec.bytes);
             }
         }
     }
 
     /// Marks a datum as persisted to storage.
     pub fn persist(&mut self, vd: VersionedData) {
-        if let Some(e) = self.entries.get_mut(&vd) {
-            e.residency = StorageResidency::Persisted;
+        if let Some(rec) = self.entries.get_mut(&vd).filter(|r| r.placed) {
+            rec.residency = StorageResidency::Persisted;
         }
+    }
+
+    /// The record of a value, placed or not: one probe for callers
+    /// that need several facts about it.
+    pub(crate) fn get(&self, vd: VersionedData) -> Option<&ValueRecord> {
+        self.entries.get(&vd)
     }
 
     /// Whether the datum is persisted.
     pub fn is_persisted(&self, vd: VersionedData) -> bool {
-        self.entries
-            .get(&vd)
-            .is_some_and(|e| e.residency == StorageResidency::Persisted)
+        self.get(vd)
+            .is_some_and(|r| r.residency == StorageResidency::Persisted)
     }
 
     /// Size of a datum in bytes (0 if unknown).
     pub fn size_of(&self, vd: VersionedData) -> u64 {
-        self.entries.get(&vd).map_or(0, |e| e.bytes)
+        self.get(vd).map_or(0, ValueRecord::bytes)
     }
 
-    /// Returns `true` if the registry knows this datum at all.
+    /// Returns `true` if the datum was registered as initial data or
+    /// produced.
     pub fn is_known(&self, vd: VersionedData) -> bool {
-        self.entries.contains_key(&vd)
+        self.get(vd).is_some_and(ValueRecord::is_placed)
     }
 
     /// Returns `true` if a copy exists on the given node (or the datum
     /// is staged everywhere).
     pub fn is_on(&self, vd: VersionedData, node: NodeId) -> bool {
-        self.entries
-            .get(&vd)
-            .is_some_and(|e| e.ubiquitous || e.replicas.contains(node))
+        self.get(vd).is_some_and(|r| r.is_on(node))
     }
 
     /// Returns `true` if the datum can be read from somewhere: a node
     /// copy, ubiquitous staging, or the persistent store.
     pub fn is_available(&self, vd: VersionedData) -> bool {
-        self.entries.get(&vd).is_some_and(|e| {
-            e.ubiquitous || !e.replicas.is_empty() || e.residency == StorageResidency::Persisted
-        })
+        self.get(vd).is_some_and(ValueRecord::is_available)
     }
 
     /// Live replica locations (empty for ubiquitous or storage-only
@@ -283,10 +278,7 @@ impl DataRegistry {
     /// Live replica locations as a sorted slice — the allocation-free
     /// view used by the placement hot path.
     pub fn locations_slice(&self, vd: VersionedData) -> &[NodeId] {
-        self.entries
-            .get(&vd)
-            .map(|e| e.replicas.as_slice())
-            .unwrap_or(&[])
+        self.get(vd).map_or(&[], ValueRecord::replicas)
     }
 
     /// Iterates live replica locations in ascending node order without
@@ -302,20 +294,18 @@ impl DataRegistry {
 
     /// Returns `true` if the datum is staged everywhere.
     pub fn is_ubiquitous(&self, vd: VersionedData) -> bool {
-        self.entries.get(&vd).is_some_and(|e| e.ubiquitous)
+        self.get(vd).is_some_and(ValueRecord::is_ubiquitous)
     }
 
     /// Removes a failed node from all location sets. Returns the data
     /// that lost their **last** copy and are not persisted (i.e. truly
-    /// lost values that need lineage recovery).
+    /// lost values that need lineage recovery), in ascending order —
+    /// the table itself iterates in no particular order, and callers
+    /// act on the result.
     pub fn drop_node(&mut self, node: NodeId) -> Vec<VersionedData> {
         let mut lost = Vec::new();
-        for (vd, e) in self.entries.iter_mut() {
-            if e.replicas.remove(node)
-                && e.replicas.is_empty()
-                && !e.ubiquitous
-                && e.residency != StorageResidency::Persisted
-            {
+        for (vd, rec) in self.entries.iter_mut() {
+            if rec.replicas.remove_sorted(&node) && !rec.is_available() {
                 lost.push(*vd);
             }
         }
@@ -327,20 +317,65 @@ impl DataRegistry {
         lost
     }
 
+    fn forget(&mut self, rec: &ValueRecord) {
+        for &node in rec.replicas.iter() {
+            sub_node_bytes(&mut self.node_bytes, node, rec.bytes);
+        }
+        self.placed -= usize::from(rec.placed);
+    }
+
     /// Retires a datum whose consumers are all finished: drops the
-    /// entry and de-accounts every replica from the locality index.
-    /// Returns `true` if the datum was tracked. Lazily-materialized
-    /// runs call this once the graph source closed the datum and all
-    /// materialized readers completed, bounding registry memory by the
-    /// live frontier.
+    /// record and de-accounts every replica from the locality index.
+    /// Returns `true` if the datum was known. Lazily-materialized
+    /// runs retire a value once the graph source closed the datum and
+    /// all materialized readers completed, bounding registry memory by
+    /// the live frontier.
     pub fn retire(&mut self, vd: VersionedData) -> bool {
-        let Some(entry) = self.entries.remove(&vd) else {
+        let Some(rec) = self.entries.remove(&vd) else {
             return false;
         };
-        for &node in entry.replicas.as_slice() {
-            self.sub_node_bytes(node, entry.bytes);
+        self.forget(&rec);
+        rec.placed
+    }
+
+    /// Records the task producing `vd` (lineage replays and producer
+    /// retirement look it up here).
+    pub(crate) fn set_producer(&mut self, vd: VersionedData, task: TaskId) {
+        self.entries.entry(vd).or_default().producer = Some(task);
+    }
+
+    /// Counts one more materialized reader of `vd`.
+    pub(crate) fn add_reader(&mut self, vd: VersionedData) {
+        self.entries.entry(vd).or_default().pending_readers += 1;
+    }
+
+    /// Applies a liveness update to `vd` and retires it — exactly as
+    /// [`DataRegistry::retire`] does — if it is now drained: produced,
+    /// no materialized reader pending, and `closed` (the graph source
+    /// declared that no future task reads the datum). Returns the
+    /// retired value's producer (`Some(None)` for initial data), or
+    /// `None` while the value lives on or is not tracked.
+    pub(crate) fn settle(
+        &mut self,
+        vd: VersionedData,
+        update: Settle,
+        closed: bool,
+    ) -> Option<Option<TaskId>> {
+        let Entry::Occupied(mut entry) = self.entries.entry(vd) else {
+            return None;
+        };
+        let rec = entry.get_mut();
+        match update {
+            Settle::Produced => rec.produced = true,
+            Settle::ReaderDone => rec.pending_readers = rec.pending_readers.saturating_sub(1),
+            Settle::Closed => {}
         }
-        true
+        if !(closed && rec.produced && rec.pending_readers == 0) {
+            return None;
+        }
+        let rec = entry.remove();
+        self.forget(&rec);
+        Some(rec.producer)
     }
 
     /// Bytes of data resident on a node: an O(1) read of the locality
@@ -349,14 +384,14 @@ impl DataRegistry {
         self.node_bytes.get(node.index()).copied().unwrap_or(0)
     }
 
-    /// Number of tracked data.
+    /// Number of placed data.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.placed
     }
 
-    /// Returns `true` if no data are tracked.
+    /// Returns `true` if no data are placed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.placed == 0
     }
 }
 
@@ -507,7 +542,7 @@ mod tests {
         let naive = |r: &DataRegistry, node: NodeId| -> u64 {
             r.entries
                 .values()
-                .filter(|e| e.replicas.contains(node))
+                .filter(|e| e.replicas.contains(&node))
                 .map(|e| e.bytes)
                 .sum()
         };

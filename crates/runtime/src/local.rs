@@ -1227,7 +1227,7 @@ impl LocalRuntime {
     /// Registers a typed logical datum.
     pub fn data<T>(&self, name: impl Into<String>) -> DataHandle<T> {
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let id = self.shared.graph.lock().ap.new_data(name);
+        let id = self.shared.graph.lock().ap.new_data(name.into());
         DataHandle {
             id,
             _marker: PhantomData,
@@ -1246,7 +1246,7 @@ impl LocalRuntime {
         let name = name.into();
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
         let mut g = self.shared.graph.lock();
-        let id = g.ap.new_data(name.clone());
+        let id = g.ap.new_data(&name);
         g.channels
             .insert(id, Arc::new(StreamChannel::new(name, capacity)));
         StreamHandle {
@@ -1261,7 +1261,7 @@ impl LocalRuntime {
         let mut g = self.shared.graph.lock();
         (0..n)
             .map(|i| DataHandle {
-                id: g.ap.new_data(format!("{prefix}{i}")),
+                id: g.ap.new_data_fmt(format_args!("{prefix}{i}")),
                 _marker: PhantomData,
             })
             .collect()

@@ -196,7 +196,9 @@ impl<'a> PlacementView<'a> {
 /// thousands of hash lookups per task. `InputScratch` resolves each
 /// input exactly once — bytes, ubiquity, replica list, and (optionally)
 /// the cheapest fetch cost into every zone — and then answers per-node
-/// queries with a binary search over at most a handful of replicas.
+/// queries from that: resident bytes are accumulated per node while
+/// resolving (one addition per replica, however many nodes there are),
+/// transfer estimates binary-search at most a handful of replicas.
 ///
 /// The struct owns its buffers (replica ids are copied, not borrowed)
 /// so schedulers keep one instance across rounds and reuse it
@@ -214,6 +216,15 @@ pub struct InputScratch {
     /// only when `with_costs` is set.
     zone_cost: Vec<f64>,
     zones: usize,
+    /// Bytes of non-ubiquitous inputs resident on each node (indexed by
+    /// [`NodeId::index`]); `holders` lists the non-zero entries.
+    resident: Vec<u64>,
+    /// Nodes holding a replica of a non-empty, non-ubiquitous input,
+    /// ascending: the only nodes whose [`InputScratch::local_bytes`]
+    /// exceeds what every node gets from ubiquitous inputs.
+    holders: Vec<NodeId>,
+    /// Total bytes of ubiquitous inputs (resident on every node).
+    ubiquitous_bytes: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -243,16 +254,35 @@ impl InputScratch {
         self.replicas.clear();
         self.zone_cost.clear();
         self.zones = view.platform.zones().len();
+        for holder in self.holders.drain(..) {
+            self.resident[holder.index()] = 0;
+        }
+        self.resident.resize(view.nodes.len(), 0);
+        self.ubiquitous_bytes = 0;
         let record = view.workload.graph().node(task).expect("task in workload");
         for vd in record.consumed() {
-            let registry = view.registry;
-            let bytes = registry.size_of(*vd);
-            let locs = registry.locations_slice(*vd);
+            // One probe answers size, replicas and ubiquity.
+            let (bytes, locs, ubiquitous) = match view.registry.get(*vd) {
+                Some(rec) => (rec.bytes(), rec.replicas(), rec.is_ubiquitous()),
+                None => (0, &[][..], false),
+            };
+            if ubiquitous {
+                self.ubiquitous_bytes += bytes;
+            } else if bytes > 0 {
+                for holder in locs {
+                    if let Some(resident) = self.resident.get_mut(holder.index()) {
+                        if *resident == 0 {
+                            self.holders.push(*holder);
+                        }
+                        *resident += bytes;
+                    }
+                }
+            }
             let lo = self.replicas.len() as u32;
             self.replicas.extend_from_slice(locs);
             self.items.push(InputItem {
                 bytes,
-                ubiquitous: registry.is_ubiquitous(*vd),
+                ubiquitous,
                 lo,
                 hi: self.replicas.len() as u32,
             });
@@ -276,16 +306,13 @@ impl InputScratch {
                 }
             }
         }
+        self.holders.sort_unstable();
     }
 
     /// Input bytes already resident on `node`; equals
     /// [`PlacementView::local_input_bytes`].
     pub fn local_bytes(&self, node: NodeId) -> u64 {
-        self.items
-            .iter()
-            .filter(|item| item.on(&self.replicas, node))
-            .map(|item| item.bytes)
-            .sum()
+        self.ubiquitous_bytes + self.resident.get(node.index()).copied().unwrap_or(0)
     }
 
     /// Estimated seconds to move the remote inputs to `node` (which
@@ -342,6 +369,31 @@ pub trait Scheduler: Send {
 
     /// Chooses placements for (a subset of) the ready tasks.
     fn place(&mut self, view: &PlacementView<'_>, ready: &[TaskId]) -> Vec<(TaskId, NodeId)>;
+
+    /// [`Scheduler::place`] appending to a caller-owned buffer, which
+    /// is what the engine calls with one buffer reused across rounds.
+    /// The built-in policies implement this natively and derive
+    /// `place` from it; a policy that only implements `place` gets the
+    /// obvious default.
+    fn place_into(
+        &mut self,
+        view: &PlacementView<'_>,
+        ready: &[TaskId],
+        out: &mut Vec<(TaskId, NodeId)>,
+    ) {
+        out.extend(self.place(view, ready));
+    }
+}
+
+/// `place` in terms of a native `place_into`.
+fn collect_placements<S: Scheduler + ?Sized>(
+    scheduler: &mut S,
+    view: &PlacementView<'_>,
+    ready: &[TaskId],
+) -> Vec<(TaskId, NodeId)> {
+    let mut out = Vec::new();
+    scheduler.place_into(view, ready, &mut out);
+    out
 }
 
 /// Per-node same-round assignment counters, kept inside each scheduler
@@ -349,21 +401,38 @@ pub trait Scheduler: Send {
 /// after warm-up. Also tracks how many nodes can still take at least
 /// one more minimum-size (1-compute-unit) task, so a full machine ends
 /// the round after a single node sweep instead of O(ready × nodes).
+///
+/// Starting a round costs O(assignments of the previous round), not
+/// O(nodes): only the counters that were touched are cleared, and the
+/// open-node count is skipped for a one-task round, where it cannot
+/// save a sweep.
 #[derive(Debug, Clone, Default)]
 struct RoundScratch {
     extra: Vec<u32>,
-    open: usize,
+    /// Indices of the non-zero entries of `extra`.
+    touched: Vec<usize>,
+    /// Nodes that can still accept a 1-unit task; `None` when not
+    /// tracked this round.
+    open: Option<usize>,
 }
 
 impl RoundScratch {
-    /// Resets the counters for a round over `nodes`.
-    fn reset(&mut self, nodes: &[NodeState]) {
-        self.extra.clear();
+    /// Resets the counters for a round offering `ready` tasks over
+    /// `nodes`.
+    fn reset(&mut self, nodes: &[NodeState], ready: usize) {
+        for idx in self.touched.drain(..) {
+            self.extra[idx] = 0;
+        }
+        // Elastic zones grow the node list between rounds.
         self.extra.resize(nodes.len(), 0);
-        self.open = nodes
-            .iter()
-            .filter(|st| st.free_capacity().cores() > 0)
-            .count();
+        // With a single task on offer the early exit below can only
+        // replace the one sweep that would find no node anyway.
+        self.open = (ready > 1).then(|| {
+            nodes
+                .iter()
+                .filter(|st| st.free_capacity().cores() > 0)
+                .count()
+        });
     }
 
     /// Assignments already made to `node` this round.
@@ -374,11 +443,16 @@ impl RoundScratch {
     /// Commits one assignment to `node`.
     fn commit(&mut self, nodes: &[NodeState], node: NodeId) {
         let idx = node.index();
+        if self.extra[idx] == 0 {
+            self.touched.push(idx);
+        }
         self.extra[idx] += 1;
         // Every budget check requires free >= extra*cu + cu with
         // cu >= 1, so a node stops accepting once free <= extra.
-        if nodes[idx].free_capacity().cores() <= self.extra[idx] {
-            self.open -= 1;
+        if let Some(open) = &mut self.open {
+            if nodes[idx].free_capacity().cores() <= self.extra[idx] {
+                *open -= 1;
+            }
         }
     }
 
@@ -387,7 +461,7 @@ impl RoundScratch {
     /// remaining ready tasks can pass any budget check, so the round
     /// can stop early without changing what gets placed.
     fn exhausted(&self) -> bool {
-        self.open == 0
+        self.open == Some(0)
     }
 }
 
@@ -411,14 +485,22 @@ impl Scheduler for FifoScheduler {
     }
 
     fn place(&mut self, view: &PlacementView<'_>, ready: &[TaskId]) -> Vec<(TaskId, NodeId)> {
+        collect_placements(self, view, ready)
+    }
+
+    fn place_into(
+        &mut self,
+        view: &PlacementView<'_>,
+        ready: &[TaskId],
+        out: &mut Vec<(TaskId, NodeId)>,
+    ) {
         let n = view.nodes().len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         // Track capacity we hand out within this round so one fat node
         // is not over-assigned.
-        self.scratch.reset(view.nodes());
-        let mut out = Vec::new();
+        self.scratch.reset(view.nodes(), ready.len());
         for &task in ready {
             if self.scratch.exhausted() {
                 break;
@@ -446,7 +528,6 @@ impl Scheduler for FifoScheduler {
                 break;
             }
         }
-        out
     }
 }
 
@@ -484,45 +565,84 @@ impl LocalityScheduler {
     }
 }
 
+impl LocalityScheduler {
+    /// The best feasible node for `task` among `candidates` (visited
+    /// in ascending id order), with its ranking key. Ranking: resident
+    /// input bytes, then stream-endpoint affinity (co-locate with the
+    /// producer feeding this task's stream edges — streams carry no
+    /// resident bytes), then load; the first of equals wins. Inputs
+    /// were resolved into `self.inputs` by the caller.
+    fn best_node<'n>(
+        &self,
+        view: &PlacementView<'_>,
+        task: TaskId,
+        candidates: impl Iterator<Item = &'n NodeState>,
+    ) -> Option<(u64, u32, i64, NodeId)> {
+        let req = view.workload().profile(task).constraints_ref();
+        let cu = req.required_compute_units().max(1);
+        let sited = view.stream_sites.is_some_and(|sites| !sites.is_empty());
+        let mut best: Option<(u64, u32, i64, NodeId)> = None;
+        for st in candidates {
+            let node = st.id();
+            if !st.can_host(req) {
+                continue;
+            }
+            let extra = self.scratch.extra(node);
+            if st.free_capacity().cores() < extra * cu + cu {
+                continue;
+            }
+            let local = self.inputs.local_bytes(node);
+            let affinity = if sited {
+                view.stream_affinity(task, node)
+            } else {
+                0
+            };
+            let load = -(st.running_count() as i64 + extra as i64);
+            let candidate = (local, affinity, load, node);
+            if best.is_none_or(|b| (candidate.0, candidate.1, candidate.2) > (b.0, b.1, b.2)) {
+                best = Some(candidate);
+            }
+        }
+        best
+    }
+}
+
 impl Scheduler for LocalityScheduler {
     fn name(&self) -> &str {
         "locality"
     }
 
     fn place(&mut self, view: &PlacementView<'_>, ready: &[TaskId]) -> Vec<(TaskId, NodeId)> {
-        self.scratch.reset(view.nodes());
-        let mut out = Vec::new();
+        collect_placements(self, view, ready)
+    }
+
+    fn place_into(
+        &mut self,
+        view: &PlacementView<'_>,
+        ready: &[TaskId],
+        out: &mut Vec<(TaskId, NodeId)>,
+    ) {
+        self.scratch.reset(view.nodes(), ready.len());
+        let placed_before = out.len();
         let machine_busy = view.nodes().iter().any(|n| n.running_count() > 0);
         for &task in ready {
             if self.scratch.exhausted() {
                 break;
             }
             let req = view.workload().profile(task).constraints_ref();
-            let cu = req.required_compute_units().max(1);
-            // One registry probe per input; per-node locality is then a
-            // binary search over the resolved replica lists. Ranking:
-            // resident input bytes, then stream-endpoint affinity
-            // (co-locate with the producer feeding this task's stream
-            // edges — streams carry no resident bytes), then load.
             self.inputs.resolve(view, task, false);
-            let mut best: Option<(u64, u32, i64, NodeId)> = None;
-            for st in view.nodes() {
-                let node = st.id();
-                if !view.can_host(node, task) {
-                    continue;
-                }
-                let extra = self.scratch.extra(node);
-                if st.free_capacity().cores() < extra * cu + cu {
-                    continue;
-                }
-                let local = self.inputs.local_bytes(node);
-                let affinity = view.stream_affinity(task, node);
-                let load = -(st.running_count() as i64 + extra as i64);
-                let candidate = (local, affinity, load, node);
-                if best.is_none_or(|b| (candidate.0, candidate.1, candidate.2) > (b.0, b.1, b.2)) {
-                    best = Some(candidate);
-                }
-            }
+            // A node holding a replica of a non-empty, non-ubiquitous
+            // input has strictly more local bytes than any node
+            // holding none, so if one of the (few) holders is feasible
+            // the winner is among them — visited in the same ascending
+            // order, the same one wins. The full sweep is needed only
+            // when no holder is feasible (it then skips them all
+            // again, changing nothing).
+            let nodes = view.nodes();
+            let holders = self.inputs.holders.iter().map(|h| &nodes[h.index()]);
+            let best = self
+                .best_node(view, task, holders)
+                .or_else(|| self.best_node(view, task, nodes.iter()));
             let Some((local, _, _, node)) = best else {
                 continue;
             };
@@ -533,7 +653,7 @@ impl Scheduler for LocalityScheduler {
             // free one soon. Only defer while the machine is busy, so
             // progress is guaranteed; on fast fabrics (transfer cheap
             // relative to compute) running remote immediately wins.
-            let busy_now = machine_busy || !out.is_empty();
+            let busy_now = machine_busy || out.len() > placed_before;
             if local == 0 && busy_now && self.inputs.has_local_potential(view, req) {
                 let fetch_s = view.estimated_transfer_seconds(task, node);
                 let exec_s = view.workload().profile(task).duration_s();
@@ -544,7 +664,6 @@ impl Scheduler for LocalityScheduler {
             self.scratch.commit(view.nodes(), node);
             out.push((task, node));
         }
-        out
     }
 }
 
@@ -644,7 +763,15 @@ impl Scheduler for HeftScheduler {
     }
 
     fn place(&mut self, view: &PlacementView<'_>, ready: &[TaskId]) -> Vec<(TaskId, NodeId)> {
-        let mut out = Vec::new();
+        collect_placements(self, view, ready)
+    }
+
+    fn place_into(
+        &mut self,
+        view: &PlacementView<'_>,
+        ready: &[TaskId],
+        out: &mut Vec<(TaskId, NodeId)>,
+    ) {
         for &task in ready {
             let node = self.mapping[task.index()];
             if view.can_host(node, task) {
@@ -653,7 +780,6 @@ impl Scheduler for HeftScheduler {
             // Otherwise: wait for the planned node — static schedules
             // do not migrate.
         }
-        out
     }
 }
 
@@ -692,6 +818,15 @@ impl Scheduler for ListScheduler {
     }
 
     fn place(&mut self, view: &PlacementView<'_>, ready: &[TaskId]) -> Vec<(TaskId, NodeId)> {
+        collect_placements(self, view, ready)
+    }
+
+    fn place_into(
+        &mut self,
+        view: &PlacementView<'_>,
+        ready: &[TaskId],
+        out: &mut Vec<(TaskId, NodeId)>,
+    ) {
         self.ordered.clear();
         self.ordered.extend_from_slice(ready);
         let priority = &self.priority;
@@ -703,8 +838,7 @@ impl Scheduler for ListScheduler {
                 .expect("finite priorities")
                 .then(a.cmp(b))
         });
-        self.scratch.reset(view.nodes());
-        let mut out = Vec::new();
+        self.scratch.reset(view.nodes(), ready.len());
         for &task in &self.ordered {
             if self.scratch.exhausted() {
                 break;
@@ -740,7 +874,6 @@ impl Scheduler for ListScheduler {
                 out.push((task, node));
             }
         }
-        out
     }
 }
 
@@ -764,8 +897,16 @@ impl Scheduler for EnergyScheduler {
     }
 
     fn place(&mut self, view: &PlacementView<'_>, ready: &[TaskId]) -> Vec<(TaskId, NodeId)> {
-        self.scratch.reset(view.nodes());
-        let mut out = Vec::new();
+        collect_placements(self, view, ready)
+    }
+
+    fn place_into(
+        &mut self,
+        view: &PlacementView<'_>,
+        ready: &[TaskId],
+        out: &mut Vec<(TaskId, NodeId)>,
+    ) {
+        self.scratch.reset(view.nodes(), ready.len());
         for &task in ready {
             if self.scratch.exhausted() {
                 break;
@@ -804,7 +945,6 @@ impl Scheduler for EnergyScheduler {
                 out.push((task, node));
             }
         }
-        out
     }
 }
 
@@ -845,7 +985,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let mut s = FifoScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);
@@ -860,7 +1000,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let mut s = FifoScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 2, "2 cores => at most 2 tasks this round");
@@ -886,7 +1026,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let mut s = FifoScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 2, "0-cu tasks occupy one core each");
@@ -958,7 +1098,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let mut s = LocalityScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);
@@ -1007,7 +1147,7 @@ mod tests {
         nodes[1].fail(continuum_sim::VirtualTime::ZERO);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 2, "only the tasks planned on node 0");
         assert!(placed.iter().all(|(_, n)| n.index() == 0));
@@ -1020,7 +1160,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let mut s = EnergyScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);
@@ -1035,7 +1175,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().copied().collect();
+        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
         let mut s = EnergyScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);

@@ -3,15 +3,15 @@
 //! transfers, locality, persistence, failures, lineage recovery and
 //! elasticity.
 
-use crate::data::DataRegistry;
+use crate::data::{DataRegistry, Settle};
 use crate::error::RuntimeError;
 use crate::profile::TaskProfile;
 use crate::scheduler::{PlacementView, Scheduler};
 use crate::workload::SimWorkload;
 use continuum_analyze::{has_errors, LintMode};
 use continuum_dag::{
-    DagError, DataId, ExpandSink, GraphAnalysis, GraphRun, GraphSource, TaskId, TaskSpec,
-    TaskState, VersionedData,
+    DagError, DataId, ExpandSink, GraphAnalysis, GraphRun, GraphSource, InlineVec, SegVec, TaskId,
+    TaskSpec, TaskState, VersionedData,
 };
 use continuum_platform::{Constraints, ElasticityPolicy, NodeId, Platform, ZoneId};
 use continuum_sim::{
@@ -22,7 +22,9 @@ use continuum_telemetry::{
     micros_from_seconds, CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext,
     TaskPhase, Track,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::ops::Deref;
 
 /// Nominal capacity of a simulated stream channel. Virtual time is
@@ -147,12 +149,39 @@ pub struct SimRuntime {
     options: SimOptions,
 }
 
-#[derive(Debug, Clone)]
-struct InFlight {
-    hosts: Vec<NodeId>,
-    epoch: u64,
+/// Host nodes of one execution: one, or a few for rigid tasks.
+type Hosts = InlineVec<NodeId, 2>;
+
+/// Everything the engine keeps per task, indexed by task id in a
+/// [`SegVec`] whose segments are dropped together with the graph's (see
+/// `Engine::retire_task`).
+#[derive(Debug, Clone, Default)]
+struct TaskSlot {
+    /// Cached `inputs_ready` verdict (dirty tracking). A cell is valid
+    /// while `all_epoch` matches; a *false* verdict additionally
+    /// requires `add_epoch` to match, because data arrivals
+    /// (completions, node joins/recoveries) can flip it true, while
+    /// only removals (failures, restarts) can flip true to false.
+    verdict: VerdictCell,
+    /// Epoch of the in-flight execution, 0 while the task is not
+    /// running (epochs start at 1). Stale `TaskDone`/`StreamSend`
+    /// events carry another epoch and are ignored.
+    flight_epoch: u64,
+    /// Start and transfer-stall seconds of the in-flight execution.
     start_s: f64,
     stall_s: f64,
+    /// Nodes hosting the in-flight execution.
+    hosts: Hosts,
+    /// Values this task produced that are not retired yet (lazy runs);
+    /// reaching zero retires the task.
+    outstanding: u32,
+    /// DAG level (barrier mode only).
+    level: u32,
+    /// The task started at least once (a later start that is not a
+    /// replay is a re-execution).
+    started_once: bool,
+    /// A completed task being re-run to regenerate lost data.
+    replaying: bool,
 }
 
 #[derive(Debug)]
@@ -286,25 +315,16 @@ impl WorkloadRef<'_> {
     }
 }
 
-/// Liveness of one tracked value in a lazy run: retirable once its
-/// datum is closed by the source, the value has been produced, and no
-/// materialized reader is still pending.
-#[derive(Debug, Clone, Copy, Default)]
-struct ValueLive {
-    pending_readers: u32,
-    produced: bool,
-}
-
-/// Lazy-materialization state (`None` for eager runs).
+/// Lazy-materialization state (`None` for eager runs). Value liveness
+/// lives in the registry's records and the closed flags beside the
+/// workload's catalog; what is left here is the source and the two
+/// buffers each expansion reports through.
 struct LazyState<'s> {
     source: &'s mut dyn GraphSource<TaskProfile>,
-    /// Data the source declared fully consumed, indexed by [`DataId`].
-    closed: Vec<bool>,
-    /// Liveness of every unretired value the engine knows about.
-    live: HashMap<VersionedData, ValueLive>,
-    /// Produced-but-unretired value count per task (indexed by id);
-    /// reaching zero retires the task's graph payload.
-    outstanding: Vec<u32>,
+    /// Initial data registered by the current expansion.
+    new_initial: Vec<(DataId, u64)>,
+    /// Data closed by the current expansion.
+    closed: Vec<DataId>,
 }
 
 /// Expansion surface handed to a [`GraphSource`]: registers data and
@@ -312,8 +332,8 @@ struct LazyState<'s> {
 /// added so the engine can grow its run state afterwards.
 struct LazySink<'a> {
     w: &'a mut SimWorkload,
-    new_initial: Vec<(DataId, u64)>,
-    closed: Vec<DataId>,
+    new_initial: &'a mut Vec<(DataId, u64)>,
+    closed: &'a mut Vec<DataId>,
 }
 
 impl ExpandSink<TaskProfile> for LazySink<'_> {
@@ -322,7 +342,15 @@ impl ExpandSink<TaskProfile> for LazySink<'_> {
     }
 
     fn initial_data(&mut self, name: &str, bytes: u64) -> DataId {
-        let id = self.w.initial_data(name, bytes, None);
+        self.initial_data_fmt(format_args!("{name}"), bytes)
+    }
+
+    fn data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
+        self.w.data_fmt(name)
+    }
+
+    fn initial_data_fmt(&mut self, name: fmt::Arguments<'_>, bytes: u64) -> DataId {
+        let id = self.w.initial_data_fmt(name, bytes, None);
         self.new_initial.push((id, bytes));
         id
     }
@@ -361,6 +389,10 @@ pub struct LazyRunOutcome {
     pub peak_event_queue: usize,
     /// Discrete events processed over the run.
     pub events_processed: u64,
+    /// Highest number of task segments (see [`continuum_dag::SegVec`])
+    /// resident at once: what bounds the memory of the per-task
+    /// columns, and what must not depend on the campaign's length.
+    pub peak_resident_segments: usize,
 }
 
 struct Engine<'w, 's> {
@@ -375,16 +407,10 @@ struct Engine<'w, 's> {
     registry: DataRegistry,
     ledger: TransferLedger,
     queue: EventQueue<Event>,
-    /// Nodes hosting each in-flight execution plus its epoch and
-    /// start/stall times for tracing.
-    running: HashMap<TaskId, InFlight>,
+    /// Per-task engine state, indexed by task id.
+    slots: SegVec<TaskSlot>,
     epoch: u64,
-    /// Completed tasks being re-run to regenerate lost data.
-    replaying: HashSet<TaskId>,
-    started_once: HashSet<TaskId>,
     reexecutions: usize,
-    producer_of: HashMap<VersionedData, TaskId>,
-    levels: Vec<usize>,
     current_level: usize,
     level_remaining: Vec<usize>,
     last_completion: VirtualTime,
@@ -401,12 +427,6 @@ struct Engine<'w, 's> {
     /// running max equals a scan over current pair values) — the O(1)
     /// backing of `PlacementView::pending_uplink_seconds_to`.
     zone_uplink_busy: Vec<VirtualTime>,
-    /// Cached per-task `inputs_ready` verdicts (dirty tracking). A
-    /// cell is valid while `all_epoch` matches; a *false* verdict
-    /// additionally requires `add_epoch` to match, because data
-    /// arrivals (completions, node joins/recoveries) can flip it true,
-    /// while only removals (failures, restarts) can flip true to false.
-    verdicts: Vec<VerdictCell>,
     /// Bumped when data may have been *removed* (node failure,
     /// restart): every cached verdict becomes stale.
     inval_all_epoch: u64,
@@ -424,11 +444,7 @@ struct Engine<'w, 's> {
     consumed_scratch: Vec<VersionedData>,
     produced_scratch: Vec<VersionedData>,
     transfer_scratch: Vec<VersionedData>,
-    /// Recycled host buffers: completions return their `InFlight`
-    /// host vector here, task starts pop one, so steady-state
-    /// execution allocates no per-task host list. Bounded by peak
-    /// concurrency.
-    host_pool: Vec<Vec<NodeId>>,
+    placement_scratch: Vec<(TaskId, NodeId)>,
     /// Stream channels by datum (ordered for deterministic end-of-run
     /// aggregation). Empty for workloads without stream edges, which
     /// then pay nothing on any path.
@@ -451,6 +467,8 @@ struct Engine<'w, 's> {
     retired_values: u64,
     /// Discrete events popped off the queue over the run.
     events_processed: u64,
+    /// High-water mark of resident task segments.
+    peak_resident_segments: usize,
 }
 
 impl SimRuntime {
@@ -575,6 +593,7 @@ impl SimRuntime {
             retired_values: engine.retired_values,
             peak_event_queue: engine.queue_high_water,
             events_processed: engine.events_processed,
+            peak_resident_segments: engine.peak_resident_segments,
             trace: engine.trace,
         })
     }
@@ -593,45 +612,20 @@ impl<'w, 's> Engine<'w, 's> {
         for n in &mut nodes {
             n.set_idle_accounting(!options.power_off_idle);
         }
-        let mut producer_of = HashMap::new();
-        for node in graph.nodes() {
-            for vd in node.produced() {
-                producer_of.insert(*vd, node.id());
-            }
-        }
-        let (levels, level_remaining) = if options.barrier_levels {
-            let levels = GraphAnalysis::new(graph).levels();
-            let depth = levels.iter().map(|l| l + 1).max().unwrap_or(0);
-            let mut rem = vec![0usize; depth];
-            for l in &levels {
-                rem[*l] += 1;
-            }
-            (levels, rem)
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let num_zones = platform.zones().len();
         let num_tasks = graph.len();
         let run = GraphRun::new(graph);
         let mut channels: BTreeMap<DataId, SimChannel> = BTreeMap::new();
         for node in graph.nodes() {
-            for d in node.spec().stream_writes() {
-                let ch = channels.entry(d).or_insert_with(SimChannel::new);
-                ch.writers_total += 1;
-                ch.open_writers += 1;
-            }
-            for d in node.spec().stream_reads() {
-                channels.entry(d).or_insert_with(SimChannel::new);
-            }
+            Self::open_channels(&mut channels, node.spec());
         }
         let lazy = source.map(|s| LazyState {
             source: s,
+            new_initial: Vec::new(),
             closed: Vec::new(),
-            live: HashMap::new(),
-            outstanding: Vec::new(),
         });
         let queue = EventQueue::with_kind(options.event_queue);
-        Engine {
+        let mut engine = Engine {
             workload,
             scheduler,
             options,
@@ -641,22 +635,17 @@ impl<'w, 's> Engine<'w, 's> {
             registry: DataRegistry::new(),
             ledger: TransferLedger::new(),
             queue,
-            running: HashMap::new(),
+            slots: (0..num_tasks).map(|_| TaskSlot::default()).collect(),
             epoch: 0,
-            replaying: HashSet::new(),
-            started_once: HashSet::new(),
             reexecutions: 0,
-            producer_of,
-            levels,
             current_level: 0,
-            level_remaining,
+            level_remaining: Vec::new(),
             last_completion: VirtualTime::ZERO,
             restarts: 0,
             trace: ExecutionTrace::new(),
             num_zones,
             link_busy: vec![VirtualTime::ZERO; num_zones * num_zones],
             zone_uplink_busy: vec![VirtualTime::ZERO; num_zones],
-            verdicts: vec![VerdictCell::default(); num_tasks],
             inval_all_epoch: 1,
             inval_add_epoch: 1,
             replay_stall_rounds: 0,
@@ -666,7 +655,7 @@ impl<'w, 's> Engine<'w, 's> {
             consumed_scratch: Vec::new(),
             produced_scratch: Vec::new(),
             transfer_scratch: Vec::new(),
-            host_pool: Vec::new(),
+            placement_scratch: Vec::new(),
             channels,
             stream_sites: HashMap::new(),
             lazy,
@@ -676,7 +665,50 @@ impl<'w, 's> Engine<'w, 's> {
             retired_tasks: 0,
             retired_values: 0,
             events_processed: 0,
+            peak_resident_segments: 0,
+        };
+        engine.index_producers();
+        engine.plan_levels();
+        engine.peak_resident_segments = engine.workload.graph().resident_segments();
+        engine
+    }
+
+    /// Registers the stream channels `spec` touches.
+    fn open_channels(channels: &mut BTreeMap<DataId, SimChannel>, spec: &TaskSpec) {
+        for d in spec.stream_writes() {
+            let ch = channels.entry(d).or_insert_with(SimChannel::new);
+            ch.writers_total += 1;
+            ch.open_writers += 1;
         }
+        for d in spec.stream_reads() {
+            channels.entry(d).or_insert_with(SimChannel::new);
+        }
+    }
+
+    /// Records the producer of every value of the (eager) graph in the
+    /// registry, where lineage replay looks it up.
+    fn index_producers(&mut self) {
+        for node in self.workload.graph().nodes() {
+            for vd in node.produced() {
+                self.registry.set_producer(*vd, node.id());
+            }
+        }
+    }
+
+    /// Barrier mode: the level of every task and how many tasks each
+    /// level still has to complete.
+    fn plan_levels(&mut self) {
+        if !self.options.barrier_levels {
+            return;
+        }
+        let levels = GraphAnalysis::new(self.workload.graph()).levels();
+        let depth = levels.iter().map(|l| l + 1).max().unwrap_or(0);
+        self.level_remaining = vec![0; depth];
+        for (task, level) in levels.into_iter().enumerate() {
+            self.level_remaining[level] += 1;
+            self.slots[task].level = level as u32;
+        }
+        self.current_level = 0;
     }
 
     fn prime(&mut self, faults: &FaultPlan) {
@@ -838,7 +870,7 @@ impl<'w, 's> Engine<'w, 's> {
         // Distinguish "nothing can ever be placed" from generic stalls.
         let completed = self.run.completed_count();
         let remaining = self.workload.graph().len() - completed;
-        if let Some(task) = self.run.ready_tasks().iter().next().copied() {
+        if let Some(task) = self.run.ready_tasks().first() {
             let req = self.workload.profile(task).constraints_ref();
             let feasible = self
                 .platform
@@ -867,39 +899,34 @@ impl<'w, 's> Engine<'w, 's> {
         epoch: u64,
         now: VirtualTime,
     ) -> Result<(), RuntimeError> {
-        let Some(flight) = self.running.remove(&task) else {
-            return Ok(()); // stale: lost to a failure or a restart
+        // Stale unless this very attempt is still in flight: the task
+        // was lost to a failure or a restart (epoch 0), a newer
+        // attempt owns the slot, or the task is long retired.
+        let Some(slot) = self.slots.get_mut(task.index()) else {
+            return Ok(());
         };
-        if flight.epoch != epoch {
-            // Stale epoch: a newer attempt owns the slot — put it back
-            // (re-insert into existing capacity, no allocation).
-            self.running.insert(task, flight);
+        if slot.flight_epoch != epoch {
             return Ok(());
         }
-        let mut hosts = flight.hosts;
+        slot.flight_epoch = 0;
+        let (start_s, stall_s, was_replay) = (slot.start_s, slot.stall_s, slot.replaying);
+        let hosts = std::mem::take(&mut slot.hosts);
         let head = hosts[0];
-        for (i, host) in hosts.iter().enumerate() {
-            let req = self.reservation_for(task, hosts.len(), i, *host);
-            self.nodes[host.index()].finish(task, &req, now);
-        }
-        // Recycle the host buffer for the next task start.
-        hosts.clear();
-        self.host_pool.push(hosts);
+        self.release_hosts(task, &hosts, now);
         self.record_outputs(task, head, now);
         // Data arrived and capacity freed: cached "not ready" verdicts
         // (consumers of these outputs, replays waiting for a slot) are
         // stale. Applies to replay completions too.
         self.inval_add_epoch += 1;
-        let was_replay = self.replaying.contains(&task);
         if !was_replay && !self.channels.is_empty() {
             self.finish_stream_endpoints(task, now);
         }
         let record = TraceRecord {
             task,
             node: head,
-            start_s: flight.start_s,
+            start_s,
             end_s: now.as_seconds(),
-            transfer_stall_s: flight.stall_s,
+            transfer_stall_s: stall_s,
             replay: was_replay,
         };
         if self.options.telemetry.enabled() {
@@ -915,18 +942,18 @@ impl<'w, 's> Engine<'w, 's> {
             self.options.telemetry.record(TelemetryEvent::Counter {
                 key: CounterKey::TransferStallMicros,
                 at_us: micros_from_seconds(now.as_seconds()),
-                value: micros_from_seconds(self.trace.total_transfer_stall_s() + flight.stall_s)
-                    as f64,
+                value: micros_from_seconds(self.trace.total_transfer_stall_s() + stall_s) as f64,
             });
         }
         self.trace.record(record);
-        if self.replaying.remove(&task) {
+        if was_replay {
+            self.slots[task.index()].replaying = false;
             self.reexecutions += 1;
         } else {
             self.run.complete(self.workload.graph(), task)?;
             self.last_completion = self.last_completion.max(now);
             if self.options.barrier_levels {
-                let lvl = self.levels[task.index()];
+                let lvl = self.slots[task.index()].level as usize;
                 self.level_remaining[lvl] -= 1;
                 while self.current_level < self.level_remaining.len()
                     && self.level_remaining[self.current_level] == 0
@@ -990,32 +1017,23 @@ impl<'w, 's> Engine<'w, 's> {
             .owned_mut()
             .expect("lazy runs own their workload");
         let tasks_before = w.graph().len();
+        let mut new_initial = std::mem::take(&mut lazy.new_initial);
+        let mut closed_now = std::mem::take(&mut lazy.closed);
         let mut sink = LazySink {
             w,
-            new_initial: Vec::new(),
-            closed: Vec::new(),
+            new_initial: &mut new_initial,
+            closed: &mut closed_now,
         };
         match completed {
             Some(task) => lazy.source.on_task_complete(task, &mut sink)?,
             None => lazy.source.prime(&mut sink)?,
         }
-        let LazySink {
-            new_initial,
-            closed: closed_now,
-            ..
-        } = sink;
         // Externally-provided data from this expansion: available
         // immediately, liveness-tracked like any produced value.
-        for (data, bytes) in new_initial {
+        for (data, bytes) in new_initial.drain(..) {
             let vd = VersionedData::initial(data);
             self.registry.record_initial(vd, None, bytes);
-            lazy.live.insert(
-                vd,
-                ValueLive {
-                    pending_readers: 0,
-                    produced: true,
-                },
-            );
+            self.registry.settle(vd, Settle::Produced, false);
         }
         // Integrate the newly emitted tasks: producer index, value
         // liveness, stream channels, telemetry, run-state growth.
@@ -1024,23 +1042,18 @@ impl<'w, 's> Engine<'w, 's> {
         for idx in tasks_before..graph_len {
             let id = TaskId::from_raw(idx as u64);
             let node = self.workload.graph().node(id).expect("just integrated");
-            lazy.outstanding.push(node.produced().len() as u32);
+            self.slots.push(TaskSlot {
+                outstanding: node.produced().len() as u32,
+                ..TaskSlot::default()
+            });
             for vd in node.produced() {
-                self.producer_of.insert(*vd, id);
-                lazy.live.entry(*vd).or_default();
+                self.registry.set_producer(*vd, id);
             }
             for vd in node.consumed() {
-                lazy.live.entry(*vd).or_default().pending_readers += 1;
+                self.registry.add_reader(*vd);
             }
             let spec = node.spec();
-            for d in spec.stream_writes() {
-                let ch = self.channels.entry(d).or_insert_with(SimChannel::new);
-                ch.writers_total += 1;
-                ch.open_writers += 1;
-            }
-            for d in spec.stream_reads() {
-                self.channels.entry(d).or_insert_with(SimChannel::new);
-            }
+            Self::open_channels(&mut self.channels, spec);
             if self.options.telemetry.enabled() {
                 self.options.telemetry.record(TelemetryEvent::Instant {
                     track: Track::Run,
@@ -1050,38 +1063,43 @@ impl<'w, 's> Engine<'w, 's> {
                 });
             }
         }
-        let catalog_len = self.workload.catalog().len();
-        if lazy.closed.len() < catalog_len {
-            lazy.closed.resize(catalog_len, false);
-        }
+        let w = self
+            .workload
+            .owned_mut()
+            .expect("lazy runs own their workload");
         for &data in &closed_now {
-            lazy.closed[data.index()] = true;
+            w.close_data(data);
         }
         self.run.grow(self.workload.graph());
-        self.verdicts.resize(graph_len, VerdictCell::default());
         self.peak_materialized = self.peak_materialized.max(graph_len - self.retired_tasks);
+        self.peak_resident_segments = self
+            .peak_resident_segments
+            .max(self.workload.graph().resident_segments());
         // Close notices may have made already-drained values retirable
         // (the initial and the current version cover the write-once
         // catalogs lazy sources produce).
-        for data in closed_now {
-            self.try_retire_value(VersionedData::initial(data));
+        for data in closed_now.drain(..) {
+            self.settle_value(VersionedData::initial(data), Settle::Closed);
             if let Ok(info) = self.workload.catalog().current(data) {
-                self.try_retire_value(VersionedData {
-                    data,
-                    version: info.version,
-                });
+                self.settle_value(
+                    VersionedData {
+                        data,
+                        version: info.version,
+                    },
+                    Settle::Closed,
+                );
             }
         }
+        let lazy = self.lazy.as_mut().expect("checked above");
+        lazy.new_initial = new_initial;
+        lazy.closed = closed_now;
         Ok(())
     }
 
     /// Settles value liveness after `task` completed in a lazy run:
-    /// its outputs are now produced, its inputs have one fewer pending
-    /// reader, and anything fully drained retires.
+    /// its inputs have one fewer pending reader, its outputs are now
+    /// produced, and anything fully drained retires.
     fn settle_retirement(&mut self, task: TaskId) {
-        if self.lazy.is_none() {
-            return;
-        }
         let mut produced = std::mem::take(&mut self.produced_scratch);
         let mut consumed = std::mem::take(&mut self.consumed_scratch);
         produced.clear();
@@ -1091,93 +1109,71 @@ impl<'w, 's> Engine<'w, 's> {
             produced.extend_from_slice(node.produced());
             consumed.extend_from_slice(node.consumed());
         }
-        {
-            let lazy = self.lazy.as_mut().expect("checked above");
-            for vd in &produced {
-                lazy.live.entry(*vd).or_default().produced = true;
-            }
-            for vd in &consumed {
-                if let Some(l) = lazy.live.get_mut(vd) {
-                    l.pending_readers = l.pending_readers.saturating_sub(1);
-                }
-            }
-        }
         for &vd in &consumed {
-            self.try_retire_value(vd);
+            self.settle_value(vd, Settle::ReaderDone);
         }
         for &vd in &produced {
-            self.try_retire_value(vd);
+            self.settle_value(vd, Settle::Produced);
         }
         if produced.is_empty() {
             // No outputs means no value retirement can ever cascade
-            // into this task: tombstone it directly.
-            let w = self
-                .workload
-                .owned_mut()
-                .expect("lazy runs own their workload");
-            if w.retire_task_payload(task).is_ok() {
-                self.retired_tasks += 1;
-            }
+            // into this task: retire it directly.
+            self.retire_task(task);
         }
-        produced.clear();
-        consumed.clear();
         self.produced_scratch = produced;
         self.consumed_scratch = consumed;
     }
 
-    /// Retires `vd` if its datum is closed, the value produced, and no
-    /// materialized reader still pending — dropping it from the
-    /// registry, and tombstoning the producing task once none of its
-    /// outputs remain live. A no-op for eager runs and untracked or
-    /// still-live values.
-    fn try_retire_value(&mut self, vd: VersionedData) {
-        let Some(lazy) = self.lazy.as_mut() else {
+    /// Applies `update` to `vd`'s liveness and retires the value if its
+    /// datum is closed, the value produced, and no materialized reader
+    /// still pending — dropping it from the registry, and retiring the
+    /// producing task once none of its outputs remain live. A no-op
+    /// for untracked or still-live values.
+    fn settle_value(&mut self, vd: VersionedData, update: Settle) {
+        let closed = self.workload.is_closed(vd.data);
+        let Some(producer) = self.registry.settle(vd, update, closed) else {
             return;
         };
-        let retirable = match lazy.live.get(&vd) {
-            Some(l) => {
-                l.produced
-                    && l.pending_readers == 0
-                    && lazy.closed.get(vd.data.index()).copied().unwrap_or(false)
-            }
-            None => false,
-        };
-        if !retirable {
-            return;
-        }
-        lazy.live.remove(&vd);
-        self.registry.retire(vd);
         self.retired_values += 1;
-        if let Some(producer) = self.producer_of.remove(&vd) {
-            let lazy = self.lazy.as_mut().expect("still lazy");
-            let slot = &mut lazy.outstanding[producer.index()];
-            *slot = slot.saturating_sub(1);
-            if *slot == 0 {
-                // `produced` only flips at completion, so the producer
-                // of a retired value is necessarily completed.
-                let w = self
-                    .workload
-                    .owned_mut()
-                    .expect("lazy runs own their workload");
-                if w.retire_task_payload(producer).is_ok() {
-                    self.retired_tasks += 1;
-                }
+        if let Some(producer) = producer {
+            // `produced` only flips at completion, so the producer of
+            // a retired value is necessarily completed.
+            let slot = &mut self.slots[producer.index()];
+            slot.outstanding = slot.outstanding.saturating_sub(1);
+            if slot.outstanding == 0 {
+                self.retire_task(producer);
             }
         }
-        // Free the catalog name once the datum's current version is
+        // Retire the catalog entry once the datum's current version is
         // gone (earlier versions were superseded before close).
-        let frees_name = self
+        let was_current = self
             .workload
             .catalog()
             .current(vd.data)
-            .map(|info| info.version == vd.version)
-            .unwrap_or(false);
-        if frees_name {
-            let w = self
-                .workload
+            .is_ok_and(|info| info.version == vd.version);
+        if was_current {
+            self.workload
                 .owned_mut()
-                .expect("lazy runs own their workload");
-            w.retire_data(vd.data);
+                .expect("lazy runs own their workload")
+                .retire_data(vd.data);
+        }
+    }
+
+    /// Retires a completed task none of whose outputs is live any
+    /// more: frees its graph payload, and when that empties a whole
+    /// task segment, drops the segment from every per-task column.
+    fn retire_task(&mut self, task: TaskId) {
+        let w = self
+            .workload
+            .owned_mut()
+            .expect("lazy runs own their workload");
+        let Ok(dropped) = w.retire_task_payload(task) else {
+            return;
+        };
+        self.retired_tasks += 1;
+        if let Some(segment) = dropped {
+            self.slots.drop_segment(segment);
+            self.run.drop_segment(segment);
         }
     }
 
@@ -1206,16 +1202,14 @@ impl<'w, 's> Engine<'w, 's> {
                 // Tasks running on the dead node (and their co-hosts
                 // for rigid tasks) are lost.
                 for task in lost_tasks {
-                    if let Some(flight) = self.running.remove(&task) {
-                        let hosts = flight.hosts;
-                        for (i, host) in hosts.iter().enumerate().filter(|(_, h)| **h != node) {
-                            let req = self.reservation_for(task, hosts.len(), i, *host);
-                            self.nodes[host.index()].finish(task, &req, now);
-                        }
+                    let slot = &mut self.slots[task.index()];
+                    let was_replay = std::mem::take(&mut slot.replaying);
+                    if std::mem::take(&mut slot.flight_epoch) != 0 {
+                        // Rigid tasks: free the surviving co-hosts.
+                        let hosts = std::mem::take(&mut slot.hosts);
+                        self.release_hosts(task, &hosts, now);
                     }
-                    if self.replaying.contains(&task) {
-                        self.replaying.remove(&task);
-                    } else {
+                    if !was_replay {
                         self.run.mark_failed(task)?;
                         self.run.requeue_failed(task)?;
                     }
@@ -1260,33 +1254,19 @@ impl<'w, 's> Engine<'w, 's> {
         debug_assert!(self.lazy.is_none(), "lazy runs never restart");
         self.restarts += 1;
         self.reexecutions += self.run.completed_count();
-        // Cancel in-flight work.
-        let running: Vec<(TaskId, InFlight)> = self.running.drain().collect();
-        for (task, flight) in running {
-            let hosts = flight.hosts;
-            for (i, host) in hosts.iter().enumerate() {
-                let req = self.reservation_for(task, hosts.len(), i, *host);
-                if self.nodes[host.index()].is_alive() {
-                    self.nodes[host.index()].finish(task, &req, now);
-                }
+        // Cancel in-flight work (in task-id order) and forget every
+        // task's history; clearing the flight epochs also stale-guards
+        // all pending TaskDone events.
+        for idx in 0..self.slots.len() {
+            let slot = std::mem::take(&mut self.slots[idx]);
+            if slot.flight_epoch != 0 {
+                self.release_hosts(TaskId::from_raw(idx as u64), &slot.hosts, now);
             }
         }
-        self.epoch += 1; // stale-guard all pending TaskDone events
-        self.replaying.clear();
-        self.started_once.clear();
         self.run = GraphRun::new(self.workload.graph());
-        if self.options.barrier_levels {
-            let levels = GraphAnalysis::new(self.workload.graph()).levels();
-            let depth = levels.iter().map(|l| l + 1).max().unwrap_or(0);
-            let mut rem = vec![0usize; depth];
-            for l in &levels {
-                rem[*l] += 1;
-            }
-            self.levels = levels;
-            self.level_remaining = rem;
-            self.current_level = 0;
-        }
+        self.plan_levels();
         self.registry = DataRegistry::new();
+        self.index_producers();
         self.seed_initial_data();
         // Streams start over too: live channel state rewinds (pending
         // send/recv events are stale-guarded by epoch and generation),
@@ -1398,10 +1378,12 @@ impl<'w, 's> Engine<'w, 's> {
         ready.clear();
         single.clear();
         multi.clear();
-        ready.extend(self.run.ready_tasks().iter().copied());
+        ready.extend(self.run.ready_tasks().iter());
         let mut waiting_on_replay = false;
         for &task in &ready {
-            if self.options.barrier_levels && self.levels[task.index()] != self.current_level {
+            if self.options.barrier_levels
+                && self.slots[task.index()].level as usize != self.current_level
+            {
                 continue;
             }
             if !self.inputs_ready_cached(task, now)? {
@@ -1425,21 +1407,23 @@ impl<'w, 's> Engine<'w, 's> {
         // each — node capacity only shrinks within a round, so a
         // failed multi placement cannot succeed until the next event.
         for &task in &multi {
-            if self.try_start_multi(task, now)? {
+            if self.try_start_multi(task, now, false)? {
                 placed_total += 1;
             }
         }
         // Single-node tasks: re-offer the shrinking scratch buffer
         // until the scheduler stops placing (placements may have freed
         // per-round budgets).
+        let mut assignments = std::mem::take(&mut self.placement_scratch);
         while !single.is_empty() {
             let view =
                 PlacementView::new(&self.workload, &self.nodes, &self.registry, &self.platform)
                     .with_uplink_state(&self.zone_uplink_busy, now)
                     .with_stream_sites(&self.stream_sites);
-            let assignments = self.scheduler.place(&view, &single);
+            assignments.clear();
+            self.scheduler.place_into(&view, &single, &mut assignments);
             let mut placed_any = false;
-            for (task, node) in assignments {
+            for &(task, node) in &assignments {
                 if self.run.state(task) != Some(TaskState::Ready) {
                     continue; // scheduler returned a stale/duplicate id
                 }
@@ -1497,6 +1481,7 @@ impl<'w, 's> Engine<'w, 's> {
         self.ready_scratch = ready;
         self.single_scratch = single;
         self.multi_scratch = multi;
+        self.placement_scratch = assignments;
         Ok(())
     }
 
@@ -1508,14 +1493,14 @@ impl<'w, 's> Engine<'w, 's> {
         task: TaskId,
         now: VirtualTime,
     ) -> Result<bool, RuntimeError> {
-        let cell = self.verdicts[task.index()];
+        let cell = self.slots[task.index()].verdict;
         if cell.all_epoch == self.inval_all_epoch
             && (cell.ready || cell.add_epoch == self.inval_add_epoch)
         {
             return Ok(cell.ready);
         }
         let ready = self.inputs_ready(task, now)?;
-        self.verdicts[task.index()] = VerdictCell {
+        self.slots[task.index()].verdict = VerdictCell {
             all_epoch: self.inval_all_epoch,
             add_epoch: self.inval_add_epoch,
             ready,
@@ -1553,17 +1538,19 @@ impl<'w, 's> Engine<'w, 's> {
         if vd.version.is_initial() {
             return Ok(true); // external inputs are durable
         }
-        if self.registry.is_available(vd) {
+        let record = self.registry.get(vd);
+        if record.is_some_and(|r| r.is_available()) {
             return Ok(true);
         }
         match self.options.data_loss {
             DataLossMode::Replay => {}
             _ => return Ok(false), // restart/fail handled at loss time
         }
-        let Some(producer) = self.producer_of.get(&vd).copied() else {
+        let Some(producer) = record.and_then(|r| r.producer()) else {
             return Ok(false);
         };
-        if self.replaying.contains(&producer) || self.running.contains_key(&producer) {
+        let slot = &self.slots[producer.index()];
+        if slot.replaying || slot.flight_epoch != 0 {
             return Ok(false); // regeneration in flight
         }
         // Recursively make sure the producer's own inputs exist.
@@ -1588,20 +1575,18 @@ impl<'w, 's> Engine<'w, 's> {
 
     fn start_replay(&mut self, task: TaskId, now: VirtualTime) -> Result<(), RuntimeError> {
         // First-fit placement for replays.
-        let req = self.workload.profile(task).constraints_ref().clone();
+        let req = self.workload.profile(task).constraints_ref();
         if req.is_multi_node() {
-            self.replaying.insert(task);
-            if !self.try_start_multi_inner(task, now, true)? {
-                self.replaying.remove(&task);
+            self.slots[task.index()].replaying = true;
+            if !self.try_start_multi(task, now, true)? {
+                self.slots[task.index()].replaying = false;
             }
             return Ok(());
         }
-        let node = self.nodes.iter().find(|n| n.can_host(&req)).map(|n| n.id());
+        let node = self.nodes.iter().find(|n| n.can_host(req)).map(|n| n.id());
         if let Some(node) = node {
-            self.replaying.insert(task);
-            let mut hosts = self.host_pool.pop().unwrap_or_default();
-            hosts.push(node);
-            self.begin_execution(task, hosts, now);
+            self.slots[task.index()].replaying = true;
+            self.begin_execution(task, [node].into_iter().collect(), now);
         }
         Ok(())
     }
@@ -1612,40 +1597,31 @@ impl<'w, 's> Engine<'w, 's> {
         node: NodeId,
         now: VirtualTime,
     ) -> Result<bool, RuntimeError> {
-        let req = self.workload.profile(task).constraints_ref().clone();
-        if !self.nodes[node.index()].can_host(&req) {
+        let req = self.workload.profile(task).constraints_ref();
+        if !self.nodes[node.index()].can_host(req) {
             return Ok(false);
         }
         self.run.mark_running(task)?;
-        let mut hosts = self.host_pool.pop().unwrap_or_default();
-        hosts.push(node);
-        self.begin_execution(task, hosts, now);
+        self.begin_execution(task, [node].into_iter().collect(), now);
         Ok(true)
     }
 
-    fn try_start_multi(&mut self, task: TaskId, now: VirtualTime) -> Result<bool, RuntimeError> {
-        self.try_start_multi_inner(task, now, false)
-    }
-
-    fn try_start_multi_inner(
+    fn try_start_multi(
         &mut self,
         task: TaskId,
         now: VirtualTime,
         replay: bool,
     ) -> Result<bool, RuntimeError> {
-        let req = self.workload.profile(task).constraints_ref().clone();
+        let req = self.workload.profile(task).constraints_ref();
         let want = req.required_nodes() as usize;
-        let mut hosts = self.host_pool.pop().unwrap_or_default();
-        hosts.extend(
-            self.nodes
-                .iter()
-                .filter(|n| n.is_alive() && n.is_idle() && n.total_capacity().satisfies(&req))
-                .map(|n| n.id())
-                .take(want),
-        );
+        let hosts: Hosts = self
+            .nodes
+            .iter()
+            .filter(|n| n.is_alive() && n.is_idle() && n.total_capacity().satisfies(req))
+            .map(|n| n.id())
+            .take(want)
+            .collect();
         if hosts.len() < want {
-            hosts.clear();
-            self.host_pool.push(hosts);
             return Ok(false);
         }
         if !replay {
@@ -1657,7 +1633,7 @@ impl<'w, 's> Engine<'w, 's> {
 
     /// Starts the task on its host nodes: reserves resources, plans
     /// input transfers, schedules the completion event.
-    fn begin_execution(&mut self, task: TaskId, hosts: Vec<NodeId>, now: VirtualTime) {
+    fn begin_execution(&mut self, task: TaskId, hosts: Hosts, now: VirtualTime) {
         let head = hosts[0];
         if self.options.telemetry.enabled() {
             self.options.telemetry.record(TelemetryEvent::Instant {
@@ -1669,10 +1645,10 @@ impl<'w, 's> Engine<'w, 's> {
         }
         let transfer_s = self.plan_input_transfers(task, head, now);
         let duration_s = self.workload.profile(task).duration_s();
-        let n_hosts = hosts.len();
-        for (i, host) in hosts.iter().enumerate() {
-            let req = self.reservation_for(task, n_hosts, i, *host);
-            let ok = self.nodes[host.index()].try_start(task, &req, now);
+        for host in &hosts {
+            let state = &mut self.nodes[host.index()];
+            let req = reservation(&self.workload, task, hosts.len(), state);
+            let ok = state.try_start(task, &req, now);
             debug_assert!(ok, "placement validated before start");
         }
         let slowest = hosts
@@ -1680,26 +1656,23 @@ impl<'w, 's> Engine<'w, 's> {
             .map(|h| self.nodes[h.index()].speed())
             .fold(f64::INFINITY, f64::min);
         let exec_s = duration_s / slowest;
-        if self.started_once.contains(&task) && !self.replaying.contains(&task) {
-            self.reexecutions += 1;
-        }
-        self.started_once.insert(task);
         self.epoch += 1;
         let epoch = self.epoch;
-        self.running.insert(
-            task,
-            InFlight {
-                hosts,
-                epoch,
-                start_s: now.as_seconds(),
-                stall_s: transfer_s,
-            },
-        );
+        let slot = &mut self.slots[task.index()];
+        if slot.started_once && !slot.replaying {
+            self.reexecutions += 1;
+        }
+        slot.started_once = true;
+        slot.flight_epoch = epoch;
+        slot.start_s = now.as_seconds();
+        slot.stall_s = transfer_s;
+        slot.hosts = hosts;
+        let replaying = slot.replaying;
         self.queue.push(
             now.after(transfer_s + exec_s),
             Event::TaskDone { task, epoch },
         );
-        if !self.channels.is_empty() && !self.replaying.contains(&task) {
+        if !self.channels.is_empty() && !replaying {
             self.start_stream_endpoints(task, head, now.after(transfer_s), exec_s, epoch);
         }
     }
@@ -1805,7 +1778,10 @@ impl<'w, 's> Engine<'w, 's> {
         epoch: u64,
         now: VirtualTime,
     ) -> Result<(), RuntimeError> {
-        let live = self.running.get(&task).is_some_and(|f| f.epoch == epoch);
+        let live = self
+            .slots
+            .get(task.index())
+            .is_some_and(|slot| slot.flight_epoch == epoch);
         if !live {
             return Ok(()); // stale: attempt lost to a fault or restart
         }
@@ -1873,22 +1849,17 @@ impl<'w, 's> Engine<'w, 's> {
         }
     }
 
-    /// The reservation actually charged to a host (rigid tasks occupy
-    /// the full node).
-    fn reservation_for(
-        &self,
-        task: TaskId,
-        n_hosts: usize,
-        _host_idx: usize,
-        host: NodeId,
-    ) -> Constraints {
-        let req = self.workload.profile(task).constraints_ref().clone();
-        if n_hosts <= 1 {
-            return req;
+    /// Frees `task`'s reservation on every host that is still alive (a
+    /// dead host lost the task, and its capacity was reset, when it
+    /// failed).
+    fn release_hosts(&mut self, task: TaskId, hosts: &[NodeId], now: VirtualTime) {
+        for host in hosts {
+            let state = &mut self.nodes[host.index()];
+            if state.is_alive() {
+                let req = reservation(&self.workload, task, hosts.len(), state);
+                state.finish(task, &req, now);
+            }
         }
-        Constraints::new()
-            .compute_units(self.nodes[host.index()].total_capacity().cores())
-            .memory_mb(req.required_memory_mb())
     }
 
     /// Plans transfers for the task's inputs to `node`; returns the
@@ -2014,6 +1985,26 @@ impl<'w, 's> Engine<'w, 's> {
                 ta.partial_cmp(&tb).expect("finite")
             })
     }
+}
+
+/// The reservation actually charged to `host` for one of `n_hosts`
+/// hosts of `task`: the task's own constraints, except that a rigid
+/// multi-node task occupies every core of each of its hosts.
+fn reservation<'w>(
+    workload: &'w SimWorkload,
+    task: TaskId,
+    n_hosts: usize,
+    host: &NodeState,
+) -> Cow<'w, Constraints> {
+    let req = workload.profile(task).constraints_ref();
+    if n_hosts <= 1 {
+        return Cow::Borrowed(req);
+    }
+    Cow::Owned(
+        Constraints::new()
+            .compute_units(host.total_capacity().cores())
+            .memory_mb(req.required_memory_mb()),
+    )
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 use crate::profile::TaskProfile;
 use continuum_analyze::LintBundle;
 use continuum_dag::{
-    AccessProcessor, DagError, DataCatalog, DataId, GraphAnalysis, TaskGraph, TaskId, TaskSpec,
+    AccessProcessor, DagError, DataCatalog, DataId, GraphAnalysis, SegVec, TaskGraph, TaskId,
+    TaskSpec,
 };
 use continuum_platform::{NodeId, Platform};
-use std::collections::HashMap;
+use std::fmt;
 
 /// Summary statistics of a workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,9 +49,24 @@ pub struct WorkloadStats {
 #[derive(Debug, Default)]
 pub struct SimWorkload {
     ap: AccessProcessor,
-    profiles: Vec<TaskProfile>,
-    initial_bytes: HashMap<DataId, u64>,
-    initial_home: HashMap<DataId, NodeId>,
+    /// Indexed by task id, segment for segment beside the graph's
+    /// nodes.
+    profiles: SegVec<TaskProfile>,
+    /// Indexed by data id, segment for segment beside the catalog.
+    data_meta: SegVec<DataMeta>,
+}
+
+/// What the workload knows about a datum beyond its catalog entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct DataMeta {
+    /// Externally provided (present before any task runs).
+    initial: bool,
+    /// Size of the initial value.
+    bytes: u64,
+    /// Node the initial value is pinned to, if any.
+    home: Option<NodeId>,
+    /// A lazy source declared that no future task reads the datum.
+    closed: bool,
 }
 
 impl SimWorkload {
@@ -60,13 +76,23 @@ impl SimWorkload {
     }
 
     /// Registers a logical datum produced by tasks.
-    pub fn data(&mut self, name: impl Into<String>) -> DataId {
+    pub fn data(&mut self, name: impl AsRef<str>) -> DataId {
+        self.data_meta.push(DataMeta::default());
         self.ap.new_data(name)
+    }
+
+    /// [`SimWorkload::data`] with the name formatted straight into the
+    /// catalog (`w.data_fmt(format_args!("imp_{i}"))`).
+    pub fn data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
+        self.data_meta.push(DataMeta::default());
+        self.ap.new_data_fmt(name)
     }
 
     /// Registers `n` logical data with a shared prefix.
     pub fn data_batch(&mut self, prefix: &str, n: usize) -> Vec<DataId> {
-        self.ap.new_data_batch(prefix, n)
+        (0..n)
+            .map(|i| self.data_fmt(format_args!("{prefix}{i}")))
+            .collect()
     }
 
     /// Registers an initial (externally provided) datum of `bytes`
@@ -75,16 +101,28 @@ impl SimWorkload {
     /// home it is considered staged everywhere (zero-cost reads).
     pub fn initial_data(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         bytes: u64,
         home: Option<NodeId>,
     ) -> DataId {
-        let id = self.ap.new_data(name);
-        self.initial_bytes.insert(id, bytes);
-        if let Some(h) = home {
-            self.initial_home.insert(id, h);
-        }
-        id
+        self.initial_data_fmt(format_args!("{}", name.as_ref()), bytes, home)
+    }
+
+    /// [`SimWorkload::initial_data`] with the name formatted straight
+    /// into the catalog.
+    pub fn initial_data_fmt(
+        &mut self,
+        name: fmt::Arguments<'_>,
+        bytes: u64,
+        home: Option<NodeId>,
+    ) -> DataId {
+        self.data_meta.push(DataMeta {
+            initial: true,
+            bytes,
+            home,
+            closed: false,
+        });
+        self.ap.new_data_fmt(name)
     }
 
     /// Registers a task with its cost profile.
@@ -123,14 +161,12 @@ impl SimWorkload {
                     .to_string()
             })
             .collect();
-        let mut initial: Vec<DataId> = self.initial_bytes.keys().copied().collect();
-        initial.sort_unstable();
+        let initial = self.initial_data_entries().map(|(d, _, _)| d).collect();
         LintBundle::new(self.ap.graph().clone())
             .with_platform(platform)
             .with_data_names(data_names)
             .with_constraints(
-                self.profiles
-                    .iter()
+                self.profiles()
                     .map(|p| p.constraints_ref().clone())
                     .collect(),
             )
@@ -147,46 +183,72 @@ impl SimWorkload {
         &self.profiles[task.index()]
     }
 
-    /// All profiles, indexed by task id.
-    pub fn profiles(&self) -> &[TaskProfile] {
-        &self.profiles
+    /// The profiles of all resident tasks, in task-id order.
+    pub fn profiles(&self) -> impl Iterator<Item = &TaskProfile> {
+        self.profiles.iter()
     }
 
     /// Size of an initial datum (0 if not initial or unspecified).
     pub fn initial_size(&self, data: DataId) -> u64 {
-        self.initial_bytes.get(&data).copied().unwrap_or(0)
+        self.data_meta.get(data.index()).map_or(0, |m| m.bytes)
     }
 
     /// Home node of an initial datum, if pinned.
     pub fn initial_home(&self, data: DataId) -> Option<NodeId> {
-        self.initial_home.get(&data).copied()
+        self.data_meta.get(data.index()).and_then(|m| m.home)
     }
 
-    /// Iterates over all pinned initial data `(data, bytes, home)`.
+    /// Iterates over all initial data `(data, bytes, home)` in data-id
+    /// order.
     pub fn initial_data_entries(&self) -> impl Iterator<Item = (DataId, u64, Option<NodeId>)> + '_ {
-        self.initial_bytes
-            .iter()
-            .map(|(d, b)| (*d, *b, self.initial_home.get(d).copied()))
+        (0..self.data_meta.len()).filter_map(|i| {
+            let meta = self.data_meta.get(i).filter(|m| m.initial)?;
+            Some((DataId::from_raw(i as u64), meta.bytes, meta.home))
+        })
     }
 
-    /// Retires a completed task's graph payload (spec, dependency and
-    /// access lists), leaving a tombstone with a stable id. Used by
+    /// Records a lazy source's declaration that no future task reads
+    /// `data` (see `ExpandSink::close_data`).
+    pub(crate) fn close_data(&mut self, data: DataId) {
+        if let Some(meta) = self.data_meta.get_mut(data.index()) {
+            meta.closed = true;
+        }
+    }
+
+    /// Whether [`SimWorkload::close_data`] was called for `data`.
+    pub(crate) fn is_closed(&self, data: DataId) -> bool {
+        match self.data_meta.get(data.index()) {
+            Some(meta) => meta.closed,
+            // A dropped segment held only retired, hence closed, data.
+            None => data.index() < self.data_meta.len(),
+        }
+    }
+
+    /// Retires a completed task (see [`TaskGraph::retire_payload`]):
+    /// its graph payload is freed at once, and when it was the last
+    /// task of its segment the segment's nodes and profiles are
+    /// dropped and the segment number returned. Used by
     /// lazily-materialized runs once the task and every value it
-    /// produced are retired; see [`TaskGraph::retire_payload`].
+    /// produced are retired.
     ///
     /// # Errors
     ///
     /// Propagates [`TaskGraph::retire_payload`] errors.
-    pub fn retire_task_payload(&mut self, task: TaskId) -> Result<(), DagError> {
-        self.ap.graph_mut().retire_payload(task)
+    pub fn retire_task_payload(&mut self, task: TaskId) -> Result<Option<usize>, DagError> {
+        let dropped = self.ap.graph_mut().retire_payload(task)?;
+        if let Some(segment) = dropped {
+            self.profiles.drop_segment(segment);
+        }
+        Ok(dropped)
     }
 
-    /// Retires a closed datum: frees its catalog name and drops its
-    /// initial-data metadata. The id stays valid.
+    /// Retires a closed datum: its catalog name reads as empty, and
+    /// once every datum of its segment is retired the segment's
+    /// catalog slots, names and initial-data metadata are dropped.
     pub fn retire_data(&mut self, data: DataId) {
-        self.ap.retire_data_name(data);
-        self.initial_bytes.remove(&data);
-        self.initial_home.remove(&data);
+        if let Some(segment) = self.ap.retire_data_name(data) {
+            self.data_meta.drop_segment(segment);
+        }
     }
 
     /// Summary statistics under reference durations.
@@ -264,6 +326,6 @@ mod tests {
             .task(TaskSpec::new("t").output(d), TaskProfile::new(3.5))
             .unwrap();
         assert_eq!(w.profile(t).duration_s(), 3.5);
-        assert_eq!(w.profiles().len(), 1);
+        assert_eq!(w.profiles().count(), 1);
     }
 }

@@ -71,7 +71,9 @@ impl Scheduler for RefFifo {
     }
 }
 
-/// Seed locality + delay scheduling with per-(task, node) view probes.
+/// Seed locality + delay scheduling with per-(task, node) view probes,
+/// plus the stream-affinity tie-break the production policy gained with
+/// stream edges (identically zero for workloads without streams).
 #[derive(Default)]
 struct RefLocality {
     strict: bool,
@@ -97,7 +99,7 @@ impl Scheduler for RefLocality {
         let machine_busy = view.nodes().iter().any(|n| n.running_count() > 0);
         for &task in ready {
             let req = view.workload().profile(task).constraints_ref();
-            let mut best: Option<(u64, i64, NodeId)> = None;
+            let mut best: Option<(u64, u32, i64, NodeId)> = None;
             for st in view.nodes() {
                 let node = st.id();
                 if !view.can_host(node, task) {
@@ -110,13 +112,14 @@ impl Scheduler for RefLocality {
                     continue;
                 }
                 let local = view.local_input_bytes(task, node);
+                let affinity = view.stream_affinity(task, node);
                 let load = -(st.running_count() as i64 + extra as i64);
-                let candidate = (local, load, node);
-                if best.is_none_or(|b| (candidate.0, candidate.1) > (b.0, b.1)) {
+                let candidate = (local, affinity, load, node);
+                if best.is_none_or(|b| (candidate.0, candidate.1, candidate.2) > (b.0, b.1, b.2)) {
                     best = Some(candidate);
                 }
             }
-            let Some((local, _, node)) = best else {
+            let Some((local, _, _, node)) = best else {
                 continue;
             };
             let busy_now = machine_busy || !out.is_empty();
@@ -245,6 +248,49 @@ impl Scheduler for RefEnergy {
 
 // ---- workload / platform generators -----------------------------------
 
+/// What a generated case adds to the plain layered DAG over pinned
+/// inputs. Each switch creates situations in which the locality policy
+/// cannot take its winner from the replica holders alone: inputs that
+/// are everywhere or weigh nothing (no holder outranks the rest),
+/// holders that cannot host the task (wrong software or architecture,
+/// or dead), and stream endpoints (ranked by affinity, not by bytes).
+#[derive(Debug, Clone, Copy, Default)]
+struct Mix {
+    /// Some initial inputs are staged everywhere instead of pinned.
+    ubiquitous: bool,
+    /// One initial input is pinned but empty.
+    zero_bytes: bool,
+    /// Some tasks need software or an architecture only the nodes of a
+    /// separate "special" cluster offer.
+    constraints: bool,
+    /// Every layer carries a producer → consumer stream edge.
+    streams: bool,
+    /// Node 0 fails mid-run and recovers later.
+    fault: bool,
+}
+
+impl Mix {
+    fn from_bits(bits: u32) -> Self {
+        Mix {
+            ubiquitous: bits & 1 != 0,
+            zero_bytes: bits & 2 != 0,
+            constraints: bits & 4 != 0,
+            streams: bits & 8 != 0,
+            fault: bits & 16 != 0,
+        }
+    }
+
+    fn faults(self) -> FaultPlan {
+        if self.fault {
+            FaultPlan::new()
+                .fail_at(2.5, NodeId::from_raw(0))
+                .recover_at(7.0, NodeId::from_raw(0))
+        } else {
+            FaultPlan::new()
+        }
+    }
+}
+
 /// Random layered workload with pinned initial inputs so locality and
 /// transfer estimates actually discriminate between nodes.
 fn workload(
@@ -254,13 +300,20 @@ fn workload(
     n_nodes: usize,
     cores: u32,
     bytes: u64,
+    mix: Mix,
 ) -> SimWorkload {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut w = SimWorkload::new();
     let mut prev: Vec<continuum_dag::DataId> = Vec::new();
     for i in 0..width.min(3) {
         let home = NodeId::from_raw(rng.gen_range(0..n_nodes as u32));
-        prev.push(w.initial_data(format!("init{i}"), bytes.max(1), Some(home)));
+        let home = (!(mix.ubiquitous && i % 2 == 1)).then_some(home);
+        let size = if mix.zero_bytes && i == 0 {
+            0
+        } else {
+            bytes.max(1)
+        };
+        prev.push(w.initial_data(format!("init{i}"), size, home));
     }
     for layer in 0..layers {
         let mut this = Vec::new();
@@ -283,8 +336,40 @@ fn workload(
             if cores >= 2 && rng.gen::<f64>() < 0.25 {
                 profile = profile.constraints(Constraints::new().compute_units(2));
             }
+            if mix.constraints && rng.gen::<f64>() < 0.3 {
+                // Only the special cluster qualifies, wherever the
+                // inputs happen to live.
+                profile = profile.constraints(if rng.gen::<f64>() < 0.5 {
+                    Constraints::new().software("blast")
+                } else {
+                    Constraints::new().arch("arm64")
+                });
+            }
             w.task(spec, profile).expect("valid task");
             this.push(out);
+        }
+        if mix.streams {
+            // A producer reading resident data streams into a consumer
+            // whose only pull towards a node is the producer's site.
+            let stream = w.data(format!("s{layer}"));
+            let sunk = w.data(format!("l{layer}sink"));
+            let mut producer = TaskSpec::new(format!("sp{layer}")).stream_out(stream);
+            if !prev.is_empty() {
+                producer = producer.input(prev[rng.gen_range(0..prev.len())]);
+            }
+            w.task(
+                producer,
+                TaskProfile::new(1.0 + rng.gen::<f64>() * 3.0).stream_elements(3),
+            )
+            .expect("valid stream producer");
+            w.task(
+                TaskSpec::new(format!("sc{layer}"))
+                    .stream_in(stream)
+                    .output(sunk),
+                TaskProfile::new(1.0 + rng.gen::<f64>() * 3.0).outputs_bytes(bytes),
+            )
+            .expect("valid stream consumer");
+            this.push(sunk);
         }
         prev = this;
     }
@@ -292,11 +377,19 @@ fn workload(
 }
 
 /// One- or two-zone platform (the second zone exercises the per-zone
-/// transfer-cost memoization across a WAN link).
-fn gen_platform(n_nodes: usize, cores: u32, two_zones: bool) -> Platform {
+/// transfer-cost memoization across a WAN link), plus a small cluster
+/// with its own software and architecture when the mix constrains
+/// tasks to it.
+fn gen_platform(n_nodes: usize, cores: u32, two_zones: bool, mix: Mix) -> Platform {
     let mut b = PlatformBuilder::new().cluster("hpc", n_nodes, NodeSpec::hpc(cores, 96_000));
     if two_zones {
         b = b.cloud("cloud", 2, NodeSpec::cloud_vm(cores, 16_000));
+    }
+    if mix.constraints {
+        let special = NodeSpec::hpc(cores, 96_000)
+            .with_software(["blast"])
+            .with_arch("arm64");
+        b = b.cluster("special", 2, special);
     }
     b.build()
 }
@@ -304,15 +397,16 @@ fn gen_platform(n_nodes: usize, cores: u32, two_zones: bool) -> Platform {
 fn assert_equivalent(
     w: &SimWorkload,
     p: &Platform,
+    faults: &FaultPlan,
     reference: &mut dyn Scheduler,
     indexed: &mut dyn Scheduler,
 ) {
     let runtime = SimRuntime::new(p.clone(), SimOptions::default());
     let (ref_report, ref_trace) = runtime
-        .run_traced(w, reference, &FaultPlan::new())
+        .run_traced(w, reference, faults)
         .expect("reference run completes");
     let (report, trace) = runtime
-        .run_traced(w, indexed, &FaultPlan::new())
+        .run_traced(w, indexed, faults)
         .expect("indexed run completes");
     assert!(!ref_trace.is_empty(), "degenerate case: empty trace");
     assert_eq!(ref_report, report, "RunReports diverge");
@@ -320,7 +414,7 @@ fn assert_equivalent(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The index-backed FIFO places every task on the same node at the
     /// same time as the seed HashMap implementation.
@@ -333,13 +427,17 @@ proptest! {
         cores in 1u32..6,
         two_zones_bit in 0u32..2,
     ) {
-        let p = gen_platform(nodes, cores, two_zones_bit == 1);
-        let w = workload(seed, layers, width, nodes, cores, 2_000_000);
-        assert_equivalent(&w, &p, &mut RefFifo::default(), &mut FifoScheduler::new());
+        let plain = Mix::default();
+        let p = gen_platform(nodes, cores, two_zones_bit == 1, plain);
+        let w = workload(seed, layers, width, nodes, cores, 2_000_000, plain);
+        let (mut reference, mut indexed) = (RefFifo::default(), FifoScheduler::new());
+        assert_equivalent(&w, &p, &plain.faults(), &mut reference, &mut indexed);
     }
 
     /// Locality (both balanced and strict data-gravity) is unchanged by
-    /// the locality index and the per-task input resolution.
+    /// the locality index, the per-task input resolution and the scan
+    /// that visits replica holders before (or instead of) every node —
+    /// over every [`Mix`] of cases in which the holders cannot decide.
     #[test]
     fn locality_matches_reference(
         seed in 0u64..1000,
@@ -349,9 +447,11 @@ proptest! {
         cores in 1u32..6,
         two_zones_bit in 0u32..2,
         strict_bit in 0u32..2,
+        mix_bits in 0u32..32,
     ) {
-        let p = gen_platform(nodes, cores, two_zones_bit == 1);
-        let w = workload(seed, layers, width, nodes, cores, 8_000_000);
+        let mix = Mix::from_bits(mix_bits);
+        let p = gen_platform(nodes, cores, two_zones_bit == 1, mix);
+        let w = workload(seed, layers, width, nodes, cores, 8_000_000, mix);
         let strict = strict_bit == 1;
         let mut reference = RefLocality { strict };
         let mut indexed = if strict {
@@ -359,7 +459,7 @@ proptest! {
         } else {
             LocalityScheduler::new()
         };
-        assert_equivalent(&w, &p, &mut reference, &mut indexed);
+        assert_equivalent(&w, &p, &mix.faults(), &mut reference, &mut indexed);
     }
 
     /// Dynamic list scheduling is unchanged by the unstable sort (the
@@ -373,11 +473,12 @@ proptest! {
         cores in 1u32..6,
         two_zones_bit in 0u32..2,
     ) {
-        let p = gen_platform(nodes, cores, two_zones_bit == 1);
-        let w = workload(seed, layers, width, nodes, cores, 8_000_000);
+        let plain = Mix::default();
+        let p = gen_platform(nodes, cores, two_zones_bit == 1, plain);
+        let w = workload(seed, layers, width, nodes, cores, 8_000_000, plain);
         let mut reference = RefList::plan(&w);
         let mut indexed = ListScheduler::plan(&w, |t| w.profile(t).duration_s());
-        assert_equivalent(&w, &p, &mut reference, &mut indexed);
+        assert_equivalent(&w, &p, &plain.faults(), &mut reference, &mut indexed);
     }
 
     /// Energy consolidation is unchanged by the scratch-buffer rework.
@@ -390,8 +491,10 @@ proptest! {
         cores in 1u32..6,
         two_zones_bit in 0u32..2,
     ) {
-        let p = gen_platform(nodes, cores, two_zones_bit == 1);
-        let w = workload(seed, layers, width, nodes, cores, 2_000_000);
-        assert_equivalent(&w, &p, &mut RefEnergy, &mut EnergyScheduler::new());
+        let plain = Mix::default();
+        let p = gen_platform(nodes, cores, two_zones_bit == 1, plain);
+        let w = workload(seed, layers, width, nodes, cores, 2_000_000, plain);
+        let (mut reference, mut indexed) = (RefEnergy, EnergyScheduler::new());
+        assert_equivalent(&w, &p, &plain.faults(), &mut reference, &mut indexed);
     }
 }

@@ -12,7 +12,8 @@ use continuum_runtime::{
 };
 use continuum_sim::FaultPlan;
 use continuum_telemetry::{
-    chrome_trace, paraver_trace, CounterKey, Event, MetricsSnapshot, TaskPhase, Track,
+    chrome_trace, micros_from_seconds, paraver_trace, CounterKey, Event, MetricsSnapshot,
+    TaskPhase, Track,
 };
 
 /// A small diamond-heavy workload with transfers, so traces contain
@@ -69,6 +70,55 @@ fn sim_traces_are_byte_identical_across_runs() {
     let b = sim_events();
     assert_eq!(chrome_trace(&a), chrome_trace(&b));
     assert_eq!(paraver_trace(&a), paraver_trace(&b));
+}
+
+/// The engine publishes the cumulative transfer stall after every
+/// completion from a running total; it must be, bit for bit, the sum
+/// over the trace records so far (the total used to be recomputed from
+/// the whole trace per completion).
+#[test]
+fn sim_transfer_stall_counters_are_prefix_sums_of_the_trace() {
+    let platform = PlatformBuilder::new()
+        .cluster("a", 2, NodeSpec::hpc(2, 96_000))
+        .cloud("b", 2, NodeSpec::cloud_vm(2, 16_000))
+        .build();
+    let (buffer, telemetry) = TraceBuffer::collector();
+    let options = SimOptions {
+        telemetry,
+        ..SimOptions::default()
+    };
+    let (report, trace) = SimRuntime::new(platform, options)
+        .run_traced(
+            &sim_workload(),
+            &mut FifoScheduler::new(),
+            &FaultPlan::new(),
+        )
+        .expect("completes");
+    let published: Vec<f64> = buffer
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Counter {
+                key: CounterKey::TransferStallMicros,
+                value,
+                ..
+            } => Some(*value),
+            _ => None,
+        })
+        .collect();
+    let records = trace.records();
+    let mut expected: Vec<f64> = (1..=records.len())
+        .map(|n| {
+            let prefix: f64 = records[..n].iter().map(|r| r.transfer_stall_s).sum();
+            micros_from_seconds(prefix) as f64
+        })
+        .collect();
+    // One more at the end of the run, equal to the last.
+    expected.push(micros_from_seconds(report.transfer_stall_s) as f64);
+    assert!(report.transfer_stall_s > 0.0, "the workload must stall");
+    assert_eq!(published, expected);
+    let total: f64 = records.iter().map(|r| r.transfer_stall_s).sum();
+    assert_eq!(report.transfer_stall_s.to_bits(), total.to_bits());
 }
 
 #[test]

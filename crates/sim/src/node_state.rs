@@ -4,7 +4,6 @@
 use crate::time::VirtualTime;
 use continuum_dag::TaskId;
 use continuum_platform::{Constraints, EnergyAccount, Node, NodeCapacity, NodeId, PowerModel};
-use std::collections::BTreeSet;
 
 /// Dynamic state of one simulated node.
 ///
@@ -20,7 +19,9 @@ pub struct NodeState {
     speed: f64,
     power: PowerModel,
     alive: bool,
-    running: BTreeSet<TaskId>,
+    /// Ascending; a node runs a handful of tasks at once, and the
+    /// buffer keeps its capacity as tasks come and go.
+    running: Vec<TaskId>,
     cores_in_use: u32,
     last_update: VirtualTime,
     busy_core_seconds: f64,
@@ -39,7 +40,7 @@ impl NodeState {
             speed: node.spec().speed(),
             power: node.spec().power(),
             alive: true,
-            running: BTreeSet::new(),
+            running: Vec::new(),
             cores_in_use: 0,
             last_update: VirtualTime::ZERO,
             busy_core_seconds: 0.0,
@@ -142,7 +143,9 @@ impl NodeState {
         self.advance(now);
         self.free.allocate(req);
         self.cores_in_use += req.required_compute_units();
-        self.running.insert(task);
+        if let Err(at) = self.running.binary_search(&task) {
+            self.running.insert(at, task);
+        }
         true
     }
 
@@ -152,11 +155,10 @@ impl NodeState {
     ///
     /// Panics if the task is not running here.
     pub fn finish(&mut self, task: TaskId, req: &Constraints, now: VirtualTime) {
-        assert!(
-            self.running.remove(&task),
-            "task {task} not running on {}",
-            self.id
-        );
+        match self.running.binary_search(&task) {
+            Ok(at) => self.running.remove(at),
+            Err(_) => panic!("task {task} not running on {}", self.id),
+        };
         self.advance(now);
         self.free.release(req);
         self.cores_in_use -= req.required_compute_units();
@@ -170,7 +172,7 @@ impl NodeState {
         self.alive = false;
         self.cores_in_use = 0;
         self.free = self.total.clone();
-        std::mem::take(&mut self.running).into_iter().collect()
+        std::mem::take(&mut self.running)
     }
 
     /// Brings a failed node back, idle.

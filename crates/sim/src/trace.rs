@@ -73,9 +73,48 @@ impl TraceRecord {
 }
 
 /// A full execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionTrace {
     records: Vec<TraceRecord>,
+    /// Running sum of the records' `transfer_stall_s`, added in record
+    /// order from the same start value as `Iterator::sum` (`-0.0`), so
+    /// it is bit-for-bit the sum over `records`.
+    stall_total_s: f64,
+}
+
+impl Default for ExecutionTrace {
+    fn default() -> Self {
+        ExecutionTrace {
+            records: Vec::new(),
+            stall_total_s: -0.0,
+        }
+    }
+}
+
+/// Two traces are equal when their records are (the running total is
+/// a function of the records).
+impl PartialEq for ExecutionTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
+}
+
+/// Serializes as `{"records": [...]}`.
+impl Serialize for ExecutionTrace {
+    fn to_json_value(&self) -> serde::Value {
+        serde::Value::Obj(vec![("records".to_string(), self.records.to_json_value())])
+    }
+}
+
+impl Deserialize for ExecutionTrace {
+    fn from_json_value(value: &serde::Value) -> Option<Self> {
+        let records = Vec::<TraceRecord>::from_json_value(value.get("records")?)?;
+        let mut trace = ExecutionTrace::new();
+        for record in records {
+            trace.record(record);
+        }
+        Some(trace)
+    }
 }
 
 impl ExecutionTrace {
@@ -86,6 +125,7 @@ impl ExecutionTrace {
 
     /// Appends a record.
     pub fn record(&mut self, record: TraceRecord) {
+        self.stall_total_s += record.transfer_stall_s;
         self.records.push(record);
     }
 
@@ -109,9 +149,10 @@ impl ExecutionTrace {
         self.records.iter().filter(move |r| r.node == node)
     }
 
-    /// Total seconds stalled on transfers across all executions.
+    /// Total seconds stalled on transfers across all executions
+    /// (O(1): kept as a running sum by [`ExecutionTrace::record`]).
     pub fn total_transfer_stall_s(&self) -> f64 {
-        self.records.iter().map(|r| r.transfer_stall_s).sum()
+        self.stall_total_s
     }
 
     /// Renders an ASCII Gantt chart: one row per node, time bucketed
@@ -199,6 +240,32 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.on_node(NodeId::from_raw(0)).count(), 2);
         assert!((t.total_transfer_stall_s() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn running_stall_total_is_bitwise_the_sum_over_records() {
+        let mut t = ExecutionTrace::new();
+        assert!(t.total_transfer_stall_s().is_sign_negative(), "-0.0");
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..500 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let mut r = rec(i, 0, 0.0, 1.0);
+            // Stalls across many magnitudes, plenty of exact zeros.
+            r.transfer_stall_s = match state >> 62 {
+                0 => 0.0,
+                1 => (state >> 11) as f64 * 1e-19,
+                _ => (state >> 11) as f64 * 1e-9,
+            };
+            t.record(r);
+            let prefix: f64 = t.records().iter().map(|r| r.transfer_stall_s).sum();
+            assert_eq!(t.total_transfer_stall_s().to_bits(), prefix.to_bits());
+        }
+        let back: ExecutionTrace = serde::from_str(&serde::to_string(&t)).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(
+            back.total_transfer_stall_s().to_bits(),
+            t.total_transfer_stall_s().to_bits()
+        );
     }
 
     #[test]

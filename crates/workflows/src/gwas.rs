@@ -18,7 +18,7 @@ use continuum_platform::Constraints;
 use continuum_runtime::{SimWorkload, TaskProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 /// Builder for GWAS campaign workloads.
 ///
@@ -256,10 +256,12 @@ pub struct GwasSource {
     window: usize,
     /// Next linear chunk index (chromosome-major) to materialize.
     next_chunk: usize,
-    /// Association tasks emitted but not yet completed (bounded by the
-    /// window plus in-flight work; membership identifies which
-    /// completions advance the frontier).
-    assoc_pending: HashSet<TaskId>,
+    /// Association tasks emitted but not yet completed, ascending (ids
+    /// are issued in emission order): a ring of at most `window`
+    /// entries, since only an association's completion emits the next
+    /// chunk. Membership identifies which completions advance the
+    /// frontier.
+    assoc_pending: VecDeque<TaskId>,
     /// Association outputs of the chromosome currently materializing
     /// (drained into its merge when the last chunk is emitted).
     assoc_data: Vec<DataId>,
@@ -274,7 +276,7 @@ impl GwasSource {
             cfg,
             window: window.max(1),
             next_chunk: 0,
-            assoc_pending: HashSet::new(),
+            assoc_pending: VecDeque::new(),
             assoc_data: Vec::new(),
             chrom_merge_data: Vec::new(),
             final_out: None,
@@ -313,20 +315,20 @@ impl GwasSource {
     /// was the chromosome's last chunk and the campaign merge when it
     /// was the campaign's last chromosome.
     fn emit_chunk(&mut self, sink: &mut dyn ExpandSink<TaskProfile>) -> Result<(), DagError> {
-        let cfg = self.cfg.clone();
         let linear = self.next_chunk;
         self.next_chunk += 1;
-        let chrom = linear / cfg.chunks;
-        let chunk = linear % cfg.chunks;
-        let durations = LogNormal::from_mean_cv(cfg.mean_task_s, cfg.duration_cv);
+        let (chunks, chunk_bytes, mean_task_s) =
+            (self.cfg.chunks, self.cfg.chunk_bytes, self.cfg.mean_task_s);
+        let chrom = linear / chunks;
+        let chunk = linear % chunks;
+        let durations = LogNormal::from_mean_cv(mean_task_s, self.cfg.duration_cv);
         let mut rng = self.stream_rng(linear as u64);
-        let draw = |rng: &mut StdRng| durations.sample(rng).clamp(1.0, cfg.mean_task_s * 20.0);
+        let draw = |rng: &mut StdRng| durations.sample(rng).clamp(1.0, mean_task_s * 20.0);
 
-        let tag = format!("c{chrom}_{chunk}");
-        let raw = sink.initial_data(&format!("raw_{tag}"), cfg.chunk_bytes);
-        let filtered = sink.data(&format!("filt_{tag}"));
-        let imputed = sink.data(&format!("imp_{tag}"));
-        let assoc = sink.data(&format!("assoc_{tag}"));
+        let raw = sink.initial_data_fmt(format_args!("raw_c{chrom}_{chunk}"), chunk_bytes);
+        let filtered = sink.data_fmt(format_args!("filt_c{chrom}_{chunk}"));
+        let imputed = sink.data_fmt(format_args!("imp_c{chrom}_{chunk}"));
+        let assoc = sink.data_fmt(format_args!("assoc_c{chrom}_{chunk}"));
 
         sink.submit(
             TaskSpec::new("filter")
@@ -335,9 +337,9 @@ impl GwasSource {
                 .output(filtered),
             TaskProfile::new(draw(&mut rng) * 0.3)
                 .constraints(Constraints::new().memory_mb(self.memory_of(false)))
-                .outputs_bytes(cfg.chunk_bytes / 2),
+                .outputs_bytes(chunk_bytes / 2),
         )?;
-        let heavy = rng.gen::<f64>() < cfg.heavy_fraction;
+        let heavy = rng.gen::<f64>() < self.cfg.heavy_fraction;
         sink.submit(
             TaskSpec::new("impute")
                 .group("imputation")
@@ -345,7 +347,7 @@ impl GwasSource {
                 .output(imputed),
             TaskProfile::new(draw(&mut rng) * if heavy { 2.0 } else { 1.0 })
                 .constraints(Constraints::new().memory_mb(self.memory_of(heavy)))
-                .outputs_bytes(cfg.chunk_bytes),
+                .outputs_bytes(chunk_bytes),
         )?;
         let assoc_task = sink.submit(
             TaskSpec::new("association")
@@ -354,31 +356,31 @@ impl GwasSource {
                 .output(assoc),
             TaskProfile::new(draw(&mut rng) * 0.5)
                 .constraints(Constraints::new().memory_mb(self.memory_of(false)))
-                .outputs_bytes(cfg.chunk_bytes / 10),
+                .outputs_bytes(chunk_bytes / 10),
         )?;
-        self.assoc_pending.insert(assoc_task);
+        let at = self.assoc_pending.partition_point(|t| *t < assoc_task);
+        self.assoc_pending.insert(at, assoc_task);
         self.assoc_data.push(assoc);
         // Every consumer of the intra-chunk data now exists.
         sink.close_data(raw);
         sink.close_data(filtered);
         sink.close_data(imputed);
 
-        if chunk + 1 == cfg.chunks {
+        if chunk + 1 == chunks {
             // Last chunk of the chromosome: its merge (and the
             // closure of every association output it consumes).
-            let merged = sink.data(&format!("chrom_merge_{chrom}"));
+            let merged = sink.data_fmt(format_args!("chrom_merge_{chrom}"));
             let mut merge_rng = self.stream_rng(self.total_chunks() as u64 + chrom as u64);
-            let chunk_outputs = std::mem::take(&mut self.assoc_data);
             sink.submit(
                 TaskSpec::new("merge_chromosome")
                     .group("merge")
-                    .inputs(chunk_outputs.iter().copied())
+                    .inputs(self.assoc_data.iter().copied())
                     .output(merged),
                 TaskProfile::new(draw(&mut merge_rng) * 0.4)
                     .constraints(Constraints::new().memory_mb(self.memory_of(false)))
-                    .outputs_bytes(cfg.chunk_bytes / 5),
+                    .outputs_bytes(chunk_bytes / 5),
             )?;
-            for d in chunk_outputs {
+            for d in self.assoc_data.drain(..) {
                 sink.close_data(d);
             }
             self.chrom_merge_data.push(merged);
@@ -386,17 +388,16 @@ impl GwasSource {
         if linear + 1 == self.total_chunks() {
             // Last chunk of the campaign: the final merge.
             let final_out = sink.data("campaign_summary");
-            let chrom_outputs = std::mem::take(&mut self.chrom_merge_data);
             sink.submit(
                 TaskSpec::new("merge_campaign")
                     .group("merge")
-                    .inputs(chrom_outputs.iter().copied())
+                    .inputs(self.chrom_merge_data.iter().copied())
                     .output(final_out),
-                TaskProfile::new(cfg.mean_task_s)
+                TaskProfile::new(mean_task_s)
                     .constraints(Constraints::new().memory_mb(self.memory_of(false)))
-                    .outputs_bytes(cfg.chunk_bytes),
+                    .outputs_bytes(chunk_bytes),
             )?;
-            for d in chrom_outputs {
+            for d in self.chrom_merge_data.drain(..) {
                 sink.close_data(d);
             }
             self.final_out = Some(final_out);
@@ -419,8 +420,11 @@ impl GraphSource<TaskProfile> for GwasSource {
         task: TaskId,
         sink: &mut dyn ExpandSink<TaskProfile>,
     ) -> Result<(), DagError> {
-        if self.assoc_pending.remove(&task) && self.next_chunk < self.total_chunks() {
-            self.emit_chunk(sink)?;
+        if let Ok(at) = self.assoc_pending.binary_search(&task) {
+            self.assoc_pending.remove(at);
+            if self.next_chunk < self.total_chunks() {
+                self.emit_chunk(sink)?;
+            }
         }
         Ok(())
     }

@@ -144,7 +144,7 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                 let ty = tokens
                     .next()
                     .ok_or_else(|| err(line_no, "task needs a type name"))?;
-                let mut spec = TaskSpec::new(ty);
+                let mut spec = TaskSpec::new(ty.to_string());
                 let mut dur = None;
                 let mut constraints = Constraints::new();
                 let mut out_bytes = 0u64;
@@ -204,7 +204,7 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                             )
                         }
                         "elem_bytes" => elem_bytes = parse_bytes(v, line_no)?,
-                        "group" => spec = spec.group(v),
+                        "group" => spec = spec.group(v.to_string()),
                         other => return Err(err(line_no, format!("unknown task key `{other}`"))),
                     }
                 }

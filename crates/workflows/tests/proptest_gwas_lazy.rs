@@ -1,0 +1,89 @@
+//! The lazily materialized GWAS campaign schedules exactly like the
+//! same campaign materialized up front.
+//!
+//! `GwasWorkload::build()` draws its costs from one sequential RNG,
+//! while the lazy source seeds every chunk on its own (so expansion
+//! order cannot change a profile); the eager side of the comparison is
+//! therefore the *source* materialized in full — primed with a window
+//! covering every chunk, into a plain `SimWorkload` — and run through
+//! `SimRuntime::run_traced`. The lazy side is `run_lazy` with windows
+//! from "just above what the platform can run at once" up to the whole
+//! campaign: as long as the window keeps unstarted chunks ahead of the
+//! ready frontier, admitting tasks just in time, retiring values and
+//! tasks behind the frontier and dropping whole segments must not move
+//! a single placement or timestamp.
+
+use continuum_dag::{DagError, DataId, ExpandSink, GraphSource, TaskId, TaskSpec};
+use continuum_platform::{NodeSpec, PlatformBuilder};
+use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime, SimWorkload, TaskProfile};
+use continuum_sim::FaultPlan;
+use continuum_workflows::GwasWorkload;
+use proptest::prelude::*;
+
+/// Materializes whatever a source emits into an eager workload.
+struct Materialize(SimWorkload);
+
+impl ExpandSink<TaskProfile> for Materialize {
+    fn data(&mut self, name: &str) -> DataId {
+        self.0.data(name)
+    }
+
+    fn initial_data(&mut self, name: &str, bytes: u64) -> DataId {
+        self.0.initial_data(name, bytes, None)
+    }
+
+    fn submit(&mut self, spec: TaskSpec, payload: TaskProfile) -> Result<TaskId, DagError> {
+        self.0.task(spec, payload)
+    }
+
+    fn close_data(&mut self, _data: DataId) {}
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn lazy_gwas_matches_the_materialized_campaign(
+        seed in 0u64..500,
+        chromosomes in 1usize..4,
+        chunks in 1usize..17,
+        nodes in 1usize..3,
+        cores in 1u32..4,
+    ) {
+        let campaign = GwasWorkload::new()
+            .chromosomes(chromosomes)
+            .chunks_per_chromosome(chunks)
+            .seed(seed);
+        let total_chunks = chromosomes * chunks;
+        let platform = PlatformBuilder::new()
+            .cluster("mn", nodes, NodeSpec::hpc(cores, 96_000))
+            .build();
+        let runtime = SimRuntime::new(platform, SimOptions::default());
+
+        let mut eager = Materialize(SimWorkload::new());
+        campaign
+            .clone()
+            .into_source(total_chunks)
+            .prime(&mut eager)
+            .expect("the campaign materializes");
+        prop_assert_eq!(eager.0.graph().len(), campaign.task_count());
+        let (report, trace) = runtime
+            .run_traced(&eager.0, &mut LocalityScheduler::new(), &FaultPlan::new())
+            .expect("eager run completes");
+
+        // A window beyond everything the platform can hold in flight
+        // (one task per core, plus imputations waiting for memory).
+        let ample = nodes * cores as usize + 12;
+        for window in [ample, ample + 7, total_chunks, total_chunks + 5] {
+            let mut source = campaign.clone().into_source(window);
+            let lazy = runtime
+                .run_lazy(&mut source, &mut LocalityScheduler::new(), &FaultPlan::new())
+                .expect("lazy run completes");
+            prop_assert_eq!(&lazy.report, &report, "window {}", window);
+            prop_assert_eq!(&lazy.trace, &trace, "window {}", window);
+            prop_assert_eq!(lazy.total_tasks, campaign.task_count());
+            // Only the campaign summary is never closed.
+            prop_assert!(lazy.retired_tasks + 1 >= lazy.total_tasks, "{:?}", lazy.retired_tasks);
+        }
+    }
+}

@@ -192,6 +192,18 @@ impl Deserialize for String {
     }
 }
 
+impl Serialize for std::borrow::Cow<'_, str> {
+    fn to_json_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl Deserialize for std::borrow::Cow<'static, str> {
+    fn from_json_value(value: &Value) -> Option<Self> {
+        String::from_json_value(value).map(std::borrow::Cow::Owned)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_json_value(&self) -> Value {
         match self {

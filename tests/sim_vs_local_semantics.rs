@@ -36,7 +36,7 @@ fn engines_agree_on_happens_before() {
     // Recreate the same data ids on the local runtime.
     let handles: Vec<_> = (0..30).map(|i| rt.data::<u64>(format!("d{i}"))).collect();
     for node in graph.nodes() {
-        let mut spec = TaskSpec::new(node.spec().name());
+        let mut spec = TaskSpec::new(node.spec().name().to_string());
         for vd in node.consumed() {
             spec = spec.input(handles[vd.data.index()].id());
         }

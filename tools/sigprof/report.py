@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Symbolize and rank the samples written by sampler.so.
+
+usage: report.py BINARY SAMPLES [--groups]
+
+SAMPLES is the file named by SAMPLER_OUT (load-base-relative PCs of the
+main binary); SAMPLES.raw beside it holds absolute PCs and the memory
+map and is used to attribute the samples that fell outside the binary
+(libc's malloc/free/memmove, the kernel) to the nearest preceding
+dynamic symbol. BINARY must carry debug info
+(CARGO_PROFILE_RELEASE_DEBUG=1); inlined frames are expanded with
+`addr2line -i`, so a sample counts for every function on its inlined
+stack when grouping and for its outermost and innermost frame in the
+two rankings.
+"""
+import bisect
+import collections
+import re
+import subprocess
+import sys
+
+GROUPS = [
+    ("allocator (in-binary side)", r"__rust_alloc|__rust_dealloc|__rust_realloc|__rdl_|alloc::alloc|::alloc::Counting"),
+    ("hashing", r"hashbrown|SipHasher|sip::|hash_one|IdHasher|BuildHasher|core::hash"),
+    ("BTreeMap/BTreeSet", r"btree"),
+    ("placement (scheduler, can_host, satisfies)", r"scheduler::|can_host|NodeCapacity::satisfies|is_subset"),
+    ("event queue", r"queue::|BinaryHeap"),
+    ("outside the binary", r"^\?\?$"),
+]
+
+
+def stacks(binary, samples):
+    addrs = [line.strip() for line in open(samples) if line.strip()]
+    out = subprocess.run(
+        ["addr2line", "-a", "-f", "-i", "-C", "-e", binary] + addrs,
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    result, frames, i = [], [], 0
+    while i < len(out):
+        if out[i].startswith("0x"):
+            if frames:
+                result.append(frames)
+            frames, i = [], i + 1
+            continue
+        frames.append(re.sub(r"::h[0-9a-f]{16}$", "", out[i]))
+        i += 2
+    if frames:
+        result.append(frames)
+    return result
+
+
+def outside(raw):
+    """Counts of samples outside the main binary, by nearest libc symbol."""
+    pcs, maps = [], []
+    for line in open(raw):
+        if line.startswith("MAP "):
+            f = line[4:].split()
+            lo, hi = (int(x, 16) for x in f[0].split("-"))
+            maps.append((lo, hi, int(f[2], 16), f[5] if len(f) > 5 else ""))
+        else:
+            pcs.append(int(line, 16))
+    libc = [m for m in maps if "libc.so" in m[3]]
+    counts = collections.Counter()
+    if not libc:
+        return counts, len(pcs)
+    base = min(m[0] - m[2] for m in libc)
+    syms = []
+    for line in subprocess.run(["nm", "-D", "--defined-only", libc[0][3]],
+                               capture_output=True, text=True).stdout.splitlines():
+        p = line.split()
+        if len(p) == 3:
+            syms.append((int(p[0], 16), p[2].split("@")[0]))
+    syms.sort()
+    starts = [a for a, _ in syms]
+    for pc in pcs:
+        m = next((m for m in maps if m[0] <= pc < m[1]), None)
+        if m is None:
+            counts["<kernel/unmapped>"] += 1
+        elif "libc.so" in m[3]:
+            counts["libc: near " + syms[bisect.bisect_right(starts, pc - base) - 1][1]] += 1
+        elif m is not maps[0] and m[3] != maps[0][3]:
+            counts[m[3] or "<anon>"] += 1
+    return counts, len(pcs)
+
+
+def main():
+    binary, samples = sys.argv[1], sys.argv[2]
+    all_stacks = stacks(binary, samples)
+    n = len(all_stacks)
+    if "--groups" in sys.argv:
+        c = collections.Counter()
+        for st in all_stacks:
+            label = "other (engine, access processor, source)"
+            for name, pattern in GROUPS:
+                if any(re.search(pattern, frame) for frame in st):
+                    label = name
+                    break
+            c[label] += 1
+        for k, v in c.most_common():
+            print(f"{100 * v / n:5.1f}%  {k}")
+    else:
+        for title, pick in (("outermost (non-inlined) function", -1), ("innermost inlined frame", 0)):
+            print(f"== {title} ==")
+            c = collections.Counter(st[pick] for st in all_stacks)
+            for k, v in c.most_common(30):
+                print(f"{100 * v / n:5.1f}%  {k[:140]}")
+    try:
+        counts, total = outside(samples + ".raw")
+        print("== outside the binary (nearest dynamic symbol) ==")
+        for k, v in counts.most_common(8):
+            print(f"{100 * v / total:5.1f}%  {k}")
+    except FileNotFoundError:
+        pass
+    print(n, "samples")
+
+
+if __name__ == "__main__":
+    main()
