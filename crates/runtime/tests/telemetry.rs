@@ -72,6 +72,28 @@ fn sim_traces_are_byte_identical_across_runs() {
     assert_eq!(paraver_trace(&a), paraver_trace(&b));
 }
 
+/// FNV-1a, 64-bit: a checksum whose value does not depend on the Rust
+/// release (`DefaultHasher` makes no such promise).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Chrome export is a file format other tools and stored traces
+/// depend on: its bytes for this fixed run are pinned (values taken
+/// with the tree-building exporter the one-pass writer replaced).
+#[test]
+fn sim_trace_export_bytes_are_pinned() {
+    let text = chrome_trace(&sim_events());
+    assert_eq!(text.len(), 6234, "export length changed");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x6ce4_0bf8_6b3d_53dc,
+        "export bytes changed"
+    );
+}
+
 /// The engine publishes the cumulative transfer stall after every
 /// completion from a running total; it must be, bit for bit, the sum
 /// over the trace records so far (the total used to be recomputed from

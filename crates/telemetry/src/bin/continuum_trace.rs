@@ -28,9 +28,11 @@
 
 use continuum_telemetry::{
     chrome_trace, cross_agent_report, merge_traces, paraver_trace, parse_chrome_trace,
-    prometheus_text, render_table, trace_critical_chain, AgentTrace, Align, CrossAgentReport,
-    Event, MetricsSnapshot, RunDiagnostics, TaskObs,
+    prometheus_text, render_table, trace_critical_chain, write_chrome_trace, AgentTrace, Align,
+    CrossAgentReport, Event, MetricsSnapshot, RunDiagnostics, TaskObs,
 };
+use std::fmt;
+use std::io::{self, Write};
 
 const USAGE: &str = "continuum-trace — trace analysis for continuum runs
 
@@ -69,6 +71,52 @@ fn load_events(path: &str) -> Vec<Event> {
         Ok(events) => events,
         Err(e) => {
             eprintln!("continuum-trace: {path} is not a valid trace: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The formatter sink [`write_chrome_trace`] wants, over a byte sink:
+/// counts what went through and keeps the I/O error `fmt::Error`
+/// cannot carry.
+struct Utf8Sink<W> {
+    inner: W,
+    bytes: usize,
+    error: Option<io::Error>,
+}
+
+impl<W: Write> fmt::Write for Utf8Sink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes += s.len();
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Writes the Chrome export of `events` to `path` row by row through a
+/// buffer, so a large trace is never held as text; returns its length.
+fn stream_chrome_trace(path: &str, events: &[Event]) -> io::Result<usize> {
+    let mut sink = Utf8Sink {
+        inner: io::BufWriter::new(std::fs::File::create(path)?),
+        bytes: 0,
+        error: None,
+    };
+    if write_chrome_trace(events, &mut sink).is_err() {
+        return Err(sink
+            .error
+            .unwrap_or_else(|| io::Error::other("export failed")));
+    }
+    sink.inner.flush()?;
+    Ok(sink.bytes)
+}
+
+fn write_chrome_file(path: &str, events: &[Event]) {
+    match stream_chrome_trace(path, events) {
+        Ok(bytes) => eprintln!("wrote {bytes} bytes to {path}"),
+        Err(e) => {
+            eprintln!("continuum-trace: cannot write {path}: {e}");
             std::process::exit(2);
         }
     }
@@ -287,12 +335,7 @@ fn cmd_merge(paths: &[&String], out: Option<String>, check: bool) {
         eprintln!("  violation: {v}");
     }
     if let Some(out_path) = out {
-        let rendered = chrome_trace(&merged.events);
-        if let Err(e) = std::fs::write(&out_path, &rendered) {
-            eprintln!("continuum-trace: cannot write {out_path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote {} bytes to {out_path}", rendered.len());
+        write_chrome_file(&out_path, &merged.events);
     }
     let report = match cross_agent_report(&merged.events) {
         Ok(r) => r,
@@ -410,6 +453,10 @@ fn cmd_diff(path_a: &str, path_b: &str) {
 
 fn cmd_convert(path: &str, to: &str, out: Option<String>) {
     let events = load_events(path);
+    if let ("chrome", Some(out_path)) = (to, &out) {
+        write_chrome_file(out_path, &events);
+        return;
+    }
     let rendered = match to {
         "chrome" => chrome_trace(&events),
         "paraver" => paraver_trace(&events),

@@ -48,7 +48,7 @@ pub use analysis::{
     collect_task_obs, critical_path, join_with_graph, slack, trace_critical_chain,
     CriticalPathReport, CriticalTask, NodeAttribution, RunDiagnostics, TaskObs, UtilizationMetrics,
 };
-pub use chrome::{chrome_trace, parse_chrome_trace};
+pub use chrome::{chrome_trace, parse_chrome_trace, write_chrome_trace};
 pub use event::{micros_from_seconds, CounterKey, Event, Micros, SpanContext, TaskPhase, Track};
 pub use gantt::GanttSpan;
 pub use merge::{

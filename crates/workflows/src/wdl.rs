@@ -66,8 +66,9 @@ fn parse_bytes(s: &str, line: usize) -> Result<u64, WdlError> {
     };
     digits
         .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|_| err(line, format!("invalid byte quantity `{s}`")))
+        .ok()
+        .and_then(|v| v.checked_mul(mult))
+        .ok_or_else(|| err(line, format!("invalid byte quantity `{s}`")))
 }
 
 fn split_kv(token: &str, line: usize) -> Result<(&str, &str), WdlError> {
@@ -99,13 +100,8 @@ fn split_kv(token: &str, line: usize) -> Result<(&str, &str), WdlError> {
 /// ```
 pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
     let mut w = SimWorkload::new();
-    let mut names: HashMap<String, DataId> = HashMap::new();
-
-    let resolve = |w: &mut SimWorkload, names: &mut HashMap<String, DataId>, name: &str| {
-        *names
-            .entry(name.to_string())
-            .or_insert_with(|| w.data(name))
-    };
+    // Keyed by slices of `text`: a mention of a datum copies nothing.
+    let mut names: HashMap<&str, DataId> = HashMap::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -138,7 +134,7 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                     }
                 }
                 let id = w.initial_data(name, size, home);
-                names.insert(name.to_string(), id);
+                names.insert(name, id);
             }
             Some("task") => {
                 let ty = tokens
@@ -148,7 +144,6 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                 let mut dur = None;
                 let mut constraints = Constraints::new();
                 let mut out_bytes = 0u64;
-                let mut n_outputs = 0usize;
                 let mut elems = None;
                 let mut elem_bytes = 0u64;
                 for token in tokens {
@@ -159,11 +154,8 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                     // without a per-variant arm here.
                     if let Some(dir) = Direction::parse(k) {
                         for name in v.split(',').filter(|s| !s.is_empty()) {
-                            let id = resolve(&mut w, &mut names, name);
+                            let id = *names.entry(name).or_insert_with(|| w.data(name));
                             spec = spec.param(id, dir);
-                            if dir == Direction::Out {
-                                n_outputs += 1;
-                            }
                         }
                         continue;
                     }
@@ -209,7 +201,6 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                     }
                 }
                 let dur = dur.ok_or_else(|| err(line_no, "task needs dur=<seconds>"))?;
-                let _ = n_outputs;
                 let mut profile = TaskProfile::new(dur)
                     .constraints(constraints)
                     .outputs_bytes(out_bytes)
@@ -378,6 +369,29 @@ task c inout=x dur=1
         assert_eq!(parse_bytes("2K", 1).unwrap(), 2_000);
         assert_eq!(parse_bytes("3M", 1).unwrap(), 3_000_000);
         assert_eq!(parse_bytes("4G", 1).unwrap(), 4_000_000_000);
+        assert_eq!(parse_bytes("18446744073709551615", 1).unwrap(), u64::MAX);
+        assert_eq!(
+            parse_bytes("18446744073G", 1).unwrap(),
+            18_446_744_073_000_000_000
+        );
+    }
+
+    /// A quantity whose suffix takes it past `u64` is an error naming
+    /// the line, not a debug panic or a silently wrapped size.
+    #[test]
+    fn byte_quantities_that_overflow_are_rejected() {
+        for text in [
+            "data ok size=1\ndata big size=18446744073709551615G",
+            "task a out=x dur=1\ntask t in=x dur=1 out_bytes=18446744074G",
+            "\ntask t out=x dur=1 elem_bytes=18446744073709552K",
+        ] {
+            let e = parse_wdl(text).unwrap_err();
+            assert_eq!(e.line, 2, "{text}");
+            assert!(
+                e.message.starts_with("invalid byte quantity `1844674407"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

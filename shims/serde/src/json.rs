@@ -102,54 +102,45 @@ impl Value {
 
     /// Writes the value as compact JSON into `out`.
     pub fn write(&self, out: &mut String) {
+        self.write_to(out).expect("writing to a String cannot fail");
+    }
+
+    /// Writes the value as compact JSON into any formatter sink; the
+    /// one writer [`Value::write`] and `Display` share.
+    ///
+    /// # Errors
+    ///
+    /// Only those of the sink.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::U64(n) => {
-                use fmt::Write;
-                let _ = write!(out, "{n}");
-            }
-            Value::I64(n) => {
-                use fmt::Write;
-                let _ = write!(out, "{n}");
-            }
-            Value::F64(f) => {
-                use fmt::Write;
-                if f.is_finite() {
-                    // Rust's shortest round-trip float formatting; force a
-                    // decimal point so the value re-parses as a float.
-                    if f.fract() == 0.0 && f.abs() < 1e15 {
-                        let _ = write!(out, "{f:.1}");
-                    } else {
-                        let _ = write!(out, "{f}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Value::Null => out.write_str("null"),
+            Value::Bool(true) => out.write_str("true"),
+            Value::Bool(false) => out.write_str("false"),
+            Value::U64(n) => write_json_u64(*n, out),
+            Value::I64(n) => write!(out, "{n}"),
+            Value::F64(f) => write_json_f64(*f, out),
             Value::Str(s) => write_json_string(s, out),
             Value::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Value::Obj(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_json_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -157,29 +148,86 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
+        self.write_to(f)
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `n` in decimal, the way [`Value::U64`] serializes.
+///
+/// # Errors
+///
+/// Only those of the sink.
+pub fn write_json_u64<W: fmt::Write>(mut n: u64, out: &mut W) -> fmt::Result {
+    if n < 10 {
+        // Row and process ids, flags: most integers in a trace.
+        return out.write_char(char::from(b'0' + n as u8));
+    }
+    // u64::MAX has 20 digits; fill the buffer from its end.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+/// Writes `f` the way [`Value::F64`] serializes: integral values of
+/// magnitude below 1e15 with one forced decimal (`2.0`, `-0.0`) so they
+/// re-parse as floats, everything else finite in Rust's shortest
+/// round-trip form, non-finite values as `null`.
+///
+/// # Errors
+///
+/// Only those of the sink.
+pub fn write_json_f64<W: fmt::Write>(f: f64, out: &mut W) -> fmt::Result {
+    if !f.is_finite() {
+        out.write_str("null")
+    } else if f.fract() == 0.0 && f.abs() < 1e15 {
+        // What `{f:.1}` prints, without the exact-precision float
+        // formatter: below 2^53 every integral f64 is its own u64.
+        if f.is_sign_negative() {
+            out.write_char('-')?;
+        }
+        write_json_u64(f.abs() as u64, out)?;
+        out.write_str(".0")
+    } else {
+        write!(out, "{f}")
+    }
+}
+
+/// Writes `s` as a quoted JSON string, escaping `"`, `\` and control
+/// characters below U+0020 and copying everything between them as is.
+///
+/// # Errors
+///
+/// Only those of the sink.
+pub fn write_json_string<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs an escape is ASCII, so the runs between
+    // them are whole characters.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Error from [`parse`].
@@ -209,14 +257,39 @@ impl std::error::Error for ParseError {}
 ///
 /// Returns a [`ParseError`] on malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
+    let mut items = Vec::new();
+    let scalar = parse_array_elements(input, |item| items.push(item))?;
+    Ok(scalar.unwrap_or(Value::Arr(items)))
+}
+
+/// Parses a complete JSON document whose top level is expected to be an
+/// array, handing each element to `each` as soon as it is parsed instead
+/// of collecting them: `Ok(None)` after the closing `]`, and
+/// `Ok(Some(value))` — without calling `each` — when the document is
+/// valid JSON but not an array.
+///
+/// # Errors
+///
+/// The same [`ParseError`]s, at the same offsets, as [`parse`]; elements
+/// before the error have already been handed over.
+pub fn parse_array_elements(
+    input: &str,
+    each: impl FnMut(Value),
+) -> Result<Option<Value>, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    let scalar = if bytes.get(pos) == Some(&b'[') {
+        parse_elements(bytes, &mut pos, each)?;
+        None
+    } else {
+        Some(parse_value(bytes, &mut pos)?)
+    };
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
     }
-    Ok(value)
+    Ok(scalar)
 }
 
 fn err(offset: usize, message: &str) -> ParseError {
@@ -250,25 +323,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         Some(b'f') => expect(bytes, pos, "false").map(|()| Value::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or ']'")),
-                }
-            }
+            parse_elements(bytes, pos, |item| items.push(item))?;
+            Ok(Value::Arr(items))
         }
         Some(b'{') => {
             *pos += 1;
@@ -300,6 +357,32 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             }
         }
         Some(_) => parse_number(bytes, pos),
+    }
+}
+
+/// Parses the array whose `[` is at `pos`, element by element.
+fn parse_elements(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut each: impl FnMut(Value),
+) -> Result<(), ParseError> {
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        each(parse_value(bytes, pos)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(err(*pos, "expected ',' or ']'")),
+        }
     }
 }
 
@@ -410,6 +493,115 @@ mod tests {
     fn integral_floats_keep_a_decimal_point() {
         assert_eq!(Value::F64(2.0).to_string(), "2.0");
         assert_eq!(parse("2.0").unwrap(), Value::F64(2.0));
+    }
+
+    /// `Display`, `write` and the public scalar writers are one
+    /// definition of the dialect: escapes, integral floats with their
+    /// forced decimal, the 1e15 switch to shortest form, the sign of
+    /// zero, `null` for what JSON cannot say.
+    #[test]
+    fn writers_agree_on_every_branch() {
+        let floats = [
+            2.0,
+            -0.0,
+            0.0,
+            -3.0,
+            2.5,
+            999_999_999_999_999.0,
+            1e15,
+            -1e15,
+        ];
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let text = "q\"b\\n\nr\rt\tc\u{1}\u{1f}d\u{7f}\u{e9}\u{1f680}";
+        let mut items = vec![Value::Str(text.into()), Value::I64(i64::MIN)];
+        items.extend(floats.iter().chain(&non_finite).map(|f| Value::F64(*f)));
+        let v = Value::Obj(vec![(text.into(), Value::Arr(items))]);
+
+        let expected = "{\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001fd\u{7f}\u{e9}\u{1f680}\":\
+            [\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001fd\u{7f}\u{e9}\u{1f680}\",-9223372036854775808,\
+            2.0,-0.0,0.0,-3.0,2.5,999999999999999.0,1000000000000000,-1000000000000000,\
+            null,null,null]}";
+        assert_eq!(v.to_string(), expected);
+        let mut written = String::new();
+        v.write(&mut written);
+        assert_eq!(written, expected);
+
+        let mut s = String::new();
+        write_json_string(text, &mut s).unwrap();
+        assert_eq!(s, Value::Str(text.into()).to_string());
+        for f in floats.into_iter().chain(non_finite) {
+            let mut s = String::new();
+            write_json_f64(f, &mut s).unwrap();
+            assert_eq!(s, Value::F64(f).to_string());
+        }
+    }
+
+    #[test]
+    fn scalar_writers_match_the_standard_formatter() {
+        let mut n = 1u64;
+        let mut ints = vec![0, 9, 10, 99, 100, u64::MAX];
+        while n < u64::MAX / 7 {
+            ints.extend([n - 1, n, n + 1]);
+            n *= 7;
+        }
+        for n in ints {
+            let mut s = String::new();
+            write_json_u64(n, &mut s).unwrap();
+            assert_eq!(s, n.to_string());
+            // Integral floats below 1e15 print like `{:.1}`.
+            let f = n as f64;
+            if f < 1e15 {
+                for f in [f, -f] {
+                    let mut s = String::new();
+                    write_json_f64(f, &mut s).unwrap();
+                    assert_eq!(s, format!("{f:.1}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn array_elements_are_handed_over_one_by_one() {
+        let mut seen = Vec::new();
+        let scalar = parse_array_elements(" [1, [2, 3], {\"a\": []}] ", |v| seen.push(v)).unwrap();
+        assert_eq!(scalar, None);
+        assert_eq!(
+            seen,
+            [
+                Value::U64(1),
+                Value::Arr(vec![Value::U64(2), Value::U64(3)]),
+                Value::Obj(vec![("a".into(), Value::Arr(vec![]))]),
+            ]
+        );
+        // Not an array: the value comes back, the callback never runs.
+        let scalar = parse_array_elements("{\"a\": 1}", |_| panic!("no elements")).unwrap();
+        assert_eq!(scalar, Some(Value::Obj(vec![("a".into(), Value::U64(1))])));
+    }
+
+    #[test]
+    fn streamed_errors_keep_their_offsets() {
+        // (input, elements handed over before the error, offset, message)
+        let cases = [
+            ("", 0, 0, "unexpected end of input"),
+            ("[", 0, 1, "unexpected end of input"),
+            ("[1,]", 1, 3, "expected value"),
+            ("[1 2]", 1, 3, "expected ',' or ']'"),
+            ("[1, {\"a\" 2}]", 1, 9, "expected ':'"),
+            ("[1, \"ab", 1, 7, "unterminated string"),
+            ("[1, 2] x", 2, 7, "trailing characters"),
+            ("nul", 0, 0, "unexpected token"),
+            ("1 2", 0, 2, "trailing characters"),
+        ];
+        for (input, delivered, offset, message) in cases {
+            let mut n = 0;
+            let e = parse_array_elements(input, |_| n += 1).unwrap_err();
+            assert_eq!(
+                (n, e.offset, e.message.as_str()),
+                (delivered, offset, message),
+                "{input:?}"
+            );
+            assert_eq!(parse(input).unwrap_err(), e, "{input:?}");
+        }
     }
 
     #[test]

@@ -20,6 +20,9 @@ import subprocess
 import sys
 
 GROUPS = [
+    ("trace export", r"chrome::|json::|write_json_string"),
+    ("wdl parse", r"wdl::"),
+    ("lint", r"analyze::|verify::"),
     ("allocator (in-binary side)", r"__rust_alloc|__rust_dealloc|__rust_realloc|__rdl_|alloc::alloc|::alloc::Counting"),
     ("hashing", r"hashbrown|SipHasher|sip::|hash_one|IdHasher|BuildHasher|core::hash"),
     ("BTreeMap/BTreeSet", r"btree"),
