@@ -14,9 +14,10 @@
 //! `--check` enforces the streaming subsystem's invariants and exits
 //! non-zero on violation: every measurement's streamed makespan must
 //! be strictly below its batch equivalent, streamed and batch sinks
-//! must produce the identical checksum, and no case/worker pair may
-//! regress more than 3× the streamed wall time of the same pair under
-//! any other same-scale stored label.
+//! must produce the identical checksum, a streamed local run must not
+//! allocate more than `elements / 4` times beyond its zero-element
+//! run, and no case/worker pair may regress more than 3× the streamed
+//! wall time of the same pair under any other same-scale stored label.
 
 use continuum_bench::stream_bench::{
     cases, check_violations, measure_local, measure_sim, worker_counts, StreamMeasurement,
@@ -122,7 +123,10 @@ fn main() {
         eprintln!("VIOLATION: {v}");
     }
     if violations.is_empty() {
-        println!("\ninvariants: streamed strictly below batch everywhere, checksums agree");
+        println!(
+            "\ninvariants: streamed strictly below batch everywhere, checksums agree, \
+             no per-element allocation"
+        );
     }
 
     // -- merge into the output file, preserving other labels ------------

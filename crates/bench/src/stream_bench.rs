@@ -20,8 +20,12 @@
 //! continuous-inference window (virtual time, exact). `--check`
 //! enforces the subsystem's reason to exist: the streamed makespan must
 //! be *strictly below* its batch equivalent in every measurement, and
-//! both variants must produce the identical sink checksum. Results
-//! merge into `BENCH_stream.json`:
+//! both variants must produce the identical sink checksum. It also
+//! keeps the transport honest without a timing gate: a streamed local
+//! run may allocate at most `elements / 4` times on top of what the
+//! same pipeline allocates moving no element at all (elements travel
+//! by value; a boxed element per hop would be 3–6 per element).
+//! Results merge into `BENCH_stream.json`:
 //!
 //! ```text
 //! cargo run --release -p continuum-bench --bin stream_bench -- --label seed
@@ -134,6 +138,10 @@ pub struct StreamMeasurement {
     pub speedup: f64,
     /// Heap allocations during the streamed run (0 without a counter).
     pub allocations: u64,
+    /// Heap allocations of the same streamed pipeline run with zero
+    /// elements: runtime, threads, tasks and channels, none of which
+    /// scale with the window.
+    pub setup_allocations: u64,
     /// Sink checksum of the streamed run.
     pub checksum_streamed: u64,
     /// Sink checksum of the batch run (must equal the streamed one).
@@ -189,7 +197,7 @@ fn run_streamed(case: &StreamCase, workers: usize) -> (u64, f64) {
                 let rx = ctx.stream_reader::<u64>(0);
                 let tx = ctx.stream_writer::<u64>(0);
                 while let Some(v) = rx.recv() {
-                    if !tx.send(work(*v, rounds)) {
+                    if !tx.send(work(v, rounds)) {
                         break;
                     }
                 }
@@ -206,7 +214,7 @@ fn run_streamed(case: &StreamCase, workers: usize) -> (u64, f64) {
             let rx = ctx.stream_reader::<u64>(0);
             let mut acc = Vec::new();
             while let Some(v) = rx.recv() {
-                acc.push(*v);
+                acc.push(v);
             }
             ctx.set_output(0, checksum(&acc));
         },
@@ -281,6 +289,15 @@ pub fn measure_local(
         case.min_workers(),
         workers
     );
+    let before = alloc_count();
+    run_streamed(
+        &StreamCase {
+            elements: 0,
+            ..case.clone()
+        },
+        workers,
+    );
+    let setup_allocations = alloc_count() - before;
     let mut streamed_ms = f64::INFINITY;
     let mut batch_ms = f64::INFINITY;
     let mut allocations = 0;
@@ -305,6 +322,7 @@ pub fn measure_local(
         batch_ms,
         speedup: batch_ms / streamed_ms,
         allocations,
+        setup_allocations,
         checksum_streamed,
         checksum_batch,
     }
@@ -341,13 +359,16 @@ pub fn measure_sim(frames: u64) -> StreamMeasurement {
         batch_ms: batch.makespan_s * 1e3,
         speedup: batch.makespan_s / streamed.makespan_s,
         allocations: 0,
+        setup_allocations: 0,
         checksum_streamed: streamed.tasks_completed as u64,
         checksum_batch: batch.tasks_completed as u64,
     }
 }
 
 /// The `--check` predicate: streamed strictly below batch, identical
-/// sink checksums. Returns the violations as printable lines.
+/// sink checksums, and no per-element allocation in the transport (at
+/// most one allocation per four elements beyond the zero-element run).
+/// Returns the violations as printable lines.
 pub fn check_violations(results: &[StreamMeasurement]) -> Vec<String> {
     let mut out = Vec::new();
     for m in results {
@@ -361,6 +382,14 @@ pub fn check_violations(results: &[StreamMeasurement]) -> Vec<String> {
             out.push(format!(
                 "{}/{}/{}w: streamed checksum {:#x} != batch {:#x}",
                 m.engine, m.case, m.workers, m.checksum_streamed, m.checksum_batch
+            ));
+        }
+        let moving = m.allocations.saturating_sub(m.setup_allocations);
+        if moving > m.elements as u64 / 4 {
+            out.push(format!(
+                "{}/{}/{}w: {moving} allocations beyond the {} of an empty run for {} elements \
+                 (more than one per four: elements are being boxed again)",
+                m.engine, m.case, m.workers, m.setup_allocations, m.elements
             ));
         }
     }
@@ -401,5 +430,16 @@ mod tests {
         let mut m = measure_sim(16);
         m.streamed_ms = m.batch_ms + 1.0;
         assert_eq!(check_violations(&[m]).len(), 1);
+    }
+
+    #[test]
+    fn check_catches_per_element_allocation() {
+        // The seed's `inference` row: one `Arc` per element per hop.
+        let mut m = measure_sim(16);
+        (m.elements, m.allocations, m.setup_allocations) = (6_000, 18_133, 150);
+        let violations = check_violations(std::slice::from_ref(&m));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        m.allocations = 150 + 6_000 / 4;
+        assert!(check_violations(&[m]).is_empty());
     }
 }

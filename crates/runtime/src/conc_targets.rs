@@ -25,12 +25,11 @@
 //! the scheduler.
 
 use crate::sleeper::CountedSleeper;
-use crate::stream::StreamChannel;
+use crate::stream::{PollSend, Side, StreamChannel};
 use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome, COMPLETE, RUNNING};
 use continuum_analyze::conc::sched::{Expect, Scenario, SchedTarget};
 use continuum_platform::oneshot;
 use continuum_platform::sync::{self, RaceCell};
-use std::any::Any;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +45,7 @@ pub fn sched_targets() -> Vec<SchedTarget> {
         oneshot_target(),
         oneshot_racy_publish_target(),
         stream_target(),
+        stream_cancel_target(),
         sleeper_target(),
         deque_target(),
     ]
@@ -317,7 +317,7 @@ fn stream_target() -> SchedTarget {
                 let ch = Arc::clone(&ch);
                 move || {
                     for v in 1u64..=2 {
-                        let (accepted, _us) = ch.send(Arc::new(v) as Arc<dyn Any + Send + Sync>, 8);
+                        let (accepted, _us) = ch.send(v);
                         assert!(accepted, "channel is never force-closed here");
                     }
                     ch.writer_done();
@@ -327,9 +327,8 @@ fn stream_target() -> SchedTarget {
                 let (ch, received, sum) =
                     (Arc::clone(&ch), Arc::clone(&received), Arc::clone(&sum));
                 move || {
-                    while let (Some(v), _us) = ch.recv() {
+                    while let (Some(v), _us) = ch.recv::<u64>() {
                         received.fetch_add(1, Ordering::SeqCst);
-                        let v = *v.downcast_ref::<u64>().expect("u64 elements");
                         sum.fetch_add(v, Ordering::SeqCst);
                     }
                 }
@@ -346,6 +345,69 @@ fn stream_target() -> SchedTarget {
                     }
                     if ch.occupancy() != 0 {
                         return Err(format!("{} elements left in the queue", ch.occupancy()));
+                    }
+                    Ok(())
+                })),
+            }
+        }),
+    }
+}
+
+/// `sched::stream-cancel` — a cancelled waiter must not swallow its
+/// wake-one credit. The capacity-1 channel starts full with a *quitter*
+/// already queued behind it: a `send_async` whose only poll found the
+/// channel full and which will be dropped, never re-polled. A producer
+/// sends through the blocking surface; the consumer pops the first
+/// element (waking the quitter, first in line), then drops the quitter
+/// and drains to end-of-stream. Whenever the producer queued behind the
+/// quitter, only the hand-off in [`StreamChannel::cancel_waiter`] gets
+/// the freed slot to it — without it the scenario deadlocks.
+fn stream_cancel_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::stream-cancel",
+        about: "real StreamChannel: a woken-then-cancelled sender passes the freed slot on",
+        expect: Expect::Clean,
+        make: Box::new(|| {
+            let ch = Arc::new(StreamChannel::new("sched-target", 1));
+            ch.register_writer();
+            assert!(ch.send(0u64).0, "fills the channel before any thread runs");
+            // Nobody ever parks behind this waker; the unpark is a no-op.
+            let quitter = Waker::from(Arc::new(ParkWaker(sync::park_handle())));
+            let mut registered = None;
+            let full = ch.poll_send(&mut Some(1u64), Some(&quitter), &mut registered);
+            assert!(matches!(full, PollSend::Full));
+            let received = Arc::new(AtomicU64::new(0));
+            let sum = Arc::new(AtomicU64::new(0));
+
+            let producer = {
+                let ch = Arc::clone(&ch);
+                move || {
+                    assert!(ch.send(2u64).0, "channel is never force-closed here");
+                    ch.writer_done();
+                }
+            };
+            let consumer = {
+                let (ch, received, sum) =
+                    (Arc::clone(&ch), Arc::clone(&received), Arc::clone(&sum));
+                move || {
+                    let mut quitter = registered;
+                    while let (Some(v), _us) = ch.recv::<u64>() {
+                        received.fetch_add(1, Ordering::SeqCst);
+                        sum.fetch_add(v, Ordering::SeqCst);
+                        if let Some(waker) = quitter.take() {
+                            ch.cancel_waiter(Side::Send, &waker);
+                        }
+                    }
+                }
+            };
+            Scenario {
+                threads: vec![Box::new(producer), Box::new(consumer)],
+                check: Some(Box::new(move || {
+                    let (n, s) = (received.load(Ordering::SeqCst), sum.load(Ordering::SeqCst));
+                    if (n, s) != (2, 2) {
+                        return Err(format!(
+                            "consumer received {n} elements summing to {s}, expected 0 and 2"
+                        ));
                     }
                     Ok(())
                 })),

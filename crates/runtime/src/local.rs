@@ -64,7 +64,7 @@ use crate::error::RuntimeError;
 use crate::lockorder::{self, RANK_GRAPH, RANK_POOL, RANK_SHARD};
 use crate::reactor::{Reactor, ReactorInner, Sleep};
 use crate::sleeper::CountedSleeper;
-use crate::stream::{PollRecv, PollSend, StreamChannel};
+use crate::stream::{PollRecv, PollSend, Side, StreamChannel};
 use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
@@ -240,10 +240,16 @@ impl TaskContext {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of range.
-    pub fn stream_writer<T: Send + Sync + 'static>(&self, i: usize) -> StreamWriter<T> {
+    /// Panics if the index is out of range, or — naming the datum — if
+    /// the stream carries another element type than `T` (fixed by
+    /// [`LocalRuntime::stream`], or by the first endpoint of a stream
+    /// created on demand). Both are task programming errors, surfaced
+    /// as a task failure by the runtime.
+    pub fn stream_writer<T: Send + 'static>(&self, i: usize) -> StreamWriter<T> {
+        let core = self.stream_outs[i].clone();
+        core.chan.bind::<T>();
         StreamWriter {
-            core: self.stream_outs[i].clone(),
+            core,
             _marker: PhantomData,
         }
     }
@@ -253,10 +259,13 @@ impl TaskContext {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of range.
-    pub fn stream_reader<T: Send + Sync + 'static>(&self, i: usize) -> StreamReader<T> {
+    /// Panics under the same conditions as
+    /// [`TaskContext::stream_writer`].
+    pub fn stream_reader<T: Send + 'static>(&self, i: usize) -> StreamReader<T> {
+        let core = self.stream_ins[i].clone();
+        core.chan.bind::<T>();
         StreamReader {
-            core: self.stream_ins[i].clone(),
+            core,
             _marker: PhantomData,
         }
     }
@@ -328,9 +337,11 @@ pub struct StreamWriter<T> {
     _marker: PhantomData<fn(T)>,
 }
 
-impl<T: Send + Sync + 'static> StreamWriter<T> {
+impl<T: Send + 'static> StreamWriter<T> {
     /// Sends one element, blocking while the channel is full
-    /// (backpressure).
+    /// (backpressure). The element moves into the channel: it is
+    /// handed to exactly one consumer, or dropped if the run fails
+    /// first.
     ///
     /// The producer's *first* send — on any of its output streams —
     /// releases its stream consumers for dispatch, before this call
@@ -342,10 +353,7 @@ impl<T: Send + Sync + 'static> StreamWriter<T> {
     /// then.
     pub fn send(&self, value: T) -> bool {
         release_stream_successors(&self.core.shared, &self.core.meta);
-        let (accepted, blocked_us) = self
-            .core
-            .chan
-            .send(Arc::new(value), std::mem::size_of::<T>() as u64);
+        let (accepted, blocked_us) = self.core.chan.send(value);
         self.core.emit_wait(blocked_us);
         accepted
     }
@@ -360,12 +368,11 @@ impl<T: Send + Sync + 'static> StreamWriter<T> {
     /// Stream-successor release happens eagerly when the future is
     /// created, preserving the `send` guarantee that consumers are
     /// dispatchable before backpressure can suspend their producer.
-    pub fn send_async(&self, value: T) -> StreamSend<'_> {
+    pub fn send_async(&self, value: T) -> StreamSend<'_, T> {
         release_stream_successors(&self.core.shared, &self.core.meta);
         StreamSend {
             core: &self.core,
-            slot: Some(Arc::new(value) as Value),
-            bytes: std::mem::size_of::<T>() as u64,
+            slot: Some(value),
             registered: None,
         }
     }
@@ -373,17 +380,19 @@ impl<T: Send + Sync + 'static> StreamWriter<T> {
 
 /// In-flight [`StreamWriter::send_async`] operation. Resolves to the
 /// same `bool` as the blocking send.
-pub struct StreamSend<'a> {
+pub struct StreamSend<'a, T> {
     core: &'a StreamEndpointCore,
-    /// The element, until the channel accepts (or drops) it.
-    slot: Option<Value>,
-    bytes: u64,
-    /// Waker currently registered with the channel, if the last poll
-    /// returned `Full` — deregistered on completion or drop.
+    /// The element, until the channel accepts it.
+    slot: Option<T>,
+    /// This operation's entry in the channel's waiter queue, if a poll
+    /// returned `Full` — withdrawn on completion or drop.
     registered: Option<Waker>,
 }
 
-impl Future for StreamSend<'_> {
+// The element is only ever moved out of the slot, never pinned.
+impl<T> Unpin for StreamSend<'_, T> {}
+
+impl<T: Send + 'static> Future for StreamSend<'_, T> {
     type Output = bool;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
@@ -391,28 +400,19 @@ impl Future for StreamSend<'_> {
         match this
             .core
             .chan
-            .poll_send(&mut this.slot, this.bytes, Some(cx.waker()))
+            .poll_send(&mut this.slot, Some(cx.waker()), &mut this.registered)
         {
-            PollSend::Accepted => {
-                this.registered = None;
-                Poll::Ready(true)
-            }
-            PollSend::Closed => {
-                this.registered = None;
-                Poll::Ready(false)
-            }
-            PollSend::Full => {
-                this.registered = Some(cx.waker().clone());
-                Poll::Pending
-            }
+            PollSend::Accepted => Poll::Ready(true),
+            PollSend::Closed => Poll::Ready(false),
+            PollSend::Full => Poll::Pending,
         }
     }
 }
 
-impl Drop for StreamSend<'_> {
+impl<T> Drop for StreamSend<'_, T> {
     fn drop(&mut self) {
         if let Some(w) = self.registered.take() {
-            self.core.chan.cancel_waiter(&w);
+            self.core.chan.cancel_waiter(Side::Send, &w);
         }
     }
 }
@@ -424,44 +424,29 @@ pub struct StreamReader<T> {
     _marker: PhantomData<fn() -> T>,
 }
 
-impl<T: Send + Sync + 'static> StreamReader<T> {
-    /// Receives the next element, blocking while the channel is empty
-    /// and a producer is still open. Returns `None` at end-of-stream:
-    /// every registered producer has finished and the queue is drained
-    /// (or the run was force-closed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element's stored type is not `T` — a programming
-    /// error, surfaced as a task failure by the runtime.
-    pub fn recv(&self) -> Option<Arc<T>> {
+impl<T: Send + 'static> StreamReader<T> {
+    /// Receives the next element, by value, blocking while the channel
+    /// is empty and a producer is still open: each element goes to
+    /// exactly one consumer, which owns it. Returns `None` at
+    /// end-of-stream: every registered producer has finished and the
+    /// queue is drained (or the run was force-closed).
+    pub fn recv(&self) -> Option<T> {
         let (value, blocked_us) = self.core.chan.recv();
         self.core.emit_wait(blocked_us);
-        value.map(|v| {
-            v.downcast::<T>().unwrap_or_else(|_| {
-                panic!(
-                    "stream `{}` element has unexpected type",
-                    self.core.chan.name()
-                )
-            })
-        })
+        value
     }
 
-    /// Iterates the stream to exhaustion (`recv` until `None`).
-    pub fn iter(&self) -> impl Iterator<Item = Arc<T>> + '_ {
+    /// Iterates the stream to exhaustion (`recv` until `None`),
+    /// yielding owned elements.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         std::iter::from_fn(move || self.recv())
     }
 
     /// Async variant of [`StreamReader::recv`]: where `recv` blocks the
     /// worker thread on an empty channel, awaiting this future parks
-    /// the *task* and frees the worker. Resolves to `None` at
-    /// end-of-stream. Only meaningful inside an async body
+    /// the *task* and frees the worker. Resolves to the owned element,
+    /// or `None` at end-of-stream. Only meaningful inside an async body
     /// ([`LocalRuntime::submit_async`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics (as a task failure) if the element's stored type is not
-    /// `T`, like the blocking variant.
     pub fn recv_async(&self) -> StreamRecv<'_, T> {
         StreamRecv {
             core: &self.core,
@@ -474,35 +459,25 @@ impl<T: Send + Sync + 'static> StreamReader<T> {
 /// In-flight [`StreamReader::recv_async`] operation.
 pub struct StreamRecv<'a, T> {
     core: &'a StreamEndpointCore,
-    /// Waker currently registered with the channel, if the last poll
-    /// returned `Empty` — deregistered on completion or drop.
+    /// This operation's entry in the channel's waiter queue, if a poll
+    /// returned `Empty` — withdrawn on completion or drop.
     registered: Option<Waker>,
     _marker: PhantomData<fn() -> T>,
 }
 
-impl<T: Send + Sync + 'static> Future for StreamRecv<'_, T> {
-    type Output = Option<Arc<T>>;
+impl<T: Send + 'static> Future for StreamRecv<'_, T> {
+    type Output = Option<T>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<Arc<T>>> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
         let this = self.get_mut();
-        match this.core.chan.poll_recv(Some(cx.waker())) {
-            PollRecv::Element(v) => {
-                this.registered = None;
-                Poll::Ready(Some(v.downcast::<T>().unwrap_or_else(|_| {
-                    panic!(
-                        "stream `{}` element has unexpected type",
-                        this.core.chan.name()
-                    )
-                })))
-            }
-            PollRecv::EndOfStream => {
-                this.registered = None;
-                Poll::Ready(None)
-            }
-            PollRecv::Empty => {
-                this.registered = Some(cx.waker().clone());
-                Poll::Pending
-            }
+        match this
+            .core
+            .chan
+            .poll_recv(Some(cx.waker()), &mut this.registered)
+        {
+            PollRecv::Element(v) => Poll::Ready(Some(v)),
+            PollRecv::EndOfStream => Poll::Ready(None),
+            PollRecv::Empty => Poll::Pending,
         }
     }
 }
@@ -510,7 +485,7 @@ impl<T: Send + Sync + 'static> Future for StreamRecv<'_, T> {
 impl<T> Drop for StreamRecv<'_, T> {
     fn drop(&mut self) {
         if let Some(w) = self.registered.take() {
-            self.core.chan.cancel_waiter(&w);
+            self.core.chan.cancel_waiter(Side::Recv, &w);
         }
     }
 }
@@ -653,6 +628,11 @@ struct AsyncBody {
     /// Wall-clock µs when the task last parked (for the
     /// [`TaskPhase::Parked`] telemetry span emitted at wake).
     parked_at_us: AtomicU64,
+    /// The runtime, for the task's waker to re-dispatch into. Weak, so
+    /// stale waker clones (e.g. left in a timer-wheel bucket or channel
+    /// waiter queue) can neither keep the executor alive nor form an
+    /// `Arc` cycle through it.
+    shared: Weak<Shared>,
 }
 
 /// Everything a worker needs to run a task, carried through the
@@ -683,22 +663,17 @@ struct TaskMeta {
     payload: TaskPayload,
 }
 
-/// Waker for one async task: the wake half of the task-cell handshake.
-/// Holds the runtime weakly so stale waker clones (e.g. left in a
-/// timer-wheel bucket or channel waiter queue) can neither keep the
-/// executor alive nor form an `Arc` cycle through it.
-struct TaskWaker {
-    meta: Arc<TaskMeta>,
-    shared: Weak<Shared>,
-}
-
-impl Wake for TaskWaker {
+/// An async task's meta *is* its waker — the wake half of the
+/// task-cell handshake — so every resume builds its `Waker` from the
+/// `Arc` the dispatch queues already carry: a reference count, not an
+/// allocation.
+impl Wake for TaskMeta {
     fn wake(self: Arc<Self>) {
         self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        let TaskPayload::Async(body) = &self.meta.payload else {
+        let TaskPayload::Async(body) = &self.payload else {
             debug_assert!(false, "task waker attached to a closure task");
             return;
         };
@@ -706,11 +681,11 @@ impl Wake for TaskWaker {
             return;
         }
         // This invocation won the handoff and owns re-dispatch.
-        let Some(shared) = self.shared.upgrade() else {
+        let Some(shared) = body.shared.upgrade() else {
             return; // runtime torn down; the task is abandoned
         };
         shared.parked.fetch_sub(1, Ordering::SeqCst);
-        if let Some(name) = &self.meta.name {
+        if let Some(name) = &self.name {
             let now = shared.now_us();
             let start = body.parked_at_us.load(Ordering::SeqCst);
             shared.telemetry.record(TelemetryEvent::Span {
@@ -723,7 +698,7 @@ impl Wake for TaskWaker {
             });
         }
         shared.pending.fetch_add(1, Ordering::SeqCst);
-        shared.injector.push(Arc::clone(&self.meta));
+        shared.injector.push(Arc::clone(self));
         shared.wake_workers(1);
     }
 }
@@ -1242,13 +1217,18 @@ impl LocalRuntime {
     /// versioned (`In`/`Out`/`InOut`) access. Using a stream datum in
     /// a spec without calling this first creates the channel on demand
     /// with a default capacity of 16.
-    pub fn stream<T>(&self, name: impl Into<String>, capacity: usize) -> StreamHandle<T> {
+    pub fn stream<T: Send + 'static>(
+        &self,
+        name: impl Into<String>,
+        capacity: usize,
+    ) -> StreamHandle<T> {
         let name = name.into();
+        let chan = StreamChannel::new(name.as_str(), capacity);
+        chan.bind::<T>();
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
         let mut g = self.shared.graph.lock();
         let id = g.ap.new_data(&name);
-        g.channels
-            .insert(id, Arc::new(StreamChannel::new(name, capacity)));
+        g.channels.insert(id, Arc::new(chan));
         StreamHandle {
             id,
             _marker: PhantomData,
@@ -1371,6 +1351,7 @@ impl LocalRuntime {
                 factory: Mutex::new(Some(factory)),
                 future: Mutex::new(None),
                 parked_at_us: AtomicU64::new(0),
+                shared: Arc::downgrade(&self.shared),
             }),
         )
     }
@@ -1686,16 +1667,15 @@ impl Drop for LocalRuntime {
             // transfers, no lineage replays) instead of absent keys.
             self.shared.telemetry.run_end_counters(end_us, 0, 0, 0);
             if !channels.is_empty() {
-                use std::sync::atomic::Ordering::Relaxed;
                 let mut high_water = 0u64;
                 let (mut send_us, mut recv_us, mut elements, mut bytes) = (0u64, 0u64, 0u64, 0u64);
                 for chan in &channels {
                     let st = chan.stats();
-                    high_water = high_water.max(st.occupancy_high_water.load(Relaxed));
-                    send_us += st.blocked_send_us.load(Relaxed);
-                    recv_us += st.blocked_recv_us.load(Relaxed);
-                    elements += st.elements.load(Relaxed);
-                    bytes += st.bytes.load(Relaxed);
+                    high_water = high_water.max(st.occupancy_high_water);
+                    send_us += st.blocked_send_us;
+                    recv_us += st.blocked_recv_us;
+                    elements += st.elements;
+                    bytes += st.bytes;
                 }
                 self.shared
                     .telemetry
@@ -1841,12 +1821,14 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// execute the body, publish outputs, commit to the graph, release
 /// resources, and dispatch whatever became runnable.
 /// Releases the stream successors of `meta` (its consumers become
-/// dispatchable) on the producer's first sent element. Idempotent and
-/// lock-free after the first call; called from [`StreamWriter::send`]
-/// *before* the potentially-blocking push, so consumers are queued
-/// before backpressure can park their producer.
+/// dispatchable) on the producer's first sent element. Idempotent, and
+/// one shared load after the first call; called from
+/// [`StreamWriter::send`] *before* the potentially-blocking push, so
+/// consumers are queued before backpressure can park their producer.
 fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
-    if meta.streams_released.swap(true, Ordering::AcqRel) {
+    if meta.streams_released.load(Ordering::Acquire)
+        || meta.streams_released.swap(true, Ordering::AcqRel)
+    {
         return;
     }
     let mut ready: Vec<Arc<TaskMeta>> = Vec::new();
@@ -2066,10 +2048,7 @@ fn poll_async(
         }
     };
     let start_us = shared.now_us();
-    let waker = Waker::from(Arc::new(TaskWaker {
-        meta: Arc::clone(meta),
-        shared: Arc::downgrade(shared),
-    }));
+    let waker = Waker::from(Arc::clone(meta));
     let mut cx = Context::from_waker(&waker);
     loop {
         match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
@@ -2881,7 +2860,7 @@ mod tests {
                 let r = ctx.stream_reader::<u64>(0);
                 let mut sum = 0u64;
                 while let Some(v) = r.recv_async().await {
-                    sum += *v;
+                    sum += v;
                 }
                 ctx.set_output(0, sum);
                 ctx

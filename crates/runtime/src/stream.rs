@@ -2,8 +2,17 @@
 //! [`Direction::Stream`](continuum_dag::Direction) edges in the local
 //! runtime.
 //!
-//! One [`StreamChannel`] backs one stream datum. Producers append
-//! type-erased elements at the tail and park when the channel is at
+//! One [`StreamChannel`] backs one stream datum and carries its
+//! elements **by value**: the queue is a `VecDeque<T>` whose element
+//! type is fixed by `LocalRuntime::stream::<T>` (or, for a channel
+//! created on demand, by the first typed endpoint) and only the *queue*
+//! is type-erased, once, behind [`ElementQueue`] — so the untyped
+//! graph-side owners (`TaskMeta`, the channel map) need no type
+//! parameter while a send is one move into the ring and a receive one
+//! move out. An element is delivered to exactly one consumer, so there
+//! is nothing to share and `T` only has to be `Send`.
+//!
+//! Producers append at the tail and park when the channel is at
 //! capacity (backpressure); consumers pop from the head and park when
 //! it is empty. End-of-stream is a *close protocol*, not a sentinel
 //! element: every producer task is registered as an open writer at
@@ -11,7 +20,7 @@
 //! so a receive on an empty channel returns `None` exactly when no
 //! registered writer can ever push again. A failed or dropped run
 //! force-closes every channel so blocked endpoints wake instead of
-//! hanging the teardown.
+//! hanging the teardown; elements still queued then are dropped.
 //!
 //! # Waker-based parking, wake-one fairness
 //!
@@ -30,21 +39,29 @@
 //! end-of-stream. Every wake is counted in [`StreamStats::wakes`] so
 //! tests can pin the fairness bound.
 //!
-//! Waiters deregister themselves when their operation completes (or
-//! their future drops), so the waiter queues never hold stale entries
-//! that could swallow a wake-one credit.
+//! Each in-flight operation owns its registration (the `registered`
+//! slot its caller threads through the polls), so the waiter queues are
+//! touched only by operations that actually waited: a completing
+//! operation removes its own entry, and a *cancelled* one (its future
+//! dropped) that had already been popped — woken for a slot or element
+//! it will now never take — hands that wake to the next waiter on its
+//! side instead of swallowing the wake-one credit.
 //!
-//! Blocked time on both sides is measured and accumulated, along with
-//! element/byte counts and the occupancy high-water mark, so the
-//! runtime can publish the aggregate stream counters at end of run and
-//! emit per-wait [`StreamWait`](continuum_telemetry::TaskPhase) spans.
+//! Element/byte counts, the occupancy high-water mark and the wake
+//! count are plain fields of the channel state, updated under the mutex
+//! the operation already holds and read as one [`StreamStats`]
+//! snapshot; blocked time is added when a blocked thread resumes (one
+//! extra lock per thread park, none per element). The runtime publishes
+//! the aggregate at end of run and emits per-wait
+//! [`StreamWait`](continuum_telemetry::TaskPhase) spans.
 //!
 //! The channel mutex is a leaf in the executor's lock order (rank
 //! `pool/sleep`): it is only ever acquired with the graph lock held
 //! (force-close on failure) or with no tracked lock held (send/recv on
 //! the data path), never the other way around. Wakers captured under
-//! the lock are invoked only after the guard is released — a task
-//! waker acquires the executor's sleep lock, an equal-rank leaf.
+//! the lock are invoked — and force-closed elements dropped — only
+//! after the guard is released: a task waker acquires the executor's
+//! sleep lock, an equal-rank leaf, and an element's `Drop` is user code.
 
 #![deny(clippy::await_holding_lock)]
 
@@ -52,36 +69,61 @@ use crate::lockorder::{self, RANK_STREAM};
 use continuum_platform::sync::{self, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 use std::time::Instant;
 
-/// A shareable, type-erased stream element (same shape as the local
-/// runtime's stored values).
-type Value = Arc<dyn Any + Send + Sync>;
+/// Largest queue allocated up front; a bigger capacity grows on demand.
+const PRESIZE_LIMIT: usize = 1024;
 
-/// Aggregate statistics of one channel, all monotone counters.
-#[derive(Debug, Default)]
+/// One snapshot of a channel's monotone counters.
+#[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct StreamStats {
     /// Elements sent (and accepted) over the channel's lifetime.
-    pub elements: AtomicU64,
-    /// Approximate payload bytes accepted (element count × element
-    /// size as declared by the typed sender).
-    pub bytes: AtomicU64,
+    pub elements: u64,
+    /// Payload bytes accepted (element count × `size_of::<T>()`).
+    pub bytes: u64,
     /// Total microseconds producers spent blocked on a full channel.
-    pub blocked_send_us: AtomicU64,
+    pub blocked_send_us: u64,
     /// Total microseconds consumers spent blocked on an empty channel.
-    pub blocked_recv_us: AtomicU64,
+    pub blocked_recv_us: u64,
     /// Highest queue occupancy ever observed right after a send.
-    pub occupancy_high_water: AtomicU64,
+    pub occupancy_high_water: u64,
     /// Waker invocations the channel performed. With wake-one fairness
     /// this grows O(elements + waiters), never O(elements × waiters).
-    pub wakes: AtomicU64,
+    pub wakes: u64,
+}
+
+/// The element queue, a `VecDeque<T>`, as the untyped channel state
+/// sees it.
+trait ElementQueue: Send {
+    fn len(&self) -> usize;
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: Send + 'static> ElementQueue for VecDeque<T> {
+    fn len(&self) -> usize {
+        VecDeque::len(self)
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Which end of the channel an operation (and its waiter entry) is on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Side {
+    Send,
+    Recv,
 }
 
 struct ChannelState {
-    queue: VecDeque<Value>,
+    /// `None` until the element type is known, and again once a
+    /// force-close has dropped the undelivered elements.
+    queue: Option<Box<dyn ElementQueue>>,
+    /// `type_name` of the elements, for the mismatch message.
+    element_type: &'static str,
     /// Producer tasks submitted but not yet finished. The channel is
     /// exhausted once this reaches zero with an empty queue.
     open_writers: usize,
@@ -92,6 +134,59 @@ struct ChannelState {
     send_waiters: VecDeque<Waker>,
     /// Consumers parked on an empty queue, FIFO.
     recv_waiters: VecDeque<Waker>,
+    stats: StreamStats,
+}
+
+impl ChannelState {
+    fn occupancy(&self) -> usize {
+        self.queue.as_ref().map_or(0, |q| q.len())
+    }
+
+    fn waiters(&mut self, side: Side) -> &mut VecDeque<Waker> {
+        match side {
+            Side::Send => &mut self.send_waiters,
+            Side::Recv => &mut self.recv_waiters,
+        }
+    }
+
+    /// Queues `waker` on `side` unless an equivalent waker (same task /
+    /// same parked thread) is already there, and records it as the
+    /// operation's registration.
+    fn register(&mut self, side: Side, waker: &Waker, registered: &mut Option<Waker>) {
+        if registered.as_ref().is_some_and(|r| !r.will_wake(waker)) {
+            // Re-polled from a different task context.
+            self.settle(side, registered);
+        }
+        let waiters = self.waiters(side);
+        if !waiters.iter().any(|w| w.will_wake(waker)) {
+            waiters.push_back(waker.clone());
+        }
+        if registered.is_none() {
+            *registered = Some(waker.clone());
+        }
+    }
+
+    /// The operation finished: its registration, if it ever made one,
+    /// must not stay behind to swallow a wake-one credit.
+    fn settle(&mut self, side: Side, registered: &mut Option<Waker>) {
+        if let Some(w) = registered.take() {
+            self.waiters(side).retain(|q| !q.will_wake(&w));
+        }
+    }
+
+    /// Takes the longest-parked waiter of `side` for a wake-one.
+    fn pop_waiter(&mut self, side: Side) -> Option<Waker> {
+        let waker = self.waiters(side).pop_front();
+        self.stats.wakes += u64::from(waker.is_some());
+        waker
+    }
+
+    /// Takes every waiter of `side` for a terminal broadcast.
+    fn take_waiters(&mut self, side: Side) -> VecDeque<Waker> {
+        let all = std::mem::take(self.waiters(side));
+        self.stats.wakes += all.len() as u64;
+        all
+    }
 }
 
 /// Outcome of a non-blocking send attempt.
@@ -99,7 +194,8 @@ struct ChannelState {
 pub(crate) enum PollSend {
     /// The element was queued (and one parked consumer woken).
     Accepted,
-    /// The channel was force-closed; the element was dropped.
+    /// The channel was force-closed; the element stays with the
+    /// caller, to drop.
     Closed,
     /// The queue is full; if a waker was supplied it is registered for
     /// exactly one wake when a slot frees.
@@ -108,9 +204,9 @@ pub(crate) enum PollSend {
 
 /// Outcome of a non-blocking receive attempt.
 #[derive(Debug)]
-pub(crate) enum PollRecv {
+pub(crate) enum PollRecv<T> {
     /// The head element (one parked producer woken).
-    Element(Value),
+    Element(T),
     /// No element can ever arrive: every writer closed, or the channel
     /// was force-closed.
     EndOfStream,
@@ -125,37 +221,24 @@ pub(crate) struct StreamChannel {
     name: String,
     capacity: usize,
     state: Mutex<ChannelState>,
-    stats: StreamStats,
-}
-
-/// Registers `waker` in `waiters` unless an equivalent waker (same
-/// task / same parked thread) is already present.
-fn register_waiter(waiters: &mut VecDeque<Waker>, waker: &Waker) {
-    if !waiters.iter().any(|w| w.will_wake(waker)) {
-        waiters.push_back(waker.clone());
-    }
-}
-
-/// Removes `waker` from `waiters` (a completed operation must not
-/// leave a stale entry that would swallow a wake-one credit).
-fn deregister_waiter(waiters: &mut VecDeque<Waker>, waker: &Waker) {
-    waiters.retain(|w| !w.will_wake(waker));
 }
 
 impl StreamChannel {
-    /// Creates a channel holding at most `capacity` (≥ 1) elements.
+    /// Creates a channel holding at most `capacity` (≥ 1) elements; the
+    /// first typed use fixes what they are.
     pub(crate) fn new(name: impl Into<String>, capacity: usize) -> Self {
         StreamChannel {
             name: name.into(),
             capacity: capacity.max(1),
             state: Mutex::new(ChannelState {
-                queue: VecDeque::new(),
+                queue: None,
+                element_type: "",
                 open_writers: 0,
                 force_closed: false,
                 send_waiters: VecDeque::new(),
                 recv_waiters: VecDeque::new(),
+                stats: StreamStats::default(),
             }),
-            stats: StreamStats::default(),
         }
     }
 
@@ -164,16 +247,41 @@ impl StreamChannel {
         &self.name
     }
 
-    /// Fires one waker, counting it.
-    fn fire(&self, waker: Waker) {
-        self.stats.wakes.fetch_add(1, Ordering::Relaxed);
-        waker.wake();
+    /// The queue as a `VecDeque<T>`, created on the first typed use.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the datum, if the channel already carries another
+    /// element type.
+    fn queue_of<'a, T: Send + 'static>(&self, st: &'a mut ChannelState) -> &'a mut VecDeque<T> {
+        let carried = st.element_type;
+        let queue = st.queue.get_or_insert_with(|| {
+            st.element_type = std::any::type_name::<T>();
+            Box::new(VecDeque::<T>::with_capacity(
+                self.capacity.min(PRESIZE_LIMIT),
+            ))
+        });
+        queue.as_any_mut().downcast_mut().unwrap_or_else(|| {
+            panic!(
+                "stream `{}` carries `{carried}` elements, not `{}`",
+                self.name,
+                std::any::type_name::<T>()
+            )
+        })
     }
 
-    /// Fires a batch of wakers (terminal broadcast), counting them.
-    fn fire_all(&self, wakers: impl IntoIterator<Item = Waker>) {
-        for w in wakers {
-            self.fire(w);
+    /// Fixes the element type to `T`, or checks it against the type
+    /// already fixed: what a typed endpoint does once, up front, so a
+    /// mismatch fails where the endpoint is made.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the datum, if the channel carries another type.
+    pub(crate) fn bind<T: Send + 'static>(&self) {
+        let _order = lockorder::acquire(RANK_STREAM, "stream");
+        let mut st = self.state.lock();
+        if !st.force_closed {
+            self.queue_of::<T>(&mut st);
         }
     }
 
@@ -197,129 +305,148 @@ impl StreamChannel {
             if st.open_writers > 0 {
                 return;
             }
-            waiters = std::mem::take(&mut st.recv_waiters);
+            waiters = st.take_waiters(Side::Recv);
         }
-        self.fire_all(waiters);
+        waiters.into_iter().for_each(Waker::wake);
     }
 
     /// Force-closes the channel: every parked endpoint wakes, further
-    /// sends are refused and receives return `None`. Used when the run
-    /// poisons or the runtime shuts down, so stream tasks wind down
-    /// instead of deadlocking the teardown. Idempotent.
+    /// sends are refused, receives return `None` and the elements still
+    /// queued are dropped. Used when the run poisons or the runtime
+    /// shuts down, so stream tasks wind down instead of deadlocking the
+    /// teardown. Idempotent.
     pub(crate) fn force_close(&self) {
-        let (senders, receivers);
+        let (undelivered, senders, receivers);
         {
             let _order = lockorder::acquire(RANK_STREAM, "stream");
             let mut st = self.state.lock();
             st.force_closed = true;
-            senders = std::mem::take(&mut st.send_waiters);
-            receivers = std::mem::take(&mut st.recv_waiters);
+            undelivered = st.queue.take();
+            senders = st.take_waiters(Side::Send);
+            receivers = st.take_waiters(Side::Recv);
         }
-        self.fire_all(senders);
-        self.fire_all(receivers);
+        drop(undelivered);
+        senders.into_iter().chain(receivers).for_each(Waker::wake);
     }
 
-    /// Attempts to queue `value` without blocking. On [`PollSend::Full`]
-    /// with a waker supplied, the waker is registered (deduplicated)
-    /// for exactly one wake when a slot frees; on any other outcome a
-    /// previously registered instance of the waker is removed.
+    /// Attempts to queue the element in `value` without blocking.
     ///
-    /// `value` is taken out of the slot only when accepted or closed
-    /// (dropped), so a `Full` caller retries with the same slot.
-    pub(crate) fn poll_send(
+    /// `registered` is the calling operation's waiter registration,
+    /// `None` before its first poll: on [`PollSend::Full`] with a waker
+    /// supplied, the waker is queued (deduplicated) for exactly one
+    /// wake when a slot frees and remembered there; on any other
+    /// outcome the registration is withdrawn.
+    ///
+    /// The element leaves `value` only when accepted: a `Full` caller
+    /// retries with the same slot, a `Closed` one drops it.
+    pub(crate) fn poll_send<T: Send + 'static>(
         &self,
-        value: &mut Option<Value>,
-        approx_bytes: u64,
+        value: &mut Option<T>,
         waker: Option<&Waker>,
+        registered: &mut Option<Waker>,
     ) -> PollSend {
         let to_wake;
         {
             let _order = lockorder::acquire(RANK_STREAM, "stream");
             let mut st = self.state.lock();
             if st.force_closed {
-                if let Some(w) = waker {
-                    deregister_waiter(&mut st.send_waiters, w);
-                }
-                value.take();
+                st.settle(Side::Send, registered);
                 return PollSend::Closed;
             }
-            if st.queue.len() >= self.capacity {
+            let queue = self.queue_of::<T>(&mut st);
+            if queue.len() >= self.capacity {
                 if let Some(w) = waker {
-                    register_waiter(&mut st.send_waiters, w);
+                    st.register(Side::Send, w, registered);
                 }
                 return PollSend::Full;
             }
-            st.queue
-                .push_back(value.take().expect("poll_send needs an element"));
-            self.stats
-                .occupancy_high_water
-                .fetch_max(st.queue.len() as u64, Ordering::Relaxed);
-            self.stats.elements.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes.fetch_add(approx_bytes, Ordering::Relaxed);
-            if let Some(w) = waker {
-                deregister_waiter(&mut st.send_waiters, w);
-            }
+            queue.push_back(value.take().expect("poll_send needs an element"));
+            let occupancy = queue.len() as u64;
+            st.stats.occupancy_high_water = st.stats.occupancy_high_water.max(occupancy);
+            st.stats.elements += 1;
+            st.stats.bytes += std::mem::size_of::<T>() as u64;
+            st.settle(Side::Send, registered);
             // One new element: wake exactly one parked consumer.
-            to_wake = st.recv_waiters.pop_front();
+            to_wake = st.pop_waiter(Side::Recv);
         }
         if let Some(w) = to_wake {
-            self.fire(w);
+            w.wake();
         }
         PollSend::Accepted
     }
 
-    /// Attempts to pop the head element without blocking. On
-    /// [`PollRecv::Empty`] with a waker supplied, the waker is
-    /// registered (deduplicated) for exactly one wake when an element
-    /// arrives or the stream terminates; on any other outcome a
-    /// previously registered instance is removed.
-    pub(crate) fn poll_recv(&self, waker: Option<&Waker>) -> PollRecv {
-        let (out, to_wake);
+    /// Attempts to pop the head element without blocking. `registered`
+    /// is the operation's waiter registration as in
+    /// [`poll_send`](Self::poll_send): on [`PollRecv::Empty`] with a
+    /// waker supplied, the waker is queued (deduplicated) for exactly
+    /// one wake when an element arrives or the stream terminates; on
+    /// any other outcome the registration is withdrawn.
+    pub(crate) fn poll_recv<T: Send + 'static>(
+        &self,
+        waker: Option<&Waker>,
+        registered: &mut Option<Waker>,
+    ) -> PollRecv<T> {
+        let (element, to_wake);
         {
             let _order = lockorder::acquire(RANK_STREAM, "stream");
             let mut st = self.state.lock();
             if st.force_closed {
-                if let Some(w) = waker {
-                    deregister_waiter(&mut st.recv_waiters, w);
-                }
+                st.settle(Side::Recv, registered);
                 return PollRecv::EndOfStream;
             }
-            match st.queue.pop_front() {
-                Some(v) => {
-                    if let Some(w) = waker {
-                        deregister_waiter(&mut st.recv_waiters, w);
-                    }
-                    // One freed slot: wake exactly one parked producer.
-                    to_wake = st.send_waiters.pop_front();
-                    out = PollRecv::Element(v);
-                }
+            match self.queue_of::<T>(&mut st).pop_front() {
+                Some(v) => element = v,
                 None if st.open_writers == 0 => {
-                    if let Some(w) = waker {
-                        deregister_waiter(&mut st.recv_waiters, w);
-                    }
+                    st.settle(Side::Recv, registered);
                     return PollRecv::EndOfStream;
                 }
                 None => {
                     if let Some(w) = waker {
-                        register_waiter(&mut st.recv_waiters, w);
+                        st.register(Side::Recv, w, registered);
                     }
                     return PollRecv::Empty;
                 }
             }
+            st.settle(Side::Recv, registered);
+            // One freed slot: wake exactly one parked producer.
+            to_wake = st.pop_waiter(Side::Send);
         }
         if let Some(w) = to_wake {
-            self.fire(w);
+            w.wake();
         }
-        out
+        PollRecv::Element(element)
     }
 
-    /// Removes a waker from both waiter queues (a cancelled async
-    /// endpoint deregistering on drop).
-    pub(crate) fn cancel_waiter(&self, waker: &Waker) {
-        let _order = lockorder::acquire(RANK_STREAM, "stream");
-        let mut st = self.state.lock();
-        deregister_waiter(&mut st.send_waiters, waker);
-        deregister_waiter(&mut st.recv_waiters, waker);
+    /// Withdraws the registration of an operation on `side` that will
+    /// never be polled again (its future was dropped). If the waker is
+    /// still queued it is removed and no wake was spent on it. If it is
+    /// not, the operation had been woken for a freed slot (or a queued
+    /// element) that it now leaves untaken: that wake passes to the
+    /// next waiter on the same side, which would otherwise sleep
+    /// through it.
+    pub(crate) fn cancel_waiter(&self, side: Side, waker: &Waker) {
+        let to_wake;
+        {
+            let _order = lockorder::acquire(RANK_STREAM, "stream");
+            let mut st = self.state.lock();
+            let waiters = st.waiters(side);
+            let queued = waiters.len();
+            waiters.retain(|w| !w.will_wake(waker));
+            if waiters.len() < queued {
+                return;
+            }
+            let can_proceed = match side {
+                Side::Send => st.occupancy() < self.capacity,
+                Side::Recv => st.occupancy() > 0,
+            };
+            if !can_proceed {
+                return;
+            }
+            to_wake = st.pop_waiter(side);
+        }
+        if let Some(w) = to_wake {
+            w.wake();
+        }
     }
 
     /// Appends one element, parking the calling thread while the
@@ -329,9 +456,10 @@ impl StreamChannel {
     /// the channel was force-closed (the element is dropped and the
     /// producer should stop), `blocked_us` is how long the call waited
     /// on backpressure.
-    pub(crate) fn send(&self, value: Value, approx_bytes: u64) -> (bool, u64) {
+    pub(crate) fn send<T: Send + 'static>(&self, value: T) -> (bool, u64) {
         let mut slot = Some(value);
-        match self.poll_send(&mut slot, approx_bytes, None) {
+        let mut registered = None;
+        match self.poll_send(&mut slot, None, &mut registered) {
             PollSend::Accepted => return (true, 0),
             PollSend::Closed => return (false, 0),
             PollSend::Full => {}
@@ -339,9 +467,9 @@ impl StreamChannel {
         let waker = thread_waker();
         let t0 = Instant::now();
         loop {
-            match self.poll_send(&mut slot, approx_bytes, Some(&waker)) {
-                PollSend::Accepted => return (true, self.note_blocked_send(t0)),
-                PollSend::Closed => return (false, self.note_blocked_send(t0)),
+            match self.poll_send(&mut slot, Some(&waker), &mut registered) {
+                PollSend::Accepted => return (true, self.note_blocked(Side::Send, t0)),
+                PollSend::Closed => return (false, self.note_blocked(Side::Send, t0)),
                 PollSend::Full => sync::park(),
             }
         }
@@ -353,8 +481,9 @@ impl StreamChannel {
     /// Returns `(element, blocked_us)`; the element is `None` at
     /// end-of-stream (no open writers and nothing queued) or when the
     /// channel was force-closed.
-    pub(crate) fn recv(&self) -> (Option<Value>, u64) {
-        match self.poll_recv(None) {
+    pub(crate) fn recv<T: Send + 'static>(&self) -> (Option<T>, u64) {
+        let mut registered = None;
+        match self.poll_recv(None, &mut registered) {
             PollRecv::Element(v) => return (Some(v), 0),
             PollRecv::EndOfStream => return (None, 0),
             PollRecv::Empty => {}
@@ -362,23 +491,24 @@ impl StreamChannel {
         let waker = thread_waker();
         let t0 = Instant::now();
         loop {
-            match self.poll_recv(Some(&waker)) {
-                PollRecv::Element(v) => return (Some(v), self.note_blocked_recv(t0)),
-                PollRecv::EndOfStream => return (None, self.note_blocked_recv(t0)),
+            match self.poll_recv(Some(&waker), &mut registered) {
+                PollRecv::Element(v) => return (Some(v), self.note_blocked(Side::Recv, t0)),
+                PollRecv::EndOfStream => return (None, self.note_blocked(Side::Recv, t0)),
                 PollRecv::Empty => sync::park(),
             }
         }
     }
 
-    fn note_blocked_send(&self, t0: Instant) -> u64 {
+    /// Adds the time since `t0` to `side`'s blocked total: once per
+    /// call that parked its thread, not per element.
+    fn note_blocked(&self, side: Side, t0: Instant) -> u64 {
         let us = t0.elapsed().as_micros() as u64;
-        self.stats.blocked_send_us.fetch_add(us, Ordering::Relaxed);
-        us
-    }
-
-    fn note_blocked_recv(&self, t0: Instant) -> u64 {
-        let us = t0.elapsed().as_micros() as u64;
-        self.stats.blocked_recv_us.fetch_add(us, Ordering::Relaxed);
+        let _order = lockorder::acquire(RANK_STREAM, "stream");
+        let stats = &mut self.state.lock().stats;
+        match side {
+            Side::Send => stats.blocked_send_us += us,
+            Side::Recv => stats.blocked_recv_us += us,
+        }
         us
     }
 
@@ -386,12 +516,13 @@ impl StreamChannel {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn occupancy(&self) -> usize {
         let _order = lockorder::acquire(RANK_STREAM, "stream");
-        self.state.lock().queue.len()
+        self.state.lock().occupancy()
     }
 
-    /// The channel's monotone statistics.
-    pub(crate) fn stats(&self) -> &StreamStats {
-        &self.stats
+    /// One consistent snapshot of the channel's counters.
+    pub(crate) fn stats(&self) -> StreamStats {
+        let _order = lockorder::acquire(RANK_STREAM, "stream");
+        self.state.lock().stats
     }
 }
 
@@ -413,43 +544,77 @@ impl Wake for ThreadUnpark {
     }
 }
 
+thread_local! {
+    /// The calling thread's unpark waker, built on its first blocked
+    /// call: after that, blocking on a channel allocates nothing.
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadUnpark(sync::park_handle())));
+}
+
 /// A waker for the calling thread.
 fn thread_waker() -> Waker {
-    Waker::from(Arc::new(ThreadUnpark(sync::park_handle())))
+    THREAD_WAKER.with(Waker::clone)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
-    fn val(x: u64) -> Value {
-        Arc::new(x)
+    /// Waker that counts how often it fired (manual-poll tests).
+    #[derive(Default)]
+    struct CountingWake(AtomicUsize);
+
+    impl Wake for CountingWake {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counting_waker() -> (Arc<CountingWake>, Waker) {
+        let count = Arc::new(CountingWake::default());
+        (Arc::clone(&count), Waker::from(count))
+    }
+
+    /// Element that counts its drops.
+    struct Tracked(Arc<AtomicUsize>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn waiter_count(c: &StreamChannel, side: Side) -> usize {
+        let _order = lockorder::acquire(RANK_STREAM, "stream");
+        c.state.lock().waiters(side).len()
     }
 
     #[test]
     fn fifo_order_within_capacity() {
         let c = StreamChannel::new("s", 4);
         c.register_writer();
-        for i in 0..4 {
-            let (ok, blocked) = c.send(val(i), 8);
+        for i in 0..4u64 {
+            let (ok, blocked) = c.send(i);
             assert!(ok);
             assert_eq!(blocked, 0, "under capacity, sends never block");
         }
         assert_eq!(c.occupancy(), 4);
-        for i in 0..4 {
-            let (v, _) = c.recv();
-            assert_eq!(*v.unwrap().downcast::<u64>().unwrap(), i);
+        for i in 0..4u64 {
+            assert_eq!(c.recv::<u64>().0, Some(i));
         }
         c.writer_done();
-        let (v, _) = c.recv();
-        assert!(v.is_none(), "empty + no writers = end of stream");
+        assert_eq!(
+            c.recv::<u64>().0,
+            None,
+            "empty + no writers = end of stream"
+        );
     }
 
     #[test]
     fn no_writers_means_immediately_exhausted() {
         let c = StreamChannel::new("s", 1);
-        let (v, blocked) = c.recv();
+        let (v, blocked) = c.recv::<u64>();
         assert!(v.is_none());
         assert_eq!(
             blocked, 0,
@@ -461,25 +626,26 @@ mod tests {
     fn full_channel_blocks_sender_until_drained() {
         let c = Arc::new(StreamChannel::new("s", 1));
         c.register_writer();
-        assert!(c.send(val(0), 8).0);
+        assert!(c.send(0u64).0);
         let tx = Arc::clone(&c);
         let producer = thread::spawn(move || {
-            let (ok, blocked_us) = tx.send(val(1), 8);
+            let (ok, blocked_us) = tx.send(1u64);
             tx.writer_done();
             (ok, blocked_us)
         });
         thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(c.occupancy(), 1, "second element waits for space");
-        assert_eq!(*c.recv().0.unwrap().downcast::<u64>().unwrap(), 0);
+        assert_eq!(c.recv::<u64>().0, Some(0));
         let (ok, blocked_us) = producer.join().unwrap();
         assert!(ok);
         assert!(blocked_us > 0, "the sender measurably blocked");
-        assert_eq!(*c.recv().0.unwrap().downcast::<u64>().unwrap(), 1);
-        assert!(c.recv().0.is_none());
-        assert!(c.stats().blocked_send_us.load(Ordering::Relaxed) > 0);
-        assert_eq!(c.stats().elements.load(Ordering::Relaxed), 2);
-        assert_eq!(c.stats().bytes.load(Ordering::Relaxed), 16);
-        assert_eq!(c.stats().occupancy_high_water.load(Ordering::Relaxed), 1);
+        assert_eq!(c.recv::<u64>().0, Some(1));
+        assert_eq!(c.recv::<u64>().0, None);
+        let stats = c.stats();
+        assert!(stats.blocked_send_us > 0);
+        assert_eq!(stats.elements, 2);
+        assert_eq!(stats.bytes, 16);
+        assert_eq!(stats.occupancy_high_water, 1);
     }
 
     #[test]
@@ -487,21 +653,21 @@ mod tests {
         let c = Arc::new(StreamChannel::new("s", 4));
         c.register_writer();
         let rx = Arc::clone(&c);
-        let consumer = thread::spawn(move || rx.recv());
+        let consumer = thread::spawn(move || rx.recv::<u64>());
         thread::sleep(std::time::Duration::from_millis(20));
-        assert!(c.send(val(7), 8).0);
+        assert!(c.send(7u64).0);
         let (v, _) = consumer.join().unwrap();
-        assert_eq!(*v.unwrap().downcast::<u64>().unwrap(), 7);
-        assert!(c.stats().blocked_recv_us.load(Ordering::Relaxed) > 0);
+        assert_eq!(v, Some(7));
+        assert!(c.stats().blocked_recv_us > 0);
     }
 
     #[test]
     fn force_close_wakes_a_blocked_sender() {
         let c = Arc::new(StreamChannel::new("s", 1));
         c.register_writer();
-        assert!(c.send(val(0), 8).0);
+        assert!(c.send(0u64).0);
         let tx = Arc::clone(&c);
-        let blocked_sender = thread::spawn(move || tx.send(val(1), 8).0);
+        let blocked_sender = thread::spawn(move || tx.send(1u64).0);
         thread::sleep(std::time::Duration::from_millis(20));
         c.force_close();
         assert!(!blocked_sender.join().unwrap(), "send refused after close");
@@ -513,7 +679,7 @@ mod tests {
         c.register_writer();
         let rx = Arc::clone(&c);
         // Blocks: the channel is empty but a writer is still open.
-        let blocked_reader = thread::spawn(move || rx.recv().0);
+        let blocked_reader = thread::spawn(move || rx.recv::<u64>().0);
         thread::sleep(std::time::Duration::from_millis(20));
         c.force_close();
         assert!(
@@ -527,13 +693,13 @@ mod tests {
         let c = StreamChannel::new("s", 4);
         c.register_writer();
         c.register_writer();
-        c.send(val(1), 8).0.then_some(()).unwrap();
+        assert!(c.send(1u64).0);
         c.writer_done();
         // One writer still open: the queued element drains, then a
         // second writer could still push — but once it closes, `None`.
-        assert!(c.recv().0.is_some());
+        assert!(c.recv::<u64>().0.is_some());
         c.writer_done();
-        assert!(c.recv().0.is_none());
+        assert!(c.recv::<u64>().0.is_none());
     }
 
     #[test]
@@ -554,21 +720,21 @@ mod tests {
                 let tx = Arc::clone(&c);
                 thread::spawn(move || {
                     for i in 0..PER_WRITER {
-                        assert!(tx.send(val(w * PER_WRITER + i), 8).0);
+                        assert!(tx.send(w * PER_WRITER + i).0);
                     }
                     tx.writer_done();
                 })
             })
             .collect();
         let mut received = 0u64;
-        while c.recv().0.is_some() {
+        while c.recv::<u64>().0.is_some() {
             received += 1;
         }
         for p in producers {
             p.join().unwrap();
         }
         assert_eq!(received, ELEMENTS);
-        let wakes = c.stats().wakes.load(Ordering::Relaxed);
+        let wakes = c.stats().wakes;
         // Each recv wakes ≤ 1 sender, each send wakes ≤ 1 receiver,
         // plus one terminal broadcast: a generous linear bound.
         let linear_bound = 2 * ELEMENTS + 4 * WRITERS + 16;
@@ -588,29 +754,164 @@ mod tests {
     fn stale_waiters_are_deregistered_on_completion() {
         let c = StreamChannel::new("s", 1);
         c.register_writer();
-        let waker = thread_waker();
-        assert!(matches!(c.poll_recv(Some(&waker)), PollRecv::Empty));
-        {
-            let _order = lockorder::acquire(RANK_STREAM, "stream");
-            assert_eq!(c.state.lock().recv_waiters.len(), 1);
-        }
-        // A successful poll with the same waker must remove the entry.
-        let mut slot = Some(val(1));
+        let (x_wakes, x) = counting_waker();
+        let (_, y) = counting_waker();
+        let (mut x_reg, mut y_reg) = (None, None);
         assert!(matches!(
-            c.poll_send(&mut slot, 8, None),
+            c.poll_recv::<u64>(Some(&x), &mut x_reg),
+            PollRecv::Empty
+        ));
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&y), &mut y_reg),
+            PollRecv::Empty
+        ));
+        assert_eq!(waiter_count(&c, Side::Recv), 2);
+        // A spurious re-poll must not queue the same operation twice.
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&y), &mut y_reg),
+            PollRecv::Empty
+        ));
+        assert_eq!(waiter_count(&c, Side::Recv), 2);
+        // The element wakes X (FIFO) but Y polls first and takes it:
+        // completing withdraws Y's still-queued registration.
+        assert!(c.send(1u64).0);
+        assert_eq!(x_wakes.0.load(Ordering::SeqCst), 1);
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&y), &mut y_reg),
+            PollRecv::Element(1)
+        ));
+        assert!(y_reg.is_none());
+        assert_eq!(waiter_count(&c, Side::Recv), 0);
+        // X finds nothing and queues again; cancelling a still-queued
+        // waiter removes it and wakes nobody.
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&x), &mut x_reg),
+            PollRecv::Empty
+        ));
+        assert_eq!(waiter_count(&c, Side::Recv), 1);
+        let wakes = c.stats().wakes;
+        c.cancel_waiter(Side::Recv, &x_reg.take().unwrap());
+        assert_eq!(waiter_count(&c, Side::Recv), 0);
+        assert_eq!(c.stats().wakes, wakes);
+    }
+
+    #[test]
+    fn cancelled_sender_passes_its_wake_on() {
+        // Capacity 1, senders A and B parked; the receiver pops (wakes
+        // A); A is dropped before it re-polls. B must be offered the
+        // slot, or it sleeps forever once the receiver parks on empty.
+        let c = StreamChannel::new("s", 1);
+        c.register_writer();
+        assert!(c.send(0u64).0);
+        let (a_wakes, a) = counting_waker();
+        let (b_wakes, b) = counting_waker();
+        let (mut a_slot, mut a_reg) = (Some(1u64), None);
+        let (mut b_slot, mut b_reg) = (Some(2u64), None);
+        assert!(matches!(
+            c.poll_send(&mut a_slot, Some(&a), &mut a_reg),
+            PollSend::Full
+        ));
+        assert!(matches!(
+            c.poll_send(&mut b_slot, Some(&b), &mut b_reg),
+            PollSend::Full
+        ));
+        assert_eq!(c.recv::<u64>().0, Some(0));
+        assert_eq!(a_wakes.0.load(Ordering::SeqCst), 1, "wake-one: A only");
+        assert_eq!(b_wakes.0.load(Ordering::SeqCst), 0);
+        // A's future is dropped instead of re-polled.
+        c.cancel_waiter(Side::Send, &a_reg.take().unwrap());
+        assert_eq!(b_wakes.0.load(Ordering::SeqCst), 1, "B inherits the slot");
+        assert!(matches!(
+            c.poll_send(&mut b_slot, Some(&b), &mut b_reg),
             PollSend::Accepted
         ));
-        assert!(matches!(c.poll_recv(Some(&waker)), PollRecv::Element(_)));
-        {
-            let _order = lockorder::acquire(RANK_STREAM, "stream");
-            assert_eq!(c.state.lock().recv_waiters.len(), 0);
+        assert_eq!(c.recv::<u64>().0, Some(2));
+        assert_eq!(waiter_count(&c, Side::Send), 0);
+    }
+
+    #[test]
+    fn cancelled_receiver_passes_its_wake_on() {
+        let c = StreamChannel::new("s", 1);
+        c.register_writer();
+        let (a_wakes, a) = counting_waker();
+        let (b_wakes, b) = counting_waker();
+        let (mut a_reg, mut b_reg) = (None, None);
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&a), &mut a_reg),
+            PollRecv::Empty
+        ));
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&b), &mut b_reg),
+            PollRecv::Empty
+        ));
+        assert!(c.send(9u64).0);
+        assert_eq!(a_wakes.0.load(Ordering::SeqCst), 1);
+        c.cancel_waiter(Side::Recv, &a_reg.take().unwrap());
+        assert_eq!(
+            b_wakes.0.load(Ordering::SeqCst),
+            1,
+            "B inherits the element"
+        );
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&b), &mut b_reg),
+            PollRecv::Element(9)
+        ));
+        // A wake that was spent on a slot somebody else already took is
+        // not passed on: there is nothing to offer.
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&a), &mut a_reg),
+            PollRecv::Empty
+        ));
+        assert!(matches!(
+            c.poll_recv::<u64>(Some(&b), &mut b_reg),
+            PollRecv::Empty
+        ));
+        assert!(c.send(10u64).0);
+        assert_eq!(c.recv::<u64>().0, Some(10), "a third consumer barges in");
+        c.cancel_waiter(Side::Recv, &a_reg.take().unwrap());
+        assert_eq!(
+            b_wakes.0.load(Ordering::SeqCst),
+            1,
+            "queue empty: B stays parked"
+        );
+        assert_eq!(waiter_count(&c, Side::Recv), 1);
+    }
+
+    #[test]
+    fn undelivered_elements_drop_exactly_once() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let tracked = || Tracked(Arc::clone(&drops));
+        // Force-close drops what is queued, at the close.
+        let c = StreamChannel::new("s", 4);
+        c.register_writer();
+        for _ in 0..3 {
+            assert!(c.send(tracked()).0);
         }
-        // Explicit cancellation clears both sides.
-        assert!(matches!(c.poll_recv(Some(&waker)), PollRecv::Empty));
-        c.cancel_waiter(&waker);
-        {
-            let _order = lockorder::acquire(RANK_STREAM, "stream");
-            assert_eq!(c.state.lock().recv_waiters.len(), 0);
-        }
+        drop(c.recv::<Tracked>().0.expect("one delivered"));
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        c.force_close();
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert_eq!(c.occupancy(), 0);
+        // A send refused by the closed channel drops its element too.
+        assert!(!c.send(tracked()).0);
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
+        drop(c);
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "nothing dropped twice");
+        // A channel dropped with elements queued drops them with it.
+        let c = StreamChannel::new("s", 4);
+        c.register_writer();
+        assert!(c.send(tracked()).0);
+        assert!(c.send(tracked()).0);
+        drop(c);
+        assert_eq!(drops.load(Ordering::SeqCst), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream `readings` carries `u64` elements, not `u32`")]
+    fn a_second_element_type_is_refused_by_name() {
+        let c = StreamChannel::new("readings", 4);
+        c.bind::<u64>();
+        c.bind::<u64>();
+        c.bind::<u32>();
     }
 }

@@ -101,7 +101,7 @@ fn async_streams_survive_preemption_injection() {
                 let r = ctx.stream_reader::<u64>(0);
                 let mut sum = 0u64;
                 while let Some(v) = r.recv_async().await {
-                    sum += *v;
+                    sum += v;
                 }
                 ctx.set_output(0, sum);
                 ctx

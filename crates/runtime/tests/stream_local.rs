@@ -12,7 +12,7 @@ use continuum_telemetry::{CounterKey, Event, TaskPhase};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,7 +70,7 @@ fn run_streamed(workers: usize, capacity: usize, stages: &[StageOp], elems: &[u6
                 let rx = ctx.stream_reader::<u64>(0);
                 let tx = ctx.stream_writer::<u64>(0);
                 while let Some(v) = rx.recv() {
-                    if !tx.send(apply(op, *v)) {
+                    if !tx.send(apply(op, v)) {
                         break;
                     }
                 }
@@ -87,7 +87,7 @@ fn run_streamed(workers: usize, capacity: usize, stages: &[StageOp], elems: &[u6
             let rx = ctx.stream_reader::<u64>(0);
             let mut acc = Vec::new();
             while let Some(v) = rx.recv() {
-                acc.push(*v);
+                acc.push(v);
             }
             ctx.set_output(0, acc);
         },
@@ -231,7 +231,7 @@ fn full_bounded_channel_with_parked_producer_drains() {
                 std::thread::sleep(Duration::from_millis(50));
                 let mut acc = Vec::new();
                 while let Some(v) = rx.recv() {
-                    acc.push(*v);
+                    acc.push(v);
                 }
                 ctx.set_output(0, acc);
             },
@@ -307,6 +307,264 @@ fn producer_panic_mid_stream_fails_the_run_without_hanging() {
     .unwrap();
     let err = rt.wait_all().expect_err("the panic must surface");
     assert!(err.to_string().contains("sensor disconnected"), "{err}");
+}
+
+/// Element that counts how many were made and how many were dropped.
+struct Tracked {
+    drops: Arc<AtomicUsize>,
+}
+
+impl Tracked {
+    fn new(made: &AtomicUsize, drops: &Arc<AtomicUsize>) -> Self {
+        made.fetch_add(1, Ordering::SeqCst);
+        Tracked {
+            drops: Arc::clone(drops),
+        }
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Elements move through the channel by value, so whatever is still
+/// queued when the runtime goes away is owned by the channel alone and
+/// must be dropped with it — once.
+#[test]
+fn undelivered_elements_are_dropped_with_the_runtime() {
+    let made = Arc::new(AtomicUsize::new(0));
+    let drops = Arc::new(AtomicUsize::new(0));
+    let rt = LocalRuntime::new(LocalConfig::with_workers(2));
+    let s = rt.stream::<Tracked>("s", 4);
+    let (m, d) = (Arc::clone(&made), Arc::clone(&drops));
+    rt.submit(
+        TaskSpec::new("producer").stream_out(s.id()),
+        Constraints::new(),
+        move |ctx| {
+            let tx = ctx.stream_writer::<Tracked>(0);
+            for _ in 0..3 {
+                assert!(tx.send(Tracked::new(&m, &d)));
+            }
+        },
+    )
+    .unwrap();
+    rt.submit(
+        TaskSpec::new("takes_one").stream_in(s.id()),
+        Constraints::new(),
+        |ctx| {
+            let rx = ctx.stream_reader::<Tracked>(0);
+            drop(rx.recv().expect("the first element"));
+        },
+    )
+    .unwrap();
+    rt.wait_all().unwrap();
+    assert_eq!(made.load(Ordering::SeqCst), 3);
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "two are still queued");
+    drop(rt);
+    assert_eq!(drops.load(Ordering::SeqCst), 3);
+}
+
+/// A failed run force-closes its channels: queued elements, the one a
+/// refused `send` was carrying and the one the consumer held all drop,
+/// none leaks and none drops twice.
+#[test]
+fn a_failed_run_drops_every_element_exactly_once() {
+    let made = Arc::new(AtomicUsize::new(0));
+    let drops = Arc::new(AtomicUsize::new(0));
+    {
+        let rt = LocalRuntime::new(LocalConfig::with_workers(2));
+        let s = rt.stream::<Tracked>("s", 2);
+        let (m, d) = (Arc::clone(&made), Arc::clone(&drops));
+        rt.submit(
+            TaskSpec::new("producer").stream_out(s.id()),
+            Constraints::new(),
+            move |ctx| {
+                let tx = ctx.stream_writer::<Tracked>(0);
+                // Until the failure closes the channel under it.
+                while tx.send(Tracked::new(&m, &d)) {}
+            },
+        )
+        .unwrap();
+        rt.submit(
+            TaskSpec::new("bad_sink").stream_in(s.id()),
+            Constraints::new(),
+            |ctx| {
+                let rx = ctx.stream_reader::<Tracked>(0);
+                let _held = rx.recv().expect("the first element");
+                panic!("sink gave up");
+            },
+        )
+        .unwrap();
+        let err = rt.wait_all().expect_err("the panic must surface");
+        assert!(err.to_string().contains("sink gave up"), "{err}");
+    }
+    assert!(made.load(Ordering::SeqCst) >= 2);
+    assert_eq!(drops.load(Ordering::SeqCst), made.load(Ordering::SeqCst));
+}
+
+/// An element only has to be `Send`: it is handed to one consumer, not
+/// shared. `Cell<u64>` is `Send + !Sync` and streams through blocking
+/// and async endpoints alike.
+#[test]
+fn send_but_not_sync_elements_stream_through_both_endpoint_kinds() {
+    use std::cell::Cell;
+    // Both blocking endpoints can hold a worker at once; the async
+    // stage needs a third to run on.
+    let rt = LocalRuntime::new(LocalConfig::with_workers(3));
+    let raw = rt.stream::<Cell<u64>>("raw", 2);
+    let bumped = rt.stream::<Cell<u64>>("bumped", 2);
+    let total = rt.data::<u64>("total");
+    rt.submit(
+        TaskSpec::new("source").stream_out(raw.id()),
+        Constraints::new(),
+        |ctx| {
+            let tx = ctx.stream_writer::<Cell<u64>>(0);
+            for i in 0..100 {
+                assert!(tx.send(Cell::new(i)));
+            }
+        },
+    )
+    .unwrap();
+    rt.submit_async(
+        TaskSpec::new("bump")
+            .stream_in(raw.id())
+            .stream_out(bumped.id()),
+        Constraints::new(),
+        |ctx| async move {
+            let rx = ctx.stream_reader::<Cell<u64>>(0);
+            let tx = ctx.stream_writer::<Cell<u64>>(0);
+            while let Some(cell) = rx.recv_async().await {
+                cell.set(cell.get() + 1);
+                assert!(tx.send_async(cell).await);
+            }
+            ctx
+        },
+    )
+    .unwrap();
+    rt.submit(
+        TaskSpec::new("sink")
+            .stream_in(bumped.id())
+            .output(total.id()),
+        Constraints::new(),
+        |ctx| {
+            let rx = ctx.stream_reader::<Cell<u64>>(0);
+            ctx.set_output(0, rx.iter().map(Cell::into_inner).sum::<u64>());
+        },
+    )
+    .unwrap();
+    assert_eq!(*rt.get(&total).unwrap(), (1..=100).sum::<u64>());
+    rt.wait_all().unwrap();
+}
+
+/// The element type is fixed by `rt.stream::<T>`; an endpoint asking
+/// for another one fails its task, and the message says which stream.
+#[test]
+fn an_endpoint_of_the_wrong_element_type_fails_its_task_by_name() {
+    let rt = LocalRuntime::new(LocalConfig::with_workers(2));
+    let s = rt.stream::<u64>("readings", 4);
+    rt.submit(
+        TaskSpec::new("producer").stream_out(s.id()),
+        Constraints::new(),
+        |ctx| {
+            let tx = ctx.stream_writer::<u64>(0);
+            tx.send(7);
+        },
+    )
+    .unwrap();
+    rt.submit(
+        TaskSpec::new("confused").stream_in(s.id()),
+        Constraints::new(),
+        |ctx| {
+            let rx = ctx.stream_reader::<u32>(0);
+            while rx.recv().is_some() {}
+        },
+    )
+    .unwrap();
+    let err = rt
+        .wait_all()
+        .expect_err("the mismatch must surface")
+        .to_string();
+    assert!(
+        err.contains("stream `readings` carries `u64` elements, not `u32`"),
+        "{err}"
+    );
+}
+
+/// A task's waker is its own dispatch metadata, and clones of it sit
+/// in channel waiter queues and timer buckets while the task is
+/// parked. Neither a finished run nor a runtime dropped with tasks
+/// still parked may leave a reference cycle behind: whatever the
+/// bodies captured is released.
+#[test]
+fn parked_and_finished_tasks_release_what_they_captured() {
+    let sentinel = Arc::new(());
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    // A finished pipeline first.
+    let done = rt.stream::<u64>("done", 1);
+    let held = Arc::clone(&sentinel);
+    rt.submit_async(
+        TaskSpec::new("source").stream_out(done.id()),
+        Constraints::new(),
+        move |ctx| async move {
+            let _held = held;
+            let tx = ctx.stream_writer::<u64>(0);
+            for i in 0..16 {
+                assert!(tx.send_async(i).await);
+            }
+            ctx
+        },
+    )
+    .unwrap();
+    let held = Arc::clone(&sentinel);
+    rt.submit_async(
+        TaskSpec::new("sink").stream_in(done.id()),
+        Constraints::new(),
+        move |ctx| async move {
+            let _held = held;
+            let rx = ctx.stream_reader::<u64>(0);
+            while rx.recv_async().await.is_some() {}
+            ctx
+        },
+    )
+    .unwrap();
+    rt.wait_all().unwrap();
+    assert_eq!(Arc::strong_count(&sentinel), 1, "finished bodies are gone");
+
+    // Then two tasks that will still be parked at the drop: one on a
+    // timer, one on the stream the sleeper never feeds.
+    let never = rt.stream::<u64>("never", 1);
+    let held = Arc::clone(&sentinel);
+    rt.submit_async(
+        TaskSpec::new("sleeper").stream_out(never.id()),
+        Constraints::new(),
+        move |ctx| async move {
+            let _held = held;
+            ctx.sleep(Duration::from_secs(3600)).await;
+            ctx
+        },
+    )
+    .unwrap();
+    let held = Arc::clone(&sentinel);
+    rt.submit_async(
+        TaskSpec::new("starved").stream_in(never.id()),
+        Constraints::new(),
+        move |ctx| async move {
+            let _held = held;
+            let rx = ctx.stream_reader::<u64>(0);
+            while rx.recv_async().await.is_some() {}
+            ctx
+        },
+    )
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rt.parked_count() < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(rt.parked_count() >= 1, "the sleeper parks on its timer");
+    drop(rt);
+    assert_eq!(Arc::strong_count(&sentinel), 1, "abandoned bodies are gone");
 }
 
 /// An empty stream (producer finishes without sending) still releases

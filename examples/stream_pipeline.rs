@@ -109,11 +109,7 @@ fn main() -> Result<(), RuntimeError> {
         Constraints::new(),
         |ctx| {
             let rx = ctx.stream_reader::<f64>(0);
-            let mut acc = Vec::new();
-            while let Some(p) = rx.recv() {
-                acc.push(*p);
-            }
-            ctx.set_output(0, acc);
+            ctx.set_output(0, rx.iter().collect::<Vec<f64>>());
         },
     )?;
 

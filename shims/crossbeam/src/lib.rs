@@ -467,6 +467,15 @@ pub mod deque {
         }
     }
 
+    /// Takes the front half of `items` (at most [`MAX_BATCH`]) as the
+    /// item the thief runs now and the rest of its batch. A one-item
+    /// batch — a lone resumed task — has no rest and allocates nothing.
+    fn take_batch<T>(items: &mut VecDeque<T>) -> Option<(T, Vec<T>)> {
+        let n = items.len().div_ceil(2).min(MAX_BATCH);
+        let first = items.pop_front()?;
+        Some((first, items.drain(..n - 1).collect()))
+    }
+
     /// A deque owned by one worker thread.
     pub struct Worker<T> {
         queue: Arc<Mutex<Buffer<T>>>,
@@ -586,14 +595,11 @@ pub mod deque {
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             yield_point();
             yield_op(self.obj());
-            let mut batch = match lock_or_retry(&self.queue) {
-                Ok(mut buf) => {
-                    let n = buf.items.len().div_ceil(2).min(MAX_BATCH);
-                    if n == 0 {
-                        return Steal::Empty;
-                    }
-                    buf.items.drain(..n).collect::<Vec<T>>()
-                }
+            let (first, rest) = match lock_or_retry(&self.queue) {
+                Ok(mut buf) => match take_batch(&mut buf.items) {
+                    Some(batch) => batch,
+                    None => return Steal::Empty,
+                },
                 Err(()) => return Steal::Retry,
             };
             // The stolen batch is only visible to this thread here: a
@@ -601,10 +607,9 @@ pub mod deque {
             // is the widest race window in the protocol.
             yield_point();
             yield_op(dest.obj());
-            let first = batch.remove(0);
-            if !batch.is_empty() {
+            if !rest.is_empty() {
                 let mut dst = dest.lock();
-                dst.items.extend(batch);
+                dst.items.extend(rest);
             }
             Steal::Success(first)
         }
@@ -676,20 +681,16 @@ pub mod deque {
         /// one of them.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             yield_op(self.obj());
-            let mut batch = match lock_or_retry(&self.queue) {
-                Ok(mut buf) => {
-                    let n = buf.items.len().div_ceil(2).min(MAX_BATCH);
-                    if n == 0 {
-                        return Steal::Empty;
-                    }
-                    buf.items.drain(..n).collect::<Vec<T>>()
-                }
+            let (first, rest) = match lock_or_retry(&self.queue) {
+                Ok(mut buf) => match take_batch(&mut buf.items) {
+                    Some(batch) => batch,
+                    None => return Steal::Empty,
+                },
                 Err(()) => return Steal::Retry,
             };
-            let first = batch.remove(0);
-            if !batch.is_empty() {
+            if !rest.is_empty() {
                 let mut dst = dest.lock();
-                dst.items.extend(batch);
+                dst.items.extend(rest);
             }
             Steal::Success(first)
         }

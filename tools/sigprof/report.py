@@ -23,6 +23,7 @@ GROUPS = [
     ("trace export", r"chrome::|json::|write_json_string"),
     ("wdl parse", r"wdl::"),
     ("lint", r"analyze::|verify::"),
+    ("stream transport", r"runtime::stream::|Stream(Send|Recv|Writer|Reader)|release_stream_successors"),
     ("allocator (in-binary side)", r"__rust_alloc|__rust_dealloc|__rust_realloc|__rdl_|alloc::alloc|::alloc::Counting"),
     ("hashing", r"hashbrown|SipHasher|sip::|hash_one|IdHasher|BuildHasher|core::hash"),
     ("BTreeMap/BTreeSet", r"btree"),
