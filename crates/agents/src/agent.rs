@@ -5,12 +5,15 @@ use crate::offload::OffloadPolicy;
 use crate::ops::OpRegistry;
 use crate::orchestrator::{run_application, AppReport, Application};
 use bytes::Bytes;
+use continuum_platform::oneshot::OneshotSender;
+use continuum_platform::sync::panic_message;
 use continuum_platform::DeviceClass;
 use continuum_storage::{ObjectKey, StorageRuntime, StoredValue};
 use continuum_telemetry::{Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -65,25 +68,9 @@ pub enum ExecReply {
     Done,
     /// The agent died before the result could be committed.
     Lost,
-    /// The operation is unknown or an input could not be read.
+    /// The operation is unknown, an input could not be read, or the
+    /// operation panicked.
     Failed(String),
-}
-
-/// Where an execution reply goes: a blocking channel (the orchestrator
-/// waiting for a wave) or a waker-aware reply cell (an async caller
-/// parked on the RPC).
-pub(crate) enum ReplyTo {
-    Channel(Sender<ExecReply>),
-    Cell(continuum_platform::oneshot::OneshotSender<ExecReply>),
-}
-
-impl ReplyTo {
-    pub(crate) fn send(&self, reply: ExecReply) -> bool {
-        match self {
-            ReplyTo::Channel(tx) => tx.send(reply).is_ok(),
-            ReplyTo::Cell(cell) => cell.send(reply),
-        }
-    }
 }
 
 pub(crate) enum Msg {
@@ -95,7 +82,9 @@ pub(crate) enum Msg {
         /// Causal context of the offload hop this execution serves; the
         /// agent parents its own transfer/execute spans under it.
         ctx: Option<SpanContext>,
-        reply: ReplyTo,
+        /// One reply cell for both callers: an async task awaits its
+        /// receiver, the orchestrator's wave blocks on it.
+        reply: OneshotSender<ExecReply>,
     },
     Probe {
         reply: Sender<AgentInfo>,
@@ -378,7 +367,16 @@ fn agent_loop(
                     continue;
                 }
                 let fetched_us = now_us();
-                let result = f(&in_values);
+                // A panicking op is that op's failure, not the
+                // device's: the agent answers and keeps serving.
+                let result = match catch_unwind(AssertUnwindSafe(|| f(&in_values))) {
+                    Ok(result) => result,
+                    Err(payload) => {
+                        let what = panic_message(payload.as_ref());
+                        fail(format!("op `{op}` panicked: {what}"), now_us());
+                        continue;
+                    }
+                };
                 // The paper's recovery hinge: if the device died while
                 // computing, the produced value never reaches the
                 // store and the orchestrator re-submits elsewhere.
@@ -461,7 +459,7 @@ mod tests {
         output: ObjectKey,
         ctx: Option<SpanContext>,
     ) -> ExecReply {
-        let (tx, rx) = unbounded();
+        let (reply, rx) = continuum_platform::oneshot::channel();
         agent
             .sender()
             .send(Msg::Execute {
@@ -470,10 +468,10 @@ mod tests {
                 output,
                 output_class: None,
                 ctx,
-                reply: ReplyTo::Channel(tx),
+                reply,
             })
             .unwrap();
-        rx.recv().unwrap()
+        rx.wait().unwrap()
     }
 
     #[test]
@@ -570,9 +568,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_op_and_missing_input_fail() {
+    fn unknown_op_missing_input_and_panicking_op_fail() {
         let ops = OpRegistry::new();
         ops.register("use", |ins| ins[0].clone());
+        ops.register("boom", |_| panic!("kaboom"));
         let st = store();
         let agent = Agent::spawn(
             AgentId(0),
@@ -589,6 +588,15 @@ mod tests {
         ));
         assert!(matches!(
             exec(&agent, "use", vec!["missing".into()], "o".into()),
+            ExecReply::Failed(_)
+        ));
+        // A panicking op fails its own request; the agent keeps serving.
+        assert_eq!(
+            exec(&agent, "boom", vec![], "o".into()),
+            ExecReply::Failed("op `boom` panicked: kaboom".into())
+        );
+        assert!(matches!(
+            exec(&agent, "ghost", vec![], "o".into()),
             ExecReply::Failed(_)
         ));
     }

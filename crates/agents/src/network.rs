@@ -222,7 +222,7 @@ impl AgentNetwork {
                 output: task.output.clone(),
                 output_class: task.output_class.clone(),
                 ctx: None,
-                reply: crate::agent::ReplyTo::Cell(reply),
+                reply,
             })
             .map_err(|_| AgentError::UnknownAgent(on.to_string()))?;
         Ok(rx)

@@ -1,16 +1,16 @@
 //! The orchestrating agent: drives an application's task list over
 //! the network, offloading per policy and recovering lost tasks.
 
-use crate::agent::{AgentId, ExecReply, Msg, ReplyTo};
+use crate::agent::{AgentId, ExecReply, Msg};
 use crate::error::AgentError;
 use crate::network::{AgentNetwork, NetworkInner};
 use crate::offload::OffloadPolicy;
+use continuum_platform::oneshot::{self, OneshotReceiver};
 use continuum_platform::DeviceClass;
 use continuum_storage::ObjectKey;
 use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
 };
-use crossbeam::channel::{unbounded, Receiver};
 use std::collections::{HashMap, HashSet};
 
 /// One task of an agent application: an operation applied to stored
@@ -167,7 +167,7 @@ impl<'n> Orchestrator<'n> {
     /// * [`AgentError::NoAgentAvailable`] if no live agent can take a
     ///   ready task;
     /// * [`AgentError::RetriesExhausted`] if a task keeps getting
-    ///   lost;
+    ///   lost or keeps failing (unreadable input, panicking operation);
     /// * [`AgentError::UnknownOp`] if an agent reports an unknown
     ///   operation.
     pub fn run(
@@ -254,7 +254,7 @@ pub(crate) fn run_application(
             AgentId,
             u64,
             Option<SpanContext>,
-            Receiver<ExecReply>,
+            OneshotReceiver<ExecReply>,
         );
         let mut in_flight: Vec<InFlight> = Vec::new();
         for (idx, task) in app.tasks().iter().enumerate() {
@@ -278,7 +278,7 @@ pub(crate) fn run_application(
                     attempts: attempts[idx] - 1,
                 });
             }
-            let (tx, rx) = unbounded();
+            let (reply, rx) = oneshot::channel();
             // One span context per offload hop, shipped with the
             // message so the executing agent parents its work under
             // this dispatch. `sent_us` is taken *before* the send: the
@@ -297,7 +297,7 @@ pub(crate) fn run_application(
                     output: task.output.clone(),
                     output_class: task.output_class.clone(),
                     ctx: hop_ctx,
-                    reply: ReplyTo::Channel(tx),
+                    reply,
                 })
                 .map_err(|_| AgentError::UnknownAgent(agent.to_string()))?;
             if telemetry.enabled() {
@@ -324,11 +324,11 @@ pub(crate) fn run_application(
             )));
         }
         for (idx, agent, sent_us, hop_ctx, rx) in in_flight {
-            let reply = rx.recv();
+            let reply = rx.wait();
             let outcome = match &reply {
-                Ok(ExecReply::Done) => TaskPhase::Committed,
-                Ok(ExecReply::Lost) | Err(_) => TaskPhase::Replayed,
-                Ok(ExecReply::Failed(_)) => TaskPhase::Failed,
+                Some(ExecReply::Done) => TaskPhase::Committed,
+                Some(ExecReply::Lost) | None => TaskPhase::Replayed,
+                Some(ExecReply::Failed(_)) => TaskPhase::Failed,
             };
             if telemetry.enabled() {
                 let op = app.tasks()[idx].op.clone();
@@ -355,23 +355,20 @@ pub(crate) fn run_application(
                 });
             }
             match reply {
-                Ok(ExecReply::Done) => {
+                Some(ExecReply::Done) => {
                     done.insert(idx);
                     *per_agent.entry(agent).or_insert(0) += 1;
                 }
-                Ok(ExecReply::Lost) => {
-                    reexecutions += 1; // re-submitted next wave
-                }
-                Ok(ExecReply::Failed(msg)) => {
+                // Lost with its device, or the agent thread itself is
+                // gone: re-submitted next wave.
+                Some(ExecReply::Lost) | None => reexecutions += 1,
+                Some(ExecReply::Failed(msg)) => {
                     if msg.starts_with("unknown op") {
                         return Err(AgentError::UnknownOp(app.tasks()[idx].op.clone()));
                     }
-                    // Input unavailable (e.g. store replica down):
-                    // retry next wave counts against the budget.
-                    reexecutions += 1;
-                }
-                Err(_) => {
-                    // Agent thread gone: treat as lost.
+                    // Input unavailable (e.g. store replica down) or
+                    // the op panicked: retry next wave counts against
+                    // the budget.
                     reexecutions += 1;
                 }
             }
@@ -459,6 +456,12 @@ mod tests {
             net.deploy(format!("cloud-{i}"), DeviceClass::CloudVm);
         }
         net
+    }
+
+    fn fan(n: usize) -> Application {
+        (0..n).fold(Application::new("fan"), |app, i| {
+            app.task(AppTask::new("sense", vec![], format!("out{i}")))
+        })
     }
 
     fn pipeline() -> Application {
@@ -622,6 +625,70 @@ mod tests {
     }
 
     #[test]
+    fn agent_killed_mid_wave_yields_a_reexecution() {
+        use crossbeam::channel::unbounded;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let net = network(1, 1);
+        // The first `sense` announces itself and holds its agent until
+        // the test has killed that agent under it.
+        let (started_tx, started_rx) = unbounded();
+        let (resume_tx, resume_rx) = unbounded::<()>();
+        let resume_rx = parking_lot::Mutex::new(resume_rx);
+        let first = AtomicBool::new(true);
+        net.ops().register("sense", move |_| {
+            if first.swap(false, Ordering::SeqCst) {
+                started_tx.send(()).unwrap();
+                resume_rx.lock().recv().unwrap();
+            }
+            Bytes::from(vec![1u8; 100])
+        });
+        let net = &net;
+        let report = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                started_rx.recv().unwrap();
+                net.kill(AgentId(0)).unwrap();
+                resume_tx.send(()).unwrap();
+            });
+            Orchestrator::new(net)
+                .run(&pipeline(), &mut PreferClass::fog_first())
+                .unwrap()
+        });
+        assert_eq!(report.completed, 3);
+        assert_eq!(
+            report.reexecutions, 1,
+            "the value computed on the dead device is lost"
+        );
+        assert!(!report.executions_per_agent.contains_key(&AgentId(0)));
+    }
+
+    #[test]
+    fn panicking_op_exhausts_its_retries_and_the_fleet_survives() {
+        use crate::agent::AgentStatus;
+        let net = network(2, 1);
+        net.ops().register("boom", |_| panic!("kaboom"));
+        let app = Application::new("bad").task(AppTask::new("boom", vec![], "o"));
+        let err = Orchestrator::new(&net)
+            .max_attempts(4)
+            .run(&app, &mut RoundRobinOffload::new())
+            .unwrap_err();
+        assert!(
+            matches!(&err, AgentError::RetriesExhausted { op, attempts: 4 } if op == "boom"),
+            "{err}"
+        );
+        // Every agent thread still answers its inbox and executes.
+        for id in 0..3 {
+            let info = net.probe(AgentId(id)).unwrap();
+            assert_eq!(info.status, AgentStatus::Alive);
+        }
+        let app = fan(9);
+        let report = Orchestrator::new(&net)
+            .run(&app, &mut RoundRobinOffload::new())
+            .unwrap();
+        assert_eq!(report.completed, 9);
+        assert_eq!(report.executions_per_agent.len(), 3, "all agents used");
+    }
+
+    #[test]
     fn all_dead_reports_no_agent() {
         let net = network(1, 0);
         net.kill(AgentId(0)).unwrap();
@@ -701,10 +768,7 @@ mod tests {
     #[test]
     fn wide_fan_out_distributes_over_agents() {
         let net = network(3, 0);
-        let mut app = Application::new("fan");
-        for i in 0..9 {
-            app = app.task(AppTask::new("sense", vec![], format!("out{i}")));
-        }
+        let app = fan(9);
         let report = Orchestrator::new(&net)
             .run(&app, &mut RoundRobinOffload::new())
             .unwrap();

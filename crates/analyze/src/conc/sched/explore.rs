@@ -38,6 +38,7 @@ use super::vclock::VClock;
 use super::{
     ExploreOpts, Pruning, SchedOutcome, SchedStats, SchedTarget, SchedViolation, Schedule,
 };
+use continuum_platform::sync::panic_message;
 use crossbeam::hooks::sched::{self, Grant, OpEvent, SyncOp, KILL_MSG};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Once, PoisonError};
@@ -939,16 +940,6 @@ fn abort_and_join(ctl: &Ctl, handles: Vec<std::thread::JoinHandle<()>>) {
     ctl.abort();
     for h in handles {
         let _ = h.join();
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

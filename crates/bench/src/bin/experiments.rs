@@ -14,6 +14,7 @@
 //! the e1 campaign as Chrome `trace_event` JSON with virtual
 //! timestamps (open in `chrome://tracing` or Perfetto).
 
+use continuum_bench::cli::flag_value;
 use continuum_bench::{e01_scalability, fixtures, run_experiment, Scale, ALL_EXPERIMENTS};
 
 fn main() {
@@ -115,14 +116,6 @@ fn dump_lint_bundles(dir: &str, tables: &[continuum_bench::ExperimentTable]) {
         written += 1;
     }
     println!("wrote {written} lint bundle(s) to {dir}");
-}
-
-/// Returns the value following `flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 fn write_or_die(path: &str, contents: &str) {

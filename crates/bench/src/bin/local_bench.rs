@@ -22,58 +22,20 @@
 //! 3× the wall time of the same pair under any other same-scale stored
 //! label.
 
+use continuum_bench::alloc::CountingAllocator;
+use continuum_bench::cli::{results_value, stored_f64, stored_str, stored_u64, BenchArgs};
 use continuum_bench::local_bench::{case_worker_counts, cases, measure, LocalMeasurement};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts heap allocations on every thread, including workers. The
-/// metric is "how many times the runtime asked the allocator for
-/// memory while absorbing the storm".
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic with no other side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = flag_value(&args, "--label").unwrap_or_else(|| "current".to_string());
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_local.json".to_string());
-    let repeats: usize = flag_value(&args, "--repeats")
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(3);
+    let args = BenchArgs::parse("BENCH_local.json", 3);
+    let (smoke, check, label, out_path) = (args.smoke, args.check, &args.label, &args.out);
 
     println!(
         "local-runtime dispatch macro-bench — {} scale, label `{label}`",
-        if smoke { "smoke" } else { "full" }
+        args.scale()
     );
     println!(
         "{:<12} {:>7} {:>7} {:>10} {:>12} {:>12} {:>12} {:>10} {:>11} {:>8}",
@@ -91,9 +53,7 @@ fn main() {
     let mut results: Vec<LocalMeasurement> = Vec::new();
     for case in cases(smoke) {
         for &workers in case_worker_counts(&case, smoke) {
-            let m = measure(&case, workers, repeats, || {
-                ALLOCATIONS.load(Ordering::Relaxed)
-            });
+            let m = measure(&case, workers, args.repeats);
             println!(
                 "{:<12} {:>7} {:>7} {:>10.2} {:>12.0} {:>12} {:>12.1} {:>10} {:>11} {:>8}",
                 m.case,
@@ -152,105 +112,40 @@ fn main() {
     }
 
     // -- merge into the output file, preserving other labels ------------
-    let mut runs: Vec<(String, serde::Value)> = match std::fs::read_to_string(&out_path) {
-        Ok(text) => serde::json::parse(&text)
-            .ok()
-            .and_then(|doc| {
-                doc.get("runs")
-                    .and_then(|r| r.as_obj().map(<[(String, serde::Value)]>::to_vec))
-            })
-            .unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    let entry = serde::Value::Obj(vec![
-        (
-            "scale".to_string(),
-            serde::Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("repeats".to_string(), serde::Value::U64(repeats as u64)),
-        (
-            "results".to_string(),
-            serde::Value::Arr(
-                results
-                    .iter()
-                    .map(serde::Serialize::to_json_value)
-                    .collect(),
-            ),
-        ),
-    ]);
-    runs.retain(|(k, _)| *k != label);
-    runs.push((label.clone(), entry));
-    let doc = serde::Value::Obj(vec![
-        (
-            "bench".to_string(),
-            serde::Value::Str("local-dispatch".to_string()),
-        ),
-        ("runs".to_string(), serde::Value::Obj(runs.clone())),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, doc.to_string() + "\n") {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let runs = args.record_run(
+        "local-dispatch",
+        Vec::new(),
+        vec![args.repeats_field(), results_value(&results)],
+    );
     println!("wrote {} result(s) to {out_path}", results.len());
 
     // -- cross-label comparison (and the --check regression tripwire) ---
-    let mut regressed = false;
-    for (other_label, other) in &runs {
-        if *other_label == label {
-            continue;
-        }
-        let Some(other_results) = other.get("results").and_then(serde::Value::as_arr) else {
-            continue;
-        };
-        let same_scale = other.get("scale").and_then(serde::Value::as_str)
-            == Some(if smoke { "smoke" } else { "full" });
-        println!("\nlabel `{label}` vs `{other_label}`:");
-        for m in &results {
-            let found = other_results.iter().find(|r| {
-                r.get("case").and_then(serde::Value::as_str) == Some(&m.case)
-                    && r.get("workers").and_then(serde::Value::as_u64) == Some(m.workers as u64)
-            });
-            let Some(found) = found else { continue };
-            let other_ms = found
-                .get("wall_ms")
-                .and_then(serde::Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let other_rate = found
-                .get("tasks_per_sec")
-                .and_then(serde::Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let other_live = found
-                .get("live_values_peak")
-                .and_then(serde::Value::as_u64)
-                .unwrap_or(0);
-            println!(
-                "  {:<9} {:>2}w wall {:>9.2} ms vs {:>9.2} ms ({:>5.2}x), tasks/s {:>10.0} vs {:>10.0}, live {:>6} vs {:>6}",
+    let regressed = args.compare_labels(
+        &runs,
+        &results,
+        |m, r| {
+            stored_str(r, "case") == Some(&m.case)
+                && stored_u64(r, "workers") == Some(m.workers as u64)
+        },
+        |m, r| {
+            let other_ms = stored_f64(r, "wall_ms");
+            let other_live = stored_u64(r, "live_values_peak").unwrap_or(0);
+            let line = format!(
+                "{:<9} {:>2}w wall {:>9.2} ms vs {:>9.2} ms ({:>5.2}x), tasks/s {:>10.0} vs {:>10.0}, live {:>6} vs {:>6}",
                 m.case,
                 m.workers,
                 m.wall_ms,
                 other_ms,
                 other_ms / m.wall_ms,
                 m.tasks_per_sec,
-                other_rate,
+                stored_f64(r, "tasks_per_sec"),
                 m.live_values_peak,
                 other_live
             );
-            // Only same-scale runs are comparable for the tripwire.
-            if check && same_scale && m.wall_ms > other_ms * 3.0 {
-                eprintln!(
-                    "  REGRESSION: {}/{}w is {:.2}x slower than label `{other_label}`",
-                    m.case,
-                    m.workers,
-                    m.wall_ms / other_ms
-                );
-                regressed = true;
-            }
-        }
-    }
-    if check && violations > 0 {
-        std::process::exit(2);
-    }
-    if regressed {
+            (line, Some((m.wall_ms, other_ms)))
+        },
+    );
+    if (check && violations > 0) || regressed {
         std::process::exit(2);
     }
 }

@@ -18,6 +18,7 @@
 //! attributed, asserting the causal invariants (no happens-before
 //! violations, buckets sum to the makespan) while timing the pipeline.
 
+use continuum_bench::cli::{results_value, BenchArgs};
 use continuum_dag::TaskSpec;
 use continuum_runtime::{LocalConfig, LocalRuntime, RecorderHandle, RingRecorder, TraceBuffer};
 use continuum_telemetry::{
@@ -26,13 +27,6 @@ use continuum_telemetry::{
 use std::time::Instant;
 
 const RING_CAPACITY: usize = 4096;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Runs `tasks` trivial tasks on 4 workers with the given recorder and
 /// returns the wall time in milliseconds.
@@ -58,11 +52,14 @@ fn run_local(tasks: usize, telemetry: RecorderHandle) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
+#[derive(serde::Serialize)]
 struct Measurement {
     recorder: &'static str,
     wall_ms: f64,
     events_retained: u64,
     events_overwritten: u64,
+    /// Wall time relative to the `noop` row; filled in by `main`.
+    overhead_vs_noop: f64,
 }
 
 fn measure(recorder: &'static str, tasks: usize, repeats: usize) -> Measurement {
@@ -106,6 +103,7 @@ fn measure(recorder: &'static str, tasks: usize, repeats: usize) -> Measurement 
         wall_ms: best_ms,
         events_retained: retained,
         events_overwritten: overwritten,
+        overhead_vs_noop: f64::NAN,
     }
 }
 
@@ -175,6 +173,7 @@ fn synthetic_federated(agents: usize, hops: usize) -> Vec<AgentTrace> {
     traces
 }
 
+#[derive(serde::Serialize)]
 struct MergeMeasurement {
     agents: usize,
     hops: usize,
@@ -215,37 +214,10 @@ fn measure_merge(agents: usize, hops: usize, repeats: usize) -> MergeMeasurement
     }
 }
 
-fn measurement_to_value(m: &Measurement, overhead_vs_noop: f64) -> serde::Value {
-    serde::Value::Obj(vec![
-        (
-            "recorder".to_string(),
-            serde::Value::Str(m.recorder.to_string()),
-        ),
-        ("wall_ms".to_string(), serde::Value::F64(m.wall_ms)),
-        (
-            "events_retained".to_string(),
-            serde::Value::U64(m.events_retained),
-        ),
-        (
-            "events_overwritten".to_string(),
-            serde::Value::U64(m.events_overwritten),
-        ),
-        (
-            "overhead_vs_noop".to_string(),
-            serde::Value::F64(overhead_vs_noop),
-        ),
-    ])
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = flag_value(&args, "--label").unwrap_or_else(|| "current".to_string());
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_observe.json".to_string());
-    let repeats: usize = flag_value(&args, "--repeats")
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(5);
+    let args = BenchArgs::parse("BENCH_observe.json", 5);
+    let (smoke, check, label, out_path, repeats) =
+        (args.smoke, args.check, &args.label, &args.out, args.repeats);
     let tasks = if smoke { 300 } else { 2000 };
 
     println!(
@@ -260,16 +232,16 @@ fn main() {
     let mut results = Vec::new();
     let mut noop_ms = f64::NAN;
     for recorder in recorders {
-        let m = measure(recorder, tasks, repeats);
+        let mut m = measure(recorder, tasks, repeats);
         if recorder == "noop" {
             noop_ms = m.wall_ms;
         }
-        let overhead = m.wall_ms / noop_ms;
+        m.overhead_vs_noop = m.wall_ms / noop_ms;
         println!(
             "{:<22} {:>10.2} {:>9.2}x {:>12} {:>12}",
-            m.recorder, m.wall_ms, overhead, m.events_retained, m.events_overwritten
+            m.recorder, m.wall_ms, m.overhead_vs_noop, m.events_retained, m.events_overwritten
         );
-        results.push((m, overhead));
+        results.push(m);
     }
 
     let (merge_agents, merge_hops) = if smoke { (8, 400) } else { (32, 8_000) };
@@ -281,69 +253,27 @@ fn main() {
     );
 
     // Merge into the output file, preserving other labels.
-    let mut runs: Vec<(String, serde::Value)> = match std::fs::read_to_string(&out_path) {
-        Ok(text) => serde::json::parse(&text)
-            .ok()
-            .and_then(|doc| {
-                doc.get("runs")
-                    .and_then(|r| r.as_obj().map(<[(String, serde::Value)]>::to_vec))
-            })
-            .unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    let entry = serde::Value::Obj(vec![
-        (
-            "scale".to_string(),
-            serde::Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("tasks".to_string(), serde::Value::U64(tasks as u64)),
-        ("repeats".to_string(), serde::Value::U64(repeats as u64)),
-        (
-            "ring_capacity".to_string(),
-            serde::Value::U64(RING_CAPACITY as u64),
-        ),
-        (
-            "results".to_string(),
-            serde::Value::Arr(
-                results
-                    .iter()
-                    .map(|(m, o)| measurement_to_value(m, *o))
-                    .collect(),
+    args.record_run(
+        "observe-ring",
+        Vec::new(),
+        vec![
+            ("tasks".to_string(), serde::Value::U64(tasks as u64)),
+            args.repeats_field(),
+            (
+                "ring_capacity".to_string(),
+                serde::Value::U64(RING_CAPACITY as u64),
             ),
-        ),
-        (
-            "merge".to_string(),
-            serde::Value::Obj(vec![
-                ("agents".to_string(), serde::Value::U64(mm.agents as u64)),
-                ("hops".to_string(), serde::Value::U64(mm.hops as u64)),
-                (
-                    "merged_events".to_string(),
-                    serde::Value::U64(mm.merged_events),
-                ),
-                ("merge_ms".to_string(), serde::Value::F64(mm.merge_ms)),
-            ]),
-        ),
-    ]);
-    runs.retain(|(k, _)| *k != label);
-    runs.push((label.clone(), entry));
-    let doc = serde::Value::Obj(vec![
-        (
-            "bench".to_string(),
-            serde::Value::Str("observe-ring".to_string()),
-        ),
-        ("runs".to_string(), serde::Value::Obj(runs)),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, doc.to_string() + "\n") {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+            results_value(&results),
+            ("merge".to_string(), serde::Serialize::to_json_value(&mm)),
+        ],
+    );
     println!("\nwrote {} result(s) to {out_path}", results.len());
 
     if check {
         let ring_overhead = results
             .iter()
-            .find(|(m, _)| m.recorder == "ring")
-            .map(|(_, o)| *o)
+            .find(|m| m.recorder == "ring")
+            .map(|m| m.overhead_vs_noop)
             .unwrap_or(f64::INFINITY);
         if ring_overhead > 2.0 {
             eprintln!(

@@ -17,62 +17,20 @@
 //! wall time of the same case/scheduler under any other stored label —
 //! a loud tripwire for hot-path regressions.
 
-use continuum_bench::sched_bench::{cases, measure, SchedMeasurement, SCHEDULERS};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts heap allocations on the placement path. Deallocations and
-/// reallocations are not counted: the metric is "how many times the
-/// scheduler asked the allocator for memory".
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic with no other side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use continuum_bench::alloc::CountingAllocator;
+use continuum_bench::cli::{results_value, stored_f64, stored_str, stored_u64, BenchArgs};
+use continuum_bench::sched_bench::{cases, measure, SCHEDULERS};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn measurement_to_value(m: &SchedMeasurement) -> serde::Value {
-    serde::Serialize::to_json_value(m)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = flag_value(&args, "--label").unwrap_or_else(|| "current".to_string());
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_sched.json".to_string());
-    let repeats: usize = flag_value(&args, "--repeats")
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(3);
+    let args = BenchArgs::parse("BENCH_sched.json", 3);
+    let (smoke, label, out_path) = (args.smoke, &args.label, &args.out);
 
     println!(
         "scheduling macro-bench — 100-node platform, {} scale, label `{label}`",
-        if smoke { "smoke" } else { "full" }
+        args.scale()
     );
     println!(
         "{:<10} {:<14} {:>7} {:>12} {:>10} {:>12} {:>12}",
@@ -81,9 +39,7 @@ fn main() {
     let mut results = Vec::new();
     for case in cases(smoke) {
         for sched in SCHEDULERS {
-            let m = measure(&case, sched, repeats, || {
-                ALLOCATIONS.load(Ordering::Relaxed)
-            });
+            let m = measure(&case, sched, args.repeats);
             println!(
                 "{:<10} {:<14} {:>7} {:>12.1} {:>10.2} {:>12.0} {:>12}",
                 m.case,
@@ -99,91 +55,36 @@ fn main() {
     }
 
     // Merge into the output file, preserving other labels.
-    let mut runs: Vec<(String, serde::Value)> = match std::fs::read_to_string(&out_path) {
-        Ok(text) => serde::json::parse(&text)
-            .ok()
-            .and_then(|doc| {
-                doc.get("runs")
-                    .and_then(|r| r.as_obj().map(<[(String, serde::Value)]>::to_vec))
-            })
-            .unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    let entry = serde::Value::Obj(vec![
-        (
-            "scale".to_string(),
-            serde::Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("repeats".to_string(), serde::Value::U64(repeats as u64)),
-        (
-            "results".to_string(),
-            serde::Value::Arr(results.iter().map(measurement_to_value).collect()),
-        ),
-    ]);
-    runs.retain(|(k, _)| *k != label);
-    runs.push((label.clone(), entry));
-    let doc = serde::Value::Obj(vec![
-        (
-            "bench".to_string(),
-            serde::Value::Str("sched-macro".to_string()),
-        ),
-        ("platform_nodes".to_string(), serde::Value::U64(100)),
-        ("runs".to_string(), serde::Value::Obj(runs.clone())),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, doc.to_string() + "\n") {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let runs = args.record_run(
+        "sched-macro",
+        vec![("platform_nodes".to_string(), serde::Value::U64(100))],
+        vec![args.repeats_field(), results_value(&results)],
+    );
     println!("\nwrote {} result(s) to {out_path}", results.len());
 
     // Cross-label comparison (and the --check regression tripwire).
-    let mut regressed = false;
-    for (other_label, other) in &runs {
-        if *other_label == label {
-            continue;
-        }
-        let Some(other_results) = other.get("results").and_then(serde::Value::as_arr) else {
-            continue;
-        };
-        let same_scale = other.get("scale").and_then(serde::Value::as_str)
-            == Some(if smoke { "smoke" } else { "full" });
-        println!("\nlabel `{label}` vs `{other_label}`:");
-        for m in &results {
-            let found = other_results.iter().find(|r| {
-                r.get("case").and_then(serde::Value::as_str) == Some(&m.case)
-                    && r.get("scheduler").and_then(serde::Value::as_str) == Some(&m.scheduler)
-            });
-            let Some(found) = found else { continue };
-            let other_ms = found
-                .get("wall_ms")
-                .and_then(serde::Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let other_allocs = found
-                .get("allocations")
-                .and_then(serde::Value::as_u64)
-                .unwrap_or(0);
-            let speedup = other_ms / m.wall_ms;
+    let regressed = args.compare_labels(
+        &runs,
+        &results,
+        |m, r| {
+            stored_str(r, "case") == Some(&m.case)
+                && stored_str(r, "scheduler") == Some(&m.scheduler)
+        },
+        |m, r| {
+            let other_ms = stored_f64(r, "wall_ms");
+            let other_allocs = stored_u64(r, "allocations").unwrap_or(0);
             let alloc_ratio = if m.allocations > 0 {
                 other_allocs as f64 / m.allocations as f64
             } else {
                 f64::INFINITY
             };
-            println!(
-                "  {:<10} {:<14} wall {:>8.2} ms vs {:>8.2} ms ({:>5.2}x), allocs {:>10} vs {:>10} ({:>5.2}x)",
-                m.case, m.scheduler, m.wall_ms, other_ms, speedup, m.allocations, other_allocs, alloc_ratio
+            let line = format!(
+                "{:<10} {:<14} wall {:>8.2} ms vs {:>8.2} ms ({:>5.2}x), allocs {:>10} vs {:>10} ({:>5.2}x)",
+                m.case, m.scheduler, m.wall_ms, other_ms, other_ms / m.wall_ms, m.allocations, other_allocs, alloc_ratio
             );
-            // Only same-scale runs are comparable for the tripwire.
-            if check && same_scale && m.wall_ms > other_ms * 3.0 {
-                eprintln!(
-                    "  REGRESSION: {}/{} is {:.2}x slower than label `{other_label}`",
-                    m.case,
-                    m.scheduler,
-                    m.wall_ms / other_ms
-                );
-                regressed = true;
-            }
-        }
-    }
+            (line, Some((m.wall_ms, other_ms)))
+        },
+    );
     if regressed {
         std::process::exit(2);
     }

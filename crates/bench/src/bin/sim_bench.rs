@@ -1,6 +1,6 @@
 //! Paper-scale SimRuntime macro-benchmark driver: times lazy GWAS
-//! campaigns at 10⁴–10⁶ tasks under both event-queue backends and
-//! records the results in a labelled, mergeable JSON file.
+//! campaigns at 10⁴–10⁶ tasks and records the results in a labelled,
+//! mergeable JSON file.
 //!
 //! ```text
 //! cargo run --release -p continuum-bench --bin sim_bench -- --label lazy
@@ -10,98 +10,27 @@
 //! `--label <name>` stores this binary's measurements under that name
 //! in the output file (default `BENCH_sim.json`), preserving runs
 //! recorded under other labels. `--smoke` keeps only the 10⁴-task
-//! campaign for CI. `--check` asserts the calendar and binary-heap
-//! backends produce bit-for-bit identical execution traces and exits
-//! non-zero otherwise — the schedule-identity guarantee the calendar
-//! queue is held to.
+//! campaign for CI. `--check` exits non-zero if a run allocates more
+//! than once per four tasks — the tripwire for an allocation creeping
+//! back onto the per-task path.
 
-use continuum_bench::sim_bench::{cases, measure, SimMeasurement};
-use continuum_runtime::EventQueueKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts heap allocations and tracks peak live bytes. Allocation
-/// count is "how many times the engine asked the allocator for
-/// memory"; peak bytes is the resident high-water mark of everything
-/// allocated through this process (campaign state included).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counters are
-// relaxed atomics with no other side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let live =
-            LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let old = layout.size() as u64;
-        let new = new_size as u64;
-        if new >= old {
-            let live = LIVE_BYTES.fetch_add(new - old, Ordering::Relaxed) + (new - old);
-            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        } else {
-            LIVE_BYTES.fetch_sub(old - new, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use continuum_bench::alloc::CountingAllocator;
+use continuum_bench::cli::{results_value, BenchArgs};
+use continuum_bench::sim_bench::{cases, check_violations, measure};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn alloc_stats() -> (u64, u64) {
-    (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        PEAK_BYTES.load(Ordering::Relaxed),
-    )
-}
-
-/// Rebases the peak tracker to the current live level, so each run's
-/// peak reflects that run and not an earlier, larger one.
-fn reset_peak() {
-    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn measurement_to_value(m: &SimMeasurement) -> serde::Value {
-    serde::Serialize::to_json_value(m)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = flag_value(&args, "--label").unwrap_or_else(|| "current".to_string());
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
-
+    let args = BenchArgs::parse("BENCH_sim.json", 1);
     println!(
-        "sim macro-bench — lazy GWAS campaigns, {} scale, label `{label}`",
-        if smoke { "smoke" } else { "full" }
+        "sim macro-bench — lazy GWAS campaigns, {} scale, label `{}`",
+        args.scale(),
+        args.label
     );
     println!(
-        "{:<6} {:<9} {:>9} {:>9} {:>10} {:>12} {:>10} {:>10} {:>9} {:>12}",
+        "{:<6} {:>9} {:>9} {:>10} {:>12} {:>10} {:>10} {:>9} {:>10} {:>12}",
         "case",
-        "backend",
         "tasks",
         "events",
         "wall_ms",
@@ -109,82 +38,40 @@ fn main() {
         "peak_mat",
         "peak_vals",
         "peak_evq",
+        "allocs",
         "peak_bytes"
     );
     let mut results = Vec::new();
-    let mut mismatched = false;
-    for case in cases(smoke) {
-        let mut traces = Vec::new();
-        for backend in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-            reset_peak();
-            let (m, trace) = measure(&case, backend, alloc_stats);
-            println!(
-                "{:<6} {:<9} {:>9} {:>9} {:>10.1} {:>12.0} {:>10} {:>10} {:>9} {:>12}",
-                m.case,
-                m.backend,
-                m.tasks,
-                m.events,
-                m.wall_ms,
-                m.events_per_sec,
-                m.peak_materialized_tasks,
-                m.peak_live_values,
-                m.peak_event_queue,
-                m.peak_resident_bytes
-            );
-            results.push(m);
-            if check {
-                traces.push(trace);
-            }
-        }
-        if check && traces.len() == 2 && traces[0] != traces[1] {
-            eprintln!(
-                "MISMATCH: calendar and heap traces differ at scale {}",
-                case.name
-            );
-            mismatched = true;
-        }
-    }
-    if check && !mismatched {
-        println!("\ncheck: calendar and heap execution traces are identical at every scale");
+    for case in cases(args.smoke) {
+        let m = measure(&case);
+        println!(
+            "{:<6} {:>9} {:>9} {:>10.1} {:>12.0} {:>10} {:>10} {:>9} {:>10} {:>12}",
+            m.case,
+            m.tasks,
+            m.events,
+            m.wall_ms,
+            m.events_per_sec,
+            m.peak_materialized_tasks,
+            m.peak_live_values,
+            m.peak_event_queue,
+            m.allocations,
+            m.peak_resident_bytes
+        );
+        results.push(m);
     }
 
-    // Merge into the output file, preserving other labels.
-    let mut runs: Vec<(String, serde::Value)> = match std::fs::read_to_string(&out_path) {
-        Ok(text) => serde::json::parse(&text)
-            .ok()
-            .and_then(|doc| {
-                doc.get("runs")
-                    .and_then(|r| r.as_obj().map(<[(String, serde::Value)]>::to_vec))
-            })
-            .unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    let entry = serde::Value::Obj(vec![
-        (
-            "scale".to_string(),
-            serde::Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        (
-            "results".to_string(),
-            serde::Value::Arr(results.iter().map(measurement_to_value).collect()),
-        ),
-    ]);
-    runs.retain(|(k, _)| *k != label);
-    runs.push((label.clone(), entry));
-    let doc = serde::Value::Obj(vec![
-        (
-            "bench".to_string(),
-            serde::Value::Str("sim-macro".to_string()),
-        ),
-        ("runs".to_string(), serde::Value::Obj(runs)),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, doc.to_string() + "\n") {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let violations = check_violations(&results);
+    for v in &violations {
+        eprintln!("VIOLATION: {v}");
     }
-    println!("wrote {} result(s) to {out_path}", results.len());
+    if violations.is_empty() {
+        println!("\ninvariant: no run allocates more than once per four tasks");
+    }
 
-    if mismatched {
+    args.record_run("sim-macro", Vec::new(), vec![results_value(&results)]);
+    println!("wrote {} result(s) to {}", results.len(), args.out);
+
+    if args.check && !violations.is_empty() {
         std::process::exit(2);
     }
 }

@@ -19,60 +19,37 @@
 //! run, and no case/worker pair may regress more than 3× the streamed
 //! wall time of the same pair under any other same-scale stored label.
 
+use continuum_bench::alloc::CountingAllocator;
+use continuum_bench::cli::{results_value, stored_f64, stored_str, stored_u64, BenchArgs};
 use continuum_bench::stream_bench::{
     cases, check_violations, measure_local, measure_sim, worker_counts, StreamMeasurement,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts heap allocations on every thread, including workers. The
-/// metric is "how many times the channel subsystem asked the allocator
-/// for memory while moving a window of elements".
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic with no other side effects.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn print_row(m: StreamMeasurement) -> StreamMeasurement {
+    println!(
+        "{:<6} {:<20} {:>7} {:>8} {:>12.2} {:>12.2} {:>7.2}x {:>10}",
+        m.engine,
+        m.case,
+        m.workers,
+        m.elements,
+        m.streamed_ms,
+        m.batch_ms,
+        m.speedup,
+        m.allocations
+    );
+    m
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = flag_value(&args, "--label").unwrap_or_else(|| "current".to_string());
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_stream.json".to_string());
-    let repeats: usize = flag_value(&args, "--repeats")
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(3);
+    let args = BenchArgs::parse("BENCH_stream.json", 3);
+    let (smoke, check, label, out_path) = (args.smoke, args.check, &args.label, &args.out);
 
     println!(
         "streaming-pipeline macro-bench — {} scale, label `{label}`",
-        if smoke { "smoke" } else { "full" }
+        args.scale()
     );
     println!(
         "{:<6} {:<20} {:>7} {:>8} {:>12} {:>12} {:>8} {:>10}",
@@ -86,36 +63,10 @@ fn main() {
             if workers < case.min_workers() {
                 continue;
             }
-            let m = measure_local(&case, workers, repeats, || {
-                ALLOCATIONS.load(Ordering::Relaxed)
-            });
-            println!(
-                "{:<6} {:<20} {:>7} {:>8} {:>12.2} {:>12.2} {:>7.2}x {:>10}",
-                m.engine,
-                m.case,
-                m.workers,
-                m.elements,
-                m.streamed_ms,
-                m.batch_ms,
-                m.speedup,
-                m.allocations
-            );
-            results.push(m);
+            results.push(print_row(measure_local(&case, workers, args.repeats)));
         }
     }
-    let m = measure_sim(if smoke { 32 } else { 256 });
-    println!(
-        "{:<6} {:<20} {:>7} {:>8} {:>12.2} {:>12.2} {:>7.2}x {:>10}",
-        m.engine,
-        m.case,
-        m.workers,
-        m.elements,
-        m.streamed_ms,
-        m.batch_ms,
-        m.speedup,
-        m.allocations
-    );
-    results.push(m);
+    results.push(print_row(measure_sim(if smoke { 32 } else { 256 })));
 
     // -- invariant check: overlap wins, identical sink checksums --------
     let violations = check_violations(&results);
@@ -130,76 +81,26 @@ fn main() {
     }
 
     // -- merge into the output file, preserving other labels ------------
-    let mut runs: Vec<(String, serde::Value)> = match std::fs::read_to_string(&out_path) {
-        Ok(text) => serde::json::parse(&text)
-            .ok()
-            .and_then(|doc| {
-                doc.get("runs")
-                    .and_then(|r| r.as_obj().map(<[(String, serde::Value)]>::to_vec))
-            })
-            .unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    let entry = serde::Value::Obj(vec![
-        (
-            "scale".to_string(),
-            serde::Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("repeats".to_string(), serde::Value::U64(repeats as u64)),
-        (
-            "results".to_string(),
-            serde::Value::Arr(
-                results
-                    .iter()
-                    .map(serde::Serialize::to_json_value)
-                    .collect(),
-            ),
-        ),
-    ]);
-    runs.retain(|(k, _)| *k != label);
-    runs.push((label.clone(), entry));
-    let doc = serde::Value::Obj(vec![
-        (
-            "bench".to_string(),
-            serde::Value::Str("stream-pipeline".to_string()),
-        ),
-        ("runs".to_string(), serde::Value::Obj(runs.clone())),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, doc.to_string() + "\n") {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let runs = args.record_run(
+        "stream-pipeline",
+        Vec::new(),
+        vec![args.repeats_field(), results_value(&results)],
+    );
     println!("wrote {} result(s) to {out_path}", results.len());
 
     // -- cross-label comparison (and the --check regression tripwire) ---
-    let mut regressed = false;
-    for (other_label, other) in &runs {
-        if *other_label == label {
-            continue;
-        }
-        let Some(other_results) = other.get("results").and_then(serde::Value::as_arr) else {
-            continue;
-        };
-        let same_scale = other.get("scale").and_then(serde::Value::as_str)
-            == Some(if smoke { "smoke" } else { "full" });
-        println!("\nlabel `{label}` vs `{other_label}`:");
-        for m in &results {
-            let found = other_results.iter().find(|r| {
-                r.get("engine").and_then(serde::Value::as_str) == Some(&m.engine)
-                    && r.get("case").and_then(serde::Value::as_str) == Some(&m.case)
-                    && r.get("workers").and_then(serde::Value::as_u64) == Some(m.workers as u64)
-            });
-            let Some(found) = found else { continue };
-            let other_streamed = found
-                .get("streamed_ms")
-                .and_then(serde::Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let other_speedup = found
-                .get("speedup")
-                .and_then(serde::Value::as_f64)
-                .unwrap_or(f64::NAN);
-            println!(
-                "  {:<6} {:<20} {:>2}w streamed {:>9.2} ms vs {:>9.2} ms ({:>5.2}x), speedup {:>5.2}x vs {:>5.2}x",
+    let regressed = args.compare_labels(
+        &runs,
+        &results,
+        |m, r| {
+            stored_str(r, "engine") == Some(&m.engine)
+                && stored_str(r, "case") == Some(&m.case)
+                && stored_u64(r, "workers") == Some(m.workers as u64)
+        },
+        |m, r| {
+            let other_streamed = stored_f64(r, "streamed_ms");
+            let line = format!(
+                "{:<6} {:<20} {:>2}w streamed {:>9.2} ms vs {:>9.2} ms ({:>5.2}x), speedup {:>5.2}x vs {:>5.2}x",
                 m.engine,
                 m.case,
                 m.workers,
@@ -207,26 +108,16 @@ fn main() {
                 other_streamed,
                 other_streamed / m.streamed_ms,
                 m.speedup,
-                other_speedup
+                stored_f64(r, "speedup")
             );
-            // Only same-scale local wall-clock rows are comparable for
-            // the tripwire; sim rows are exact and covered by the
-            // strict streamed-below-batch invariant above.
-            if check && same_scale && m.engine == "local" && m.streamed_ms > other_streamed * 3.0 {
-                eprintln!(
-                    "  REGRESSION: {}/{}w streamed is {:.2}x slower than label `{other_label}`",
-                    m.case,
-                    m.workers,
-                    m.streamed_ms / other_streamed
-                );
-                regressed = true;
-            }
-        }
-    }
-    if check && !violations.is_empty() {
-        std::process::exit(2);
-    }
-    if regressed {
+            // Only local wall-clock rows are comparable for the
+            // tripwire; sim rows are exact and covered by the strict
+            // streamed-below-batch invariant above.
+            let gate = (m.engine == "local").then_some((m.streamed_ms, other_streamed));
+            (line, gate)
+        },
+    );
+    if (check && !violations.is_empty()) || regressed {
         std::process::exit(2);
     }
 }

@@ -15,9 +15,11 @@
 //! scale, so `cargo test` verifies the claimed *shapes* (who wins, by
 //! roughly what factor) hold.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alloc;
+pub mod cli;
 pub mod e01_scalability;
 pub mod e02_memory;
 pub mod e03_nmmb;

@@ -27,6 +27,7 @@
 //! cargo run --release -p continuum-bench --bin local_bench -- --smoke --check
 //! ```
 
+use crate::alloc;
 use continuum_dag::TaskSpec;
 use continuum_platform::Constraints;
 use continuum_runtime::{LocalConfig, LocalRuntime};
@@ -381,15 +382,8 @@ pub fn reference_outcome(case: &LocalCase, workers: usize) -> RunOutcome {
 }
 
 /// Runs `case` at `workers` threads `repeats` times and reports the
-/// fastest run. `alloc_count` samples a monotone allocation counter
-/// (the `local_bench` binary installs a counting global allocator and
-/// passes its reader; library callers can pass `|| 0`).
-pub fn measure(
-    case: &LocalCase,
-    workers: usize,
-    repeats: usize,
-    alloc_count: impl Fn() -> u64,
-) -> LocalMeasurement {
+/// fastest run.
+pub fn measure(case: &LocalCase, workers: usize, repeats: usize) -> LocalMeasurement {
     let mut best_ms = f64::INFINITY;
     let mut allocations = 0;
     let mut live_peak = 0;
@@ -398,9 +392,9 @@ pub fn measure(
     let mut checksum = 0;
     let mut completed = 0;
     for _ in 0..repeats.max(1) {
-        let allocs_before = alloc_count();
+        let allocs_before = alloc::allocations();
         let r = run_once(case, workers);
-        allocations = alloc_count() - allocs_before;
+        allocations = alloc::allocations() - allocs_before;
         best_ms = best_ms.min(r.wall_ms);
         live_peak = live_peak.max(r.live_peak);
         parked_peak = parked_peak.max(r.parked_peak);
@@ -446,7 +440,7 @@ mod tests {
             .into_iter()
             .find(|c| c.name == "await-heavy")
             .expect("case exists");
-        let m = measure(&case, 2, 1, || 0);
+        let m = measure(&case, 2, 1);
         assert_eq!(m.tasks, case.tasks);
         assert!(
             m.parked_peak >= case.tasks * 9 / 10,
@@ -468,7 +462,7 @@ mod tests {
     #[test]
     fn measure_reports_consistent_rates() {
         let case = &cases(true)[0];
-        let m = measure(case, 2, 1, || 0);
+        let m = measure(case, 2, 1);
         assert_eq!(m.tasks, case.tasks);
         assert!(m.wall_ms.is_finite() && m.wall_ms > 0.0);
         assert!(m.tasks_per_sec > 0.0);

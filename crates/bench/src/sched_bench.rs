@@ -20,6 +20,7 @@
 //! cargo bench -p continuum-bench --bench sched
 //! ```
 
+use crate::alloc;
 use continuum_platform::{NodeSpec, Platform, PlatformBuilder};
 use continuum_runtime::{
     EnergyScheduler, FifoScheduler, ListScheduler, LocalityScheduler, Scheduler, SimOptions,
@@ -111,21 +112,14 @@ pub struct SchedMeasurement {
     pub wall_ms: f64,
     /// Tasks scheduled per wall-clock second (best repeat).
     pub tasks_per_sec: f64,
-    /// Heap allocations performed during one run (0 when the caller
-    /// provides no allocation counter).
+    /// Heap allocations performed during one run (0 in a process that
+    /// does not register [`crate::alloc::CountingAllocator`]).
     pub allocations: u64,
 }
 
 /// Runs `case` under scheduler `sched` `repeats` times and reports the
-/// fastest run. `alloc_count` samples a monotone allocation counter
-/// (the `sched_bench` binary installs a counting global allocator and
-/// passes its reader; library callers can pass `|| 0`).
-pub fn measure(
-    case: &SchedCase,
-    sched: &str,
-    repeats: usize,
-    alloc_count: impl Fn() -> u64,
-) -> SchedMeasurement {
+/// fastest run.
+pub fn measure(case: &SchedCase, sched: &str, repeats: usize) -> SchedMeasurement {
     let runtime = SimRuntime::new(case.platform.clone(), SimOptions::default());
     let faults = FaultPlan::new();
     let mut best_ms = f64::INFINITY;
@@ -134,13 +128,13 @@ pub fn measure(
     let mut allocations = 0;
     for _ in 0..repeats.max(1) {
         let mut scheduler = make_scheduler(sched, &case.workload);
-        let allocs_before = alloc_count();
+        let allocs_before = alloc::allocations();
         let start = Instant::now();
         let report = runtime
             .run(&case.workload, scheduler.as_mut(), &faults)
             .expect("bench workload completes");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        allocations = alloc_count() - allocs_before;
+        allocations = alloc::allocations() - allocs_before;
         tasks = report.tasks_completed;
         makespan_s = report.makespan_s;
         best_ms = best_ms.min(wall_ms);
@@ -164,7 +158,7 @@ mod tests {
     fn smoke_cases_run_under_every_scheduler() {
         for case in cases(true) {
             for sched in SCHEDULERS {
-                let m = measure(&case, sched, 1, || 0);
+                let m = measure(&case, sched, 1);
                 assert_eq!(
                     m.tasks,
                     case.workload.graph().len(),

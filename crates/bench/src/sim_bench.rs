@@ -6,9 +6,7 @@
 //! Two things are measured per scale:
 //!
 //! * **event throughput** — discrete events processed per wall-clock
-//!   second, under both event-queue backends (the calendar queue and
-//!   the binary-heap reference), which bounds simulation fidelity at
-//!   campaign scale;
+//!   second, which bounds simulation fidelity at campaign scale;
 //! * **residency** — peak materialized tasks, peak live values and
 //!   peak heap bytes, which lazy materialization keeps proportional to
 //!   the frontier (window + one chromosome) rather than the campaign.
@@ -20,14 +18,13 @@
 //! cargo run --release -p continuum-bench --bin sim_bench -- --smoke --check
 //! ```
 //!
-//! `--check` additionally asserts the calendar and heap backends
-//! produce bit-for-bit identical execution traces.
+//! `--check` fails a run that allocates more than once per four tasks
+//! (see [`check_violations`]).
 
+use crate::alloc;
 use continuum_platform::{NodeSpec, Platform, PlatformBuilder};
-use continuum_runtime::{
-    EventQueueKind, LazyRunOutcome, LocalityScheduler, SimOptions, SimRuntime,
-};
-use continuum_sim::{ExecutionTrace, FaultPlan};
+use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime};
+use continuum_sim::FaultPlan;
 use continuum_workflows::GwasWorkload;
 use serde::Serialize;
 use std::time::Instant;
@@ -91,13 +88,11 @@ pub fn cases(smoke: bool) -> Vec<SimCase> {
     v
 }
 
-/// One timed lazy run of one scale under one event-queue backend.
+/// One timed lazy run of one scale.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimMeasurement {
     /// Scale name.
     pub case: String,
-    /// Event-queue backend (`calendar` or `heap`).
-    pub backend: String,
     /// Tasks completed (the whole campaign).
     pub tasks: usize,
     /// Discrete events processed.
@@ -123,28 +118,20 @@ pub struct SimMeasurement {
     pub peak_resident_bytes: u64,
 }
 
-/// Runs `case` lazily under `backend`, returning the measurement and
-/// the execution trace (for cross-backend identity checks).
-/// `alloc_stats` samples `(allocation count, peak live bytes)` from a
-/// counting global allocator; library callers can pass `|| (0, 0)`.
+/// Runs `case` lazily and measures it. Allocations and peak bytes come
+/// from [`crate::alloc`] and are 0 in a process that does not register
+/// its allocator.
 ///
 /// # Panics
 ///
 /// Panics if the campaign fails to complete.
-pub fn measure(
-    case: &SimCase,
-    backend: EventQueueKind,
-    alloc_stats: impl Fn() -> (u64, u64),
-) -> (SimMeasurement, ExecutionTrace) {
-    let options = SimOptions {
-        event_queue: backend,
-        ..Default::default()
-    };
-    let runtime = SimRuntime::new(case.platform(), options);
+pub fn measure(case: &SimCase) -> SimMeasurement {
+    let runtime = SimRuntime::new(case.platform(), SimOptions::default());
     let mut source = case.campaign.clone().into_source(case.window);
-    let (allocs_before, _) = alloc_stats();
+    alloc::reset_peak();
+    let allocs_before = alloc::allocations();
     let start = Instant::now();
-    let outcome: LazyRunOutcome = runtime
+    let outcome = runtime
         .run_lazy(
             &mut source,
             &mut LocalityScheduler::new(),
@@ -152,14 +139,8 @@ pub fn measure(
         )
         .expect("bench campaign completes");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (allocs_after, peak_bytes) = alloc_stats();
-    let backend_name = match backend {
-        EventQueueKind::Calendar => "calendar",
-        EventQueueKind::Heap => "heap",
-    };
-    let m = SimMeasurement {
+    SimMeasurement {
         case: case.name.to_string(),
-        backend: backend_name.to_string(),
         tasks: outcome.report.tasks_completed,
         events: outcome.events_processed,
         wall_ms,
@@ -169,40 +150,69 @@ pub fn measure(
         retired_tasks: outcome.retired_tasks,
         peak_live_values: outcome.peak_live_values,
         peak_event_queue: outcome.peak_event_queue,
-        allocations: allocs_after - allocs_before,
-        peak_resident_bytes: peak_bytes,
-    };
-    (m, outcome.trace)
+        allocations: alloc::allocations() - allocs_before,
+        peak_resident_bytes: alloc::peak_bytes(),
+    }
+}
+
+/// The `--check` predicate: admission, the event loop and retirement
+/// may not allocate per task — at most one allocation per four tasks
+/// (the heap-queue engine needs about one per seven at smoke scale, for
+/// segment blocks and the window's name arenas). Returns the violations
+/// as printable lines.
+pub fn check_violations(results: &[SimMeasurement]) -> Vec<String> {
+    results
+        .iter()
+        .filter(|m| m.allocations > m.tasks as u64 / 4)
+        .map(|m| {
+            format!(
+                "{}: {} allocations for {} tasks (more than one per four: \
+                 something on the per-task path allocates again)",
+                m.case, m.allocations, m.tasks
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn smoke_scale_completes_and_backends_agree() {
+    fn sub_smoke() -> SimCase {
         // A sub-smoke campaign so `cargo test` stays fast; the real
         // 10⁴ scale runs in the binary's --smoke mode.
-        let case = SimCase {
+        SimCase {
             name: "test",
             campaign: GwasWorkload::new().chromosomes(2).chunks_per_chromosome(40),
             window: 8,
             nodes: 10,
-        };
-        let (cal, cal_trace) = measure(&case, EventQueueKind::Calendar, || (0, 0));
-        let (heap, heap_trace) = measure(&case, EventQueueKind::Heap, || (0, 0));
-        assert_eq!(cal.tasks, case.task_count());
-        assert_eq!(cal_trace, heap_trace, "backends must agree bit-for-bit");
-        assert_eq!(cal.makespan_s, heap.makespan_s);
-        assert_eq!(cal.events, heap.events);
+        }
+    }
+
+    #[test]
+    fn smoke_scale_completes_within_residency_bounds() {
+        let case = sub_smoke();
+        let m = measure(&case);
+        assert_eq!(m.tasks, case.task_count());
         // Lazy materialization keeps the frontier well under the
         // campaign size even at test scale.
         assert!(
-            cal.peak_materialized_tasks < case.task_count() / 2,
+            m.peak_materialized_tasks < case.task_count() / 2,
             "peak {} vs total {}",
-            cal.peak_materialized_tasks,
+            m.peak_materialized_tasks,
             case.task_count()
         );
-        assert!(cal.retired_tasks > 0);
+        assert!(m.retired_tasks > 0);
+    }
+
+    #[test]
+    fn check_catches_per_task_allocation() {
+        // The calendar-queue engine's smoke row: 4 412 for 9 989 tasks.
+        let mut m = measure(&sub_smoke());
+        (m.tasks, m.allocations) = (9_989, 4_412);
+        let violations = check_violations(std::slice::from_ref(&m));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        m.allocations = 9_989 / 4;
+        assert!(check_violations(&[m]).is_empty());
     }
 }

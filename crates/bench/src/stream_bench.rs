@@ -32,6 +32,7 @@
 //! cargo run --release -p continuum-bench --bin stream_bench -- --smoke --check
 //! ```
 
+use crate::alloc;
 use continuum_dag::TaskSpec;
 use continuum_platform::{Constraints, NodeSpec, PlatformBuilder};
 use continuum_runtime::{FifoScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
@@ -274,14 +275,8 @@ fn run_batch(case: &StreamCase, workers: usize) -> (u64, f64) {
 }
 
 /// Measures one local case at one worker count, best-of-`repeats` for
-/// each rendition. `alloc_count` samples a monotone allocation counter
-/// around the streamed runs (pass `|| 0` without one).
-pub fn measure_local(
-    case: &StreamCase,
-    workers: usize,
-    repeats: usize,
-    alloc_count: impl Fn() -> u64,
-) -> StreamMeasurement {
+/// each rendition.
+pub fn measure_local(case: &StreamCase, workers: usize, repeats: usize) -> StreamMeasurement {
     assert!(
         workers >= case.min_workers(),
         "case `{}` needs ≥ {} workers to stay live (got {})",
@@ -289,7 +284,7 @@ pub fn measure_local(
         case.min_workers(),
         workers
     );
-    let before = alloc_count();
+    let before = alloc::allocations();
     run_streamed(
         &StreamCase {
             elements: 0,
@@ -297,16 +292,16 @@ pub fn measure_local(
         },
         workers,
     );
-    let setup_allocations = alloc_count() - before;
+    let setup_allocations = alloc::allocations() - before;
     let mut streamed_ms = f64::INFINITY;
     let mut batch_ms = f64::INFINITY;
     let mut allocations = 0;
     let mut checksum_streamed = 0;
     let mut checksum_batch = 0;
     for _ in 0..repeats.max(1) {
-        let before = alloc_count();
+        let before = alloc::allocations();
         let (cs, sms) = run_streamed(case, workers);
-        allocations = alloc_count() - before;
+        allocations = alloc::allocations() - before;
         let (cb, bms) = run_batch(case, workers);
         streamed_ms = streamed_ms.min(sms);
         batch_ms = batch_ms.min(bms);
@@ -410,7 +405,7 @@ mod tests {
             cadence_us: 20,
             capacity: 16,
         };
-        let m = measure_local(&case, 4, 1, || 0);
+        let m = measure_local(&case, 4, 1);
         assert_eq!(m.checksum_streamed, m.checksum_batch);
         assert!(m.streamed_ms > 0.0 && m.batch_ms > 0.0);
     }

@@ -72,8 +72,8 @@ pub trait ExpandSink<P> {
 /// Implementations must be deterministic: expansion may depend only on
 /// construction parameters and the sequence of completions observed,
 /// never on wall-clock time or unseeded randomness, so that two runs of
-/// the same source produce identical graphs (the property the
-/// calendar-vs-heap `--check` equivalence relies on).
+/// the same source produce identical graphs (a lazy run is replayable,
+/// and comparable with the eager build of the same campaign).
 pub trait GraphSource<P> {
     /// Materializes the initial frontier (tasks with no predecessors,
     /// or a bounded window of them). Called exactly once, before the

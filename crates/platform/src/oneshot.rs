@@ -6,9 +6,11 @@
 //! on a service thread and [`send`](OneshotSender::send)s the reply
 //! when the blocking call finishes; the receiver side is a
 //! [`Future`] an async task awaits, parking itself (costing a waker
-//! clone, not a thread) until the reply lands. Dropping the sender
-//! without sending resolves the receiver to `None`, so a dying service
-//! thread can never strand a parked task.
+//! clone, not a thread) until the reply lands — or, for a caller that
+//! is a plain thread, [`wait`](OneshotReceiver::wait) blocks on the
+//! same future. Dropping the sender without sending resolves the
+//! receiver to `None`, so a dying service thread can never strand a
+//! parked task.
 //!
 //! The cell is executor-agnostic — it speaks only `std::task::Waker` —
 //! which keeps the lower layers of the stack free of any dependency on
@@ -19,7 +21,7 @@
 
 #![deny(clippy::await_holding_lock)]
 
-use crate::sync::Mutex;
+use crate::sync::{self, Mutex};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -62,8 +64,7 @@ pub fn channel<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
 
 impl<T> OneshotSender<T> {
     /// Delivers the reply and wakes the awaiting task. Returns `false`
-    /// if a reply was already delivered (the extra value is dropped) —
-    /// `&self` so the cell can sit behind shared reply-routing enums.
+    /// if a reply was already delivered (the extra value is dropped).
     pub fn send(&self, value: T) -> bool {
         let waker = {
             let mut s = self.inner.lock();
@@ -118,6 +119,23 @@ impl<T> Future for OneshotReceiver<T> {
             _ => s.waker = Some(cx.waker().clone()),
         }
         Poll::Pending
+    }
+}
+
+impl<T> OneshotReceiver<T> {
+    /// Blocks the calling thread until the reply lands: the same poll
+    /// as `.await`, with the thread's own unpark waker registered and
+    /// the thread parked between polls. `None` if the sender was
+    /// dropped without replying.
+    pub fn wait(mut self) -> Option<T> {
+        let waker = sync::thread_waker();
+        let mut cx = Context::from_waker(&waker);
+        loop {
+            match Pin::new(&mut self).poll(&mut cx) {
+                Poll::Ready(reply) => return reply,
+                Poll::Pending => sync::park(),
+            }
+        }
     }
 }
 
@@ -184,5 +202,30 @@ mod tests {
         drop(tx);
         assert_eq!(counter.0.load(Ordering::SeqCst), 1);
         assert_eq!(poll_once(&mut rx, &waker), Poll::Ready(None));
+    }
+
+    #[test]
+    fn wait_returns_a_reply_sent_before_the_call() {
+        let (tx, rx) = channel::<u32>();
+        assert!(tx.send(7));
+        assert_eq!(rx.wait(), Some(7));
+    }
+
+    #[test]
+    fn wait_is_woken_by_a_late_reply_or_a_dropped_sender() {
+        for reply in [Some(9), None] {
+            let (tx, rx) = channel::<u32>();
+            let waiter = std::thread::spawn(move || rx.wait());
+            // The receiver registers its waker (under the cell's lock)
+            // only on its way to `park`.
+            while tx.inner.lock().waker.is_none() {
+                std::thread::yield_now();
+            }
+            match reply {
+                Some(v) => assert!(tx.send(v)),
+                None => drop(tx),
+            }
+            assert_eq!(waiter.join().unwrap(), reply);
+        }
     }
 }

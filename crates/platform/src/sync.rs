@@ -25,6 +25,10 @@
 //! thus become the executable "body" of the operation while all
 //! blocking moves into the controller.
 
+use std::any::Any;
+use std::sync::Arc;
+use std::task::{Wake, Waker};
+
 #[cfg(feature = "conc-instrument")]
 pub use instrumented::{
     park, park_handle, AtomicBool, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, ParkHandle,
@@ -33,6 +37,48 @@ pub use instrumented::{
 pub use uninstrumented::{
     park, park_handle, AtomicBool, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, ParkHandle,
 };
+
+/// Waker that unparks a blocked OS thread: the bridge that lets a
+/// synchronous surface (`StreamChannel::send`/`recv`,
+/// `OneshotReceiver::wait`) ride the same waker protocol as async
+/// endpoints. The park/unpark token (std semantics, preserved by the
+/// instrumented layer) makes the register-then-park sequence lossless:
+/// an unpark landing between the failed poll and the park is consumed
+/// by the park.
+struct ThreadUnpark(ParkHandle);
+
+impl Wake for ThreadUnpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+thread_local! {
+    /// The calling thread's unpark waker, built on its first blocked
+    /// call: after that, blocking allocates nothing.
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadUnpark(park_handle())));
+}
+
+/// A waker that [`ParkHandle::unpark`]s the calling thread. Register
+/// it, then [`park`] in a loop that re-checks the awaited condition.
+pub fn thread_waker() -> Waker {
+    THREAD_WAKER.with(Waker::clone)
+}
+
+/// The message a caught unwind carried (`catch_unwind`'s or
+/// `JoinHandle::join`'s `Err`): `panic!`'s string, or a placeholder for
+/// a payload of any other type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
+}
 
 /// A shared `u64` cell whose accesses are deliberately reported to the
 /// race detector as **plain** (unsynchronized) reads and writes.

@@ -30,11 +30,8 @@ use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome, COMPLETE, RUNNING};
 use continuum_analyze::conc::sched::{Expect, Scenario, SchedTarget};
 use continuum_platform::oneshot;
 use continuum_platform::sync::{self, RaceCell};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
 
 /// Every instrumented target, planted races included, in the order
 /// `model_check` runs them.
@@ -49,20 +46,6 @@ pub fn sched_targets() -> Vec<SchedTarget> {
         sleeper_target(),
         deque_target(),
     ]
-}
-
-/// Waker that unparks the thread that created it (instrumented park
-/// token semantics) — the manual-poll bridge the oneshot scenario uses.
-struct ParkWaker(sync::ParkHandle);
-
-impl Wake for ParkWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
 }
 
 /// `sched::task-cell` — the real [`TaskCell`] poller/waker handshake.
@@ -192,15 +175,15 @@ fn task_cell_racy_wake_target() -> SchedTarget {
 }
 
 /// `sched::oneshot` — the real oneshot reply cell between a service
-/// thread and a manually-polled receiver that parks its thread behind
-/// a [`ParkWaker`] (the same bridge the blocking stream surface uses).
-/// Every interleaving must deliver the reply: sender-first resolves the
+/// thread and a receiver blocked in `OneshotReceiver::wait` (the path
+/// the agents' orchestrator takes for every offload). Every
+/// interleaving must deliver the reply: sender-first resolves the
 /// first poll, receiver-first parks and is woken, send-between-poll-
 /// and-park is caught by the park token.
 fn oneshot_target() -> SchedTarget {
     SchedTarget {
         name: "sched::oneshot",
-        about: "real oneshot send/poll/park: the reply arrives in every interleaving",
+        about: "real oneshot send/wait: the reply arrives in every interleaving",
         expect: Expect::Clean,
         make: Box::new(|| {
             let (tx, rx) = oneshot::channel::<u64>();
@@ -208,22 +191,9 @@ fn oneshot_target() -> SchedTarget {
 
             let receiver = {
                 let got = Arc::clone(&got);
-                let mut rx = rx;
                 move || {
-                    let waker = Waker::from(Arc::new(ParkWaker(sync::park_handle())));
-                    let mut cx = Context::from_waker(&waker);
-                    loop {
-                        match Pin::new(&mut rx).poll(&mut cx) {
-                            Poll::Ready(v) => {
-                                got.store(
-                                    v.expect("sender sent before dropping"),
-                                    Ordering::SeqCst,
-                                );
-                                return;
-                            }
-                            Poll::Pending => sync::park(),
-                        }
-                    }
+                    let v = rx.wait().expect("sender sent before dropping");
+                    got.store(v, Ordering::SeqCst);
                 }
             };
             let sender = move || {
@@ -260,21 +230,11 @@ fn oneshot_racy_publish_target() -> SchedTarget {
 
             let receiver = {
                 let side = Arc::clone(&side);
-                let mut rx = rx;
                 move || {
-                    let waker = Waker::from(Arc::new(ParkWaker(sync::park_handle())));
-                    let mut cx = Context::from_waker(&waker);
-                    loop {
-                        match Pin::new(&mut rx).poll(&mut cx) {
-                            Poll::Ready(_) => {
-                                // BUG (planted): nothing orders this
-                                // read after the sender's late write.
-                                let _ = side.get();
-                                return;
-                            }
-                            Poll::Pending => sync::park(),
-                        }
-                    }
+                    let _ = rx.wait();
+                    // BUG (planted): nothing orders this read after
+                    // the sender's late write.
+                    let _ = side.get();
                 }
             };
             let sender = {
@@ -372,7 +332,7 @@ fn stream_cancel_target() -> SchedTarget {
             ch.register_writer();
             assert!(ch.send(0u64).0, "fills the channel before any thread runs");
             // Nobody ever parks behind this waker; the unpark is a no-op.
-            let quitter = Waker::from(Arc::new(ParkWaker(sync::park_handle())));
+            let quitter = sync::thread_waker();
             let mut registered = None;
             let full = ch.poll_send(&mut Some(1u64), Some(&quitter), &mut registered);
             assert!(matches!(full, PollSend::Full));

@@ -62,10 +62,6 @@ pub use scheduler::{
 pub use sim_engine::{DataLossMode, ElasticConfig, LazyRunOutcome, SimOptions, SimRuntime};
 pub use workload::{SimWorkload, WorkloadStats};
 
-/// Event-queue backend selector ([`SimOptions::event_queue`]),
-/// re-exported from `continuum_sim` for convenience.
-pub use continuum_sim::EventQueueKind;
-
 /// Telemetry surface both engines accept in their configs
 /// ([`LocalConfig::telemetry`], [`SimOptions::telemetry`]), re-exported
 /// from [`continuum_telemetry`] for convenience.

@@ -72,6 +72,7 @@ use continuum_analyze::{
 use continuum_dag::{
     AccessProcessor, DataId, DataVersion, TaskId, TaskSpec, TaskState, VersionedData,
 };
+use continuum_platform::sync::panic_message;
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
@@ -1807,14 +1808,6 @@ fn park_poisoned(shared: &Shared) {
     shared
         .sleeper
         .sleep_until_notified(|| shared.shutdown.load(Ordering::SeqCst));
-}
-
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
 /// Runs one claimed task end to end: resolve inputs from the store,

@@ -15,8 +15,8 @@ use continuum_dag::{
 };
 use continuum_platform::{Constraints, ElasticityPolicy, NodeId, Platform, ZoneId};
 use continuum_sim::{
-    EventQueue, EventQueueKind, ExecutionTrace, FaultKind, FaultPlan, NodeState, RunReport,
-    TraceRecord, TransferLedger, TransferRecord, VirtualTime,
+    EventQueue, ExecutionTrace, FaultKind, FaultPlan, NodeState, RunReport, TraceRecord,
+    TransferLedger, TransferRecord, VirtualTime,
 };
 use continuum_telemetry::{
     micros_from_seconds, CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext,
@@ -95,12 +95,6 @@ pub struct SimOptions {
     /// [`RuntimeError::LintRejected`] when any error-severity finding
     /// exists. Default: `Off`.
     pub strict_lints: LintMode,
-    /// Event-queue backend. The calendar queue (default) is O(1)
-    /// amortized under the sim's mostly-monotone event distribution;
-    /// the binary heap is the O(log n) reference both backends are
-    /// proven schedule-identical against. Results are bit-for-bit
-    /// independent of this choice.
-    pub event_queue: EventQueueKind,
 }
 
 impl Default for SimOptions {
@@ -115,7 +109,6 @@ impl Default for SimOptions {
             telemetry: RecorderHandle::noop(),
             trace_context: None,
             strict_lints: LintMode::Off,
-            event_queue: EventQueueKind::default(),
         }
     }
 }
@@ -371,8 +364,8 @@ impl ExpandSink<TaskProfile> for LazySink<'_> {
 pub struct LazyRunOutcome {
     /// The usual run metrics.
     pub report: RunReport,
-    /// Per-task placement and timing (byte-identical across event-queue
-    /// backends for the same source and options).
+    /// Per-task placement and timing (byte-identical across runs of
+    /// the same source and options).
     pub trace: ExecutionTrace,
     /// Highest number of materialized (non-retired) tasks resident at
     /// once — the frontier high-water mark.
@@ -624,7 +617,6 @@ impl<'w, 's> Engine<'w, 's> {
             new_initial: Vec::new(),
             closed: Vec::new(),
         });
-        let queue = EventQueue::with_kind(options.event_queue);
         let mut engine = Engine {
             workload,
             scheduler,
@@ -634,7 +626,7 @@ impl<'w, 's> Engine<'w, 's> {
             nodes,
             registry: DataRegistry::new(),
             ledger: TransferLedger::new(),
-            queue,
+            queue: EventQueue::new(),
             slots: (0..num_tasks).map(|_| TaskSlot::default()).collect(),
             epoch: 0,
             reexecutions: 0,
@@ -2791,24 +2783,6 @@ mod tests {
         assert_eq!(out.retired_values, (n - 1) as u64);
         assert!(out.peak_live_values <= 3);
         assert_eq!(out.events_processed, n as u64);
-    }
-
-    #[test]
-    fn lazy_identical_across_queue_backends() {
-        let n = 40;
-        let run_with = |kind: EventQueueKind| {
-            let opts = SimOptions {
-                event_queue: kind,
-                ..Default::default()
-            };
-            let rt = SimRuntime::new(cluster(2, 2), opts);
-            let mut source = LazyChain::new(n, 0.5);
-            rt.run_lazy(&mut source, &mut FifoScheduler::new(), &FaultPlan::new())
-                .unwrap()
-        };
-        let cal = run_with(EventQueueKind::Calendar);
-        let heap = run_with(EventQueueKind::Heap);
-        assert_eq!(cal, heap);
     }
 
     #[test]

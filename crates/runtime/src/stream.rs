@@ -69,8 +69,7 @@ use crate::lockorder::{self, RANK_STREAM};
 use continuum_platform::sync::{self, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::task::{Wake, Waker};
+use std::task::Waker;
 use std::time::Instant;
 
 /// Largest queue allocated up front; a bigger capacity grows on demand.
@@ -464,7 +463,7 @@ impl StreamChannel {
             PollSend::Closed => return (false, 0),
             PollSend::Full => {}
         }
-        let waker = thread_waker();
+        let waker = sync::thread_waker();
         let t0 = Instant::now();
         loop {
             match self.poll_send(&mut slot, Some(&waker), &mut registered) {
@@ -488,7 +487,7 @@ impl StreamChannel {
             PollRecv::EndOfStream => return (None, 0),
             PollRecv::Empty => {}
         }
-        let waker = thread_waker();
+        let waker = sync::thread_waker();
         let t0 = Instant::now();
         loop {
             match self.poll_recv(Some(&waker), &mut registered) {
@@ -526,39 +525,12 @@ impl StreamChannel {
     }
 }
 
-/// Waker that unparks a blocked OS thread: the bridge that lets the
-/// synchronous `send`/`recv` surface ride the same waker protocol as
-/// async endpoints. The park/unpark token (std semantics, preserved by
-/// the instrumented layer) makes the register-then-park sequence
-/// lossless: an unpark landing between the failed poll and the park is
-/// consumed by the park.
-struct ThreadUnpark(sync::ParkHandle);
-
-impl Wake for ThreadUnpark {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
-thread_local! {
-    /// The calling thread's unpark waker, built on its first blocked
-    /// call: after that, blocking on a channel allocates nothing.
-    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadUnpark(sync::park_handle())));
-}
-
-/// A waker for the calling thread.
-fn thread_waker() -> Waker {
-    THREAD_WAKER.with(Waker::clone)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::task::Wake;
     use std::thread;
 
     /// Waker that counts how often it fired (manual-poll tests).

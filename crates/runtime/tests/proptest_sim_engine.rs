@@ -7,8 +7,7 @@
 use continuum_dag::{GraphAnalysis, TaskId, TaskSpec};
 use continuum_platform::{NodeSpec, Platform, PlatformBuilder};
 use continuum_runtime::{
-    EventQueueKind, FifoScheduler, LocalityScheduler, SimOptions, SimRuntime, SimWorkload,
-    TaskProfile,
+    FifoScheduler, LocalityScheduler, SimOptions, SimRuntime, SimWorkload, TaskProfile,
 };
 use continuum_sim::FaultPlan;
 use proptest::prelude::*;
@@ -81,17 +80,30 @@ proptest! {
             "makespan {} > sequential {}", report.makespan_s, seq);
     }
 
-    /// Determinism: identical inputs give identical reports.
+    /// Determinism: identical inputs — arbitrary DAGs, with and without
+    /// failure/recovery churn — give bit-for-bit identical reports and
+    /// traces.
     #[test]
-    fn runs_are_deterministic(seed in 0u64..500) {
-        let w = layered(seed, 4, 5, 0.3, 1_000_000);
-        let a = SimRuntime::new(platform(3, 4), SimOptions::default())
-            .run(&w, &mut LocalityScheduler::new(), &FaultPlan::new())
-            .expect("completes");
-        let b = SimRuntime::new(platform(3, 4), SimOptions::default())
-            .run(&w, &mut LocalityScheduler::new(), &FaultPlan::new())
-            .expect("completes");
-        prop_assert_eq!(a, b);
+    fn runs_are_deterministic(
+        seed in 0u64..500,
+        layers in 2usize..6,
+        width in 1usize..8,
+        fault_sel in 0u8..2,
+    ) {
+        let w = layered(seed, layers, width, 0.35, 1_000_000);
+        let faults = if fault_sel == 1 {
+            FaultPlan::new()
+                .fail_at(7.0, continuum_platform::NodeId::from_raw(0))
+                .recover_at(12.0, continuum_platform::NodeId::from_raw(0))
+        } else {
+            FaultPlan::new()
+        };
+        let run = || {
+            SimRuntime::new(platform(3, 4), SimOptions::default())
+                .run_traced(&w, &mut LocalityScheduler::new(), &faults)
+                .expect("completes")
+        };
+        prop_assert_eq!(run(), run());
     }
 
     /// More nodes never increase the FIFO makespan on fan workloads
@@ -157,38 +169,6 @@ proptest! {
         .run(&w, &mut FifoScheduler::new(), &FaultPlan::new())
         .expect("completes");
         prop_assert!(dataflow.makespan_s <= barriers.makespan_s + 1e-6);
-    }
-
-    /// The calendar event queue is schedule-identical to the binary
-    /// heap: arbitrary DAGs (including failure/recovery churn) produce
-    /// bit-for-bit identical traces and reports under both backends.
-    #[test]
-    fn queue_backends_agree_on_traces(
-        seed in 0u64..300,
-        layers in 2usize..6,
-        width in 1usize..8,
-        fault_sel in 0u8..2,
-    ) {
-        let w = layered(seed, layers, width, 0.35, 500_000);
-        let faults = if fault_sel == 1 {
-            FaultPlan::new()
-                .fail_at(7.0, continuum_platform::NodeId::from_raw(0))
-                .recover_at(12.0, continuum_platform::NodeId::from_raw(0))
-        } else {
-            FaultPlan::new()
-        };
-        let run_with = |kind: EventQueueKind| {
-            SimRuntime::new(
-                platform(3, 4),
-                SimOptions { event_queue: kind, ..SimOptions::default() },
-            )
-            .run_traced(&w, &mut LocalityScheduler::new(), &faults)
-            .expect("completes")
-        };
-        let (cal_report, cal_trace) = run_with(EventQueueKind::Calendar);
-        let (heap_report, heap_trace) = run_with(EventQueueKind::Heap);
-        prop_assert_eq!(cal_report, heap_report);
-        prop_assert_eq!(cal_trace, heap_trace);
     }
 
     /// Failures with recovery still complete every task, and at least

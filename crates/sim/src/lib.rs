@@ -33,7 +33,7 @@ mod transfer;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use node_state::NodeState;
-pub use queue::{EventQueue, EventQueueKind};
+pub use queue::EventQueue;
 pub use report::{NodeUsage, RunReport};
 pub use time::VirtualTime;
 pub use trace::{ExecutionTrace, TraceRecord};

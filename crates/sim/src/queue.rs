@@ -1,23 +1,12 @@
 //! Deterministic event queue over virtual time with stable FIFO
 //! tie-breaking for simultaneous events.
 //!
-//! Two interchangeable backends sit behind one API:
-//!
-//! * **Calendar** (the default): a calendar-queue / timing-wheel hybrid.
-//!   Near-future events land in a circular array of buckets of adaptive
-//!   width (a bitmap tracks occupied buckets, so advancing over empty
-//!   ones costs 1/64th of a scan); far-future events (fault injections,
-//!   elastic ticks) wait in an overflow min-heap and are promoted into
-//!   the wheel as the clock reaches them. Under the mostly-monotone
-//!   event distribution a discrete-event engine produces, push and pop
-//!   are O(1) amortized instead of the heap's O(log n).
-//! * **Heap**: the original `BinaryHeap` — kept as the reference
-//!   implementation the calendar backend is checked against (see
-//!   `sim_bench --check` and the property tests below).
-//!
-//! Both order events by `(time, sequence-number)`, so any two backends
-//! drain any push history in the identical order — simulations are
-//! bit-for-bit deterministic regardless of backend.
+//! One binary min-heap ordered by `(time, sequence-number)`. The
+//! engine's queue never holds more events than the platform has busy
+//! slots (a few hundred at 10⁶ tasks), where `O(log n)` is a handful of
+//! comparisons on one contiguous allocation that is reused for the whole
+//! run. DESIGN §12 has the measurements behind choosing it over a
+//! calendar queue.
 
 use crate::time::VirtualTime;
 use std::cmp::Ordering;
@@ -52,291 +41,6 @@ impl<E> Ord for HeapItem<E> {
     }
 }
 
-/// Which backend an [`EventQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventQueueKind {
-    /// Calendar-queue / timing-wheel hybrid (O(1) amortized).
-    #[default]
-    Calendar,
-    /// Binary-heap reference implementation (O(log n)).
-    Heap,
-}
-
-/// Smallest bucket width the calendar will adapt down to.
-const MIN_WIDTH: f64 = 1e-9;
-/// Bucket-count bounds (both powers of two).
-const MIN_SLOTS: usize = 64;
-const MAX_SLOTS: usize = 1 << 20;
-
-/// The calendar backend: a power-of-two circular bucket array covering
-/// `[cursor, cursor + nslots)` absolute buckets of `width` virtual
-/// seconds each, plus an overflow heap for everything beyond that
-/// horizon.
-///
-/// Invariants:
-/// * every wheel item `i` satisfies
-///   `cursor <= bucket(i.time) < cursor + nslots` where
-///   `bucket(t) = floor(t / width)` (saturating);
-/// * `cursor == bucket(now)` — the cursor is *derived* from the clock
-///   after each pop, never advanced speculatively, so late pushes at
-///   `now` always land in a visible bucket;
-/// * the overflow heap may hold events *earlier* than some wheel events
-///   (bucket widths change over time), so every pop and peek compares
-///   the wheel's minimum against the overflow minimum by `(time, seq)`.
-struct Calendar<E> {
-    slots: Vec<Vec<HeapItem<E>>>,
-    /// One bit per slot; set iff the slot is non-empty.
-    occupied: Vec<u64>,
-    nslots: usize,
-    width: f64,
-    /// Absolute bucket index of the clock: `floor(now / width)`.
-    cursor: u64,
-    wheel_len: usize,
-    overflow: BinaryHeap<HeapItem<E>>,
-    /// Retune (re-estimate width, resize buckets) when the total count
-    /// next crosses one of these thresholds.
-    grow_at: usize,
-    shrink_at: usize,
-    /// Operations since the last retune; forces a periodic retune even
-    /// at a steady population, so the bucket width tracks a drifting
-    /// inter-event gap (a width estimated from the first events of a
-    /// long run would otherwise persist forever).
-    ops: usize,
-    retune_every: usize,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
-            slots: (0..MIN_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: vec![0; MIN_SLOTS / 64],
-            nslots: MIN_SLOTS,
-            width: 1.0,
-            cursor: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            grow_at: MIN_SLOTS * 2,
-            shrink_at: 0,
-            ops: 0,
-            retune_every: MIN_SLOTS * 8,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    #[inline]
-    fn bucket(&self, time: VirtualTime) -> u64 {
-        // `as` saturates: astronomically far events all map to the last
-        // bucket index and therefore to the overflow heap, which is
-        // exactly where they belong.
-        (time.as_seconds() / self.width) as u64
-    }
-
-    #[inline]
-    fn horizon(&self) -> u64 {
-        self.cursor.saturating_add(self.nslots as u64)
-    }
-
-    fn insert(&mut self, item: HeapItem<E>) {
-        let bucket = self.bucket(item.time);
-        debug_assert!(bucket >= self.cursor, "event behind the clock");
-        if bucket >= self.horizon() {
-            self.overflow.push(item);
-        } else {
-            let slot = (bucket & (self.nslots as u64 - 1)) as usize;
-            self.slots[slot].push(item);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.wheel_len += 1;
-        }
-    }
-
-    fn push(&mut self, now: VirtualTime, item: HeapItem<E>) {
-        self.insert(item);
-        self.ops += 1;
-        if self.len() >= self.grow_at || self.ops >= self.retune_every {
-            self.retune(now);
-        }
-    }
-
-    /// First occupied slot at or after the cursor's slot in circular
-    /// order — i.e. the wheel's minimum absolute bucket. `None` when
-    /// the wheel is empty.
-    fn first_occupied(&self) -> Option<usize> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let start = (self.cursor & (self.nslots as u64 - 1)) as usize;
-        let words = self.occupied.len();
-        let (start_word, start_bit) = (start / 64, start % 64);
-        // First partial word, then whole words wrapping around, then the
-        // partial word again from the other side.
-        let masked = self.occupied[start_word] & (!0u64 << start_bit);
-        if masked != 0 {
-            return Some(start_word * 64 + masked.trailing_zeros() as usize);
-        }
-        for i in 1..words {
-            let w = (start_word + i) % words;
-            if self.occupied[w] != 0 {
-                return Some(w * 64 + self.occupied[w].trailing_zeros() as usize);
-            }
-        }
-        let masked = self.occupied[start_word] & !(!0u64 << start_bit);
-        if masked != 0 {
-            return Some(start_word * 64 + masked.trailing_zeros() as usize);
-        }
-        None
-    }
-
-    /// Index of the `(time, seq)`-minimum within a slot's vector.
-    fn slot_min(&self, slot: usize) -> usize {
-        let v = &self.slots[slot];
-        let mut best = 0;
-        for (i, item) in v.iter().enumerate().skip(1) {
-            if (item.time, item.seq) < (v[best].time, v[best].seq) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn peek(&self) -> Option<(VirtualTime, u64)> {
-        let wheel = self.first_occupied().map(|slot| {
-            let i = self.slot_min(slot);
-            let item = &self.slots[slot][i];
-            (item.time, item.seq)
-        });
-        let over = self.overflow.peek().map(|i| (i.time, i.seq));
-        match (wheel, over) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        }
-    }
-
-    fn pop(&mut self) -> Option<HeapItem<E>> {
-        let wheel_slot = self.first_occupied();
-        let wheel_key = wheel_slot.map(|slot| {
-            let i = self.slot_min(slot);
-            let item = &self.slots[slot][i];
-            ((item.time, item.seq), slot, i)
-        });
-        let over_key = self.overflow.peek().map(|i| (i.time, i.seq));
-        let item = match (wheel_key, over_key) {
-            (None, None) => return None,
-            (Some((_, slot, i)), None) => self.take(slot, i),
-            (None, Some(_)) => self.overflow.pop().expect("peeked"),
-            (Some((wk, slot, i)), Some(ok)) => {
-                if wk <= ok {
-                    self.take(slot, i)
-                } else {
-                    self.overflow.pop().expect("peeked")
-                }
-            }
-        };
-        self.cursor = self.bucket(item.time);
-        self.promote();
-        self.ops += 1;
-        if self.len() < self.shrink_at || self.ops >= self.retune_every {
-            self.retune(item.time);
-        }
-        Some(item)
-    }
-
-    fn take(&mut self, slot: usize, i: usize) -> HeapItem<E> {
-        let item = self.slots[slot].swap_remove(i);
-        if self.slots[slot].is_empty() {
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-        }
-        self.wheel_len -= 1;
-        item
-    }
-
-    /// Pulls overflow events that have entered the horizon (the clock
-    /// advanced toward them) into their buckets so the next stretch of
-    /// pops runs at wheel speed. The cursor is *not* advanced here: it
-    /// must stay `bucket(now)`, because later pushes are clamped only
-    /// to `now` and a speculatively advanced cursor would leave their
-    /// buckets behind the scan start. An overflow minimum still beyond
-    /// the horizon simply keeps popping from the heap until the clock
-    /// gets close enough.
-    fn promote(&mut self) {
-        let horizon = self.horizon();
-        while let Some(top) = self.overflow.peek() {
-            if self.bucket(top.time) >= horizon {
-                break;
-            }
-            let item = self.overflow.pop().expect("peeked");
-            let bucket = self.bucket(item.time);
-            let slot = (bucket & (self.nslots as u64 - 1)) as usize;
-            self.slots[slot].push(item);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.wheel_len += 1;
-        }
-    }
-
-    /// Re-estimates the bucket width from the current population,
-    /// resizes the bucket array to ~1 event per bucket, and
-    /// redistributes. Triggered when the population doubles or
-    /// quarters, or every `retune_every` operations at a steady
-    /// population, so its O(n) cost is amortized O(1) per operation —
-    /// and it only ever changes *performance*: ordering is always by
-    /// `(time, seq)`, so retuning never affects the schedule.
-    fn retune(&mut self, now: VirtualTime) {
-        let total = self.len();
-        let mut items: Vec<HeapItem<E>> = Vec::with_capacity(total);
-        for slot in &mut self.slots {
-            items.append(slot);
-        }
-        items.extend(std::mem::take(&mut self.overflow));
-        self.width = estimate_width(&items).unwrap_or(self.width);
-        self.nslots = total.next_power_of_two().clamp(MIN_SLOTS, MAX_SLOTS);
-        self.slots = (0..self.nslots).map(|_| Vec::new()).collect();
-        self.occupied = vec![0; self.nslots / 64];
-        self.wheel_len = 0;
-        self.cursor = self.bucket(now);
-        for item in items {
-            self.insert(item);
-        }
-        self.grow_at = (total * 2).max(MIN_SLOTS * 2);
-        self.shrink_at = total / 4;
-        self.ops = 0;
-        // The O(total + nslots) redistribution amortizes to O(1) per
-        // operation against this period.
-        self.retune_every = (total * 8).max(MIN_SLOTS * 8);
-    }
-}
-
-/// Median inter-event gap of a deterministic sample — the bucket width
-/// that puts roughly one event per bucket. `None` when there are not
-/// enough distinct times to estimate (all-simultaneous populations keep
-/// the previous width).
-fn estimate_width<E>(items: &[HeapItem<E>]) -> Option<f64> {
-    if items.len() < 2 {
-        return None;
-    }
-    let stride = (items.len() / 256).max(1);
-    let mut sample: Vec<VirtualTime> = items.iter().step_by(stride).map(|i| i.time).collect();
-    sample.sort_unstable();
-    let mut gaps: Vec<f64> = sample
-        .windows(2)
-        .map(|w| w[1].as_seconds() - w[0].as_seconds())
-        .filter(|g| *g > 0.0)
-        .collect();
-    if gaps.is_empty() {
-        return None;
-    }
-    gaps.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite gaps"));
-    // The sample keeps every stride-th event, so the true per-event gap
-    // is the sampled gap divided by the stride.
-    Some((gaps[gaps.len() / 2] / stride as f64).max(MIN_WIDTH))
-}
-
-enum Backend<E> {
-    Calendar(Calendar<E>),
-    Heap(BinaryHeap<HeapItem<E>>),
-}
-
 /// A simulation event queue.
 ///
 /// Events are popped in non-decreasing time order; events scheduled for
@@ -356,7 +60,7 @@ enum Backend<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<HeapItem<E>>,
     seq: u64,
     now: VirtualTime,
 }
@@ -368,35 +72,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero on the default (calendar)
-    /// backend.
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        EventQueue::with_kind(EventQueueKind::Calendar)
-    }
-
-    /// Creates an empty queue on the binary-heap reference backend.
-    pub fn heap_reference() -> Self {
-        EventQueue::with_kind(EventQueueKind::Heap)
-    }
-
-    /// Creates an empty queue on the chosen backend.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
-        let backend = match kind {
-            EventQueueKind::Calendar => Backend::Calendar(Calendar::new()),
-            EventQueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             seq: 0,
             now: VirtualTime::ZERO,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> EventQueueKind {
-        match self.backend {
-            Backend::Calendar(_) => EventQueueKind::Calendar,
-            Backend::Heap(_) => EventQueueKind::Heap,
         }
     }
 
@@ -404,16 +85,12 @@ impl<E> EventQueue<E> {
     /// the current time (they fire "immediately").
     pub fn push(&mut self, time: VirtualTime, event: E) {
         let time = time.max(self.now);
-        let item = HeapItem {
+        self.heap.push(HeapItem {
             time,
             seq: self.seq,
             event,
-        };
+        });
         self.seq += 1;
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(self.now, item),
-            Backend::Heap(h) => h.push(item),
-        }
     }
 
     /// Schedules an event `delay` seconds after the current time.
@@ -423,20 +100,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
-        let item = match &mut self.backend {
-            Backend::Calendar(c) => c.pop()?,
-            Backend::Heap(h) => h.pop()?,
-        };
+        let item = self.heap.pop()?;
         self.now = item.time;
         Some((item.time, item.event))
     }
 
     /// The time of the next event without popping it.
     pub fn peek_time(&self) -> Option<VirtualTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.peek().map(|(t, _)| t),
-            Backend::Heap(h) => h.peek().map(|i| i.time),
-        }
+        self.heap.peek().map(|i| i.time)
     }
 
     /// The current simulation clock (time of the last popped event).
@@ -446,22 +117,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len(),
-            Backend::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind())
             .field("pending", &self.len())
             .field("now", &self.now)
             .finish()
@@ -473,37 +140,33 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn both() -> [EventQueue<i32>; 2] {
-        [EventQueue::new(), EventQueue::heap_reference()]
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(VirtualTime::from_seconds(3.0), 3);
-            q.push(VirtualTime::from_seconds(1.0), 1);
-            q.push(VirtualTime::from_seconds(2.0), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(VirtualTime::from_seconds(3.0), 3);
+        q.push(VirtualTime::from_seconds(1.0), 1);
+        q.push(VirtualTime::from_seconds(2.0), 2);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_are_fifo() {
-        for mut q in both() {
-            let t = VirtualTime::from_seconds(1.0);
-            for i in 0..10 {
-                q.push(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        let t = VirtualTime::from_seconds(1.0);
+        for i in 0..10 {
+            q.push(t, i);
         }
+        assert_eq!(drain(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     /// The tie-break audit: the exact collision the engine produces — a
     /// fault injection, a task completion and a stream delivery landing
-    /// on the same instant — drains in insertion order on both
-    /// backends, interleaved with earlier/later events.
+    /// on the same instant — drains in insertion order, interleaved
+    /// with earlier/later events.
     #[test]
     fn colliding_fault_completion_stream_pop_in_insertion_order() {
         #[derive(Debug, PartialEq, Clone, Copy)]
@@ -515,70 +178,62 @@ mod tests {
             Later,
         }
         let t = VirtualTime::from_seconds(42.0);
-        for kind in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(VirtualTime::from_seconds(100.0), Ev::Later);
-            q.push(t, Ev::Fault);
-            q.push(t, Ev::TaskDone);
-            q.push(VirtualTime::from_seconds(1.0), Ev::Earlier);
-            q.push(t, Ev::StreamSend);
-            let order: Vec<Ev> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(
-                order,
-                vec![
-                    Ev::Earlier,
-                    Ev::Fault,
-                    Ev::TaskDone,
-                    Ev::StreamSend,
-                    Ev::Later
-                ],
-                "{kind:?} backend broke the (time, seq) order"
-            );
-        }
+        let mut q = EventQueue::new();
+        q.push(VirtualTime::from_seconds(100.0), Ev::Later);
+        q.push(t, Ev::Fault);
+        q.push(t, Ev::TaskDone);
+        q.push(VirtualTime::from_seconds(1.0), Ev::Earlier);
+        q.push(t, Ev::StreamSend);
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                Ev::Earlier,
+                Ev::Fault,
+                Ev::TaskDone,
+                Ev::StreamSend,
+                Ev::Later
+            ],
+        );
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for mut q in both() {
-            q.push(VirtualTime::from_seconds(5.0), 0);
-            assert_eq!(q.now(), VirtualTime::ZERO);
-            q.pop();
-            assert_eq!(q.now().as_seconds(), 5.0);
-        }
+        let mut q = EventQueue::new();
+        q.push(VirtualTime::from_seconds(5.0), 0);
+        assert_eq!(q.now(), VirtualTime::ZERO);
+        q.pop();
+        assert_eq!(q.now().as_seconds(), 5.0);
     }
 
     #[test]
     fn past_events_clamp_to_now() {
-        for mut q in both() {
-            q.push(VirtualTime::from_seconds(5.0), 0);
-            q.pop();
-            q.push(VirtualTime::from_seconds(1.0), 1);
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t.as_seconds(), 5.0, "cannot travel back in time");
-        }
+        let mut q = EventQueue::new();
+        q.push(VirtualTime::from_seconds(5.0), 0);
+        q.pop();
+        q.push(VirtualTime::from_seconds(1.0), 1);
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t.as_seconds(), 5.0, "cannot travel back in time");
     }
 
     #[test]
     fn push_after_uses_current_clock() {
-        for mut q in both() {
-            q.push(VirtualTime::from_seconds(10.0), 0);
-            q.pop();
-            q.push_after(2.5, 1);
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t.as_seconds(), 12.5);
-        }
+        let mut q = EventQueue::new();
+        q.push(VirtualTime::from_seconds(10.0), 0);
+        q.pop();
+        q.push_after(2.5, 1);
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t.as_seconds(), 12.5);
     }
 
     #[test]
     fn len_and_peek() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(VirtualTime::from_seconds(1.0), 0);
-            q.push(VirtualTime::from_seconds(0.5), 1);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time().unwrap().as_seconds(), 0.5);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(VirtualTime::from_seconds(1.0), 0);
+        q.push(VirtualTime::from_seconds(0.5), 1);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time().unwrap().as_seconds(), 0.5);
     }
 
     #[test]
@@ -591,49 +246,13 @@ mod tests {
         for i in 0..1000 {
             q.push(VirtualTime::from_seconds(i as f64 * 0.25), i);
         }
-        let mut popped = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            popped.push(e);
-        }
         let mut expect: Vec<i32> = (0..1000).collect();
         expect.push(-1);
         expect.push(-2);
-        assert_eq!(popped, expect);
+        assert_eq!(drain(&mut q), expect);
     }
 
-    #[test]
-    fn interleaved_push_pop_stays_ordered() {
-        // Mimics the engine: pop one, push a few completions relative
-        // to the new clock, repeat. Checks against the heap reference.
-        let mut cal = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
-        for q in [&mut cal, &mut heap] {
-            for i in 0..64 {
-                q.push(VirtualTime::from_seconds(i as f64), i);
-            }
-        }
-        let mut step = 0u64;
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            assert_eq!(a, b);
-            let Some((_, e)) = a else { break };
-            if step < 5000 {
-                let d1 = (e % 7) as f64 * 1.5;
-                let d2 = ((e % 3) as f64) * 400.0;
-                cal.push_after(d1, e + 1000);
-                heap.push_after(d1, e + 1000);
-                if e % 5 == 0 {
-                    cal.push_after(d2, e + 2000);
-                    heap.push_after(d2, e + 2000);
-                }
-            }
-            step += 1;
-        }
-        assert!(cal.is_empty() && heap.is_empty());
-    }
-
-    /// One scripted operation against both backends.
+    /// One scripted operation.
     #[derive(Debug, Clone)]
     enum Op {
         PushAbs(f64),
@@ -641,73 +260,81 @@ mod tests {
         Pop,
     }
 
-    fn run_ops(kind: EventQueueKind, ops: &[Op]) -> Vec<(VirtualTime, u32)> {
-        let mut q = EventQueue::with_kind(kind);
+    /// Pops the queue and the model — the pending pushes as
+    /// `(clamped time, tag)`, tags rising in push order, so the next
+    /// event is the minimum of that list — and compares them.
+    fn pop_both(q: &mut EventQueue<u32>, pending: &mut Vec<(VirtualTime, u32)>) -> bool {
+        let expect = pending.iter().copied().min();
+        pending.retain(|p| Some(*p) != expect);
+        assert_eq!(q.pop(), expect);
+        assert_eq!(q.len(), pending.len());
+        if let Some((t, _)) = expect {
+            assert_eq!(q.now(), t);
+        }
+        expect.is_some()
+    }
+
+    /// Runs `ops` on the queue and on the model beside it, then drains
+    /// both.
+    fn check_against_model(ops: &[Op]) {
+        let mut q = EventQueue::new();
+        let mut pending = Vec::new();
         let mut tag = 0u32;
-        let mut out = Vec::new();
         for op in ops {
-            match op {
-                Op::PushAbs(t) => {
-                    q.push(VirtualTime::from_seconds(*t), tag);
-                    tag += 1;
-                }
-                Op::PushAfter(d) => {
-                    q.push_after(*d, tag);
-                    tag += 1;
-                }
+            let time = match op {
+                Op::PushAbs(t) => VirtualTime::from_seconds(*t),
+                Op::PushAfter(d) => q.now().after(*d),
                 Op::Pop => {
-                    if let Some(x) = q.pop() {
-                        out.push(x);
-                    }
+                    pop_both(&mut q, &mut pending);
+                    continue;
                 }
+            };
+            q.push(time, tag);
+            pending.push((time.max(q.now()), tag));
+            tag += 1;
+            assert_eq!(q.peek_time(), pending.iter().map(|p| p.0).min());
+        }
+        while pop_both(&mut q, &mut pending) {}
+    }
+
+    /// Mimics the engine: pop one, push a few completions relative to
+    /// the new clock, repeat — as a script for the model check.
+    #[test]
+    fn interleaved_push_pop_stays_ordered() {
+        let mut ops: Vec<Op> = (0..64).map(|i| Op::PushAbs(i as f64)).collect();
+        for e in 0..2000u32 {
+            ops.push(Op::Pop);
+            ops.push(Op::PushAfter((e % 7) as f64 * 1.5));
+            if e % 5 == 0 {
+                ops.push(Op::PushAfter((e % 3) as f64 * 400.0));
             }
         }
-        while let Some(x) = q.pop() {
-            out.push(x);
-        }
-        out
+        check_against_model(&ops);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random interleavings of absolute pushes (with far-future
-        /// outliers), relative `push_after` pushes and pops drain in an
-        /// identical sequence from both backends.
+        /// Random interleavings of absolute pushes (near, far-future
+        /// outliers, a handful of heavily colliding instants), relative
+        /// `push_after` pushes (zero delay included) and pops drain in
+        /// the model's order: by clamped time, FIFO within an instant.
         #[test]
-        fn calendar_matches_heap_reference(
+        fn drains_like_the_stably_sorted_push_history(
             ops in proptest::collection::vec(
                 prop_oneof![
                     (0.0f64..100.0).prop_map(Op::PushAbs),
-                    // Far-future outliers well past the overflow horizon.
                     (1e6f64..1e12).prop_map(Op::PushAbs),
+                    (0u8..5).prop_map(|t| Op::PushAbs(t as f64)),
                     (0.0f64..50.0).prop_map(Op::PushAfter),
+                    Just(Op::PushAfter(0.0)),
+                    Just(Op::Pop),
                     Just(Op::Pop),
                 ],
                 1..200,
             ),
         ) {
-            let cal = run_ops(EventQueueKind::Calendar, &ops);
-            let heap = run_ops(EventQueueKind::Heap, &ops);
-            prop_assert_eq!(cal, heap);
-        }
-
-        /// Heavy timestamp collisions (a handful of distinct instants)
-        /// still drain FIFO-identically on both backends.
-        #[test]
-        fn colliding_timestamps_match_heap_reference(
-            ops in proptest::collection::vec(
-                prop_oneof![
-                    (0u8..5).prop_map(|t| Op::PushAbs(t as f64)),
-                    Just(Op::PushAfter(0.0)),
-                    Just(Op::Pop),
-                ],
-                1..150,
-            ),
-        ) {
-            let cal = run_ops(EventQueueKind::Calendar, &ops);
-            let heap = run_ops(EventQueueKind::Heap, &ops);
-            prop_assert_eq!(cal, heap);
+            check_against_model(&ops);
         }
     }
 }

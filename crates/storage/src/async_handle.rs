@@ -184,38 +184,6 @@ impl std::fmt::Debug for AsyncStorage {
 mod tests {
     use super::*;
     use crate::kv::{KvConfig, KvStore};
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::Mutex;
-    use std::task::{Context, Poll, Wake, Waker};
-    use std::time::{Duration, Instant};
-
-    struct Unpark(Mutex<Option<thread::Thread>>);
-
-    impl Wake for Unpark {
-        fn wake(self: Arc<Self>) {
-            if let Some(t) = self.0.lock().unwrap().take() {
-                t.unpark();
-            }
-        }
-    }
-
-    /// Minimal single-future block_on for tests (reply futures are
-    /// `Unpin`: they hold only an `Arc`).
-    fn block_on<F: Future + Unpin>(mut fut: F) -> F::Output {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let unpark = Arc::new(Unpark(Mutex::new(Some(thread::current()))));
-            let waker = Waker::from(Arc::clone(&unpark));
-            match Pin::new(&mut fut).poll(&mut Context::from_waker(&waker)) {
-                Poll::Ready(v) => return v,
-                Poll::Pending => {
-                    assert!(Instant::now() < deadline, "future stuck");
-                    thread::park_timeout(Duration::from_millis(50));
-                }
-            }
-        }
-    }
 
     #[test]
     fn round_trip_through_the_service_thread() {
@@ -223,18 +191,22 @@ mod tests {
         let store = Arc::new(KvStore::new(nodes, KvConfig::default()).unwrap());
         let handle = AsyncStorage::new(store);
         let key = ObjectKey::new("async-k");
-        let nodes = block_on(handle.put(key.clone(), StoredValue::blob(vec![1, 2, 3]), None))
+        let nodes = handle
+            .put(key.clone(), StoredValue::blob(vec![1, 2, 3]), None)
+            .wait()
             .expect("service alive")
             .expect("put ok");
         assert!(!nodes.is_empty());
-        assert!(block_on(handle.contains(key.clone())).expect("service alive"));
-        let v = block_on(handle.get(key.clone()))
+        assert!(handle.contains(key.clone()).wait().expect("service alive"));
+        let v = handle
+            .get(key.clone())
+            .wait()
             .expect("service alive")
             .expect("get ok");
         assert_eq!(v.size(), 3);
         handle.delete(key.clone());
         // Delete is queued ahead of this get on the same channel.
-        let missing = block_on(handle.get(key)).expect("service alive");
+        let missing = handle.get(key).wait().expect("service alive");
         assert!(matches!(missing, Err(StorageError::NotFound(_))));
     }
 
@@ -247,7 +219,7 @@ mod tests {
         drop(handle);
         // The request either ran (NotFound) or was dropped unanswered
         // (None) — both resolve; nothing hangs.
-        match block_on(rx) {
+        match rx.wait() {
             None | Some(Err(_)) => {}
             Some(Ok(_)) => panic!("value for a key never stored"),
         }

@@ -554,38 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_source_identical_across_queue_backends() {
-        use continuum_platform::{NodeSpec, PlatformBuilder};
-        use continuum_runtime::{EventQueueKind, LocalityScheduler, SimOptions, SimRuntime};
-        use continuum_sim::FaultPlan;
-
-        let run_with = |kind: EventQueueKind| {
-            let platform = PlatformBuilder::new()
-                .cluster("mn", 4, NodeSpec::hpc(8, 96_000))
-                .build();
-            let opts = SimOptions {
-                event_queue: kind,
-                ..Default::default()
-            };
-            let rt = SimRuntime::new(platform, opts);
-            let mut source = GwasWorkload::new()
-                .chromosomes(2)
-                .chunks_per_chromosome(6)
-                .seed(11)
-                .into_source(3);
-            rt.run_lazy(
-                &mut source,
-                &mut LocalityScheduler::new(),
-                &FaultPlan::new(),
-            )
-            .unwrap()
-        };
-        let cal = run_with(EventQueueKind::Calendar);
-        let heap = run_with(EventQueueKind::Heap);
-        assert_eq!(cal, heap);
-    }
-
-    #[test]
     fn durations_are_positive_and_varied() {
         let w = GwasWorkload::new()
             .chromosomes(2)
