@@ -14,13 +14,15 @@
 //! in the output file (default `BENCH_local.json`), preserving runs
 //! recorded under other labels; when several labels are present, a
 //! comparison table is printed. `--smoke` shrinks workloads for CI.
-//! `--check` enforces three invariants and exits non-zero on
+//! `--check` enforces four invariants and exits non-zero on
 //! violation: every worker count must produce a result identical to
 //! the single-worker reference execution (checksum + completed count);
 //! the await-heavy case must reach its M:N plateau (≥90% of the storm
-//! concurrently parked); and no case/worker pair may regress more than
-//! 3× the wall time of the same pair under any other same-scale stored
-//! label.
+//! concurrently parked); the wide case must not allocate more than 3.5
+//! times per task (body box, task record, output value — the tripwire
+//! for an allocation creeping back into submission or dispatch); and
+//! no case/worker pair may regress more than 3× the wall time of the
+//! same pair under any other same-scale stored label.
 
 use continuum_bench::alloc::CountingAllocator;
 use continuum_bench::cli::{results_value, stored_f64, stored_str, stored_u64, BenchArgs};
@@ -28,6 +30,11 @@ use continuum_bench::local_bench::{case_worker_counts, cases, measure, LocalMeas
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Heap allocations per task the wide case may make: three (the body's
+/// box, the task record, the output's `Arc`) plus slack for queue and
+/// scratch growth amortized over a smoke-sized run.
+const MAX_WIDE_ALLOCS_PER_TASK: f64 = 3.5;
 
 fn main() {
     let args = BenchArgs::parse("BENCH_local.json", 3);
@@ -108,6 +115,18 @@ fn main() {
                 "await-heavy at {} workers: {} tasks concurrently parked on {} OS thread(s)",
                 m.workers, m.parked_peak, m.peak_threads
             );
+        }
+    }
+
+    // -- allocation tripwire: a one-output task costs three blocks -----
+    for m in results.iter().filter(|m| m.case == "wide") {
+        if m.allocs_per_task > MAX_WIDE_ALLOCS_PER_TASK {
+            eprintln!(
+                "ALLOCATIONS: wide at {} workers allocates {:.2} times per task, \
+                 limit {MAX_WIDE_ALLOCS_PER_TASK}",
+                m.workers, m.allocs_per_task
+            );
+            violations += 1;
         }
     }
 

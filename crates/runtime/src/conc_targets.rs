@@ -4,7 +4,8 @@
 //! Each [`SchedTarget`] here wraps actual `continuum-runtime` /
 //! `continuum-platform` code — the [`TaskCell`] park/wake handshake,
 //! the oneshot reply cell, the bounded [`StreamChannel`], the
-//! [`CountedSleeper`] and the `shims/crossbeam` work-stealing deque —
+//! [`CountedSleeper`], the [`ValueCell`] tasks publish their outputs
+//! into and the `shims/crossbeam` work-stealing deque —
 //! in a small multi-threaded scenario whose synchronization operations
 //! the exploration scheduler
 //! ([`continuum_analyze::conc::sched::explore_sched`]) can enumerate
@@ -13,9 +14,10 @@
 //! the code itself: a regression that breaks the real implementation
 //! without breaking the hand-written model is caught here.
 //!
-//! Two targets carry **planted races** (`*-racy-*`): deliberately
-//! broken variants whose unsynchronized payload access the
-//! happens-before detector must flag. CI asserts they stay detected —
+//! Three targets carry **planted races** (`*-racy-*`,
+//! `*-commit-before-publish`): deliberately broken variants whose
+//! unsynchronized payload access the happens-before detector must
+//! flag. CI asserts they stay detected —
 //! they are the proof the harness still works.
 //!
 //! Scenario payloads use [`RaceCell`], whose accesses are reported to
@@ -27,6 +29,7 @@
 use crate::sleeper::CountedSleeper;
 use crate::stream::{PollSend, Side, StreamChannel};
 use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome, COMPLETE, RUNNING};
+use crate::value_cell::ValueCell;
 use continuum_analyze::conc::sched::{Expect, Scenario, SchedTarget};
 use continuum_platform::oneshot;
 use continuum_platform::sync::{self, RaceCell};
@@ -43,6 +46,8 @@ pub fn sched_targets() -> Vec<SchedTarget> {
         oneshot_racy_publish_target(),
         stream_target(),
         stream_cancel_target(),
+        value_cell_target(),
+        value_cell_commit_before_publish_target(),
         sleeper_target(),
         deque_target(),
     ]
@@ -373,6 +378,152 @@ fn stream_cancel_target() -> SchedTarget {
                 })),
             }
         }),
+    }
+}
+
+/// What [`value_cell_scenario`] shares between its threads: the cell,
+/// the stand-in for the graph mutex and its client condvar, the
+/// payload the value stands for, and what the readers saw.
+struct ValueCellRun {
+    cell: ValueCell,
+    /// `true` once the producer's graph commit happened.
+    graph: sync::Mutex<bool>,
+    client_cv: sync::Condvar,
+    payload: RaceCell,
+    /// Sum of what successor and `get` read out of the cell.
+    observed: AtomicU64,
+    /// Values handed back by a last `release`.
+    freed: AtomicU64,
+}
+
+impl ValueCellRun {
+    fn read(&self) {
+        if let Some(v) = self.cell.read() {
+            let v = v.downcast::<u64>().expect("the producer stores a u64");
+            self.observed.fetch_add(*v, Ordering::SeqCst);
+        }
+        // What a body does with its input, found or not.
+        let _ = self.payload.get();
+    }
+
+    fn release(&self) {
+        if self.cell.release().is_some() {
+            self.freed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// The life of one version in the executor, over the real
+/// [`ValueCell`]: the producing worker publishes and then commits under
+/// the graph lock; the successor that commit releases reads the cell
+/// and lets go of its reference; a client `get` pins the version under
+/// the graph lock, waits for it on the client condvar, reads and
+/// unpins. `publish_first == false` plants the bug the executor's
+/// ordering exists to prevent: commit, then publish.
+fn value_cell_scenario(publish_first: bool) -> Scenario {
+    let run = Arc::new(ValueCellRun {
+        cell: ValueCell::new(), // the column's reference
+        graph: sync::Mutex::new(false),
+        client_cv: sync::Condvar::new(),
+        payload: RaceCell::new(0),
+        observed: AtomicU64::new(0),
+        freed: AtomicU64::new(0),
+    });
+    run.cell.retain(); // the successor, registered before anything runs
+
+    let producer = {
+        let run = Arc::clone(&run);
+        move || {
+            let publish = || {
+                run.payload.set(21);
+                assert!(run.cell.publish(Arc::new(21u64)), "references are held");
+            };
+            let commit = || {
+                *run.graph.lock() = true;
+                run.client_cv.notify_all();
+            };
+            if publish_first {
+                publish();
+                commit();
+            } else {
+                // BUG (planted): successors are released first.
+                commit();
+                publish();
+            }
+        }
+    };
+    let successor = {
+        let run = Arc::clone(&run);
+        move || {
+            // Dispatched by the producer's commit.
+            let mut committed = run.graph.lock();
+            while !*committed {
+                run.client_cv.wait(&mut committed);
+            }
+            drop(committed);
+            run.read();
+            run.release();
+        }
+    };
+    let get = {
+        let run = Arc::clone(&run);
+        move || {
+            let mut committed = run.graph.lock();
+            run.cell.retain(); // the pin, made from the column's reference
+            while !*committed {
+                run.client_cv.wait(&mut committed);
+            }
+            drop(committed);
+            run.read();
+            run.release();
+        }
+    };
+    Scenario {
+        threads: vec![Box::new(producer), Box::new(successor), Box::new(get)],
+        check: Some(Box::new(move || {
+            let seen = run.observed.load(Ordering::SeqCst);
+            if seen != 42 {
+                return Err(format!(
+                    "successor and get read {seen} between them, not 21 each"
+                ));
+            }
+            if run.freed.load(Ordering::SeqCst) != 0 || run.cell.read().is_none() {
+                return Err("the current version was freed under the column".to_string());
+            }
+            // A writer supersedes the version: the column lets go.
+            run.release();
+            if run.freed.load(Ordering::SeqCst) != 1 || run.cell.read().is_some() {
+                return Err("the last release did not free the value exactly once".to_string());
+            }
+            Ok(())
+        })),
+    }
+}
+
+/// `sched::value-cell` — publish → graph commit → successor read, plus
+/// a concurrent `get`, over the real [`ValueCell`]. In every
+/// interleaving both readers find the value, ordered after the
+/// producer's payload write, and the value outlives them until the
+/// column's reference goes — then it is freed exactly once.
+fn value_cell_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::value-cell",
+        about: "real ValueCell publish/commit/read/release: readers find the value, freed once",
+        expect: Expect::Clean,
+        make: Box::new(|| value_cell_scenario(true)),
+    }
+}
+
+/// `sched::value-cell-commit-before-publish` — **planted race**: the
+/// producer commits to the graph before publishing, so a successor can
+/// run against an empty cell and reads the payload unordered with its
+/// write.
+fn value_cell_commit_before_publish_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::value-cell-commit-before-publish",
+        about: "planted race: graph commit releases the successor before the output is published",
+        expect: Expect::Race,
+        make: Box::new(|| value_cell_scenario(false)),
     }
 }
 

@@ -44,6 +44,7 @@ mod sim_engine;
 mod sleeper;
 mod stream;
 mod task_cell;
+mod value_cell;
 mod workload;
 
 pub use data::{DataRegistry, StorageResidency};

@@ -17,21 +17,24 @@
 //!   readied successors go straight onto the committing worker's own
 //!   deque (dependency chains stay on one thread, hot in cache). Idle
 //!   workers batch-steal from the injector first, then from siblings.
-//! * **Split synchronization** — the graph/access-processor state, the
-//!   value store (sharded), and the resource accounting are guarded
-//!   separately, so input resolution and output publication never
-//!   contend with dependency bookkeeping. Lock order is graph → value
-//!   shard; the pool and sleep locks are leaves.
+//! * **Split synchronization** — the graph/access-processor state and
+//!   the resource accounting are guarded separately, and values live
+//!   outside both: every version of a datum has a [`ValueCell`] inside
+//!   the record of the task that produces it, reached by reference, so
+//!   input resolution and output publication take no shared lock and
+//!   hash nothing. Lock order is graph → pool/sleep (leaves).
 //! * **O(1) admission** — since `free + allocated == total` always
 //!   holds, the submit-time "can this machine ever run it" test is a
 //!   single comparison against the static machine capacity instead of
 //!   a scan over running tasks. Ready tasks whose constraints don't
 //!   fit *right now* park in per-resource-class side queues and are
 //!   re-injected when a completing task releases capacity.
-//! * **Bounded memory** — a graph-derived refcount per materialized
-//!   value (registered readers + client pins + catalog currency)
-//!   evicts dead intermediates, so a 10 000-step `InOut` chain holds
-//!   O(1) live values instead of O(n).
+//! * **Bounded memory** — a value lives exactly as long as something
+//!   can read it: its cell counts a reference while it is its datum's
+//!   current version, one per registered reader until that commits and
+//!   one per `get` in progress; the last release drops the value, and a
+//!   committed task lets go of its inputs and its own record. A
+//!   10 000-step `InOut` chain holds O(1) values and records, not O(n).
 //! * **Targeted wakeups** — dispatch uses a counted sleep protocol
 //!   with `notify_one` per unit of new work (skipped entirely while a
 //!   worker is already scanning), instead of a herd-waking broadcast
@@ -61,17 +64,16 @@
 //!   original dispatch path bit-for-bit.
 
 use crate::error::RuntimeError;
-use crate::lockorder::{self, RANK_GRAPH, RANK_POOL, RANK_SHARD};
+use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
 use crate::reactor::{Reactor, ReactorInner, Sleep};
 use crate::sleeper::CountedSleeper;
 use crate::stream::{PollRecv, PollSend, Side, StreamChannel};
 use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome};
+use crate::value_cell::{Slots, Value, ValueCell};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
-use continuum_dag::{
-    AccessProcessor, DataId, DataVersion, TaskId, TaskSpec, TaskState, VersionedData,
-};
+use continuum_dag::{AccessProcessor, DataId, TaskId, TaskSpec, TaskState};
 use continuum_platform::sync::panic_message;
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
@@ -79,7 +81,6 @@ use continuum_telemetry::{
 };
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerQueue};
 use parking_lot::{Condvar, Mutex};
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -91,8 +92,35 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// A shareable, type-erased value flowing between tasks.
-type Value = Arc<dyn Any + Send + Sync>;
+/// A counted reference to one version's cell: what a reader's record,
+/// the catalog column ([`DatumCells::current`]) and a waiting `get`
+/// hold. Cloning is [`CellRef::retain`], and every clone made while
+/// the runtime is up ends in [`Shared::release`], which is what frees
+/// the value; only teardown drops references uncounted.
+#[must_use]
+#[derive(Clone)]
+enum CellRef {
+    /// Output `index` of `producer`, which also keeps the record — the
+    /// cell's storage — alive.
+    Output { producer: Arc<TaskMeta>, index: u32 },
+    /// Version 0 of a datum.
+    Initial(Arc<ValueCell>),
+}
+
+impl CellRef {
+    fn cell(&self) -> &ValueCell {
+        match self {
+            CellRef::Output { producer, index } => &producer.outputs.as_slice()[*index as usize],
+            CellRef::Initial(cell) => cell,
+        }
+    }
+
+    /// The counted clone; a bare `clone` leaves the cell's count behind.
+    fn retain(&self) -> CellRef {
+        self.cell().retain();
+        self.clone()
+    }
+}
 
 /// Typed handle to a logical datum managed by a [`LocalRuntime`].
 ///
@@ -181,6 +209,39 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
+    /// The context `meta`'s body runs in on `worker`: the values behind
+    /// the task's input references, one empty slot per output, and its
+    /// stream endpoints. `inputs` and `outputs` are empty buffers.
+    fn for_task(
+        shared: &Arc<Shared>,
+        meta: &Arc<TaskMeta>,
+        worker: u32,
+        mut inputs: Vec<Value>,
+        mut outputs: Vec<Option<Value>>,
+        reactor: Option<Arc<ReactorInner>>,
+    ) -> TaskContext {
+        inputs.extend(meta.inputs.lock().as_slice().iter().map(|input| {
+            input
+                .cell()
+                .read()
+                .unwrap_or_else(missing_input_placeholder)
+        }));
+        outputs.resize_with(meta.outputs.as_slice().len(), || None);
+        let endpoint = |chan: &Arc<StreamChannel>| StreamEndpointCore {
+            chan: Arc::clone(chan),
+            shared: Arc::clone(shared),
+            meta: Arc::clone(meta),
+            worker,
+        };
+        TaskContext {
+            inputs,
+            outputs,
+            stream_outs: meta.stream_outs.iter().map(endpoint).collect(),
+            stream_ins: meta.stream_ins.iter().map(endpoint).collect(),
+            reactor,
+        }
+    }
+
     /// The number of inputs.
     pub fn input_count(&self) -> usize {
         self.inputs.len()
@@ -645,8 +706,14 @@ struct TaskMeta {
     /// the steady state allocates no strings.
     name: Option<String>,
     constraints: Constraints,
-    consumed: Vec<VersionedData>,
-    produced: Vec<VersionedData>,
+    /// The cells this task reads, in declaration order: resolved to
+    /// values at dispatch and released at commit or failure — which
+    /// also lets go of the producers' records, so a version chain
+    /// never hangs off its newest task.
+    inputs: Mutex<Slots<CellRef>>,
+    /// One cell per written parameter, in declaration order, reached
+    /// through [`CellRef::Output`].
+    outputs: Slots<ValueCell>,
     /// Channels behind the spec's `stream_out` params, in declaration
     /// order. This task is a registered writer of each until its body
     /// finishes.
@@ -704,31 +771,31 @@ impl Wake for TaskMeta {
     }
 }
 
-/// Liveness accounting for one materialized value. A value can be
-/// dropped once it is no longer the catalog-current version of its
-/// datum (data renaming guarantees no *future* reader can target it),
-/// no registered reader still needs it, and no client `get` has it
-/// pinned.
+/// The cells of one datum, in the column indexed by dense data id.
 #[derive(Default)]
-struct LiveEntry {
-    /// Registered readers that have not yet committed.
-    consumers: u32,
-    /// Client `get` calls currently waiting on or reading the value.
-    pins: u32,
-    /// Is this the catalog-current version of its datum?
-    current: bool,
-    /// Has the payload actually been stored yet?
-    stored: bool,
+struct DatumCells {
+    /// The version-0 cell, once `set_initial` or a reader of version 0
+    /// needed one. Kept past its supersession so that a late
+    /// `set_initial` still reaches readers registered before the
+    /// writer.
+    initial: Option<Arc<ValueCell>>,
+    /// The column's own reference to the current version's cell —
+    /// what a reader registered now, or a `get`, would consume. `None`
+    /// while that is a version 0 nobody has touched.
+    current: Option<CellRef>,
 }
 
-/// Graph-side state: the access processor, per-task dispatch metadata,
-/// value-liveness refcounts and the first failure. Guarded by one
-/// mutex; the paired condvar serves client waiters (`get`/`wait_all`).
+/// Graph-side state: the access processor, the dispatch records of
+/// tasks that have not finished, each datum's cells and the first
+/// failure. Guarded by one mutex; the paired condvar serves client
+/// waiters (`get`/`wait_all`).
 struct GraphState {
     ap: AccessProcessor,
-    /// Dispatch metadata indexed by dense task id.
-    metas: Vec<Arc<TaskMeta>>,
-    live: HashMap<VersionedData, LiveEntry>,
+    /// Dispatch records by dense task id; `None` once the task
+    /// committed or failed (nothing looks a finished task up again).
+    metas: Vec<Option<Arc<TaskMeta>>>,
+    /// One entry per datum, by dense data id ([`Self::size_cells`]).
+    cells: Vec<DatumCells>,
     /// One bounded channel per stream datum, created by
     /// [`LocalRuntime::stream`] or on demand at first use.
     channels: HashMap<DataId, Arc<StreamChannel>>,
@@ -736,47 +803,26 @@ struct GraphState {
 }
 
 impl GraphState {
-    /// Accounts for a fresh registration: its reads hold their input
-    /// versions live, its writes supersede the previous versions.
-    fn note_registered(&mut self, meta: &TaskMeta, evicted: &mut Vec<VersionedData>) {
-        for vd in &meta.consumed {
-            let e = self.live.entry(*vd).or_default();
-            e.consumers += 1;
-            // A consumed version was catalog-current when the access
-            // processor resolved it (a same-task write is superseded
-            // again by the produced loop below).
-            e.current = true;
-        }
-        for vd in &meta.produced {
-            self.live.entry(*vd).or_default().current = true;
-            let prev = VersionedData::new(vd.data, DataVersion::from_raw(vd.version.as_u32() - 1));
-            if let Some(e) = self.live.get_mut(&prev) {
-                e.current = false;
-                self.maybe_evict(prev, evicted);
-            }
+    /// Grows the cell column to the catalog's size — when a datum is
+    /// touched, not declared: data come in bulk, long before their use.
+    fn size_cells(&mut self) {
+        let known = self.ap.catalog().len();
+        if self.cells.len() < known {
+            self.cells.resize_with(known, DatumCells::default);
         }
     }
 
-    /// A produced value hit the store.
-    fn note_stored(&mut self, vd: VersionedData, evicted: &mut Vec<VersionedData>) {
-        match self.live.get_mut(&vd) {
-            Some(e) => {
-                e.stored = true;
-                self.maybe_evict(vd, evicted);
-            }
-            // Superseded with no readers before it was even produced:
-            // dead on arrival.
-            None => evicted.push(vd),
-        }
+    /// The column's reference to the datum's current version, if it
+    /// has a cell yet.
+    fn current(&self, data: DataId) -> Option<&CellRef> {
+        self.cells.get(data.index())?.current.as_ref()
     }
 
-    /// A registered reader of `vd` committed (or failed).
-    fn note_consumed(&mut self, vd: VersionedData, evicted: &mut Vec<VersionedData>) {
-        if let Some(e) = self.live.get_mut(&vd) {
-            debug_assert!(e.consumers > 0, "consumer underflow for {vd}");
-            e.consumers -= 1;
-            self.maybe_evict(vd, evicted);
-        }
+    /// The dispatch record of a task that has not finished.
+    fn meta(&self, id: TaskId) -> &Arc<TaskMeta> {
+        self.metas[id.index()]
+            .as_ref()
+            .expect("a task waiting on a predecessor has not finished")
     }
 
     /// The channel behind a stream datum, created on first use with
@@ -791,17 +837,18 @@ impl GraphState {
         self.channels.insert(data, Arc::clone(&c));
         c
     }
+}
 
-    /// Drops the entry — and schedules the stored payload for removal
-    /// — once nothing can ever read the value again.
-    fn maybe_evict(&mut self, vd: VersionedData, evicted: &mut Vec<VersionedData>) {
-        let evictable = self
-            .live
-            .get(&vd)
-            .is_some_and(|e| !e.current && e.consumers == 0 && e.pins == 0);
-        if evictable && self.live.remove(&vd).is_some_and(|e| e.stored) {
-            evicted.push(vd);
-        }
+impl DatumCells {
+    /// The column's reference to the current version. A version 0
+    /// nobody has touched gets its (empty) cell here, so that a reader
+    /// registered before `set_initial` is found by it.
+    fn touch(&mut self) -> &CellRef {
+        self.current.get_or_insert_with(|| {
+            let cell = Arc::new(ValueCell::new());
+            self.initial = Some(Arc::clone(&cell));
+            CellRef::Initial(cell)
+        })
     }
 }
 
@@ -810,60 +857,6 @@ impl GraphState {
 /// producers, small enough that backpressure engages before memory
 /// does.
 const DEFAULT_STREAM_CAPACITY: usize = 16;
-
-/// Number of value-store shards (power of two). Sixteen keeps
-/// publication/resolution contention negligible at any worker count
-/// this runtime targets.
-const VALUE_SHARDS: usize = 16;
-
-/// The materialized-value store, sharded by versioned-data hash so
-/// workers publishing outputs don't serialize behind each other or
-/// behind graph bookkeeping.
-struct ValueStore {
-    shards: Vec<Mutex<HashMap<VersionedData, Value>>>,
-}
-
-impl ValueStore {
-    fn new() -> Self {
-        ValueStore {
-            shards: (0..VALUE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, vd: &VersionedData) -> &Mutex<HashMap<VersionedData, Value>> {
-        let h = (vd.data.index() as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(vd.version.as_u32()).wrapping_mul(0xff51_afd7_ed55_8ccd));
-        &self.shards[((h >> 57) as usize) & (VALUE_SHARDS - 1)]
-    }
-
-    fn get(&self, vd: &VersionedData) -> Option<Value> {
-        let _order = lockorder::acquire(RANK_SHARD, "value-shard");
-        self.shard(vd).lock().get(vd).cloned()
-    }
-
-    fn insert(&self, vd: VersionedData, value: Value) {
-        let _order = lockorder::acquire(RANK_SHARD, "value-shard");
-        self.shard(&vd).lock().insert(vd, value);
-    }
-
-    fn remove(&self, vd: &VersionedData) {
-        let _order = lockorder::acquire(RANK_SHARD, "value-shard");
-        self.shard(vd).lock().remove(vd);
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let _order = lockorder::acquire(RANK_SHARD, "value-shard");
-                s.lock().len()
-            })
-            .sum()
-    }
-}
 
 /// Side-queue classes for constraint-blocked ready tasks, keyed by the
 /// scarcest dimension a task competes for.
@@ -925,7 +918,9 @@ struct Shared {
     /// Wakes client threads blocked in `get`/`wait_all`; paired with
     /// the `graph` mutex.
     client_cv: Condvar,
-    store: ValueStore,
+    /// Cells currently holding a value
+    /// ([`LocalRuntime::live_value_count`]).
+    live_values: AtomicUsize,
     pool: Mutex<ResourcePool>,
     /// Global FIFO for submissions and unparked tasks.
     injector: Injector<Arc<TaskMeta>>,
@@ -1010,6 +1005,35 @@ impl Shared {
             self.injector.push(m);
         }
         self.wake_workers(n);
+    }
+
+    /// Publishes a finished body's outputs into the task's cells.
+    /// Called before the graph commit, so a successor that the commit
+    /// releases always finds its inputs.
+    fn publish_outputs(&self, meta: &TaskMeta, outputs: &mut Vec<Option<Value>>) {
+        for (cell, value) in meta.outputs.as_slice().iter().zip(outputs.drain(..)) {
+            if cell.publish(value.expect("all outputs set")) {
+                // Relaxed: a statistic; readers that need it exact
+                // (after `wait_all`) are ordered by the graph mutex.
+                self.live_values.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Ends one reference; the last one to a cell frees its value.
+    /// Never called with the graph lock held: a payload's own `Drop`
+    /// runs here.
+    fn release(&self, reference: CellRef) {
+        if let Some(value) = reference.cell().release() {
+            self.live_values.fetch_sub(1, Ordering::Relaxed);
+            drop(value);
+        }
+    }
+
+    /// Wall-clock µs for a task's telemetry, or 0 for a task that
+    /// carries no name and will emit none.
+    fn stamp_us(&self, meta: &TaskMeta) -> u64 {
+        meta.name.as_ref().map_or(0, |_| self.now_us())
     }
 
     fn notify_clients(&self) {
@@ -1154,12 +1178,12 @@ impl LocalRuntime {
             graph: Mutex::new(GraphState {
                 ap: AccessProcessor::new(),
                 metas: Vec::new(),
-                live: HashMap::new(),
+                cells: Vec::new(),
                 channels: HashMap::new(),
                 failure: None,
             }),
             client_cv: Condvar::new(),
-            store: ValueStore::new(),
+            live_values: AtomicUsize::new(0),
             pool: Mutex::new(ResourcePool {
                 free: total.clone(),
                 blocked: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -1249,26 +1273,29 @@ impl LocalRuntime {
     }
 
     /// Provides the initial (version-0) value of a datum, making it
-    /// readable by tasks submitted afterwards.
+    /// readable by tasks submitted afterwards — and by readers of
+    /// version 0 submitted before that have not run yet. Calling it
+    /// again replaces the value for readers that have not run (last
+    /// write wins); once version 0 is superseded and its last reader
+    /// has committed, the value is dropped unobserved.
     pub fn set_initial<T: Send + Sync + 'static>(&self, handle: &DataHandle<T>, value: T) {
-        let vd = VersionedData::initial(handle.id);
-        let mut evicted = Vec::new();
-        {
+        let cell = {
             let _order = lockorder::acquire(RANK_GRAPH, "graph");
             let mut g = self.shared.graph.lock();
-            let is_current = g.ap.current_version(handle.id).is_ok_and(|cur| cur == vd);
-            let e = g.live.entry(vd).or_default();
-            e.stored = true;
-            if is_current {
-                e.current = true;
-            }
-            self.shared.store.insert(vd, Arc::new(value));
-            // Already superseded with no pending readers: never
-            // observable, drop it again immediately.
-            g.maybe_evict(vd, &mut evicted);
-        }
-        for vd in &evicted {
-            self.shared.store.remove(vd);
+            g.size_cells();
+            // No entry: not a datum of this runtime.
+            let Some(cells) = g.cells.get_mut(handle.id.index()) else {
+                return;
+            };
+            cells.touch();
+            // `None`: superseded before anyone read or set version 0.
+            let Some(cell) = cells.initial.clone() else {
+                return;
+            };
+            cell
+        };
+        if cell.publish(Arc::new(value)) {
+            self.shared.live_values.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1406,10 +1433,10 @@ impl LocalRuntime {
         // Stream params, extracted before `register` consumes the spec.
         let stream_out_ids: Vec<DataId> = spec.stream_writes().collect();
         let stream_in_ids: Vec<DataId> = spec.stream_reads().collect();
-        let mut evicted = Vec::new();
         let mut ready_meta = None;
         let mut warn_findings = Vec::new();
         let id;
+        let superseded;
         {
             let _order = lockorder::acquire(RANK_GRAPH, "graph");
             let mut g = self.shared.graph.lock();
@@ -1423,7 +1450,9 @@ impl LocalRuntime {
                     let Ok(vd) = g.ap.current_version(data) else {
                         continue; // unknown datum: register reports it
                     };
-                    let provided = g.live.get(&vd).is_some_and(|e| e.stored);
+                    // An empty cell — made for a reader that came
+                    // before `set_initial` — is not a value.
+                    let provided = g.current(data).is_some_and(|c| c.cell().is_set());
                     if vd.version.is_initial() && !provided {
                         let data_name = g.ap.catalog().name(data).unwrap_or("?").to_string();
                         findings.push(read_without_producer(next, spec.name(), data, &data_name));
@@ -1437,9 +1466,6 @@ impl LocalRuntime {
                 warn_findings = findings;
             }
             id = g.ap.register(spec)?;
-            let node = g.ap.graph().node(id).expect("just registered");
-            let is_ready = node.state() == TaskState::Ready;
-            let (consumed, produced) = (node.consumed().to_vec(), node.produced().to_vec());
             let stream_outs: Vec<Arc<StreamChannel>> = stream_out_ids
                 .iter()
                 .map(|d| g.stream_channel(*d))
@@ -1452,31 +1478,54 @@ impl LocalRuntime {
             for chan in &stream_outs {
                 chan.register_writer();
             }
+            g.size_cells();
+            let GraphState {
+                ap, metas, cells, ..
+            } = &mut *g;
+            let node = ap.graph().node(id).expect("just registered");
+            // Every version the access processor resolved a read to is
+            // its datum's current one: this task's own writes reach
+            // the column only below, and a written datum appears once
+            // in a spec.
+            let inputs = Slots::collect(
+                node.consumed()
+                    .iter()
+                    .map(|vd| cells[vd.data.index()].touch().retain()),
+            );
             let meta = Arc::new(TaskMeta {
                 id,
                 name: submitted_name.clone(),
                 constraints,
-                consumed,
-                produced,
+                inputs: Mutex::new(inputs),
+                outputs: Slots::collect(node.produced().iter().map(|_| ValueCell::new())),
                 stream_outs,
                 stream_ins,
                 streams_released: AtomicBool::new(false),
                 inflight_reserved: AtomicBool::new(false),
                 payload,
             });
-            g.note_registered(&meta, &mut evicted);
-            debug_assert_eq!(g.metas.len(), id.index());
-            g.metas.push(Arc::clone(&meta));
-            if is_ready {
+            // Each new cell's first reference is the column's; the
+            // version it supersedes loses that one (after the unlock).
+            superseded = Slots::collect(node.produced().iter().enumerate().map(|(i, vd)| {
+                cells[vd.data.index()].current.replace(CellRef::Output {
+                    producer: Arc::clone(&meta),
+                    index: i as u32,
+                })
+            }));
+            debug_assert_eq!(metas.len(), id.index());
+            metas.push(Some(Arc::clone(&meta)));
+            if node.state() == TaskState::Ready {
                 ready_meta = Some(meta);
             }
         }
         for d in &warn_findings {
             eprintln!("{d}");
         }
-        for vd in &evicted {
-            self.shared.store.remove(vd);
-        }
+        superseded.into_each(|old| {
+            if let Some(old) = old {
+                self.shared.release(old);
+            }
+        });
         if let Some(name) = submitted_name {
             self.shared.telemetry.record(TelemetryEvent::Instant {
                 track: Track::Run,
@@ -1538,14 +1587,12 @@ impl LocalRuntime {
         let mut g = shared.graph.lock();
         let target = g.ap.current_version(handle.id)?;
         let producer = g.ap.catalog().current(handle.id)?.producer;
-        {
-            // Pin the target version so eviction can't race this read.
-            let e = g.live.entry(target).or_default();
-            e.pins += 1;
-            e.current = true;
-        }
+        // The pin is a reference of its own: the version stays
+        // materialized however many writers supersede it and readers
+        // commit while this call waits. `None`: an untouched version 0.
+        let pin = g.current(handle.id).map(CellRef::retain);
         let result = loop {
-            if let Some(v) = shared.store.get(&target) {
+            if let Some(v) = pin.as_ref().and_then(|pin| pin.cell().read()) {
                 break v.downcast::<T>().map_err(|_| match producer {
                     Some(task) => RuntimeError::BadTaskIo {
                         task,
@@ -1570,14 +1617,9 @@ impl LocalRuntime {
             shared.client_cv.wait(&mut g);
             shared.client_waiters.fetch_sub(1, Ordering::SeqCst);
         };
-        let mut evicted = Vec::new();
-        if let Some(e) = g.live.get_mut(&target) {
-            e.pins -= 1;
-        }
-        g.maybe_evict(target, &mut evicted);
         drop(g);
-        for vd in &evicted {
-            shared.store.remove(vd);
+        if let Some(pin) = pin {
+            shared.release(pin);
         }
         result
     }
@@ -1599,7 +1641,7 @@ impl LocalRuntime {
     /// so benchmarks and tests can assert bounded memory over long
     /// version chains.
     pub fn live_value_count(&self) -> usize {
-        self.shared.store.len()
+        self.shared.live_values.load(Ordering::Relaxed)
     }
 
     /// Async tasks currently parked on a waker (timer, stream or other
@@ -1650,14 +1692,19 @@ impl Drop for LocalRuntime {
         // `TaskContext` owns stream endpoints with `Arc<Shared>` —
         // an `Arc` cycle (shared → metas → future → shared) that must
         // be broken explicitly now that no worker can resume them.
+        // Abandoned tasks of either kind still hold their inputs: let
+        // go of them one record at a time while `metas` keeps every
+        // record alive, or dropping the newest task of a long pending
+        // chain would recurse through all its ancestors.
         {
             let _order = lockorder::acquire(RANK_GRAPH, "graph");
             let g = self.shared.graph.lock();
-            for meta in &g.metas {
+            for meta in g.metas.iter().flatten() {
                 if let TaskPayload::Async(abody) = &meta.payload {
                     *abody.factory.lock() = None;
                     *abody.future.lock() = None;
                 }
+                *meta.inputs.lock() = Slots::None;
             }
         }
         self.shared.overflow.lock().clear();
@@ -1709,7 +1756,6 @@ struct Scratch {
     ready_ids: Vec<TaskId>,
     ready: Vec<Arc<TaskMeta>>,
     unblocked: Vec<Arc<TaskMeta>>,
-    evicted: Vec<VersionedData>,
 }
 
 fn worker_loop(shared: &Arc<Shared>, queue: &WorkerQueue<Arc<TaskMeta>>, worker: u32) {
@@ -1810,9 +1856,6 @@ fn park_poisoned(shared: &Shared) {
         .sleep_until_notified(|| shared.shutdown.load(Ordering::SeqCst));
 }
 
-/// Runs one claimed task end to end: resolve inputs from the store,
-/// execute the body, publish outputs, commit to the graph, release
-/// resources, and dispatch whatever became runnable.
 /// Releases the stream successors of `meta` (its consumers become
 /// dispatchable) on the producer's first sent element. Idempotent, and
 /// one shared load after the first call; called from
@@ -1835,7 +1878,7 @@ fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
             .is_ok()
         {
             for id in &ids {
-                ready.push(Arc::clone(&g.metas[id.index()]));
+                ready.push(Arc::clone(g.meta(*id)));
             }
         }
     }
@@ -1867,18 +1910,6 @@ fn execute_closure(
     s: &mut Scratch,
 ) {
     let body = body.lock().take().expect("task body runs once");
-    s.inputs.clear();
-    for vd in &meta.consumed {
-        s.inputs.push(
-            shared
-                .store
-                .get(vd)
-                .unwrap_or_else(missing_input_placeholder),
-        );
-    }
-    s.outputs.clear();
-    s.outputs.resize_with(meta.produced.len(), || None);
-
     if let Some(name) = &meta.name {
         shared.telemetry.record(TelemetryEvent::Instant {
             track: Track::Worker(worker),
@@ -1887,20 +1918,13 @@ fn execute_closure(
             at_us: shared.now_us(),
         });
     }
-    let start_us = shared.now_us();
-    let endpoint = |chan: &Arc<StreamChannel>| StreamEndpointCore {
-        chan: Arc::clone(chan),
-        shared: Arc::clone(shared),
-        meta: Arc::clone(meta),
-        worker,
-    };
-    let mut ctx = TaskContext {
-        inputs: std::mem::take(&mut s.inputs),
-        outputs: std::mem::take(&mut s.outputs),
-        stream_outs: meta.stream_outs.iter().map(endpoint).collect(),
-        stream_ins: meta.stream_ins.iter().map(endpoint).collect(),
-        reactor: None,
-    };
+    let start_us = shared.stamp_us(meta);
+    // The scratch buffers come back cleared (below).
+    let (inputs, outputs) = (
+        std::mem::take(&mut s.inputs),
+        std::mem::take(&mut s.outputs),
+    );
+    let mut ctx = TaskContext::for_task(shared, meta, worker, inputs, outputs, None);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let body = body;
         body(&mut ctx);
@@ -1911,7 +1935,7 @@ fn execute_closure(
     for chan in &meta.stream_outs {
         chan.writer_done();
     }
-    let end_us = shared.now_us();
+    let end_us = shared.stamp_us(meta);
 
     let failure_message = match &result {
         Ok(()) => ctx
@@ -1921,13 +1945,8 @@ fn execute_closure(
             .map(|i| format!("task body did not set output {i}")),
         Err(payload) => Some(panic_message(payload.as_ref())),
     };
-    let committed = failure_message.is_none();
-    if committed {
-        // Publish outputs before the graph commit so successors
-        // released by `complete` always find their inputs stored.
-        for (vd, value) in meta.produced.iter().zip(ctx.outputs.drain(..)) {
-            shared.store.insert(*vd, value.expect("all outputs set"));
-        }
+    if failure_message.is_none() {
+        shared.publish_outputs(meta, &mut ctx.outputs);
     }
     // Recycle the context buffers into the worker's scratch.
     let TaskContext {
@@ -1994,30 +2013,8 @@ fn poll_async(
                     at_us: shared.now_us(),
                 });
             }
-            let mut inputs = Vec::with_capacity(meta.consumed.len());
-            for vd in &meta.consumed {
-                inputs.push(
-                    shared
-                        .store
-                        .get(vd)
-                        .unwrap_or_else(missing_input_placeholder),
-                );
-            }
-            let mut outputs = Vec::new();
-            outputs.resize_with(meta.produced.len(), || None);
-            let endpoint = |chan: &Arc<StreamChannel>| StreamEndpointCore {
-                chan: Arc::clone(chan),
-                shared: Arc::clone(shared),
-                meta: Arc::clone(meta),
-                worker,
-            };
-            let ctx = TaskContext {
-                inputs,
-                outputs,
-                stream_outs: meta.stream_outs.iter().map(endpoint).collect(),
-                stream_ins: meta.stream_ins.iter().map(endpoint).collect(),
-                reactor: Some(shared.reactor_inner()),
-            };
+            let reactor = Some(shared.reactor_inner());
+            let ctx = TaskContext::for_task(shared, meta, worker, Vec::new(), Vec::new(), reactor);
             let factory = abody
                 .factory
                 .lock()
@@ -2032,7 +2029,7 @@ fn poll_async(
                     for chan in &meta.stream_outs {
                         chan.writer_done();
                     }
-                    let end_us = shared.now_us();
+                    let end_us = shared.stamp_us(meta);
                     let message = Some(panic_message(payload.as_ref()));
                     commit_task(shared, queue, meta, worker, message, end_us, end_us, s);
                     return;
@@ -2040,7 +2037,7 @@ fn poll_async(
             }
         }
     };
-    let start_us = shared.now_us();
+    let start_us = shared.stamp_us(meta);
     let waker = Waker::from(Arc::clone(meta));
     let mut cx = Context::from_waker(&waker);
     loop {
@@ -2050,7 +2047,10 @@ fn poll_async(
                 for chan in &meta.stream_outs {
                     chan.writer_done();
                 }
-                let end_us = shared.now_us();
+                // The failed body's context holds input values: gone
+                // before the commit, like a finished one's.
+                drop(fut);
+                let end_us = shared.stamp_us(meta);
                 let message = Some(panic_message(payload.as_ref()));
                 commit_task(shared, queue, meta, worker, message, start_us, end_us, s);
                 return;
@@ -2060,18 +2060,14 @@ fn poll_async(
                 for chan in &meta.stream_outs {
                     chan.writer_done();
                 }
-                let end_us = shared.now_us();
+                let end_us = shared.stamp_us(meta);
                 let failure_message = ctx
                     .outputs
                     .iter()
                     .position(Option::is_none)
                     .map(|i| format!("task body did not set output {i}"));
                 if failure_message.is_none() {
-                    // Publish before the graph commit, as in the
-                    // closure path.
-                    for (vd, value) in meta.produced.iter().zip(ctx.outputs.drain(..)) {
-                        shared.store.insert(*vd, value.expect("all outputs set"));
-                    }
+                    shared.publish_outputs(meta, &mut ctx.outputs);
                 }
                 drop(ctx);
                 commit_task(
@@ -2091,7 +2087,9 @@ fn poll_async(
                 // the CAS lands, a concurrent wake may re-queue the
                 // task and another worker may resume it.
                 *abody.future.lock() = Some(fut);
-                abody.parked_at_us.store(shared.now_us(), Ordering::SeqCst);
+                abody
+                    .parked_at_us
+                    .store(shared.stamp_us(meta), Ordering::SeqCst);
                 shared.parked.fetch_add(1, Ordering::SeqCst);
                 match abody.cell.try_park() {
                     ParkOutcome::Parked => {
@@ -2154,10 +2152,16 @@ fn commit_task(
     s: &mut Scratch,
 ) {
     let committed = failure_message.is_none();
+    // -- inputs ---------------------------------------------------------
+    // Released before the graph commit, so that whoever sees the task
+    // finished (`wait_all`) also sees the values only it was keeping
+    // freed. Dropping the references lets go of the producers' records.
+    let inputs = std::mem::take(&mut *meta.inputs.lock());
+    inputs.into_each(|input| shared.release(input));
+
     // -- graph commit ---------------------------------------------------
     s.ready_ids.clear();
     s.ready.clear();
-    s.evicted.clear();
     {
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
         let mut g = shared.graph.lock();
@@ -2167,10 +2171,7 @@ fn commit_task(
                     .complete_into(meta.id, &mut s.ready_ids)
                     .expect("claimed task can complete");
                 for id in &s.ready_ids {
-                    s.ready.push(Arc::clone(&g.metas[id.index()]));
-                }
-                for vd in &meta.produced {
-                    g.note_stored(*vd, &mut s.evicted);
+                    s.ready.push(Arc::clone(g.meta(*id)));
                 }
             }
             Some(message) => {
@@ -2194,13 +2195,11 @@ fn commit_task(
                 }
             }
         }
-        for vd in &meta.consumed {
-            g.note_consumed(*vd, &mut s.evicted);
-        }
+        // The graph is done with this record; from here it lives as
+        // long as a reader or the column references one of its cells.
+        // (The caller holds a clone: nothing is dropped under the lock.)
+        g.metas[meta.id.index()] = None;
         shared.running.fetch_sub(1, Ordering::SeqCst);
-    }
-    for vd in &s.evicted {
-        shared.store.remove(vd);
     }
 
     // -- resources: release, then re-inject unparked tasks --------------
@@ -2962,6 +2961,223 @@ mod tests {
             weak.upgrade().map(|_| ()),
             None,
             "shared state must be freed (no Arc cycle through parked futures)"
+        );
+    }
+
+    /// A payload that counts its own drops.
+    struct Counted(u64, Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A task that holds its worker until the returned sender fires,
+    /// plus the datum later tasks read to queue up behind it.
+    fn gate(rt: &LocalRuntime) -> (DataHandle<()>, std::sync::mpsc::Sender<()>) {
+        let (open, wait) = std::sync::mpsc::channel::<()>();
+        let out = rt.data::<()>("gate");
+        rt.submit(
+            TaskSpec::new("gate").output(out.id()),
+            Constraints::new(),
+            move |ctx| {
+                wait.recv().expect("gate opened");
+                ctx.set_output(0, ());
+            },
+        )
+        .unwrap();
+        (out, open)
+    }
+
+    #[test]
+    fn set_initial_reaches_readers_submitted_before_it() {
+        // One reader registers against the untouched version 0, a
+        // writer then supersedes it, and only then is the initial value
+        // provided: the reader still sees it, `get` sees the writer's.
+        let rt = rt(2);
+        let (gate, open) = gate(&rt);
+        let d = rt.data::<u64>("d");
+        let seen = rt.data::<u64>("seen");
+        rt.submit(
+            TaskSpec::new("early-reader")
+                .input(gate.id())
+                .input(d.id())
+                .output(seen.id()),
+            Constraints::new(),
+            |ctx| {
+                let v = *ctx.input::<u64>(1);
+                ctx.set_output(0, v);
+            },
+        )
+        .unwrap();
+        rt.submit(
+            TaskSpec::new("writer").input(gate.id()).output(d.id()),
+            Constraints::new(),
+            |ctx| ctx.set_output(0, 99u64),
+        )
+        .unwrap();
+        rt.set_initial(&d, 7u64);
+        open.send(()).unwrap();
+        assert_eq!(*rt.get(&seen).unwrap(), 7);
+        assert_eq!(*rt.get(&d).unwrap(), 99);
+        rt.wait_all().unwrap();
+        // gate, seen and d@v1; d@v0 went with its only reader.
+        assert_eq!(rt.live_value_count(), 3);
+    }
+
+    #[test]
+    fn set_initial_twice_keeps_the_last_value() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let rt = rt(1);
+        let d = rt.data::<Counted>("d");
+        let out = rt.data::<u64>("out");
+        rt.set_initial(&d, Counted(1, Arc::clone(&drops)));
+        rt.set_initial(&d, Counted(2, Arc::clone(&drops)));
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "first value replaced");
+        assert_eq!(rt.live_value_count(), 1, "one cell, counted once");
+        rt.submit(
+            TaskSpec::new("read").input(d.id()).output(out.id()),
+            Constraints::new(),
+            |ctx| {
+                let v = ctx.input::<Counted>(0).0;
+                ctx.set_output(0, v);
+            },
+        )
+        .unwrap();
+        assert_eq!(*rt.get(&out).unwrap(), 2);
+        drop(rt);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn version_superseded_unread_before_production_dies_at_commit() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let rt = rt(2);
+        let (gate, open) = gate(&rt);
+        let d = rt.data::<Counted>("d");
+        for version in 1..=2u64 {
+            let drops = Arc::clone(&drops);
+            rt.submit(
+                TaskSpec::new("write").input(gate.id()).output(d.id()),
+                Constraints::new(),
+                move |ctx| ctx.set_output(0, Counted(version, drops)),
+            )
+            .unwrap();
+        }
+        open.send(()).unwrap();
+        rt.wait_all().unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "d@v1 was dead on arrival");
+        assert_eq!(rt.live_value_count(), 2, "gate and d@v2");
+        assert_eq!(rt.get(&d).unwrap().0, 2);
+    }
+
+    #[test]
+    fn get_pins_a_version_against_its_last_readers_commit() {
+        // A `get` and a superseding writer start together while the
+        // version's only reader is about to commit, on 4 workers: the
+        // `get` returns whichever version was current when it looked,
+        // never an error, and every superseded payload is gone by the
+        // time `wait_all` returns.
+        const ROUNDS: u64 = 200;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let rt = rt(4);
+        for round in 0..ROUNDS {
+            let d = rt.data::<Counted>("d");
+            let sink = rt.data::<u64>("sink");
+            let drops1 = Arc::clone(&drops);
+            rt.submit(
+                TaskSpec::new("v1").output(d.id()),
+                Constraints::new(),
+                move |ctx| ctx.set_output(0, Counted(round, drops1)),
+            )
+            .unwrap();
+            rt.submit(
+                TaskSpec::new("reader").input(d.id()).output(sink.id()),
+                Constraints::new(),
+                |ctx| {
+                    let v = ctx.input::<Counted>(0).0;
+                    ctx.set_output(0, v);
+                },
+            )
+            .unwrap();
+            let start = std::sync::Barrier::new(2);
+            let got = thread::scope(|scope| {
+                let getter = scope.spawn(|| {
+                    start.wait();
+                    rt.get(&d).map(|v| v.0)
+                });
+                start.wait();
+                let drops2 = Arc::clone(&drops);
+                rt.submit(
+                    TaskSpec::new("v2").output(d.id()),
+                    Constraints::new(),
+                    move |ctx| ctx.set_output(0, Counted(round + ROUNDS, drops2)),
+                )
+                .unwrap();
+                getter.join().expect("getter thread")
+            });
+            let got = got.expect("a pinned version is never lost");
+            assert!(got == round || got == round + ROUNDS, "got {got}");
+            rt.wait_all().unwrap();
+            assert_eq!(drops.load(Ordering::SeqCst) as u64, round + 1);
+            assert_eq!(rt.live_value_count() as u64, 2 * (round + 1));
+        }
+    }
+
+    #[test]
+    fn an_empty_cell_is_not_a_provided_value() {
+        // What the strict read-without-producer lint asks: a reader
+        // that came first leaves an empty cell, which must not pass
+        // for an initial value.
+        let rt = rt(1);
+        let d = rt.data::<u64>("d");
+        let out = rt.data::<u64>("out");
+        let cell_is_set = || {
+            let g = rt.shared.graph.lock();
+            g.current(d.id()).map(|current| current.cell().is_set())
+        };
+        assert_eq!(cell_is_set(), None);
+        rt.submit(
+            TaskSpec::new("reader").input(d.id()).output(out.id()),
+            Constraints::new(),
+            |ctx| ctx.set_output(0, 0u64),
+        )
+        .unwrap();
+        rt.wait_all().unwrap();
+        assert_eq!(cell_is_set(), Some(false));
+        rt.set_initial(&d, 1u64);
+        assert_eq!(cell_is_set(), Some(true));
+    }
+
+    #[test]
+    fn finished_tasks_let_go_of_their_records() {
+        // After a chain ran the graph holds no record, and the newest
+        // one — kept by the column — references none before it: nothing
+        // is retained per step and nothing can drop recursively.
+        let rt = rt(2);
+        let acc = rt.data::<u64>("acc");
+        rt.set_initial(&acc, 0u64);
+        for _ in 0..100 {
+            rt.submit(
+                TaskSpec::new("inc").inout(acc.id()),
+                Constraints::new(),
+                |ctx| {
+                    let v = *ctx.input::<u64>(0);
+                    ctx.set_output(0, v + 1);
+                },
+            )
+            .unwrap();
+        }
+        rt.wait_all().unwrap();
+        let g = rt.shared.graph.lock();
+        assert!(g.metas.iter().all(Option::is_none));
+        let Some(CellRef::Output { producer, .. }) = g.current(acc.id()) else {
+            panic!("the chain's last task produced the current version");
+        };
+        assert!(
+            matches!(*producer.inputs.lock(), Slots::None),
+            "the newest record holds no predecessor"
         );
     }
 }

@@ -1,10 +1,10 @@
 //! Debug-only lock-order checker for the local runtime.
 //!
-//! The executor's documented lock order is `graph → value shard →
-//! pool/sleep` (see the module docs of `local.rs`): the graph mutex may
-//! be held while publishing to a value shard, and the pool and sleep
-//! locks are leaves that must never be held across another of the
-//! tracked locks. This module encodes that order in a static rank table
+//! The executor's documented lock order is `graph → pool/sleep` (see
+//! the module docs of `local.rs`): the pool and sleep locks are leaves
+//! that must never be held across another of the tracked locks. (Value
+//! cells are outside the order: their slot mutex never has anything
+//! acquired under it.) This module encodes that order in a static rank table
 //! and panics on any inversion, turning a would-be deadlock that only
 //! strikes under rare interleavings into a deterministic test failure.
 //!
@@ -16,8 +16,6 @@
 
 /// Rank of the graph/access-processor mutex (acquired first).
 pub const RANK_GRAPH: u8 = 0;
-/// Rank of a value-store shard mutex.
-pub const RANK_SHARD: u8 = 1;
 /// Rank of the resource-pool mutex (leaf).
 pub const RANK_POOL: u8 = 2;
 /// Rank of the sleep-protocol mutex (leaf; never nests with the pool).
@@ -65,7 +63,7 @@ mod imp {
                     rank > top_rank,
                     "lock-order inversion: acquiring '{name}' (rank {rank}) \
                      while holding '{top_name}' (rank {top_rank}); \
-                     documented order is graph -> shard -> pool/sleep"
+                     documented order is graph -> pool/sleep"
                 );
             }
             held.push((rank, name));
@@ -108,7 +106,6 @@ mod tests {
     #[test]
     fn documented_order_is_accepted() {
         let _graph = acquire(RANK_GRAPH, "graph");
-        let _shard = acquire(RANK_SHARD, "value-shard");
         let _pool = acquire(RANK_POOL, "pool");
     }
 

@@ -12,6 +12,9 @@ use continuum_dag::TaskSpec;
 use continuum_platform::Constraints;
 use continuum_runtime::{LocalConfig, LocalRuntime, TraceBuffer};
 use continuum_telemetry::{Event, TaskPhase, Track};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Splitmix-style mixer so checksums depend on every bit.
 fn mix(x: u64) -> u64 {
@@ -153,17 +156,14 @@ fn task_storms_are_worker_count_invariant() {
     }
 }
 
-/// The bounded-memory regression test for value eviction: a
-/// 10 000-step `InOut` chain must finish holding O(1) live values, not
-/// one per superseded version (the pre-eviction runtime retained all
-/// 10 001).
-#[test]
-fn long_inout_chain_runs_in_bounded_memory() {
+/// A `steps`-long `InOut` chain on 4 workers; returns the peak of
+/// `live_value_count()` sampled while submitting and after the run.
+fn chain_live_peak(steps: u64) -> usize {
     let rt = LocalRuntime::new(LocalConfig::with_workers(4));
     let acc = rt.data::<u64>("acc");
     rt.set_initial(&acc, 0u64);
     let mut live_peak = 0usize;
-    for i in 0..10_000u64 {
+    for i in 0..steps {
         rt.submit(
             TaskSpec::new("step").inout(acc.id()),
             Constraints::new(),
@@ -178,14 +178,233 @@ fn long_inout_chain_runs_in_bounded_memory() {
         }
     }
     rt.wait_all().unwrap();
-    live_peak = live_peak.max(rt.live_value_count());
+    assert_eq!(rt.completed_count() as u64, steps);
+    live_peak.max(rt.live_value_count())
+}
+
+/// The bounded-memory regression test for value liveness: a
+/// 10 000-step `InOut` chain must finish holding O(1) live values, not
+/// one per superseded version (the pre-eviction runtime retained all
+/// 10 001).
+#[test]
+fn long_inout_chain_runs_in_bounded_memory() {
     // Sampled peaks race the executor, so allow a small in-flight
     // margin — the point is O(1) versus the chain length.
+    let live_peak = chain_live_peak(10_000);
     assert!(
         live_peak <= 16,
         "live values must stay bounded over a 10k-step chain, peak = {live_peak}"
     );
-    assert_eq!(rt.completed_count(), 10_000);
+}
+
+/// Ten times longer: every record references its predecessor's, so a
+/// runtime that kept them until its own drop would free 100 000 of
+/// them recursively and overflow the stack.
+#[test]
+fn very_long_inout_chain_drops_without_recursion() {
+    let live_peak = chain_live_peak(100_000);
+    assert!(live_peak <= 16, "peak = {live_peak}");
+}
+
+/// The same chain abandoned before it ran (its first task fails): the
+/// pending records still reference each other when the runtime drops.
+#[test]
+fn abandoned_chain_drops_without_recursion() {
+    let rt = LocalRuntime::new(LocalConfig::with_workers(2));
+    let acc = rt.data::<u64>("acc");
+    rt.submit(
+        TaskSpec::new("boom").output(acc.id()),
+        Constraints::new(),
+        |_| panic!("first link fails"),
+    )
+    .unwrap();
+    for _ in 0..100_000 {
+        rt.submit(
+            TaskSpec::new("step").inout(acc.id()),
+            Constraints::new(),
+            |ctx| {
+                let v = *ctx.input::<u64>(0);
+                ctx.set_output(0, v + 1);
+            },
+        )
+        .unwrap();
+    }
+    assert!(rt.wait_all().is_err());
+    drop(rt);
+}
+
+/// A payload that records its own drop under its version's serial.
+struct Tracked {
+    value: u64,
+    serial: usize,
+    drops: Arc<Vec<AtomicU32>>,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops[self.serial].fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Access {
+    In,
+    Out,
+    InOut,
+}
+
+#[derive(Debug)]
+enum Step {
+    /// Parameters over distinct data, in declaration order.
+    Task(Vec<(usize, Access)>),
+    Get(usize),
+}
+
+/// A random program over `data` data, drawn from `seed`.
+fn random_program(seed: u64, data: usize, steps: usize) -> Vec<Step> {
+    let mut state = seed;
+    let mut next = move || {
+        state = mix(state);
+        state as usize
+    };
+    (0..steps)
+        .map(|_| {
+            if next() % 4 == 0 {
+                return Step::Get(next() % data);
+            }
+            let mut params: Vec<(usize, Access)> = Vec::new();
+            for _ in 0..1 + next() % 3 {
+                let datum = next() % data;
+                if params.iter().all(|(d, _)| *d != datum) {
+                    let access = [Access::In, Access::Out, Access::InOut][next() % 3];
+                    params.push((datum, access));
+                }
+            }
+            Step::Task(params)
+        })
+        .collect()
+}
+
+/// Runs `program` at `workers` against the serial model of it: every
+/// `get` and every final value must match, every payload must be
+/// dropped exactly once — the superseded ones before `wait_all`
+/// returns, whether they were read or not — and the values still held
+/// afterwards are exactly the current versions.
+fn check_program(program: &[Step], data: usize, workers: usize) {
+    let versions = data
+        + program
+            .iter()
+            .map(|step| match step {
+                Step::Task(params) => params.iter().filter(|(_, a)| *a != Access::In).count(),
+                Step::Get(_) => 0,
+            })
+            .sum::<usize>();
+    let drops: Arc<Vec<AtomicU32>> = Arc::new((0..versions).map(|_| AtomicU32::new(0)).collect());
+
+    let rt = LocalRuntime::new(LocalConfig::with_workers(workers));
+    let handles = rt.data_batch::<Tracked>("d", data);
+    // The model: each datum's current (value, serial).
+    let mut current: Vec<(u64, usize)> = (0..data).map(|d| (mix(d as u64), d)).collect();
+    for (handle, (value, serial)) in handles.iter().zip(&current) {
+        let drops = Arc::clone(&drops);
+        rt.set_initial(
+            handle,
+            Tracked {
+                value: *value,
+                serial: *serial,
+                drops,
+            },
+        );
+    }
+    let mut next_serial = data;
+    for (index, step) in program.iter().enumerate() {
+        match step {
+            Step::Get(datum) => {
+                let got = rt.get(&handles[*datum]).expect("current version produced");
+                prop_assert_eq!(got.value, current[*datum].0, "get of datum {}", datum);
+            }
+            Step::Task(params) => {
+                let mut spec = TaskSpec::new("t");
+                let mut folded = index as u64;
+                for (datum, access) in params {
+                    let id = handles[*datum].id();
+                    spec = match access {
+                        Access::In => spec.input(id),
+                        Access::Out => spec.output(id),
+                        Access::InOut => spec.inout(id),
+                    };
+                    if *access != Access::Out {
+                        folded = mix(folded ^ current[*datum].0);
+                    }
+                }
+                let mut serials = Vec::new();
+                for (slot, (datum, _)) in
+                    params.iter().filter(|(_, a)| *a != Access::In).enumerate()
+                {
+                    current[*datum] = (mix(folded ^ slot as u64), next_serial);
+                    serials.push(next_serial);
+                    next_serial += 1;
+                }
+                let salt = index as u64;
+                let drops = Arc::clone(&drops);
+                rt.submit(spec, Constraints::new(), move |ctx| {
+                    let folded = (0..ctx.input_count())
+                        .fold(salt, |acc, i| mix(acc ^ ctx.input::<Tracked>(i).value));
+                    for (slot, serial) in serials.iter().enumerate() {
+                        ctx.set_output(
+                            slot,
+                            Tracked {
+                                value: mix(folded ^ slot as u64),
+                                serial: *serial,
+                                drops: Arc::clone(&drops),
+                            },
+                        );
+                    }
+                })
+                .expect("program step admitted");
+            }
+        }
+    }
+    rt.wait_all().expect("program runs clean");
+    for (serial, count) in drops.iter().enumerate() {
+        let is_current = current.iter().any(|(_, s)| *s == serial);
+        prop_assert_eq!(
+            count.load(Ordering::SeqCst),
+            u32::from(!is_current),
+            "drops of version #{} after wait_all ({} workers)",
+            serial,
+            workers
+        );
+    }
+    prop_assert_eq!(rt.live_value_count(), data, "one live value per datum");
+    for (handle, (value, _)) in handles.iter().zip(&current) {
+        prop_assert_eq!(rt.get(handle).expect("final value").value, *value);
+    }
+    drop(rt);
+    for (serial, count) in drops.iter().enumerate() {
+        prop_assert_eq!(
+            count.load(Ordering::SeqCst),
+            1,
+            "version #{} at teardown",
+            serial
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_payload_drops_exactly_once_and_on_time(
+        seed in 0u64..u64::MAX,
+        data in 1usize..9,
+        steps in 1usize..80,
+    ) {
+        let program = random_program(seed, data, steps);
+        for workers in [1usize, 2, 4] {
+            check_program(&program, data, workers);
+        }
+    }
 }
 
 /// Telemetry from a multi-worker storm is well-formed: every task is

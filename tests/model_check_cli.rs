@@ -154,6 +154,12 @@ mod instrumented {
             "at least 4 clean sched targets must run to exhaustion, got {}",
             clean.len()
         );
+        assert!(
+            clean
+                .iter()
+                .any(|t| str_of(field(t, "name")) == "sched::value-cell"),
+            "the value cell is explored"
+        );
         for t in &clean {
             assert_eq!(str_of(field(t, "status")), "ok");
             assert!(u64_of(field(t, "schedules")) > 0);
@@ -165,7 +171,13 @@ mod instrumented {
                 str_of(field(t, "kind")) == "sched" && str_of(field(t, "expect")) == "planted"
             })
             .collect();
-        assert_eq!(planted.len(), 2, "both planted races present");
+        assert_eq!(planted.len(), 3, "every planted race present");
+        assert!(
+            planted
+                .iter()
+                .any(|t| str_of(field(t, "name")) == "sched::value-cell-commit-before-publish"),
+            "the value cell's planted commit-before-publish runs"
+        );
         for t in &planted {
             assert_eq!(
                 str_of(field(t, "status")),

@@ -27,6 +27,14 @@ GROUPS = [
     ("allocator (in-binary side)", r"__rust_alloc|__rust_dealloc|__rust_realloc|__rdl_|alloc::alloc|::alloc::Counting"),
     ("hashing", r"hashbrown|SipHasher|sip::|hash_one|IdHasher|BuildHasher|core::hash"),
     ("BTreeMap/BTreeSet", r"btree"),
+    # Local executor. The mutex and clock rows come first: their fast
+    # paths inline into whatever takes the lock or the timestamp, and the
+    # question there is what the locking costs, not who asked for it.
+    ("futex lock/unlock (in-binary side)", r"sys::sync::mutex|sys::pal::unix::futex|Mutex<.*>::(lock|try_lock)|MutexGuard|Condvar"),
+    ("clock", r"Instant::now|Instant::elapsed|Timespec|clock_gettime|now_us"),
+    ("value cells/liveness", r"value_cell::|CellRef|DatumCells|publish_outputs|Shared::release|local::(Value|Live)\w+|local::GraphState::"),
+    ("access processor + graph", r"dag::access::|dag::graph::|dag::ready::|dag::spec::|dag::inline_vec::|dag::seg_vec::"),
+    ("dispatch queues", r"crossbeam::deque|sleeper::|find_task|wake_workers|inject_ready|ResourcePool|try_admit"),
     ("placement (scheduler, can_host, satisfies)", r"scheduler::|can_host|NodeCapacity::satisfies|is_subset"),
     ("event queue", r"queue::|BinaryHeap"),
     ("outside the binary", r"^\?\?$"),
