@@ -14,8 +14,15 @@
 //! the e1 campaign as Chrome `trace_event` JSON with virtual
 //! timestamps (open in `chrome://tracing` or Perfetto).
 
-use continuum_bench::cli::flag_value;
 use continuum_bench::{e01_scalability, fixtures, run_experiment, Scale, ALL_EXPERIMENTS};
+
+/// The value following `flag` on the command line.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

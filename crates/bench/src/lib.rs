@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod cli;
 pub mod e01_scalability;
 pub mod e02_memory;
 pub mod e03_nmmb;
@@ -34,10 +33,6 @@ pub mod e11_energy;
 pub mod e12_dislib;
 pub mod e13_streaming;
 pub mod fixtures;
-pub mod local_bench;
-pub mod sched_bench;
-pub mod sim_bench;
-pub mod stream_bench;
 mod table;
 
 pub use table::{ExperimentTable, Scale};

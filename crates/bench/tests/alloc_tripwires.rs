@@ -1,0 +1,89 @@
+//! Allocation tripwires: how many times the hot paths ask the
+//! allocator for memory, per task or per element. The counts depend on
+//! neither the opt level nor the host's speed, so they gate where the
+//! timings of these same runs could not.
+//!
+//! This is the one binary that registers the counting allocator, and
+//! its counter is process-wide: the tripwires run one after another
+//! inside a single test.
+
+mod workloads;
+
+use continuum_bench::alloc::{allocations, CountingAllocator};
+use std::sync::Mutex;
+use workloads::{local, sim, stream};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Held by each test, so `--include-ignored` cannot interleave them.
+static COUNTER: Mutex<()> = Mutex::new(());
+
+/// What `run` returned and the allocator calls made, on any thread,
+/// while it ran.
+fn count<T>(run: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocations();
+    let out = run();
+    (out, allocations() - before)
+}
+
+/// Heap allocations per task the wide case may make: three (the body's
+/// box, the task record, the output's `Arc`) plus slack for queue and
+/// scratch growth amortized over 1 500 tasks.
+const MAX_WIDE_ALLOCS_PER_TASK: f64 = 3.5;
+
+#[test]
+fn hot_paths_do_not_allocate_per_unit() {
+    let _serial = COUNTER.lock().unwrap();
+
+    let [wide, ..] = local::cases();
+    for workers in [1, 4] {
+        let (_, allocations) = count(|| local::run(&wide, workers));
+        let per_task = allocations as f64 / wide.tasks as f64;
+        assert!(
+            per_task <= MAX_WIDE_ALLOCS_PER_TASK,
+            "wide at {workers} workers allocates {per_task:.2} times per task, \
+             limit {MAX_WIDE_ALLOCS_PER_TASK}"
+        );
+    }
+
+    for case in stream::cases() {
+        let empty = stream::StreamCase {
+            elements: 0,
+            ..case.clone()
+        };
+        let (_, setup) = count(|| stream::run_streamed(&empty));
+        let (_, moving) = count(|| stream::run_streamed(&case));
+        let violation = stream::allocation_violation(case.elements, moving, setup);
+        assert_eq!(violation, None, "streamed `{}`", case.name);
+    }
+
+    let campaign = sim::campaign(sim::CHUNKS_1E4);
+    let (_, allocations) = count(|| sim::run_lazy(&campaign));
+    let violation = sim::allocation_violation(campaign.task_count(), allocations);
+    assert_eq!(violation, None, "lazy GWAS");
+}
+
+/// PR 7's paper-scale headline; ≈ 2 s with `--release`:
+/// `cargo test -p continuum-bench --release -- --ignored`.
+#[test]
+#[ignore = "10⁶ simulated tasks"]
+fn million_task_campaign_stays_lazy() {
+    let _serial = COUNTER.lock().unwrap();
+    let campaign = sim::campaign(sim::CHUNKS_1E6);
+    let (out, allocations) = count(|| sim::run_lazy(&campaign));
+    assert_eq!(campaign.task_count(), 999_989);
+    assert_eq!(out.report.tasks_completed, campaign.task_count());
+    // Resident: the window's three tasks per chunk, one chromosome's
+    // association tasks waiting for its merge, and what the window
+    // completes of the next chromosome while that merge runs (1 002
+    // tasks here) — independent of the other 20 chromosomes.
+    let tail = sim::CHUNKS_1E6 + sim::CHUNKS_1E6 / 8;
+    assert!(
+        out.peak_materialized_tasks <= 3 * sim::WINDOW + tail,
+        "peak {} materialized tasks",
+        out.peak_materialized_tasks
+    );
+    let violation = sim::allocation_violation(campaign.task_count(), allocations);
+    assert_eq!(violation, None);
+}

@@ -1,6 +1,8 @@
-//! Property-based check beside `sim_bench`: for arbitrary GWAS campaign
-//! shapes, windows and platforms, the lazily materialized run completes
-//! the whole campaign with bounded residency.
+//! Lazy residency as a property: for arbitrary GWAS campaign shapes,
+//! platforms and windows — down to one chunk, far below what
+//! `crates/workflows/tests/proptest_gwas_lazy.rs` compares with the
+//! eager schedule — the lazily materialized run completes the whole
+//! campaign with bounded residency.
 
 use continuum_platform::{NodeSpec, PlatformBuilder};
 use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime};

@@ -371,7 +371,7 @@ fn stream_cancel_target() -> SchedTarget {
                     let (n, s) = (received.load(Ordering::SeqCst), sum.load(Ordering::SeqCst));
                     if (n, s) != (2, 2) {
                         return Err(format!(
-                            "consumer received {n} elements summing to {s}, expected 0 and 2"
+                            "consumer received {n} elements summing to {s}, expected 2 and 2"
                         ));
                     }
                     Ok(())
@@ -576,54 +576,75 @@ fn sleeper_target() -> SchedTarget {
     }
 }
 
-/// `sched::deque` — the `shims/crossbeam` work-stealing deque: an
-/// owner pushes two items and pops; a thief steals concurrently
-/// through the serialized critical-section points. Conservation must
-/// hold in every interleaving: each item is taken exactly once,
-/// whether popped or stolen.
+/// `sched::deque` — the `shims/crossbeam` work-stealing deque driven
+/// the way `local.rs::find_task` drives it: a LIFO owner pushes three
+/// items and pops until empty while two thieves each make two
+/// `steal_batch_and_pop` attempts into their own worker and drain it.
+/// A thief's batch is invisible between the source drain and the
+/// publish to its own deque — the widest window in the protocol.
+/// Conservation must hold in every interleaving: each item is taken
+/// exactly once, whether popped, stolen or moved in a batch.
 fn deque_target() -> SchedTarget {
+    use crossbeam::deque::Worker;
     SchedTarget {
         name: "sched::deque",
-        about: "real work-stealing deque owner/thief: items taken exactly once",
+        about:
+            "real work-stealing deque, LIFO owner vs two batch thieves: items taken exactly once",
         expect: Expect::Clean,
         make: Box::new(|| {
-            let w = Arc::new(crossbeam::deque::Worker::<u64>::new_fifo());
-            let stealer = w.stealer();
+            let queues: [Arc<Worker<u64>>; 3] =
+                std::array::from_fn(|_| Arc::new(Worker::new_lifo()));
             let taken = Arc::new(AtomicU64::new(0));
             let total = Arc::new(AtomicU64::new(0));
+            let tally = {
+                let (taken, total) = (Arc::clone(&taken), Arc::clone(&total));
+                move |v: u64| {
+                    taken.fetch_add(1, Ordering::SeqCst);
+                    total.fetch_add(v, Ordering::SeqCst);
+                }
+            };
 
             let owner = {
-                let (w, taken, total) = (Arc::clone(&w), Arc::clone(&taken), Arc::clone(&total));
+                let (own, tally) = (Arc::clone(&queues[0]), tally.clone());
                 move || {
-                    w.push(1);
-                    w.push(2);
-                    for _ in 0..2 {
-                        if let Some(v) = w.pop() {
-                            taken.fetch_add(1, Ordering::SeqCst);
-                            total.fetch_add(v, Ordering::SeqCst);
-                        }
+                    for v in 1..=3 {
+                        own.push(v);
+                    }
+                    while let Some(v) = own.pop() {
+                        tally(v);
                     }
                 }
             };
-            let thief = {
-                let (taken, total) = (Arc::clone(&taken), Arc::clone(&total));
+            let thief = |own: &Arc<Worker<u64>>| {
+                let (stealer, own, tally) = (queues[0].stealer(), Arc::clone(own), tally.clone());
                 move || {
-                    if let Some(v) = stealer.steal().success() {
-                        taken.fetch_add(1, Ordering::SeqCst);
-                        total.fetch_add(v, Ordering::SeqCst);
+                    for _ in 0..2 {
+                        if let Some(v) = stealer.steal_batch_and_pop(&own).success() {
+                            tally(v);
+                        }
+                    }
+                    while let Some(v) = own.pop() {
+                        tally(v);
                     }
                 }
             };
             Scenario {
-                threads: vec![Box::new(owner), Box::new(thief)],
+                threads: vec![
+                    Box::new(owner),
+                    Box::new(thief(&queues[1])),
+                    Box::new(thief(&queues[2])),
+                ],
                 check: Some(Box::new(move || {
                     let (n, t) = (taken.load(Ordering::SeqCst), total.load(Ordering::SeqCst));
-                    if n != 2 {
-                        return Err(format!("{n} items taken, expected 2"));
-                    }
-                    if t != 3 {
+                    let left: usize = queues.iter().map(|q| q.len()).sum();
+                    if n as usize + left != 3 {
                         return Err(format!(
-                            "taken items sum to {t}, expected 3 (1+2, each once)"
+                            "{n} items taken and {left} left behind, expected 3 in all"
+                        ));
+                    }
+                    if left == 0 && t != 6 {
+                        return Err(format!(
+                            "taken items sum to {t}, expected 6 (1+2+3, each once)"
                         ));
                     }
                     Ok(())

@@ -10,7 +10,7 @@
 //! # Executor architecture
 //!
 //! The hot path is built to absorb storms of sub-millisecond tasks
-//! (see `DESIGN.md` §9 and `crates/bench/src/bin/local_bench.rs`):
+//! (see `DESIGN.md` §9 and `crates/bench/tests/local_storm.rs`):
 //!
 //! * **Work-stealing dispatch** — every worker owns a LIFO deque of
 //!   ready tasks; submissions land in a global injector, and newly

@@ -7,8 +7,8 @@
 use continuum_dag::TaskSpec;
 use continuum_platform::{Constraints, NodeSpec, PlatformBuilder};
 use continuum_runtime::{
-    FifoScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime, SimWorkload, TaskProfile,
-    TraceBuffer,
+    FifoScheduler, LocalConfig, LocalRuntime, RingRecorder, SimOptions, SimRuntime, SimWorkload,
+    TaskProfile, TraceBuffer,
 };
 use continuum_sim::FaultPlan;
 use continuum_telemetry::{
@@ -178,6 +178,34 @@ fn sim_trace_covers_the_full_lifecycle() {
     // The snapshot agrees with the workload: 8 tasks committed.
     let snapshot = MetricsSnapshot::from_events(&events);
     assert_eq!(snapshot.instants.get(&TaskPhase::Committed), Some(&8));
+}
+
+/// The always-on flight recorder under a live run: four workers
+/// record concurrently into a ring far smaller than the run's event
+/// count, every task still completes, and the ring holds its capacity,
+/// not the run.
+#[test]
+fn ring_recorder_stays_bounded_under_a_live_run() {
+    const TASKS: usize = 300;
+    let (ring, telemetry) = RingRecorder::collector(64);
+    let rt = LocalRuntime::new(LocalConfig {
+        workers: 4,
+        telemetry,
+        ..LocalConfig::default()
+    });
+    for (i, out) in rt.data_batch::<u64>("o", TASKS).iter().enumerate() {
+        rt.submit(
+            TaskSpec::new("w").output(out.id()),
+            Constraints::new(),
+            move |ctx| ctx.set_output(0, i as u64),
+        )
+        .unwrap();
+    }
+    rt.wait_all().unwrap();
+    assert_eq!(rt.completed_count(), TASKS);
+    drop(rt);
+    assert_eq!(ring.len(), ring.capacity());
+    assert!(ring.overwritten() > TASKS as u64, "{}", ring.overwritten());
 }
 
 #[test]

@@ -295,7 +295,8 @@ pub fn continuous_inference(frames: u64, frame_bytes: u64, stage_s: f64) -> SimW
 /// The batch rendition of [`continuous_inference`]: the same four
 /// stages chained through versioned whole-window data, each stage
 /// starting only at its predecessor's *completion*. The baseline for
-/// the streamed/batch makespan comparison in `stream_bench`.
+/// the streamed/batch makespan comparison in
+/// `crates/bench/tests/stream_pipeline.rs`.
 pub fn batch_inference(frames: u64, frame_bytes: u64, stage_s: f64) -> SimWorkload {
     assert!(stage_s > 0.0, "stages need a positive duration");
     let mut w = SimWorkload::new();
