@@ -388,7 +388,7 @@ fn agent_loop(
                     Some(c) => StoredValue::object(result, c),
                     None => StoredValue::blob(result),
                 };
-                match store.put(output.clone(), value, None) {
+                match store.put(output, value, None) {
                     Ok(_) => {
                         executed.fetch_add(1, Ordering::SeqCst);
                         let done_us = now_us();

@@ -10,6 +10,8 @@
 mod workloads;
 
 use continuum_bench::alloc::{allocations, CountingAllocator};
+use continuum_dislib::{DistMatrix, KMeans};
+use continuum_runtime::{LocalConfig, LocalRuntime};
 use std::sync::Mutex;
 use workloads::{local, sim, stream};
 
@@ -31,6 +33,12 @@ fn count<T>(run: impl FnOnce() -> T) -> (T, u64) {
 /// box, the task record, the output's `Arc`) plus slack for queue and
 /// scratch growth amortized over 1 500 tasks.
 const MAX_WIDE_ALLOCS_PER_TASK: f64 = 3.5;
+
+/// Heap allocations per submitted K-means task: the task's own handful
+/// (name, record, body, accumulator, output) plus the driver's per-step
+/// panel and centroids. Copying the candidate rows one `Vec` each to
+/// pick the initial centroids (750 here) would be 21 per task.
+const MAX_KMEANS_ALLOCS_PER_TASK: f64 = 16.0;
 
 #[test]
 fn hot_paths_do_not_allocate_per_unit() {
@@ -62,6 +70,26 @@ fn hot_paths_do_not_allocate_per_unit() {
     let (_, allocations) = count(|| sim::run_lazy(&campaign));
     let violation = sim::allocation_violation(campaign.task_count(), allocations);
     assert_eq!(violation, None, "lazy GWAS");
+
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    let x = DistMatrix::random(&rt, 6_000, 16, 750, 42).expect("random blocks submit");
+    rt.wait_all().expect("random blocks generate");
+    let before = rt.submitted_count();
+    let (_, allocations) = count(|| {
+        let model = KMeans::new(32)
+            .max_iter(5)
+            .tol(0.0)
+            .seed(42)
+            .fit(&rt, &x)
+            .expect("k-means fits");
+        model.predict(&rt, &x).expect("k-means predicts")
+    });
+    let per_task = allocations as f64 / (rt.submitted_count() - before) as f64;
+    assert!(
+        per_task <= MAX_KMEANS_ALLOCS_PER_TASK,
+        "k-means fit + predict allocates {per_task:.2} times per task, \
+         limit {MAX_KMEANS_ALLOCS_PER_TASK}"
+    );
 }
 
 /// PR 7's paper-scale headline; ≈ 2 s with `--release`:

@@ -104,21 +104,19 @@ impl KMeans {
                 x.rows()
             )));
         }
-        let d = x.cols();
         let mut centroids = self.init_centroids(rt, x)?;
         let mut iterations = 0;
         let mut inertia = f64::INFINITY;
         for it in 0..self.max_iter {
             iterations = it + 1;
             let (new_centroids, new_inertia) = self.step(rt, x, &centroids, it)?;
-            let shift = new_centroids.add(&centroids.scale(-1.0)).frobenius_norm();
+            let shift = new_centroids.frobenius_distance(&centroids);
             centroids = new_centroids;
             inertia = new_inertia;
             if shift < self.tol {
                 break;
             }
         }
-        let _ = d;
         Ok(KMeansModel {
             centroids,
             iterations,
@@ -136,13 +134,13 @@ impl KMeans {
     ) -> Result<(Matrix, f64), DislibError> {
         let k = self.k;
         let d = x.cols();
-        let shared = Arc::new(centroids.clone());
+        let panel = Arc::new(centroids.transpose());
         // Partial layout: k rows of [sum_0..sum_d-1, count] plus one
         // extra row [inertia, 0, ...].
         let mut partials = Vec::with_capacity(x.num_blocks());
         for (i, block) in x.blocks().iter().enumerate() {
             let out = rt.data::<Matrix>(format!("km_part_{iter}_{i}"));
-            let cents = Arc::clone(&shared);
+            let panel = Arc::clone(&panel);
             rt.submit(
                 TaskSpec::new("kmeans_partial")
                     .input(block.id())
@@ -151,14 +149,18 @@ impl KMeans {
                 move |ctx| {
                     let b: &Matrix = ctx.input(0);
                     let mut acc = Matrix::zeros(k + 1, d + 1);
+                    let mut inertia = 0.0;
                     for r in 0..b.rows() {
-                        let (best, dist) = nearest(&cents, b, r);
-                        for c in 0..d {
-                            acc.set(best, c, acc.at(best, c) + b.at(r, c));
+                        let x = b.row(r);
+                        let (best, dist) = closest_in_panel(&panel, x);
+                        let sums = acc.row_mut(best);
+                        for (s, v) in sums.iter_mut().zip(x) {
+                            *s += v;
                         }
-                        acc.set(best, d, acc.at(best, d) + 1.0);
-                        acc.set(k, 0, acc.at(k, 0) + dist);
+                        sums[d] += 1.0;
+                        inertia += dist;
                     }
+                    acc.set(k, 0, inertia);
                     ctx.set_output(0, acc);
                 },
             )?;
@@ -172,7 +174,7 @@ impl KMeans {
         rt.submit(spec, Constraints::new(), move |ctx| {
             let mut acc: Matrix = ctx.input::<Matrix>(0).clone();
             for i in 1..n_parts {
-                acc = acc.add(ctx.input::<Matrix>(i));
+                acc.add_assign(ctx.input::<Matrix>(i));
             }
             ctx.set_output(0, acc);
         })?;
@@ -192,21 +194,31 @@ impl KMeans {
     }
 
     fn init_centroids(&self, rt: &LocalRuntime, x: &DistMatrix) -> Result<Matrix, DislibError> {
-        // Sample k distinct rows from the first block(s).
-        let mut rows: Vec<Vec<f64>> = Vec::new();
+        // Sample k distinct rows from the first block(s): shuffle row
+        // indices (the permutation depends on their count and the seed
+        // alone) and copy only the chosen rows.
+        let mut blocks = Vec::new();
+        let mut candidates = 0;
         for block in x.blocks() {
             let b = rt.get(block)?;
-            for r in 0..b.rows() {
-                rows.push(b.row(r).to_vec());
-            }
-            if rows.len() >= self.k.max(32) {
+            candidates += b.rows();
+            blocks.push(b);
+            if candidates >= self.k.max(32) {
                 break;
             }
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        rows.shuffle(&mut rng);
-        rows.truncate(self.k);
-        Ok(Matrix::from_rows(&rows))
+        let mut order: Vec<usize> = (0..candidates).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(self.seed));
+        let mut data = Vec::with_capacity(self.k * x.cols());
+        for &chosen in &order[..self.k] {
+            let (mut b, mut r) = (0, chosen);
+            while r >= blocks[b].rows() {
+                r -= blocks[b].rows();
+                b += 1;
+            }
+            data.extend_from_slice(blocks[b].row(r));
+        }
+        Ok(Matrix::from_vec(self.k, x.cols(), data))
     }
 }
 
@@ -218,11 +230,11 @@ impl KMeansModel {
     ///
     /// Propagates runtime errors.
     pub fn predict(&self, rt: &LocalRuntime, x: &DistMatrix) -> Result<Vec<usize>, DislibError> {
-        let cents = Arc::new(self.centroids.clone());
+        let panel = Arc::new(self.centroids.transpose());
         let mut outs = Vec::with_capacity(x.num_blocks());
         for (i, block) in x.blocks().iter().enumerate() {
             let out = rt.data::<Vec<usize>>(format!("km_pred_{i}"));
-            let cents = Arc::clone(&cents);
+            let panel = Arc::clone(&panel);
             rt.submit(
                 TaskSpec::new("kmeans_predict")
                     .input(block.id())
@@ -230,8 +242,9 @@ impl KMeansModel {
                 Constraints::new(),
                 move |ctx| {
                     let b: &Matrix = ctx.input(0);
-                    let labels: Vec<usize> =
-                        (0..b.rows()).map(|r| nearest(&cents, b, r).0).collect();
+                    let labels: Vec<usize> = (0..b.rows())
+                        .map(|r| closest_in_panel(&panel, b.row(r)).0)
+                        .collect();
                     ctx.set_output(0, labels);
                 },
             )?;
@@ -245,14 +258,50 @@ impl KMeansModel {
     }
 }
 
-/// Nearest centroid of row `r` of `b`: `(index, squared distance)`.
-fn nearest(centroids: &Matrix, b: &Matrix, r: usize) -> (usize, f64) {
+/// Centroids one assignment block wide: the kernel keeps this many
+/// running sums in registers per sample.
+const PANEL_BLOCK: usize = 8;
+
+/// Nearest centroid of sample `x`: `(index, squared distance)`, ties to
+/// the lowest index. `panel` is the centroid matrix transposed, i.e.
+/// feature-major (`d` rows of `k`): feature `j` of every centroid is
+/// contiguous, so one sample feature meets a whole block of centroids
+/// in one pass.
+///
+/// Each distance is summed over features in index order, exactly as
+/// [`Matrix::row_distance_sq`] sums it, so it has the same bits; only
+/// the `PANEL_BLOCK` sums of a block advance together, which makes the
+/// add chains independent of one another.
+fn closest_in_panel(panel: &Matrix, x: &[f64]) -> (usize, f64) {
+    assert_eq!(panel.rows(), x.len(), "column mismatch");
+    let k = panel.cols();
+    let features = || x.iter().zip(panel.as_slice().chunks_exact(k));
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = b.row_distance_sq(r, centroids, c);
-        if d < best_d {
-            best_d = d;
+    let blocked = k - k % PANEL_BLOCK;
+    for c0 in (0..blocked).step_by(PANEL_BLOCK) {
+        let mut acc = [0.0; PANEL_BLOCK];
+        for (&xj, feature) in features() {
+            for (a, c) in acc.iter_mut().zip(&feature[c0..c0 + PANEL_BLOCK]) {
+                let t = xj - c;
+                *a += t * t;
+            }
+        }
+        for (i, &dist) in acc.iter().enumerate() {
+            if dist < best_d {
+                best_d = dist;
+                best = c0 + i;
+            }
+        }
+    }
+    for c in blocked..k {
+        let mut dist = 0.0;
+        for (&xj, feature) in features() {
+            let t = xj - feature[c];
+            dist += t * t;
+        }
+        if dist < best_d {
+            best_d = dist;
             best = c;
         }
     }
@@ -263,9 +312,27 @@ fn nearest(centroids: &Matrix, b: &Matrix, r: usize) -> (usize, f64) {
 mod tests {
     use super::*;
     use continuum_runtime::LocalConfig;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn rt() -> LocalRuntime {
         LocalRuntime::new(LocalConfig::with_workers(4))
+    }
+
+    /// The pair-at-a-time assignment the panel kernel replaced, kept as
+    /// its reference: `row_distance_sq` over centroids in index order,
+    /// strict `<`.
+    fn closest_by_row_distance(centroids: &Matrix, b: &Matrix, r: usize) -> (usize, f64) {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for c in 0..centroids.rows() {
+            let d = b.row_distance_sq(r, centroids, c);
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        (best, best_d)
     }
 
     /// Three well-separated gaussian-ish blobs.
@@ -273,7 +340,6 @@ mod tests {
         let mut rows = Vec::new();
         let centers = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)];
         let mut rng = StdRng::seed_from_u64(7);
-        use rand::Rng;
         for _ in 0..60 {
             let (cx, cy) = centers[rng.gen_range(0..3)];
             rows.push(vec![cx + rng.gen::<f64>(), cy + rng.gen::<f64>()]);
@@ -311,7 +377,7 @@ mod tests {
         assert_eq!(labels.len(), 60);
         let m = data.collect(&rt).unwrap();
         for (r, label) in labels.iter().enumerate() {
-            let (best, _) = nearest(&model.centroids, &m, r);
+            let (best, _) = closest_by_row_distance(&model.centroids, &m, r);
             assert_eq!(*label, best);
         }
     }
@@ -351,5 +417,104 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         let _ = KMeans::new(0);
+    }
+
+    proptest! {
+        /// `(argmin, min)` is bit-for-bit the reference's, for every
+        /// `k mod PANEL_BLOCK`, with ties planted.
+        #[test]
+        fn panel_kernel_matches_row_distance_bit_for_bit(
+            rows in 1usize..65,
+            d in 1usize..21,
+            k in 1usize..41,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Half the cases draw from a 4-value grid, so distinct
+            // centroids tie too and many distances are exactly equal.
+            let coarse = seed % 2 == 0;
+            let mut draw = |n: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|_| {
+                        if coarse {
+                            f64::from(rng.gen_range(0u32..4)) * 0.25
+                        } else {
+                            rng.gen::<f64>()
+                        }
+                    })
+                    .collect()
+            };
+            let mut cents = draw(k * d);
+            let samples = Matrix::from_vec(rows, d, draw(rows * d));
+            // Planted duplicates: every third centroid repeats an
+            // earlier one, across block boundaries as well.
+            for c in (2..k).step_by(3) {
+                let from = c / 2;
+                cents.copy_within(from * d..(from + 1) * d, c * d);
+            }
+            let cents = Matrix::from_vec(k, d, cents);
+            let panel = cents.transpose();
+            for r in 0..rows {
+                let (want, want_d) = closest_by_row_distance(&cents, &samples, r);
+                let (got, got_d) = closest_in_panel(&panel, samples.row(r));
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(got_d.to_bits(), want_d.to_bits());
+            }
+        }
+    }
+
+    fn fnv1a(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Constants read on the commit before the panel kernel (PR 17):
+    /// the model is the same to the last bit at every worker count.
+    #[test]
+    fn pinned_model_bits_at_one_two_and_four_workers() {
+        for workers in [1, 2, 4] {
+            let rt = LocalRuntime::new(LocalConfig::with_workers(workers));
+            let x = DistMatrix::random(&rt, 5_000, 7, 625, 7919).unwrap();
+            let model = KMeans::new(13)
+                .max_iter(12)
+                .tol(0.0)
+                .seed(7919)
+                .fit(&rt, &x)
+                .unwrap();
+            let labels = model.predict(&rt, &x).unwrap();
+            assert_eq!(model.inertia.to_bits(), 0x4099_403b_78a6_68db);
+            let mut hash = 0xcbf2_9ce4_8422_2325;
+            for v in model.centroids.as_slice() {
+                fnv1a(&mut hash, v.to_bits());
+            }
+            for &label in &labels {
+                fnv1a(&mut hash, label as u64);
+            }
+            assert_eq!(hash, 0x8bac_9eab_4b44_acc7, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn init_centroids_picks_the_rows_the_row_copying_form_picked() {
+        // (rows, block_rows, k, seed): one block enough; k beyond the
+        // first block; fewer than 32 rows in a block.
+        for (rows, block_rows, k, seed) in [(100, 40, 5, 1), (90, 20, 50, 7919), (64, 8, 13, 42)] {
+            let rt = rt();
+            let x = DistMatrix::random(&rt, rows, 3, block_rows, seed).unwrap();
+            let mut copied: Vec<Vec<f64>> = Vec::new();
+            for block in x.blocks() {
+                let b = rt.get(block).unwrap();
+                copied.extend((0..b.rows()).map(|r| b.row(r).to_vec()));
+                if copied.len() >= k.max(32) {
+                    break;
+                }
+            }
+            copied.shuffle(&mut StdRng::seed_from_u64(seed));
+            copied.truncate(k);
+            let picked = KMeans::new(k).seed(seed).init_centroids(&rt, &x).unwrap();
+            assert_eq!(picked, Matrix::from_rows(&copied));
+        }
     }
 }

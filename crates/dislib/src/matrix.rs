@@ -92,6 +92,16 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Mutably borrows row `r` as a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        assert!(r < self.rows, "row out of range");
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// The raw row-major data.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -170,6 +180,22 @@ impl Matrix {
         }
     }
 
+    /// Adds `other` into `self` element-wise, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn add_assign(&mut self, other: &Matrix) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+            "shape mismatch"
+        );
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f64) -> Matrix {
         Matrix {
@@ -182,6 +208,25 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
+    }
+
+    /// Frobenius norm of `self - other`, without forming the difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn frobenius_distance(&self, other: &Matrix) -> f64 {
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+            "shape mismatch"
+        );
+        self.data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt()
     }
 
     /// Solves `self * x = b` for square `self` via Gaussian
@@ -329,6 +374,22 @@ mod tests {
         let b = a.add(&a);
         assert_eq!(b.as_slice(), &[6.0, 8.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[6.0, 8.0]);
+    }
+
+    #[test]
+    fn in_place_forms_have_the_bits_of_the_allocating_ones() {
+        let a = Matrix::from_rows(&[vec![0.1, -7.3, 1e-9], vec![2.5e8, 0.3, -0.7]]);
+        let b = Matrix::from_rows(&[vec![0.2, 3.1, -1e-7], vec![-1.0, 0.1, 0.9]]);
+        let mut sum = a.clone();
+        sum.add_assign(&b);
+        assert_eq!(sum, a.add(&b));
+        assert_eq!(
+            a.frobenius_distance(&b).to_bits(),
+            a.add(&b.scale(-1.0)).frobenius_norm().to_bits()
+        );
+        let mut z = Matrix::zeros(2, 2);
+        z.row_mut(1)[0] = 4.0;
+        assert_eq!(z.as_slice(), &[0.0, 0.0, 4.0, 0.0]);
     }
 
     #[test]

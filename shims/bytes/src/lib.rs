@@ -1,7 +1,9 @@
 //! Offline drop-in stand-in for the `bytes` crate: a cheaply-clonable,
-//! immutable byte buffer backed by `Arc<[u8]>`. Covers the surface this
-//! workspace uses (`new`, `from`, `from_static`, `copy_from_slice`,
-//! deref to `[u8]`); zero-copy sub-slicing is not provided.
+//! immutable byte buffer backed by `Arc<Vec<u8>>`, so `From<Vec<u8>>`
+//! takes the vector's buffer over instead of copying it, as the real
+//! crate does. Covers the surface this workspace uses (`new`, `from`,
+//! `from_static`, `copy_from_slice`, deref to `[u8]`); zero-copy
+//! sub-slicing is not provided.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -11,7 +13,7 @@ use std::sync::Arc;
 /// A cheaply clonable immutable contiguous byte buffer.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
@@ -22,7 +24,7 @@ impl Bytes {
 
     /// A buffer copied from a slice.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: data.into() }
+        Bytes::from(data.to_vec())
     }
 
     /// A buffer borrowing nothing: copies the static slice once.
@@ -72,8 +74,11 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `data`'s buffer; nothing is copied.
     fn from(data: Vec<u8>) -> Self {
-        Bytes { data: data.into() }
+        Bytes {
+            data: Arc::new(data),
+        }
     }
 }
 
@@ -143,6 +148,16 @@ mod tests {
         assert_eq!(b, Bytes::copy_from_slice(&[1, 2, 3]));
         assert!(Bytes::new().is_empty());
         assert_eq!(&Bytes::from_static(b"ab")[..], b"ab");
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vectors_buffer() {
+        let v = vec![7u8; 64 * 1024];
+        let addr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), addr);
+        let s = String::from("a reading");
+        let addr = s.as_ptr();
+        assert_eq!(Bytes::from(s).as_ptr(), addr);
     }
 
     #[test]
