@@ -9,7 +9,9 @@ use continuum_platform::oneshot::OneshotSender;
 use continuum_platform::sync::panic_message;
 use continuum_platform::DeviceClass;
 use continuum_storage::{ObjectKey, StorageRuntime, StoredValue};
-use continuum_telemetry::{Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track};
+use continuum_telemetry::{
+    Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
+};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -340,7 +342,7 @@ fn agent_loop(
                     if telemetry.enabled() {
                         telemetry.record(TelemetryEvent::Instant {
                             track: Track::Agent(id.0),
-                            name: op.clone(),
+                            name: Label::shared(&op),
                             phase: TaskPhase::Failed,
                             at_us,
                         });
@@ -398,9 +400,10 @@ fn agent_loop(
                             // carry the derived child context and sit
                             // strictly inside the submitter's
                             // [send, reply] hop interval.
+                            let name = Label::shared(&op);
                             telemetry.record(TelemetryEvent::Span {
                                 track: Track::Agent(id.0),
-                                name: op.clone(),
+                                name: name.clone(),
                                 phase: TaskPhase::Transferring,
                                 start_us: dequeued_us,
                                 dur_us: fetched_us - dequeued_us,
@@ -408,7 +411,7 @@ fn agent_loop(
                             });
                             telemetry.record(TelemetryEvent::Span {
                                 track: Track::Agent(id.0),
-                                name: op.clone(),
+                                name: name.clone(),
                                 phase: TaskPhase::Executing,
                                 start_us: fetched_us,
                                 dur_us: done_us - fetched_us,
@@ -416,7 +419,7 @@ fn agent_loop(
                             });
                             telemetry.record(TelemetryEvent::Instant {
                                 track: Track::Agent(id.0),
-                                name: op.clone(),
+                                name,
                                 phase: TaskPhase::Committed,
                                 at_us: done_us,
                             });

@@ -9,7 +9,7 @@ use continuum_platform::oneshot::{self, OneshotReceiver};
 use continuum_platform::DeviceClass;
 use continuum_storage::ObjectKey;
 use continuum_telemetry::{
-    CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
+    CounterKey, Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -303,7 +303,7 @@ pub(crate) fn run_application(
             if telemetry.enabled() {
                 telemetry.record(TelemetryEvent::Instant {
                     track: Track::Agent(agent.index() as u32),
-                    name: task.op.clone(),
+                    name: Label::shared(&task.op),
                     phase: TaskPhase::Submitted,
                     at_us: sent_us,
                 });
@@ -341,7 +341,7 @@ pub(crate) fn run_application(
                 // `merge_traces` uses the pair as its handshake.
                 telemetry.record(TelemetryEvent::Span {
                     track,
-                    name: format!("offload:{op}"),
+                    name: format!("offload:{op}").into(),
                     phase: TaskPhase::Offloading,
                     start_us: sent_us,
                     dur_us: end_us.saturating_sub(sent_us),
@@ -349,7 +349,7 @@ pub(crate) fn run_application(
                 });
                 telemetry.record(TelemetryEvent::Instant {
                     track,
-                    name: op,
+                    name: op.into(),
                     phase: outcome,
                     at_us: end_us,
                 });
@@ -381,7 +381,7 @@ pub(crate) fn run_application(
         let end_us = now_us();
         telemetry.record(TelemetryEvent::Span {
             track: Track::Run,
-            name: app.name().to_string(),
+            name: app.name().to_string().into(),
             phase: TaskPhase::Executing,
             start_us: run_start_us,
             dur_us: end_us.saturating_sub(run_start_us),

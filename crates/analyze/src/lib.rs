@@ -10,9 +10,12 @@
 //!
 //! # The workflow verifier
 //!
-//! [`LintBundle`] packages a task graph with the platform it should run
-//! on; [`LintBundle::verify`] runs the lint catalogue ([`Lint`]) and
-//! returns structured [`Diagnostic`]s. Three front ends share it:
+//! [`LintView`] borrows a task graph, the platform it should run on and
+//! the per-task metadata ([`LintColumns`]); [`LintView::verify`] runs
+//! the lint catalogue ([`Lint`]) and returns structured
+//! [`Diagnostic`]s. [`LintBundle`] is the owned, serializable form of
+//! the same inputs and verifies through a view of itself. Three front
+//! ends share the catalogue:
 //!
 //! * the `continuum-lint` CLI (JSON and human output over a serialized
 //!   bundle),
@@ -34,14 +37,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bundle;
 pub mod conc;
 mod diag;
+mod index;
 mod verify;
 
+pub use bundle::LintBundle;
 pub use diag::{sort_report, Diagnostic, Lint, Severity};
 pub use verify::{
-    check_task_constraints, has_errors, lint_nodes, read_without_producer, LintBundle, LintNode,
-    StreamInfo,
+    check_task_constraints, has_errors, lint_nodes, read_without_producer, LintColumns, LintNode,
+    LintView, StreamInfo,
 };
 
 /// How strictly a runtime applies the workflow verifier at submit/run

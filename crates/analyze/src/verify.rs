@@ -1,18 +1,25 @@
-//! The workflow verifier: a pass framework over a task graph plus a
+//! The workflow verifier: a pass catalogue over a task graph plus a
 //! platform description, producing structured [`Diagnostic`]s.
 //!
-//! Each pass is a pure function over a [`LintBundle`]; `verify` runs the
-//! whole catalogue and returns the findings in canonical order. The
-//! per-task helpers ([`check_task_constraints`],
-//! [`read_without_producer`]) are shared with the runtimes' strict mode
-//! so a rejection at submit time carries exactly the diagnostic the CLI
-//! would print for the same graph.
+//! The passes run over a [`LintView`] — the graph, the platform's nodes
+//! and the per-task/per-datum columns of a workflow, all borrowed — so
+//! verifying a workload copies nothing per task. [`LintBundle`] is the
+//! owned, serializable form of the same inputs (the JSON the
+//! `continuum-lint` CLI reads); it lends a view of itself, so there is
+//! one catalogue for both. The per-task helpers
+//! ([`check_task_constraints`], [`read_without_producer`]) are shared
+//! with the runtimes' strict mode so a rejection at submit time carries
+//! exactly the diagnostic the CLI would print for the same graph.
 
+use crate::bundle::LintBundle;
 use crate::diag::{sort_report, Diagnostic, Lint};
-use continuum_dag::{DataId, GraphAnalysis, TaskGraph, TaskId, VersionedData};
+use crate::index::DatumIndex;
+use continuum_dag::{DataId, StreamRole, TaskGraph, TaskId, TaskNode, VersionedData};
 use continuum_platform::{Constraints, NodeCapacity, Platform};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
 
 /// One lintable node: a name plus its total capacity.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,115 +55,104 @@ impl StreamInfo {
     }
 }
 
-/// Everything the verifier needs about one workflow: the graph, the
-/// platform it should run on, and the per-task execution metadata the
-/// graph itself does not carry.
-///
-/// The bundle is serializable; its JSON form is the input format of the
-/// `continuum-lint` CLI and the dump format of `experiments
-/// --dump-lint`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LintBundle {
-    /// The task graph to verify.
-    pub graph: TaskGraph,
-    /// Data names indexed by `DataId`; missing entries render as `dN`.
-    pub data_names: Vec<String>,
-    /// The platform's nodes (name + capacity).
-    pub nodes: Vec<LintNode>,
-    /// Per-task constraints indexed by `TaskId`; missing entries use
-    /// `Constraints::default()`.
-    pub constraints: Vec<Constraints>,
-    /// Per-task weights (estimated seconds) indexed by `TaskId`;
-    /// missing entries use 1.0.
-    pub weights: Vec<f64>,
-    /// Data whose initial (v0) value is provided externally, so reading
-    /// it without a producing task is fine.
-    pub initial_data: Vec<DataId>,
-    /// Declared stream channel sizings; streams without an entry use
-    /// the runtime's default bounded capacity with unknown traffic.
-    pub streams: Vec<StreamInfo>,
+/// The per-task and per-datum facts a workflow lends the verifier
+/// beside its graph. Implemented by [`LintBundle`] (plain vectors) and
+/// by the runtime's `SimWorkload` (its catalog and profile columns), so
+/// neither has to be copied into the other's shape to be verified.
+pub trait LintColumns {
+    /// Number of data ids the workflow names (what an owned copy of
+    /// the names has to cover).
+    fn data_count(&self) -> usize;
+
+    /// Display name of a datum; `None` renders as `dN`.
+    fn data_name(&self, data: DataId) -> Option<&str>;
+
+    /// Constraints of a task; `None` means `Constraints::default()`.
+    fn constraints_of(&self, task: TaskId) -> Option<&Constraints>;
+
+    /// Weight (estimated seconds) of a task; `None` means 1.0.
+    fn weight_of(&self, task: TaskId) -> Option<f64>;
+
+    /// Calls `f` with every datum whose initial (v0) value is provided
+    /// externally, so reading it without a producing task is fine.
+    fn for_each_initial(&self, f: &mut dyn FnMut(DataId));
 }
 
-impl LintBundle {
-    /// Creates a bundle for `graph` with no platform, default
-    /// constraints/weights and no initial data.
-    pub fn new(graph: TaskGraph) -> Self {
-        LintBundle {
+/// Everything the verifier needs about one workflow, by reference: the
+/// graph, the platform it should run on, and the per-task execution
+/// metadata the graph itself does not carry.
+///
+/// Built by `SimWorkload::lint_bundle` over a workload in place, and
+/// by [`LintBundle::view`] over a deserialized bundle.
+pub struct LintView<'a> {
+    graph: &'a TaskGraph,
+    columns: &'a dyn LintColumns,
+    nodes: Cow<'a, [LintNode]>,
+    streams: &'a [StreamInfo],
+    /// What [`LintView::constraints_of`] lends for tasks without any.
+    default_constraints: Constraints,
+}
+
+impl<'a> LintView<'a> {
+    /// A view over `graph` with its `columns`, the platform's `nodes`
+    /// (borrowed, or built for the occasion with [`lint_nodes`]) and
+    /// the declared stream sizings.
+    pub fn new(
+        graph: &'a TaskGraph,
+        columns: &'a dyn LintColumns,
+        nodes: impl Into<Cow<'a, [LintNode]>>,
+        streams: &'a [StreamInfo],
+    ) -> Self {
+        LintView {
             graph,
-            data_names: Vec::new(),
-            nodes: Vec::new(),
-            constraints: Vec::new(),
-            weights: Vec::new(),
-            initial_data: Vec::new(),
-            streams: Vec::new(),
+            columns,
+            nodes: nodes.into(),
+            streams,
+            default_constraints: Constraints::default(),
         }
     }
 
-    /// Populates `nodes` from a platform description.
-    pub fn with_platform(mut self, platform: &Platform) -> Self {
-        self.nodes = lint_nodes(platform);
-        self
+    /// Copies everything the view borrows into an owned, serializable
+    /// [`LintBundle`] — what `experiments --dump-lint` writes.
+    pub fn to_bundle(&self) -> LintBundle {
+        let tasks = || (0..self.graph.len() as u64).map(TaskId::from_raw);
+        let mut initial_data = Vec::new();
+        self.columns.for_each_initial(&mut |d| initial_data.push(d));
+        LintBundle {
+            graph: self.graph.clone(),
+            data_names: (0..self.columns.data_count() as u64)
+                .map(|d| self.data_name(DataId::from_raw(d)).into_owned())
+                .collect(),
+            nodes: self.nodes.to_vec(),
+            constraints: tasks().map(|t| self.constraints_of(t).clone()).collect(),
+            weights: tasks().map(|t| self.weight_of(t)).collect(),
+            initial_data,
+            streams: self.streams.to_vec(),
+        }
     }
 
-    /// Sets the platform nodes explicitly.
-    pub fn with_nodes(mut self, nodes: Vec<LintNode>) -> Self {
-        self.nodes = nodes;
-        self
+    /// Constraints of a task (the default when it has none).
+    pub fn constraints_of(&self, task: TaskId) -> &Constraints {
+        self.columns
+            .constraints_of(task)
+            .unwrap_or(&self.default_constraints)
     }
 
-    /// Sets per-task constraints (indexed by task id).
-    pub fn with_constraints(mut self, constraints: Vec<Constraints>) -> Self {
-        self.constraints = constraints;
-        self
-    }
-
-    /// Sets per-task weights (indexed by task id).
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
-        self.weights = weights;
-        self
-    }
-
-    /// Sets data names (indexed by data id).
-    pub fn with_data_names(mut self, names: Vec<String>) -> Self {
-        self.data_names = names;
-        self
-    }
-
-    /// Declares data whose initial version is provided externally.
-    pub fn with_initial_data(mut self, initial: Vec<DataId>) -> Self {
-        self.initial_data = initial;
-        self
-    }
-
-    /// Declares stream channel sizings (capacity + expected traffic).
-    pub fn with_streams(mut self, streams: Vec<StreamInfo>) -> Self {
-        self.streams = streams;
-        self
-    }
-
-    /// Constraints of a task (default when not provided).
-    pub fn constraints_of(&self, task: TaskId) -> Constraints {
-        self.constraints
-            .get(task.index())
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Weight of a task (1.0 when not provided).
+    /// Weight of a task (1.0 when it has none).
     pub fn weight_of(&self, task: TaskId) -> f64 {
-        self.weights.get(task.index()).copied().unwrap_or(1.0)
+        self.columns.weight_of(task).unwrap_or(1.0)
     }
 
-    /// Display name of a datum.
-    pub fn data_name(&self, data: DataId) -> String {
-        self.data_names
-            .get(data.index())
-            .cloned()
-            .unwrap_or_else(|| data.to_string())
+    /// Display name of a datum (`dN` when it has none).
+    pub fn data_name(&self, data: DataId) -> Cow<'a, str> {
+        match self.columns.data_name(data) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(data.to_string()),
+        }
     }
 
     /// Display name of a task (`"?"` for ids outside the graph).
-    fn task_name(&self, task: TaskId) -> &str {
+    fn task_name(&self, task: TaskId) -> &'a str {
         self.graph
             .node(task)
             .map(|n| n.spec().name())
@@ -167,74 +163,169 @@ impl LintBundle {
     /// order (errors first).
     pub fn verify(&self) -> Vec<Diagnostic> {
         let mut report = Vec::new();
-        self.pass_constraints(&mut report);
-        self.pass_read_without_producer(&mut report);
-        let cyclic = self.pass_cycle(&mut report);
-        self.pass_streams(&mut report);
-        self.pass_stream_capacity(&mut report);
-        self.pass_dead_outputs(&mut report);
-        self.pass_write_write_hazards(&mut report);
-        if !cyclic {
-            // The schedulability pass walks a topological order, which
-            // does not exist for cyclic graphs.
-            self.pass_schedulability(&mut report);
+        // One sweep over the nodes: the constraints pass, and every
+        // per-node fact the later passes need.
+        let mut facts = Facts::new(self.graph.len());
+        let mut hosted = None;
+        for node in self.graph.nodes() {
+            self.check_constraints(node, &mut hosted, &mut report);
+            facts.gather(node, self.weight_of(node.id()));
+        }
+        let mut index = DatumIndex::build(&facts.produced, &facts.consumed);
+        self.columns
+            .for_each_initial(&mut |d| index.mark_initial(d));
+        self.pass_read_without_producer(&facts, &mut index, &mut report);
+        let topology = self.traverse(&facts, &mut report);
+        if !facts.stream_ends.is_empty() {
+            let table = stream_table(&facts.stream_ends);
+            self.pass_streams(&table, &mut report);
+            self.pass_stream_capacity(&table, &mut report);
+        }
+        self.pass_dead_outputs(&facts, &index, &mut report);
+        self.pass_write_write_hazards(&index, topology.as_ref(), &mut report);
+        if let Some(topology) = &topology {
+            // The schedulability pass needs bottom levels, which do not
+            // exist for cyclic graphs.
+            self.pass_schedulability(topology, &mut report);
         }
         sort_report(&mut report);
         report
     }
 
-    /// Unsatisfiable-constraints pass: every task must have at least
-    /// one (or, for multi-node tasks, enough) hosting node.
-    fn pass_constraints(&self, report: &mut Vec<Diagnostic>) {
-        for node in self.graph.nodes() {
-            let req = self.constraints_of(node.id());
-            if let Some(d) =
-                check_task_constraints(node.id(), node.spec().name(), &req, &self.nodes)
-            {
-                report.push(d);
-            }
+    /// Unsatisfiable-constraints pass, one task: it must have at least
+    /// one (or, for multi-node tasks, enough) hosting node. `hosted`
+    /// remembers the last constraints found satisfiable, so a run of
+    /// tasks with the same constraints scans the nodes once.
+    fn check_constraints<'s>(
+        &'s self,
+        node: &TaskNode,
+        hosted: &mut Option<&'s Constraints>,
+        report: &mut Vec<Diagnostic>,
+    ) {
+        let req = self.constraints_of(node.id());
+        if hosted.is_some_and(|last| std::ptr::eq(req, last) || req == last) {
+            return;
+        }
+        match check_task_constraints(node.id(), node.spec().name(), req, &self.nodes) {
+            Some(d) => report.push(d),
+            None => *hosted = Some(req),
         }
     }
 
     /// Read-without-producer pass: every consumed version must be
     /// produced by some task, or be an externally-provided initial
-    /// value.
-    fn pass_read_without_producer(&self, report: &mut Vec<Diagnostic>) {
-        let produced: HashSet<VersionedData> = self
-            .graph
-            .nodes()
-            .flat_map(|n| n.produced().iter().copied())
-            .collect();
-        let initial: HashSet<DataId> = self.initial_data.iter().copied().collect();
-        for node in self.graph.nodes() {
-            for vd in node.consumed() {
-                if produced.contains(vd) {
-                    continue;
-                }
-                if vd.version.is_initial() && initial.contains(&vd.data) {
-                    continue;
-                }
-                report.push(read_without_producer(
-                    node.id(),
-                    node.spec().name(),
-                    vd.data,
-                    &self.data_name(vd.data),
-                ));
+    /// value. Marks every produced version it finds a reader for, which
+    /// is what the dead-output pass asks about.
+    fn pass_read_without_producer(
+        &self,
+        facts: &Facts,
+        index: &mut DatumIndex,
+        report: &mut Vec<Diagnostic>,
+    ) {
+        for &(vd, task) in &facts.consumed {
+            if index.mark_consumed(vd) {
+                continue;
             }
+            if vd.version.is_initial() && index.is_initial(vd.data) {
+                continue;
+            }
+            report.push(read_without_producer(
+                task,
+                self.task_name(task),
+                vd.data,
+                &self.data_name(vd.data),
+            ));
         }
     }
 
-    /// Cycle pass. Returns `true` if a cycle was found.
-    fn pass_cycle(&self, report: &mut Vec<Diagnostic>) -> bool {
-        let Some(cycle) = GraphAnalysis::new(&self.graph).find_cycle() else {
-            return false;
+    /// The one graph traversal: the cycle verdict (diagnosed here),
+    /// and for acyclic graphs a topological position and the bottom
+    /// level of every task. Returns `None` if a cycle was found.
+    ///
+    /// Graphs built through the access processor only have edges to
+    /// later ids, which `facts.forward` records: then the ids *are* the
+    /// positions and the bottom levels take one backward sweep. Any
+    /// other graph (hand-crafted or corrupted) is walked depth-first in
+    /// the order [`continuum_dag::GraphAnalysis::find_cycle`] uses, so
+    /// the cycle witness is the one it would report.
+    fn traverse(&self, facts: &Facts, report: &mut Vec<Diagnostic>) -> Option<Topology> {
+        let n = self.graph.len();
+        let mut bottom = vec![0f64; n];
+        // Bottom level of a finished task: its weight plus the
+        // heaviest finished successor (ids outside the graph count
+        // for nothing).
+        let level = |bottom: &[f64], id: TaskId, succs: &[TaskId]| {
+            let below = succs
+                .iter()
+                .filter_map(|s| bottom.get(s.index()))
+                .fold(0f64, |a, b| a.max(*b));
+            facts.weights[id.index()] + below
         };
+        if facts.forward {
+            // Every id was seen in range by the sweep.
+            for node in self.graph.nodes().rev() {
+                bottom[node.id().index()] = level(&bottom, node.id(), node.successors());
+            }
+            return Some(Topology {
+                rank: (0..n as u32).collect(),
+                bottom,
+            });
+        }
+
+        const WHITE: u8 = 0;
+        const GRAY: u8 = 1;
+        const BLACK: u8 = 2;
+        let mut color = vec![WHITE; n];
+        let mut rank = vec![0u32; n];
+        let mut finished = 0u32;
+        // The gray path, each task with the next successor to try.
+        let mut path: Vec<(TaskId, usize)> = Vec::new();
+        for root in self.graph.nodes().map(TaskNode::id) {
+            if color.get(root.index()) != Some(&WHITE) {
+                continue;
+            }
+            color[root.index()] = GRAY;
+            path.push((root, 0));
+            while let Some(&mut (id, ref mut next)) = path.last_mut() {
+                let succs = self.graph.successors(id);
+                let Some(&s) = succs.get(*next) else {
+                    color[id.index()] = BLACK;
+                    bottom[id.index()] = level(&bottom, id, succs);
+                    // Finishing order reversed is a topological order.
+                    finished += 1;
+                    rank[id.index()] = n as u32 - finished;
+                    path.pop();
+                    continue;
+                };
+                *next += 1;
+                match color.get(s.index()).copied() {
+                    Some(WHITE) => {
+                        color[s.index()] = GRAY;
+                        path.push((s, 0));
+                    }
+                    Some(GRAY) => {
+                        let start = path
+                            .iter()
+                            .position(|&(t, _)| t == s)
+                            .expect("gray tasks are on the path");
+                        let cycle: Vec<TaskId> = path[start..].iter().map(|&(t, _)| t).collect();
+                        report.push(self.cycle_diagnostic(&cycle));
+                        return None;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Some(Topology { rank, bottom })
+    }
+
+    fn cycle_diagnostic(&self, cycle: &[TaskId]) -> Diagnostic {
         let mut names: Vec<String> = cycle
             .iter()
             .map(|t| format!("{t} '{}'", self.task_name(*t)))
             .collect();
         names.push(names[0].clone());
-        let d = Diagnostic::new(
+        Diagnostic::new(
             Lint::Cycle,
             format!("dependency cycle through {} tasks", cycle.len()),
         )
@@ -244,9 +335,7 @@ impl LintBundle {
             "graphs built through the access processor are acyclic; \
              this graph was hand-crafted or corrupted — remove one of the \
              witnessed edges",
-        );
-        report.push(d);
-        true
+        )
     }
 
     /// Stream pass: `unclosed-stream` (a stream datum with a reader but
@@ -255,31 +344,20 @@ impl LintBundle {
     /// stream consumer declared before any of its producers, so
     /// in-order admission enqueues the reader ahead of the writer that
     /// must release it).
-    fn pass_streams(&self, report: &mut Vec<Diagnostic>) {
-        let mut producers: HashMap<DataId, Vec<TaskId>> = HashMap::new();
-        let mut consumers: HashMap<DataId, Vec<TaskId>> = HashMap::new();
-        for node in self.graph.nodes() {
-            for d in node.spec().stream_writes() {
-                producers.entry(d).or_default().push(node.id());
-            }
-            for d in node.spec().stream_reads() {
-                consumers.entry(d).or_default().push(node.id());
-            }
-        }
-        let mut data: Vec<DataId> = consumers.keys().copied().collect();
-        data.sort();
-        for d in data {
-            let readers = &consumers[&d];
-            let first_reader = *readers.iter().min().expect("non-empty reader list");
+    fn pass_streams(&self, table: &StreamTable, report: &mut Vec<Diagnostic>) {
+        for (&d, ends) in table {
+            let Some(&first_reader) = ends.consumers.iter().min() else {
+                continue;
+            };
             let name = self.data_name(d);
-            let Some(writers) = producers.get(&d) else {
+            let Some(&first_writer) = ends.producers.iter().min() else {
                 report.push(
                     Diagnostic::new(
                         Lint::UnclosedStream,
                         format!(
                             "stream {name} has {} reader(s) but no task writes or closes \
                              it on any path",
-                            readers.len()
+                            ends.consumers.len()
                         ),
                     )
                     .with_task(first_reader)
@@ -295,7 +373,6 @@ impl LintBundle {
                 );
                 continue;
             };
-            let first_writer = *writers.iter().min().expect("non-empty writer list");
             if first_reader < first_writer {
                 report.push(
                     Diagnostic::new(
@@ -326,16 +403,15 @@ impl LintBundle {
     /// Declared sizing of a stream (runtime default when not declared:
     /// bounded at 16 elements — `local.rs`'s `DEFAULT_STREAM_CAPACITY`
     /// — with unknown traffic).
-    fn stream_info_of(&self, d: DataId) -> StreamInfo {
-        self.streams
-            .iter()
-            .find(|s| s.data == d)
-            .cloned()
-            .unwrap_or(StreamInfo {
+    fn stream_info_of(&self, d: DataId) -> Cow<'a, StreamInfo> {
+        match self.streams.iter().find(|s| s.data == d) {
+            Some(info) => Cow::Borrowed(info),
+            None => Cow::Owned(StreamInfo {
                 data: d,
                 capacity: 16,
                 expected_elements: 0,
-            })
+            }),
+        }
     }
 
     /// Stream-capacity-deadlock pass: finds a cycle of stream edges
@@ -346,68 +422,53 @@ impl LintBundle {
     /// progress. One edge that can never fill (unbounded, or capacity ≥
     /// expected elements) guarantees its producer always runs to
     /// completion and breaks the cycle.
-    fn pass_stream_capacity(&self, report: &mut Vec<Diagnostic>) {
+    fn pass_stream_capacity(&self, table: &StreamTable, report: &mut Vec<Diagnostic>) {
         // Adjacency over tasks via can-fill stream edges, in id order
         // for deterministic cycle witnesses.
-        let mut producers: HashMap<DataId, Vec<TaskId>> = HashMap::new();
-        let mut consumers: HashMap<DataId, Vec<TaskId>> = HashMap::new();
-        for node in self.graph.nodes() {
-            for d in node.spec().stream_writes() {
-                producers.entry(d).or_default().push(node.id());
-            }
-            for d in node.spec().stream_reads() {
-                consumers.entry(d).or_default().push(node.id());
-            }
-        }
-        let mut adj: HashMap<TaskId, Vec<(DataId, TaskId)>> = HashMap::new();
-        let mut data: Vec<DataId> = producers.keys().copied().collect();
-        data.sort();
-        for d in data {
-            if !self.stream_info_of(d).can_fill() {
+        let mut adj: BTreeMap<TaskId, Vec<(DataId, TaskId)>> = BTreeMap::new();
+        for (&d, ends) in table {
+            if ends.producers.is_empty()
+                || ends.consumers.is_empty()
+                || !self.stream_info_of(d).can_fill()
+            {
                 continue;
             }
-            let Some(readers) = consumers.get(&d) else {
-                continue;
-            };
-            for &p in &producers[&d] {
-                for &c in readers {
+            for &p in &ends.producers {
+                for &c in &ends.consumers {
                     adj.entry(p).or_default().push((d, c));
                 }
             }
         }
 
         // Iterative coloured DFS; the first back edge yields the cycle.
+        // Tasks not in the map are white.
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
-            White,
             Grey,
             Black,
         }
-        let n = self.graph.len();
-        let mut color = vec![Color::White; n];
-        let mut roots: Vec<TaskId> = adj.keys().copied().collect();
-        roots.sort();
-        for root in roots {
-            if color[root.index()] != Color::White {
+        let mut color: BTreeMap<TaskId, Color> = BTreeMap::new();
+        for &root in adj.keys() {
+            if color.contains_key(&root) {
                 continue;
             }
             // Path of (task, edge-to-next) pairs currently on the stack.
             let mut path: Vec<(TaskId, usize)> = vec![(root, 0)];
-            color[root.index()] = Color::Grey;
+            color.insert(root, Color::Grey);
             while let Some(&mut (task, ref mut next)) = path.last_mut() {
                 let edges = adj.get(&task).map(Vec::as_slice).unwrap_or(&[]);
                 let Some(&(via, succ)) = edges.get(*next) else {
-                    color[task.index()] = Color::Black;
+                    color.insert(task, Color::Black);
                     path.pop();
                     continue;
                 };
                 *next += 1;
-                match color[succ.index()] {
-                    Color::White => {
-                        color[succ.index()] = Color::Grey;
+                match color.get(&succ) {
+                    None => {
+                        color.insert(succ, Color::Grey);
                         path.push((succ, 0));
                     }
-                    Color::Grey => {
+                    Some(Color::Grey) => {
                         // Cycle: from `succ`'s position in the path
                         // through `task`, closed by edge `via`.
                         let start = path
@@ -446,7 +507,7 @@ impl LintBundle {
                         );
                         return;
                     }
-                    Color::Black => {}
+                    Some(Color::Black) => {}
                 }
             }
         }
@@ -472,70 +533,45 @@ impl LintBundle {
     /// Dead-output pass: a produced version nothing consumes and that
     /// is not the datum's final version (the final version is presumed
     /// to be retrieved by the client).
-    fn pass_dead_outputs(&self, report: &mut Vec<Diagnostic>) {
-        let consumed: HashSet<VersionedData> = self
-            .graph
-            .nodes()
-            .flat_map(|n| n.consumed().iter().copied())
-            .collect();
-        let mut final_version: HashMap<DataId, u32> = HashMap::new();
-        for node in self.graph.nodes() {
-            for vd in node.produced() {
-                let e = final_version.entry(vd.data).or_insert(0);
-                *e = (*e).max(vd.version.as_u32());
+    fn pass_dead_outputs(&self, facts: &Facts, index: &DatumIndex, report: &mut Vec<Diagnostic>) {
+        for &(vd, task) in &facts.produced {
+            if !index.is_dead(vd) {
+                continue;
             }
-        }
-        for node in self.graph.nodes() {
-            for vd in node.produced() {
-                if consumed.contains(vd) {
-                    continue;
-                }
-                if final_version.get(&vd.data).copied() == Some(vd.version.as_u32()) {
-                    continue;
-                }
-                let name = self.data_name(vd.data);
-                report.push(
-                    Diagnostic::new(
-                        Lint::DeadOutput,
-                        format!(
-                            "task '{}' writes {name} ({vd}) but no task reads it and a \
-                             later write supersedes it",
-                            node.spec().name()
-                        ),
-                    )
-                    .with_task(node.id())
-                    .with_data(vd.data)
-                    .with_witness(format!("{} produces {vd}; no consumer", node.id()))
-                    .with_suggestion(format!(
-                        "drop the Out parameter on '{}' or add a reader before the next write",
-                        node.spec().name()
-                    )),
-                );
-            }
+            let name = self.data_name(vd.data);
+            let task_name = self.task_name(task);
+            report.push(
+                Diagnostic::new(
+                    Lint::DeadOutput,
+                    format!(
+                        "task '{task_name}' writes {name} ({vd}) but no task reads it and a \
+                         later write supersedes it",
+                    ),
+                )
+                .with_task(task)
+                .with_data(vd.data)
+                .with_witness(format!("{task} produces {vd}; no consumer"))
+                .with_suggestion(format!(
+                    "drop the Out parameter on '{task_name}' or add a reader before the next write",
+                )),
+            );
         }
     }
 
     /// Write-write-hazard pass: consecutive writers of the same datum
     /// with no ordering path between them.
-    fn pass_write_write_hazards(&self, report: &mut Vec<Diagnostic>) {
-        let mut writers: HashMap<DataId, Vec<(u32, TaskId)>> = HashMap::new();
-        for node in self.graph.nodes() {
-            for vd in node.produced() {
-                writers
-                    .entry(vd.data)
-                    .or_default()
-                    .push((vd.version.as_u32(), node.id()));
-            }
-        }
-        let mut data: Vec<DataId> = writers.keys().copied().collect();
-        data.sort();
-        for d in data {
-            let list = writers.get_mut(&d).expect("key from map");
-            list.sort();
-            for pair in list.windows(2) {
-                let (va, ta) = pair[0];
-                let (vb, tb) = pair[1];
-                if ta == tb || self.reaches(ta, tb) {
+    fn pass_write_write_hazards(
+        &self,
+        index: &DatumIndex,
+        topology: Option<&Topology>,
+        report: &mut Vec<Diagnostic>,
+    ) {
+        let mut reach = Reach::new(self.graph, topology);
+        for (d, versions) in index.written() {
+            for pair in versions.windows(2) {
+                let (va, ta) = (pair[0].version, pair[0].task);
+                let (vb, tb) = (pair[1].version, pair[1].task);
+                if ta == tb || reach.reaches(ta, tb) {
                     continue;
                 }
                 let name = self.data_name(d);
@@ -569,49 +605,42 @@ impl LintBundle {
 
     /// Schedulability pass: advisory makespan lower bound from the
     /// critical path and the platform's aggregate throughput.
-    fn pass_schedulability(&self, report: &mut Vec<Diagnostic>) {
+    fn pass_schedulability(&self, topology: &Topology, report: &mut Vec<Diagnostic>) {
         if self.graph.is_empty() || self.nodes.is_empty() {
             return;
         }
-        let analysis = GraphAnalysis::new(&self.graph);
-        let weight = |t: TaskId| self.weight_of(t);
-        let cp = analysis.critical_path(weight);
-        let total = analysis.total_weight(weight);
+        let Some((path, length)) = self.critical_path(topology) else {
+            return;
+        };
+        let total: f64 = self.graph.nodes().map(|n| self.weight_of(n.id())).sum();
         let cores: u64 = self
             .nodes
             .iter()
             .map(|n| u64::from(n.capacity.cores()))
             .sum();
         let throughput_bound = if cores > 0 { total / cores as f64 } else { 0.0 };
-        let bound = cp.length.max(throughput_bound);
-        let path_names: Vec<String> = cp
-            .tasks
-            .iter()
-            .take(8)
-            .map(|t| self.task_name(*t).to_string())
-            .collect();
+        let bound = length.max(throughput_bound);
+        let path_names: Vec<&str> = path.iter().take(8).map(|t| self.task_name(*t)).collect();
         let mut witness = format!(
             "critical path ({} tasks): {}",
-            cp.tasks.len(),
+            path.len(),
             path_names.join(" -> ")
         );
-        if cp.tasks.len() > 8 {
+        if path.len() > 8 {
             witness.push_str(" -> ...");
         }
-        let suggestion = if cp.length >= throughput_bound {
+        let suggestion = if length >= throughput_bound {
             "the critical path dominates: adding nodes cannot improve the bound; \
              shorten the longest chain"
-                .to_string()
         } else {
-            "aggregate throughput dominates: adding cores/nodes lowers the bound".to_string()
+            "aggregate throughput dominates: adding cores/nodes lowers the bound"
         };
         report.push(
             Diagnostic::new(
                 Lint::SchedulabilityBound,
                 format!(
-                    "makespan lower bound {bound:.3}s (critical path {:.3}s, total work \
+                    "makespan lower bound {bound:.3}s (critical path {length:.3}s, total work \
                      {total:.3}s over {cores} cores = {throughput_bound:.3}s)",
-                    cp.length
                 ),
             )
             .with_witness(witness)
@@ -619,24 +648,192 @@ impl LintBundle {
         );
     }
 
+    /// The heaviest source-to-sink chain and its weight: from the
+    /// source with the highest bottom level, following the successor
+    /// with the highest bottom level (the last one, on ties).
+    fn critical_path(&self, topology: &Topology) -> Option<(Vec<TaskId>, f64)> {
+        let by_level = |a: &TaskId, b: &TaskId| {
+            topology
+                .level(*a)
+                .partial_cmp(&topology.level(*b))
+                .unwrap_or(Ordering::Equal)
+        };
+        let ids = || self.graph.nodes().map(TaskNode::id);
+        // A graph whose predecessor lists disagree with its successor
+        // lists may show no source at all; any task will do then.
+        let start = self
+            .graph
+            .nodes()
+            .filter(|n| n.predecessors().is_empty())
+            .map(TaskNode::id)
+            .max_by(by_level)
+            .or_else(|| ids().max_by(by_level))?;
+        let mut tasks = vec![start];
+        let mut cur = start;
+        while let Some(next) = self
+            .graph
+            .successors(cur)
+            .iter()
+            .copied()
+            .filter(|s| self.graph.node(*s).is_ok())
+            .max_by(by_level)
+        {
+            tasks.push(next);
+            cur = next;
+        }
+        Some((tasks, topology.level(start)))
+    }
+}
+
+/// What one sweep over the graph's nodes gathers for the passes.
+struct Facts {
+    /// Every produced version with its writer, in node order.
+    produced: Vec<(VersionedData, TaskId)>,
+    /// Every consumed version with its reader, in node order.
+    consumed: Vec<(VersionedData, TaskId)>,
+    /// Every stream parameter: datum, which end, the task holding it.
+    stream_ends: Vec<(DataId, StreamRole, TaskId)>,
+    /// Weight of each task, indexed by task id (1.0 where the graph
+    /// has no such task).
+    weights: Vec<f64>,
+    /// Nodes came in ascending id order, every id within the graph,
+    /// every edge to a later id — what the access processor builds.
+    forward: bool,
+    /// The least id the next node may carry for `forward` to hold.
+    next_id: u64,
+}
+
+impl Facts {
+    fn new(tasks: usize) -> Self {
+        Facts {
+            produced: Vec::new(),
+            consumed: Vec::new(),
+            stream_ends: Vec::new(),
+            weights: vec![1.0; tasks],
+            forward: true,
+            next_id: 0,
+        }
+    }
+
+    fn gather(&mut self, node: &TaskNode, weight: f64) {
+        let id = node.id();
+        self.produced
+            .extend(node.produced().iter().map(|vd| (*vd, id)));
+        self.consumed
+            .extend(node.consumed().iter().map(|vd| (*vd, id)));
+        for p in node.spec().params() {
+            if let Some(role) = p.direction.stream_role() {
+                self.stream_ends.push((p.data, role, id));
+            }
+        }
+        match self.weights.get_mut(id.index()) {
+            Some(w) => *w = weight,
+            None => self.forward = false,
+        }
+        self.forward &= id.as_u64() >= self.next_id && node.successors().iter().all(|s| *s > id);
+        self.next_id = id.as_u64().saturating_add(1);
+    }
+}
+
+/// Position and bottom level of every task of an acyclic graph.
+struct Topology {
+    /// Indexed by task id: every edge goes from a lower rank to a
+    /// higher one.
+    rank: Vec<u32>,
+    /// Indexed by task id: the weight of the heaviest path from the
+    /// task (inclusive) to any sink.
+    bottom: Vec<f64>,
+}
+
+impl Topology {
+    fn level(&self, task: TaskId) -> f64 {
+        self.bottom.get(task.index()).copied().unwrap_or(0.0)
+    }
+}
+
+/// Producers and consumers of one stream datum, in node order.
+#[derive(Default)]
+struct StreamEnds {
+    producers: Vec<TaskId>,
+    consumers: Vec<TaskId>,
+}
+
+/// Stream endpoints by datum, ascending — shared by the two stream
+/// passes, and built only when the graph has a stream parameter.
+type StreamTable = BTreeMap<DataId, StreamEnds>;
+
+fn stream_table(ends: &[(DataId, StreamRole, TaskId)]) -> StreamTable {
+    let mut table = StreamTable::new();
+    for &(data, role, task) in ends {
+        let entry = table.entry(data).or_default();
+        match role {
+            StreamRole::Produce => entry.producers.push(task),
+            StreamRole::Consume => entry.consumers.push(task),
+        }
+    }
+    table
+}
+
+/// Reachability queries for the write-write pass, with the scratch
+/// they reuse from pair to pair.
+struct Reach<'a> {
+    graph: &'a TaskGraph,
+    /// `None` for cyclic graphs, which have no positions to prune by.
+    topology: Option<&'a Topology>,
+    seen: HashSet<TaskId>,
+    stack: Vec<TaskId>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tasks the reachability walks of this thread entered.
+    static WALKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl<'a> Reach<'a> {
+    fn new(graph: &'a TaskGraph, topology: Option<&'a Topology>) -> Self {
+        Reach {
+            graph,
+            topology,
+            seen: HashSet::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    fn rank(&self, task: TaskId) -> Option<u32> {
+        self.topology?.rank.get(task.index()).copied()
+    }
+
     /// Is there a directed path `from -> ... -> to`?
-    fn reaches(&self, from: TaskId, to: TaskId) -> bool {
+    ///
+    /// In an acyclic graph every task on such a path is positioned
+    /// before `to`, so the walk never enters a task positioned after
+    /// it: a pair of unordered writers costs the tasks *between* them,
+    /// not every descendant of the first.
+    fn reaches(&mut self, from: TaskId, to: TaskId) -> bool {
         if from == to {
             return true;
         }
-        let mut seen: HashSet<TaskId> = HashSet::new();
-        let mut stack = vec![from];
-        while let Some(t) = stack.pop() {
+        let limit = self.rank(to);
+        let beyond = |me: &Self, t: TaskId| match (limit, me.rank(t)) {
+            (Some(limit), Some(rank)) => rank > limit,
+            _ => false,
+        };
+        if beyond(self, from) {
+            return false;
+        }
+        self.seen.clear();
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(t) = self.stack.pop() {
             for &s in self.graph.successors(t) {
                 if s == to {
                     return true;
                 }
-                // In access-processor graphs edges point forward, so
-                // anything past `to` cannot reach it; keep the check
-                // conservative for crafted graphs by only pruning when
-                // acyclicity is plausible (seen-set still bounds us).
-                if seen.insert(s) {
-                    stack.push(s);
+                if !beyond(self, s) && self.seen.insert(s) {
+                    self.stack.push(s);
+                    #[cfg(test)]
+                    WALKED.with(|w| w.set(w.get() + 1));
                 }
             }
         }
@@ -936,6 +1133,78 @@ mod tests {
         assert_eq!(d.task, Some(TaskId::from_raw(1)));
         assert_eq!(d.data, Some(x));
         assert!(d.witness[0].contains("no path t0 -> t1"), "{:?}", d.witness);
+    }
+
+    /// `reaches` used to walk every descendant of the first writer for
+    /// each unordered pair: W writers above a wide fan-out cost W times
+    /// the fan-out. Pruned by position, a pair costs the tasks between
+    /// the two writers — here none.
+    #[test]
+    fn unordered_writers_above_a_fan_out_verify_in_linear_time() {
+        const WRITERS: usize = 200;
+        const FAN_OUT: usize = 10_000;
+        let mut ap = AccessProcessor::new();
+        let x = ap.new_data("x");
+        let sides = ap.new_data_batch("side", WRITERS);
+        for side in &sides {
+            ap.register(TaskSpec::new("writer").output(x).output(*side))
+                .unwrap();
+        }
+        let hub = ap.new_data("hub");
+        ap.register(TaskSpec::new("hub").inputs(sides).output(hub))
+            .unwrap();
+        for leaf in ap.new_data_batch("leaf", FAN_OUT) {
+            ap.register(TaskSpec::new("leaf").input(hub).output(leaf))
+                .unwrap();
+        }
+        let bundle = bundle_of(ap);
+        WALKED.with(|w| w.set(0));
+        let report = bundle.verify();
+        let walked = WALKED.with(std::cell::Cell::get);
+        assert!(
+            walked <= bundle.graph.len(),
+            "{walked} tasks entered for {} tasks in the graph",
+            bundle.graph.len()
+        );
+        // The same hazards as the unpruned walk found: one per
+        // consecutive pair of writers, anchored on the later one.
+        let hazards: Vec<&Diagnostic> = report
+            .iter()
+            .filter(|d| d.lint == Lint::WriteWriteHazard)
+            .collect();
+        assert_eq!(hazards.len(), WRITERS - 1);
+        for (i, d) in hazards.iter().enumerate() {
+            assert_eq!(d.task, Some(TaskId::from_raw(i as u64 + 1)));
+            assert!(
+                d.witness[0].ends_with(&format!("no path t{i} -> t{}", i + 1)),
+                "{:?}",
+                d.witness
+            );
+        }
+    }
+
+    /// A writer that does reach the next one through a chain is still
+    /// found ordered when the walk is pruned.
+    #[test]
+    fn pruned_walk_still_finds_the_ordering_path() {
+        let mut ap = AccessProcessor::new();
+        let x = ap.new_data("x");
+        let a = ap.new_data("a");
+        let b = ap.new_data("b");
+        ap.register(TaskSpec::new("w1").output(x).output(a))
+            .unwrap();
+        ap.register(TaskSpec::new("mid").input(a).output(b))
+            .unwrap();
+        ap.register(TaskSpec::new("w2").input(b).output(x)).unwrap();
+        let report = bundle_of(ap).verify();
+        assert_eq!(
+            report
+                .iter()
+                .filter(|d| d.lint == Lint::WriteWriteHazard)
+                .count(),
+            0,
+            "{report:?}"
+        );
     }
 
     #[test]

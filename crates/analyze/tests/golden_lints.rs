@@ -134,6 +134,141 @@ fn golden_cycle() {
     );
 }
 
+/// A two-task chain over `x` (`first` writes `x@v1`, `second` updates
+/// it) on one small node, with its graph's JSON nodes handed to
+/// `corrupt` before it is read back — the hostile-input fixtures below
+/// start from it.
+fn forged_chain(corrupt: impl FnOnce(&mut Vec<Value>)) -> LintBundle {
+    let mut ap = AccessProcessor::new();
+    let x = ap.new_data("x");
+    ap.register(TaskSpec::new("first").output(x)).unwrap();
+    ap.register(TaskSpec::new("second").inout(x)).unwrap();
+    let mut value = bundle_of(ap).to_json_value();
+    let Value::Arr(nodes) = field_mut(field_mut(&mut value, "graph"), "nodes") else {
+        panic!("nodes must be an array");
+    };
+    corrupt(nodes);
+    LintBundle::from_json_value(&value).expect("forged bundle deserializes")
+}
+
+/// The first entry of a node's `produced` or `consumed` list.
+fn first_access<'a>(node: &'a mut Value, list: &str) -> &'a mut Value {
+    match field_mut(node, list) {
+        Value::Arr(entries) => &mut entries[0],
+        other => panic!("{list} must be an array, got {other:?}"),
+    }
+}
+
+/// Hostile input: a datum id at the top of the id space. The per-datum
+/// index must be sized by the data the graph mentions (three here),
+/// not by the largest id — a table of `u64::MAX` slots cannot exist.
+#[test]
+fn hostile_huge_data_id_verifies() {
+    let forged = forged_chain(|nodes| {
+        *field_mut(first_access(&mut nodes[1], "consumed"), "data") = Value::U64(u64::MAX);
+        *field_mut(first_access(&mut nodes[1], "produced"), "data") = Value::U64(u64::MAX - 1);
+    });
+    let report = forged.verify();
+    let ghost = DataId::from_raw(u64::MAX);
+    let finding = report
+        .iter()
+        .find(|d| d.lint == Lint::ReadWithoutProducer)
+        .expect("nobody produces the far datum");
+    assert_eq!(finding.data, Some(ghost));
+    assert!(
+        finding.message.contains("d18446744073709551615"),
+        "nameless data render as dN: {}",
+        finding.message
+    );
+    assert_eq!(findings_of(&report, Lint::DeadOutput), 0, "{report:?}");
+    assert_eq!(findings_of(&report, Lint::SchedulabilityBound), 1);
+}
+
+/// Hostile input: a version number at the top of its range sorts last
+/// and is therefore the datum's final version; the ordinary version
+/// beside it becomes a superseded, unread write.
+#[test]
+fn hostile_max_version_verifies() {
+    let forged = forged_chain(|nodes| {
+        *field_mut(first_access(&mut nodes[0], "produced"), "version") =
+            Value::U64(u64::from(u32::MAX));
+    });
+    let report = forged.verify();
+    // `second` still reads x@v1, which `first` no longer produces.
+    assert_eq!(findings_of(&report, Lint::ReadWithoutProducer), 1);
+    let dead = report
+        .iter()
+        .find(|d| d.lint == Lint::DeadOutput)
+        .expect("x@v2 is superseded by x@v4294967295 and unread");
+    assert_eq!(dead.task.map(|t| t.index()), Some(1));
+    // Sorted by version the writers are second, first: no path that way.
+    let hazard = report
+        .iter()
+        .find(|d| d.lint == Lint::WriteWriteHazard)
+        .expect("no path second -> first");
+    assert_eq!(hazard.task.map(|t| t.index()), Some(0));
+}
+
+/// Hostile input: an edge to a task id the graph does not hold — in
+/// range of the bundle's `constraints`/`weights` tables, so nothing
+/// about the id itself looks wrong. The traversal must step over it.
+#[test]
+fn hostile_edge_to_an_absent_task_verifies() {
+    let mut forged = forged_chain(|nodes| {
+        let Value::Arr(succs) = field_mut(&mut nodes[1], "succs") else {
+            panic!("succs must be an array");
+        };
+        succs.push(Value::U64(5));
+    });
+    forged.constraints = vec![Constraints::new(); 8];
+    forged.weights = vec![2.0; 8];
+    let report = forged.verify();
+    assert_eq!(findings_of(&report, Lint::Cycle), 0, "{report:?}");
+    let bound = report
+        .iter()
+        .find(|d| d.lint == Lint::SchedulabilityBound)
+        .expect("platform present: bound must be reported");
+    assert!(
+        bound.message.contains("critical path 4.000s"),
+        "two real tasks of weight 2, the absent one counts for nothing: {}",
+        bound.message
+    );
+    assert!(
+        bound.witness.join(" ").ends_with("first -> second"),
+        "{:?}",
+        bound.witness
+    );
+}
+
+/// Hostile input: fewer data names than data ids in use. Missing names
+/// render as `dN`; nothing indexes past the table.
+#[test]
+fn hostile_short_data_names_verify() {
+    let mut ap = AccessProcessor::new();
+    let ghost = ap.new_data("ghost");
+    let out = ap.new_data("out");
+    ap.register(TaskSpec::new("reader").input(ghost).output(out))
+        .unwrap();
+    ap.register(TaskSpec::new("again").output(out)).unwrap();
+    let mut bundle = bundle_of(ap);
+    bundle.data_names.truncate(1);
+    let report = bundle.verify();
+    let unread = report
+        .iter()
+        .find(|d| d.lint == Lint::DeadOutput)
+        .expect("out@v1 is superseded and unread");
+    assert!(unread.message.contains("writes d1 "), "{}", unread.message);
+    let missing = report
+        .iter()
+        .find(|d| d.lint == Lint::ReadWithoutProducer)
+        .expect("ghost has no producer");
+    assert!(
+        missing.message.contains("reads ghost "),
+        "{}",
+        missing.message
+    );
+}
+
 #[test]
 fn golden_dead_output_and_write_write_hazard() {
     // Two independent Out-writers of the same datum: data renaming

@@ -130,7 +130,7 @@ fn fixture_parts(id: &str) -> Option<(SimWorkload, Platform)> {
 /// Returns `None` for unknown ids.
 pub fn lint_fixture(id: &str) -> Option<LintBundle> {
     let (workload, platform) = fixture_parts(id)?;
-    Some(workload.lint_bundle(&platform))
+    Some(workload.lint_bundle(&platform).to_bundle())
 }
 
 #[cfg(test)]

@@ -11,7 +11,12 @@ mod workloads;
 
 use continuum_bench::alloc::{allocations, CountingAllocator};
 use continuum_dislib::{DistMatrix, KMeans};
-use continuum_runtime::{LocalConfig, LocalRuntime};
+use continuum_platform::presets::hybrid_hpc_cloud;
+use continuum_runtime::{ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
+use continuum_sim::FaultPlan;
+use continuum_telemetry::TraceBuffer;
+use continuum_workflows::patterns::stencil;
+use continuum_workflows::{parse_wdl, to_wdl};
 use std::sync::Mutex;
 use workloads::{local, sim, stream};
 
@@ -39,6 +44,20 @@ const MAX_WIDE_ALLOCS_PER_TASK: f64 = 3.5;
 /// panel and centroids. Copying the candidate rows one `Vec` each to
 /// pick the initial centroids (750 here) would be 21 per task.
 const MAX_KMEANS_ALLOCS_PER_TASK: f64 = 16.0;
+
+/// Heap allocations per task of the textual front door, WDL text to
+/// recorded trace: the parser's parameter list and the access
+/// processor's three edge lists (a stencil task has three inputs and
+/// three readers, past what the lists hold inline), plus the growth of
+/// tables, arenas and the event buffer. A name or group `String` per
+/// task, or a name copied into each of a task's half-dozen events,
+/// lands well above it.
+const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 7.0;
+
+/// … and of the lint step alone: the verifier's tables are a few dozen
+/// allocations whatever the task count. Cloning the graph to verify it
+/// costs four per task.
+const MAX_LINT_ALLOCS_PER_TASK: f64 = 0.2;
 
 #[test]
 fn hot_paths_do_not_allocate_per_unit() {
@@ -70,6 +89,39 @@ fn hot_paths_do_not_allocate_per_unit() {
     let (_, allocations) = count(|| sim::run_lazy(&campaign));
     let violation = sim::allocation_violation(campaign.task_count(), allocations);
     assert_eq!(violation, None, "lazy GWAS");
+
+    // The textual front door: WDL text → parse → lint admission →
+    // planned, traced simulated run. A 30 × 30 stencil: three inputs
+    // per task, one task type and one group label per row.
+    let text = to_wdl(&stencil(30, 30, 10.0, 1_000_000));
+    let platform = hybrid_hpc_cloud(16, 4, 8);
+    let ((tasks, lint), total) = count(|| {
+        let workload = parse_wdl(&text).expect("generated WDL parses");
+        let (report, lint) = count(|| workload.lint_bundle(&platform).verify());
+        assert!(!continuum_analyze::has_errors(&report), "{report:?}");
+        let (buffer, telemetry) = TraceBuffer::collector();
+        let options = SimOptions {
+            telemetry,
+            ..SimOptions::default()
+        };
+        let mut plan = ListScheduler::plan(&workload, |t| workload.profile(t).duration_s());
+        let run = SimRuntime::new(platform.clone(), options)
+            .run(&workload, &mut plan, &FaultPlan::new())
+            .expect("stencil completes");
+        assert!(buffer.len() > 5 * run.tasks_completed, "the run was traced");
+        (run.tasks_completed, lint)
+    });
+    assert_eq!(tasks, 900);
+    let (per_task, lint_per_task) = (total as f64 / tasks as f64, lint as f64 / tasks as f64);
+    assert!(
+        per_task <= MAX_FRONT_DOOR_ALLOCS_PER_TASK,
+        "WDL text to trace allocates {per_task:.2} times per task, \
+         limit {MAX_FRONT_DOOR_ALLOCS_PER_TASK}"
+    );
+    assert!(
+        lint_per_task <= MAX_LINT_ALLOCS_PER_TASK,
+        "lint allocates {lint_per_task:.2} times per task, limit {MAX_LINT_ALLOCS_PER_TASK}"
+    );
 
     let rt = LocalRuntime::new(LocalConfig::with_workers(1));
     let x = DistMatrix::random(&rt, 6_000, 16, 750, 42).expect("random blocks submit");

@@ -45,6 +45,7 @@ mod error;
 mod graph;
 mod ids;
 mod inline_vec;
+mod label;
 mod param;
 mod ready;
 mod seg_vec;
@@ -58,6 +59,7 @@ pub use error::DagError;
 pub use graph::{GraphRun, TaskGraph, TaskNode, TaskState};
 pub use ids::{DataId, DataVersion, TaskId, VersionedData};
 pub use inline_vec::InlineVec;
+pub use label::Label;
 pub use param::{Direction, Param, StreamRole};
 pub use ready::{ReadyIter, ReadySet};
 pub use seg_vec::{SegVec, SEGMENT_SLOTS};

@@ -2,9 +2,9 @@
 
 use crate::ids::DataId;
 use crate::inline_vec::InlineVec;
+use crate::label::Label;
 use crate::param::{Direction, Param};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// Declarative description of a task submission: a name (the task
 /// *type*, e.g. `"impute"`) plus the ordered list of parameter
@@ -27,22 +27,24 @@ use std::borrow::Cow;
 /// assert_eq!(spec.params().len(), 2);
 /// ```
 ///
-/// Names and group labels are `Cow<'static, str>`: the usual string
-/// literal costs nothing to store, a computed `String` is owned. Up to
-/// two parameters live inline, so a typical pipeline stage (one input,
-/// one output) builds its spec without touching the heap.
+/// Names and group labels are [`Label`]s: the usual string literal
+/// costs nothing to store or copy, a computed `String` is kept as it
+/// is, and a name many tasks share can be interned once
+/// ([`Label::shared`]). Up to two parameters live inline, so a typical
+/// pipeline stage (one input, one output) builds its spec without
+/// touching the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaskSpec {
-    name: Cow<'static, str>,
+    name: Label,
     params: InlineVec<Param, 2>,
     /// Free-form label used for grouping in reports and DOT output.
-    group: Option<Cow<'static, str>>,
+    group: Option<Label>,
 }
 
 impl TaskSpec {
     /// Creates a task spec with the given task-type name and no
     /// parameters.
-    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
+    pub fn new(name: impl Into<Label>) -> Self {
         TaskSpec {
             name: name.into(),
             params: InlineVec::new(),
@@ -98,14 +100,27 @@ impl TaskSpec {
         self
     }
 
+    /// Adds many parameters at once, each with its own direction. An
+    /// iterator that knows its length sizes the list in one step.
+    pub fn params_from<I: IntoIterator<Item = Param>>(mut self, params: I) -> Self {
+        self.params.extend(params);
+        self
+    }
+
     /// Sets a grouping label (e.g. workflow phase) used by reports.
-    pub fn group(mut self, group: impl Into<Cow<'static, str>>) -> Self {
+    pub fn group(mut self, group: impl Into<Label>) -> Self {
         self.group = Some(group.into());
         self
     }
 
     /// The task-type name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The task-type name as the label it is stored as, for copying
+    /// into telemetry events.
+    pub fn name_label(&self) -> &Label {
         &self.name
     }
 

@@ -2,7 +2,7 @@
 
 use crate::error::DislibError;
 use crate::matrix::Matrix;
-use continuum_dag::TaskSpec;
+use continuum_dag::{Label, TaskSpec};
 use continuum_platform::Constraints;
 use continuum_runtime::{DataHandle, LocalRuntime};
 use rand::rngs::StdRng;
@@ -154,12 +154,14 @@ impl DistMatrix {
         F: Fn(&Matrix) -> Matrix + Send + Sync + 'static,
     {
         let f = Arc::new(f);
+        // One copy of the name for every block's task.
+        let label = Label::shared(name);
         let mut blocks = Vec::with_capacity(self.blocks.len());
         for (i, src) in self.blocks.iter().enumerate() {
             let out = rt.data::<Matrix>(format!("{name}{i}"));
             let f = Arc::clone(&f);
             rt.submit(
-                TaskSpec::new(name.to_string())
+                TaskSpec::new(label.clone())
                     .input(src.id())
                     .output(out.id()),
                 Constraints::new(),

@@ -73,7 +73,7 @@ use crate::value_cell::{Slots, Value, ValueCell};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
-use continuum_dag::{AccessProcessor, DataId, TaskId, TaskSpec, TaskState};
+use continuum_dag::{AccessProcessor, DataId, Label, TaskId, TaskSpec, TaskState};
 use continuum_platform::sync::panic_message;
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
@@ -383,7 +383,7 @@ impl StreamEndpointCore {
         let end_us = self.shared.now_us();
         self.shared.telemetry.record(TelemetryEvent::Span {
             track: Track::Worker(self.worker),
-            name: format!("stream:{}", self.chan.name()),
+            name: format!("stream:{}", self.chan.name()).into(),
             phase: TaskPhase::StreamWait,
             start_us: end_us.saturating_sub(blocked_us),
             dur_us: blocked_us,
@@ -702,9 +702,8 @@ struct AsyncBody {
 /// state. The body is taken exactly once at execution.
 struct TaskMeta {
     id: TaskId,
-    /// Task name for telemetry; `None` when telemetry is disabled so
-    /// the steady state allocates no strings.
-    name: Option<String>,
+    /// Task name for telemetry; `None` when telemetry is disabled.
+    name: Option<Label>,
     constraints: Constraints,
     /// The cells this task reads, in declaration order: resolved to
     /// values at dispatch and released at commit or failure — which
@@ -1429,7 +1428,7 @@ impl LocalRuntime {
             .shared
             .telemetry
             .enabled()
-            .then(|| spec.name().to_string());
+            .then(|| spec.name_label().clone());
         // Stream params, extracted before `register` consumes the spec.
         let stream_out_ids: Vec<DataId> = spec.stream_writes().collect();
         let stream_in_ids: Vec<DataId> = spec.stream_reads().collect();
@@ -1737,7 +1736,7 @@ impl Drop for LocalRuntime {
             // The run span closes last, covering every task span.
             self.shared.telemetry.record(TelemetryEvent::Span {
                 track: Track::Run,
-                name: "local-run".to_string(),
+                name: "local-run".into(),
                 phase: TaskPhase::Executing,
                 start_us: 0,
                 dur_us: end_us,

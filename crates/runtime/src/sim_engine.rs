@@ -10,8 +10,8 @@ use crate::scheduler::{PlacementView, Scheduler};
 use crate::workload::SimWorkload;
 use continuum_analyze::{has_errors, LintMode};
 use continuum_dag::{
-    DagError, DataId, ExpandSink, GraphAnalysis, GraphRun, GraphSource, InlineVec, SegVec, TaskId,
-    TaskSpec, TaskState, VersionedData,
+    DagError, DataId, ExpandSink, GraphAnalysis, GraphRun, GraphSource, InlineVec, Label, SegVec,
+    TaskId, TaskSpec, TaskState, VersionedData,
 };
 use continuum_platform::{Constraints, ElasticityPolicy, NodeId, Platform, ZoneId};
 use continuum_sim::{
@@ -728,11 +728,11 @@ impl<'w, 's> Engine<'w, 's> {
     }
 
     /// The task's spec name, for telemetry labels.
-    fn task_name(&self, task: TaskId) -> String {
-        self.workload
-            .graph()
-            .node(task)
-            .map_or_else(|_| task.to_string(), |n| n.spec().name().to_string())
+    fn task_name(&self, task: TaskId) -> Label {
+        self.workload.graph().node(task).map_or_else(
+            |_| task.to_string().into(),
+            |n| n.spec().name_label().clone(),
+        )
     }
 
     fn drive(&mut self) -> Result<RunReport, RuntimeError> {
@@ -742,7 +742,7 @@ impl<'w, 's> Engine<'w, 's> {
             for node in self.workload.graph().nodes() {
                 self.options.telemetry.record(TelemetryEvent::Instant {
                     track: Track::Run,
-                    name: node.spec().name().to_string(),
+                    name: node.spec().name_label().clone(),
                     phase: TaskPhase::Submitted,
                     at_us: 0,
                 });
@@ -797,7 +797,7 @@ impl<'w, 's> Engine<'w, 's> {
             let end_us = micros_from_seconds(makespan.as_seconds());
             self.options.telemetry.record(TelemetryEvent::Span {
                 track: Track::Run,
-                name: "sim-run".to_string(),
+                name: "sim-run".into(),
                 phase: TaskPhase::Executing,
                 start_us: 0,
                 dur_us: end_us,
@@ -1049,7 +1049,7 @@ impl<'w, 's> Engine<'w, 's> {
             if self.options.telemetry.enabled() {
                 self.options.telemetry.record(TelemetryEvent::Instant {
                     track: Track::Run,
-                    name: spec.name().to_string(),
+                    name: spec.name_label().clone(),
                     phase: TaskPhase::Submitted,
                     at_us,
                 });
@@ -1453,7 +1453,7 @@ impl<'w, 's> Engine<'w, 's> {
             let at_us = micros_from_seconds(now.as_seconds());
             self.options.telemetry.record(TelemetryEvent::Span {
                 track: Track::Run,
-                name: "scheduler-round".to_string(),
+                name: "scheduler-round".into(),
                 phase: TaskPhase::Scheduled,
                 start_us: at_us,
                 dur_us: 0,

@@ -1,12 +1,12 @@
 //! Simulated workloads: a task graph plus per-task cost profiles.
 
 use crate::profile::TaskProfile;
-use continuum_analyze::LintBundle;
+use continuum_analyze::{lint_nodes, LintColumns, LintView};
 use continuum_dag::{
     AccessProcessor, DagError, DataCatalog, DataId, GraphAnalysis, SegVec, TaskGraph, TaskId,
     TaskSpec,
 };
-use continuum_platform::{NodeId, Platform};
+use continuum_platform::{Constraints, NodeId, Platform};
 use std::fmt;
 
 /// Summary statistics of a workload.
@@ -147,31 +147,14 @@ impl SimWorkload {
         self.ap.catalog()
     }
 
-    /// Builds the [`LintBundle`] the verifier (and the `continuum-lint`
-    /// CLI) sees for this workload on `platform`: the graph, data
-    /// names, node capacities, per-task constraints and weights from
-    /// the profiles, and the externally-provided initial data.
-    pub fn lint_bundle(&self, platform: &Platform) -> LintBundle {
-        let catalog = self.ap.catalog();
-        let data_names = (0..catalog.len())
-            .map(|i| {
-                catalog
-                    .name(DataId::from_raw(i as u64))
-                    .unwrap_or("?")
-                    .to_string()
-            })
-            .collect();
-        let initial = self.initial_data_entries().map(|(d, _, _)| d).collect();
-        LintBundle::new(self.ap.graph().clone())
-            .with_platform(platform)
-            .with_data_names(data_names)
-            .with_constraints(
-                self.profiles()
-                    .map(|p| p.constraints_ref().clone())
-                    .collect(),
-            )
-            .with_weights(self.profiles.iter().map(TaskProfile::duration_s).collect())
-            .with_initial_data(initial)
+    /// What the verifier sees of this workload on `platform` — the
+    /// graph, data names, per-task constraints and weights from the
+    /// profiles, the externally-provided initial data, all lent in
+    /// place, plus `platform`'s node capacities. `.verify()` it, or
+    /// `.to_bundle()` it for the owned copy the `continuum-lint` CLI
+    /// reads.
+    pub fn lint_bundle(&self, platform: &Platform) -> LintView<'_> {
+        LintView::new(self.ap.graph(), self, lint_nodes(platform), &[])
     }
 
     /// The profile of a task.
@@ -270,6 +253,34 @@ impl SimWorkload {
                 0.0
             },
         }
+    }
+}
+
+impl LintColumns for SimWorkload {
+    fn data_count(&self) -> usize {
+        self.ap.catalog().len()
+    }
+
+    fn data_name(&self, data: DataId) -> Option<&str> {
+        match self.ap.catalog().name(data) {
+            Ok(name) => Some(name),
+            // Issued, but its segment was dropped after retirement.
+            Err(_) => (data.index() < self.data_count()).then_some("?"),
+        }
+    }
+
+    fn constraints_of(&self, task: TaskId) -> Option<&Constraints> {
+        self.profiles
+            .get(task.index())
+            .map(TaskProfile::constraints_ref)
+    }
+
+    fn weight_of(&self, task: TaskId) -> Option<f64> {
+        self.profiles.get(task.index()).map(TaskProfile::duration_s)
+    }
+
+    fn for_each_initial(&self, f: &mut dyn FnMut(DataId)) {
+        self.initial_data_entries().for_each(|(d, _, _)| f(d));
     }
 }
 

@@ -4,7 +4,9 @@
 
 use continuum_dag::TaskId;
 use continuum_platform::NodeId;
-use continuum_telemetry::{micros_from_seconds, Event, GanttSpan, SpanContext, TaskPhase, Track};
+use continuum_telemetry::{
+    micros_from_seconds, Event, GanttSpan, Label, SpanContext, TaskPhase, Track,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -31,44 +33,43 @@ impl TraceRecord {
     /// `Transferring` span for any input stall, an `Executing` span,
     /// and a `Committed` (or `Replayed`) marker. This is the single
     /// conversion the simulated engine and post-hoc trace exports
-    /// share. `ctx`, when given, stamps the spans so the task chains
-    /// into a distributed trace (both phases share the one context:
-    /// they are phases of a single logical execution).
-    pub fn to_events(&self, name: &str, ctx: Option<SpanContext>) -> Vec<Event> {
+    /// share. Each event's name is a clone of `name` — free for the
+    /// literal and interned labels task specs usually carry. `ctx`,
+    /// when given, stamps the spans so the task chains into a
+    /// distributed trace (both phases share the one context: they are
+    /// phases of a single logical execution).
+    pub fn to_events(&self, name: &Label, ctx: Option<SpanContext>) -> impl Iterator<Item = Event> {
         let track = Track::Node(self.node.index() as u32);
         let start_us = micros_from_seconds(self.start_s);
         let exec_start_us = micros_from_seconds(self.start_s + self.transfer_stall_s);
         let end_us = micros_from_seconds(self.end_s);
-        let mut events = Vec::with_capacity(3);
-        if exec_start_us > start_us {
-            events.push(Event::Span {
-                track,
-                name: name.to_string(),
-                phase: TaskPhase::Transferring,
-                start_us,
-                dur_us: exec_start_us - start_us,
-                ctx,
-            });
-        }
-        events.push(Event::Span {
+        let transfer = (exec_start_us > start_us).then(|| Event::Span {
             track,
-            name: name.to_string(),
+            name: name.clone(),
+            phase: TaskPhase::Transferring,
+            start_us,
+            dur_us: exec_start_us - start_us,
+            ctx,
+        });
+        let exec = Event::Span {
+            track,
+            name: name.clone(),
             phase: TaskPhase::Executing,
             start_us: exec_start_us,
             dur_us: end_us.saturating_sub(exec_start_us),
             ctx,
-        });
-        events.push(Event::Instant {
+        };
+        let marker = Event::Instant {
             track,
-            name: name.to_string(),
+            name: name.clone(),
             phase: if self.replay {
                 TaskPhase::Replayed
             } else {
                 TaskPhase::Committed
             },
             at_us: end_us,
-        });
-        events
+        };
+        transfer.into_iter().chain([exec, marker])
     }
 }
 
@@ -191,7 +192,7 @@ impl ExecutionTrace {
             .enumerate()
             .flat_map(|(i, r)| {
                 let child = ctx.map(|c| c.child(c.agent_id, i as u64 + 1));
-                r.to_events(&r.task.to_string(), child)
+                r.to_events(&r.task.to_string().into(), child)
             })
             .collect()
     }

@@ -96,7 +96,7 @@ pub fn collect_task_obs(events: &[Event]) -> Vec<TaskObs> {
                 .and_then(Vec::pop);
             out.push(TaskObs {
                 track: *track,
-                name: name.clone(),
+                name: name.to_string(),
                 start_us: transfer_start.unwrap_or(*start_us),
                 exec_start_us: *start_us,
                 end_us: start_us + dur_us,
@@ -780,7 +780,7 @@ mod tests {
     fn exec(node: u32, name: &str, start_us: Micros, end_us: Micros) -> Event {
         Event::Span {
             track: Track::Node(node),
-            name: name.to_string(),
+            name: name.to_string().into(),
             phase: TaskPhase::Executing,
             start_us,
             dur_us: end_us - start_us,
@@ -791,7 +791,7 @@ mod tests {
     fn xfer(node: u32, name: &str, start_us: Micros, end_us: Micros) -> Event {
         Event::Span {
             track: Track::Node(node),
-            name: name.to_string(),
+            name: name.to_string().into(),
             phase: TaskPhase::Transferring,
             start_us,
             dur_us: end_us - start_us,
@@ -802,7 +802,7 @@ mod tests {
     fn stream_wait(node: u32, name: &str, start_us: Micros, end_us: Micros) -> Event {
         Event::Span {
             track: Track::Node(node),
-            name: name.to_string(),
+            name: name.to_string().into(),
             phase: TaskPhase::StreamWait,
             start_us,
             dur_us: end_us - start_us,

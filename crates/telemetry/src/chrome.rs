@@ -320,7 +320,7 @@ fn parse_entry(i: usize, entry: &Value) -> Result<Option<Event>, String> {
                     .ok_or_else(|| format!("entry {i}: span missing \"dur\""))?;
                 Ok(Some(Event::Span {
                     track,
-                    name: name.to_string(),
+                    name: name.to_string().into(),
                     phase,
                     start_us: ts,
                     dur_us: dur,
@@ -329,7 +329,7 @@ fn parse_entry(i: usize, entry: &Value) -> Result<Option<Event>, String> {
             } else {
                 Ok(Some(Event::Instant {
                     track,
-                    name: name.to_string(),
+                    name: name.to_string().into(),
                     phase,
                     at_us: ts,
                 }))
@@ -567,7 +567,7 @@ mod tests {
                 0 if !events.is_empty() => events[rng.gen_range(0..events.len())].clone(),
                 0..=4 => Event::Span {
                     track: pick(&mut rng, &TRACKS),
-                    name: pick(&mut rng, &NAMES).to_string(),
+                    name: pick(&mut rng, &NAMES).to_string().into(),
                     phase: pick(&mut rng, &TaskPhase::ALL),
                     start_us: pick(&mut rng, &TIMES),
                     dur_us: pick(&mut rng, &DURS),
@@ -575,7 +575,7 @@ mod tests {
                 },
                 5..=6 => Event::Instant {
                     track: pick(&mut rng, &TRACKS),
-                    name: pick(&mut rng, &NAMES).to_string(),
+                    name: pick(&mut rng, &NAMES).to_string().into(),
                     phase: pick(&mut rng, &TaskPhase::ALL),
                     at_us: pick(&mut rng, &TIMES),
                 },

@@ -5,6 +5,7 @@
 //! exporter ([`crate::chrome`], [`crate::paraver`], [`crate::metrics`])
 //! works on either without knowing which engine produced the stream.
 
+use continuum_dag::Label;
 use serde::{Deserialize, Serialize};
 
 /// Event timestamps, in integer microseconds since the run origin.
@@ -368,8 +369,9 @@ pub enum Event {
     Span {
         /// Row the span lives on.
         track: Track,
-        /// Span label (usually the task name).
-        name: String,
+        /// Span label (usually the task name, copied from its spec by
+        /// reference count).
+        name: Label,
         /// Lifecycle phase the interval covers.
         phase: TaskPhase,
         /// Interval start.
@@ -385,7 +387,7 @@ pub enum Event {
         /// Row the marker lives on.
         track: Track,
         /// Marker label (usually the task name).
-        name: String,
+        name: Label,
         /// Lifecycle phase the marker records.
         phase: TaskPhase,
         /// When it happened.
@@ -432,6 +434,12 @@ mod tests {
         assert_eq!(micros_from_seconds(1.5), 1_500_000);
         assert_eq!(micros_from_seconds(-1.0), 0, "clamped at zero");
         assert_eq!(micros_from_seconds(1e-7), 0, "sub-microsecond rounds down");
+    }
+
+    /// A traced run buffers half a dozen of these per task.
+    #[test]
+    fn event_did_not_grow() {
+        assert_eq!(std::mem::size_of::<Event>(), 96);
     }
 
     #[test]

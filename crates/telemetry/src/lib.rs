@@ -49,6 +49,7 @@ pub use analysis::{
     CriticalPathReport, CriticalTask, NodeAttribution, RunDiagnostics, TaskObs, UtilizationMetrics,
 };
 pub use chrome::{chrome_trace, parse_chrome_trace, write_chrome_trace};
+pub use continuum_dag::Label;
 pub use event::{micros_from_seconds, CounterKey, Event, Micros, SpanContext, TaskPhase, Track};
 pub use gantt::GanttSpan;
 pub use merge::{

@@ -34,6 +34,7 @@
 //! the rows provably sum to the end-to-end makespan.
 
 use crate::event::{Event, Micros, SpanContext, TaskPhase, Track};
+use continuum_dag::Label;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -231,7 +232,7 @@ struct CtxNode {
     lo: Micros,
     hi: Micros,
     /// `(phase, start, end)` of each constituent span.
-    spans: Vec<(TaskPhase, Micros, Micros, String)>,
+    spans: Vec<(TaskPhase, Micros, Micros, Label)>,
     children: Vec<usize>,
     is_hop: bool,
 }
@@ -779,7 +780,7 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
 /// Deterministic total order for merged events (mirrors the Chrome
 /// exporter's stable sort, plus the span id as the final tiebreak).
 #[allow(clippy::type_complexity)]
-fn event_order(e: &Event) -> (Micros, u64, u64, u8, Micros, String, &'static str, u64) {
+fn event_order(e: &Event) -> (Micros, u64, u64, u8, Micros, Label, &'static str, u64) {
     match e {
         Event::Span {
             track,
@@ -813,16 +814,9 @@ fn event_order(e: &Event) -> (Micros, u64, u64, u8, Micros, String, &'static str
             phase.as_str(),
             0,
         ),
-        Event::Counter { key, at_us, value } => (
-            *at_us,
-            0,
-            0,
-            2,
-            0,
-            key.as_str().to_string(),
-            "",
-            value.to_bits(),
-        ),
+        Event::Counter { key, at_us, value } => {
+            (*at_us, 0, 0, 2, 0, key.as_str().into(), "", value.to_bits())
+        }
     }
 }
 
@@ -832,7 +826,7 @@ mod tests {
 
     fn span(
         track: Track,
-        name: &str,
+        name: &'static str,
         phase: TaskPhase,
         start: Micros,
         dur: Micros,

@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn stream_wait_spans_get_their_own_state() {
-        let mk = |name: &str| Event::Span {
+        let mk = |name: &'static str| Event::Span {
             track: Track::Worker(2),
             name: name.into(),
             phase: TaskPhase::StreamWait,
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn equal_timestamp_records_order_independently_of_arrival() {
-        let mk = |track, name: &str| Event::Span {
+        let mk = |track, name: &'static str| Event::Span {
             track,
             name: name.into(),
             phase: TaskPhase::Executing,

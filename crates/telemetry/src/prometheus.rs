@@ -266,7 +266,7 @@ mod tests {
         for i in 0..5u64 {
             ring.record(Event::Span {
                 track: Track::Worker(0),
-                name: format!("t{i}"),
+                name: format!("t{i}").into(),
                 phase: TaskPhase::Executing,
                 start_us: i,
                 dur_us: 1,

@@ -156,7 +156,7 @@ mod tests {
     fn span(at_us: u64) -> Event {
         Event::Span {
             track: Track::Worker(0),
-            name: format!("t{at_us}"),
+            name: format!("t{at_us}").into(),
             phase: TaskPhase::Executing,
             start_us: at_us,
             dur_us: 1,

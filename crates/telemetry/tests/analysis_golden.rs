@@ -11,7 +11,7 @@ const S: u64 = 1_000_000; // one second, in µs
 fn exec(node: u32, name: &str, start_s: u64, end_s: u64) -> Event {
     Event::Span {
         track: Track::Node(node),
-        name: name.to_string(),
+        name: name.to_string().into(),
         phase: TaskPhase::Executing,
         start_us: start_s * S,
         dur_us: (end_s - start_s) * S,
@@ -22,7 +22,7 @@ fn exec(node: u32, name: &str, start_s: u64, end_s: u64) -> Event {
 fn transfer(node: u32, name: &str, start_s: u64, end_s: u64) -> Event {
     Event::Span {
         track: Track::Node(node),
-        name: name.to_string(),
+        name: name.to_string().into(),
         phase: TaskPhase::Transferring,
         start_us: start_s * S,
         dur_us: (end_s - start_s) * S,

@@ -23,7 +23,7 @@ fn span(
 ) -> Event {
     Event::Span {
         track,
-        name: name.into(),
+        name: name.to_string().into(),
         phase,
         start_us: start,
         dur_us: dur,
@@ -68,7 +68,7 @@ fn random_events(seed: u64, n: usize) -> Vec<Event> {
         } else {
             events.push(Event::Instant {
                 track: tracks[rng.gen_range(0..tracks.len())],
-                name: format!("i{i}"),
+                name: format!("i{i}").into(),
                 phase: TaskPhase::Committed,
                 at_us: start,
             });

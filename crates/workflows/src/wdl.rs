@@ -25,7 +25,7 @@
 //! textual spelling; `elems`/`elem_bytes` set the producer-side stream
 //! profile (elements per output stream and payload bytes per element).
 
-use continuum_dag::{DataId, Direction, TaskSpec};
+use continuum_dag::{DataId, Direction, Label, Param, TaskSpec};
 use continuum_platform::{Constraints, NodeId};
 use continuum_runtime::{SimWorkload, TaskProfile};
 use std::collections::HashMap;
@@ -71,6 +71,34 @@ fn parse_bytes(s: &str, line: usize) -> Result<u64, WdlError> {
         .ok_or_else(|| err(line, format!("invalid byte quantity `{s}`")))
 }
 
+/// Task types and group labels repeat from line to line (a generated
+/// sweep names a whole row alike): each distinct text becomes one
+/// shared [`Label`], handed out by reference count afterwards. Keyed by
+/// slices of the parsed text, so a lookup copies nothing.
+#[derive(Default)]
+struct Interner<'t> {
+    /// The previous lookup, tried first.
+    last: Option<(&'t str, Label)>,
+    table: HashMap<&'t str, Label>,
+}
+
+impl<'t> Interner<'t> {
+    fn label(&mut self, text: &'t str) -> Label {
+        if let Some((seen, label)) = &self.last {
+            if *seen == text {
+                return label.clone();
+            }
+        }
+        let label = self
+            .table
+            .entry(text)
+            .or_insert_with(|| Label::shared(text))
+            .clone();
+        self.last = Some((text, label.clone()));
+        label
+    }
+}
+
 fn split_kv(token: &str, line: usize) -> Result<(&str, &str), WdlError> {
     token
         .split_once('=')
@@ -102,6 +130,10 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
     let mut w = SimWorkload::new();
     // Keyed by slices of `text`: a mention of a datum copies nothing.
     let mut names: HashMap<&str, DataId> = HashMap::new();
+    let mut types = Interner::default();
+    let mut groups = Interner::default();
+    // One line's parameters, handed to the spec in one sized step.
+    let mut params: Vec<Param> = Vec::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -140,7 +172,7 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                 let ty = tokens
                     .next()
                     .ok_or_else(|| err(line_no, "task needs a type name"))?;
-                let mut spec = TaskSpec::new(ty.to_string());
+                let mut group = None;
                 let mut dur = None;
                 let mut constraints = Constraints::new();
                 let mut out_bytes = 0u64;
@@ -155,7 +187,7 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                     if let Some(dir) = Direction::parse(k) {
                         for name in v.split(',').filter(|s| !s.is_empty()) {
                             let id = *names.entry(name).or_insert_with(|| w.data(name));
-                            spec = spec.param(id, dir);
+                            params.push(Param::new(id, dir));
                         }
                         continue;
                     }
@@ -196,11 +228,15 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                             )
                         }
                         "elem_bytes" => elem_bytes = parse_bytes(v, line_no)?,
-                        "group" => spec = spec.group(v.to_string()),
+                        "group" => group = Some(groups.label(v)),
                         other => return Err(err(line_no, format!("unknown task key `{other}`"))),
                     }
                 }
                 let dur = dur.ok_or_else(|| err(line_no, "task needs dur=<seconds>"))?;
+                let mut spec = TaskSpec::new(types.label(ty)).params_from(params.drain(..));
+                if let Some(group) = group {
+                    spec = spec.group(group);
+                }
                 let mut profile = TaskProfile::new(dur)
                     .constraints(constraints)
                     .outputs_bytes(out_bytes)

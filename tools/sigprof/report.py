@@ -21,8 +21,13 @@ import sys
 
 GROUPS = [
     ("trace export", r"chrome::|json::|write_json_string"),
-    ("wdl parse", r"wdl::"),
-    ("lint", r"analyze::|verify::"),
+    # The textual front door, stage by stage: parsing (with the label
+    # interning it does), lint admission (the borrowed view, its
+    # columns on the workload, the per-datum index) and what the run
+    # spends handing events to the recorder.
+    ("wdl parse", r"wdl::|Interner|label::Label::shared"),
+    ("lint", r"analyze::|verify::|DatumIndex|LintView|LintColumns|lint_bundle"),
+    ("recording", r"TraceBuffer|Recorder::record|RecorderHandle::record|to_events"),
     ("stream transport", r"runtime::stream::|Stream(Send|Recv|Writer|Reader)|release_stream_successors"),
     ("allocator (in-binary side)", r"__rust_alloc|__rust_dealloc|__rust_realloc|__rdl_|alloc::alloc|::alloc::Counting"),
     ("hashing", r"hashbrown|SipHasher|sip::|hash_one|IdHasher|BuildHasher|core::hash"),
