@@ -2,6 +2,7 @@
 
 use crate::array::DistMatrix;
 use crate::error::DislibError;
+use crate::kernels;
 use crate::matrix::Matrix;
 use continuum_dag::TaskSpec;
 use continuum_platform::Constraints;
@@ -150,16 +151,14 @@ impl KMeans {
                     let b: &Matrix = ctx.input(0);
                     let mut acc = Matrix::zeros(k + 1, d + 1);
                     let mut inertia = 0.0;
-                    for r in 0..b.rows() {
-                        let x = b.row(r);
-                        let (best, dist) = closest_in_panel(&panel, x);
+                    kernels::nearest(&panel, b, |x, best, dist| {
                         let sums = acc.row_mut(best);
                         for (s, v) in sums.iter_mut().zip(x) {
                             *s += v;
                         }
                         sums[d] += 1.0;
                         inertia += dist;
-                    }
+                    });
                     acc.set(k, 0, inertia);
                     ctx.set_output(0, acc);
                 },
@@ -228,8 +227,17 @@ impl KMeansModel {
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors.
+    /// * [`DislibError::ShapeMismatch`] if `x` is not as wide as the
+    ///   centroids;
+    /// * runtime errors from the task graph.
     pub fn predict(&self, rt: &LocalRuntime, x: &DistMatrix) -> Result<Vec<usize>, DislibError> {
+        if x.cols() != self.centroids.cols() {
+            return Err(DislibError::ShapeMismatch(format!(
+                "samples have {} features, centroids {}",
+                x.cols(),
+                self.centroids.cols()
+            )));
+        }
         let panel = Arc::new(self.centroids.transpose());
         let mut outs = Vec::with_capacity(x.num_blocks());
         for (i, block) in x.blocks().iter().enumerate() {
@@ -242,9 +250,8 @@ impl KMeansModel {
                 Constraints::new(),
                 move |ctx| {
                     let b: &Matrix = ctx.input(0);
-                    let labels: Vec<usize> = (0..b.rows())
-                        .map(|r| closest_in_panel(&panel, b.row(r)).0)
-                        .collect();
+                    let mut labels = Vec::with_capacity(b.rows());
+                    kernels::nearest(&panel, b, |_, best, _| labels.push(best));
                     ctx.set_output(0, labels);
                 },
             )?;
@@ -258,81 +265,15 @@ impl KMeansModel {
     }
 }
 
-/// Centroids one assignment block wide: the kernel keeps this many
-/// running sums in registers per sample.
-const PANEL_BLOCK: usize = 8;
-
-/// Nearest centroid of sample `x`: `(index, squared distance)`, ties to
-/// the lowest index. `panel` is the centroid matrix transposed, i.e.
-/// feature-major (`d` rows of `k`): feature `j` of every centroid is
-/// contiguous, so one sample feature meets a whole block of centroids
-/// in one pass.
-///
-/// Each distance is summed over features in index order, exactly as
-/// [`Matrix::row_distance_sq`] sums it, so it has the same bits; only
-/// the `PANEL_BLOCK` sums of a block advance together, which makes the
-/// add chains independent of one another.
-fn closest_in_panel(panel: &Matrix, x: &[f64]) -> (usize, f64) {
-    assert_eq!(panel.rows(), x.len(), "column mismatch");
-    let k = panel.cols();
-    let features = || x.iter().zip(panel.as_slice().chunks_exact(k));
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    let blocked = k - k % PANEL_BLOCK;
-    for c0 in (0..blocked).step_by(PANEL_BLOCK) {
-        let mut acc = [0.0; PANEL_BLOCK];
-        for (&xj, feature) in features() {
-            for (a, c) in acc.iter_mut().zip(&feature[c0..c0 + PANEL_BLOCK]) {
-                let t = xj - c;
-                *a += t * t;
-            }
-        }
-        for (i, &dist) in acc.iter().enumerate() {
-            if dist < best_d {
-                best_d = dist;
-                best = c0 + i;
-            }
-        }
-    }
-    for c in blocked..k {
-        let mut dist = 0.0;
-        for (&xj, feature) in features() {
-            let t = xj - feature[c];
-            dist += t * t;
-        }
-        if dist < best_d {
-            best_d = dist;
-            best = c;
-        }
-    }
-    (best, best_d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::closest_by_row_distance;
     use continuum_runtime::LocalConfig;
-    use proptest::prelude::*;
     use rand::Rng;
 
     fn rt() -> LocalRuntime {
         LocalRuntime::new(LocalConfig::with_workers(4))
-    }
-
-    /// The pair-at-a-time assignment the panel kernel replaced, kept as
-    /// its reference: `row_distance_sq` over centroids in index order,
-    /// strict `<`.
-    fn closest_by_row_distance(centroids: &Matrix, b: &Matrix, r: usize) -> (usize, f64) {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for c in 0..centroids.rows() {
-            let d = b.row_distance_sq(r, centroids, c);
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        (best, best_d)
     }
 
     /// Three well-separated gaussian-ish blobs.
@@ -401,6 +342,20 @@ mod tests {
         assert!(matches!(err, DislibError::InvalidParam(_)));
     }
 
+    /// `fit` draws its centroids from the matrix it is given, so only
+    /// `predict` can meet a model of another width.
+    #[test]
+    fn predict_rejects_a_matrix_of_another_width() {
+        let rt = rt();
+        let data = DistMatrix::from_matrix(&rt, &blobs(), 10);
+        let model = KMeans::new(3).seed(3).fit(&rt, &data).unwrap();
+        let wider = DistMatrix::random(&rt, 20, 3, 10, 1).unwrap();
+        let err = model.predict(&rt, &wider).unwrap_err();
+        assert!(matches!(err, DislibError::ShapeMismatch(_)), "{err}");
+        // Refused at the door: no task ran, the runtime is still usable.
+        assert_eq!(model.predict(&rt, &data).unwrap().len(), 60);
+    }
+
     #[test]
     fn deterministic_for_fixed_seed() {
         let rt1 = rt();
@@ -417,50 +372,6 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         let _ = KMeans::new(0);
-    }
-
-    proptest! {
-        /// `(argmin, min)` is bit-for-bit the reference's, for every
-        /// `k mod PANEL_BLOCK`, with ties planted.
-        #[test]
-        fn panel_kernel_matches_row_distance_bit_for_bit(
-            rows in 1usize..65,
-            d in 1usize..21,
-            k in 1usize..41,
-            seed in 0u64..u64::MAX,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            // Half the cases draw from a 4-value grid, so distinct
-            // centroids tie too and many distances are exactly equal.
-            let coarse = seed % 2 == 0;
-            let mut draw = |n: usize| -> Vec<f64> {
-                (0..n)
-                    .map(|_| {
-                        if coarse {
-                            f64::from(rng.gen_range(0u32..4)) * 0.25
-                        } else {
-                            rng.gen::<f64>()
-                        }
-                    })
-                    .collect()
-            };
-            let mut cents = draw(k * d);
-            let samples = Matrix::from_vec(rows, d, draw(rows * d));
-            // Planted duplicates: every third centroid repeats an
-            // earlier one, across block boundaries as well.
-            for c in (2..k).step_by(3) {
-                let from = c / 2;
-                cents.copy_within(from * d..(from + 1) * d, c * d);
-            }
-            let cents = Matrix::from_vec(k, d, cents);
-            let panel = cents.transpose();
-            for r in 0..rows {
-                let (want, want_d) = closest_by_row_distance(&cents, &samples, r);
-                let (got, got_d) = closest_in_panel(&panel, samples.row(r));
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(got_d.to_bits(), want_d.to_bits());
-            }
-        }
     }
 
     fn fnv1a(hash: &mut u64, word: u64) {

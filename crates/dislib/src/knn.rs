@@ -137,10 +137,12 @@ impl KnnModel {
                     let mut all: Candidates = Vec::with_capacity(q.rows());
                     for qi in 0..q.rows() {
                         let mut cands: Vec<(f64, usize)> = (0..b.rows())
-                            .map(|r| (q.row_distance_sq(qi, b, r), labels[r]))
+                            .map(|r| (q.row_distance_sq(qi, b, r), r))
                             .collect();
-                        cands.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-                        cands.truncate(k);
+                        keep_k_nearest(&mut cands, k);
+                        for cand in &mut cands {
+                            cand.1 = labels[cand.1];
+                        }
                         all.push(cands);
                     }
                     ctx.set_output(0, all);
@@ -164,7 +166,8 @@ impl KnnModel {
                     for p in 0..n_parts {
                         cands.extend(ctx.input::<Candidates>(p)[qi].iter().copied());
                     }
-                    cands.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+                    // Stable: equal distances stay in block, then row, order.
+                    cands.sort_by(|a, b| a.0.total_cmp(&b.0));
                     cands.truncate(k);
                     let mut votes: HashMap<usize, usize> = HashMap::new();
                     for (_, l) in &cands {
@@ -182,6 +185,22 @@ impl KnnModel {
         )?;
         Ok(rt.get(&merged)?.as_ref().clone())
     }
+}
+
+/// Keeps the `k` nearest of `cands` — `(squared distance, row)` pairs
+/// with distinct rows — nearest first, equal distances by row: what a
+/// stable sort by distance of the row-ordered list would keep, without
+/// ordering the rest. The key is total (`f64::total_cmp`), so a NaN
+/// distance has a place in the order (a positive NaN past every
+/// number) where `partial_cmp` had a panic.
+fn keep_k_nearest(cands: &mut Vec<(f64, usize)>, k: usize) {
+    let by_distance_then_row =
+        |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    if k < cands.len() {
+        cands.select_nth_unstable_by(k, by_distance_then_row);
+        cands.truncate(k);
+    }
+    cands.sort_unstable_by(by_distance_then_row);
 }
 
 #[cfg(test)]
@@ -268,5 +287,49 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         let _ = KnnClassifier::new(0);
+    }
+
+    #[test]
+    fn selection_keeps_what_the_full_stable_sort_kept() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for case in 0..200 {
+            let n = rng.gen_range(1..60usize);
+            let k = rng.gen_range(1..12usize);
+            // A 6-value grid plants many equal distances; odd cases mix
+            // in distinct ones.
+            let cands: Vec<(f64, usize)> = (0..n)
+                .map(|r| {
+                    let tied = f64::from(rng.gen_range(0u32..6)) * 0.5;
+                    let d = if case % 2 == 1 && rng.gen() {
+                        rng.gen::<f64>()
+                    } else {
+                        tied
+                    };
+                    (d, r)
+                })
+                .collect();
+            let mut want = cands.clone();
+            want.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+            want.truncate(k);
+            let mut got = cands;
+            keep_k_nearest(&mut got, k);
+            assert_eq!(got, want, "n = {n}, k = {k}");
+        }
+    }
+
+    #[test]
+    fn nan_feature_is_ordered_instead_of_panicking() {
+        let rt = rt();
+        // Row 1 is NaN; block 0 has only two rows, so with k = 2 its NaN
+        // candidate reaches the merge as well.
+        let x = Matrix::from_rows(&[vec![0.0], vec![f64::NAN], vec![0.2], vec![10.0]]);
+        let data = DistMatrix::from_matrix(&rt, &x, 2);
+        let model = KnnClassifier::new(2)
+            .fit(&rt, &data, &[0, 1, 0, 1])
+            .unwrap();
+        let labels = model
+            .predict(&rt, &Matrix::from_rows(&[vec![0.1]]))
+            .unwrap();
+        assert_eq!(labels, vec![0]);
     }
 }

@@ -23,11 +23,12 @@
 //! parallel across the runtime's workers, reductions merge them, and
 //! results come back through typed handles.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod array;
 mod error;
+mod kernels;
 mod kmeans;
 mod knn;
 mod linreg;
@@ -39,6 +40,7 @@ mod scaler;
 
 pub use array::DistMatrix;
 pub use error::DislibError;
+pub use kernels::kernel_isa;
 pub use kmeans::{KMeans, KMeansModel};
 pub use knn::{KnnClassifier, KnnModel};
 pub use linreg::{LinearModel, LinearRegression};

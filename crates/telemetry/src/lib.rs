@@ -32,6 +32,8 @@
 //! `continuum-trace` CLI binary drives all of it from standalone
 //! Chrome-JSON trace files (read back via [`parse_chrome_trace`]).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod chrome;
 pub mod event;

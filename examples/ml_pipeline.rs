@@ -12,7 +12,9 @@
 //! cargo run --release --example ml_pipeline
 //! ```
 
-use continuum::dislib::{DistMatrix, KMeans, LinearRegression, Matrix, Pca, StandardScaler};
+use continuum::dislib::{
+    kernel_isa, DistMatrix, KMeans, LinearRegression, Matrix, Pca, StandardScaler,
+};
 use continuum::runtime::{LocalConfig, LocalRuntime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,8 +76,10 @@ fn main() {
         counts[*l] += 1;
     }
     println!(
-        "kmeans: {} iterations, inertia {:.1}, cluster sizes {counts:?}",
-        model.iterations, model.inertia
+        "kmeans: {} iterations, inertia {:.1}, cluster sizes {counts:?} ({} assignment kernel)",
+        model.iterations,
+        model.inertia,
+        kernel_isa()
     );
 
     // 4. A supervised task: recover a linear relationship.
