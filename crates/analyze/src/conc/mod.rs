@@ -1,49 +1,33 @@
-//! Mini-loom: exhaustive deterministic-interleaving checking for the
-//! runtime's concurrency protocols.
+//! Concurrency checking for the runtime's hand-rolled protocols.
 //!
-//! The runtime's executor (PR 4) relies on hand-rolled primitives
-//! whose correctness was previously argued only in comments and stress
-//! tests: the counted-sleeper wake/sleep protocol (lost-wakeup
-//! freedom), the mutex-backed work-stealing deque from
-//! `shims/crossbeam` (no item ever lost or duplicated), and — since
-//! the async task bodies of PR 9 — the task-cell park/wake handshake
-//! (readiness racing the park must never strand a task). This module
-//! model-checks all three.
+//! One kind of check does the work: the [`sched`] submodule runs the
+//! **real** protocol code — the task-cell park/wake handshake, the
+//! oneshot cell, the bounded stream channel, the value cell, the
+//! counted sleeper, the work-stealing deque — under a deterministic
+//! DPOR scheduler (`conc-instrument` feature) with a happens-before
+//! data-race detector. The targets live next to the code they drive, in
+//! `continuum_runtime::conc_targets`; every planted bug there is a
+//! misuse of the shipped API, so what is proved is proved on the code
+//! that ships.
 //!
-//! A [`Model`](explore::Model) describes a protocol as an explicit
-//! state machine: each *state* is a snapshot of every thread's program
-//! counter plus the shared memory it races on, and each *successor* is
-//! one atomic step of one thread. [`explore`](explore::explore)
-//! enumerates the full reachable state space (DFS with memoization),
-//! checking a safety invariant on every state and reporting any
-//! quiescent state that is not a legitimate terminal — i.e. a deadlock,
-//! which for the sleeper protocol is exactly a lost wakeup.
-//!
-//! The models mirror the runtime code at the granularity of its atomic
-//! operations (one mutex acquisition, one atomic store, one condition
-//! wait). Deliberately-broken variants of each protocol are kept next
-//! to the correct ones so tests can demonstrate the harness actually
-//! detects the historical failure modes (sleeping without rechecking
-//! pending work; forgetting to remove stolen items; dropping a wake
-//! that lands while the task is still being polled).
-//!
-//! Bounds: the state spaces are exhaustive but bounded by the model
-//! parameters (worker/item/thief counts). CI runs the smoke bounds via
-//! the `model_check` binary; see `DESIGN.md` §10 for the full table.
-//!
-//! The [`sched`] submodule takes the complementary approach: instead of
-//! checking a hand-written abstraction, it runs the **real** protocol
-//! code under a deterministic DPOR scheduler (`conc-instrument`
-//! feature) with a happens-before data-race detector — see `DESIGN.md`
-//! §15.
+//! One explicit-state model remains beside it: [`sleeper`], the
+//! counted-sleeper wake/sleep protocol with the executor's `searching`
+//! deficit rule, explored by [`explore`](explore::explore) (DFS with
+//! memoization over hand-written states; a quiescent state that is not
+//! a legitimate terminal is a deadlock — for this protocol exactly a
+//! lost wakeup). It stays for one measured reason: at [2 workers,
+//! 2 items] the model memoises 1 206 states, while stateless DPOR over
+//! the real `CountedSleeper` (`sched::executor-sleep`) exhausts
+//! [1, 2] in a few hundred schedules, needs tens of thousands for
+//! [2, 1] and does not exhaust [2, 2] in 200 000. The deque and
+//! park/wake models that used to sit here were retired once
+//! `sched::deque` and `sched::task-cell-requeue` reached their CI
+//! bounds on the shipped code (ledger in `EXPERIMENTS.md`, table in
+//! `DESIGN.md` "Concurrency checking").
 
-pub mod deque;
 pub mod explore;
-pub mod parkwake;
 pub mod sched;
 pub mod sleeper;
 
-pub use deque::{DequeModel, DequeVariant};
 pub use explore::{explore, Exploration, Model, Violation};
-pub use parkwake::{ParkWakeModel, ParkWakeState, ParkWakeVariant};
 pub use sleeper::{SleeperModel, SleeperVariant};

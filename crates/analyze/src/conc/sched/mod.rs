@@ -4,9 +4,9 @@
 //! channel, the counted sleeper, the work-stealing deque — under a
 //! deterministic scheduler and enumerates their thread interleavings.
 //!
-//! Where the sibling explicit-state models ([`super::explore`]) check
-//! a hand-written *abstraction* of each protocol, this module checks
-//! the protocol's *implementation*: scenario threads execute the real
+//! Where the sibling explicit-state model ([`super::sleeper`]) checks
+//! a hand-written *abstraction* of one protocol, this module checks
+//! the protocols' *implementation*: scenario threads execute the real
 //! `continuum-runtime` / `continuum-platform` code, whose sync
 //! primitives (built with the `conc-instrument` feature) report every
 //! operation to an installed controller. The scheduler sequences the
@@ -14,7 +14,7 @@
 //! scenario under a different interleaving until the reduced schedule
 //! space is exhausted.
 //!
-//! Three layers (see `DESIGN.md` §15):
+//! Three layers (see `DESIGN.md` "Concurrency checking"):
 //!
 //! * [`controller`] — the rendezvous protocol that stops every thread
 //!   at its next sync operation and releases exactly one per decision;
@@ -70,6 +70,24 @@ pub enum Expect {
     /// A planted data race must be detected (CI asserts it stays
     /// detected).
     Race,
+    /// A planted lost wakeup must be detected as a deadlock.
+    Deadlock,
+    /// A planted protocol misuse must fail the scenario's final check.
+    Invariant,
+}
+
+impl Expect {
+    /// Whether `violation` is the kind this expectation plants. Always
+    /// `false` for [`Expect::Clean`]; a planted target found as another
+    /// kind counts as missed.
+    pub fn is_planted_kind(self, violation: &SchedViolation) -> bool {
+        matches!(
+            (self, violation),
+            (Expect::Race, SchedViolation::Race { .. })
+                | (Expect::Deadlock, SchedViolation::Deadlock { .. })
+                | (Expect::Invariant, SchedViolation::Invariant { .. })
+        )
+    }
 }
 
 /// Exploration options.

@@ -1,7 +1,7 @@
 //! Vector clocks for the schedule explorer.
 //!
 //! Two *separate* clock systems are layered over each execution (see
-//! `DESIGN.md` §15): the happens-before clocks of the race detector,
+//! `DESIGN.md` §10.2): the happens-before clocks of the race detector,
 //! which join only on real synchronization edges (mutex release →
 //! acquire, atomic store → load, notify → resume, unpark → park), and
 //! the DPOR clocks, which join on every *dependent* operation pair and

@@ -27,12 +27,12 @@
 //!
 //! # The concurrency checker
 //!
-//! [`conc`] is a mini-loom: protocol models of the executor's
-//! counted-sleeper wake/sleep protocol and the `shims/crossbeam` deque
-//! are explored exhaustively over every interleaving at small bounds,
-//! with deliberately-broken variants proving the harness detects the
-//! historical failure modes. The `model_check` binary runs the models
-//! in CI.
+//! [`conc`] is a mini-loom: [`conc::sched`] runs the runtime's real
+//! protocol code under a DPOR scheduler and enumerates its
+//! interleavings at small bounds, and one explicit-state model (the
+//! counted-sleeper wake/sleep protocol) is explored exhaustively beside
+//! it; deliberately-broken variants prove the harness detects the
+//! historical failure modes. The `model_check` binary runs both in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

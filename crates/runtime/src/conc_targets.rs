@@ -4,21 +4,26 @@
 //! Each [`SchedTarget`] here wraps actual `continuum-runtime` /
 //! `continuum-platform` code — the [`TaskCell`] park/wake handshake,
 //! the oneshot reply cell, the bounded [`StreamChannel`], the
-//! [`CountedSleeper`], the [`ValueCell`] tasks publish their outputs
-//! into and the `shims/crossbeam` work-stealing deque —
-//! in a small multi-threaded scenario whose synchronization operations
-//! the exploration scheduler
+//! [`CountedSleeper`] with its `searching` deficit rule, the
+//! [`ValueCell`] tasks publish their outputs into and the
+//! `shims/crossbeam` work-stealing deque — in a small multi-threaded
+//! scenario whose synchronization operations the exploration scheduler
 //! ([`continuum_analyze::conc::sched::explore_sched`]) can enumerate
-//! exhaustively. Where the explicit-state models in
-//! `continuum_analyze::conc` check an abstraction, these targets check
-//! the code itself: a regression that breaks the real implementation
-//! without breaking the hand-written model is caught here.
+//! exhaustively. This is the tree's one kind of protocol check: the
+//! hand-written deque and park/wake models are gone, and what they
+//! proved at their CI bounds is proved here on the code that ships
+//! (`sched::deque`, `sched::task-cell-requeue`). Only the sleeper keeps
+//! an explicit-state model beside its targets, because stateless DPOR
+//! cannot exhaust [2 workers, 2 items] over the real code (see
+//! `continuum_analyze::conc`).
 //!
-//! Three targets carry **planted races** (`*-racy-*`,
-//! `*-commit-before-publish`): deliberately broken variants whose
-//! unsynchronized payload access the happens-before detector must
-//! flag. CI asserts they stay detected —
-//! they are the proof the harness still works.
+//! Five targets carry **planted bugs**, each a harness-side misuse of
+//! the real API — no switch in production code: three data races
+//! (`*-racy-*`, `*-commit-before-publish`) the happens-before detector
+//! must flag, one lost wakeup (`task-cell-dropped-wake`) that must end
+//! in a deadlock, and one conservation break (`deque-double-take`) the
+//! final check must catch. CI asserts each stays detected *as its own
+//! kind* ([`Expect`]) — they are the proof the harness still works.
 //!
 //! Scenario payloads use [`RaceCell`], whose accesses are reported to
 //! the race detector as plain reads/writes; harness-side bookkeeping
@@ -36,12 +41,15 @@ use continuum_platform::sync::{self, RaceCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Every instrumented target, planted races included, in the order
-/// `model_check` runs them.
-pub fn sched_targets() -> Vec<SchedTarget> {
-    vec![
+/// Every instrumented target, planted bugs included, in the order
+/// `model_check` runs them. `smoke` leaves out the one bound that does
+/// not fit the smoke budget of 20 000 schedules.
+pub fn sched_targets(smoke: bool) -> Vec<SchedTarget> {
+    let mut targets = vec![
         task_cell_target(),
         task_cell_racy_wake_target(),
+        task_cell_requeue_target(),
+        task_cell_dropped_wake_target(),
         oneshot_target(),
         oneshot_racy_publish_target(),
         stream_target(),
@@ -49,8 +57,14 @@ pub fn sched_targets() -> Vec<SchedTarget> {
         value_cell_target(),
         value_cell_commit_before_publish_target(),
         sleeper_target(),
+        executor_sleep_target(),
         deque_target(),
-    ]
+        deque_double_take_target(),
+    ];
+    if !smoke {
+        targets.push(executor_sleep_two_workers_target());
+    }
+    targets
 }
 
 /// `sched::task-cell` — the real [`TaskCell`] poller/waker handshake.
@@ -176,6 +190,166 @@ fn task_cell_racy_wake_target() -> SchedTarget {
                 check: None,
             }
         }),
+    }
+}
+
+/// What [`requeue_scenario`] shares between its threads.
+struct RequeueRun {
+    cell: TaskCell,
+    /// The one-slot run queue the pollers share.
+    queue: sync::Mutex<RunQueue>,
+    queue_cv: sync::Condvar,
+    /// Readiness events armed by `Pending` polls and not yet delivered.
+    armed: sync::Mutex<u64>,
+    armed_cv: sync::Condvar,
+    /// `Pending` polls so far — the task's own state, so a plain cell:
+    /// two pollers owning the task at once, or a hand-off that does not
+    /// order one owner's polls before the next's, is a reported race.
+    polls_done: RaceCell,
+}
+
+struct RunQueue {
+    /// The task sits in the queue (`SCHEDULED`, waiting for a claim).
+    queued: bool,
+    /// The future returned `Ready`; idle pollers go home.
+    done: bool,
+}
+
+/// One async task through its whole life over the real [`TaskCell`]:
+/// `pollers` workers take it from a one-slot run queue, claim and poll
+/// it; each of the first `polls` polls returns `Pending`, arming exactly
+/// one readiness event that the event source delivers through
+/// [`TaskCell::wake`] — possibly before the poller reaches `try_park` —
+/// re-queueing the task when the wake wins it. `drop_running_wake`
+/// plants the bug the `NOTIFIED` state exists to prevent: a waker that
+/// sees the task `RUNNING` assumes the poller will notice readiness
+/// itself and drops the wake.
+fn requeue_scenario(pollers: usize, polls: u64, drop_running_wake: bool) -> Scenario {
+    let run = Arc::new(RequeueRun {
+        cell: TaskCell::new(),
+        queue: sync::Mutex::new(RunQueue {
+            queued: true,
+            done: false,
+        }),
+        queue_cv: sync::Condvar::new(),
+        armed: sync::Mutex::new(0),
+        armed_cv: sync::Condvar::new(),
+        polls_done: RaceCell::new(0),
+    });
+
+    let poller = |run: Arc<RequeueRun>| {
+        move || loop {
+            {
+                let mut q = run.queue.lock();
+                while !q.queued && !q.done {
+                    run.queue_cv.wait(&mut q);
+                }
+                if q.done {
+                    return;
+                }
+                q.queued = false;
+            }
+            run.cell.claim();
+            loop {
+                let done = run.polls_done.get();
+                if done == polls {
+                    // `Poll::Ready`.
+                    run.cell.complete();
+                    let mut q = run.queue.lock();
+                    q.done = true;
+                    run.queue_cv.notify_all();
+                    return;
+                }
+                // `Poll::Pending`: the poll left a waker with the
+                // resource, which may fire at any later step.
+                run.polls_done.set(done + 1);
+                {
+                    let mut armed = run.armed.lock();
+                    *armed += 1;
+                    run.armed_cv.notify_one();
+                }
+                if run.cell.try_park() == ParkOutcome::Parked {
+                    break; // whoever wakes it owns the re-queue
+                }
+                // The wake raced the park: still ours, poll again.
+            }
+        }
+    };
+    let event_source = {
+        let run = Arc::clone(&run);
+        move || {
+            for _ in 0..polls {
+                {
+                    let mut armed = run.armed.lock();
+                    while *armed == 0 {
+                        run.armed_cv.wait(&mut armed);
+                    }
+                    *armed -= 1;
+                }
+                // BUG (planted): observing RUNNING is no reason to
+                // skip the handshake — the poller may be about to park.
+                if drop_running_wake && run.cell.state() == RUNNING {
+                    continue;
+                }
+                if run.cell.wake() == WakeOutcome::Enqueue {
+                    let mut q = run.queue.lock();
+                    q.queued = true;
+                    run.queue_cv.notify_one();
+                }
+            }
+        }
+    };
+
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> = (0..pollers)
+        .map(|_| Box::new(poller(Arc::clone(&run))) as _)
+        .collect();
+    threads.push(Box::new(event_source));
+    Scenario {
+        threads,
+        check: Some(Box::new(move || {
+            if run.cell.state() != COMPLETE {
+                return Err(format!(
+                    "task stranded in state {} instead of COMPLETE",
+                    run.cell.state()
+                ));
+            }
+            let done = run.polls_done.get();
+            if done != polls {
+                return Err(format!("completed after {done} pending polls, not {polls}"));
+            }
+            Ok(())
+        })),
+    }
+}
+
+/// `sched::task-cell-requeue` — the park/wake handshake with the
+/// re-queue it exists for, at the bound the retired `parkwake` model
+/// ran in CI: two pollers, two `Pending` polls before `Ready`, one wake
+/// per poll. In every interleaving the task ends [`COMPLETE`] (a lost
+/// wake would leave it parked with every thread waiting — a deadlock),
+/// no wake enqueues it twice, and each hand-off between owners is
+/// ordered. Three polls need ≈ 10⁵ schedules, so the model's
+/// full-scale four are out of reach and not attempted.
+fn task_cell_requeue_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::task-cell-requeue",
+        about: "real TaskCell over a shared run queue, 2 pollers x 2 pending polls: no wake lost",
+        expect: Expect::Clean,
+        make: Box::new(|| requeue_scenario(2, 2, false)),
+    }
+}
+
+/// `sched::task-cell-dropped-wake` — **planted lost wakeup**: the event
+/// source peeks at the state and drops a wake that lands while the task
+/// is `RUNNING` (two pollers, one pending poll). The poller then parks
+/// on a consumed event and nothing re-queues it; the explorer must
+/// report the deadlock.
+fn task_cell_dropped_wake_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::task-cell-dropped-wake",
+        about: "planted lost wakeup: waker sees RUNNING and drops the wake instead of notifying",
+        expect: Expect::Deadlock,
+        make: Box::new(|| requeue_scenario(2, 1, true)),
     }
 }
 
@@ -576,90 +750,223 @@ fn sleeper_target() -> SchedTarget {
     }
 }
 
-/// `sched::deque` — the `shims/crossbeam` work-stealing deque driven
-/// the way `local.rs::find_task` drives it: a LIFO owner pushes three
-/// items and pops until empty while two thieves each make two
+/// The executor's idle loop over the real [`CountedSleeper`], deficit
+/// rule included: each worker advertises itself as searching, scans
+/// (here: takes one unit off `pending`, the stand-in for the queues),
+/// stops searching, and sleeps unless work or shutdown is visible; the
+/// producer publishes `items` units one by one, each followed by
+/// [`CountedSleeper::wake_for`], which skips the notification when a
+/// scanner is guaranteed to find the work. The last taker raises
+/// shutdown and broadcasts, as `LocalRuntime`'s drop does. A wake the
+/// deficit rule wrongly skipped leaves a worker asleep with work
+/// published: a deadlock.
+fn executor_sleep_scenario(workers: usize, items: usize) -> Scenario {
+    let sleeper = Arc::new(CountedSleeper::new());
+    let pending = Arc::new(sync::AtomicUsize::new(0));
+    let shutdown = Arc::new(sync::AtomicBool::new(false));
+    let taken = Arc::new(AtomicU64::new(0));
+
+    let worker = || {
+        let (sleeper, pending, shutdown, taken) = (
+            Arc::clone(&sleeper),
+            Arc::clone(&pending),
+            Arc::clone(&shutdown),
+            Arc::clone(&taken),
+        );
+        move || loop {
+            if shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            sleeper.begin_search();
+            let found = loop {
+                let queued = pending.load(Ordering::SeqCst);
+                if queued == 0 {
+                    break false;
+                }
+                let take = pending.compare_exchange(
+                    queued,
+                    queued - 1,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                );
+                if take.is_ok() {
+                    break true;
+                }
+            };
+            sleeper.end_search();
+            if !found {
+                sleeper.sleep_unless(|| {
+                    pending.load(Ordering::SeqCst) != 0 || shutdown.load(Ordering::SeqCst)
+                });
+            } else if taken.fetch_add(1, Ordering::SeqCst) + 1 == items as u64 {
+                shutdown.store(true, Ordering::SeqCst);
+                sleeper.wake_all();
+            }
+        }
+    };
+    let producer = {
+        let (sleeper, pending) = (Arc::clone(&sleeper), Arc::clone(&pending));
+        move || {
+            for _ in 0..items {
+                // Publish before waking — the protocol's contract.
+                pending.fetch_add(1, Ordering::SeqCst);
+                sleeper.wake_for(1);
+            }
+        }
+    };
+
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> =
+        (0..workers).map(|_| Box::new(worker()) as _).collect();
+    threads.push(Box::new(producer));
+    Scenario {
+        threads,
+        check: Some(Box::new(move || {
+            let (left, got) = (pending.load(Ordering::SeqCst), taken.load(Ordering::SeqCst));
+            if left != 0 || got != items as u64 {
+                return Err(format!(
+                    "{got} of {items} units taken, {left} still pending"
+                ));
+            }
+            if sleeper.sleepers() != 0 {
+                return Err(format!("{} sleepers still registered", sleeper.sleepers()));
+            }
+            Ok(())
+        })),
+    }
+}
+
+/// `sched::executor-sleep` — search → `sleep_unless` against
+/// `wake_for`'s deficit rule, one worker and two items: the bound
+/// stateless DPOR exhausts inside the smoke budget.
+fn executor_sleep_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::executor-sleep",
+        about: "real CountedSleeper deficit rule, 1 worker x 2 items: no wake wrongly skipped",
+        expect: Expect::Clean,
+        make: Box::new(|| executor_sleep_scenario(1, 2)),
+    }
+}
+
+/// `sched::executor-sleep[w=2,items=1]` — two workers contending for
+/// one item: tens of thousands of schedules, so outside `--smoke`.
+/// [2 workers, 2 items], the explicit-state sleeper model's CI bound,
+/// is not exhausted in 200 000 and is not attempted.
+fn executor_sleep_two_workers_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::executor-sleep[w=2,items=1]",
+        about: "real CountedSleeper deficit rule, 2 workers x 1 item (full scale only)",
+        expect: Expect::Clean,
+        make: Box::new(|| executor_sleep_scenario(2, 1)),
+    }
+}
+
+/// The `shims/crossbeam` work-stealing deque driven the way
+/// `local.rs::find_task` drives it: a LIFO owner pushes four items and
+/// pops until empty while two thieves each make two
 /// `steal_batch_and_pop` attempts into their own worker and drain it.
-/// A thief's batch is invisible between the source drain and the
-/// publish to its own deque — the widest window in the protocol.
-/// Conservation must hold in every interleaving: each item is taken
-/// exactly once, whether popped, stolen or moved in a batch.
-fn deque_target() -> SchedTarget {
+/// `double_take` plants a thief that puts an item it has already taken
+/// back on its own deque.
+fn deque_scenario(double_take: bool) -> Scenario {
     use crossbeam::deque::Worker;
+    const ITEMS: u64 = 4;
+    let queues: [Arc<Worker<u64>>; 3] = std::array::from_fn(|_| Arc::new(Worker::new_lifo()));
+    let taken = Arc::new(AtomicU64::new(0));
+    let total = Arc::new(AtomicU64::new(0));
+    let tally = {
+        let (taken, total) = (Arc::clone(&taken), Arc::clone(&total));
+        move |v: u64| {
+            taken.fetch_add(1, Ordering::SeqCst);
+            total.fetch_add(v, Ordering::SeqCst);
+        }
+    };
+
+    let owner = {
+        let (own, tally) = (Arc::clone(&queues[0]), tally.clone());
+        move || {
+            for v in 1..=ITEMS {
+                own.push(v);
+            }
+            while let Some(v) = own.pop() {
+                tally(v);
+            }
+        }
+    };
+    let thief = |own: &Arc<Worker<u64>>| {
+        let (stealer, own, tally) = (queues[0].stealer(), Arc::clone(own), tally.clone());
+        move || {
+            for _ in 0..2 {
+                if let Some(v) = stealer.steal_batch_and_pop(&own).success() {
+                    tally(v);
+                    if double_take {
+                        // BUG (planted): the popped item is this
+                        // thief's already; re-publishing duplicates it.
+                        own.push(v);
+                    }
+                }
+            }
+            while let Some(v) = own.pop() {
+                tally(v);
+            }
+        }
+    };
+    Scenario {
+        threads: vec![
+            Box::new(owner),
+            Box::new(thief(&queues[1])),
+            Box::new(thief(&queues[2])),
+        ],
+        check: Some(Box::new(move || {
+            let (n, t) = (taken.load(Ordering::SeqCst), total.load(Ordering::SeqCst));
+            let left: usize = queues.iter().map(|q| q.len()).sum();
+            if n + left as u64 != ITEMS {
+                return Err(format!(
+                    "{n} items taken and {left} left behind, expected {ITEMS} in all"
+                ));
+            }
+            if left == 0 && t != ITEMS * (ITEMS + 1) / 2 {
+                return Err(format!(
+                    "taken items sum to {t}, expected 1 + … + {ITEMS}, each once"
+                ));
+            }
+            Ok(())
+        })),
+    }
+}
+
+/// `sched::deque` — the real deque at the retired deque model's
+/// full-scale bound (4 items, 2 thieves, 2 attempts; its CI bound was
+/// 3 items). A thief's batch is
+/// invisible between the source drain and the publish to its own deque
+/// — the widest window in the protocol. Conservation must hold in every
+/// interleaving: each item is taken exactly once, whether popped,
+/// stolen or moved in a batch.
+fn deque_target() -> SchedTarget {
     SchedTarget {
         name: "sched::deque",
         about:
             "real work-stealing deque, LIFO owner vs two batch thieves: items taken exactly once",
         expect: Expect::Clean,
-        make: Box::new(|| {
-            let queues: [Arc<Worker<u64>>; 3] =
-                std::array::from_fn(|_| Arc::new(Worker::new_lifo()));
-            let taken = Arc::new(AtomicU64::new(0));
-            let total = Arc::new(AtomicU64::new(0));
-            let tally = {
-                let (taken, total) = (Arc::clone(&taken), Arc::clone(&total));
-                move |v: u64| {
-                    taken.fetch_add(1, Ordering::SeqCst);
-                    total.fetch_add(v, Ordering::SeqCst);
-                }
-            };
+        make: Box::new(|| deque_scenario(false)),
+    }
+}
 
-            let owner = {
-                let (own, tally) = (Arc::clone(&queues[0]), tally.clone());
-                move || {
-                    for v in 1..=3 {
-                        own.push(v);
-                    }
-                    while let Some(v) = own.pop() {
-                        tally(v);
-                    }
-                }
-            };
-            let thief = |own: &Arc<Worker<u64>>| {
-                let (stealer, own, tally) = (queues[0].stealer(), Arc::clone(own), tally.clone());
-                move || {
-                    for _ in 0..2 {
-                        if let Some(v) = stealer.steal_batch_and_pop(&own).success() {
-                            tally(v);
-                        }
-                    }
-                    while let Some(v) = own.pop() {
-                        tally(v);
-                    }
-                }
-            };
-            Scenario {
-                threads: vec![
-                    Box::new(owner),
-                    Box::new(thief(&queues[1])),
-                    Box::new(thief(&queues[2])),
-                ],
-                check: Some(Box::new(move || {
-                    let (n, t) = (taken.load(Ordering::SeqCst), total.load(Ordering::SeqCst));
-                    let left: usize = queues.iter().map(|q| q.len()).sum();
-                    if n as usize + left != 3 {
-                        return Err(format!(
-                            "{n} items taken and {left} left behind, expected 3 in all"
-                        ));
-                    }
-                    if left == 0 && t != 6 {
-                        return Err(format!(
-                            "taken items sum to {t}, expected 6 (1+2+3, each once)"
-                        ));
-                    }
-                    Ok(())
-                })),
-            }
-        }),
+/// `sched::deque-double-take` — **planted conservation break**: a thief
+/// re-publishes an item it already tallied, so the item is taken twice.
+/// No race and no deadlock — only the final check can see it, which is
+/// what keeps `Invariant` detection honest.
+fn deque_double_take_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::deque-double-take",
+        about: "planted conservation break: a thief re-publishes an item it already took",
+        expect: Expect::Invariant,
+        make: Box::new(|| deque_scenario(true)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use continuum_analyze::conc::sched::{
-        explore_sched, replay_schedule, ExploreOpts, Pruning, SchedViolation,
-    };
+    use continuum_analyze::conc::sched::{explore_sched, replay_schedule, ExploreOpts, Pruning};
 
     fn opts() -> ExploreOpts {
         ExploreOpts {
@@ -670,7 +977,7 @@ mod tests {
 
     #[test]
     fn clean_targets_verify_to_exhaustion() {
-        for target in sched_targets() {
+        for target in sched_targets(true) {
             if target.expect != Expect::Clean {
                 continue;
             }
@@ -690,26 +997,28 @@ mod tests {
     }
 
     #[test]
-    fn planted_races_stay_detected_with_replayable_witness() {
-        for target in sched_targets() {
-            if target.expect != Expect::Race {
+    fn planted_bugs_stay_detected_as_their_kind_with_replayable_witness() {
+        let mut planted = 0;
+        for target in sched_targets(true) {
+            if target.expect == Expect::Clean {
                 continue;
             }
-            let out = explore_sched(&target, &opts());
-            let Some(SchedViolation::Race { witness, .. }) = out.violation else {
-                panic!(
-                    "{} must stay detected as a race, got {:?}",
-                    target.name, out.violation
-                );
+            planted += 1;
+            let found = explore_sched(&target, &opts()).violation;
+            let Some(v) = found.filter(|v| target.expect.is_planted_kind(v)) else {
+                panic!("{} must stay detected as {:?}", target.name, target.expect);
             };
-            let replay = replay_schedule(&target, &witness);
+            let witness = v.witness().expect("planted kinds carry a witness");
+            let replay = replay_schedule(&target, witness).violation;
             assert!(
-                matches!(replay.violation, Some(SchedViolation::Race { .. })),
-                "{} witness did not reproduce: {:?}",
-                target.name,
-                replay.violation
+                replay
+                    .as_ref()
+                    .is_some_and(|r| target.expect.is_planted_kind(r)),
+                "{} witness did not reproduce: {replay:?}",
+                target.name
             );
         }
+        assert_eq!(planted, 5, "3 races, 1 deadlock, 1 invariant");
     }
 
     #[test]

@@ -74,7 +74,7 @@ use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
 use continuum_dag::{AccessProcessor, DataId, Label, TaskId, TaskSpec, TaskState};
-use continuum_platform::sync::panic_message;
+use continuum_platform::sync::{self, panic_message};
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
@@ -581,11 +581,6 @@ pub struct LocalConfig {
     /// chains back to the submitting workflow. `None` (default) leaves
     /// spans context-free.
     pub trace_context: Option<SpanContext>,
-    /// Cap on tasks admitted into execution concurrently — running
-    /// *plus parked* async bodies. Fresh tasks beyond the cap wait in
-    /// an overflow queue until a completion frees a slot, bounding the
-    /// memory held by in-flight futures. `None` (default): unbounded.
-    pub max_inflight_tasks: Option<usize>,
     /// Granularity of the timer wheel serving [`TaskContext::sleep`]:
     /// a sleep fires on the first tick boundary at or after its
     /// deadline. Clamped to ≥ 50 µs. Default: 1 ms.
@@ -602,7 +597,6 @@ impl Default for LocalConfig {
             telemetry: RecorderHandle::noop(),
             strict_lints: LintMode::Off,
             trace_context: None,
-            max_inflight_tasks: None,
             reactor_tick: Duration::from_millis(1),
         }
     }
@@ -625,19 +619,11 @@ impl LocalConfig {
     ///
     /// let config = LocalConfig::default()
     ///     .worker_threads(8)
-    ///     .max_inflight_tasks(1_000_000)
     ///     .reactor_tick(Duration::from_millis(1));
     /// # assert_eq!(config.workers, 8);
     /// ```
     pub fn worker_threads(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Builder-style cap on concurrently in-flight (running + parked)
-    /// tasks (≥ 1); see [`LocalConfig::max_inflight_tasks`].
-    pub fn max_inflight_tasks(mut self, cap: usize) -> Self {
-        self.max_inflight_tasks = Some(cap.max(1));
         self
     }
 
@@ -723,9 +709,10 @@ struct TaskMeta {
     /// Whether this producer's first element already released its
     /// stream consumers (checked lock-free on every send).
     streams_released: AtomicBool,
-    /// Whether this task already holds an in-flight slot (set at first
-    /// successful admission; resource-blocked and resumed re-dispatches
-    /// must not reserve twice). Only the claiming worker touches it.
+    /// Whether this task was already counted into the in-flight set
+    /// (set at its first claim; resource-blocked and resumed
+    /// re-dispatches must not count twice). Only the claiming worker
+    /// touches it.
     inflight_reserved: AtomicBool,
     payload: TaskPayload,
 }
@@ -766,7 +753,7 @@ impl Wake for TaskMeta {
         }
         shared.pending.fetch_add(1, Ordering::SeqCst);
         shared.injector.push(Arc::clone(self));
-        shared.wake_workers(1);
+        shared.sleeper.wake_for(1);
     }
 }
 
@@ -925,14 +912,14 @@ struct Shared {
     injector: Injector<Arc<TaskMeta>>,
     /// Steal handles onto every worker's deque, indexed by worker.
     stealers: Vec<Stealer<Arc<TaskMeta>>>,
-    /// The counted-sleeper protocol parking idle workers (see
+    /// The counted-sleeper protocol parking idle workers, with the
+    /// count of scanning workers its wake rule discounts (see
     /// [`crate::sleeper`] for the lost-wakeup-freedom argument).
     sleeper: CountedSleeper,
-    /// Workers currently scanning the queues for work. New work skips
-    /// the wakeup when a scanner is already guaranteed to find it.
-    searching: AtomicUsize,
-    /// Tasks sitting in the injector or a worker deque.
-    pending: AtomicUsize,
+    /// Tasks sitting in the injector or a worker deque. A
+    /// `platform::sync` atomic like the sleeper's own, so the schedule
+    /// explorer sees the publish side of the protocol too.
+    pending: sync::AtomicUsize,
     /// Tasks parked in the resource side queues (telemetry only).
     blocked_count: AtomicUsize,
     /// Task bodies currently executing.
@@ -953,21 +940,13 @@ struct Shared {
     trace_context: Option<SpanContext>,
     /// Monotone sequence for derived child span ids across workers.
     span_seq: AtomicU64,
-    /// Tasks admitted into execution and not yet committed/failed —
-    /// running bodies *plus parked* async tasks. Drives the
-    /// `max_inflight` gate and the high-water counter.
+    /// Tasks claimed for execution and not yet committed/failed —
+    /// running bodies *plus parked* async tasks.
     inflight: AtomicUsize,
     /// High-water mark of `inflight` over the runtime's lifetime.
     inflight_peak: AtomicUsize,
     /// Async tasks currently parked on a waker.
     parked: AtomicUsize,
-    /// Cap on `inflight` (`usize::MAX` when unbounded).
-    max_inflight: usize,
-    /// Fresh tasks deferred by the `max_inflight` gate; completions
-    /// re-inject them one per freed slot. Gate decisions read
-    /// `inflight` under this lock so a concurrent release can't strand
-    /// a deferral.
-    overflow: Mutex<VecDeque<Arc<TaskMeta>>>,
     /// Lazily-started timer reactor (owns the tick thread); closure-only
     /// runtimes never start it, keeping their thread count unchanged.
     reactor: Mutex<Option<Reactor>>,
@@ -983,14 +962,6 @@ impl Shared {
         self.origin.elapsed().as_micros() as u64
     }
 
-    /// Makes `count` units of new queued work eligible to be picked
-    /// up: wakes up to that many sleepers, minus scanners that will
-    /// find the work anyway.
-    fn wake_workers(&self, count: usize) {
-        let deficit = count.saturating_sub(self.searching.load(Ordering::SeqCst));
-        self.sleeper.wake(deficit);
-    }
-
     /// Publishes `metas` (tasks that are ready to claim) to the global
     /// injector and wakes workers for them. `pending` rises before the
     /// push so a concurrent sleeper's re-check can't miss the work.
@@ -1003,7 +974,7 @@ impl Shared {
         for m in metas.drain(..) {
             self.injector.push(m);
         }
-        self.wake_workers(n);
+        self.sleeper.wake_for(n);
     }
 
     /// Publishes a finished body's outputs into the task's cells.
@@ -1062,60 +1033,15 @@ impl Shared {
         inner
     }
 
-    /// Counts a task into the in-flight set (first admission).
+    /// Counts a task into the in-flight set (its first claim).
     fn note_inflight_start(&self, meta: &TaskMeta) {
         meta.inflight_reserved.store(true, Ordering::SeqCst);
-        // Relaxed: with no cap these counters are statistics only; with
-        // a cap every read/write happens under the overflow mutex,
-        // which orders them. The peak store is guarded by a plain load
-        // so the common below-peak case costs no RMW on the hot path.
+        // Relaxed: these counters are statistics only. The peak store
+        // is guarded by a plain load so the common below-peak case
+        // costs no RMW on the hot path.
         let now = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         if now > self.inflight_peak.load(Ordering::Relaxed) {
             self.inflight_peak.fetch_max(now, Ordering::Relaxed);
-        }
-    }
-
-    /// Admission gate for a fresh task: under the cap (or with no cap)
-    /// it joins the in-flight set and `true` is returned; otherwise it
-    /// is queued in `overflow` — a completion will re-inject it — and
-    /// the claiming worker moves on.
-    fn reserve_inflight(&self, meta: &Arc<TaskMeta>) -> bool {
-        if self.max_inflight == usize::MAX {
-            self.note_inflight_start(meta);
-            return true;
-        }
-        let _order = lockorder::acquire(RANK_POOL, "inflight-overflow");
-        let mut q = self.overflow.lock();
-        if self.inflight.load(Ordering::Relaxed) >= self.max_inflight {
-            q.push_back(Arc::clone(meta));
-            false
-        } else {
-            self.note_inflight_start(meta);
-            true
-        }
-    }
-
-    /// A task left the in-flight set (committed or failed): free its
-    /// slot and re-inject one deferred task, if any. The re-injected
-    /// task re-enters the gate at claim time — it may lose the freed
-    /// slot to a fresh arrival and re-defer, but every completion pops
-    /// at most one deferral, so the overflow queue drains as long as
-    /// in-flight tasks terminate.
-    fn finish_inflight(&self) {
-        if self.max_inflight == usize::MAX {
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        let next = {
-            let _order = lockorder::acquire(RANK_POOL, "inflight-overflow");
-            let mut q = self.overflow.lock();
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-            q.pop_front()
-        };
-        if let Some(meta) = next {
-            self.pending.fetch_add(1, Ordering::SeqCst);
-            self.injector.push(meta);
-            self.wake_workers(1);
         }
     }
 }
@@ -1190,8 +1116,7 @@ impl LocalRuntime {
             injector: Injector::new(),
             stealers,
             sleeper: CountedSleeper::new(),
-            searching: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
+            pending: sync::AtomicUsize::new(0),
             blocked_count: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
             client_waiters: AtomicUsize::new(0),
@@ -1206,8 +1131,6 @@ impl LocalRuntime {
             inflight: AtomicUsize::new(0),
             inflight_peak: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
-            max_inflight: config.max_inflight_tasks.unwrap_or(usize::MAX),
-            overflow: Mutex::new(VecDeque::new()),
             reactor: Mutex::new(None),
             reactor_cell: OnceLock::new(),
             reactor_tick: config.reactor_tick,
@@ -1536,7 +1459,7 @@ impl LocalRuntime {
         if let Some(meta) = ready_meta {
             self.shared.pending.fetch_add(1, Ordering::SeqCst);
             self.shared.injector.push(meta);
-            self.shared.wake_workers(1);
+            self.shared.sleeper.wake_for(1);
         }
         Ok(id)
     }
@@ -1706,7 +1629,6 @@ impl Drop for LocalRuntime {
                 *meta.inputs.lock() = Slots::None;
             }
         }
-        self.shared.overflow.lock().clear();
         if self.shared.telemetry.enabled() {
             let end_us = self.shared.now_us();
             // Same end-of-run counter set the simulator publishes, so
@@ -1768,17 +1690,14 @@ fn worker_loop(shared: &Arc<Shared>, queue: &WorkerQueue<Arc<TaskMeta>>, worker:
             park_poisoned(shared);
             continue;
         }
-        shared.searching.fetch_add(1, Ordering::SeqCst);
+        shared.sleeper.begin_search();
         let found = find_task(shared, queue, worker);
-        shared.searching.fetch_sub(1, Ordering::SeqCst);
+        shared.sleeper.end_search();
         match found {
             Some(meta) => {
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
-                if !meta.inflight_reserved.load(Ordering::SeqCst) && !shared.reserve_inflight(&meta)
-                {
-                    // Deferred by the in-flight cap; a completion will
-                    // re-inject it from the overflow queue.
-                    continue;
+                if !meta.inflight_reserved.load(Ordering::SeqCst) {
+                    shared.note_inflight_start(&meta);
                 }
                 if !try_admit(shared, &meta) {
                     continue;
@@ -2136,7 +2055,7 @@ fn poll_async(
 
 /// Commits a finished task body — shared tail of the closure and async
 /// paths: graph transition, value liveness, resource release, in-flight
-/// slot release, dispatch of newly-runnable work, telemetry and client
+/// count, dispatch of newly-runnable work, telemetry and client
 /// wakeup. `failure_message == None` means the outputs are already
 /// published.
 #[allow(clippy::too_many_arguments)]
@@ -2215,7 +2134,7 @@ fn commit_task(
             .blocked_count
             .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
     }
-    shared.finish_inflight();
+    shared.inflight.fetch_sub(1, Ordering::Relaxed);
 
     // -- dispatch -------------------------------------------------------
     // Newly-ready successors go onto this worker's own deque (it will
@@ -2231,7 +2150,7 @@ fn commit_task(
         wake += newly - 1;
     }
     shared.inject_ready(&mut s.unblocked);
-    shared.wake_workers(wake);
+    shared.sleeper.wake_for(wake);
 
     // -- telemetry ------------------------------------------------------
     if let Some(name) = &meta.name {
@@ -2898,37 +2817,6 @@ mod tests {
         .unwrap();
         let err = rt.wait_all().unwrap_err();
         assert!(err.to_string().contains("did not set output"));
-    }
-
-    #[test]
-    fn max_inflight_caps_admission() {
-        // 64 tasks, cap 4: the overflow gate must keep the in-flight
-        // high water at or under the cap while still completing all.
-        let rt = LocalRuntime::new(
-            LocalConfig::default()
-                .worker_threads(4)
-                .max_inflight_tasks(4),
-        );
-        let outs = rt.data_batch::<u64>("o", 64);
-        for (i, o) in outs.iter().enumerate() {
-            rt.submit_async(
-                TaskSpec::new("gated").output(o.id()),
-                Constraints::new(),
-                move |mut ctx| async move {
-                    ctx.sleep(Duration::from_millis(1)).await;
-                    ctx.set_output(0, i as u64);
-                    ctx
-                },
-            )
-            .unwrap();
-        }
-        rt.wait_all().unwrap();
-        assert!(
-            rt.inflight_high_water() <= 4,
-            "cap of 4 violated: high water = {}",
-            rt.inflight_high_water()
-        );
-        assert_eq!(rt.completed_count(), 64);
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! `sleeper` explicit-state model and the `sched::sleeper` instrumented
 //! target verify (lost-wakeup freedom = deadlock freedom there).
 //!
+//! The *deficit rule* lives here too: workers advertise themselves in
+//! `searching` while they scan the queues, and [`CountedSleeper::wake_for`]
+//! wakes only as many sleepers as new work exceeds scanners — a scanner
+//! either finds the work or fails its scan, stops searching and is
+//! caught by the re-check. `sched::executor-sleep` explores it.
+//!
 //! The primitives come from [`continuum_platform::sync`], so under the
 //! `conc-instrument` feature every operation here is visible to the
 //! exploration scheduler; in default builds they are the plain
@@ -35,6 +41,9 @@ pub(crate) struct CountedSleeper {
     cv: Condvar,
     /// Mirror of `count` for lock-free reads on the wake fast path.
     mirror: AtomicUsize,
+    /// Workers currently scanning the queues for work. New work skips
+    /// the wakeup when a scanner is already guaranteed to find it.
+    searching: AtomicUsize,
 }
 
 impl CountedSleeper {
@@ -43,6 +52,7 @@ impl CountedSleeper {
             count: Mutex::new(0),
             cv: Condvar::new(),
             mirror: AtomicUsize::new(0),
+            searching: AtomicUsize::new(0),
         }
     }
 
@@ -98,6 +108,29 @@ impl CountedSleeper {
         for _ in 0..n.min(*guard) {
             self.cv.notify_one();
         }
+    }
+
+    /// The calling worker starts scanning the queues for work.
+    pub(crate) fn begin_search(&self) {
+        self.searching.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The scan is over, whether it found work or not. A worker that
+    /// found none must call this *before* [`sleep_unless`]: from here
+    /// on producers count it as a sleeper-to-be, not a scanner.
+    ///
+    /// [`sleep_unless`]: CountedSleeper::sleep_unless
+    pub(crate) fn end_search(&self) {
+        self.searching.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Makes `count` units of new queued work eligible to be picked
+    /// up: wakes up to that many sleepers, minus scanners that will
+    /// find the work anyway. Same publish-before-wake contract as
+    /// [`wake`](CountedSleeper::wake).
+    pub(crate) fn wake_for(&self, count: usize) {
+        let deficit = count.saturating_sub(self.searching.load(Ordering::SeqCst));
+        self.wake(deficit);
     }
 
     /// Wakes every sleeper (shutdown broadcast). Taken under the lock

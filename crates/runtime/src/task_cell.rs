@@ -15,8 +15,9 @@
 //! * **Notified** — the waker fired *while the worker was still
 //!   polling* (readiness raced the park). The poller observes this
 //!   when it tries to park and immediately re-queues instead — the
-//!   classic lost-wakeup race, closed by a CAS handshake (modeled
-//!   exhaustively in `continuum_analyze`'s `parkwake` model).
+//!   classic lost-wakeup race, closed by a CAS handshake (explored
+//!   exhaustively on this code by `sched::task-cell` and
+//!   `sched::task-cell-requeue`, `crate::conc_targets`).
 //! * **Complete** — the future returned `Poll::Ready`; wakes are no-ops.
 //!
 //! The transitions live here, away from the executor, so they can be

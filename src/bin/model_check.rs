@@ -1,8 +1,9 @@
-//! `model_check` — explore the runtime's concurrency protocols, both as
-//! explicit-state models (`continuum_analyze::conc`) and — when built
-//! with `--features conc-instrument` — as **real code** run under the
-//! DPOR schedule-exploration scheduler (`continuum_analyze::conc::sched`
-//! over `continuum_runtime::conc_targets`).
+//! `model_check` — explore the runtime's concurrency protocols: as
+//! **real code** run under the DPOR schedule-exploration scheduler
+//! (`continuum_analyze::conc::sched` over
+//! `continuum_runtime::conc_targets`) when built with
+//! `--features conc-instrument`, plus the one explicit-state model that
+//! remains (`continuum_analyze::conc::sleeper`), which needs no feature.
 //!
 //! ```text
 //! model_check [--smoke] [--json] [--only SUBSTR]
@@ -12,7 +13,8 @@
 //! Every run covers the correct protocols *and* the planted-bug
 //! variants: a green run therefore proves both that the protocols
 //! verify and that the harness still detects the historical failure
-//! modes. `--json` emits one machine-readable report (used by CI and
+//! modes. `--only` selects targets by name *before* anything is
+//! explored. `--json` emits one machine-readable report (used by CI and
 //! the CLI tests), including the DPOR-vs-naive pruning ratio.
 //!
 //! Exit codes (stable, asserted by `tests/model_check_cli.rs`):
@@ -22,7 +24,7 @@
 //! | 0    | all targets verified clean and all planted bugs detected |
 //! | 1    | usage or harness error (bad flags, unknown replay target) |
 //! | 2    | a violation in a target expected clean (or budget exhausted before the schedule space — an unproven target is not a clean one) |
-//! | 3    | a planted bug was **not** detected: the checker itself has regressed and no green result can be trusted |
+//! | 3    | a planted bug was **not** detected, or was found as the wrong kind of violation: the checker itself has regressed and no green result can be trusted |
 //!
 //! When both conditions occur, 3 wins: a harness that misses planted
 //! bugs invalidates every other verdict in the run.
@@ -31,15 +33,11 @@
 //! deliberately misclassified target so the exit paths themselves stay
 //! testable.
 
-use continuum_analyze::conc::{
-    explore, DequeModel, DequeVariant, Model, ParkWakeModel, ParkWakeVariant, SleeperModel,
-    SleeperVariant, Violation,
-};
+use continuum_analyze::conc::{explore, SleeperModel, SleeperVariant, Violation};
 
 #[cfg(feature = "conc-instrument")]
 use continuum_analyze::conc::sched::{
     explore_sched, format_schedule, parse_schedule, replay_schedule, Expect, ExploreOpts, Pruning,
-    SchedViolation,
 };
 #[cfg(feature = "conc-instrument")]
 use continuum_runtime::conc_targets::sched_targets;
@@ -84,44 +82,23 @@ struct PruningReport {
     naive_schedules: u64,
 }
 
-fn run_model<M: Model>(name: &str, model: &M) -> Report {
-    match explore(model, MODEL_MAX_STATES) {
-        Ok(r) => Report {
-            name: name.to_string(),
-            kind: "model",
-            expect: "clean",
-            status: "ok",
-            detail: None,
-            witness: None,
-            counters: vec![
+/// Explores one sleeper-model row. A `planted` row must end in the
+/// deadlock its missing re-check causes; anything else is a miss.
+fn run_model(name: &str, model: &SleeperModel, planted: bool) -> Report {
+    let mut counters = Vec::new();
+    let (status, detail) = match (explore(model, MODEL_MAX_STATES), planted) {
+        (Ok(r), false) => {
+            counters = vec![
                 ("states", r.states as u64),
                 ("terminals", r.terminals as u64),
                 ("max_depth", r.max_depth as u64),
-            ],
-        },
-        Err(v) => Report {
-            name: name.to_string(),
-            kind: "model",
-            expect: "clean",
-            status: "violation",
-            detail: Some(v.to_string()),
-            witness: None,
-            counters: Vec::new(),
-        },
-    }
-}
-
-/// Runs a planted-bug model; `detected` decides whether the violation
-/// it produced is the planted one.
-fn run_planted_model<M: Model>(
-    name: &str,
-    model: &M,
-    detected: impl Fn(&Violation) -> bool,
-) -> Report {
-    let (status, detail) = match explore(model, MODEL_MAX_STATES) {
-        Err(v) if detected(&v) => ("detected", Some(v.to_string())),
-        Err(v) => ("missed", Some(format!("wrong violation kind: {v}"))),
-        Ok(_) => (
+            ];
+            ("ok", None)
+        }
+        (Err(v), false) => ("violation", Some(v.to_string())),
+        (Err(v @ Violation::Deadlock { .. }), true) => ("detected", Some(v.to_string())),
+        (Err(v), true) => ("missed", Some(format!("wrong violation kind: {v}"))),
+        (Ok(_), true) => (
             "missed",
             Some("explored clean; planted bug not found".to_string()),
         ),
@@ -129,101 +106,57 @@ fn run_planted_model<M: Model>(
     Report {
         name: name.to_string(),
         kind: "model",
-        expect: "planted",
+        expect: if planted { "planted" } else { "clean" },
         status,
         detail,
         witness: None,
-        counters: Vec::new(),
+        counters,
     }
 }
 
-fn model_reports(smoke: bool, demo_violation: bool, demo_missed: bool) -> Vec<Report> {
-    let (workers, items, deque_items, thieves) = if smoke { (2, 2, 3, 2) } else { (3, 2, 4, 2) };
-    let (pw_workers, pw_polls) = if smoke { (2, 2) } else { (2, 4) };
+/// The explicit-state rows whose name `selected` accepts.
+fn model_reports(
+    smoke: bool,
+    demo_violation: bool,
+    demo_missed: bool,
+    selected: &dyn Fn(&str) -> bool,
+) -> Vec<Report> {
+    use SleeperVariant::{Correct, NoRecheck};
     let mut out = Vec::new();
-
-    out.push(run_model(
-        &format!("sleeper[w={workers},items={items}]"),
-        &SleeperModel {
-            workers,
-            items,
-            variant: SleeperVariant::Correct,
-        },
-    ));
-    out.push(run_model(
-        &format!("deque[items={deque_items},thieves={thieves},attempts=2]"),
-        &DequeModel {
-            items: deque_items,
-            thieves,
-            attempts: 2,
-            variant: DequeVariant::Correct,
-        },
-    ));
-    out.push(run_model(
-        &format!("parkwake[w={pw_workers},polls={pw_polls}]"),
-        &ParkWakeModel {
-            workers: pw_workers,
-            polls: pw_polls,
-            variant: ParkWakeVariant::Correct,
-        },
-    ));
-
-    out.push(run_planted_model(
-        "sleeper[no-recheck]",
-        &SleeperModel {
-            workers: 2,
-            items: 2,
-            variant: SleeperVariant::NoRecheck,
-        },
-        |v| matches!(v, Violation::Deadlock { .. }),
-    ));
-    out.push(run_planted_model(
-        "deque[forget-remove]",
-        &DequeModel {
-            items: 2,
-            thieves: 1,
-            attempts: 1,
-            variant: DequeVariant::ForgetRemove,
-        },
-        |v| matches!(v, Violation::Invariant { .. }),
-    ));
-    out.push(run_planted_model(
-        "parkwake[drop-running-wake]",
-        &ParkWakeModel {
-            workers: 1,
-            polls: 1,
-            variant: ParkWakeVariant::DropRunningWake,
-        },
-        |v| matches!(v, Violation::Deadlock { .. }),
-    ));
-
+    let mut row = |name: String, workers, items, variant, planted| {
+        if selected(&name) {
+            let model = SleeperModel {
+                workers,
+                items,
+                variant,
+            };
+            out.push(run_model(&name, &model, planted));
+        }
+    };
+    let workers = if smoke { 2 } else { 3 };
+    row(
+        format!("sleeper[w={workers},items=2]"),
+        workers,
+        2,
+        Correct,
+        false,
+    );
+    row("sleeper[no-recheck]".into(), 2, 2, NoRecheck, true);
     // Test hooks: misclassified targets exercising the exit paths.
     if demo_violation {
-        out.push(run_model(
-            "demo[planted-as-clean]",
-            &SleeperModel {
-                workers: 2,
-                items: 1,
-                variant: SleeperVariant::NoRecheck,
-            },
-        ));
+        row("demo[planted-as-clean]".into(), 2, 1, NoRecheck, false);
     }
     if demo_missed {
-        out.push(run_planted_model(
-            "demo[correct-as-planted]",
-            &SleeperModel {
-                workers: 2,
-                items: 1,
-                variant: SleeperVariant::Correct,
-            },
-            |_| true,
-        ));
+        row("demo[correct-as-planted]".into(), 2, 1, Correct, true);
     }
     out
 }
 
 #[cfg(feature = "conc-instrument")]
-fn sched_reports(smoke: bool) -> (Vec<Report>, Option<PruningReport>) {
+fn sched_reports(
+    smoke: bool,
+    selected: &dyn Fn(&str) -> bool,
+) -> (Vec<Report>, Option<PruningReport>) {
     let opts = ExploreOpts {
         max_schedules: if smoke { 20_000 } else { 200_000 },
         pruning: Pruning::Dpor,
@@ -231,60 +164,61 @@ fn sched_reports(smoke: bool) -> (Vec<Report>, Option<PruningReport>) {
     let mut out = Vec::new();
     let mut pruning = None;
 
-    for target in sched_targets() {
-        let result = explore_sched(&target, &opts);
-        let counters = vec![
-            ("schedules", result.stats.schedules),
-            ("redundant", result.stats.redundant),
-            ("steps", result.stats.steps),
-            ("max_depth", result.stats.max_depth as u64),
-        ];
-        let (status, detail, witness) = match (target.expect, result.violation) {
-            (Expect::Clean, None) => ("ok", None, None),
-            (Expect::Clean, Some(v)) => {
-                let w = v.witness().map(|w| format_schedule(w));
-                ("violation", Some(v.to_string()), w)
-            }
-            (Expect::Race, Some(v @ SchedViolation::Race { .. })) => {
-                let w = v.witness().map(|w| format_schedule(w));
-                ("detected", Some(v.to_string()), w)
-            }
-            (Expect::Race, Some(v)) => ("missed", Some(format!("wrong violation kind: {v}")), None),
-            (Expect::Race, None) => (
+    let targets = sched_targets(smoke);
+    // The pruning ratio is measured on the first clean target of the
+    // list — when that target is selected at all.
+    let measured = targets
+        .iter()
+        .find(|t| t.expect == Expect::Clean)
+        .map(|t| t.name);
+    for target in targets.iter().filter(|t| selected(t.name)) {
+        let result = explore_sched(target, &opts);
+        let planted = target.expect != Expect::Clean;
+        let witness = result
+            .violation
+            .as_ref()
+            .and_then(|v| v.witness())
+            .map(|w| format_schedule(w));
+        let (status, detail) = match &result.violation {
+            None if planted => (
                 "missed",
-                Some("explored clean; planted race not found".to_string()),
-                None,
+                Some(format!(
+                    "explored clean; planted {:?} not found",
+                    target.expect
+                )),
             ),
+            None => ("ok", None),
+            Some(v) if !planted => ("violation", Some(v.to_string())),
+            Some(v) if target.expect.is_planted_kind(v) => ("detected", Some(v.to_string())),
+            Some(v) => ("missed", Some(format!("wrong violation kind: {v}"))),
         };
         out.push(Report {
             name: target.name.to_string(),
             kind: "sched",
-            expect: match target.expect {
-                Expect::Clean => "clean",
-                Expect::Race => "planted",
-            },
+            expect: if planted { "planted" } else { "clean" },
             status,
             detail,
             witness,
-            counters,
+            counters: vec![
+                ("schedules", result.stats.schedules),
+                ("redundant", result.stats.redundant),
+                ("steps", result.stats.steps),
+                ("max_depth", result.stats.max_depth as u64),
+            ],
         });
 
-        // Measure the pruning ratio once, on the first clean target.
-        if pruning.is_none() && target.expect == Expect::Clean {
+        if measured == Some(target.name) {
             let naive = explore_sched(
-                &target,
+                target,
                 &ExploreOpts {
-                    max_schedules: opts.max_schedules,
                     pruning: Pruning::Naive,
+                    ..opts
                 },
             );
             if naive.violation.is_none() {
                 pruning = Some(PruningReport {
                     target: target.name.to_string(),
-                    dpor_schedules: out
-                        .last()
-                        .and_then(|r| r.counters.first())
-                        .map_or(0, |&(_, n)| n),
+                    dpor_schedules: result.stats.schedules,
                     naive_schedules: naive.stats.schedules,
                 });
             }
@@ -294,22 +228,23 @@ fn sched_reports(smoke: bool) -> (Vec<Report>, Option<PruningReport>) {
 }
 
 #[cfg(not(feature = "conc-instrument"))]
-fn sched_reports(_smoke: bool) -> (Vec<Report>, Option<PruningReport>) {
-    (
-        vec![Report {
-            name: "sched::*".to_string(),
-            kind: "sched",
-            expect: "clean",
-            status: "skipped",
-            detail: Some(
-                "instrumentation not compiled in; rebuild with --features conc-instrument"
-                    .to_string(),
-            ),
-            witness: None,
-            counters: Vec::new(),
-        }],
-        None,
-    )
+fn sched_reports(
+    _smoke: bool,
+    selected: &dyn Fn(&str) -> bool,
+) -> (Vec<Report>, Option<PruningReport>) {
+    let placeholder = Report {
+        name: "sched::*".to_string(),
+        kind: "sched",
+        expect: "clean",
+        status: "skipped",
+        detail: Some(
+            "instrumentation not compiled in; rebuild with --features conc-instrument".to_string(),
+        ),
+        witness: None,
+        counters: Vec::new(),
+    };
+    let rows = Some(placeholder).filter(|r| selected(&r.name));
+    (rows.into_iter().collect(), None)
 }
 
 fn json_string(s: &str) -> String {
@@ -409,9 +344,12 @@ fn render_text(reports: &[Report], pruning: Option<&PruningReport>) {
 
 #[cfg(feature = "conc-instrument")]
 fn run_replay(target_name: &str, schedule_str: &str) -> i32 {
-    let Some(target) = sched_targets().into_iter().find(|t| t.name == target_name) else {
+    let Some(target) = sched_targets(false)
+        .into_iter()
+        .find(|t| t.name == target_name)
+    else {
         eprintln!("unknown sched target {target_name:?}; known targets:");
-        for t in sched_targets() {
+        for t in sched_targets(false) {
             eprintln!("  {} — {}", t.name, t.about);
         }
         return EXIT_USAGE;
@@ -491,12 +429,11 @@ fn main() {
         std::process::exit(run_replay(&target, &schedule));
     }
 
-    let mut reports = model_reports(smoke, demo_violation, demo_missed);
-    let (sched, pruning) = sched_reports(smoke);
+    // Filter first: an unselected target costs nothing.
+    let selected = |name: &str| only.as_ref().is_none_or(|pat| name.contains(pat.as_str()));
+    let mut reports = model_reports(smoke, demo_violation, demo_missed, &selected);
+    let (sched, pruning) = sched_reports(smoke, &selected);
     reports.extend(sched);
-    if let Some(pat) = &only {
-        reports.retain(|r| r.name.contains(pat.as_str()));
-    }
 
     // 3 (harness regressed) dominates 2 (violation found) dominates 0.
     let exit = reports

@@ -2,8 +2,9 @@
 //! and the documented exit codes (0 clean, 2 violation, 3 planted bug
 //! not detected), plus — when built with `--features conc-instrument` —
 //! the `sched::*` real-code exploration targets: exhaustion under the
-//! smoke budget, planted races detected with replayable witnesses, and
-//! the DPOR-vs-naive pruning ratio.
+//! smoke budget, planted bugs detected as their own kind (race,
+//! deadlock, invariant) with replayable witnesses, and the
+//! DPOR-vs-naive pruning ratio.
 
 use serde::json::{parse, Value};
 use std::process::{Command, Output};
@@ -61,32 +62,37 @@ fn json_report(args: &[&str], expect_exit: i32) -> (Vec<Value>, Value) {
 
 #[test]
 fn smoke_run_is_clean_and_reports_every_model() {
+    // The sleeper is the one explicit-state model left: its clean row
+    // at [2 workers, 2 items] and its planted missing re-check.
     let (targets, _) = json_report(&["--smoke", "--json"], 0);
-    for name in ["sleeper[", "deque[", "parkwake["] {
-        let t = targets
-            .iter()
-            .find(|t| {
-                str_of(field(t, "name")).starts_with(name) && str_of(field(t, "expect")) == "clean"
-            })
-            .unwrap_or_else(|| panic!("missing clean model target {name}"));
-        assert_eq!(str_of(field(t, "status")), "ok");
-        assert!(u64_of(field(t, "states")) > 0);
-    }
-    for name in [
-        "sleeper[no-recheck]",
-        "deque[forget-remove]",
-        "parkwake[drop-running-wake]",
-    ] {
-        let t = targets
-            .iter()
-            .find(|t| str_of(field(t, "name")) == name)
-            .unwrap_or_else(|| panic!("missing planted model target {name}"));
-        assert_eq!(
-            str_of(field(t, "status")),
-            "detected",
-            "planted bug in {name} must stay detected"
-        );
-    }
+    let models: Vec<&Value> = targets
+        .iter()
+        .filter(|t| str_of(field(t, "kind")) == "model")
+        .collect();
+    assert_eq!(models.len(), 2, "one clean and one planted sleeper row");
+    let clean = models
+        .iter()
+        .find(|t| str_of(field(t, "name")) == "sleeper[w=2,items=2]")
+        .expect("the clean sleeper row");
+    assert_eq!(str_of(field(clean, "expect")), "clean");
+    assert_eq!(str_of(field(clean, "status")), "ok");
+    assert!(u64_of(field(clean, "states")) > 0);
+    let planted = models
+        .iter()
+        .find(|t| str_of(field(t, "name")) == "sleeper[no-recheck]")
+        .expect("the planted sleeper row");
+    assert_eq!(
+        str_of(field(planted, "status")),
+        "detected",
+        "the missing re-check must stay detected"
+    );
+}
+
+#[test]
+fn only_filters_before_exploring_and_may_select_nothing() {
+    let (targets, pruning) = json_report(&["--smoke", "--json", "--only", "no-such-target"], 0);
+    assert!(targets.is_empty(), "nothing matches: {targets:?}");
+    assert_eq!(pruning, Value::Null);
 }
 
 #[test]
@@ -140,7 +146,7 @@ mod instrumented {
     use super::*;
 
     #[test]
-    fn sched_targets_exhaust_and_planted_races_carry_witnesses() {
+    fn sched_targets_exhaust_and_planted_bugs_carry_witnesses() {
         let (targets, pruning) = json_report(&["--smoke", "--json"], 0);
 
         let clean: Vec<&Value> = targets
@@ -154,12 +160,17 @@ mod instrumented {
             "at least 4 clean sched targets must run to exhaustion, got {}",
             clean.len()
         );
-        assert!(
-            clean
-                .iter()
-                .any(|t| str_of(field(t, "name")) == "sched::value-cell"),
-            "the value cell is explored"
-        );
+        for name in [
+            "sched::value-cell",
+            "sched::task-cell-requeue",
+            "sched::executor-sleep",
+            "sched::deque",
+        ] {
+            assert!(
+                clean.iter().any(|t| str_of(field(t, "name")) == name),
+                "{name} is explored"
+            );
+        }
         for t in &clean {
             assert_eq!(str_of(field(t, "status")), "ok");
             assert!(u64_of(field(t, "schedules")) > 0);
@@ -171,25 +182,36 @@ mod instrumented {
                 str_of(field(t, "kind")) == "sched" && str_of(field(t, "expect")) == "planted"
             })
             .collect();
-        assert_eq!(planted.len(), 3, "every planted race present");
-        assert!(
-            planted
-                .iter()
-                .any(|t| str_of(field(t, "name")) == "sched::value-cell-commit-before-publish"),
-            "the value cell's planted commit-before-publish runs"
-        );
+        // Three planted races, one planted deadlock, one planted
+        // invariant break — each found as its own kind.
+        let kind_of = |name: &str| match name {
+            "sched::task-cell-dropped-wake" => "deadlock",
+            "sched::deque-double-take" => "invariant failed",
+            _ => "data race",
+        };
+        assert_eq!(planted.len(), 5, "every planted bug present");
         for t in &planted {
+            let name = str_of(field(t, "name"));
             assert_eq!(
                 str_of(field(t, "status")),
                 "detected",
-                "planted race in {} must stay detected",
-                str_of(field(t, "name"))
+                "planted bug in {name} must stay detected"
+            );
+            assert!(
+                str_of(field(t, "detail")).starts_with(kind_of(name)),
+                "{name} found as the wrong kind: {}",
+                str_of(field(t, "detail"))
             );
             assert!(
                 !str_of(field(t, "witness")).is_empty(),
-                "detected race carries a witness schedule"
+                "detected bug carries a witness schedule"
             );
         }
+        let races = planted
+            .iter()
+            .filter(|t| kind_of(str_of(field(t, "name"))) == "data race")
+            .count();
+        assert_eq!(races, 3);
 
         // DPOR must prune at least 2x vs naive on the measured target.
         let dpor = u64_of(field(&pruning, "dpor_schedules"));
@@ -219,6 +241,22 @@ mod instrumented {
         assert!(
             stdout.contains("reproduced: data race"),
             "replay names the reproduced race: {stdout}"
+        );
+    }
+
+    #[test]
+    fn dropped_wake_witness_replays_as_a_deadlock() {
+        let (targets, pruning) = json_report(&["--smoke", "--json", "--only", "dropped-wake"], 0);
+        assert_eq!(targets.len(), 1, "--only selects before exploring");
+        assert_eq!(pruning, Value::Null, "the measured target is not selected");
+        let witness = str_of(field(&targets[0], "witness")).to_string();
+
+        let out = model_check(&["--replay", "sched::task-cell-dropped-wake", &witness]);
+        assert_eq!(out.status.code(), Some(2));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("reproduced: deadlock"),
+            "replay names the reproduced deadlock: {stdout}"
         );
     }
 
