@@ -10,6 +10,7 @@
 mod workloads;
 
 use continuum_bench::alloc::{allocations, CountingAllocator};
+use continuum_dag::SEGMENT_SLOTS;
 use continuum_dislib::{DistMatrix, KMeans};
 use continuum_platform::presets::hybrid_hpc_cloud;
 use continuum_runtime::{ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
@@ -164,6 +165,16 @@ fn million_task_campaign_stays_lazy() {
         "peak {} materialized tasks",
         out.peak_materialized_tasks
     );
+    // The task columns hold the segments those ids span (50 here),
+    // not one more per chromosome already merged: a merge waiting for
+    // the campaign merge is held outside its segment.
+    let spanned = (3 * (sim::WINDOW + tail)).div_ceil(SEGMENT_SLOTS) + 2;
+    assert!(
+        out.peak_resident_segments <= spanned,
+        "peak {} resident task segments",
+        out.peak_resident_segments
+    );
+    assert!(out.peak_evacuated_slots >= 21);
     let violation = sim::allocation_violation(campaign.task_count(), allocations);
     assert_eq!(violation, None);
 }

@@ -5,7 +5,7 @@ use crate::graph::TaskGraph;
 use crate::ids::{DataId, DataVersion, TaskId, VersionedData};
 use crate::inline_vec::InlineVec;
 use crate::param::{Param, StreamRole};
-use crate::seg_vec::{SegVec, SEGMENT_SLOTS};
+use crate::seg_vec::{Retired, SegVec, SEGMENT_SLOTS};
 use crate::spec::TaskSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -49,25 +49,36 @@ struct DataSlot {
     name: (u32, u32),
     current: VersionInfo,
     discipline: Discipline,
-    retired: bool,
 }
 
 /// Registry of logical data known to an [`AccessProcessor`].
 ///
 /// One slot per datum in a [`SegVec`], names appended to one string
 /// arena per slot segment — registering a datum allocates nothing
-/// beyond the arena's own growth. A segment (slots and names) is
-/// dropped once every datum in it was
-/// [retired](DataCatalog::retire_name).
+/// beyond the arena's own growth. A segment gives up its slots and
+/// its arena once all but a few of its data were
+/// [retired](DataCatalog::retire_name); the names of those few move to
+/// an arena just their size.
 #[derive(Debug, Clone, Default)]
 pub struct DataCatalog {
     slots: SegVec<DataSlot>,
-    /// Name bytes of each slot segment.
+    /// Name bytes of each slot segment; of an evacuated segment, the
+    /// names of the data that survived it.
     arenas: Vec<String>,
-    /// The arena of the most recently dropped segment, reused by the
-    /// next one.
-    spare_arena: String,
+    /// Arenas that dropped or evacuated segments left behind, at most
+    /// [`SPARE_ARENAS`], reused by the next segments.
+    spare_arenas: Vec<String>,
 }
+
+/// Emptied name arenas a [`DataCatalog`] keeps for its next segments.
+/// A slot block is allocated once, at its final size; an arena grows
+/// by doubling — twelve reallocations to hold 1 024 GWAS names — and
+/// segments go in bursts (a GWAS chromosome's six data segments when
+/// its merge completes), so with one arena kept most are grown again.
+/// Allocations of the benchmark's `gwas_sim` run, 3 178 before
+/// segments were evacuated: 3 348 with one kept, 3 108 with two,
+/// 2 652 with four, 2 245 with eight, at 13 KB apiece.
+const SPARE_ARENAS: usize = 4;
 
 impl DataCatalog {
     /// Creates an empty catalog.
@@ -94,7 +105,8 @@ impl DataCatalog {
         let id = self.slots.len();
         let segment = id / SEGMENT_SLOTS;
         if segment == self.arenas.len() {
-            self.arenas.push(std::mem::take(&mut self.spare_arena));
+            self.arenas
+                .push(self.spare_arenas.pop().unwrap_or_default());
         }
         let arena = &mut self.arenas[segment];
         let start = arena.len() as u32;
@@ -103,7 +115,6 @@ impl DataCatalog {
             name: (start, arena.len() as u32),
             current: VersionInfo::initial(),
             discipline: Discipline::Untouched,
-            retired: false,
         });
         DataId(id as u64)
     }
@@ -134,11 +145,11 @@ impl DataCatalog {
     ///
     /// # Errors
     ///
-    /// Returns [`DagError::UnknownData`] if the id is not registered
-    /// or its segment was dropped after retirement.
+    /// Returns [`DagError::UnknownData`] if the id is not registered,
+    /// or was retired and its segment dropped or evacuated since.
     pub fn name(&self, data: DataId) -> Result<&str, DagError> {
         let slot = self.slot(data)?;
-        if slot.retired {
+        if self.slots.is_retired(data.index()) {
             return Ok("");
         }
         let (start, end) = slot.name;
@@ -150,28 +161,50 @@ impl DataCatalog {
     /// # Errors
     ///
     /// Returns [`DagError::UnknownData`] if the id is not registered
-    /// or its segment was dropped after retirement.
+    /// or was retired and its segment dropped or evacuated since.
     pub fn current(&self, data: DataId) -> Result<VersionInfo, DagError> {
         self.slot(data).map(|s| s.current)
     }
 
-    /// Retires a datum: its name reads as `""` from now on and it
-    /// counts towards dropping its segment. The id stays valid until
-    /// every datum of the segment is retired; then the segment (slots
-    /// and names) is dropped and its number returned so the caller can
-    /// drop the same segment of columns it keeps beside the catalog.
-    /// Used by lazily-materialized runs once a datum is closed and all
-    /// its versions are retired. Retiring twice is a no-op.
-    pub fn retire_name(&mut self, data: DataId) -> Option<usize> {
-        let slot = self.slots.get_mut(data.index())?;
-        if slot.retired {
-            return None;
+    /// Retires a datum: its name reads as `""` from now on and its
+    /// slot is marked retired (see [`SegVec::retire`]). The id stays
+    /// valid while its segment is resident; a segment down to a few
+    /// live data is evacuated — slots and names — and dropped with the
+    /// last of them. The result says which happened, so the caller
+    /// can make the columns it keeps beside the catalog
+    /// [follow](SegVec::follow). Used by lazily-materialized runs once
+    /// a datum is closed and all its versions are retired. Retiring
+    /// twice is a no-op.
+    pub fn retire_name(&mut self, data: DataId) -> Retired {
+        let outcome = self.slots.retire(data.index());
+        match &outcome {
+            Retired::Nothing => {}
+            // What is left of the segment's names goes with it.
+            Retired::Dropped(segment) => self.arenas[*segment] = String::new(),
+            Retired::Evacuated { segment, survivors } => {
+                // The survivors' names leave the arena with them, for
+                // one just their size.
+                let arena = &self.arenas[*segment];
+                let bytes = survivors.iter().map(|&index| {
+                    let (start, end) = self.slots[index].name;
+                    (end - start) as usize
+                });
+                let mut names = String::with_capacity(bytes.sum());
+                for &index in survivors {
+                    let slot = &mut self.slots[index];
+                    let (start, end) = slot.name;
+                    slot.name.0 = names.len() as u32;
+                    names.push_str(&arena[start as usize..end as usize]);
+                    slot.name.1 = names.len() as u32;
+                }
+                let mut arena = std::mem::replace(&mut self.arenas[*segment], names);
+                if self.spare_arenas.len() < SPARE_ARENAS {
+                    arena.clear();
+                    self.spare_arenas.push(arena);
+                }
+            }
         }
-        slot.retired = true;
-        let segment = self.slots.retire(data.index())?;
-        self.spare_arena = std::mem::take(&mut self.arenas[segment]);
-        self.spare_arena.clear();
-        Some(segment)
+        outcome
     }
 
     fn bump(&mut self, data: DataId, producer: TaskId) -> Result<DataVersion, DagError> {
@@ -451,7 +484,7 @@ impl AccessProcessor {
     }
 
     /// Retires a datum (see [`DataCatalog::retire_name`]).
-    pub fn retire_data_name(&mut self, data: DataId) -> Option<usize> {
+    pub fn retire_data_name(&mut self, data: DataId) -> Retired {
         self.catalog.retire_name(data)
     }
 

@@ -4,7 +4,7 @@ use crate::error::DagError;
 use crate::ids::{TaskId, VersionedData};
 use crate::inline_vec::InlineVec;
 use crate::ready::ReadySet;
-use crate::seg_vec::SegVec;
+use crate::seg_vec::{Retired, SegVec};
 use crate::spec::TaskSpec;
 use serde::{Deserialize, Serialize};
 
@@ -58,8 +58,6 @@ pub struct TaskNode {
     /// completion). Per task, not per stream: one release frees every
     /// stream successor.
     released: bool,
-    /// Set by [`TaskGraph::retire_payload`].
-    retired: bool,
     unfinished_preds: u32,
     /// Stream predecessors that have not yet released.
     unreleased_streams: u32,
@@ -145,9 +143,10 @@ impl TaskNode {
 /// incrementally without rescanning the graph.
 ///
 /// Nodes live in a [`SegVec`]: ids are dense and never reissued, but a
-/// segment whose tasks were all [retired](TaskGraph::retire_payload)
-/// is dropped, after which [`TaskGraph::node`] reports its ids as
-/// unknown. Graphs that never retire keep every node.
+/// segment nearly all of whose tasks were
+/// [retired](TaskGraph::retire_payload) gives up its block, after
+/// which [`TaskGraph::node`] reports the retired ids as unknown.
+/// Graphs that never retire keep every node.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TaskGraph {
     nodes: SegVec<TaskNode>,
@@ -169,8 +168,8 @@ impl TaskGraph {
     /// Adds a task with the given dependency wiring. Called by the
     /// access processor, which guarantees `preds` and `stream_preds`
     /// are deduped, sorted and refer to earlier tasks (so the graph is
-    /// acyclic by construction). A predecessor whose segment was
-    /// already dropped is necessarily completed and wires no edge.
+    /// acyclic by construction). A predecessor that is no longer held
+    /// was retired, so it is necessarily completed and wires no edge.
     pub(crate) fn add_task(
         &mut self,
         spec: TaskSpec,
@@ -213,7 +212,6 @@ impl TaskGraph {
             spec,
             state,
             released: false,
-            retired: false,
             unfinished_preds: unfinished,
             unreleased_streams: unreleased,
             preds,
@@ -263,7 +261,7 @@ impl TaskGraph {
     /// # Errors
     ///
     /// Returns [`DagError::UnknownTask`] for ids not in the graph,
-    /// including ids whose segment was dropped after retirement.
+    /// including retired ids whose segment was dropped or evacuated.
     pub fn node(&self, id: TaskId) -> Result<&TaskNode, DagError> {
         self.nodes.get(id.index()).ok_or(DagError::UnknownTask(id))
     }
@@ -282,6 +280,12 @@ impl TaskGraph {
     /// Node segments currently resident (see [`SegVec`]).
     pub fn resident_segments(&self) -> usize {
         self.nodes.resident_segments()
+    }
+
+    /// Live nodes kept on behalf of evacuated segments (see
+    /// [`SegVec::evacuated_slots`]).
+    pub fn evacuated_slots(&self) -> usize {
+        self.nodes.evacuated_slots()
     }
 
     /// Direct predecessors of a task. Panics on unknown ids are avoided
@@ -509,16 +513,18 @@ impl TaskGraph {
     }
 
     /// Retires a finished task: frees its heap payload — spec,
-    /// dependency and data-access lists — at once, and counts it
-    /// towards dropping its whole segment. The id stays valid (ids
-    /// never shift) until every task of the segment is retired; then
-    /// the segment is dropped and its number returned, so the caller
-    /// can drop the same segment of the columns it keeps beside the
-    /// graph (see [`SegVec::drop_segment`]). Lazily-materialized runs
-    /// call this once a task *and every value it produced* have been
-    /// retired: nothing will traverse it again, so resident memory is
-    /// bounded by the live frontier instead of the whole campaign.
-    /// Retiring twice is a no-op.
+    /// dependency and data-access lists — at once, and marks its slot
+    /// retired (see [`SegVec::retire`]). The id stays valid (ids never
+    /// shift) while its segment is resident; once the segment is down
+    /// to a few live tasks it is evacuated, and dropped with the last
+    /// of them — from then on [`TaskGraph::node`] reports the retired
+    /// ids as unknown. The result says which happened, so the caller
+    /// can make the columns it keeps beside the graph
+    /// [follow](SegVec::follow). Lazily-materialized runs call this
+    /// once a task *and every value it produced* have been retired:
+    /// nothing will traverse it again, so resident memory is bounded
+    /// by the live tasks instead of the whole campaign. Retiring twice
+    /// is a no-op.
     ///
     /// Completion is the *caller's* claim: engines that track run
     /// state outside the graph (see [`GraphRun`]) leave node states
@@ -529,12 +535,8 @@ impl TaskGraph {
     /// # Errors
     ///
     /// Returns [`DagError::UnknownTask`] for unknown ids.
-    pub fn retire_payload(&mut self, id: TaskId) -> Result<Option<usize>, DagError> {
+    pub fn retire_payload(&mut self, id: TaskId) -> Result<Retired, DagError> {
         let node = self.node_mut(id)?;
-        if node.retired {
-            return Ok(None);
-        }
-        node.retired = true;
         node.spec = TaskSpec::new("");
         node.preds.clear();
         node.succs.clear();
@@ -630,7 +632,8 @@ impl GraphRun {
     }
 
     /// Current lifecycle state of a task, or `None` for unknown ids
-    /// (including ids of a [dropped](GraphRun::drop_segment) segment).
+    /// (including retired ids the run no longer holds, see
+    /// [`GraphRun::follow`]).
     pub fn state(&self, id: TaskId) -> Option<TaskState> {
         self.slots.get(id.index()).map(|s| s.state)
     }
@@ -656,7 +659,7 @@ impl GraphRun {
     /// producer completed in this run starts `Ready`. Dependency edges
     /// only point backward, and the new nodes are scanned in id order,
     /// so every predecessor's run state exists by the time it is read;
-    /// a predecessor of a dropped segment is necessarily completed.
+    /// a predecessor the run no longer holds is necessarily completed.
     pub fn grow(&mut self, graph: &TaskGraph) -> usize {
         let old = self.slots.len();
         for node in graph.nodes.iter_from(old) {
@@ -694,10 +697,10 @@ impl GraphRun {
         self.slots.len() - old
     }
 
-    /// Drops the run state of a task segment the graph dropped (see
-    /// [`TaskGraph::retire_payload`]).
-    pub fn drop_segment(&mut self, segment: usize) {
-        self.slots.drop_segment(segment);
+    /// Does to the run state what a [`TaskGraph::retire_payload`] did
+    /// to the graph's nodes.
+    pub fn follow(&mut self, outcome: &Retired) {
+        self.slots.follow(outcome);
     }
 
     /// Tasks whose dependencies are satisfied, in ascending id order.

@@ -62,6 +62,6 @@ pub use inline_vec::InlineVec;
 pub use label::Label;
 pub use param::{Direction, Param, StreamRole};
 pub use ready::{ReadyIter, ReadySet};
-pub use seg_vec::{SegVec, SEGMENT_SLOTS};
+pub use seg_vec::{Retired, SegVec, EVACUATE_LIVE, SEGMENT_SLOTS};
 pub use source::{ExpandSink, GraphSource};
 pub use spec::TaskSpec;

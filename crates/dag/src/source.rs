@@ -98,7 +98,9 @@ pub trait GraphSource<P> {
     ) -> Result<(), DagError>;
 
     /// Total number of tasks this source will ever emit, if known
-    /// up front (used for progress reporting only).
+    /// up front. A hint: the engine sizes the run's trace from it, so
+    /// a wrong number costs memory or reallocations, never
+    /// correctness.
     fn total_tasks(&self) -> Option<u64> {
         None
     }

@@ -1,9 +1,11 @@
-//! Retirement of tasks and data: payloads are freed at once, whole
-//! segments are dropped when their last slot retires, and ids stay
-//! stable throughout.
+//! Retirement of tasks and data: payloads are freed at once, a
+//! segment gives up its block when its last few slots are all that is
+//! live and is dropped with the last of them, and ids stay stable
+//! throughout.
 
 use continuum_dag::{
-    AccessProcessor, DagError, DataId, GraphRun, TaskId, TaskNode, TaskSpec, SEGMENT_SLOTS,
+    AccessProcessor, DagError, DataId, GraphRun, Retired, TaskId, TaskNode, TaskSpec,
+    EVACUATE_LIVE, SEGMENT_SLOTS,
 };
 
 /// A chain of `n` tasks, each reading its predecessor's output.
@@ -37,14 +39,14 @@ fn task_nodes_stay_within_their_memory_budget() {
 fn retiring_a_task_frees_its_payload_and_keeps_its_id() {
     let (mut ap, _) = chain(3);
     let t1 = TaskId::from_raw(1);
-    assert_eq!(ap.graph_mut().retire_payload(t1), Ok(None));
+    assert_eq!(ap.graph_mut().retire_payload(t1), Ok(Retired::Nothing));
     let node = ap.graph().node(t1).unwrap();
     assert_eq!(node.id(), t1);
     assert_eq!(node.spec().name(), "");
     assert!(node.predecessors().is_empty() && node.successors().is_empty());
     assert!(node.consumed().is_empty() && node.produced().is_empty());
     // Idempotent, and unknown ids are errors.
-    assert_eq!(ap.graph_mut().retire_payload(t1), Ok(None));
+    assert_eq!(ap.graph_mut().retire_payload(t1), Ok(Retired::Nothing));
     let bogus = TaskId::from_raw(99);
     assert_eq!(
         ap.graph_mut().retire_payload(bogus),
@@ -54,7 +56,7 @@ fn retiring_a_task_frees_its_payload_and_keeps_its_id() {
 }
 
 #[test]
-fn a_fully_retired_segment_is_dropped_from_graph_and_run() {
+fn a_retired_segment_is_evacuated_then_dropped_from_graph_and_run() {
     let n = SEGMENT_SLOTS + 10;
     let (mut ap, _) = chain(n);
     let mut run = GraphRun::new(ap.graph());
@@ -63,20 +65,39 @@ fn a_fully_retired_segment_is_dropped_from_graph_and_run() {
             .unwrap();
     }
     assert_eq!(ap.graph().resident_segments(), 2);
-    let mut dropped = Vec::new();
-    // Retire out of order: the segment goes with its *last* task.
+    let mut reported = Vec::new();
+    // Retire out of order: the block goes when EVACUATE_LIVE tasks
+    // are left, the segment with its *last* task.
     for i in (0..SEGMENT_SLOTS).rev() {
-        if let Some(segment) = ap
+        let outcome = ap
             .graph_mut()
             .retire_payload(TaskId::from_raw(i as u64))
-            .unwrap()
-        {
-            dropped.push((i, segment));
+            .unwrap();
+        run.follow(&outcome);
+        if outcome != Retired::Nothing {
+            reported.push((i, outcome));
+            // Between evacuation and drop the survivors are still
+            // there, in graph and run alike.
+            let survivor = TaskId::from_raw(0);
+            assert_eq!(ap.graph().resident_segments(), 1);
+            assert_eq!(ap.graph().node(survivor).is_ok(), i > 0);
+            assert_eq!(run.state(survivor).is_some(), i > 0);
         }
     }
-    assert_eq!(dropped, vec![(0, 0)]);
-    run.drop_segment(0);
-    assert_eq!(ap.graph().resident_segments(), 1);
+    assert_eq!(
+        reported,
+        vec![
+            (
+                EVACUATE_LIVE,
+                Retired::Evacuated {
+                    segment: 0,
+                    survivors: (0..EVACUATE_LIVE).collect()
+                }
+            ),
+            (0, Retired::Dropped(0))
+        ]
+    );
+    assert_eq!(ap.graph().evacuated_slots(), 0);
     assert_eq!(ap.graph().len(), n, "ids issued are still counted");
     let gone = TaskId::from_raw(5);
     assert_eq!(
@@ -96,7 +117,7 @@ fn a_fully_retired_segment_is_dropped_from_graph_and_run() {
     for i in SEGMENT_SLOTS..n {
         assert_eq!(
             ap.graph_mut().retire_payload(TaskId::from_raw(i as u64)),
-            Ok(None)
+            Ok(Retired::Nothing)
         );
     }
     assert_eq!(ap.graph().resident_segments(), 1);
@@ -110,25 +131,33 @@ fn a_fully_retired_segment_is_dropped_from_graph_and_run() {
 }
 
 #[test]
-fn a_fully_retired_data_segment_drops_names_and_slots() {
+fn a_retired_data_segment_drops_names_and_slots() {
     let (mut ap, data) = chain(SEGMENT_SLOTS + 2);
     assert_eq!(ap.catalog().name(data[7]), Ok("d7"));
-    assert_eq!(ap.retire_data_name(data[7]), None);
+    assert_eq!(ap.retire_data_name(data[7]), Retired::Nothing);
     assert_eq!(
         ap.catalog().name(data[7]),
         Ok(""),
         "retired names read empty"
     );
-    assert_eq!(ap.retire_data_name(data[7]), None, "idempotent");
+    assert_eq!(ap.retire_data_name(data[7]), Retired::Nothing, "idempotent");
     assert!(
         ap.catalog().current(data[7]).is_ok(),
         "the slot is still there"
     );
-    let mut dropped = None;
-    for d in &data[..SEGMENT_SLOTS] {
-        dropped = dropped.or(ap.retire_data_name(*d));
+    // All but one: the straggler's slot and name leave the segment.
+    let straggler = data[500];
+    for d in data[..SEGMENT_SLOTS].iter().filter(|d| **d != straggler) {
+        let _ = ap.retire_data_name(*d);
     }
-    assert_eq!(dropped, Some(0));
+    assert_eq!(ap.catalog().name(straggler), Ok("d500"));
+    assert!(ap.catalog().current(straggler).is_ok());
+    assert_eq!(
+        ap.catalog().name(data[7]),
+        Err(DagError::UnknownData(data[7])),
+        "retired beside a survivor"
+    );
+    assert_eq!(ap.retire_data_name(straggler), Retired::Dropped(0));
     assert_eq!(
         ap.catalog().name(data[7]),
         Err(DagError::UnknownData(data[7]))

@@ -146,8 +146,8 @@ pub struct SimRuntime {
 type Hosts = InlineVec<NodeId, 2>;
 
 /// Everything the engine keeps per task, indexed by task id in a
-/// [`SegVec`] whose segments are dropped together with the graph's (see
-/// `Engine::retire_task`).
+/// [`SegVec`] whose segments are evacuated and dropped together with the
+/// graph's (see `Engine::retire_task`).
 #[derive(Debug, Clone, Default)]
 struct TaskSlot {
     /// Cached `inputs_ready` verdict (dirty tracking). A cell is valid
@@ -383,9 +383,17 @@ pub struct LazyRunOutcome {
     /// Discrete events processed over the run.
     pub events_processed: u64,
     /// Highest number of task segments (see [`continuum_dag::SegVec`])
-    /// resident at once: what bounds the memory of the per-task
-    /// columns, and what must not depend on the campaign's length.
+    /// holding their 1 024-slot block at once: what bounds the memory
+    /// of the per-task columns, and what must depend neither on the
+    /// campaign's length nor on how many long-lived tasks it strews
+    /// among short-lived ones. A segment evacuated down to its last
+    /// few live tasks no longer counts; those tasks are
+    /// `peak_evacuated_slots`.
     pub peak_resident_segments: usize,
+    /// Highest number of live tasks held outside any segment block at
+    /// once, each having outlived all but a few of the 1 024 tasks
+    /// materialized around it.
+    pub peak_evacuated_slots: usize,
 }
 
 struct Engine<'w, 's> {
@@ -462,6 +470,8 @@ struct Engine<'w, 's> {
     events_processed: u64,
     /// High-water mark of resident task segments.
     peak_resident_segments: usize,
+    /// High-water mark of evacuated task slots.
+    peak_evacuated_slots: usize,
 }
 
 impl SimRuntime {
@@ -567,6 +577,7 @@ impl SimRuntime {
                 reason: "DataLossMode::Restart is not supported with lazy materialization".into(),
             });
         }
+        let total_tasks = source.total_tasks();
         let mut engine = Engine::new(
             WorkloadRef::Owned(Box::new(SimWorkload::new())),
             Some(source),
@@ -574,6 +585,10 @@ impl SimRuntime {
             self.options.clone(),
             self.platform.clone(),
         );
+        if let Some(tasks) = total_tasks {
+            // One record per task unless something is replayed.
+            engine.trace.reserve_hint(tasks);
+        }
         engine.prime(faults);
         engine.expand(None, VirtualTime::ZERO)?;
         let report = engine.drive()?;
@@ -587,6 +602,7 @@ impl SimRuntime {
             peak_event_queue: engine.queue_high_water,
             events_processed: engine.events_processed,
             peak_resident_segments: engine.peak_resident_segments,
+            peak_evacuated_slots: engine.peak_evacuated_slots,
             trace: engine.trace,
         })
     }
@@ -658,6 +674,7 @@ impl<'w, 's> Engine<'w, 's> {
             retired_values: 0,
             events_processed: 0,
             peak_resident_segments: 0,
+            peak_evacuated_slots: 0,
         };
         engine.index_producers();
         engine.plan_levels();
@@ -1152,21 +1169,23 @@ impl<'w, 's> Engine<'w, 's> {
     }
 
     /// Retires a completed task none of whose outputs is live any
-    /// more: frees its graph payload, and when that empties a whole
-    /// task segment, drops the segment from every per-task column.
+    /// more: frees its graph payload, and whatever that does to its
+    /// task segment — evacuated, dropped — is done to every per-task
+    /// column.
     fn retire_task(&mut self, task: TaskId) {
         let w = self
             .workload
             .owned_mut()
             .expect("lazy runs own their workload");
-        let Ok(dropped) = w.retire_task_payload(task) else {
+        let Ok(outcome) = w.retire_task_payload(task) else {
             return;
         };
         self.retired_tasks += 1;
-        if let Some(segment) = dropped {
-            self.slots.drop_segment(segment);
-            self.run.drop_segment(segment);
-        }
+        self.slots.follow(&outcome);
+        self.run.follow(&outcome);
+        self.peak_evacuated_slots = self
+            .peak_evacuated_slots
+            .max(self.workload.graph().evacuated_slots());
     }
 
     // ---- faults ----------------------------------------------------------

@@ -3,8 +3,8 @@
 use crate::profile::TaskProfile;
 use continuum_analyze::{lint_nodes, LintColumns, LintView};
 use continuum_dag::{
-    AccessProcessor, DagError, DataCatalog, DataId, GraphAnalysis, SegVec, TaskGraph, TaskId,
-    TaskSpec,
+    AccessProcessor, DagError, DataCatalog, DataId, GraphAnalysis, Retired, SegVec, TaskGraph,
+    TaskId, TaskSpec,
 };
 use continuum_platform::{Constraints, NodeId, Platform};
 use std::fmt;
@@ -202,36 +202,34 @@ impl SimWorkload {
     pub(crate) fn is_closed(&self, data: DataId) -> bool {
         match self.data_meta.get(data.index()) {
             Some(meta) => meta.closed,
-            // A dropped segment held only retired, hence closed, data.
+            // Only retired, hence closed, data are no longer held.
             None => data.index() < self.data_meta.len(),
         }
     }
 
     /// Retires a completed task (see [`TaskGraph::retire_payload`]):
-    /// its graph payload is freed at once, and when it was the last
-    /// task of its segment the segment's nodes and profiles are
-    /// dropped and the segment number returned. Used by
-    /// lazily-materialized runs once the task and every value it
-    /// produced are retired.
+    /// its graph payload is freed at once, and whatever that did to
+    /// its segment of the graph's nodes — evacuated, dropped — is done
+    /// to the profiles too and returned for the caller's own columns.
+    /// Used by lazily-materialized runs once the task and every value
+    /// it produced are retired.
     ///
     /// # Errors
     ///
     /// Propagates [`TaskGraph::retire_payload`] errors.
-    pub fn retire_task_payload(&mut self, task: TaskId) -> Result<Option<usize>, DagError> {
-        let dropped = self.ap.graph_mut().retire_payload(task)?;
-        if let Some(segment) = dropped {
-            self.profiles.drop_segment(segment);
-        }
-        Ok(dropped)
+    pub fn retire_task_payload(&mut self, task: TaskId) -> Result<Retired, DagError> {
+        let outcome = self.ap.graph_mut().retire_payload(task)?;
+        self.profiles.follow(&outcome);
+        Ok(outcome)
     }
 
     /// Retires a closed datum: its catalog name reads as empty, and
-    /// once every datum of its segment is retired the segment's
-    /// catalog slots, names and initial-data metadata are dropped.
+    /// its segment of the catalog and of the initial-data metadata is
+    /// evacuated once few of its data are live, and dropped with the
+    /// last.
     pub fn retire_data(&mut self, data: DataId) {
-        if let Some(segment) = self.ap.retire_data_name(data) {
-            self.data_meta.drop_segment(segment);
-        }
+        let outcome = self.ap.retire_data_name(data);
+        self.data_meta.follow(&outcome);
     }
 
     /// Summary statistics under reference durations.
@@ -264,7 +262,7 @@ impl LintColumns for SimWorkload {
     fn data_name(&self, data: DataId) -> Option<&str> {
         match self.ap.catalog().name(data) {
             Ok(name) => Some(name),
-            // Issued, but its segment was dropped after retirement.
+            // Issued, but retired and no longer held.
             Err(_) => (data.index() < self.data_count()).then_some("?"),
         }
     }

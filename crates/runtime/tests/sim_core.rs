@@ -102,6 +102,44 @@ fn resident_segments_follow_the_window_not_the_campaign() {
     assert_eq!(long.retired_tasks, 16 * SEGMENT_SLOTS - 8);
 }
 
+/// A chromosome merge outlives everything materialized around it: its
+/// output waits for the campaign merge. Cutting the benchmark's
+/// campaign into ten times as many chromosomes strews ten times as
+/// many of them among the chunk tasks — two or three per segment
+/// instead of one in four — and leaves a tenth of the association
+/// outputs waiting for each. Residency has to follow the second
+/// number, not the first. (That evacuating the merges moves no
+/// placement and no timestamp is `proptest_gwas_lazy.rs`'s to show, on
+/// campaigns small enough to run eagerly as well.)
+#[test]
+fn resident_segments_follow_the_live_set_not_the_stragglers() {
+    let runtime = SimRuntime::new(presets::marenostrum(100), SimOptions::default());
+    let run = |chromosomes, chunks| {
+        let mut source = GwasWorkload::new()
+            .chromosomes(chromosomes)
+            .chunks_per_chromosome(chunks)
+            .seed(42)
+            .into_source(256);
+        runtime
+            .run_lazy(
+                &mut source,
+                &mut LocalityScheduler::new(),
+                &FaultPlan::new(),
+            )
+            .expect("lazy campaign completes")
+    };
+    let few = run(22, 1_500);
+    let many = run(220, 150);
+    assert!(
+        many.peak_resident_segments <= few.peak_resident_segments + 2,
+        "{} segments resident with 220 stragglers, {} with 22",
+        many.peak_resident_segments,
+        few.peak_resident_segments
+    );
+    // The merges were held all the same, outside the segments.
+    assert!(few.peak_evacuated_slots >= 22 && many.peak_evacuated_slots >= 220);
+}
+
 #[test]
 fn task_profiles_stay_within_their_memory_budget() {
     // One per resident task, beside the graph node.

@@ -118,10 +118,27 @@ impl Deserialize for ExecutionTrace {
     }
 }
 
+/// Most records [`ExecutionTrace::reserve_hint`] sets aside in one go
+/// (160 MiB of them — the paper's largest campaigns are 3 M tasks).
+const MAX_RESERVED_RECORDS: u64 = 1 << 22;
+
 impl ExecutionTrace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets room aside for `records` more records, so that a run that
+    /// knows its length up front does not grow the trace by doubling
+    /// (each doubling holds the old and the new buffer at once). The
+    /// number is a hint from outside the engine: one above
+    /// `MAX_RESERVED_RECORDS`, or one the allocator refuses, is
+    /// ignored and the trace grows as it is written.
+    pub fn reserve_hint(&mut self, records: u64) {
+        if records <= MAX_RESERVED_RECORDS {
+            // A refusal leaves the trace as it was.
+            let _ = self.records.try_reserve_exact(records as usize);
+        }
     }
 
     /// Appends a record.
@@ -241,6 +258,19 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.on_node(NodeId::from_raw(0)).count(), 2);
         assert!((t.total_transfer_stall_s() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_length_hint_reserves_once_and_a_wild_one_is_ignored() {
+        let mut t = ExecutionTrace::new();
+        t.reserve_hint(1_000);
+        assert_eq!(t.records.capacity(), 1_000);
+        let mut wild = ExecutionTrace::new();
+        wild.reserve_hint(u64::MAX);
+        wild.reserve_hint(MAX_RESERVED_RECORDS + 1);
+        assert_eq!(wild.records.capacity(), 0, "falls back to growth");
+        wild.record(rec(0, 0, 0.0, 1.0));
+        assert_eq!(wild.len(), 1);
     }
 
     #[test]
