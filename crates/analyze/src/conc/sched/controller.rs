@@ -4,16 +4,16 @@
 //! Protocol (thread side ⇄ scheduler side):
 //!
 //! 1. A scenario thread reaches a sched point and calls
-//!    [`Ctl::sched_point`]: it publishes its pending [`OpEvent`], wakes
+//!    `Ctl::sched_point`: it publishes its pending [`OpEvent`], wakes
 //!    the scheduler, and sleeps until a grant appears in its slot.
-//! 2. The scheduler calls [`Ctl::await_stable`], which returns once
+//! 2. The scheduler calls `Ctl::await_stable`, which returns once
 //!    every thread is *stable* — at a sched point, parked at a block
 //!    point, or done — so exactly zero threads are executing real code
 //!    when a scheduling decision is made.
 //! 3. The scheduler picks one thread and delivers [`Grant::Proceed`]
 //!    (run the op, continue to the next sched point), [`Grant::Block`]
 //!    (the op cannot complete: the thread parks via
-//!    [`Ctl::block_point`] until [`Ctl::resume`]), or [`Grant::Die`]
+//!    `Ctl::block_point` until `Ctl::resume`), or [`Grant::Die`]
 //!    (abort: unwind the thread).
 //!
 //! Because only one granted thread runs between `await_stable` calls,

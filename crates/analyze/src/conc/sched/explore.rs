@@ -1,7 +1,7 @@
-//! The DFS schedule explorer: runs a [`Scenario`] repeatedly under the
-//! [`Ctl`] controller, enumerating thread interleavings with sleep-set
-//! and DPOR pruning and checking each run with a happens-before race
-//! detector.
+//! The DFS schedule explorer: runs a [`Scenario`](super::Scenario)
+//! repeatedly under the `Ctl` controller, enumerating thread
+//! interleavings with sleep-set and DPOR pruning and checking each run
+//! with a happens-before race detector.
 //!
 //! ## How one run works
 //!

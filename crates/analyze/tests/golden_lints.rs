@@ -116,8 +116,6 @@ fn golden_cycle() {
             panic!("preds must be an array");
         };
         preds.push(Value::U64(1));
-        *field_mut(&mut nodes[0], "unfinished_preds") = Value::U64(1);
-        *field_mut(graph, "ready") = Value::Arr(Vec::new());
     }
     let forged = LintBundle::from_json_value(&value).expect("forged bundle deserializes");
 
@@ -134,11 +132,10 @@ fn golden_cycle() {
     );
 }
 
-/// A two-task chain over `x` (`first` writes `x@v1`, `second` updates
-/// it) on one small node, with its graph's JSON nodes handed to
-/// `corrupt` before it is read back — the hostile-input fixtures below
-/// start from it.
-fn forged_chain(corrupt: impl FnOnce(&mut Vec<Value>)) -> LintBundle {
+/// The JSON form of a two-task chain over `x` (`first` writes `x@v1`,
+/// `second` updates it) on one small node, with its graph's JSON nodes
+/// handed to `corrupt`.
+fn forged_chain_value(corrupt: impl FnOnce(&mut Vec<Value>)) -> Value {
     let mut ap = AccessProcessor::new();
     let x = ap.new_data("x");
     ap.register(TaskSpec::new("first").output(x)).unwrap();
@@ -148,7 +145,31 @@ fn forged_chain(corrupt: impl FnOnce(&mut Vec<Value>)) -> LintBundle {
         panic!("nodes must be an array");
     };
     corrupt(nodes);
-    LintBundle::from_json_value(&value).expect("forged bundle deserializes")
+    value
+}
+
+/// [`forged_chain_value`] read back — the hostile-input fixtures below
+/// start from it.
+fn forged_chain(corrupt: impl FnOnce(&mut Vec<Value>)) -> LintBundle {
+    LintBundle::from_json_value(&forged_chain_value(corrupt)).expect("forged bundle deserializes")
+}
+
+/// Hostile input: a node whose `id` is not its position. Loaded, the
+/// verifier would report findings on a task the graph does not hold
+/// (`t5`) or pin `first`'s accesses on `second`; the bundle is refused
+/// instead, which `continuum-lint` reports as exit 2 ("not a valid lint
+/// bundle").
+#[test]
+fn hostile_misnumbered_node_is_rejected() {
+    for (case, forged_id) in [("a gap", 5), ("a duplicate", 0)] {
+        let value = forged_chain_value(|nodes| {
+            *field_mut(&mut nodes[1], "id") = Value::U64(forged_id);
+        });
+        assert!(
+            LintBundle::from_json_value(&value).is_none(),
+            "{case} in the node numbering must not load"
+        );
+    }
 }
 
 /// The first entry of a node's `produced` or `consumed` list.

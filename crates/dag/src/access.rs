@@ -289,9 +289,10 @@ pub struct StreamEndpoints {
 ///
 /// Stream accesses sit outside the versioning discipline: a
 /// [`Direction::Stream`](crate::Direction::Stream) parameter wires a
-/// first-element edge (see [`TaskGraph::stream_release`]) instead of a
-/// completion edge, and its datum is registered as a channel rather
-/// than a renamed value.
+/// first-element edge (see
+/// [`GraphRun::stream_release`](crate::GraphRun::stream_release))
+/// instead of a completion edge, and its datum is registered as a
+/// channel rather than a renamed value.
 ///
 /// # Example
 ///
@@ -472,8 +473,8 @@ impl AccessProcessor {
         &self.graph
     }
 
-    /// Mutable access to the dependency graph (used by runtimes to drive
-    /// task lifecycle transitions).
+    /// Mutable access to the dependency graph (used by lazy runtimes to
+    /// retire the payloads of finished tasks).
     pub fn graph_mut(&mut self) -> &mut TaskGraph {
         &mut self.graph
     }
@@ -507,6 +508,7 @@ impl AccessProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphRun;
     use crate::param::Direction;
 
     fn ap_with(n: usize) -> (AccessProcessor, Vec<DataId>) {
@@ -529,7 +531,7 @@ mod tests {
         let (mut ap, d) = ap_with(1);
         let r = ap.register(TaskSpec::new("r").input(d[0])).unwrap();
         assert!(ap.graph().predecessors(r).is_empty());
-        assert!(ap.graph().ready_tasks().contains(&r));
+        assert!(GraphRun::new(ap.graph()).ready_tasks().contains(&r));
     }
 
     #[test]
@@ -703,18 +705,21 @@ mod tests {
             .register(TaskSpec::new("p").stream_out(d[0]).output(d[1]))
             .unwrap();
         let c = ap.register(TaskSpec::new("c").stream_in(d[0])).unwrap();
-        assert_eq!(ap.graph().node(c).unwrap().stream_predecessors(), &[p]);
-        assert!(ap.graph().predecessors(c).is_empty(), "no completion edge");
-        assert!(!ap.graph().ready_tasks().contains(&c));
+        let g = ap.graph();
+        assert_eq!(g.node(c).unwrap().stream_predecessors(), &[p]);
+        assert!(g.predecessors(c).is_empty(), "no completion edge");
+        let mut run = GraphRun::new(g);
+        assert!(!run.ready_tasks().contains(&c));
         // First element: the consumer runs while the producer still is.
-        ap.graph_mut().mark_running(p).unwrap();
-        let newly = ap.graph_mut().stream_release(p).unwrap();
+        run.mark_running(p).unwrap();
+        let mut newly = Vec::new();
+        run.stream_release_into(g, p, &mut newly).unwrap();
         assert_eq!(newly, vec![c]);
-        assert!(ap.graph().ready_tasks().contains(&c));
+        assert!(run.ready_tasks().contains(&c));
         // Release is idempotent; completion after release frees nothing
         // twice.
-        assert!(ap.graph_mut().stream_release(p).unwrap().is_empty());
-        assert!(ap.graph_mut().complete(p).unwrap().is_empty());
+        assert_eq!(run.stream_release(g, p).unwrap(), 0);
+        assert_eq!(run.complete(g, p).unwrap(), 0);
     }
 
     #[test]
@@ -726,17 +731,22 @@ mod tests {
         let c = ap.register(TaskSpec::new("c").stream_in(d[0])).unwrap();
         // Producer finishes without ever sending: consumer still runs
         // (and will observe a closed, empty channel).
-        assert_eq!(ap.graph_mut().complete(p).unwrap(), vec![c]);
+        let mut run = GraphRun::new(ap.graph());
+        let mut newly = Vec::new();
+        run.complete_into(ap.graph(), p, &mut newly).unwrap();
+        assert_eq!(newly, vec![c]);
     }
 
     #[test]
     fn late_consumer_after_release_is_immediately_ready() {
         let (mut ap, d) = ap_with(1);
         let p = ap.register(TaskSpec::new("p").stream_out(d[0])).unwrap();
-        ap.graph_mut().mark_running(p).unwrap();
-        ap.graph_mut().stream_release(p).unwrap();
+        let mut run = GraphRun::new(ap.graph());
+        run.mark_running(p).unwrap();
+        run.stream_release(ap.graph(), p).unwrap();
         let c = ap.register(TaskSpec::new("c").stream_in(d[0])).unwrap();
-        assert!(ap.graph().ready_tasks().contains(&c));
+        run.grow(ap.graph());
+        assert!(run.ready_tasks().contains(&c));
         // The structural edge is still recorded.
         assert_eq!(ap.graph().node(c).unwrap().stream_predecessors(), &[p]);
         assert_eq!(ap.graph().stream_edge_count(), 1);
@@ -748,9 +758,12 @@ mod tests {
         let p0 = ap.register(TaskSpec::new("p0").stream_out(d[0])).unwrap();
         let p1 = ap.register(TaskSpec::new("p1").stream_out(d[0])).unwrap();
         let c = ap.register(TaskSpec::new("c").stream_in(d[0])).unwrap();
-        ap.graph_mut().stream_release(p0).unwrap();
-        assert!(!ap.graph().ready_tasks().contains(&c));
-        assert_eq!(ap.graph_mut().stream_release(p1).unwrap(), vec![c]);
+        let mut run = GraphRun::new(ap.graph());
+        run.stream_release(ap.graph(), p0).unwrap();
+        assert!(!run.ready_tasks().contains(&c));
+        let mut newly = Vec::new();
+        run.stream_release_into(ap.graph(), p1, &mut newly).unwrap();
+        assert_eq!(newly, vec![c]);
         let eps = ap.stream_endpoints(d[0]).unwrap();
         assert_eq!(eps.producers, vec![p0, p1]);
         assert_eq!(eps.consumers, vec![c]);

@@ -27,10 +27,10 @@ pub struct CriticalPath {
 
 /// Analyses computed over a [`TaskGraph`].
 ///
-/// All analyses treat the graph as static: task *states* are ignored, so
-/// completed, running or failed tasks contribute exactly like pending
-/// ones and results never change as a runtime executes the graph. They
-/// are intended for reporting and for static baseline schedulers.
+/// All analyses are static: the graph holds no run state (that lives in
+/// a [`GraphRun`](crate::GraphRun)), so results never change as a
+/// runtime executes the graph. They are intended for reporting and for
+/// static baseline schedulers.
 ///
 /// # Example
 ///
@@ -319,40 +319,6 @@ mod tests {
         let a = GraphAnalysis::new(ap.graph());
         let bl = a.bottom_levels(|_| 1.0);
         assert_eq!(bl, vec![3.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn analyses_ignore_task_states() {
-        // The doc comment promises every analysis is static: completing
-        // or failing tasks must not change any result.
-        let mut ap = fan(4);
-        let a = GraphAnalysis::new(ap.graph());
-        let before = (
-            a.levels(),
-            a.level_stats(),
-            a.bottom_levels(|_| 1.0),
-            a.critical_path(|_| 1.0),
-            a.total_weight(|_| 1.0),
-            a.find_cycle(),
-        );
-        // Drive the graph through a mix of states: src completed, one
-        // worker running, one failed.
-        let src = TaskId::from_raw(0);
-        ap.graph_mut().mark_running(src).unwrap();
-        ap.graph_mut().complete(src).unwrap();
-        ap.graph_mut().mark_running(TaskId::from_raw(1)).unwrap();
-        ap.graph_mut().mark_running(TaskId::from_raw(2)).unwrap();
-        ap.graph_mut().mark_failed(TaskId::from_raw(2)).unwrap();
-        let a = GraphAnalysis::new(ap.graph());
-        let after = (
-            a.levels(),
-            a.level_stats(),
-            a.bottom_levels(|_| 1.0),
-            a.critical_path(|_| 1.0),
-            a.total_weight(|_| 1.0),
-            a.find_cycle(),
-        );
-        assert_eq!(before, after);
     }
 
     #[test]

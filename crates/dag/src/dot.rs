@@ -1,7 +1,7 @@
 //! Graphviz DOT export of task graphs (the workflow depiction used in
 //! monitoring tools and in the paper's figures).
 
-use crate::graph::{TaskGraph, TaskState};
+use crate::graph::TaskGraph;
 use std::fmt::Write;
 
 /// Options controlling DOT rendering.
@@ -9,8 +9,6 @@ use std::fmt::Write;
 pub struct DotOptions {
     /// Graph name emitted in the `digraph` header.
     pub name: String,
-    /// Include task states as node colors.
-    pub color_states: bool,
     /// Include the group label (workflow phase) in node labels.
     pub show_groups: bool,
 }
@@ -19,7 +17,6 @@ impl Default for DotOptions {
     fn default() -> Self {
         DotOptions {
             name: "workflow".to_string(),
-            color_states: true,
             show_groups: true,
         }
     }
@@ -45,7 +42,7 @@ impl DotOptions {
         let mut out = String::new();
         let _ = writeln!(out, "digraph {} {{", sanitize(&self.name));
         let _ = writeln!(out, "  rankdir=TB;");
-        let _ = writeln!(out, "  node [shape=box, style=filled];");
+        let _ = writeln!(out, "  node [shape=box];");
         for node in graph.nodes() {
             let mut label = node.spec().name().to_string();
             if self.show_groups {
@@ -53,18 +50,7 @@ impl DotOptions {
                     label = format!("{label}\\n[{g}]");
                 }
             }
-            let color = if self.color_states {
-                state_color(node.state())
-            } else {
-                "white"
-            };
-            let _ = writeln!(
-                out,
-                "  {} [label=\"{}\", fillcolor=\"{}\"];",
-                node.id(),
-                label,
-                color
-            );
+            let _ = writeln!(out, "  {} [label=\"{}\"];", node.id(), label);
         }
         for node in graph.nodes() {
             for succ in node.successors() {
@@ -73,16 +59,6 @@ impl DotOptions {
         }
         out.push_str("}\n");
         out
-    }
-}
-
-fn state_color(state: TaskState) -> &'static str {
-    match state {
-        TaskState::Pending => "lightgray",
-        TaskState::Ready => "khaki",
-        TaskState::Running => "lightblue",
-        TaskState::Completed => "palegreen",
-        TaskState::Failed => "salmon",
     }
 }
 
@@ -133,27 +109,15 @@ mod tests {
     }
 
     #[test]
-    fn state_colors_reflect_lifecycle() {
-        let mut ap = small_graph();
-        ap.graph_mut()
-            .mark_running(crate::TaskId::from_raw(0))
-            .unwrap();
-        let dot = DotOptions::default().render(ap.graph());
-        assert!(dot.contains("lightblue"));
-        assert!(dot.contains("lightgray"));
-    }
-
-    #[test]
     fn options_can_disable_decorations() {
         let ap = small_graph();
         let opts = DotOptions {
             name: "my graph!".into(),
-            color_states: false,
             show_groups: false,
         };
         let dot = opts.render(ap.graph());
         assert!(dot.contains("digraph my_graph_ {"));
-        assert!(dot.contains("fillcolor=\"white\""));
+        assert!(dot.contains("t0 [label=\"gen\"];"));
         assert!(!dot.contains("[init]"));
     }
 

@@ -1,4 +1,5 @@
-//! The task dependency graph and task lifecycle tracking.
+//! The task dependency graph, which holds only structure, and
+//! [`GraphRun`], the one task lifecycle both engines drive over it.
 
 use crate::error::DagError;
 use crate::ids::{TaskId, VersionedData};
@@ -6,10 +7,10 @@ use crate::inline_vec::InlineVec;
 use crate::ready::ReadySet;
 use crate::seg_vec::{Retired, SegVec};
 use crate::spec::TaskSpec;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-/// Lifecycle state of a task in the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Lifecycle state of a task in a [`GraphRun`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskState {
     /// Waiting for one or more predecessors to complete.
     Pending,
@@ -47,20 +48,12 @@ struct StreamEdges {
     succs: IdList,
 }
 
-/// One task in the graph: its spec, dependency wiring and state.
+/// One task in the graph: its spec, dependency wiring and data
+/// accesses.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskNode {
     id: TaskId,
     spec: TaskSpec,
-    state: TaskState,
-    /// Whether this task has released its stream consumers (set at its
-    /// first element sent on any of its output streams, or at
-    /// completion). Per task, not per stream: one release frees every
-    /// stream successor.
-    released: bool,
-    unfinished_preds: u32,
-    /// Stream predecessors that have not yet released.
-    unreleased_streams: u32,
     preds: IdList,
     succs: IdList,
     streams: Option<Box<StreamEdges>>,
@@ -77,11 +70,6 @@ impl TaskNode {
     /// The task's spec (name, parameter accesses).
     pub fn spec(&self) -> &TaskSpec {
         &self.spec
-    }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> TaskState {
-        self.state
     }
 
     /// Direct predecessors (tasks this one depends on).
@@ -104,11 +92,6 @@ impl TaskNode {
         &self.produced
     }
 
-    /// Number of predecessors not yet completed.
-    pub fn unfinished_predecessors(&self) -> usize {
-        self.unfinished_preds as usize
-    }
-
     /// Producers of streams this task consumes (first-element edges).
     pub fn stream_predecessors(&self) -> &[TaskId] {
         self.streams.as_ref().map_or(&[], |s| &s.preds)
@@ -119,39 +102,28 @@ impl TaskNode {
         self.streams.as_ref().map_or(&[], |s| &s.succs)
     }
 
-    /// Number of stream predecessors that have not released yet.
-    pub fn unreleased_streams(&self) -> usize {
-        self.unreleased_streams as usize
-    }
-
-    /// Whether this task has released its stream consumers.
-    pub fn stream_released(&self) -> bool {
-        self.released
-    }
-
     fn streams_mut(&mut self) -> &mut StreamEdges {
         self.streams.get_or_insert_with(Box::default)
     }
 }
 
-/// A task dependency graph with ready-set maintenance.
+/// A task dependency graph: tasks, their completion and stream edges,
+/// and the versioned data each reads and writes — structure only.
 ///
-/// The graph is append-only with respect to structure (tasks and edges
-/// are added by the access processor) while task *states* evolve as a
-/// runtime executes them. Completing a task releases its successors;
-/// the newly-ready successors are returned so schedulers can react
-/// incrementally without rescanning the graph.
+/// The graph is append-only (tasks and edges are added by the access
+/// processor) and holds no run state: what has run, what is ready and
+/// what waits on what lives in a [`GraphRun`] over the graph, so one
+/// graph can be executed, analysed and serialized without a lifecycle
+/// riding along.
 ///
 /// Nodes live in a [`SegVec`]: ids are dense and never reissued, but a
 /// segment nearly all of whose tasks were
 /// [retired](TaskGraph::retire_payload) gives up its block, after
 /// which [`TaskGraph::node`] reports the retired ids as unknown.
 /// Graphs that never retire keep every node.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TaskGraph {
     nodes: SegVec<TaskNode>,
-    ready: ReadySet,
-    completed_count: usize,
 }
 
 impl TaskGraph {
@@ -179,28 +151,16 @@ impl TaskGraph {
         produced: ValueList,
     ) -> TaskId {
         let id = self.next_task_id();
-        let mut unfinished = 0;
         for p in &preds {
             if let Some(pred) = self.nodes.get_mut(p.index()) {
-                unfinished += u32::from(!pred.state.is_completed());
                 pred.succs.push(id);
             }
         }
-        // A producer that has already released (first element sent) or
-        // completed does not gate a late-submitted consumer.
-        let mut unreleased = 0;
         for p in &stream_preds {
             if let Some(pred) = self.nodes.get_mut(p.index()) {
-                unreleased += u32::from(!pred.released && !pred.state.is_completed());
                 pred.streams_mut().succs.push(id);
             }
         }
-        let state = if unfinished == 0 && unreleased == 0 {
-            self.ready.insert(id);
-            TaskState::Ready
-        } else {
-            TaskState::Pending
-        };
         let streams = (!stream_preds.is_empty()).then(|| {
             Box::new(StreamEdges {
                 preds: stream_preds,
@@ -210,10 +170,6 @@ impl TaskGraph {
         self.nodes.push(TaskNode {
             id,
             spec,
-            state,
-            released: false,
-            unfinished_preds: unfinished,
-            unreleased_streams: unreleased,
             preds,
             succs: IdList::new(),
             streams,
@@ -231,16 +187,6 @@ impl TaskGraph {
     /// Returns `true` if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Number of completed tasks.
-    pub fn completed_count(&self) -> usize {
-        self.completed_count
-    }
-
-    /// Returns `true` once every task has completed.
-    pub fn all_completed(&self) -> bool {
-        self.completed_count == self.nodes.len()
     }
 
     /// Total number of dependency edges.
@@ -264,12 +210,6 @@ impl TaskGraph {
     /// including retired ids whose segment was dropped or evacuated.
     pub fn node(&self, id: TaskId) -> Result<&TaskNode, DagError> {
         self.nodes.get(id.index()).ok_or(DagError::UnknownTask(id))
-    }
-
-    fn node_mut(&mut self, id: TaskId) -> Result<&mut TaskNode, DagError> {
-        self.nodes
-            .get_mut(id.index())
-            .ok_or(DagError::UnknownTask(id))
     }
 
     /// Iterates over all resident task nodes in submission order.
@@ -299,219 +239,6 @@ impl TaskGraph {
         self.nodes.get(id.index()).map_or(&[], |n| &n.succs)
     }
 
-    /// The current set of ready (dependency-free, unscheduled) tasks.
-    pub fn ready_tasks(&self) -> &ReadySet {
-        &self.ready
-    }
-
-    /// Removes and returns an arbitrary (lowest-id) ready task.
-    pub fn pop_ready(&mut self) -> Option<TaskId> {
-        let id = self.ready.first()?;
-        self.ready.remove(&id);
-        Some(id)
-    }
-
-    /// Marks a ready task as running.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::InvalidTransition`] unless the task is
-    /// currently `Ready`, and [`DagError::UnknownTask`] for unknown ids.
-    pub fn mark_running(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self.node_mut(id)?;
-        if node.state != TaskState::Ready {
-            return Err(DagError::InvalidTransition {
-                task: id,
-                detail: format!("mark_running from {:?}", node.state),
-            });
-        }
-        node.state = TaskState::Running;
-        self.ready.remove(&id);
-        Ok(())
-    }
-
-    /// Idempotent form of [`TaskGraph::mark_running`]: promotes a
-    /// `Ready` task to `Running` and leaves an already-`Running` task
-    /// untouched. Poll-based executors use this because a task that
-    /// parked and was re-polled (possibly on a different worker)
-    /// transitions to `Running` only on its *first* dispatch, while the
-    /// failure path may fire on any later poll.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::InvalidTransition`] unless the task is
-    /// `Ready` or `Running`, and [`DagError::UnknownTask`] for unknown
-    /// ids.
-    pub fn ensure_running(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self.node_mut(id)?;
-        match node.state {
-            TaskState::Running => Ok(()),
-            TaskState::Ready => {
-                node.state = TaskState::Running;
-                self.ready.remove(&id);
-                Ok(())
-            }
-            other => Err(DagError::InvalidTransition {
-                task: id,
-                detail: format!("ensure_running from {other:?}"),
-            }),
-        }
-    }
-
-    /// Marks a running task as completed and releases its successors.
-    /// Returns the successors that became ready.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::InvalidTransition`] unless the task is
-    /// `Running` (or `Ready`, which is accepted so single-threaded
-    /// drivers may skip the explicit running transition).
-    pub fn complete(&mut self, id: TaskId) -> Result<Vec<TaskId>, DagError> {
-        let mut newly_ready = Vec::new();
-        self.complete_into(id, &mut newly_ready)?;
-        Ok(newly_ready)
-    }
-
-    /// Allocation-free variant of [`TaskGraph::complete`]: newly-ready
-    /// successors are appended to the caller-provided buffer instead of
-    /// a fresh `Vec`, and the successor list is walked in place rather
-    /// than cloned. Hot executors call this with a pooled buffer so a
-    /// steady-state completion performs no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TaskGraph::complete`].
-    pub fn complete_into(
-        &mut self,
-        id: TaskId,
-        newly_ready: &mut Vec<TaskId>,
-    ) -> Result<(), DagError> {
-        let node = self.node_mut(id)?;
-        match node.state {
-            TaskState::Running => {}
-            TaskState::Ready => {
-                self.ready.remove(&id);
-            }
-            other => {
-                return Err(DagError::InvalidTransition {
-                    task: id,
-                    detail: format!("complete from {other:?}"),
-                });
-            }
-        }
-        self.nodes[id.index()].state = TaskState::Completed;
-        self.completed_count += 1;
-        // Index-walk the successor list so releasing edges re-borrows
-        // per iteration instead of cloning the list.
-        for k in 0..self.nodes[id.index()].succs.len() {
-            let s = self.nodes[id.index()].succs[k];
-            let sn = &mut self.nodes[s.index()];
-            sn.unfinished_preds -= 1;
-            if sn.unfinished_preds == 0
-                && sn.unreleased_streams == 0
-                && sn.state == TaskState::Pending
-            {
-                sn.state = TaskState::Ready;
-                self.ready.insert(s);
-                newly_ready.push(s);
-            }
-        }
-        // Completion is also a release: a producer that never sent an
-        // element (empty stream) must still free its consumers.
-        if !self.nodes[id.index()].released {
-            self.release_walk(id, newly_ready);
-        }
-        Ok(())
-    }
-
-    /// Marks `id` as having released its stream consumers — called by
-    /// engines at the producer's first element — and promotes any
-    /// consumer that was waiting only on this release. Idempotent:
-    /// releasing twice (or after completion) is a no-op. Newly-ready
-    /// consumers are appended to `newly_ready`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::UnknownTask`] for ids not in the graph.
-    pub fn stream_release_into(
-        &mut self,
-        id: TaskId,
-        newly_ready: &mut Vec<TaskId>,
-    ) -> Result<(), DagError> {
-        if !self.node(id)?.released {
-            self.release_walk(id, newly_ready);
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience form of [`TaskGraph::stream_release_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TaskGraph::stream_release_into`].
-    pub fn stream_release(&mut self, id: TaskId) -> Result<Vec<TaskId>, DagError> {
-        let mut newly_ready = Vec::new();
-        self.stream_release_into(id, &mut newly_ready)?;
-        Ok(newly_ready)
-    }
-
-    /// Sets the released flag and walks the stream successors. Caller
-    /// checks the flag first.
-    fn release_walk(&mut self, id: TaskId, newly_ready: &mut Vec<TaskId>) {
-        self.nodes[id.index()].released = true;
-        for k in 0..self.nodes[id.index()].stream_successors().len() {
-            let s = self.nodes[id.index()].stream_successors()[k];
-            let sn = &mut self.nodes[s.index()];
-            sn.unreleased_streams -= 1;
-            if sn.unfinished_preds == 0
-                && sn.unreleased_streams == 0
-                && sn.state == TaskState::Pending
-            {
-                sn.state = TaskState::Ready;
-                self.ready.insert(s);
-                newly_ready.push(s);
-            }
-        }
-    }
-
-    /// Marks a running task as failed (e.g. its node died).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::InvalidTransition`] unless the task is
-    /// `Running`.
-    pub fn mark_failed(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self.node_mut(id)?;
-        if node.state != TaskState::Running {
-            return Err(DagError::InvalidTransition {
-                task: id,
-                detail: format!("mark_failed from {:?}", node.state),
-            });
-        }
-        node.state = TaskState::Failed;
-        Ok(())
-    }
-
-    /// Re-queues a failed task as ready (used by recovery after a node
-    /// failure once its inputs are available again).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::InvalidTransition`] unless the task is
-    /// `Failed`.
-    pub fn requeue_failed(&mut self, id: TaskId) -> Result<(), DagError> {
-        let node = self.node_mut(id)?;
-        if node.state != TaskState::Failed {
-            return Err(DagError::InvalidTransition {
-                task: id,
-                detail: format!("requeue_failed from {:?}", node.state),
-            });
-        }
-        node.state = TaskState::Ready;
-        self.ready.insert(id);
-        Ok(())
-    }
-
     /// Retires a finished task: frees its heap payload — spec,
     /// dependency and data-access lists — at once, and marks its slot
     /// retired (see [`SegVec::retire`]). The id stays valid (ids never
@@ -526,17 +253,18 @@ impl TaskGraph {
     /// by the live tasks instead of the whole campaign. Retiring twice
     /// is a no-op.
     ///
-    /// Completion is the *caller's* claim: engines that track run
-    /// state outside the graph (see [`GraphRun`]) leave node states
-    /// frozen at submission values, so no graph-level state check is
-    /// possible here. Retiring a task that will be traversed again is
-    /// a logic error.
+    /// Completion is the *caller's* claim: the graph holds no run
+    /// state (see [`GraphRun`]), so no state check is possible here.
+    /// Retiring a task that will be traversed again is a logic error.
     ///
     /// # Errors
     ///
     /// Returns [`DagError::UnknownTask`] for unknown ids.
     pub fn retire_payload(&mut self, id: TaskId) -> Result<Retired, DagError> {
-        let node = self.node_mut(id)?;
+        let node = self
+            .nodes
+            .get_mut(id.index())
+            .ok_or(DagError::UnknownTask(id))?;
         node.spec = TaskSpec::new("");
         node.preds.clear();
         node.succs.clear();
@@ -551,7 +279,7 @@ impl TaskGraph {
     /// the invariant and is used by static schedulers).
     pub fn topological_order(&self) -> Vec<TaskId> {
         // Kahn's algorithm over the full graph — completion and stream
-        // edges alike — independent of states.
+        // edges alike.
         let mut indeg = vec![0usize; self.nodes.len()];
         let mut queue = Vec::new();
         for n in self.nodes.iter() {
@@ -581,26 +309,44 @@ impl TaskGraph {
     }
 }
 
+/// Reads back what `Serialize` wrote, refusing a graph whose node at
+/// position *i* does not carry id *i*: every table indexed by task id —
+/// the graph's own, a run's, the verifier's — would otherwise attribute
+/// that node's edges and accesses to another task, or to none.
+impl Deserialize for TaskGraph {
+    fn from_json_value(value: &Value) -> Option<Self> {
+        let nodes = SegVec::<TaskNode>::from_json_value(value.get("nodes")?)?;
+        let numbered = nodes.iter().enumerate().all(|(i, n)| n.id.index() == i);
+        numbered.then_some(TaskGraph { nodes })
+    }
+}
+
 /// Per-task run state of a [`GraphRun`].
 #[derive(Debug, Clone, Copy)]
 struct RunSlot {
     state: TaskState,
+    /// Whether this task has released its stream consumers (set at its
+    /// first element sent on any of its output streams, or at
+    /// completion). Per task, not per stream: one release frees every
+    /// stream successor.
     released: bool,
+    /// Completion predecessors not yet completed.
     unfinished: u32,
+    /// Stream predecessors that have not released yet.
     stream_unreleased: u32,
 }
 
-/// Mutable execution state over a borrowed, structurally-immutable
-/// [`TaskGraph`].
+/// The task lifecycle over a borrowed [`TaskGraph`]: Pending → Ready →
+/// Running → Completed (or Failed and re-queued), with stream
+/// consumers released at their producer's first element.
 ///
-/// Cloning a whole `TaskGraph` to run it copies every spec string and
-/// dependency list — several heap allocations per task that the run
-/// never mutates. `GraphRun` snapshots only the evolving part (task
-/// states, unfinished-predecessor counts, the ready set) so an engine
-/// can execute the same graph repeatedly against a shared immutable
-/// structure. State transitions mirror [`TaskGraph`]'s exactly,
-/// including the error conditions.
-#[derive(Debug, Clone)]
+/// The graph holds only structure; this is the one state machine both
+/// engines drive — the simulator over a graph it may materialize
+/// lazily, the local executor over one that gains a task at every
+/// submission. Either way tasks enter through [`GraphRun::grow`], and
+/// completion and stream edges are released by one walker. Nothing of
+/// the structure is copied, so one graph can be run repeatedly.
+#[derive(Debug, Clone, Default)]
 pub struct GraphRun {
     slots: SegVec<RunSlot>,
     ready: ReadySet,
@@ -608,27 +354,17 @@ pub struct GraphRun {
 }
 
 impl GraphRun {
-    /// Snapshots the current lifecycle state of `graph`.
+    /// A run over every task of `graph`, none of them started: a
+    /// [`GraphRun::grow`] from empty.
     pub fn new(graph: &TaskGraph) -> Self {
         debug_assert_eq!(
             graph.nodes.iter().count(),
             graph.len(),
             "a run starts from a graph that retired nothing"
         );
-        GraphRun {
-            slots: graph
-                .nodes
-                .iter()
-                .map(|n| RunSlot {
-                    state: n.state,
-                    released: n.released,
-                    unfinished: n.unfinished_preds,
-                    stream_unreleased: n.unreleased_streams,
-                })
-                .collect(),
-            ready: graph.ready.clone(),
-            completed_count: graph.completed_count,
-        }
+        let mut run = Self::default();
+        run.grow(graph);
+        run
     }
 
     /// Current lifecycle state of a task, or `None` for unknown ids
@@ -650,16 +386,16 @@ impl GraphRun {
     }
 
     /// Extends the run to cover tasks appended to `graph` since this
-    /// run was created or last grown (lazy materialization). Returns
-    /// how many tasks were added.
+    /// run was created or last grown (a submission, or lazy
+    /// materialization). Returns how many tasks were added.
     ///
-    /// Readiness of new tasks is computed from the **run's** states —
-    /// not the graph's, which stay frozen while an engine executes
-    /// through a `GraphRun` — so a consumer materialized after its
-    /// producer completed in this run starts `Ready`. Dependency edges
-    /// only point backward, and the new nodes are scanned in id order,
-    /// so every predecessor's run state exists by the time it is read;
-    /// a predecessor the run no longer holds is necessarily completed.
+    /// Readiness of a new task is computed from this run's states, so
+    /// a reader added after its producer completed — or a stream
+    /// consumer added after its producer released — starts `Ready`.
+    /// Dependency edges only point backward, and the new nodes are
+    /// scanned in id order, so every predecessor's run state exists by
+    /// the time it is read; a predecessor the run no longer holds is
+    /// necessarily completed.
     pub fn grow(&mut self, graph: &TaskGraph) -> usize {
         let old = self.slots.len();
         for node in graph.nodes.iter_from(old) {
@@ -724,7 +460,7 @@ impl GraphRun {
             .ok_or(DagError::UnknownTask(id))
     }
 
-    /// Marks a ready task as running (see [`TaskGraph::mark_running`]).
+    /// Marks a ready task as running.
     ///
     /// # Errors
     ///
@@ -743,11 +479,29 @@ impl GraphRun {
         Ok(())
     }
 
+    /// Idempotent form of [`GraphRun::mark_running`]: promotes a
+    /// `Ready` task to `Running` and leaves an already-`Running` task
+    /// untouched. Poll-based executors use this because a task that
+    /// parked and was re-polled (possibly on a different worker)
+    /// transitions to `Running` only on its *first* dispatch, while the
+    /// failure path may fire on any later poll.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DagError::InvalidTransition`] unless the task is
+    /// `Ready` or `Running`, and [`DagError::UnknownTask`] for unknown
+    /// ids.
+    pub fn ensure_running(&mut self, id: TaskId) -> Result<(), DagError> {
+        if self.state(id) == Some(TaskState::Running) {
+            return Ok(());
+        }
+        self.mark_running(id)
+    }
+
     /// Marks a running task as completed and releases its successors
-    /// (read from `graph`, which must be the graph this run was built
-    /// from). Returns how many successors became ready — unlike
-    /// [`TaskGraph::complete`] no list is built, keeping completions
-    /// allocation-free.
+    /// (read from `graph`, the graph this run was created and grown
+    /// from). Returns how many tasks became ready; no list is built,
+    /// keeping completions allocation-free.
     ///
     /// # Errors
     ///
@@ -755,6 +509,71 @@ impl GraphRun {
     /// `Running` (or `Ready`, accepted so single-threaded drivers may
     /// skip the explicit running transition).
     pub fn complete(&mut self, graph: &TaskGraph, id: TaskId) -> Result<usize, DagError> {
+        let mut newly_ready = 0;
+        self.complete_walk(graph, id, &mut |_| newly_ready += 1)?;
+        Ok(newly_ready)
+    }
+
+    /// [`GraphRun::complete`] for executors that dispatch what it
+    /// frees: the tasks that became ready are appended to
+    /// `newly_ready` — completion successors in edge order, then
+    /// stream consumers. With a pooled buffer a steady-state
+    /// completion performs no heap allocation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GraphRun::complete`].
+    pub fn complete_into(
+        &mut self,
+        graph: &TaskGraph,
+        id: TaskId,
+        newly_ready: &mut Vec<TaskId>,
+    ) -> Result<(), DagError> {
+        self.complete_walk(graph, id, &mut |t| newly_ready.push(t))
+    }
+
+    /// Marks `id` as having released its stream consumers — called by
+    /// engines at the producer's first element — and promotes consumers
+    /// waiting only on this release; returns how many became ready.
+    /// Idempotent: releasing twice (or after completion) is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DagError::UnknownTask`] for ids not in the run.
+    pub fn stream_release(&mut self, graph: &TaskGraph, id: TaskId) -> Result<usize, DagError> {
+        let mut newly_ready = 0;
+        self.stream_release_walk(graph, id, &mut |_| newly_ready += 1)?;
+        Ok(newly_ready)
+    }
+
+    /// [`GraphRun::stream_release`] that appends the consumers which
+    /// became ready to `newly_ready`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GraphRun::stream_release`].
+    pub fn stream_release_into(
+        &mut self,
+        graph: &TaskGraph,
+        id: TaskId,
+        newly_ready: &mut Vec<TaskId>,
+    ) -> Result<(), DagError> {
+        self.stream_release_walk(graph, id, &mut |t| newly_ready.push(t))
+    }
+
+    /// Whether `id` has released its stream consumers in this run.
+    pub fn stream_released(&self, id: TaskId) -> bool {
+        self.slots.get(id.index()).is_some_and(|s| s.released)
+    }
+
+    /// The completion behind both forms of [`GraphRun::complete`];
+    /// `on_ready` sees each task that became ready.
+    fn complete_walk(
+        &mut self,
+        graph: &TaskGraph,
+        id: TaskId,
+        on_ready: &mut impl FnMut(TaskId),
+    ) -> Result<(), DagError> {
         let slot = self.slot_mut(id)?;
         match slot.state {
             TaskState::Running => {}
@@ -772,23 +591,47 @@ impl GraphRun {
         slot.state = TaskState::Completed;
         let released = slot.released;
         self.completed_count += 1;
-        let mut newly_ready = 0;
         for &s in graph.successors(id) {
-            newly_ready += self.release_edge(s, false);
+            self.release_edge(s, false, on_ready);
         }
-        // Completion releases any consumers still gated on this
-        // producer's first element (see `TaskGraph::complete_into`).
+        // Completion is also a release: a producer that never sent an
+        // element (empty stream) must still free its consumers.
         if !released {
-            newly_ready += self.release_walk(graph, id);
+            self.release_walk(graph, id, on_ready);
         }
-        Ok(newly_ready)
+        Ok(())
+    }
+
+    /// The release behind both forms of [`GraphRun::stream_release`].
+    fn stream_release_walk(
+        &mut self,
+        graph: &TaskGraph,
+        id: TaskId,
+        on_ready: &mut impl FnMut(TaskId),
+    ) -> Result<(), DagError> {
+        if !self.slot_mut(id)?.released {
+            self.release_walk(graph, id, on_ready);
+        }
+        Ok(())
+    }
+
+    /// Sets the released flag and walks the stream successors. Caller
+    /// checks the flag first.
+    fn release_walk(&mut self, graph: &TaskGraph, id: TaskId, on_ready: &mut impl FnMut(TaskId)) {
+        self.slots[id.index()].released = true;
+        let consumers = graph
+            .nodes
+            .get(id.index())
+            .map_or(&[][..], TaskNode::stream_successors);
+        for &s in consumers {
+            self.release_edge(s, true, on_ready);
+        }
     }
 
     /// Releases one incoming edge of `id` — a completion edge, or a
-    /// stream (first-element) edge — and promotes the task if nothing
-    /// is left to wait for; returns how many tasks became ready (0 or
-    /// 1).
-    fn release_edge(&mut self, id: TaskId, stream: bool) -> usize {
+    /// stream (first-element) edge — and promotes the task, telling
+    /// `on_ready`, if nothing is left to wait for.
+    fn release_edge(&mut self, id: TaskId, stream: bool, on_ready: &mut impl FnMut(TaskId)) {
         let slot = &mut self.slots[id.index()];
         if stream {
             slot.stream_unreleased -= 1;
@@ -798,44 +641,11 @@ impl GraphRun {
         if slot.unfinished == 0 && slot.stream_unreleased == 0 && slot.state == TaskState::Pending {
             slot.state = TaskState::Ready;
             self.ready.insert(id);
-            return 1;
+            on_ready(id);
         }
-        0
     }
 
-    /// Marks `id` as having released its stream consumers and promotes
-    /// consumers waiting only on this release; returns how many became
-    /// ready. Idempotent, mirroring [`TaskGraph::stream_release_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::UnknownTask`] for ids not in the run.
-    pub fn stream_release(&mut self, graph: &TaskGraph, id: TaskId) -> Result<usize, DagError> {
-        if self.slot_mut(id)?.released {
-            return Ok(0);
-        }
-        Ok(self.release_walk(graph, id))
-    }
-
-    /// Whether `id` has released its stream consumers in this run.
-    pub fn stream_released(&self, id: TaskId) -> bool {
-        self.slots.get(id.index()).is_some_and(|s| s.released)
-    }
-
-    fn release_walk(&mut self, graph: &TaskGraph, id: TaskId) -> usize {
-        self.slots[id.index()].released = true;
-        let mut newly_ready = 0;
-        let consumers = graph
-            .nodes
-            .get(id.index())
-            .map_or(&[][..], TaskNode::stream_successors);
-        for &s in consumers {
-            newly_ready += self.release_edge(s, true);
-        }
-        newly_ready
-    }
-
-    /// Marks a running task as failed (see [`TaskGraph::mark_failed`]).
+    /// Marks a running task as failed (e.g. its node died).
     ///
     /// # Errors
     ///
@@ -853,8 +663,8 @@ impl GraphRun {
         Ok(())
     }
 
-    /// Re-queues a failed task as ready (see
-    /// [`TaskGraph::requeue_failed`]).
+    /// Re-queues a failed task as ready (used by recovery after a node
+    /// failure once its inputs are available again).
     ///
     /// # Errors
     ///
@@ -878,14 +688,15 @@ impl GraphRun {
 mod tests {
     use super::*;
     use crate::access::AccessProcessor;
-    use crate::spec::TaskSpec;
 
-    /// Nodes are the bulk of a resident graph; a field that grows one
-    /// shows here before it shows in a heap profile.
+    /// Nodes are the bulk of a resident graph and slots of a run; a
+    /// field that grows one shows here before it shows in a heap
+    /// profile.
     #[test]
     fn node_and_spec_did_not_grow() {
         assert_eq!(std::mem::size_of::<TaskSpec>(), 88);
-        assert_eq!(std::mem::size_of::<TaskNode>(), 232);
+        assert_eq!(std::mem::size_of::<TaskNode>(), 216);
+        assert_eq!(std::mem::size_of::<RunSlot>(), 12);
     }
 
     /// Builds the diamond: a -> {b, c} -> d.
@@ -906,96 +717,62 @@ mod tests {
 
     #[test]
     fn ready_set_evolves_with_completions() {
-        let (mut ap, [a, b, c, d]) = diamond();
-        let g = ap.graph_mut();
-        assert_eq!(g.ready_tasks().iter().collect::<Vec<_>>(), vec![a]);
-        g.mark_running(a).unwrap();
-        let newly = g.complete(a).unwrap();
+        let (ap, [a, b, c, d]) = diamond();
+        let g = ap.graph();
+        let mut run = GraphRun::new(g);
+        assert_eq!(run.ready_tasks().iter().collect::<Vec<_>>(), vec![a]);
+        run.mark_running(a).unwrap();
+        let mut newly = Vec::new();
+        run.complete_into(g, a, &mut newly).unwrap();
         assert_eq!(newly, vec![b, c]);
-        g.mark_running(b).unwrap();
-        g.mark_running(c).unwrap();
-        assert!(g.complete(b).unwrap().is_empty());
-        assert_eq!(g.complete(c).unwrap(), vec![d]);
-        g.mark_running(d).unwrap();
-        g.complete(d).unwrap();
-        assert!(g.all_completed());
-        assert_eq!(g.completed_count(), 4);
+        run.mark_running(b).unwrap();
+        run.mark_running(c).unwrap();
+        assert_eq!(run.complete(g, b).unwrap(), 0);
+        assert_eq!(run.complete(g, c).unwrap(), 1, "d released");
+        assert_eq!(run.state(d), Some(TaskState::Ready));
+        run.mark_running(d).unwrap();
+        run.complete(g, d).unwrap();
+        assert!(run.all_completed());
+        assert_eq!(run.completed_count(), 4);
     }
 
     #[test]
     fn complete_from_ready_is_accepted() {
-        let (mut ap, [a, ..]) = diamond();
-        let g = ap.graph_mut();
-        assert!(g.complete(a).is_ok());
+        let (ap, [a, ..]) = diamond();
+        let mut run = GraphRun::new(ap.graph());
+        assert!(run.complete(ap.graph(), a).is_ok());
+        assert!(!run.ready_tasks().contains(&a));
     }
 
     #[test]
     fn invalid_transitions_rejected() {
-        let (mut ap, [a, b, ..]) = diamond();
-        let g = ap.graph_mut();
-        assert!(g.mark_running(b).is_err(), "b is pending, not ready");
-        g.mark_running(a).unwrap();
-        assert!(g.mark_running(a).is_err(), "already running");
-        g.complete(a).unwrap();
-        assert!(g.complete(a).is_err(), "already completed");
-        assert!(g.mark_failed(a).is_err(), "completed tasks cannot fail");
+        let (ap, [a, b, ..]) = diamond();
+        let g = ap.graph();
+        let mut run = GraphRun::new(g);
+        assert!(run.mark_running(b).is_err(), "b is pending, not ready");
+        assert!(
+            run.ensure_running(b).is_err(),
+            "nor can it start idempotently"
+        );
+        run.mark_running(a).unwrap();
+        assert!(run.mark_running(a).is_err(), "already running");
+        run.ensure_running(a).unwrap();
+        run.complete(g, a).unwrap();
+        assert!(run.complete(g, a).is_err(), "already completed");
+        assert!(run.ensure_running(a).is_err(), "completed tasks cannot run");
+        assert!(run.mark_failed(a).is_err(), "completed tasks cannot fail");
     }
 
     #[test]
     fn failure_and_requeue() {
-        let (mut ap, [a, ..]) = diamond();
-        let g = ap.graph_mut();
-        g.mark_running(a).unwrap();
-        g.mark_failed(a).unwrap();
-        assert!(!g.ready_tasks().contains(&a));
-        g.requeue_failed(a).unwrap();
-        assert!(g.ready_tasks().contains(&a));
-        assert!(g.requeue_failed(a).is_err(), "no longer failed");
-    }
-
-    #[test]
-    fn graph_run_mirrors_task_graph_lifecycle() {
-        let (ap, [a, b, c, d]) = diamond();
-        let graph = ap.graph();
-        let mut run = GraphRun::new(graph);
-        // Mirror `ready_set_evolves_with_completions` without cloning
-        // or mutating the structure.
-        assert_eq!(run.ready_tasks().iter().collect::<Vec<_>>(), vec![a]);
-        run.mark_running(a).unwrap();
-        assert_eq!(run.complete(graph, a).unwrap(), 2, "b and c released");
-        assert_eq!(run.state(a), Some(TaskState::Completed));
-        run.mark_running(b).unwrap();
-        run.mark_running(c).unwrap();
-        assert_eq!(run.complete(graph, b).unwrap(), 0);
-        assert_eq!(run.complete(graph, c).unwrap(), 1, "d released");
-        // Complete-from-ready shortcut, invalid transitions, failure
-        // and requeue all behave as on TaskGraph.
-        assert!(run.mark_running(d).is_ok());
-        run.mark_failed(d).unwrap();
-        assert!(!run.ready_tasks().contains(&d));
-        run.requeue_failed(d).unwrap();
-        assert!(run.ready_tasks().contains(&d));
-        assert!(run.requeue_failed(d).is_err(), "no longer failed");
-        assert!(run.complete(graph, d).is_ok(), "complete from ready");
-        assert!(run.complete(graph, d).is_err(), "already completed");
-        assert!(run.all_completed());
-        assert_eq!(run.completed_count(), 4);
-        // The underlying graph never changed.
-        assert_eq!(graph.completed_count(), 0);
-        assert!(graph.ready_tasks().contains(&a));
-    }
-
-    #[test]
-    fn pop_ready_returns_lowest_id() {
-        let mut ap = AccessProcessor::new();
-        let d0 = ap.new_data("d0");
-        let d1 = ap.new_data("d1");
-        let t0 = ap.register(TaskSpec::new("t0").output(d0)).unwrap();
-        let t1 = ap.register(TaskSpec::new("t1").output(d1)).unwrap();
-        let g = ap.graph_mut();
-        assert_eq!(g.pop_ready(), Some(t0));
-        assert_eq!(g.pop_ready(), Some(t1));
-        assert_eq!(g.pop_ready(), None);
+        let (ap, [a, ..]) = diamond();
+        let mut run = GraphRun::new(ap.graph());
+        run.ensure_running(a).unwrap();
+        run.mark_failed(a).unwrap();
+        assert!(!run.ready_tasks().contains(&a));
+        run.requeue_failed(a).unwrap();
+        assert!(run.ready_tasks().contains(&a));
+        assert!(run.requeue_failed(a).is_err(), "no longer failed");
     }
 
     #[test]
@@ -1026,12 +803,16 @@ mod tests {
         let mut ap = AccessProcessor::new();
         let x = ap.new_data("x");
         let a = ap.register(TaskSpec::new("a").output(x)).unwrap();
-        ap.graph_mut().mark_running(a).unwrap();
-        ap.graph_mut().complete(a).unwrap();
+        let mut run = GraphRun::new(ap.graph());
+        run.mark_running(a).unwrap();
+        run.complete(ap.graph(), a).unwrap();
         // A reader submitted after the producer finished must be ready.
         let r = ap.register(TaskSpec::new("r").input(x)).unwrap();
-        assert!(ap.graph().ready_tasks().contains(&r));
-        assert_eq!(ap.graph().node(r).unwrap().unfinished_predecessors(), 0);
+        assert_eq!(run.grow(ap.graph()), 1);
+        assert!(run.ready_tasks().contains(&r));
+        assert_eq!(ap.graph().predecessors(r), &[a], "the edge is recorded");
+        assert_eq!(run.complete(ap.graph(), r).unwrap(), 0);
+        assert!(run.all_completed());
     }
 
     #[test]
@@ -1039,8 +820,10 @@ mod tests {
         let g = TaskGraph::new();
         assert!(g.node(TaskId::from_raw(0)).is_err());
         assert!(g.predecessors(TaskId::from_raw(5)).is_empty());
-        let mut g = TaskGraph::new();
-        assert!(g.stream_release(TaskId::from_raw(0)).is_err());
+        let mut run = GraphRun::new(&g);
+        assert_eq!(run.state(TaskId::from_raw(0)), None);
+        assert!(run.mark_running(TaskId::from_raw(0)).is_err());
+        assert!(run.stream_release(&g, TaskId::from_raw(0)).is_err());
     }
 
     /// Builds sensor -(stream s)-> feat -(stream f)-> sink.
@@ -1057,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_run_mirrors_stream_release() {
+    fn stream_release_walks_a_pipeline() {
         let (ap, [sensor, feat, sink]) = stream_chain();
         let graph = ap.graph();
         let mut run = GraphRun::new(graph);
@@ -1068,7 +851,9 @@ mod tests {
         assert_eq!(run.stream_release(graph, sensor).unwrap(), 1);
         assert!(!run.stream_released(feat));
         run.mark_running(feat).unwrap();
-        assert_eq!(run.stream_release(graph, feat).unwrap(), 1);
+        let mut newly = Vec::new();
+        run.stream_release_into(graph, feat, &mut newly).unwrap();
+        assert_eq!(newly, vec![sink]);
         assert!(run.stream_released(feat));
         run.mark_running(sink).unwrap();
         // Idempotent.
@@ -1079,12 +864,10 @@ mod tests {
         assert_eq!(run.complete(graph, sink).unwrap(), 0);
         assert!(run.all_completed());
         assert!(run.stream_release(graph, TaskId::from_raw(9)).is_err());
-        // The borrowed graph never changed.
-        assert!(!graph.node(sensor).unwrap().stream_released());
     }
 
     #[test]
-    fn graph_run_completion_releases_unstarted_streams() {
+    fn completion_releases_unstarted_streams() {
         let (ap, [sensor, feat, sink]) = stream_chain();
         let graph = ap.graph();
         let mut run = GraphRun::new(graph);
@@ -1118,14 +901,16 @@ mod tests {
         let infer = ap
             .register(TaskSpec::new("infer").input(model).stream_in(s))
             .unwrap();
-        let g = ap.graph_mut();
-        assert!(!g.ready_tasks().contains(&infer));
-        g.stream_release(sensor).unwrap();
-        assert!(!g.ready_tasks().contains(&infer), "model still missing");
-        assert_eq!(g.complete(train).unwrap(), vec![infer]);
+        let g = ap.graph();
+        let mut run = GraphRun::new(g);
+        assert!(!run.ready_tasks().contains(&infer));
+        run.stream_release(g, sensor).unwrap();
+        assert!(!run.ready_tasks().contains(&infer), "model still missing");
+        let mut newly = Vec::new();
+        run.complete_into(g, train, &mut newly).unwrap();
+        assert_eq!(newly, vec![infer]);
         let n = g.node(infer).unwrap();
         assert_eq!(n.predecessors(), &[train]);
         assert_eq!(n.stream_predecessors(), &[sensor]);
-        assert_eq!(n.unreleased_streams(), 0);
     }
 }

@@ -10,14 +10,16 @@
 //! dependency graph on the fly using data versioning, exactly like the
 //! *AP* component of the COMPSs runtime.
 //!
-//! The produced [`TaskGraph`] supports ready-set maintenance for dynamic
-//! scheduling, as well as the static analyses (levels, critical path,
-//! bottom levels) needed by baseline schedulers such as HEFT.
+//! The produced [`TaskGraph`] holds structure only; a [`GraphRun`] over
+//! it tracks the task lifecycle and the ready set for dynamic
+//! scheduling, and [`GraphAnalysis`] the static analyses (levels,
+//! critical path, bottom levels) needed by baseline schedulers such as
+//! HEFT.
 //!
 //! # Example
 //!
 //! ```
-//! use continuum_dag::{AccessProcessor, TaskSpec, Direction};
+//! use continuum_dag::{AccessProcessor, GraphRun, TaskSpec};
 //!
 //! let mut ap = AccessProcessor::new();
 //! let matrix = ap.new_data("matrix");
@@ -31,7 +33,7 @@
 //!
 //! let graph = ap.graph();
 //! assert!(graph.predecessors(red).contains(&gen));
-//! assert!(graph.ready_tasks().contains(&gen));
+//! assert!(GraphRun::new(graph).ready_tasks().contains(&gen));
 //! # Ok::<(), continuum_dag::DagError>(())
 //! ```
 

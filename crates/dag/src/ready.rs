@@ -1,7 +1,6 @@
 //! The ready set: a hierarchical bitset over task ids.
 
 use crate::ids::TaskId;
-use serde::{Deserialize, Serialize, Value};
 
 const BITS: usize = 64;
 
@@ -178,23 +177,6 @@ impl FromIterator<TaskId> for ReadySet {
     }
 }
 
-/// Serializes as the ascending array of ids.
-impl Serialize for ReadySet {
-    fn to_json_value(&self) -> Value {
-        Value::Arr(self.iter().map(|t| t.to_json_value()).collect())
-    }
-}
-
-impl Deserialize for ReadySet {
-    fn from_json_value(value: &Value) -> Option<Self> {
-        value
-            .as_arr()?
-            .iter()
-            .map(TaskId::from_json_value)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,14 +235,5 @@ mod tests {
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![t(0), t(300_000)]);
         assert!(!set.insert(t(0)), "duplicate insert");
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn serde_round_trips_as_an_id_array() {
-        let set: ReadySet = [t(5), t(1), t(64)].into_iter().collect();
-        let text = serde::to_string(&set);
-        assert_eq!(text, "[1,5,64]");
-        let back: ReadySet = serde::from_str(&text).unwrap();
-        assert_eq!(back, set);
     }
 }

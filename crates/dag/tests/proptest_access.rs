@@ -2,10 +2,14 @@
 //!
 //! These check the structural invariants that every downstream component
 //! (schedulers, engines, recovery) relies on: acyclicity, correct
-//! happens-before between writers and readers, and exactly-once
-//! completion under any completion order.
+//! happens-before between writers and readers, exactly-once
+//! completion under any completion order, and a run grown one
+//! registration at a time agreeing with one built from the whole graph.
 
-use continuum_dag::{AccessProcessor, DagError, Direction, TaskId, TaskSpec};
+use continuum_dag::{
+    AccessProcessor, DagError, DataId, Direction, GraphRun, StreamRole, TaskGraph, TaskId,
+    TaskSpec, TaskState,
+};
 use proptest::prelude::*;
 
 /// A random program trace: each task accesses a few data with random
@@ -35,18 +39,104 @@ fn trace_strategy(num_data: usize, max_tasks: usize) -> impl Strategy<Value = Ve
     proptest::collection::vec(op, 1..max_tasks)
 }
 
+fn spec_of(i: usize, op: &TraceOp, data: &[DataId]) -> TaskSpec {
+    let mut spec = TaskSpec::new(format!("t{i}"));
+    for (d, dir) in &op.accesses {
+        spec = spec.param(data[*d], *dir);
+    }
+    spec
+}
+
 fn build(trace: &[TraceOp]) -> Result<(AccessProcessor, Vec<TaskId>), DagError> {
     let mut ap = AccessProcessor::new();
     let data = ap.new_data_batch("d", 16);
     let mut ids = Vec::new();
     for (i, op) in trace.iter().enumerate() {
-        let mut spec = TaskSpec::new(format!("t{i}"));
-        for (d, dir) in &op.accesses {
-            spec = spec.param(data[*d], *dir);
-        }
-        ids.push(ap.register(spec)?);
+        ids.push(ap.register(spec_of(i, op, &data))?);
     }
     Ok((ap, ids))
+}
+
+/// Versioned data of the lifecycle traces; the stream data follow them.
+const VERSIONED: usize = 5;
+const STREAMS: usize = 3;
+
+/// Traces mixing versioned accesses with stream ends: a stream datum is
+/// only ever streamed, and one task holds one end of it at most.
+fn lifecycle_trace_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<TraceOp>> {
+    let stream_end = prop_oneof![
+        Just(Direction::Stream(StreamRole::Produce)),
+        Just(Direction::Stream(StreamRole::Consume)),
+    ];
+    let access = prop_oneof![
+        2 => (0..VERSIONED, direction_strategy()),
+        1 => (VERSIONED..VERSIONED + STREAMS, stream_end),
+    ];
+    let op = proptest::collection::vec(access, 1..4).prop_map(|mut accesses| {
+        accesses.sort_by_key(|(d, _)| *d);
+        accesses.dedup_by_key(|(d, _)| *d);
+        TraceOp { accesses }
+    });
+    proptest::collection::vec(op, 1..max_tasks)
+}
+
+/// One step of a run that grows as tasks are registered.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Register the trace's next task.
+    Register,
+    /// Start the `k`-th ready task (modulo how many are ready).
+    Start(usize),
+    /// Complete the `k`-th running task.
+    Complete(usize),
+    /// The `k`-th running task sends its first stream element.
+    Release(usize),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0..4usize, 0..64usize).prop_map(|(kind, k)| match kind {
+        0 => Step::Register,
+        1 => Step::Start(k),
+        2 => Step::Complete(k),
+        _ => Step::Release(k),
+    })
+}
+
+/// A lifecycle transition of one task, replayable on another run.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    Start(TaskId),
+    Complete(TaskId),
+    Release(TaskId),
+}
+
+/// Applies `action` and returns the tasks it reported ready.
+fn apply(run: &mut GraphRun, graph: &TaskGraph, action: Action) -> Vec<TaskId> {
+    let mut newly = Vec::new();
+    match action {
+        Action::Start(t) => run.mark_running(t).expect("a ready task"),
+        Action::Complete(t) => run
+            .complete_into(graph, t, &mut newly)
+            .expect("a running task"),
+        Action::Release(t) => run
+            .stream_release_into(graph, t, &mut newly)
+            .expect("a running task"),
+    }
+    newly
+}
+
+fn states(run: &GraphRun) -> Vec<(Option<TaskState>, bool)> {
+    (0..run.len() as u64)
+        .map(TaskId::from_raw)
+        .map(|t| (run.state(t), run.stream_released(t)))
+        .collect()
+}
+
+fn running(run: &GraphRun) -> Vec<TaskId> {
+    (0..run.len() as u64)
+        .map(TaskId::from_raw)
+        .filter(|t| run.state(*t) == Some(TaskState::Running))
+        .collect()
 }
 
 proptest! {
@@ -99,31 +189,89 @@ proptest! {
     /// completes every task exactly once and never deadlocks.
     #[test]
     fn ready_driven_execution_terminates(trace in trace_strategy(12, 60)) {
-        let (mut ap, ids) = build(&trace).expect("valid traces");
-        let g = ap.graph_mut();
+        let (ap, ids) = build(&trace).expect("valid traces");
+        let g = ap.graph();
+        let mut run = GraphRun::new(g);
         let mut completed = 0usize;
-        while let Some(t) = g.pop_ready() {
-            g.mark_running(t).expect("ready task can run");
-            g.complete(t).expect("running task can complete");
+        while let Some(t) = run.ready_tasks().first() {
+            run.mark_running(t).expect("ready task can run");
+            run.complete(g, t).expect("running task can complete");
             completed += 1;
         }
         prop_assert_eq!(completed, ids.len());
-        prop_assert!(g.all_completed());
+        prop_assert!(run.all_completed());
     }
 
     /// Completing tasks in *reverse* ready order (highest id first)
     /// also terminates: the ready set is order-insensitive.
     #[test]
     fn reverse_order_execution_terminates(trace in trace_strategy(12, 60)) {
-        let (mut ap, ids) = build(&trace).expect("valid traces");
-        let g = ap.graph_mut();
+        let (ap, ids) = build(&trace).expect("valid traces");
+        let g = ap.graph();
+        let mut run = GraphRun::new(g);
         let mut completed = 0usize;
-        while let Some(t) = g.ready_tasks().last() {
-            g.mark_running(t).expect("ready task can run");
-            g.complete(t).expect("running task can complete");
+        while let Some(t) = run.ready_tasks().last() {
+            run.mark_running(t).expect("ready task can run");
+            run.complete(g, t).expect("running task can complete");
             completed += 1;
         }
         prop_assert_eq!(completed, ids.len());
+    }
+
+    /// A run grown after every registration — as the local executor
+    /// grows one — and driven between registrations agrees, after every
+    /// step, with a run built from the whole graph so far and driven by
+    /// the same transitions. Registrations land after completions and
+    /// stream releases, so late readers of completed producers and late
+    /// consumers of released streams are among the cases. The list
+    /// forms report exactly the tasks that became ready.
+    #[test]
+    fn incremental_growth_equals_the_snapshot(
+        trace in lifecycle_trace_strategy(30),
+        steps in proptest::collection::vec(step_strategy(), 1..120),
+    ) {
+        let mut ap = AccessProcessor::new();
+        let data = ap.new_data_batch("d", VERSIONED + STREAMS);
+        let mut run = GraphRun::new(ap.graph());
+        let mut actions = Vec::new();
+        let mut next = 0;
+        for step in steps {
+            let pick = |from: Vec<TaskId>, k: usize| (!from.is_empty()).then(|| from[k % from.len()]);
+            let action = match step {
+                Step::Register => {
+                    if let Some(op) = trace.get(next) {
+                        ap.register(spec_of(next, op, &data)).expect("valid traces");
+                        run.grow(ap.graph());
+                        next += 1;
+                    }
+                    None
+                }
+                Step::Start(k) => pick(run.ready_tasks().iter().collect(), k).map(Action::Start),
+                Step::Complete(k) => pick(running(&run), k).map(Action::Complete),
+                Step::Release(k) => pick(running(&run), k).map(Action::Release),
+            };
+            if let Some(action) = action {
+                let before = states(&run);
+                let mut newly = apply(&mut run, ap.graph(), action);
+                newly.sort();
+                let promoted: Vec<TaskId> = (0..before.len() as u64)
+                    .map(TaskId::from_raw)
+                    .filter(|t| {
+                        before[t.index()].0 == Some(TaskState::Pending)
+                            && run.state(*t) == Some(TaskState::Ready)
+                    })
+                    .collect();
+                prop_assert_eq!(newly, promoted, "{:?}", action);
+                actions.push(action);
+            }
+            let mut snapshot = GraphRun::new(ap.graph());
+            for &a in &actions {
+                apply(&mut snapshot, ap.graph(), a);
+            }
+            prop_assert_eq!(states(&run), states(&snapshot));
+            prop_assert_eq!(run.ready_tasks(), snapshot.ready_tasks());
+            prop_assert_eq!(run.completed_count(), snapshot.completed_count());
+        }
     }
 
     /// Versions produced for a datum are strictly increasing with

@@ -73,7 +73,9 @@ use crate::value_cell::{Slots, Value, ValueCell};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
-use continuum_dag::{AccessProcessor, DataId, Label, TaskId, TaskSpec, TaskState};
+use continuum_dag::{
+    AccessProcessor, DagError, DataId, GraphRun, Label, TaskId, TaskSpec, TaskState,
+};
 use continuum_platform::sync::{self, panic_message};
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
@@ -771,12 +773,15 @@ struct DatumCells {
     current: Option<CellRef>,
 }
 
-/// Graph-side state: the access processor, the dispatch records of
-/// tasks that have not finished, each datum's cells and the first
-/// failure. Guarded by one mutex; the paired condvar serves client
-/// waiters (`get`/`wait_all`).
+/// Graph-side state: the access processor, the run over its graph, the
+/// dispatch records of tasks that have not finished, each datum's cells
+/// and the first failure. Guarded by one mutex; the paired condvar
+/// serves client waiters (`get`/`wait_all`).
 struct GraphState {
     ap: AccessProcessor,
+    /// Every submitted task's lifecycle state and the ready set, grown
+    /// at each registration ([`Self::register`]).
+    run: GraphRun,
     /// Dispatch records by dense task id; `None` once the task
     /// committed or failed (nothing looks a finished task up again).
     metas: Vec<Option<Arc<TaskMeta>>>,
@@ -789,6 +794,14 @@ struct GraphState {
 }
 
 impl GraphState {
+    /// Registers a task with the access processor and brings the run
+    /// up to the graph, so the new task's readiness is known.
+    fn register(&mut self, spec: TaskSpec) -> Result<TaskId, DagError> {
+        let id = self.ap.register(spec)?;
+        self.run.grow(self.ap.graph());
+        Ok(id)
+    }
+
     /// Grows the cell column to the catalog's size — when a datum is
     /// touched, not declared: data come in bulk, long before their use.
     fn size_cells(&mut self) {
@@ -1102,6 +1115,7 @@ impl LocalRuntime {
         let shared = Arc::new(Shared {
             graph: Mutex::new(GraphState {
                 ap: AccessProcessor::new(),
+                run: GraphRun::default(),
                 metas: Vec::new(),
                 cells: Vec::new(),
                 channels: HashMap::new(),
@@ -1387,7 +1401,7 @@ impl LocalRuntime {
                 }
                 warn_findings = findings;
             }
-            id = g.ap.register(spec)?;
+            id = g.register(spec)?;
             let stream_outs: Vec<Arc<StreamChannel>> = stream_out_ids
                 .iter()
                 .map(|d| g.stream_channel(*d))
@@ -1402,7 +1416,11 @@ impl LocalRuntime {
             }
             g.size_cells();
             let GraphState {
-                ap, metas, cells, ..
+                ap,
+                run,
+                metas,
+                cells,
+                ..
             } = &mut *g;
             let node = ap.graph().node(id).expect("just registered");
             // Every version the access processor resolved a read to is
@@ -1436,7 +1454,7 @@ impl LocalRuntime {
             }));
             debug_assert_eq!(metas.len(), id.index());
             metas.push(Some(Arc::clone(&meta)));
-            if node.state() == TaskState::Ready {
+            if run.state(id) == Some(TaskState::Ready) {
                 ready_meta = Some(meta);
             }
         }
@@ -1480,7 +1498,7 @@ impl LocalRuntime {
                 if shared.running.load(Ordering::SeqCst) == 0 {
                     return Err(RuntimeError::TaskPanicked { task, message });
                 }
-            } else if g.ap.graph().all_completed() && shared.running.load(Ordering::SeqCst) == 0 {
+            } else if g.run.all_completed() && shared.running.load(Ordering::SeqCst) == 0 {
                 return Ok(());
             }
             shared.client_waiters.fetch_add(1, Ordering::SeqCst);
@@ -1549,7 +1567,7 @@ impl LocalRuntime {
     /// Current number of completed tasks.
     pub fn completed_count(&self) -> usize {
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        self.shared.graph.lock().ap.graph().completed_count()
+        self.shared.graph.lock().run.completed_count()
     }
 
     /// Total number of submitted tasks.
@@ -1788,11 +1806,10 @@ fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
     let mut ready: Vec<Arc<TaskMeta>> = Vec::new();
     {
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let mut g = shared.graph.lock();
+        let g = &mut *shared.graph.lock();
         let mut ids = Vec::new();
-        if g.ap
-            .graph_mut()
-            .stream_release_into(meta.id, &mut ids)
+        if g.run
+            .stream_release_into(g.ap.graph(), meta.id, &mut ids)
             .is_ok()
         {
             for id in &ids {
@@ -1910,16 +1927,15 @@ fn poll_async(
     let mut fut = match resumed {
         Some(fut) => fut,
         None => {
-            // First dispatch: move the graph node to Running now. The
-            // task may park and later fail or complete from a different
-            // worker; the graph must already reflect that it started.
+            // First dispatch: move the task to Running now. It may park
+            // and later fail or complete from a different worker; the
+            // run must already reflect that it started.
             {
                 let _order = lockorder::acquire(RANK_GRAPH, "graph");
                 shared
                     .graph
                     .lock()
-                    .ap
-                    .graph_mut()
+                    .run
                     .ensure_running(meta.id)
                     .expect("claimed task was ready");
             }
@@ -2082,11 +2098,11 @@ fn commit_task(
     s.ready.clear();
     {
         let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let mut g = shared.graph.lock();
+        let g = &mut *shared.graph.lock();
         match failure_message {
             None => {
-                g.ap.graph_mut()
-                    .complete_into(meta.id, &mut s.ready_ids)
+                g.run
+                    .complete_into(g.ap.graph(), meta.id, &mut s.ready_ids)
                     .expect("claimed task can complete");
                 for id in &s.ready_ids {
                     s.ready.push(Arc::clone(g.meta(*id)));
@@ -2095,12 +2111,10 @@ fn commit_task(
             Some(message) => {
                 // Closure tasks arrive here still `Ready`; async tasks
                 // moved to `Running` at first dispatch.
-                g.ap.graph_mut()
+                g.run
                     .ensure_running(meta.id)
                     .expect("claimed task was ready or running");
-                g.ap.graph_mut()
-                    .mark_failed(meta.id)
-                    .expect("running task can fail");
+                g.run.mark_failed(meta.id).expect("running task can fail");
                 if g.failure.is_none() {
                     g.failure = Some((meta.id, message));
                 }

@@ -968,6 +968,14 @@ mod tests {
         w
     }
 
+    /// The workload's ready tasks before anything ran, lowest id first.
+    fn initially_ready(w: &SimWorkload) -> Vec<TaskId> {
+        continuum_dag::GraphRun::new(w.graph())
+            .ready_tasks()
+            .iter()
+            .collect()
+    }
+
     fn cluster(nodes: usize, cores: u32) -> Platform {
         PlatformBuilder::new()
             .cluster("c", nodes, NodeSpec::hpc(cores, 96_000))
@@ -985,7 +993,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let mut s = FifoScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);
@@ -1000,7 +1008,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let mut s = FifoScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 2, "2 cores => at most 2 tasks this round");
@@ -1026,7 +1034,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let mut s = FifoScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 2, "0-cu tasks occupy one core each");
@@ -1098,7 +1106,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let mut s = LocalityScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);
@@ -1147,7 +1155,7 @@ mod tests {
         nodes[1].fail(continuum_sim::VirtualTime::ZERO);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 2, "only the tasks planned on node 0");
         assert!(placed.iter().all(|(_, n)| n.index() == 0));
@@ -1160,7 +1168,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let mut s = EnergyScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);
@@ -1175,7 +1183,7 @@ mod tests {
         let nodes = states(&p);
         let reg = DataRegistry::new();
         let view = PlacementView::new(&w, &nodes, &reg, &p);
-        let ready: Vec<TaskId> = w.graph().ready_tasks().iter().collect();
+        let ready = initially_ready(&w);
         let mut s = EnergyScheduler::new();
         let placed = s.place(&view, &ready);
         assert_eq!(placed.len(), 4);

@@ -48,16 +48,18 @@ pub mod hooks {
     ///
     /// The contract:
     ///
-    /// * A controller is installed process-globally with [`install`];
-    ///   threads taking part in a controlled scenario register with
-    ///   [`register_thread`]. Unregistered threads (the rest of the
-    ///   test process) pass through every hook untouched, so
-    ///   exploration can run inside an ordinary multi-threaded
-    ///   `cargo test` process.
+    /// * A controller is installed process-globally with
+    ///   [`install`](sched::install); threads taking part in a
+    ///   controlled scenario register with
+    ///   [`register_thread`](sched::register_thread). Unregistered
+    ///   threads (the rest of the test process) pass through every
+    ///   hook untouched, so exploration can run inside an ordinary
+    ///   multi-threaded `cargo test` process.
     /// * Instrumented primitives report each operation through
-    ///   [`sync_op`] (or fetch the controller with
-    ///   [`controller_for_current`] when they need the split
-    ///   grant/block protocol, e.g. a condvar wait that must release
+    ///   [`sync_op`](sched::sync_op) (or fetch the controller with
+    ///   [`controller_for_current`](sched::controller_for_current)
+    ///   when they need the split grant/block protocol, e.g. a condvar
+    ///   wait that must release
     ///   its mutex between the two). The controller blocks the calling
     ///   thread until the scheduler grants the operation, which is how
     ///   a single schedule choice sequences real threads.
