@@ -63,19 +63,21 @@
 //!   case — a trivially-ready body that never parks — and keeps its
 //!   original dispatch path bit-for-bit.
 
+mod admission;
+mod record;
+
 use crate::error::RuntimeError;
 use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
 use crate::reactor::{Reactor, ReactorInner, Sleep};
 use crate::sleeper::CountedSleeper;
 use crate::stream::{PollRecv, PollSend, Side, StreamChannel};
-use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome};
+use crate::task_cell::{ParkOutcome, TaskCell};
 use crate::value_cell::{Slots, Value, ValueCell};
+use admission::{try_admit, ResourcePool};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
-use continuum_dag::{
-    AccessProcessor, DagError, DataId, GraphRun, Label, TaskId, TaskSpec, TaskState,
-};
+use continuum_dag::{AccessProcessor, DagError, DataId, GraphRun, TaskId, TaskSpec, TaskState};
 use continuum_platform::sync::{self, panic_message};
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
@@ -83,46 +85,19 @@ use continuum_telemetry::{
 };
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerQueue};
 use parking_lot::{Condvar, Mutex};
+use record::{
+    AsyncBody, AsyncFactory, CellRef, DatumCells, TaskBody, TaskFuture, TaskMeta, TaskPayload,
+};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::task::{Context, Poll, Wake, Waker};
+use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// A counted reference to one version's cell: what a reader's record,
-/// the catalog column ([`DatumCells::current`]) and a waiting `get`
-/// hold. Cloning is [`CellRef::retain`], and every clone made while
-/// the runtime is up ends in [`Shared::release`], which is what frees
-/// the value; only teardown drops references uncounted.
-#[must_use]
-#[derive(Clone)]
-enum CellRef {
-    /// Output `index` of `producer`, which also keeps the record — the
-    /// cell's storage — alive.
-    Output { producer: Arc<TaskMeta>, index: u32 },
-    /// Version 0 of a datum.
-    Initial(Arc<ValueCell>),
-}
-
-impl CellRef {
-    fn cell(&self) -> &ValueCell {
-        match self {
-            CellRef::Output { producer, index } => &producer.outputs.as_slice()[*index as usize],
-            CellRef::Initial(cell) => cell,
-        }
-    }
-
-    /// The counted clone; a bare `clone` leaves the cell's count behind.
-    fn retain(&self) -> CellRef {
-        self.cell().retain();
-        self.clone()
-    }
-}
 
 /// Typed handle to a logical datum managed by a [`LocalRuntime`].
 ///
@@ -643,136 +618,6 @@ impl LocalConfig {
     }
 }
 
-type TaskBody = Box<dyn FnOnce(&mut TaskContext) + Send>;
-
-/// A pinned, type-erased async task body between polls.
-type TaskFuture = Pin<Box<dyn Future<Output = TaskContext> + Send>>;
-
-/// Deferred constructor of an async body: runs on the first poll, once
-/// the inputs have been resolved into a [`TaskContext`].
-type AsyncFactory = Box<dyn FnOnce(TaskContext) -> TaskFuture + Send>;
-
-/// The executable payload of a task: a run-to-completion closure or a
-/// poll-based async body with its park/wake cell.
-enum TaskPayload {
-    /// Original API: runs once on the claiming worker, never parks.
-    /// Its dispatch path is byte-identical to the pre-async executor.
-    Closure(Mutex<Option<TaskBody>>),
-    /// Async API ([`LocalRuntime::submit_async`]): polled on whichever
-    /// worker claims it; parks on `Poll::Pending`.
-    Async(AsyncBody),
-}
-
-/// State of one async task body between polls. The mutexes are
-/// uncontended by construction — exactly one worker owns a claimed
-/// task, and the cell's CAS handshake serializes ownership handoffs —
-/// so they exist only to satisfy `Sync`, not to arbitrate.
-struct AsyncBody {
-    /// Park/wake handshake (see [`crate::task_cell`]).
-    cell: TaskCell,
-    /// Builds the future at first poll. Consumed exactly once.
-    factory: Mutex<Option<AsyncFactory>>,
-    /// The future between polls: `Some` exactly while the task is
-    /// parked or re-queued after its first poll.
-    future: Mutex<Option<TaskFuture>>,
-    /// Wall-clock µs when the task last parked (for the
-    /// [`TaskPhase::Parked`] telemetry span emitted at wake).
-    parked_at_us: AtomicU64,
-    /// The runtime, for the task's waker to re-dispatch into. Weak, so
-    /// stale waker clones (e.g. left in a timer-wheel bucket or channel
-    /// waiter queue) can neither keep the executor alive nor form an
-    /// `Arc` cycle through it.
-    shared: Weak<Shared>,
-}
-
-/// Everything a worker needs to run a task, carried through the
-/// dispatch queues so claiming and executing a task touches no graph
-/// state. The body is taken exactly once at execution.
-struct TaskMeta {
-    id: TaskId,
-    /// Task name for telemetry; `None` when telemetry is disabled.
-    name: Option<Label>,
-    constraints: Constraints,
-    /// The cells this task reads, in declaration order: resolved to
-    /// values at dispatch and released at commit or failure — which
-    /// also lets go of the producers' records, so a version chain
-    /// never hangs off its newest task.
-    inputs: Mutex<Slots<CellRef>>,
-    /// One cell per written parameter, in declaration order, reached
-    /// through [`CellRef::Output`].
-    outputs: Slots<ValueCell>,
-    /// Channels behind the spec's `stream_out` params, in declaration
-    /// order. This task is a registered writer of each until its body
-    /// finishes.
-    stream_outs: Vec<Arc<StreamChannel>>,
-    /// Channels behind the spec's `stream_in` params, in declaration
-    /// order.
-    stream_ins: Vec<Arc<StreamChannel>>,
-    /// Whether this producer's first element already released its
-    /// stream consumers (checked lock-free on every send).
-    streams_released: AtomicBool,
-    /// Whether this task was already counted into the in-flight set
-    /// (set at its first claim; resource-blocked and resumed
-    /// re-dispatches must not count twice). Only the claiming worker
-    /// touches it.
-    inflight_reserved: AtomicBool,
-    payload: TaskPayload,
-}
-
-/// An async task's meta *is* its waker — the wake half of the
-/// task-cell handshake — so every resume builds its `Waker` from the
-/// `Arc` the dispatch queues already carry: a reference count, not an
-/// allocation.
-impl Wake for TaskMeta {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let TaskPayload::Async(body) = &self.payload else {
-            debug_assert!(false, "task waker attached to a closure task");
-            return;
-        };
-        if body.cell.wake() != WakeOutcome::Enqueue {
-            return;
-        }
-        // This invocation won the handoff and owns re-dispatch.
-        let Some(shared) = body.shared.upgrade() else {
-            return; // runtime torn down; the task is abandoned
-        };
-        shared.parked.fetch_sub(1, Ordering::SeqCst);
-        if let Some(name) = &self.name {
-            let now = shared.now_us();
-            let start = body.parked_at_us.load(Ordering::SeqCst);
-            shared.telemetry.record(TelemetryEvent::Span {
-                track: Track::Run,
-                name: name.clone(),
-                phase: TaskPhase::Parked,
-                start_us: start,
-                dur_us: now.saturating_sub(start),
-                ctx: None,
-            });
-        }
-        shared.pending.fetch_add(1, Ordering::SeqCst);
-        shared.injector.push(Arc::clone(self));
-        shared.sleeper.wake_for(1);
-    }
-}
-
-/// The cells of one datum, in the column indexed by dense data id.
-#[derive(Default)]
-struct DatumCells {
-    /// The version-0 cell, once `set_initial` or a reader of version 0
-    /// needed one. Kept past its supersession so that a late
-    /// `set_initial` still reaches readers registered before the
-    /// writer.
-    initial: Option<Arc<ValueCell>>,
-    /// The column's own reference to the current version's cell —
-    /// what a reader registered now, or a `get`, would consume. `None`
-    /// while that is a version 0 nobody has touched.
-    current: Option<CellRef>,
-}
-
 /// Graph-side state: the access processor, the run over its graph, the
 /// dispatch records of tasks that have not finished, each datum's cells
 /// and the first failure. Guarded by one mutex; the paired condvar
@@ -838,79 +683,11 @@ impl GraphState {
     }
 }
 
-impl DatumCells {
-    /// The column's reference to the current version. A version 0
-    /// nobody has touched gets its (empty) cell here, so that a reader
-    /// registered before `set_initial` is found by it.
-    fn touch(&mut self) -> &CellRef {
-        self.current.get_or_insert_with(|| {
-            let cell = Arc::new(ValueCell::new());
-            self.initial = Some(Arc::clone(&cell));
-            CellRef::Initial(cell)
-        })
-    }
-}
-
 /// Default bounded capacity of stream channels not sized explicitly
 /// via [`LocalRuntime::stream`]. Big enough to decouple bursty
 /// producers, small enough that backpressure engages before memory
 /// does.
 const DEFAULT_STREAM_CAPACITY: usize = 16;
-
-/// Side-queue classes for constraint-blocked ready tasks, keyed by the
-/// scarcest dimension a task competes for.
-const CLASS_CORES: usize = 0;
-const CLASS_MEMORY: usize = 1;
-const CLASS_GPU: usize = 2;
-
-fn resource_class(c: &Constraints) -> usize {
-    if c.required_gpus() > 0 {
-        CLASS_GPU
-    } else if c.required_memory_mb() > 0 || c.required_disk_mb() > 0 {
-        CLASS_MEMORY
-    } else {
-        CLASS_CORES
-    }
-}
-
-/// Resource accounting: the machine's free capacity plus the parked
-/// ready tasks whose constraints exceed it right now. Admission
-/// (check + allocate) and release (+ unblock scan) are each one
-/// critical section, so a release can never slip between a failed
-/// check and the park.
-struct ResourcePool {
-    free: NodeCapacity,
-    blocked: [VecDeque<Arc<TaskMeta>>; 3],
-}
-
-impl ResourcePool {
-    /// Claims resources for `meta`, or parks it and returns `false`.
-    fn try_admit(&mut self, meta: &Arc<TaskMeta>) -> bool {
-        if self.free.satisfies(&meta.constraints) {
-            self.free.allocate(&meta.constraints);
-            true
-        } else {
-            self.blocked[resource_class(&meta.constraints)].push_back(Arc::clone(meta));
-            false
-        }
-    }
-
-    /// Releases a finished task's resources and drains every parked
-    /// task that now fits into `out` for re-injection.
-    fn release_and_unblock(&mut self, done: &Constraints, out: &mut Vec<Arc<TaskMeta>>) {
-        self.free.release(done);
-        for queue in &mut self.blocked {
-            for _ in 0..queue.len() {
-                let m = queue.pop_front().expect("length checked");
-                if self.free.satisfies(&m.constraints) {
-                    out.push(m);
-                } else {
-                    queue.push_back(m);
-                }
-            }
-        }
-    }
-}
 
 struct Shared {
     graph: Mutex<GraphState>,
@@ -1758,17 +1535,6 @@ fn find_task(
         }
         thread::yield_now();
     }
-}
-
-/// Claims resources for the task or parks it in the pool's side
-/// queues (a completing task will re-inject it).
-fn try_admit(shared: &Shared, meta: &Arc<TaskMeta>) -> bool {
-    let _order = lockorder::acquire(RANK_POOL, "pool");
-    let admitted = shared.pool.lock().try_admit(meta);
-    if !admitted {
-        shared.blocked_count.fetch_add(1, Ordering::SeqCst);
-    }
-    admitted
 }
 
 /// Counted sleep with a registered-then-recheck protocol: the sleeper
