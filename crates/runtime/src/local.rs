@@ -73,7 +73,7 @@ use crate::sleeper::CountedSleeper;
 use crate::stream::{PollRecv, PollSend, Side, StreamChannel};
 use crate::task_cell::{ParkOutcome, TaskCell};
 use crate::value_cell::{Slots, Value, ValueCell};
-use admission::{try_admit, ResourcePool};
+use admission::{try_admit, Demand, ResourcePool};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
@@ -85,9 +85,7 @@ use continuum_telemetry::{
 };
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerQueue};
 use parking_lot::{Condvar, Mutex};
-use record::{
-    AsyncBody, AsyncFactory, CellRef, DatumCells, TaskBody, TaskFuture, TaskMeta, TaskPayload,
-};
+use record::{AsyncBody, CellRef, DatumCells, TaskBody, TaskMeta, TaskPayload};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -213,8 +211,8 @@ impl TaskContext {
         TaskContext {
             inputs,
             outputs,
-            stream_outs: meta.stream_outs.iter().map(endpoint).collect(),
-            stream_ins: meta.stream_ins.iter().map(endpoint).collect(),
+            stream_outs: meta.stream_outs().iter().map(endpoint).collect(),
+            stream_ins: meta.stream_ins().iter().map(endpoint).collect(),
             reactor,
         }
     }
@@ -719,8 +717,10 @@ struct Shared {
     /// Set on the first task failure: workers stop claiming work.
     poisoned: AtomicBool,
     shutdown: AtomicBool,
-    /// Static machine capacity; `pool.free + allocated` always equals
-    /// it, which is what makes submit-time admission O(1).
+    /// Static machine capacity, the host's architecture included. Submit
+    /// checks a task's whole constraints against it, once; `pool.free +
+    /// allocated` always equals its countable part, which is what makes
+    /// that check O(1).
     total: NodeCapacity,
     strict_lints: LintMode,
     telemetry: RecorderHandle,
@@ -885,7 +885,8 @@ impl LocalRuntime {
         let worker_count = config.workers.max(1);
         let total = NodeCapacity::new(worker_count as u32, config.memory_mb)
             .with_gpus(config.gpus)
-            .with_software(config.software.clone());
+            .with_software(config.software.clone())
+            .with_arch(std::env::consts::ARCH);
         let queues: Vec<WorkerQueue<Arc<TaskMeta>>> =
             (0..worker_count).map(|_| WorkerQueue::new_lifo()).collect();
         let stealers = queues.iter().map(WorkerQueue::stealer).collect();
@@ -901,7 +902,7 @@ impl LocalRuntime {
             client_cv: Condvar::new(),
             live_values: AtomicUsize::new(0),
             pool: Mutex::new(ResourcePool {
-                free: total.clone(),
+                free: Demand::capacity(&total),
                 blocked: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             }),
             injector: Injector::new(),
@@ -1083,18 +1084,14 @@ impl LocalRuntime {
         F: FnOnce(TaskContext) -> Fut + Send + 'static,
         Fut: Future<Output = TaskContext> + Send + 'static,
     {
-        let factory: AsyncFactory = Box::new(move |ctx| Box::pin(body(ctx)) as TaskFuture);
-        self.submit_inner(
-            spec,
-            constraints,
-            TaskPayload::Async(AsyncBody {
-                cell: TaskCell::new(),
-                factory: Mutex::new(Some(factory)),
-                future: Mutex::new(None),
-                parked_at_us: AtomicU64::new(0),
-                shared: Arc::downgrade(&self.shared),
-            }),
-        )
+        let body: Box<AsyncBody> = Box::new(AsyncBody {
+            cell: TaskCell::new(),
+            future: Mutex::new(None),
+            parked_at_us: AtomicU64::new(0),
+            shared: Arc::downgrade(&self.shared),
+            factory: Mutex::new(Some(body)),
+        });
+        self.submit_inner(spec, constraints, TaskPayload::Async(body))
     }
 
     /// Common submission path behind [`LocalRuntime::submit`] and
@@ -1143,9 +1140,10 @@ impl LocalRuntime {
             .telemetry
             .enabled()
             .then(|| spec.name_label().clone());
-        // Stream params, extracted before `register` consumes the spec.
-        let stream_out_ids: Vec<DataId> = spec.stream_writes().collect();
-        let stream_in_ids: Vec<DataId> = spec.stream_reads().collect();
+        // Stream params, writers first, extracted before `register`
+        // consumes the spec.
+        let writers = spec.stream_writes().count();
+        let stream_ids: Vec<DataId> = spec.stream_writes().chain(spec.stream_reads()).collect();
         let mut ready_meta = None;
         let mut warn_findings = Vec::new();
         let id;
@@ -1179,16 +1177,12 @@ impl LocalRuntime {
                 warn_findings = findings;
             }
             id = g.register(spec)?;
-            let stream_outs: Vec<Arc<StreamChannel>> = stream_out_ids
-                .iter()
-                .map(|d| g.stream_channel(*d))
-                .collect();
-            let stream_ins: Vec<Arc<StreamChannel>> =
-                stream_in_ids.iter().map(|d| g.stream_channel(*d)).collect();
+            let streams: Box<[Arc<StreamChannel>]> =
+                stream_ids.iter().map(|d| g.stream_channel(*d)).collect();
             // Count this producer as an open writer until its body
             // finishes — readers see end-of-stream only after every
             // registered producer is done.
-            for chan in &stream_outs {
+            for chan in &streams[..writers] {
                 chan.register_writer();
             }
             g.size_cells();
@@ -1212,11 +1206,11 @@ impl LocalRuntime {
             let meta = Arc::new(TaskMeta {
                 id,
                 name: submitted_name.clone(),
-                constraints,
+                demand: Demand::of(&constraints),
                 inputs: Mutex::new(inputs),
                 outputs: Slots::collect(node.produced().iter().map(|_| ValueCell::new())),
-                stream_outs,
-                stream_ins,
+                streams,
+                writers: writers as u32,
                 streams_released: AtomicBool::new(false),
                 inflight_reserved: AtomicBool::new(false),
                 payload,
@@ -1418,7 +1412,7 @@ impl Drop for LocalRuntime {
             let g = self.shared.graph.lock();
             for meta in g.metas.iter().flatten() {
                 if let TaskPayload::Async(abody) = &meta.payload {
-                    *abody.factory.lock() = None;
+                    abody.factory.discard();
                     *abody.future.lock() = None;
                 }
                 *meta.inputs.lock() = Slots::None;
@@ -1633,7 +1627,7 @@ fn execute_closure(
     // Writer close: whether the body committed, failed or never sent,
     // this producer is done — once every producer of a channel has
     // closed, drained readers observe end-of-stream.
-    for chan in &meta.stream_outs {
+    for chan in meta.stream_outs() {
         chan.writer_done();
     }
     let end_us = shared.stamp_us(meta);
@@ -1715,18 +1709,13 @@ fn poll_async(
             }
             let reactor = Some(shared.reactor_inner());
             let ctx = TaskContext::for_task(shared, meta, worker, Vec::new(), Vec::new(), reactor);
-            let factory = abody
-                .factory
-                .lock()
-                .take()
-                .expect("async body constructed once");
-            match catch_unwind(AssertUnwindSafe(move || factory(ctx))) {
+            match catch_unwind(AssertUnwindSafe(|| abody.factory.start(ctx))) {
                 Ok(fut) => fut,
                 Err(payload) => {
                     // The factory (the synchronous prefix of an async
                     // fn) panicked before producing a future.
                     abody.cell.complete();
-                    for chan in &meta.stream_outs {
+                    for chan in meta.stream_outs() {
                         chan.writer_done();
                     }
                     let end_us = shared.stamp_us(meta);
@@ -1744,7 +1733,7 @@ fn poll_async(
         match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
             Err(payload) => {
                 abody.cell.complete();
-                for chan in &meta.stream_outs {
+                for chan in meta.stream_outs() {
                     chan.writer_done();
                 }
                 // The failed body's context holds input values: gone
@@ -1757,7 +1746,7 @@ fn poll_async(
             }
             Ok(Poll::Ready(mut ctx)) => {
                 abody.cell.complete();
-                for chan in &meta.stream_outs {
+                for chan in meta.stream_outs() {
                     chan.writer_done();
                 }
                 let end_us = shared.stamp_us(meta);
@@ -1804,7 +1793,7 @@ fn poll_async(
                             shared
                                 .pool
                                 .lock()
-                                .release_and_unblock(&meta.constraints, &mut s.unblocked);
+                                .release_and_unblock(&meta.demand, &mut s.unblocked);
                         }
                         if !s.unblocked.is_empty() {
                             shared
@@ -1907,7 +1896,7 @@ fn commit_task(
         shared
             .pool
             .lock()
-            .release_and_unblock(&meta.constraints, &mut s.unblocked);
+            .release_and_unblock(&meta.demand, &mut s.unblocked);
     }
     if !s.unblocked.is_empty() {
         shared

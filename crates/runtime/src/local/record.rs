@@ -1,13 +1,19 @@
 //! The task record: what the dispatch queues carry, what an async
 //! task's waker is, and the references that keep a version's cell
 //! readable.
+//!
+//! A record is alive from submission until its task committed and no
+//! reader or column references one of its output cells — at the end of
+//! a task storm, one per datum. So every field is paid for by every
+//! task, and a field only some tasks use (streams, an async body) costs
+//! the others no more than an empty pointer: DESIGN §9.1 prices each.
 
+use super::admission::Demand;
 use super::{Shared, TaskContext};
 use crate::stream::StreamChannel;
 use crate::task_cell::{TaskCell, WakeOutcome};
 use crate::value_cell::{Slots, ValueCell};
 use continuum_dag::{Label, TaskId};
-use continuum_platform::Constraints;
 use continuum_telemetry::{Event as TelemetryEvent, TaskPhase, Track};
 use parking_lot::Mutex;
 use std::future::Future;
@@ -51,10 +57,6 @@ pub(super) type TaskBody = Box<dyn FnOnce(&mut TaskContext) + Send>;
 /// A pinned, type-erased async task body between polls.
 pub(super) type TaskFuture = Pin<Box<dyn Future<Output = TaskContext> + Send>>;
 
-/// Deferred constructor of an async body: runs on the first poll, once
-/// the inputs have been resolved into a [`TaskContext`].
-pub(super) type AsyncFactory = Box<dyn FnOnce(TaskContext) -> TaskFuture + Send>;
-
 /// The executable payload of a task: a run-to-completion closure or a
 /// poll-based async body with its park/wake cell.
 pub(super) enum TaskPayload {
@@ -62,19 +64,20 @@ pub(super) enum TaskPayload {
     /// Its dispatch path is byte-identical to the pre-async executor.
     Closure(Mutex<Option<TaskBody>>),
     /// Async API ([`LocalRuntime::submit_async`]): polled on whichever
-    /// worker claims it; parks on `Poll::Pending`.
-    Async(AsyncBody),
+    /// worker claims it; parks on `Poll::Pending`. Boxed, so a closure
+    /// task's record pays a pointer for it, not the body.
+    Async(Box<AsyncBody>),
 }
 
-/// State of one async task body between polls. The mutexes are
-/// uncontended by construction — exactly one worker owns a claimed
-/// task, and the cell's CAS handshake serializes ownership handoffs —
-/// so they exist only to satisfy `Sync`, not to arbitrate.
-pub(super) struct AsyncBody {
+/// State of one async task body between polls, with the user's factory
+/// inline as its tail: built as `AsyncBody<Mutex<Option<F>>>` and
+/// carried as `Box<AsyncBody<dyn Start>>` — one block for both. The
+/// mutexes are uncontended by construction — exactly one worker owns a
+/// claimed task, and the cell's CAS handshake serializes ownership
+/// handoffs — so they exist only to satisfy `Sync`, not to arbitrate.
+pub(super) struct AsyncBody<S: ?Sized = dyn Start> {
     /// Park/wake handshake (see [`crate::task_cell`]).
     pub(super) cell: TaskCell,
-    /// Builds the future at first poll. Consumed exactly once.
-    pub(super) factory: Mutex<Option<AsyncFactory>>,
     /// The future between polls: `Some` exactly while the task is
     /// parked or re-queued after its first poll.
     pub(super) future: Mutex<Option<TaskFuture>>,
@@ -86,6 +89,40 @@ pub(super) struct AsyncBody {
     /// waiter queue) can neither keep the executor alive nor form an
     /// `Arc` cycle through it.
     pub(super) shared: Weak<Shared>,
+    /// Builds the future at first poll. Consumed exactly once.
+    pub(super) factory: S,
+}
+
+/// The erased factory of an [`AsyncBody`]: a deferred constructor that
+/// runs on the first poll, once the inputs have been resolved into a
+/// [`TaskContext`].
+pub(super) trait Start: Send + Sync {
+    /// Takes the factory and builds the future.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice, or where the factory itself panics.
+    fn start(&self, ctx: TaskContext) -> TaskFuture;
+
+    /// Drops the factory unrun, if it has not run.
+    fn discard(&self);
+}
+
+impl<F, Fut> Start for Mutex<Option<F>>
+where
+    F: FnOnce(TaskContext) -> Fut + Send,
+    Fut: Future<Output = TaskContext> + Send + 'static,
+{
+    fn start(&self, ctx: TaskContext) -> TaskFuture {
+        // The guard is gone before the factory runs, so its panic
+        // leaves the mutex clean.
+        let factory = self.lock().take().expect("async body constructed once");
+        Box::pin(factory(ctx))
+    }
+
+    fn discard(&self) {
+        *self.lock() = None;
+    }
 }
 
 /// Everything a worker needs to run a task, carried through the
@@ -95,7 +132,9 @@ pub(super) struct TaskMeta {
     pub(super) id: TaskId,
     /// Task name for telemetry; `None` when telemetry is disabled.
     pub(super) name: Option<Label>,
-    pub(super) constraints: Constraints,
+    /// What admission counts; the rest of the task's constraints was
+    /// checked at submit.
+    pub(super) demand: Demand,
     /// The cells this task reads, in declaration order: resolved to
     /// values at dispatch and released at commit or failure — which
     /// also lets go of the producers' records, so a version chain
@@ -104,13 +143,14 @@ pub(super) struct TaskMeta {
     /// One cell per written parameter, in declaration order, reached
     /// through [`CellRef::Output`].
     pub(super) outputs: Slots<ValueCell>,
-    /// Channels behind the spec's `stream_out` params, in declaration
-    /// order. This task is a registered writer of each until its body
-    /// finishes.
-    pub(super) stream_outs: Vec<Arc<StreamChannel>>,
-    /// Channels behind the spec's `stream_in` params, in declaration
-    /// order.
-    pub(super) stream_ins: Vec<Arc<StreamChannel>>,
+    /// Channels behind the spec's stream params: the first `writers`
+    /// are its `stream_out` ones, the rest its `stream_in` ones, each
+    /// in declaration order. Empty, with no heap block, for a task
+    /// without streams.
+    pub(super) streams: Box<[Arc<StreamChannel>]>,
+    /// How many of `streams` this task writes; it is a registered
+    /// writer of each until its body finishes.
+    pub(super) writers: u32,
     /// Whether this producer's first element already released its
     /// stream consumers (checked lock-free on every send).
     pub(super) streams_released: AtomicBool,
@@ -120,6 +160,18 @@ pub(super) struct TaskMeta {
     /// touches it.
     pub(super) inflight_reserved: AtomicBool,
     pub(super) payload: TaskPayload,
+}
+
+impl TaskMeta {
+    /// Channels behind the spec's `stream_out` params.
+    pub(super) fn stream_outs(&self) -> &[Arc<StreamChannel>] {
+        &self.streams[..self.writers as usize]
+    }
+
+    /// Channels behind the spec's `stream_in` params.
+    pub(super) fn stream_ins(&self) -> &[Arc<StreamChannel>] {
+        &self.streams[self.writers as usize..]
+    }
 }
 
 /// An async task's meta *is* its waker — the wake half of the
@@ -186,5 +238,28 @@ impl DatumCells {
             self.initial = Some(Arc::clone(&cell));
             CellRef::Initial(cell)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn task_record_stays_on_budget() {
+        // Every record of a task storm is alive at its heap peak, so a
+        // byte here is a byte per task; DESIGN §9.1 prices the fields.
+        assert_eq!(size_of::<Demand>(), 24);
+        assert!(
+            size_of::<TaskPayload>() <= 32,
+            "payload is {} B",
+            size_of::<TaskPayload>()
+        );
+        assert!(
+            size_of::<TaskMeta>() <= 184,
+            "record is {} B",
+            size_of::<TaskMeta>()
+        );
     }
 }

@@ -37,9 +37,9 @@ GROUPS = [
     # question there is what the locking costs, not who asked for it.
     ("futex lock/unlock (in-binary side)", r"sys::sync::mutex|sys::pal::unix::futex|Mutex<.*>::(lock|try_lock)|MutexGuard|Condvar"),
     ("clock", r"Instant::now|Instant::elapsed|Timespec|clock_gettime|now_us"),
-    ("value cells/liveness", r"value_cell::|CellRef|DatumCells|publish_outputs|Shared::release|local::(Value|Live)\w+|local::GraphState::"),
+    ("value cells/liveness", r"value_cell::|local::record::|CellRef|DatumCells|publish_outputs|Shared::release|local::(Value|Live)\w+|local::GraphState::"),
     ("access processor + graph", r"dag::access::|dag::graph::|dag::ready::|dag::spec::|dag::inline_vec::|dag::seg_vec::"),
-    ("dispatch queues", r"crossbeam::deque|sleeper::|find_task|wake_workers|inject_ready|ResourcePool|try_admit"),
+    ("dispatch queues", r"crossbeam::deque|sleeper::|find_task|wake_workers|inject_ready|local::admission::|ResourcePool|Demand|try_admit"),
     ("placement (scheduler, can_host, satisfies)", r"scheduler::|can_host|NodeCapacity::satisfies|is_subset"),
     ("event queue", r"queue::|BinaryHeap"),
     ("dislib kernels", r"dislib::"),
