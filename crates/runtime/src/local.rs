@@ -64,32 +64,33 @@
 //!   original dispatch path bit-for-bit.
 
 mod admission;
+mod dispatch;
 mod record;
 
 use crate::error::RuntimeError;
-use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
+use crate::lockorder::{self, RANK_GRAPH};
 use crate::reactor::{Reactor, ReactorInner, Sleep};
 use crate::sleeper::CountedSleeper;
 use crate::stream::{PollRecv, PollSend, Side, StreamChannel};
-use crate::task_cell::{ParkOutcome, TaskCell};
+use crate::task_cell::TaskCell;
 use crate::value_cell::{Slots, Value, ValueCell};
-use admission::{try_admit, Demand, ResourcePool};
+use admission::{Demand, ResourcePool};
 use continuum_analyze::{
     check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
 };
 use continuum_dag::{AccessProcessor, DagError, DataId, GraphRun, TaskId, TaskSpec, TaskState};
-use continuum_platform::sync::{self, panic_message};
+use continuum_platform::sync;
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
 };
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerQueue};
+use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
+use dispatch::{missing_input_placeholder, release_stream_successors, worker_loop};
 use parking_lot::{Condvar, Mutex};
-use record::{AsyncBody, CellRef, DatumCells, TaskBody, TaskMeta, TaskPayload};
+use record::{AsyncBody, CellRef, DatumCells, TaskMeta, TaskPayload};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -1455,522 +1456,6 @@ impl Drop for LocalRuntime {
             });
         }
     }
-}
-
-/// Per-worker pooled buffers, reused across tasks so steady-state
-/// dispatch performs no heap allocation of its own.
-#[derive(Default)]
-struct Scratch {
-    inputs: Vec<Value>,
-    outputs: Vec<Option<Value>>,
-    ready_ids: Vec<TaskId>,
-    ready: Vec<Arc<TaskMeta>>,
-    unblocked: Vec<Arc<TaskMeta>>,
-}
-
-fn worker_loop(shared: &Arc<Shared>, queue: &WorkerQueue<Arc<TaskMeta>>, worker: u32) {
-    let mut scratch = Scratch::default();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if shared.poisoned.load(Ordering::SeqCst) {
-            // Poisoned: stop claiming work; sleep until shutdown.
-            park_poisoned(shared);
-            continue;
-        }
-        shared.sleeper.begin_search();
-        let found = find_task(shared, queue, worker);
-        shared.sleeper.end_search();
-        match found {
-            Some(meta) => {
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
-                if !meta.inflight_reserved.load(Ordering::SeqCst) {
-                    shared.note_inflight_start(&meta);
-                }
-                if !try_admit(shared, &meta) {
-                    continue;
-                }
-                shared.running.fetch_add(1, Ordering::SeqCst);
-                execute(shared, queue, &meta, worker, &mut scratch);
-            }
-            None => sleep(shared),
-        }
-    }
-}
-
-/// Own deque first (newest-first: dependency chains stay hot), then a
-/// batch from the global injector, then batch-steal from siblings.
-fn find_task(
-    shared: &Shared,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
-    worker: u32,
-) -> Option<Arc<TaskMeta>> {
-    if let Some(meta) = queue.pop() {
-        return Some(meta);
-    }
-    loop {
-        let mut retry = false;
-        match shared.injector.steal_batch_and_pop(queue) {
-            Steal::Success(meta) => return Some(meta),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
-        }
-        let n = shared.stealers.len();
-        for i in 1..n {
-            match shared.stealers[(worker as usize + i) % n].steal_batch_and_pop(queue) {
-                Steal::Success(meta) => return Some(meta),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-        thread::yield_now();
-    }
-}
-
-/// Counted sleep with a registered-then-recheck protocol: the sleeper
-/// count rises *before* the `pending` re-check, and producers raise
-/// `pending` *before* reading the sleeper count, so one side always
-/// sees the other (no lost wakeup). The protocol itself lives in
-/// [`CountedSleeper`]; this supplies the executor's work predicate.
-fn sleep(shared: &Shared) {
-    shared.sleeper.sleep_unless(|| {
-        shared.pending.load(Ordering::SeqCst) != 0
-            || shared.shutdown.load(Ordering::SeqCst)
-            || shared.poisoned.load(Ordering::SeqCst)
-    });
-}
-
-/// After a failure the run is poisoned: workers park here (without
-/// claiming tasks) until shutdown.
-fn park_poisoned(shared: &Shared) {
-    shared
-        .sleeper
-        .sleep_until_notified(|| shared.shutdown.load(Ordering::SeqCst));
-}
-
-/// Releases the stream successors of `meta` (its consumers become
-/// dispatchable) on the producer's first sent element. Idempotent, and
-/// one shared load after the first call; called from
-/// [`StreamWriter::send`] *before* the potentially-blocking push, so
-/// consumers are queued before backpressure can park their producer.
-fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
-    if meta.streams_released.load(Ordering::Acquire)
-        || meta.streams_released.swap(true, Ordering::AcqRel)
-    {
-        return;
-    }
-    let mut ready: Vec<Arc<TaskMeta>> = Vec::new();
-    {
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let g = &mut *shared.graph.lock();
-        let mut ids = Vec::new();
-        if g.run
-            .stream_release_into(g.ap.graph(), meta.id, &mut ids)
-            .is_ok()
-        {
-            for id in &ids {
-                ready.push(Arc::clone(g.meta(*id)));
-            }
-        }
-    }
-    shared.inject_ready(&mut ready);
-}
-
-/// Runs one claimed, admitted task: the closure path executes the body
-/// to completion on this worker; the async path polls it, parking on
-/// `Poll::Pending`.
-fn execute(
-    shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
-    meta: &Arc<TaskMeta>,
-    worker: u32,
-    s: &mut Scratch,
-) {
-    match &meta.payload {
-        TaskPayload::Closure(body) => execute_closure(shared, queue, meta, body, worker, s),
-        TaskPayload::Async(abody) => poll_async(shared, queue, meta, abody, worker, s),
-    }
-}
-
-fn execute_closure(
-    shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
-    meta: &Arc<TaskMeta>,
-    body: &Mutex<Option<TaskBody>>,
-    worker: u32,
-    s: &mut Scratch,
-) {
-    let body = body.lock().take().expect("task body runs once");
-    if let Some(name) = &meta.name {
-        shared.telemetry.record(TelemetryEvent::Instant {
-            track: Track::Worker(worker),
-            name: name.clone(),
-            phase: TaskPhase::Scheduled,
-            at_us: shared.now_us(),
-        });
-    }
-    let start_us = shared.stamp_us(meta);
-    // The scratch buffers come back cleared (below).
-    let (inputs, outputs) = (
-        std::mem::take(&mut s.inputs),
-        std::mem::take(&mut s.outputs),
-    );
-    let mut ctx = TaskContext::for_task(shared, meta, worker, inputs, outputs, None);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let body = body;
-        body(&mut ctx);
-    }));
-    // Writer close: whether the body committed, failed or never sent,
-    // this producer is done — once every producer of a channel has
-    // closed, drained readers observe end-of-stream.
-    for chan in meta.stream_outs() {
-        chan.writer_done();
-    }
-    let end_us = shared.stamp_us(meta);
-
-    let failure_message = match &result {
-        Ok(()) => ctx
-            .outputs
-            .iter()
-            .position(Option::is_none)
-            .map(|i| format!("task body did not set output {i}")),
-        Err(payload) => Some(panic_message(payload.as_ref())),
-    };
-    if failure_message.is_none() {
-        shared.publish_outputs(meta, &mut ctx.outputs);
-    }
-    // Recycle the context buffers into the worker's scratch.
-    let TaskContext {
-        mut inputs,
-        mut outputs,
-        stream_outs: _,
-        stream_ins: _,
-        reactor: _,
-    } = ctx;
-    inputs.clear();
-    outputs.clear();
-    s.inputs = inputs;
-    s.outputs = outputs;
-
-    commit_task(
-        shared,
-        queue,
-        meta,
-        worker,
-        failure_message,
-        start_us,
-        end_us,
-        s,
-    );
-}
-
-/// Polls an async task body on the claiming worker. The first dispatch
-/// resolves inputs and builds the future; `Poll::Pending` parks the
-/// task, freeing the worker *and* the task's admitted resources (a
-/// default task holds one core — without the release, parked
-/// concurrency would cap at the worker count); `Poll::Ready` commits
-/// exactly like a finished closure.
-fn poll_async(
-    shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
-    meta: &Arc<TaskMeta>,
-    abody: &AsyncBody,
-    worker: u32,
-    s: &mut Scratch,
-) {
-    abody.cell.claim();
-    let resumed = abody.future.lock().take();
-    let mut fut = match resumed {
-        Some(fut) => fut,
-        None => {
-            // First dispatch: move the task to Running now. It may park
-            // and later fail or complete from a different worker; the
-            // run must already reflect that it started.
-            {
-                let _order = lockorder::acquire(RANK_GRAPH, "graph");
-                shared
-                    .graph
-                    .lock()
-                    .run
-                    .ensure_running(meta.id)
-                    .expect("claimed task was ready");
-            }
-            if let Some(name) = &meta.name {
-                shared.telemetry.record(TelemetryEvent::Instant {
-                    track: Track::Worker(worker),
-                    name: name.clone(),
-                    phase: TaskPhase::Scheduled,
-                    at_us: shared.now_us(),
-                });
-            }
-            let reactor = Some(shared.reactor_inner());
-            let ctx = TaskContext::for_task(shared, meta, worker, Vec::new(), Vec::new(), reactor);
-            match catch_unwind(AssertUnwindSafe(|| abody.factory.start(ctx))) {
-                Ok(fut) => fut,
-                Err(payload) => {
-                    // The factory (the synchronous prefix of an async
-                    // fn) panicked before producing a future.
-                    abody.cell.complete();
-                    for chan in meta.stream_outs() {
-                        chan.writer_done();
-                    }
-                    let end_us = shared.stamp_us(meta);
-                    let message = Some(panic_message(payload.as_ref()));
-                    commit_task(shared, queue, meta, worker, message, end_us, end_us, s);
-                    return;
-                }
-            }
-        }
-    };
-    let start_us = shared.stamp_us(meta);
-    let waker = Waker::from(Arc::clone(meta));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
-            Err(payload) => {
-                abody.cell.complete();
-                for chan in meta.stream_outs() {
-                    chan.writer_done();
-                }
-                // The failed body's context holds input values: gone
-                // before the commit, like a finished one's.
-                drop(fut);
-                let end_us = shared.stamp_us(meta);
-                let message = Some(panic_message(payload.as_ref()));
-                commit_task(shared, queue, meta, worker, message, start_us, end_us, s);
-                return;
-            }
-            Ok(Poll::Ready(mut ctx)) => {
-                abody.cell.complete();
-                for chan in meta.stream_outs() {
-                    chan.writer_done();
-                }
-                let end_us = shared.stamp_us(meta);
-                let failure_message = ctx
-                    .outputs
-                    .iter()
-                    .position(Option::is_none)
-                    .map(|i| format!("task body did not set output {i}"));
-                if failure_message.is_none() {
-                    shared.publish_outputs(meta, &mut ctx.outputs);
-                }
-                drop(ctx);
-                commit_task(
-                    shared,
-                    queue,
-                    meta,
-                    worker,
-                    failure_message,
-                    start_us,
-                    end_us,
-                    s,
-                );
-                return;
-            }
-            Ok(Poll::Pending) => {
-                // Store the future back BEFORE the park CAS: the moment
-                // the CAS lands, a concurrent wake may re-queue the
-                // task and another worker may resume it.
-                *abody.future.lock() = Some(fut);
-                abody
-                    .parked_at_us
-                    .store(shared.stamp_us(meta), Ordering::SeqCst);
-                shared.parked.fetch_add(1, Ordering::SeqCst);
-                match abody.cell.try_park() {
-                    ParkOutcome::Parked => {
-                        // The task now costs one stored future. Free
-                        // the worker and release its admitted
-                        // resources; the resume path re-admits through
-                        // `try_admit` like any claimed task.
-                        shared.running.fetch_sub(1, Ordering::SeqCst);
-                        s.unblocked.clear();
-                        {
-                            let _order = lockorder::acquire(RANK_POOL, "pool");
-                            shared
-                                .pool
-                                .lock()
-                                .release_and_unblock(&meta.demand, &mut s.unblocked);
-                        }
-                        if !s.unblocked.is_empty() {
-                            shared
-                                .blocked_count
-                                .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
-                        }
-                        shared.inject_ready(&mut s.unblocked);
-                        // A waiter in `wait_all` watching a failed run
-                        // drain needs the `running` transition.
-                        shared.notify_clients();
-                        return;
-                    }
-                    ParkOutcome::MustRepoll => {
-                        // Readiness raced the park: take the future
-                        // back and re-poll inline. Re-queueing instead
-                        // would re-enter admission and double-allocate
-                        // the task's resources.
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                        fut = abody
-                            .future
-                            .lock()
-                            .take()
-                            .expect("repolling owner retains the future");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Commits a finished task body — shared tail of the closure and async
-/// paths: graph transition, value liveness, resource release, in-flight
-/// count, dispatch of newly-runnable work, telemetry and client
-/// wakeup. `failure_message == None` means the outputs are already
-/// published.
-#[allow(clippy::too_many_arguments)]
-fn commit_task(
-    shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
-    meta: &Arc<TaskMeta>,
-    worker: u32,
-    failure_message: Option<String>,
-    start_us: u64,
-    end_us: u64,
-    s: &mut Scratch,
-) {
-    let committed = failure_message.is_none();
-    // -- inputs ---------------------------------------------------------
-    // Released before the graph commit, so that whoever sees the task
-    // finished (`wait_all`) also sees the values only it was keeping
-    // freed. Dropping the references lets go of the producers' records.
-    let inputs = std::mem::take(&mut *meta.inputs.lock());
-    inputs.into_each(|input| shared.release(input));
-
-    // -- graph commit ---------------------------------------------------
-    s.ready_ids.clear();
-    s.ready.clear();
-    {
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let g = &mut *shared.graph.lock();
-        match failure_message {
-            None => {
-                g.run
-                    .complete_into(g.ap.graph(), meta.id, &mut s.ready_ids)
-                    .expect("claimed task can complete");
-                for id in &s.ready_ids {
-                    s.ready.push(Arc::clone(g.meta(*id)));
-                }
-            }
-            Some(message) => {
-                // Closure tasks arrive here still `Ready`; async tasks
-                // moved to `Running` at first dispatch.
-                g.run
-                    .ensure_running(meta.id)
-                    .expect("claimed task was ready or running");
-                g.run.mark_failed(meta.id).expect("running task can fail");
-                if g.failure.is_none() {
-                    g.failure = Some((meta.id, message));
-                }
-                shared.poisoned.store(true, Ordering::SeqCst);
-                // Wake every stream endpoint blocked in a running task
-                // body, or `wait_all` would hang on `running > 0`.
-                // Channel locks are leaves above the graph lock.
-                for chan in g.channels.values() {
-                    chan.force_close();
-                }
-            }
-        }
-        // The graph is done with this record; from here it lives as
-        // long as a reader or the column references one of its cells.
-        // (The caller holds a clone: nothing is dropped under the lock.)
-        g.metas[meta.id.index()] = None;
-        shared.running.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    // -- resources: release, then re-inject unparked tasks --------------
-    s.unblocked.clear();
-    {
-        let _order = lockorder::acquire(RANK_POOL, "pool");
-        shared
-            .pool
-            .lock()
-            .release_and_unblock(&meta.demand, &mut s.unblocked);
-    }
-    if !s.unblocked.is_empty() {
-        shared
-            .blocked_count
-            .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
-    }
-    shared.inflight.fetch_sub(1, Ordering::Relaxed);
-
-    // -- dispatch -------------------------------------------------------
-    // Newly-ready successors go onto this worker's own deque (it will
-    // pop one next, LIFO, cache-hot); everything beyond that one, plus
-    // the unparked tasks, warrants a wakeup.
-    let newly = s.ready.len();
-    let mut wake = s.unblocked.len();
-    if newly > 0 {
-        shared.pending.fetch_add(newly, Ordering::SeqCst);
-        for m in s.ready.drain(..) {
-            queue.push(m);
-        }
-        wake += newly - 1;
-    }
-    shared.inject_ready(&mut s.unblocked);
-    shared.sleeper.wake_for(wake);
-
-    // -- telemetry ------------------------------------------------------
-    if let Some(name) = &meta.name {
-        let track = Track::Worker(worker);
-        // Child context per executed task; the atomic sequence keeps
-        // ids distinct across concurrent workers.
-        let ctx = shared.trace_context.map(|c| {
-            c.child(
-                c.agent_id,
-                shared.span_seq.fetch_add(1, Ordering::Relaxed) + 1,
-            )
-        });
-        shared.telemetry.record(TelemetryEvent::Span {
-            track,
-            name: name.clone(),
-            phase: TaskPhase::Executing,
-            start_us,
-            dur_us: end_us.saturating_sub(start_us),
-            ctx,
-        });
-        shared.telemetry.record(TelemetryEvent::Instant {
-            track,
-            name: name.clone(),
-            phase: if committed {
-                TaskPhase::Committed
-            } else {
-                TaskPhase::Failed
-            },
-            at_us: end_us,
-        });
-        shared.telemetry.record(TelemetryEvent::Counter {
-            key: CounterKey::RunningTasks,
-            at_us: end_us,
-            value: shared.running.load(Ordering::SeqCst) as f64,
-        });
-        shared.telemetry.record(TelemetryEvent::Counter {
-            key: CounterKey::QueueDepth,
-            at_us: end_us,
-            value: (shared.pending.load(Ordering::SeqCst)
-                + shared.blocked_count.load(Ordering::SeqCst)) as f64,
-        });
-    }
-    shared.notify_clients();
-}
-
-/// Placeholder for inputs whose value is missing (initial data never
-/// set). Task bodies that touch it fail with a type error, which the
-/// runtime reports as a task failure.
-fn missing_input_placeholder() -> Value {
-    struct MissingInput;
-    Arc::new(MissingInput)
 }
 
 #[cfg(test)]
