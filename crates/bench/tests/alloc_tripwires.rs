@@ -10,7 +10,7 @@
 mod workloads;
 
 use continuum_bench::alloc::{allocations, CountingAllocator};
-use continuum_dag::SEGMENT_SLOTS;
+use continuum_dag::{AccessProcessor, TaskSpec, SEGMENT_SLOTS};
 use continuum_dislib::{DistMatrix, KMeans};
 use continuum_platform::presets::hybrid_hpc_cloud;
 use continuum_runtime::{ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
@@ -54,6 +54,12 @@ const MAX_KMEANS_ALLOCS_PER_TASK: f64 = 16.0;
 /// task, or a name copied into each of a task's half-dozen events,
 /// lands well above it.
 const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 7.0;
+
+/// Heap allocations per 16-input merge `AccessProcessor::register`
+/// makes, on average: its consumed-value and predecessor lists, sized
+/// once, plus the graph's and catalog's segment growth amortized over
+/// the run. Growing each list from its inline slot costs six.
+const MAX_FAN_IN_ALLOCS_PER_MERGE: f64 = 2.1;
 
 /// … and of the lint step alone: the verifier's tables are a few dozen
 /// allocations whatever the task count. Cloning the graph to verify it
@@ -122,6 +128,34 @@ fn hot_paths_do_not_allocate_per_unit() {
     assert!(
         lint_per_task <= MAX_LINT_ALLOCS_PER_TASK,
         "lint allocates {lint_per_task:.2} times per task, limit {MAX_LINT_ALLOCS_PER_TASK}"
+    );
+
+    // Fan-in: sixteen leaves, each writing a datum, then one merge
+    // reading them all; only the merge's registration is counted.
+    const FAN_IN: usize = 16;
+    const MERGES: usize = 200;
+    let mut ap = AccessProcessor::new();
+    let mut registering = 0;
+    for round in 0..MERGES {
+        let parts: Vec<_> = (0..FAN_IN)
+            .map(|i| ap.new_data_fmt(format_args!("r{round}_{i}")))
+            .collect();
+        for part in &parts {
+            ap.register(TaskSpec::new("leaf").output(*part))
+                .expect("leaf registers");
+        }
+        let merged = ap.new_data_fmt(format_args!("m{round}"));
+        let spec = TaskSpec::new("merge")
+            .inputs(parts.iter().copied())
+            .output(merged);
+        let (_, allocations) = count(|| ap.register(spec).expect("merge registers"));
+        registering += allocations;
+    }
+    let per_merge = registering as f64 / MERGES as f64;
+    assert!(
+        per_merge <= MAX_FAN_IN_ALLOCS_PER_MERGE,
+        "registering a {FAN_IN}-input merge allocates {per_merge:.2} times, \
+         limit {MAX_FAN_IN_ALLOCS_PER_MERGE}"
     );
 
     let rt = LocalRuntime::new(LocalConfig::with_workers(1));

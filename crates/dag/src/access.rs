@@ -364,9 +364,12 @@ impl AccessProcessor {
         self.validate_accesses(&spec)?;
 
         let id = self.graph.next_task_id();
-        let mut preds = InlineVec::new();
+        // Sized for every read up front: a 16-way merge then allocates
+        // each list once instead of growing it 1 → 4 → 8 → 16.
+        let reads = spec.params().iter().filter(|p| p.direction.reads()).count();
+        let mut preds = InlineVec::with_capacity(reads);
         let mut stream_preds = InlineVec::new();
-        let mut consumed = InlineVec::new();
+        let mut consumed = InlineVec::with_capacity(reads);
         let mut produced = InlineVec::new();
 
         for param in spec.params() {

@@ -40,6 +40,17 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// Creates an empty vector with room for `capacity` elements: inline
+    /// up to `N`, one heap block of exactly that size beyond, so filling
+    /// it allocates once instead of doubling from the inline slots.
+    pub fn with_capacity(capacity: usize) -> Self {
+        if capacity <= N {
+            Self::new()
+        } else {
+            InlineVec::Heap(Vec::with_capacity(capacity))
+        }
+    }
+
     /// The live elements.
     pub fn as_slice(&self) -> &[T] {
         match self {
@@ -281,6 +292,21 @@ mod tests {
         v.push(13);
         assert_eq!(v.len(), 4);
         assert_eq!(v.iter().sum::<u32>(), 40);
+    }
+
+    #[test]
+    fn with_capacity_spills_only_past_the_inline_slots() {
+        let mut v = V2::with_capacity(2);
+        assert!(!v.spilled());
+        let mut wide = V2::with_capacity(16);
+        assert!(wide.spilled() && wide.is_empty());
+        wide.extend(0..16u32);
+        let InlineVec::Heap(block) = &wide else {
+            unreachable!("spilled above");
+        };
+        assert_eq!(block.capacity(), 16, "no regrowth while filling");
+        v.extend(0..2u32);
+        assert_eq!(v, [0u32, 1].into_iter().collect());
     }
 
     #[test]

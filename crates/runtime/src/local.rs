@@ -13,9 +13,10 @@
 //! (see `DESIGN.md` §9 and `crates/bench/tests/local_storm.rs`):
 //!
 //! * **Work-stealing dispatch** — every worker owns a LIFO deque of
-//!   ready tasks; submissions land in a global injector, and newly
-//!   readied successors go straight onto the committing worker's own
-//!   deque (dependency chains stay on one thread, hot in cache). Idle
+//!   ready tasks; submissions land in a global injector. The last
+//!   successor a commit readies is handed to the committing worker,
+//!   which runs it next without a queue (dependency chains stay on one
+//!   thread, hot in cache); the others go onto its own deque. Idle
 //!   workers batch-steal from the injector first, then from siblings.
 //! * **Split synchronization** — the graph/access-processor state and
 //!   the resource accounting are guarded separately, and values live
@@ -31,9 +32,10 @@
 //!   re-injected when a completing task releases capacity.
 //! * **Bounded memory** — a value lives exactly as long as something
 //!   can read it: its cell counts a reference while it is its datum's
-//!   current version, one per registered reader until that commits and
-//!   one per `get` in progress; the last release drops the value, and a
-//!   committed task lets go of its inputs and its own record. A
+//!   current version, one per registered reader until that starts and
+//!   one per `get` in progress; the last release drops the value, a
+//!   started task lets go of its inputs and a committed one of its own
+//!   record. A
 //!   10 000-step `InOut` chain holds O(1) values and records, not O(n).
 //! * **Targeted wakeups** — dispatch uses a counted sleep protocol
 //!   with `notify_one` per unit of new work (skipped entirely while a
@@ -85,9 +87,9 @@ use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
 };
 use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
-use dispatch::{missing_input_placeholder, release_stream_successors, worker_loop};
+use dispatch::{release_stream_successors, worker_loop, WorkerCounts};
 use parking_lot::{Condvar, Mutex};
-use record::{AsyncBody, CellRef, DatumCells, TaskMeta, TaskPayload};
+use record::{AsyncBody, CellRef, Claim, DatumCells, TaskBody, TaskMeta, TaskPayload};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -185,39 +187,6 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
-    /// The context `meta`'s body runs in on `worker`: the values behind
-    /// the task's input references, one empty slot per output, and its
-    /// stream endpoints. `inputs` and `outputs` are empty buffers.
-    fn for_task(
-        shared: &Arc<Shared>,
-        meta: &Arc<TaskMeta>,
-        worker: u32,
-        mut inputs: Vec<Value>,
-        mut outputs: Vec<Option<Value>>,
-        reactor: Option<Arc<ReactorInner>>,
-    ) -> TaskContext {
-        inputs.extend(meta.inputs.lock().as_slice().iter().map(|input| {
-            input
-                .cell()
-                .read()
-                .unwrap_or_else(missing_input_placeholder)
-        }));
-        outputs.resize_with(meta.outputs.as_slice().len(), || None);
-        let endpoint = |chan: &Arc<StreamChannel>| StreamEndpointCore {
-            chan: Arc::clone(chan),
-            shared: Arc::clone(shared),
-            meta: Arc::clone(meta),
-            worker,
-        };
-        TaskContext {
-            inputs,
-            outputs,
-            stream_outs: meta.stream_outs().iter().map(endpoint).collect(),
-            stream_ins: meta.stream_ins().iter().map(endpoint).collect(),
-            reactor,
-        }
-    }
-
     /// The number of inputs.
     pub fn input_count(&self) -> usize {
         self.inputs.len()
@@ -626,8 +595,10 @@ struct GraphState {
     /// Every submitted task's lifecycle state and the ready set, grown
     /// at each registration ([`Self::register`]).
     run: GraphRun,
-    /// Dispatch records by dense task id; `None` once the task
-    /// committed or failed (nothing looks a finished task up again).
+    /// Dispatch records by dense task id; `None` once a closure task is
+    /// ready, or any task committed or failed (nothing looks it up
+    /// again). An async task's stays until then: teardown breaks the
+    /// `Arc` cycles of abandoned futures through this column.
     metas: Vec<Option<Arc<TaskMeta>>>,
     /// One entry per datum, by dense data id ([`Self::size_cells`]).
     cells: Vec<DatumCells>,
@@ -661,11 +632,15 @@ impl GraphState {
         self.cells.get(data.index())?.current.as_ref()
     }
 
-    /// The dispatch record of a task that has not finished.
-    fn meta(&self, id: TaskId) -> &Arc<TaskMeta> {
-        self.metas[id.index()]
-            .as_ref()
-            .expect("a task waiting on a predecessor has not finished")
+    /// The dispatch record of a task that just became ready: moved out
+    /// of the column for a closure task, cloned for an async one.
+    fn take_ready(&mut self, id: TaskId) -> Arc<TaskMeta> {
+        let slot = &mut self.metas[id.index()];
+        let meta = slot.take().expect("a task becomes ready once");
+        if let TaskPayload::Async(_) = meta.payload {
+            *slot = Some(Arc::clone(&meta));
+        }
+        meta
     }
 
     /// The channel behind a stream datum, created on first use with
@@ -869,7 +844,7 @@ impl Shared {
 /// ```
 pub struct LocalRuntime {
     shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<WorkerCounts>>,
 }
 
 impl std::fmt::Debug for LocalRuntime {
@@ -992,7 +967,7 @@ impl LocalRuntime {
     /// version 0 submitted before that have not run yet. Calling it
     /// again replaces the value for readers that have not run (last
     /// write wins); once version 0 is superseded and its last reader
-    /// has committed, the value is dropped unobserved.
+    /// has started, the value is dropped unobserved.
     pub fn set_initial<T: Send + Sync + 'static>(&self, handle: &DataHandle<T>, value: T) {
         let cell = {
             let _order = lockorder::acquire(RANK_GRAPH, "graph");
@@ -1035,7 +1010,8 @@ impl LocalRuntime {
         self.submit_inner(
             spec,
             constraints,
-            TaskPayload::Closure(Mutex::new(Some(Box::new(body)))),
+            TaskPayload::Closure,
+            Some(Box::new(body)),
         )
     }
 
@@ -1092,7 +1068,7 @@ impl LocalRuntime {
             shared: Arc::downgrade(&self.shared),
             factory: Mutex::new(Some(body)),
         });
-        self.submit_inner(spec, constraints, TaskPayload::Async(body))
+        self.submit_inner(spec, constraints, TaskPayload::Async(body), None)
     }
 
     /// Common submission path behind [`LocalRuntime::submit`] and
@@ -1102,6 +1078,7 @@ impl LocalRuntime {
         spec: TaskSpec,
         constraints: Constraints,
         payload: TaskPayload,
+        body: Option<TaskBody>,
     ) -> Result<TaskId, RuntimeError> {
         // Admission: reject constraints this machine can never satisfy
         // even with everything idle. Because free + allocated always
@@ -1208,7 +1185,7 @@ impl LocalRuntime {
                 id,
                 name: submitted_name.clone(),
                 demand: Demand::of(&constraints),
-                inputs: Mutex::new(inputs),
+                claim: Mutex::new(Claim { inputs, body }),
                 outputs: Slots::collect(node.produced().iter().map(|_| ValueCell::new())),
                 streams,
                 writers: writers as u32,
@@ -1225,9 +1202,9 @@ impl LocalRuntime {
                 })
             }));
             debug_assert_eq!(metas.len(), id.index());
-            metas.push(Some(Arc::clone(&meta)));
+            metas.push(Some(meta));
             if run.state(id) == Some(TaskState::Ready) {
-                ready_meta = Some(meta);
+                ready_meta = Some(g.take_ready(id));
             }
         }
         for d in &warn_findings {
@@ -1301,7 +1278,7 @@ impl LocalRuntime {
         let producer = g.ap.catalog().current(handle.id)?.producer;
         // The pin is a reference of its own: the version stays
         // materialized however many writers supersede it and readers
-        // commit while this call waits. `None`: an untouched version 0.
+        // start while this call waits. `None`: an untouched version 0.
         let pin = g.current(handle.id).map(CellRef::retain);
         let result = loop {
             if let Some(v) = pin.as_ref().and_then(|pin| pin.cell().read()) {
@@ -1397,8 +1374,10 @@ impl Drop for LocalRuntime {
             reactor.stop();
         }
         self.shared.sleeper.wake_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        let mut counts = WorkerCounts::default();
+        for own in self.workers.drain(..).filter_map(|w| w.join().ok()) {
+            counts.handoffs += own.handoffs;
+            counts.steals += own.steals;
         }
         // Abandoned async tasks hold futures whose captured
         // `TaskContext` owns stream endpoints with `Arc<Shared>` —
@@ -1416,7 +1395,7 @@ impl Drop for LocalRuntime {
                     abody.factory.discard();
                     *abody.future.lock() = None;
                 }
-                *meta.inputs.lock() = Slots::None;
+                meta.claim.lock().inputs = Slots::None;
             }
         }
         if self.shared.telemetry.enabled() {
@@ -1440,11 +1419,11 @@ impl Drop for LocalRuntime {
                     .telemetry
                     .run_end_stream_counters(end_us, high_water, send_us, recv_us, elements, bytes);
             }
-            self.shared.telemetry.record(TelemetryEvent::Counter {
-                key: CounterKey::InflightTasksHighWater,
-                at_us: end_us,
-                value: self.shared.inflight_peak.load(Ordering::SeqCst) as f64,
-            });
+            let telemetry = &self.shared.telemetry;
+            let inflight_peak = self.shared.inflight_peak.load(Ordering::SeqCst) as f64;
+            telemetry.counter(CounterKey::InflightTasksHighWater, end_us, inflight_peak);
+            telemetry.counter(CounterKey::HandedOffTasks, end_us, counts.handoffs as f64);
+            telemetry.counter(CounterKey::StolenTasks, end_us, counts.steals as f64);
             // The run span closes last, covering every task span.
             self.shared.telemetry.record(TelemetryEvent::Span {
                 track: Track::Run,
@@ -2317,7 +2296,7 @@ mod tests {
             panic!("the chain's last task produced the current version");
         };
         assert!(
-            matches!(*producer.inputs.lock(), Slots::None),
+            matches!(producer.claim.lock().inputs, Slots::None),
             "the newest record holds no predecessor"
         );
     }

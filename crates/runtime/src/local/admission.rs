@@ -108,10 +108,18 @@ impl ResourcePool {
         }
     }
 
-    /// Releases a finished task's resources and drains every parked
-    /// task that now fits into `out` for re-injection.
-    pub(super) fn release_and_unblock(&mut self, done: &Demand, out: &mut Vec<Arc<TaskMeta>>) {
+    /// Releases a finished task's resources, admits the successor its
+    /// worker was handed (or parks it, returning `false`), and drains
+    /// every parked task that now fits into `out` for re-injection. The
+    /// handed task goes first: it is what the worker runs next.
+    pub(super) fn release_and_unblock(
+        &mut self,
+        done: &Demand,
+        handed: Option<&Arc<TaskMeta>>,
+        out: &mut Vec<Arc<TaskMeta>>,
+    ) -> bool {
         self.free.give(done);
+        let admitted = handed.is_none_or(|meta| self.try_admit(meta));
         for queue in &mut self.blocked {
             for _ in 0..queue.len() {
                 let m = queue.pop_front().expect("length checked");
@@ -122,6 +130,7 @@ impl ResourcePool {
                 }
             }
         }
+        admitted
     }
 }
 

@@ -2,24 +2,26 @@
 //! the run of a claimed task from its body to its commit.
 
 use super::admission::try_admit;
-use super::record::{AsyncBody, TaskBody, TaskMeta, TaskPayload};
-use super::{Shared, TaskContext};
+use super::record::{AsyncBody, CellRef, Claim, TaskMeta, TaskPayload};
+use super::{Shared, StreamEndpointCore, TaskContext};
 use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
+use crate::reactor::ReactorInner;
+use crate::stream::StreamChannel;
 use crate::task_cell::ParkOutcome;
-use crate::value_cell::Value;
+use crate::value_cell::{Slots, Value};
 use continuum_dag::TaskId;
 use continuum_platform::sync::panic_message;
 use continuum_telemetry::{CounterKey, Event as TelemetryEvent, TaskPhase, Track};
 use crossbeam::deque::{Steal, Worker as WorkerQueue};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::thread;
 
-/// Per-worker pooled buffers, reused across tasks so steady-state
-/// dispatch performs no heap allocation of its own.
+/// Per-worker state: pooled buffers, reused across tasks so
+/// steady-state dispatch performs no heap allocation of its own, the
+/// hand-off slot, and the worker's counts.
 #[derive(Default)]
 struct Scratch {
     inputs: Vec<Value>,
@@ -27,21 +29,49 @@ struct Scratch {
     ready_ids: Vec<TaskId>,
     ready: Vec<Arc<TaskMeta>>,
     unblocked: Vec<Arc<TaskMeta>>,
+    /// The successor the last commit readied and kept for this worker
+    /// to run next: admitted, holding the committed task's `running`
+    /// and in-flight slots, in no queue.
+    handed: Option<Arc<TaskMeta>>,
+    counts: WorkerCounts,
 }
 
-pub(super) fn worker_loop(shared: &Arc<Shared>, queue: &WorkerQueue<Arc<TaskMeta>>, worker: u32) {
+/// What one worker did, returned when its thread exits. Plain
+/// integers: nothing on the dispatch path is shared to count them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct WorkerCounts {
+    /// Tasks run from the hand-off slot.
+    pub(super) handoffs: u64,
+    /// Tasks stolen from a sibling's deque.
+    pub(super) steals: u64,
+}
+
+pub(super) fn worker_loop(
+    shared: &Arc<Shared>,
+    queue: &WorkerQueue<Arc<TaskMeta>>,
+    worker: u32,
+) -> WorkerCounts {
     let mut scratch = Scratch::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+            return scratch.counts;
         }
         if shared.poisoned.load(Ordering::SeqCst) {
-            // Poisoned: stop claiming work; sleep until shutdown.
+            // Poisoned: stop claiming work; sleep until shutdown. A
+            // handed task will not run either, so its slot goes back.
+            if scratch.handed.take().is_some() {
+                give_back_running(shared);
+            }
             park_poisoned(shared);
             continue;
         }
+        if let Some(meta) = scratch.handed.take() {
+            scratch.counts.handoffs += 1;
+            execute(shared, queue, &meta, worker, &mut scratch);
+            continue;
+        }
         shared.sleeper.begin_search();
-        let found = find_task(shared, queue, worker);
+        let found = find_task(shared, queue, worker, &mut scratch.counts);
         shared.sleeper.end_search();
         match found {
             Some(meta) => {
@@ -66,6 +96,7 @@ fn find_task(
     shared: &Shared,
     queue: &WorkerQueue<Arc<TaskMeta>>,
     worker: u32,
+    counts: &mut WorkerCounts,
 ) -> Option<Arc<TaskMeta>> {
     if let Some(meta) = queue.pop() {
         return Some(meta);
@@ -80,7 +111,12 @@ fn find_task(
         let n = shared.stealers.len();
         for i in 1..n {
             match shared.stealers[(worker as usize + i) % n].steal_batch_and_pop(queue) {
-                Steal::Success(meta) => return Some(meta),
+                Steal::Success(meta) => {
+                    // The deque was empty: what it holds now is the
+                    // rest of the batch.
+                    counts.steals += 1 + queue.len() as u64;
+                    return Some(meta);
+                }
                 Steal::Retry => retry = true,
                 Steal::Empty => {}
             }
@@ -90,6 +126,19 @@ fn find_task(
         }
         thread::yield_now();
     }
+}
+
+/// Gives back the `running` slot of a handed task that will not run
+/// now. Under the graph lock, like a commit's own decrement, so a
+/// `wait_all` watching a failed run drain cannot check the count,
+/// miss this change and then sleep through the notification.
+fn give_back_running(shared: &Shared) {
+    {
+        let _order = lockorder::acquire(RANK_GRAPH, "graph");
+        let _graph = shared.graph.lock();
+        shared.running.fetch_sub(1, Ordering::SeqCst);
+    }
+    shared.notify_clients();
 }
 
 /// Counted sleep with a registered-then-recheck protocol: the sleeper
@@ -134,11 +183,51 @@ pub(super) fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
             .is_ok()
         {
             for id in &ids {
-                ready.push(Arc::clone(g.meta(*id)));
+                ready.push(g.take_ready(*id));
             }
         }
     }
     shared.inject_ready(&mut ready);
+}
+
+impl TaskContext {
+    /// The context `meta`'s body runs in on `worker`: the values behind
+    /// the task's input references `claimed`, each released once read,
+    /// one empty slot per output, and its stream endpoints. `inputs`
+    /// and `outputs` are empty buffers.
+    fn for_task(
+        shared: &Arc<Shared>,
+        meta: &Arc<TaskMeta>,
+        worker: u32,
+        claimed: Slots<CellRef>,
+        mut inputs: Vec<Value>,
+        mut outputs: Vec<Option<Value>>,
+        reactor: Option<Arc<ReactorInner>>,
+    ) -> TaskContext {
+        claimed.into_each(|input| {
+            inputs.push(
+                input
+                    .cell()
+                    .read()
+                    .unwrap_or_else(missing_input_placeholder),
+            );
+            shared.release(input);
+        });
+        outputs.resize_with(meta.outputs.as_slice().len(), || None);
+        let endpoint = |chan: &Arc<StreamChannel>| StreamEndpointCore {
+            chan: Arc::clone(chan),
+            shared: Arc::clone(shared),
+            meta: Arc::clone(meta),
+            worker,
+        };
+        TaskContext {
+            inputs,
+            outputs,
+            stream_outs: meta.stream_outs().iter().map(endpoint).collect(),
+            stream_ins: meta.stream_ins().iter().map(endpoint).collect(),
+            reactor,
+        }
+    }
 }
 
 /// Runs one claimed, admitted task: the closure path executes the body
@@ -152,7 +241,7 @@ fn execute(
     s: &mut Scratch,
 ) {
     match &meta.payload {
-        TaskPayload::Closure(body) => execute_closure(shared, queue, meta, body, worker, s),
+        TaskPayload::Closure => execute_closure(shared, queue, meta, worker, s),
         TaskPayload::Async(abody) => poll_async(shared, queue, meta, abody, worker, s),
     }
 }
@@ -161,11 +250,14 @@ fn execute_closure(
     shared: &Arc<Shared>,
     queue: &WorkerQueue<Arc<TaskMeta>>,
     meta: &Arc<TaskMeta>,
-    body: &Mutex<Option<TaskBody>>,
     worker: u32,
     s: &mut Scratch,
 ) {
-    let body = body.lock().take().expect("task body runs once");
+    let Claim {
+        inputs: claimed,
+        body,
+    } = std::mem::take(&mut *meta.claim.lock());
+    let body = body.expect("task body runs once");
     if let Some(name) = &meta.name {
         shared.telemetry.record(TelemetryEvent::Instant {
             track: Track::Worker(worker),
@@ -180,7 +272,7 @@ fn execute_closure(
         std::mem::take(&mut s.inputs),
         std::mem::take(&mut s.outputs),
     );
-    let mut ctx = TaskContext::for_task(shared, meta, worker, inputs, outputs, None);
+    let mut ctx = TaskContext::for_task(shared, meta, worker, claimed, inputs, outputs, None);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let body = body;
         body(&mut ctx);
@@ -269,7 +361,10 @@ fn poll_async(
                 });
             }
             let reactor = Some(shared.reactor_inner());
-            let ctx = TaskContext::for_task(shared, meta, worker, Vec::new(), Vec::new(), reactor);
+            let claimed = std::mem::take(&mut meta.claim.lock().inputs);
+            let (inputs, outputs) = (Vec::new(), Vec::new());
+            let ctx =
+                TaskContext::for_task(shared, meta, worker, claimed, inputs, outputs, reactor);
             match catch_unwind(AssertUnwindSafe(|| abody.factory.start(ctx))) {
                 Ok(fut) => fut,
                 Err(payload) => {
@@ -351,10 +446,11 @@ fn poll_async(
                         s.unblocked.clear();
                         {
                             let _order = lockorder::acquire(RANK_POOL, "pool");
-                            shared
-                                .pool
-                                .lock()
-                                .release_and_unblock(&meta.demand, &mut s.unblocked);
+                            shared.pool.lock().release_and_unblock(
+                                &meta.demand,
+                                None,
+                                &mut s.unblocked,
+                            );
                         }
                         if !s.unblocked.is_empty() {
                             shared
@@ -386,10 +482,14 @@ fn poll_async(
 }
 
 /// Commits a finished task body — shared tail of the closure and async
-/// paths: graph transition, value liveness, resource release, in-flight
-/// count, dispatch of newly-runnable work, telemetry and client
-/// wakeup. `failure_message == None` means the outputs are already
-/// published.
+/// paths: graph transition, resource release, in-flight count, dispatch
+/// of newly-runnable work, telemetry and client wakeup.
+/// `failure_message == None` means the outputs are already published.
+///
+/// The last successor the commit readies — the one the LIFO deque
+/// would pop first — is handed to this worker instead: it takes over
+/// the committed task's `running` and in-flight slots, and its
+/// admission shares the pool section that releases its predecessor.
 #[allow(clippy::too_many_arguments)]
 fn commit_task(
     shared: &Arc<Shared>,
@@ -402,13 +502,6 @@ fn commit_task(
     s: &mut Scratch,
 ) {
     let committed = failure_message.is_none();
-    // -- inputs ---------------------------------------------------------
-    // Released before the graph commit, so that whoever sees the task
-    // finished (`wait_all`) also sees the values only it was keeping
-    // freed. Dropping the references lets go of the producers' records.
-    let inputs = std::mem::take(&mut *meta.inputs.lock());
-    inputs.into_each(|input| shared.release(input));
-
     // -- graph commit ---------------------------------------------------
     s.ready_ids.clear();
     s.ready.clear();
@@ -421,7 +514,7 @@ fn commit_task(
                     .complete_into(g.ap.graph(), meta.id, &mut s.ready_ids)
                     .expect("claimed task can complete");
                 for id in &s.ready_ids {
-                    s.ready.push(Arc::clone(g.meta(*id)));
+                    s.ready.push(g.take_ready(*id));
                 }
             }
             Some(message) => {
@@ -447,40 +540,58 @@ fn commit_task(
         // long as a reader or the column references one of its cells.
         // (The caller holds a clone: nothing is dropped under the lock.)
         g.metas[meta.id.index()] = None;
-        shared.running.fetch_sub(1, Ordering::SeqCst);
+        s.handed = s.ready.pop();
+        if s.handed.is_none() {
+            shared.running.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    match &s.handed {
+        // Its in-flight slot is this task's: the pool lock below orders
+        // the mark before any other worker's claim of a parked task.
+        Some(handed) => handed.inflight_reserved.store(true, Ordering::Relaxed),
+        None => {
+            shared.inflight.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
-    // -- resources: release, then re-inject unparked tasks --------------
+    // -- resources: release, admit the handed task, unpark -------------
     s.unblocked.clear();
-    {
+    let admitted = {
         let _order = lockorder::acquire(RANK_POOL, "pool");
         shared
             .pool
             .lock()
-            .release_and_unblock(&meta.demand, &mut s.unblocked);
-    }
+            .release_and_unblock(&meta.demand, s.handed.as_ref(), &mut s.unblocked)
+    };
     if !s.unblocked.is_empty() {
         shared
             .blocked_count
             .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
     }
-    shared.inflight.fetch_sub(1, Ordering::Relaxed);
+    if !admitted {
+        // Parked in a side queue, as a claimed task would be: a release
+        // re-injects it, and it runs from a queue then.
+        s.handed = None;
+        shared.blocked_count.fetch_add(1, Ordering::SeqCst);
+        give_back_running(shared);
+    }
 
     // -- dispatch -------------------------------------------------------
-    // Newly-ready successors go onto this worker's own deque (it will
-    // pop one next, LIFO, cache-hot); everything beyond that one, plus
-    // the unparked tasks, warrants a wakeup.
-    let newly = s.ready.len();
-    let mut wake = s.unblocked.len();
-    if newly > 0 {
-        shared.pending.fetch_add(newly, Ordering::SeqCst);
+    // The other readied successors go onto this worker's own deque and,
+    // like the unparked tasks, each warrants a wakeup: the handed one is
+    // what this worker runs next, hot in cache, and no sibling can
+    // steal it.
+    let wake = s.ready.len() + s.unblocked.len();
+    if !s.ready.is_empty() {
+        shared.pending.fetch_add(s.ready.len(), Ordering::SeqCst);
         for m in s.ready.drain(..) {
             queue.push(m);
         }
-        wake += newly - 1;
     }
     shared.inject_ready(&mut s.unblocked);
-    shared.sleeper.wake_for(wake);
+    if wake > 0 {
+        shared.sleeper.wake_for(wake);
+    }
 
     // -- telemetry ------------------------------------------------------
     if let Some(name) = &meta.name {
@@ -529,7 +640,207 @@ fn commit_task(
 /// Placeholder for inputs whose value is missing (initial data never
 /// set). Task bodies that touch it fail with a type error, which the
 /// runtime reports as a task failure.
-pub(super) fn missing_input_placeholder() -> Value {
+fn missing_input_placeholder() -> Value {
     struct MissingInput;
     Arc::new(MissingInput)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{LocalConfig, LocalRuntime, RuntimeError, TraceBuffer};
+    use continuum_dag::TaskSpec;
+    use continuum_platform::Constraints;
+    use continuum_telemetry::{CounterKey, Event};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
+
+    /// Runs `f` on a thread of its own and fails the test if it takes
+    /// longer than `limit`: a hang shows as a failure, not a stuck run.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = mpsc::channel();
+        let watched = std::thread::spawn(move || done.send(f()));
+        let out = result
+            .recv_timeout(limit)
+            .expect("watchdog deadline passed");
+        watched
+            .join()
+            .expect("watched thread")
+            .expect("result received");
+        out
+    }
+
+    #[test]
+    fn a_handed_task_that_does_not_fit_parks_until_its_holder_releases() {
+        // `first` (400 MB) commits beside a running 500-MB holder on a
+        // 1 000-MB machine: its 600-MB successor is readied, does not
+        // fit, parks, and runs once the holder is done.
+        for workers in [2, 4] {
+            let rt = LocalRuntime::new(LocalConfig {
+                memory_mb: 1000,
+                ..LocalConfig::with_workers(workers)
+            });
+            let (held_tx, held) = mpsc::channel::<()>();
+            let (release, released) = mpsc::channel::<()>();
+            let in_use = Arc::new(AtomicU64::new(0));
+            let peak = Arc::new(AtomicU64::new(0));
+            let holder_done = Arc::new(AtomicBool::new(false));
+            let occupy = |mb: u64| {
+                let (in_use, peak) = (Arc::clone(&in_use), Arc::clone(&peak));
+                move || {
+                    peak.fetch_max(
+                        in_use.fetch_add(mb, Ordering::SeqCst) + mb,
+                        Ordering::SeqCst,
+                    );
+                    let in_use = Arc::clone(&in_use);
+                    move || in_use.fetch_sub(mb, Ordering::SeqCst)
+                }
+            };
+            let (h, a, b) = (rt.data::<()>("h"), rt.data::<u64>("a"), rt.data::<u64>("b"));
+            let (enter, done) = (occupy(500), Arc::clone(&holder_done));
+            rt.submit(
+                TaskSpec::new("holder").output(h.id()),
+                Constraints::new().memory_mb(500),
+                move |ctx| {
+                    let leave = enter();
+                    held_tx.send(()).unwrap();
+                    released.recv().unwrap();
+                    done.store(true, Ordering::SeqCst);
+                    leave();
+                    ctx.set_output(0, ());
+                },
+            )
+            .unwrap();
+            let enter = occupy(400);
+            rt.submit(
+                TaskSpec::new("first").output(a.id()),
+                Constraints::new().memory_mb(400),
+                move |ctx| {
+                    let leave = enter();
+                    held.recv().unwrap();
+                    leave();
+                    ctx.set_output(0, 1u64);
+                },
+            )
+            .unwrap();
+            let (enter, done) = (occupy(600), Arc::clone(&holder_done));
+            rt.submit(
+                TaskSpec::new("successor").input(a.id()).output(b.id()),
+                Constraints::new().memory_mb(600),
+                move |ctx| {
+                    let leave = enter();
+                    assert!(done.load(Ordering::SeqCst), "ran beside the holder");
+                    leave();
+                    ctx.set_output(0, *ctx.input::<u64>(0) + 1);
+                },
+            )
+            .unwrap();
+            // `first` commits while the holder runs: its successor parks.
+            let since = Instant::now();
+            while rt.shared.blocked_count.load(Ordering::SeqCst) == 0 {
+                assert!(since.elapsed() < Duration::from_secs(20), "never parked");
+                std::thread::yield_now();
+            }
+            assert_eq!(rt.completed_count(), 1, "{workers} workers");
+            release.send(()).unwrap();
+            let rt = Arc::new(rt);
+            let waiter = Arc::clone(&rt);
+            within(Duration::from_secs(20), move || waiter.wait_all()).unwrap();
+            assert_eq!(*rt.get(&b).unwrap(), 2, "{workers} workers");
+            assert!(peak.load(Ordering::SeqCst) <= 1000, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_worker_gives_its_handed_task_back() {
+        // One worker walks a long chain, each commit handing it the next
+        // link, while the other fails a task: the chain's worker finds
+        // the run poisoned holding a handed link and must return its
+        // `running` slot, or `wait_all` waits for it forever.
+        let rt = Arc::new(LocalRuntime::new(LocalConfig::with_workers(2)));
+        let (failing_tx, failing) = mpsc::channel::<()>();
+        let (boom, acc) = (rt.data::<u64>("boom"), rt.data::<u64>("acc"));
+        rt.submit(
+            TaskSpec::new("link").output(acc.id()),
+            Constraints::new(),
+            move |ctx| {
+                failing.recv().unwrap();
+                ctx.set_output(0, 0u64);
+            },
+        )
+        .unwrap();
+        for _ in 0..20_000 {
+            rt.submit(
+                TaskSpec::new("link").inout(acc.id()),
+                Constraints::new(),
+                |ctx| {
+                    let v = *ctx.input::<u64>(0);
+                    ctx.set_output(0, v + 1);
+                },
+            )
+            .unwrap();
+        }
+        rt.submit(
+            TaskSpec::new("boom").output(boom.id()),
+            Constraints::new(),
+            move |_| {
+                failing_tx.send(()).unwrap();
+                panic!("boom");
+            },
+        )
+        .unwrap();
+        let waiter = Arc::clone(&rt);
+        let outcome = within(Duration::from_secs(20), move || waiter.wait_all());
+        assert!(
+            matches!(outcome, Err(RuntimeError::TaskPanicked { .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(rt.shared.running.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_one_worker_chain_is_handed_off_link_by_link() {
+        const N: u64 = 64;
+        let (buffer, telemetry) = TraceBuffer::collector();
+        {
+            let rt = LocalRuntime::new(LocalConfig {
+                telemetry,
+                ..LocalConfig::with_workers(1)
+            });
+            // The gate holds the only worker until the chain is in:
+            // every later link is readied by its predecessor's commit.
+            let (open, gate) = mpsc::channel::<()>();
+            let acc = rt.data::<u64>("acc");
+            rt.submit(
+                TaskSpec::new("gate").output(acc.id()),
+                Constraints::new(),
+                move |ctx| {
+                    gate.recv().unwrap();
+                    ctx.set_output(0, 0u64);
+                },
+            )
+            .unwrap();
+            for _ in 1..N {
+                rt.submit(
+                    TaskSpec::new("link").inout(acc.id()),
+                    Constraints::new(),
+                    |ctx| {
+                        let v = *ctx.input::<u64>(0);
+                        ctx.set_output(0, v + 1);
+                    },
+                )
+                .unwrap();
+            }
+            open.send(()).unwrap();
+            assert_eq!(*rt.get(&acc).unwrap(), N - 1);
+        }
+        let counter = |wanted: CounterKey| {
+            buffer.events().iter().find_map(|e| match e {
+                Event::Counter { key, value, .. } if *key == wanted => Some(*value),
+                _ => None,
+            })
+        };
+        assert_eq!(counter(CounterKey::HandedOffTasks), Some((N - 1) as f64));
+        assert_eq!(counter(CounterKey::StolenTasks), Some(0.0));
+    }
 }

@@ -57,16 +57,29 @@ pub(super) type TaskBody = Box<dyn FnOnce(&mut TaskContext) + Send>;
 /// A pinned, type-erased async task body between polls.
 pub(super) type TaskFuture = Pin<Box<dyn Future<Output = TaskContext> + Send>>;
 
-/// The executable payload of a task: a run-to-completion closure or a
+/// The kind of a task's body: a run-to-completion closure or a
 /// poll-based async body with its park/wake cell.
 pub(super) enum TaskPayload {
-    /// Original API: runs once on the claiming worker, never parks.
-    /// Its dispatch path is byte-identical to the pre-async executor.
-    Closure(Mutex<Option<TaskBody>>),
+    /// Original API: runs once on the claiming worker, never parks. The
+    /// body itself sits in the record's [`Claim`], taken with the inputs.
+    Closure,
     /// Async API ([`LocalRuntime::submit_async`]): polled on whichever
     /// worker claims it; parks on `Poll::Pending`. Boxed, so a closure
     /// task's record pays a pointer for it, not the body.
     Async(Box<AsyncBody>),
+}
+
+/// What a task's first dispatch takes out of its record, in one lock.
+#[derive(Default)]
+pub(super) struct Claim {
+    /// The cells this task reads, in declaration order: resolved to
+    /// values and released at first dispatch — which also lets go of
+    /// the producers' records, so a version chain never hangs off its
+    /// newest task.
+    pub(super) inputs: Slots<CellRef>,
+    /// A closure task's body; `None` for an async task, whose body
+    /// stays in [`TaskPayload::Async`] across polls.
+    pub(super) body: Option<TaskBody>,
 }
 
 /// State of one async task body between polls, with the user's factory
@@ -127,7 +140,7 @@ where
 
 /// Everything a worker needs to run a task, carried through the
 /// dispatch queues so claiming and executing a task touches no graph
-/// state. The body is taken exactly once at execution.
+/// state. The [`Claim`] is taken exactly once, at first dispatch.
 pub(super) struct TaskMeta {
     pub(super) id: TaskId,
     /// Task name for telemetry; `None` when telemetry is disabled.
@@ -135,11 +148,8 @@ pub(super) struct TaskMeta {
     /// What admission counts; the rest of the task's constraints was
     /// checked at submit.
     pub(super) demand: Demand,
-    /// The cells this task reads, in declaration order: resolved to
-    /// values at dispatch and released at commit or failure — which
-    /// also lets go of the producers' records, so a version chain
-    /// never hangs off its newest task.
-    pub(super) inputs: Mutex<Slots<CellRef>>,
+    /// The inputs and the closure body, taken together once.
+    pub(super) claim: Mutex<Claim>,
     /// One cell per written parameter, in declaration order, reached
     /// through [`CellRef::Output`].
     pub(super) outputs: Slots<ValueCell>,
@@ -155,9 +165,9 @@ pub(super) struct TaskMeta {
     /// stream consumers (checked lock-free on every send).
     pub(super) streams_released: AtomicBool,
     /// Whether this task was already counted into the in-flight set
-    /// (set at its first claim; resource-blocked and resumed
-    /// re-dispatches must not count twice). Only the claiming worker
-    /// touches it.
+    /// (set at its first claim, or when a commit hands it to its
+    /// worker; resource-blocked and resumed re-dispatches must not
+    /// count twice). Only the claiming worker touches it.
     pub(super) inflight_reserved: AtomicBool,
     pub(super) payload: TaskPayload,
 }

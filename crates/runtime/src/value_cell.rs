@@ -6,7 +6,7 @@
 //! up by key: the cell sits inside the record of the task that
 //! produces it (version 0: in an `Arc` of its own), and everyone who
 //! may still read it — the catalog column while the version is
-//! current, each registered reader until it commits, a client `get`
+//! current, each registered reader until it starts, a client `get`
 //! while it waits — holds a counted reference (`CellRef` in
 //! `local.rs`). Liveness *is* that count: the last release takes the
 //! value out of the cell.

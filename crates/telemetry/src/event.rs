@@ -307,11 +307,17 @@ pub enum CounterKey {
     /// including parked async bodies) observed at once — the M:N
     /// executor's concurrency high-water mark.
     InflightTasksHighWater,
+    /// Tasks a local worker ran straight after the commit that readied
+    /// them, without a queue (the run's total, published at its end).
+    HandedOffTasks,
+    /// Tasks local workers took from a sibling worker's queue (the
+    /// run's total, published at its end).
+    StolenTasks,
 }
 
 impl CounterKey {
     /// Every counter key.
-    pub const ALL: [CounterKey; 18] = [
+    pub const ALL: [CounterKey; 20] = [
         CounterKey::QueueDepth,
         CounterKey::RunningTasks,
         CounterKey::TransferBytes,
@@ -330,6 +336,8 @@ impl CounterKey {
         CounterKey::LiveValuesHighWater,
         CounterKey::EventQueueHighWater,
         CounterKey::InflightTasksHighWater,
+        CounterKey::HandedOffTasks,
+        CounterKey::StolenTasks,
     ];
 
     /// Inverse of [`CounterKey::as_str`].
@@ -358,6 +366,8 @@ impl CounterKey {
             CounterKey::LiveValuesHighWater => "live_values_high_water",
             CounterKey::EventQueueHighWater => "event_queue_high_water",
             CounterKey::InflightTasksHighWater => "inflight_tasks_high_water",
+            CounterKey::HandedOffTasks => "handed_off_tasks",
+            CounterKey::StolenTasks => "stolen_tasks",
         }
     }
 }

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Symbolize and rank the samples written by sampler.so.
 
-usage: report.py BINARY SAMPLES [--groups]
+usage: report.py BINARY SAMPLES [--groups] [--threads]
 
 SAMPLES is the file named by SAMPLER_OUT (load-base-relative PCs of the
-main binary); SAMPLES.raw beside it holds absolute PCs and the memory
+main binary, each with the id of the thread it interrupted);
+`--threads` reports the driver thread (the process's first) and the
+other threads (workers, reactor, agents) separately, each as a share
+of its own samples. SAMPLES.raw beside it holds absolute PCs and the memory
 map and is used to attribute the samples that fell outside the binary
 (libc's malloc/free/memmove, the kernel) to the nearest preceding
 dynamic symbol. BINARY must carry debug info
@@ -49,8 +52,23 @@ GROUPS = [
 ]
 
 
-def stacks(binary, samples):
-    addrs = [line.strip() for line in open(samples) if line.strip()]
+def read_samples(samples):
+    """The sampled PCs, the thread id of each (None in files written
+    before ids were recorded) and the process id from the header."""
+    addrs, tids, pid = [], [], None
+    for line in open(samples):
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0] == "#":
+            pid = int(fields[2]) if fields[1:2] == ["pid"] else pid
+            continue
+        addrs.append(fields[0])
+        tids.append(int(fields[1]) if len(fields) > 1 else None)
+    return addrs, tids, pid
+
+
+def stacks(binary, addrs):
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", binary] + addrs,
         capture_output=True, text=True, check=True,
@@ -78,7 +96,7 @@ def outside(raw):
             lo, hi = (int(x, 16) for x in f[0].split("-"))
             maps.append((lo, hi, int(f[2], 16), f[5] if len(f) > 5 else ""))
         else:
-            pcs.append(int(line, 16))
+            pcs.append(int(line.split()[0], 16))
     libc = [m for m in maps if "libc.so" in m[3]]
     counts = collections.Counter()
     if not libc:
@@ -103,11 +121,9 @@ def outside(raw):
     return counts, len(pcs)
 
 
-def main():
-    binary, samples = sys.argv[1], sys.argv[2]
-    all_stacks = stacks(binary, samples)
+def rank(all_stacks, groups):
     n = len(all_stacks)
-    if "--groups" in sys.argv:
+    if groups:
         c = collections.Counter()
         for st in all_stacks:
             label = "other (engine, access processor, source)"
@@ -124,6 +140,28 @@ def main():
             c = collections.Counter(st[pick] for st in all_stacks)
             for k, v in c.most_common(30):
                 print(f"{100 * v / n:5.1f}%  {k[:140]}")
+
+
+def main():
+    binary, samples = sys.argv[1], sys.argv[2]
+    addrs, tids, pid = read_samples(samples)
+    all_stacks = stacks(binary, addrs)
+    groups = "--groups" in sys.argv
+    if "--threads" in sys.argv:
+        if pid is None or None in tids:
+            sys.exit("--threads needs samples with thread ids (rebuild sampler.so)")
+        driver = [st for st, tid in zip(all_stacks, tids) if tid == pid]
+        others = [st for st, tid in zip(all_stacks, tids) if tid != pid]
+        threads = len(set(tids) - {pid})
+        for title, part in ((f"driver thread (tid {pid})", driver),
+                            (f"other threads ({threads}: workers, reactor, ...)", others)):
+            print(f"#### {title}: {len(part)} samples, "
+                  f"{100 * len(part) / max(len(all_stacks), 1):.1f}% of the process")
+            if part:
+                rank(part, groups)
+    else:
+        rank(all_stacks, groups)
+    n = len(all_stacks)
     try:
         counts, total = outside(samples + ".raw")
         print("== outside the binary (nearest dynamic symbol) ==")
