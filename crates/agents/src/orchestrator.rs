@@ -120,7 +120,6 @@ pub struct Orchestrator<'n> {
     network: &'n AgentNetwork,
     max_attempts: usize,
     telemetry: RecorderHandle,
-    trace_context: Option<SpanContext>,
 }
 
 impl<'n> Orchestrator<'n> {
@@ -131,7 +130,6 @@ impl<'n> Orchestrator<'n> {
             network,
             max_attempts: 10,
             telemetry: RecorderHandle::noop(),
-            trace_context: None,
         }
     }
 
@@ -146,14 +144,6 @@ impl<'n> Orchestrator<'n> {
     /// since the run started.
     pub fn telemetry(mut self, telemetry: RecorderHandle) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Parents the run under an existing span context instead of
-    /// opening a fresh distributed trace. Use this to nest the run
-    /// inside an enclosing workflow's trace.
-    pub fn trace_context(mut self, ctx: SpanContext) -> Self {
-        self.trace_context = Some(ctx);
         self
     }
 
@@ -183,7 +173,7 @@ impl<'n> Orchestrator<'n> {
             &self.telemetry,
             std::time::Instant::now(),
             SpanContext::COORDINATOR,
-            self.trace_context,
+            None,
         )
     }
 }

@@ -100,20 +100,15 @@ fn main() {
     }
 }
 
-/// Writes one `eNN.lint.json` bundle per ran experiment into `dir`
-/// (plus the fixture-only ids, which lint workload generators without
-/// an experiment table), ready for `continuum-lint check`.
+/// Writes one `eNN.lint.json` bundle per ran experiment into `dir`,
+/// ready for `continuum-lint check`.
 fn dump_lint_bundles(dir: &str, tables: &[continuum_bench::ExperimentTable]) {
     if let Err(err) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {dir}: {err}");
         std::process::exit(1);
     }
     let mut written = 0usize;
-    let ids = tables
-        .iter()
-        .map(|t| t.id.as_str())
-        .chain(fixtures::EXTRA_FIXTURES);
-    for id in ids {
+    for id in tables.iter().map(|t| t.id.as_str()) {
         let Some(bundle) = fixtures::lint_fixture(id) else {
             continue;
         };

@@ -9,40 +9,13 @@
 //! fails the build before any simulation runs.
 
 use continuum_analyze::LintBundle;
-use continuum_dag::{DagError, DataId, ExpandSink, GraphSource, TaskId, TaskSpec};
 use continuum_platform::{presets, Platform};
-use continuum_runtime::{SimWorkload, TaskProfile};
+use continuum_runtime::SimWorkload;
 use continuum_workflows::patterns::{
     chain, continuous_inference, embarrassingly_parallel, fork_join, map_reduce, random_layered,
     stencil, tree_reduce,
 };
 use continuum_workflows::{GwasWorkload, NmmbWorkload};
-
-/// Fixture-only ids linted by CI on top of [`crate::ALL_EXPERIMENTS`]:
-/// workload generators with no experiment table of their own.
-pub const EXTRA_FIXTURES: [&str; 1] = ["e14"];
-
-/// Fully materializes a lazy source into a workload by priming it with
-/// a window spanning the whole campaign (close notices are irrelevant
-/// for linting and ignored).
-fn materialize<S: GraphSource<TaskProfile>>(mut source: S) -> SimWorkload {
-    struct WorkloadSink(SimWorkload);
-    impl ExpandSink<TaskProfile> for WorkloadSink {
-        fn data(&mut self, name: &str) -> DataId {
-            self.0.data(name)
-        }
-        fn initial_data(&mut self, name: &str, bytes: u64) -> DataId {
-            self.0.initial_data(name, bytes, None)
-        }
-        fn submit(&mut self, spec: TaskSpec, payload: TaskProfile) -> Result<TaskId, DagError> {
-            self.0.task(spec, payload)
-        }
-        fn close_data(&mut self, _data: DataId) {}
-    }
-    let mut sink = WorkloadSink(SimWorkload::new());
-    source.prime(&mut sink).expect("fixture source primes");
-    sink.0
-}
 
 /// The workload/platform pair an experiment lints. Scales are far
 /// below the experiment's own (`Scale::Quick`) sizes: the lints are
@@ -53,7 +26,8 @@ fn fixture_parts(id: &str) -> Option<(SimWorkload, Platform)> {
         // e1: strong-scaling sweep of an embarrassingly parallel bag.
         "e1" => (embarrassingly_parallel(64, 1.0), presets::marenostrum(4)),
         // e2: GWAS memory sizing (heavy tasks need 56 GB — only the
-        // 96 GB MareNostrum nodes can host them).
+        // 96 GB MareNostrum nodes can host them). `build` drains the
+        // lazy generator, so this lints what a lazy run emits too.
         "e2" => (
             GwasWorkload::new()
                 .chromosomes(2)
@@ -104,28 +78,12 @@ fn fixture_parts(id: &str) -> Option<(SimWorkload, Platform)> {
             continuous_inference(8, 1_000_000, 1.0),
             presets::smart_city(2, 2, 2),
         ),
-        // e14 (fixture-only): the *lazily-materialized* GWAS campaign
-        // — everything a `GwasSource` emits, fully expanded by priming
-        // with a window spanning the campaign — so a regression in the
-        // lazy generator (a task reading unregistered data, a broken
-        // merge fan-in) fails the lint gate exactly like the eager
-        // builders above.
-        "e14" => (
-            materialize(
-                GwasWorkload::new()
-                    .chromosomes(2)
-                    .chunks_per_chromosome(3)
-                    .into_source(6),
-            ),
-            presets::marenostrum(2),
-        ),
         _ => return None,
     };
     Some(pair)
 }
 
-/// Builds the lint bundle for experiment `id` (`"e1"` … `"e13"`, plus
-/// the fixture-only ids in [`EXTRA_FIXTURES`]).
+/// Builds the lint bundle for experiment `id` (`"e1"` … `"e13"`).
 ///
 /// Returns `None` for unknown ids.
 pub fn lint_fixture(id: &str) -> Option<LintBundle> {
@@ -141,7 +99,7 @@ mod tests {
 
     #[test]
     fn every_experiment_has_a_fixture() {
-        for id in ALL_EXPERIMENTS.into_iter().chain(EXTRA_FIXTURES) {
+        for id in ALL_EXPERIMENTS {
             assert!(lint_fixture(id).is_some(), "missing lint fixture for {id}");
         }
         assert!(lint_fixture("e99").is_none());
@@ -151,34 +109,13 @@ mod tests {
     /// with zero error-severity findings.
     #[test]
     fn fixtures_verify_error_free() {
-        for id in ALL_EXPERIMENTS.into_iter().chain(EXTRA_FIXTURES) {
+        for id in ALL_EXPERIMENTS {
             let report = lint_fixture(id).unwrap().verify();
             assert!(
                 !has_errors(&report),
                 "fixture {id} has error findings: {report:#?}"
             );
         }
-    }
-
-    /// The lazy GWAS fixture materializes the same campaign shape the
-    /// eager builder produces at the same parameters.
-    #[test]
-    fn lazy_gwas_fixture_matches_eager_shape() {
-        let eager = GwasWorkload::new()
-            .chromosomes(2)
-            .chunks_per_chromosome(3)
-            .build()
-            .stats();
-        let lazy = materialize(
-            GwasWorkload::new()
-                .chromosomes(2)
-                .chunks_per_chromosome(3)
-                .into_source(6),
-        )
-        .stats();
-        assert_eq!(lazy.tasks, eager.tasks);
-        assert_eq!(lazy.edges, eager.edges);
-        assert_eq!(lazy.data, eager.data);
     }
 
     /// Fixtures survive the CLI's JSON round trip with the report

@@ -73,7 +73,8 @@ pub trait ExpandSink<P> {
 /// construction parameters and the sequence of completions observed,
 /// never on wall-clock time or unseeded randomness, so that two runs of
 /// the same source produce identical graphs (a lazy run is replayable,
-/// and comparable with the eager build of the same campaign).
+/// and a source primed with a window spanning everything is its own
+/// eager build).
 pub trait GraphSource<P> {
     /// Materializes the initial frontier (tasks with no predecessors,
     /// or a bounded window of them). Called exactly once, before the

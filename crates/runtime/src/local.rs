@@ -83,9 +83,7 @@ use continuum_analyze::{
 use continuum_dag::{AccessProcessor, DagError, DataId, GraphRun, TaskId, TaskSpec, TaskState};
 use continuum_platform::sync;
 use continuum_platform::{Constraints, NodeCapacity};
-use continuum_telemetry::{
-    CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track,
-};
+use continuum_telemetry::{CounterKey, Event as TelemetryEvent, RecorderHandle, TaskPhase, Track};
 use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
 use dispatch::{release_stream_successors, worker_loop, WorkerCounts};
 use parking_lot::{Condvar, Mutex};
@@ -520,12 +518,6 @@ pub struct LocalConfig {
     /// the submission with [`RuntimeError::LintRejected`]. Default:
     /// `Off`.
     pub strict_lints: LintMode,
-    /// Causal context of the run for distributed tracing: the
-    /// `local-run` span carries this context and every task span
-    /// becomes its child, so a local run dispatched from another agent
-    /// chains back to the submitting workflow. `None` (default) leaves
-    /// spans context-free.
-    pub trace_context: Option<SpanContext>,
     /// Granularity of the timer wheel serving [`TaskContext::sleep`]:
     /// a sleep fires on the first tick boundary at or after its
     /// deadline. Clamped to ≥ 50 µs. Default: 1 ms.
@@ -541,7 +533,6 @@ impl Default for LocalConfig {
             gpus: 0,
             telemetry: RecorderHandle::noop(),
             strict_lints: LintMode::Off,
-            trace_context: None,
             reactor_tick: Duration::from_millis(1),
         }
     }
@@ -701,11 +692,6 @@ struct Shared {
     strict_lints: LintMode,
     telemetry: RecorderHandle,
     origin: std::time::Instant,
-    /// Base span context tasks parent under (see
-    /// [`LocalConfig::trace_context`]).
-    trace_context: Option<SpanContext>,
-    /// Monotone sequence for derived child span ids across workers.
-    span_seq: AtomicU64,
     /// Tasks claimed for execution and not yet committed/failed —
     /// running bodies *plus parked* async tasks.
     inflight: AtomicUsize,
@@ -894,8 +880,6 @@ impl LocalRuntime {
             strict_lints: config.strict_lints,
             telemetry: config.telemetry.clone(),
             origin: std::time::Instant::now(),
-            trace_context: config.trace_context,
-            span_seq: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             inflight_peak: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
@@ -1431,7 +1415,7 @@ impl Drop for LocalRuntime {
                 phase: TaskPhase::Executing,
                 start_us: 0,
                 dur_us: end_us,
-                ctx: self.shared.trace_context,
+                ctx: None,
             });
         }
     }

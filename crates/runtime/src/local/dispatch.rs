@@ -596,21 +596,13 @@ fn commit_task(
     // -- telemetry ------------------------------------------------------
     if let Some(name) = &meta.name {
         let track = Track::Worker(worker);
-        // Child context per executed task; the atomic sequence keeps
-        // ids distinct across concurrent workers.
-        let ctx = shared.trace_context.map(|c| {
-            c.child(
-                c.agent_id,
-                shared.span_seq.fetch_add(1, Ordering::Relaxed) + 1,
-            )
-        });
         shared.telemetry.record(TelemetryEvent::Span {
             track,
             name: name.clone(),
             phase: TaskPhase::Executing,
             start_us,
             dur_us: end_us.saturating_sub(start_us),
-            ctx,
+            ctx: None,
         });
         shared.telemetry.record(TelemetryEvent::Instant {
             track,

@@ -19,8 +19,7 @@ use continuum_sim::{
     TransferLedger, TransferRecord, VirtualTime,
 };
 use continuum_telemetry::{
-    micros_from_seconds, CounterKey, Event as TelemetryEvent, RecorderHandle, SpanContext,
-    TaskPhase, Track,
+    micros_from_seconds, CounterKey, Event as TelemetryEvent, RecorderHandle, TaskPhase, Track,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -83,12 +82,6 @@ pub struct SimOptions {
     /// Telemetry sink for task-lifecycle events, stamped with virtual
     /// microseconds. Defaults to the no-op recorder.
     pub telemetry: RecorderHandle,
-    /// Causal context of the run for distributed tracing: the run's
-    /// `sim-run` span carries this context and every task span becomes
-    /// its child, so a simulated run dispatched from another agent
-    /// chains back to the submitting workflow. `None` (default) leaves
-    /// spans context-free.
-    pub trace_context: Option<SpanContext>,
     /// Ahead-of-run verification of the workload against the platform
     /// (see `continuum_analyze`). `Warn` prints every finding to
     /// stderr; `Reject` additionally fails the run with
@@ -107,7 +100,6 @@ impl Default for SimOptions {
             elastic: None,
             max_virtual_seconds: 1e9,
             telemetry: RecorderHandle::noop(),
-            trace_context: None,
             strict_lints: LintMode::Off,
         }
     }
@@ -818,7 +810,7 @@ impl<'w, 's> Engine<'w, 's> {
                 phase: TaskPhase::Executing,
                 start_us: 0,
                 dur_us: end_us,
-                ctx: self.options.trace_context,
+                ctx: None,
             });
             self.options.telemetry.run_end_counters(
                 end_us,
@@ -939,13 +931,7 @@ impl<'w, 's> Engine<'w, 's> {
             replay: was_replay,
         };
         if self.options.telemetry.enabled() {
-            // Child context per emitted record (sequence = record
-            // count so far + 1): replays of a task get their own ids.
-            let ctx = self
-                .options
-                .trace_context
-                .map(|c| c.child(c.agent_id, self.trace.len() as u64 + 1));
-            for event in record.to_events(&self.task_name(task), ctx) {
+            for event in record.to_events(&self.task_name(task), None) {
                 self.options.telemetry.record(event);
             }
             self.options.telemetry.record(TelemetryEvent::Counter {

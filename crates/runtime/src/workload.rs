@@ -3,8 +3,8 @@
 use crate::profile::TaskProfile;
 use continuum_analyze::{lint_nodes, LintColumns, LintView};
 use continuum_dag::{
-    AccessProcessor, DagError, DataCatalog, DataId, GraphAnalysis, Retired, SegVec, TaskGraph,
-    TaskId, TaskSpec,
+    AccessProcessor, DagError, DataCatalog, DataId, ExpandSink, GraphAnalysis, Retired, SegVec,
+    TaskGraph, TaskId, TaskSpec,
 };
 use continuum_platform::{Constraints, NodeId, Platform};
 use std::fmt;
@@ -252,6 +252,34 @@ impl SimWorkload {
             },
         }
     }
+}
+
+/// A workload is the sink that materializes a source in full: prime
+/// it with a window spanning everything and the whole graph lands
+/// here, staged everywhere. An eager workload retires nothing, so
+/// close notices are dropped.
+impl ExpandSink<TaskProfile> for SimWorkload {
+    fn data(&mut self, name: &str) -> DataId {
+        SimWorkload::data(self, name)
+    }
+
+    fn initial_data(&mut self, name: &str, bytes: u64) -> DataId {
+        SimWorkload::initial_data(self, name, bytes, None)
+    }
+
+    fn data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
+        SimWorkload::data_fmt(self, name)
+    }
+
+    fn initial_data_fmt(&mut self, name: fmt::Arguments<'_>, bytes: u64) -> DataId {
+        SimWorkload::initial_data_fmt(self, name, bytes, None)
+    }
+
+    fn submit(&mut self, spec: TaskSpec, payload: TaskProfile) -> Result<TaskId, DagError> {
+        self.task(spec, payload)
+    }
+
+    fn close_data(&mut self, _data: DataId) {}
 }
 
 impl LintColumns for SimWorkload {

@@ -11,6 +11,11 @@
 //! a filter → impute → association pipeline; per-chromosome merges and
 //! a final campaign merge. Durations are lognormal; memory demand is
 //! bimodal (a small fraction of imputations needs most of a node).
+//!
+//! There is one generator, [`GwasSource`], which emits the campaign a
+//! window of chunks at a time; [`GwasWorkload::build`] drains it in
+//! full into a [`SimWorkload`]. One campaign and one seed therefore
+//! give one workflow, whether it runs eagerly or lazily.
 
 use crate::rng::LogNormal;
 use continuum_dag::{DagError, DataId, ExpandSink, GraphSource, TaskId, TaskSpec};
@@ -126,115 +131,30 @@ impl GwasWorkload {
         self
     }
 
-    /// Number of tasks the built workload will contain.
+    /// Number of tasks the campaign contains, built or streamed.
     pub fn task_count(&self) -> usize {
         self.chromosomes * self.chunks * 3 + self.chromosomes + 1
     }
 
-    /// Generates the workload.
+    /// Generates the whole campaign up front: the lazy source (see
+    /// [`GwasWorkload::into_source`]) drained in full, so an eager
+    /// run and a lazy run of one campaign execute the same tasks with
+    /// the same costs.
     pub fn build(&self) -> SimWorkload {
         let mut w = SimWorkload::new();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let durations = LogNormal::from_mean_cv(self.mean_task_s, self.duration_cv);
-        let draw = |rng: &mut StdRng| durations.sample(rng).clamp(1.0, self.mean_task_s * 20.0);
-
-        let memory_of = |heavy: bool, worst: bool| {
-            if worst || heavy {
-                self.heavy_memory_mb
-            } else {
-                self.light_memory_mb
-            }
-        };
-
-        let final_out = w.data("campaign_summary");
-        let mut chrom_outputs = Vec::with_capacity(self.chromosomes);
-        for chrom in 0..self.chromosomes {
-            let mut chunk_outputs = Vec::with_capacity(self.chunks);
-            for chunk in 0..self.chunks {
-                let tag = format!("c{chrom}_{chunk}");
-                let raw = w.initial_data(format!("raw_{tag}"), self.chunk_bytes, None);
-                let filtered = w.data(format!("filt_{tag}"));
-                let imputed = w.data(format!("imp_{tag}"));
-                let assoc = w.data(format!("assoc_{tag}"));
-
-                w.task(
-                    TaskSpec::new("filter")
-                        .group("qc")
-                        .input(raw)
-                        .output(filtered),
-                    TaskProfile::new(draw(&mut rng) * 0.3)
-                        .constraints(
-                            Constraints::new().memory_mb(memory_of(false, self.worst_case_memory)),
-                        )
-                        .outputs_bytes(self.chunk_bytes / 2),
-                )
-                .expect("valid gwas task");
-
-                let heavy = rng.gen::<f64>() < self.heavy_fraction;
-                w.task(
-                    TaskSpec::new("impute")
-                        .group("imputation")
-                        .input(filtered)
-                        .output(imputed),
-                    TaskProfile::new(draw(&mut rng) * if heavy { 2.0 } else { 1.0 })
-                        .constraints(
-                            Constraints::new().memory_mb(memory_of(heavy, self.worst_case_memory)),
-                        )
-                        .outputs_bytes(self.chunk_bytes),
-                )
-                .expect("valid gwas task");
-
-                w.task(
-                    TaskSpec::new("association")
-                        .group("analysis")
-                        .input(imputed)
-                        .output(assoc),
-                    TaskProfile::new(draw(&mut rng) * 0.5)
-                        .constraints(
-                            Constraints::new().memory_mb(memory_of(false, self.worst_case_memory)),
-                        )
-                        .outputs_bytes(self.chunk_bytes / 10),
-                )
-                .expect("valid gwas task");
-                chunk_outputs.push(assoc);
-            }
-            let merged = w.data(format!("chrom_merge_{chrom}"));
-            w.task(
-                TaskSpec::new("merge_chromosome")
-                    .group("merge")
-                    .inputs(chunk_outputs)
-                    .output(merged),
-                TaskProfile::new(draw(&mut rng) * 0.4)
-                    .constraints(
-                        Constraints::new().memory_mb(memory_of(false, self.worst_case_memory)),
-                    )
-                    .outputs_bytes(self.chunk_bytes / 5),
-            )
-            .expect("valid gwas task");
-            chrom_outputs.push(merged);
-        }
-        w.task(
-            TaskSpec::new("merge_campaign")
-                .group("merge")
-                .inputs(chrom_outputs)
-                .output(final_out),
-            TaskProfile::new(self.mean_task_s)
-                .constraints(Constraints::new().memory_mb(memory_of(false, self.worst_case_memory)))
-                .outputs_bytes(self.chunk_bytes),
-        )
-        .expect("valid gwas task");
+        self.clone()
+            .into_source(usize::MAX)
+            .prime(&mut w)
+            .expect("a GWAS campaign materializes");
         w
     }
 
-    /// Lazy equivalent of [`GwasWorkload::build`]: a [`GraphSource`]
-    /// that materializes `window` chunk pipelines ahead of the
-    /// execution frontier instead of the whole campaign up front.
-    ///
-    /// Unlike [`GwasWorkload::build`] (one sequential RNG over the
-    /// whole campaign), per-chunk cost draws are seeded from
-    /// `(seed, chunk index)` so the generated profiles are a pure
-    /// function of the campaign parameters — independent of the
-    /// completion order that drives expansion.
+    /// The campaign as a [`GraphSource`] that materializes `window`
+    /// chunk pipelines ahead of the execution frontier instead of the
+    /// whole campaign up front. Cost draws are seeded per chunk from
+    /// `(seed, chunk index)`, so the profiles are a pure function of
+    /// the campaign parameters — independent of the completion order
+    /// that drives expansion.
     pub fn into_source(self, window: usize) -> GwasSource {
         GwasSource::new(self, window)
     }

@@ -193,10 +193,14 @@ pub fn parse_wdl(text: &str) -> Result<SimWorkload, WdlError> {
                     }
                     match k {
                         "dur" => {
-                            dur =
-                                Some(v.parse::<f64>().map_err(|_| {
-                                    err(line_no, format!("invalid duration `{v}`"))
-                                })?);
+                            // `f64` parses `NaN`, `inf` and negatives;
+                            // none is a duration.
+                            let d = v
+                                .parse::<f64>()
+                                .ok()
+                                .filter(|d| d.is_finite() && *d >= 0.0)
+                                .ok_or_else(|| err(line_no, format!("invalid duration `{v}`")))?;
+                            dur = Some(d);
                         }
                         "mem" => {
                             constraints =
@@ -388,6 +392,9 @@ task c inout=x dur=1
             ("data raw size=40M\ndata raw size=1", 2, "already declared"),
             ("bogus directive", 1, "unknown directive"),
             ("task t out=x dur=abc", 1, "invalid duration"),
+            ("task t out=x dur=NaN", 1, "invalid duration"),
+            ("task t out=x dur=inf", 1, "invalid duration"),
+            ("task t out=x dur=-1", 1, "invalid duration"),
             ("task t out=x dur=1 wat=1", 1, "unknown task key"),
             ("data d size=4X", 1, "invalid byte quantity"),
             ("task t foo", 1, "key=value"),

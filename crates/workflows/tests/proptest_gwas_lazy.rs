@@ -1,11 +1,7 @@
 //! The lazily materialized GWAS campaign schedules exactly like the
 //! same campaign materialized up front.
 //!
-//! `GwasWorkload::build()` draws its costs from one sequential RNG,
-//! while the lazy source seeds every chunk on its own (so expansion
-//! order cannot change a profile); the eager side of the comparison is
-//! therefore the *source* materialized in full — primed with a window
-//! covering every chunk, into a plain `SimWorkload` — and run through
+//! The eager side is `GwasWorkload::build()` run through
 //! `SimRuntime::run_traced`. The lazy side is `run_lazy` with windows
 //! from "just above what the platform can run at once" up to the whole
 //! campaign: as long as the window keeps unstarted chunks ahead of the
@@ -16,45 +12,20 @@
 //! every hundred-odd ids outlive its neighbours, so its segments are
 //! evacuated around their stragglers; that must not move one either.
 
-use continuum_dag::{DagError, DataId, ExpandSink, GraphSource, TaskId, TaskSpec};
 use continuum_platform::{NodeSpec, PlatformBuilder};
-use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime, SimWorkload, TaskProfile};
+use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
 use continuum_workflows::GwasWorkload;
 use proptest::prelude::*;
 
-/// Materializes whatever a source emits into an eager workload.
-struct Materialize(SimWorkload);
-
-impl ExpandSink<TaskProfile> for Materialize {
-    fn data(&mut self, name: &str) -> DataId {
-        self.0.data(name)
-    }
-
-    fn initial_data(&mut self, name: &str, bytes: u64) -> DataId {
-        self.0.initial_data(name, bytes, None)
-    }
-
-    fn submit(&mut self, spec: TaskSpec, payload: TaskProfile) -> Result<TaskId, DagError> {
-        self.0.task(spec, payload)
-    }
-
-    fn close_data(&mut self, _data: DataId) {}
-}
-
-/// Runs `campaign` eagerly (materialized in full) and lazily at each
-/// of `windows`; every lazy run must report and trace what the eager
-/// one does. Returns the most task slots any lazy run held evacuated.
+/// Runs `campaign` eagerly (built in full) and lazily at each of
+/// `windows`; every lazy run must report and trace what the eager one
+/// does. Returns the most task slots any lazy run held evacuated.
 fn lazy_matches_eager(campaign: &GwasWorkload, runtime: &SimRuntime, windows: &[usize]) -> usize {
-    let mut eager = Materialize(SimWorkload::new());
-    campaign
-        .clone()
-        .into_source(usize::MAX)
-        .prime(&mut eager)
-        .expect("the campaign materializes");
-    prop_assert_eq!(eager.0.graph().len(), campaign.task_count());
+    let eager = campaign.build();
+    prop_assert_eq!(eager.graph().len(), campaign.task_count());
     let (report, trace) = runtime
-        .run_traced(&eager.0, &mut LocalityScheduler::new(), &FaultPlan::new())
+        .run_traced(&eager, &mut LocalityScheduler::new(), &FaultPlan::new())
         .expect("eager run completes");
     let mut evacuated = 0;
     for &window in windows {

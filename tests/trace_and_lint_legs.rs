@@ -1,7 +1,8 @@
-//! Tier-1 legs for two gates CI otherwise reaches only through the
-//! `experiments` binary, which the root suite never builds: the trace
-//! pipeline's fixed point (export → read-back → re-export) on a real
-//! engine trace, and strict-lint rejection of a bad workflow.
+//! Tier-1 legs for gates CI otherwise reaches only through the
+//! `experiments` binary or member crates' suites, which the root suite
+//! never builds: the trace pipeline's fixed point (export → read-back →
+//! re-export) on a real engine trace, strict-lint rejection of a bad
+//! workflow, and the GWAS campaign running the same built as streamed.
 
 use continuum::dag::TaskSpec;
 use continuum::platform::{NodeSpec, PlatformBuilder};
@@ -37,6 +38,40 @@ fn sim_trace_export_is_a_fixed_point_of_read_back() {
     let read_back = parse_chrome_trace(&exported).expect("own export parses");
     assert!(read_back.len() > workload.graph().len(), "a span per task");
     assert_eq!(chrome_trace(&read_back), exported);
+}
+
+/// `build()` is the lazy generator drained in full, so an eager run of
+/// the built campaign and a lazy run whose window stays ahead of what
+/// the platform runs at once place and time every task alike.
+#[test]
+fn built_and_streamed_gwas_campaigns_run_alike() {
+    let campaign = GwasWorkload::new()
+        .chromosomes(4)
+        .chunks_per_chromosome(8)
+        .seed(1);
+    let platform = PlatformBuilder::new()
+        .cluster("mn", 2, NodeSpec::hpc(8, 96_000))
+        .build();
+    let runtime = SimRuntime::new(platform, SimOptions::default());
+    let (report, trace) = runtime
+        .run_traced(
+            &campaign.build(),
+            &mut LocalityScheduler::new(),
+            &FaultPlan::new(),
+        )
+        .expect("built campaign completes");
+    // Sixteen cores, plus imputations waiting for memory.
+    let window = 2 * 8 + 12;
+    let lazy = runtime
+        .run_lazy(
+            &mut campaign.clone().into_source(window),
+            &mut LocalityScheduler::new(),
+            &FaultPlan::new(),
+        )
+        .expect("streamed campaign completes");
+    assert_eq!(report.tasks_completed, campaign.task_count());
+    assert_eq!(lazy.report, report);
+    assert_eq!(lazy.trace, trace);
 }
 
 #[test]
