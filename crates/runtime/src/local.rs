@@ -66,6 +66,7 @@
 //!   original dispatch path bit-for-bit.
 
 mod admission;
+mod client;
 mod dispatch;
 mod record;
 
@@ -1213,122 +1214,6 @@ impl LocalRuntime {
             self.shared.sleeper.wake_for(1);
         }
         Ok(id)
-    }
-
-    /// Blocks until every submitted task has completed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::TaskPanicked`] (or
-    /// [`RuntimeError::BadTaskIo`] mapped to a failure) if any task
-    /// body failed; the first failure wins.
-    pub fn wait_all(&self) -> Result<(), RuntimeError> {
-        let shared = &*self.shared;
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let mut g = shared.graph.lock();
-        loop {
-            if let Some((task, message)) = g.failure.clone() {
-                if shared.running.load(Ordering::SeqCst) == 0 {
-                    return Err(RuntimeError::TaskPanicked { task, message });
-                }
-            } else if g.run.all_completed() && shared.running.load(Ordering::SeqCst) == 0 {
-                return Ok(());
-            }
-            shared.client_waiters.fetch_add(1, Ordering::SeqCst);
-            shared.client_cv.wait(&mut g);
-            shared.client_waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Blocks until the *current* version of the datum exists and
-    /// returns it.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::BadTaskIo`] — attributed to the producing
-    ///   task — if the value's type is not `T`;
-    /// * [`RuntimeError::BadDataAccess`] if the datum has no producer
-    ///   and no initial value (no task is at fault);
-    /// * [`RuntimeError::TaskPanicked`] if execution failed before the
-    ///   value was produced.
-    pub fn get<T: Send + Sync + 'static>(
-        &self,
-        handle: &DataHandle<T>,
-    ) -> Result<Arc<T>, RuntimeError> {
-        let shared = &*self.shared;
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let mut g = shared.graph.lock();
-        let target = g.ap.current_version(handle.id)?;
-        let producer = g.ap.catalog().current(handle.id)?.producer;
-        // The pin is a reference of its own: the version stays
-        // materialized however many writers supersede it and readers
-        // start while this call waits. `None`: an untouched version 0.
-        let pin = g.current(handle.id).map(CellRef::retain);
-        let result = loop {
-            if let Some(v) = pin.as_ref().and_then(|pin| pin.cell().read()) {
-                break v.downcast::<T>().map_err(|_| match producer {
-                    Some(task) => RuntimeError::BadTaskIo {
-                        task,
-                        detail: format!("value {target} does not have the requested type"),
-                    },
-                    None => RuntimeError::BadDataAccess {
-                        data: handle.id,
-                        detail: format!("initial value {target} does not have the requested type"),
-                    },
-                });
-            }
-            if let Some((task, message)) = g.failure.clone() {
-                break Err(RuntimeError::TaskPanicked { task, message });
-            }
-            if target.version.is_initial() {
-                break Err(RuntimeError::BadDataAccess {
-                    data: handle.id,
-                    detail: format!("datum {target} has no initial value"),
-                });
-            }
-            shared.client_waiters.fetch_add(1, Ordering::SeqCst);
-            shared.client_cv.wait(&mut g);
-            shared.client_waiters.fetch_sub(1, Ordering::SeqCst);
-        };
-        drop(g);
-        if let Some(pin) = pin {
-            shared.release(pin);
-        }
-        result
-    }
-
-    /// Current number of completed tasks.
-    pub fn completed_count(&self) -> usize {
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        self.shared.graph.lock().run.completed_count()
-    }
-
-    /// Total number of submitted tasks.
-    pub fn submitted_count(&self) -> usize {
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        self.shared.graph.lock().ap.graph().len()
-    }
-
-    /// Number of materialized values currently held by the runtime
-    /// (inputs kept for pending readers plus current versions). Exposed
-    /// so benchmarks and tests can assert bounded memory over long
-    /// version chains.
-    pub fn live_value_count(&self) -> usize {
-        self.shared.live_values.load(Ordering::Relaxed)
-    }
-
-    /// Async tasks currently parked on a waker (timer, stream or other
-    /// future). Each costs one stored future, not one thread.
-    pub fn parked_count(&self) -> usize {
-        self.shared.parked.load(Ordering::SeqCst)
-    }
-
-    /// High-water mark of concurrently in-flight (running + parked)
-    /// tasks over the runtime's lifetime. Exposed so benchmarks can
-    /// assert that parked concurrency exceeds the worker count by
-    /// orders of magnitude.
-    pub fn inflight_high_water(&self) -> usize {
-        self.shared.inflight_peak.load(Ordering::SeqCst)
     }
 }
 
