@@ -191,6 +191,110 @@ fn hot_paths_do_not_allocate_per_unit() {
         "allocations grew with the number of resumes: {short} for 100 elements, \
          {long} for 10 000"
     );
+
+    // A client waiting in `get` runs tasks with buffers it keeps across
+    // waits: a round costs what its tasks cost whether the client helps
+    // or finds the value made, and no more at 200 rounds than at 20.
+    let (short, _) = reduction_rounds(20, Wait::InGet);
+    let (long, helped) = reduction_rounds(200, Wait::InGet);
+    let (made, _) = reduction_rounds(200, Wait::ForValue);
+    assert!(helped > 0, "the client ran no task while it waited");
+    assert!(
+        long as f64 / 200.0 <= short as f64 / 20.0 + 0.25,
+        "a round allocates more the more rounds ran: {short} for 20, {long} for 200"
+    );
+    assert!(
+        long <= made + 64,
+        "waiting in `get` allocates: {long} for 200 rounds, {made} when the value was made"
+    );
+}
+
+/// Where the client thread of [`reduction_rounds`] waits for a round's
+/// sum.
+#[derive(Clone, Copy, PartialEq)]
+enum Wait {
+    /// In `get`, running tasks itself meanwhile.
+    InGet,
+    /// Until the sum has been made, so that `get` finds it.
+    ForValue,
+}
+
+/// Allocations of `rounds` rounds of "a seed readies eight parts, a sum
+/// reads them, the client gets the sum" on one worker, and how many
+/// parts the client ran. The seed holds the worker until the round is
+/// submitted, so every part is readied by its commit — none is taken
+/// from the injector in a batch, whose allocation depends on timing.
+fn reduction_rounds(rounds: u64, wait: Wait) -> (u64, usize) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    let seed = rt.data::<u64>("seed");
+    let parts = rt.data_batch::<u64>("part", 8);
+    let sum = rt.data::<u64>("sum");
+    let client = std::thread::current().id();
+    let on_client = Arc::new(AtomicUsize::new(0));
+    let [started, submitted, made] = [(); 3].map(|()| Arc::new(AtomicBool::new(false)));
+    let ((), allocations) = count(|| {
+        for round in 0..rounds {
+            for flag in [&started, &submitted, &made] {
+                flag.store(false, SeqCst);
+            }
+            let (start, go) = (Arc::clone(&started), Arc::clone(&submitted));
+            rt.submit(
+                TaskSpec::new("seed").output(seed.id()),
+                Constraints::new(),
+                move |ctx| {
+                    start.store(true, SeqCst);
+                    while !go.load(SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    ctx.set_output(0, round);
+                },
+            )
+            .unwrap();
+            while !started.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            for (i, part) in (0u64..).zip(&parts) {
+                let on_client = Arc::clone(&on_client);
+                rt.submit(
+                    TaskSpec::new("part").input(seed.id()).output(part.id()),
+                    Constraints::new(),
+                    move |ctx| {
+                        // Long enough that the client finds parts left.
+                        std::hint::black_box((0..20_000u64).fold(i, |a, k| a.wrapping_mul(31) ^ k));
+                        if std::thread::current().id() == client {
+                            on_client.fetch_add(1, SeqCst);
+                        }
+                        let seed = *ctx.input::<u64>(0);
+                        ctx.set_output(0, seed + i);
+                    },
+                )
+                .unwrap();
+            }
+            let done = Arc::clone(&made);
+            rt.submit(
+                TaskSpec::new("sum")
+                    .inputs(parts.iter().map(|p| p.id()))
+                    .output(sum.id()),
+                Constraints::new(),
+                move |ctx| {
+                    let total = (0..ctx.input_count())
+                        .map(|i| *ctx.input::<u64>(i))
+                        .sum::<u64>();
+                    ctx.set_output(0, total);
+                    done.store(true, SeqCst);
+                },
+            )
+            .unwrap();
+            submitted.store(true, SeqCst);
+            while wait == Wait::ForValue && !made.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            assert_eq!(*rt.get(&sum).unwrap(), 8 * round + 28);
+        }
+    });
+    (allocations, on_client.load(SeqCst))
 }
 
 /// Allocations of a capacity-1 ping-pong of `elements` elements on one

@@ -18,6 +18,8 @@
 //!   which runs it next without a queue (dependency chains stay on one
 //!   thread, hot in cache); the others go onto its own deque. Idle
 //!   workers batch-steal from the injector first, then from siblings.
+//!   A client waiting in `get`/`wait_all` runs ready tasks through the
+//!   same path meanwhile, within limits `get` keeps narrow ([`client`]).
 //! * **Split synchronization** — the graph/access-processor state and
 //!   the resource accounting are guarded separately, and values live
 //!   outside both: every version of a datum has a [`ValueCell`] inside
@@ -499,7 +501,9 @@ impl<T> Drop for StreamRecv<'_, T> {
 /// Configuration of a [`LocalRuntime`].
 #[derive(Debug, Clone)]
 pub struct LocalConfig {
-    /// Worker threads (also the advertised compute units).
+    /// Worker threads (also the advertised compute units). A client
+    /// waiting in `get`/`wait_all` adds its own thread for the duration
+    /// of the wait: up to `workers` + waiting clients tasks run at once.
     pub workers: usize,
     /// Advertised memory capacity in MB (for constraint admission).
     pub memory_mb: u64,
@@ -598,6 +602,8 @@ struct GraphState {
     /// [`LocalRuntime::stream`] or on demand at first use.
     channels: HashMap<DataId, Arc<StreamChannel>>,
     failure: Option<(TaskId, String)>,
+    /// What waiting clients keep between waits, and what they did.
+    clients: client::Clients,
 }
 
 impl GraphState {
@@ -759,12 +765,6 @@ impl Shared {
         meta.name.as_ref().map_or(0, |_| self.now_us())
     }
 
-    fn notify_clients(&self) {
-        if self.client_waiters.load(Ordering::SeqCst) > 0 {
-            self.client_cv.notify_all();
-        }
-    }
-
     /// The timer reactor, starting its tick thread on first use. The
     /// owning mutex is untracked by the lock-order checker: it guards
     /// only this one-shot initialization and the teardown in `Drop`,
@@ -861,6 +861,7 @@ impl LocalRuntime {
                 cells: Vec::new(),
                 channels: HashMap::new(),
                 failure: None,
+                clients: Default::default(),
             }),
             client_cv: Condvar::new(),
             live_values: AtomicUsize::new(0),
@@ -893,7 +894,10 @@ impl LocalRuntime {
             .enumerate()
             .map(|(i, queue)| {
                 let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared, &queue, i as u32))
+                // A worker runs task bodies all its life: it never helps.
+                thread::spawn(move || {
+                    client::running_tasks(|| worker_loop(&shared, &queue, i as u32))
+                })
             })
             .collect();
         LocalRuntime { shared, workers }
@@ -1245,8 +1249,7 @@ impl Drop for LocalRuntime {
         self.shared.sleeper.wake_all();
         let mut counts = WorkerCounts::default();
         for own in self.workers.drain(..).filter_map(|w| w.join().ok()) {
-            counts.handoffs += own.handoffs;
-            counts.steals += own.steals;
+            counts += own;
         }
         // Abandoned async tasks hold futures whose captured
         // `TaskContext` owns stream endpoints with `Arc<Shared>` —
@@ -1256,9 +1259,10 @@ impl Drop for LocalRuntime {
         // go of them one record at a time while `metas` keeps every
         // record alive, or dropping the newest task of a long pending
         // chain would recurse through all its ancestors.
-        {
+        let client_tasks = {
             let _order = lockorder::acquire(RANK_GRAPH, "graph");
             let g = self.shared.graph.lock();
+            counts += g.clients.counts;
             for meta in g.metas.iter().flatten() {
                 if let TaskPayload::Async(abody) = &meta.payload {
                     abody.factory.discard();
@@ -1266,7 +1270,8 @@ impl Drop for LocalRuntime {
                 }
                 meta.claim.lock().inputs = Slots::None;
             }
-        }
+            g.clients.tasks
+        };
         if self.shared.telemetry.enabled() {
             let end_us = self.shared.now_us();
             // Same end-of-run counter set the simulator publishes, so
@@ -1293,6 +1298,7 @@ impl Drop for LocalRuntime {
             telemetry.counter(CounterKey::InflightTasksHighWater, end_us, inflight_peak);
             telemetry.counter(CounterKey::HandedOffTasks, end_us, counts.handoffs as f64);
             telemetry.counter(CounterKey::StolenTasks, end_us, counts.steals as f64);
+            telemetry.counter(CounterKey::ClientTasks, end_us, client_tasks as f64);
             // The run span closes last, covering every task span.
             self.shared.telemetry.record(TelemetryEvent::Span {
                 track: Track::Run,
@@ -1310,7 +1316,7 @@ impl Drop for LocalRuntime {
 mod tests {
     use super::*;
 
-    fn rt(workers: usize) -> LocalRuntime {
+    pub(super) fn rt(workers: usize) -> LocalRuntime {
         LocalRuntime::new(LocalConfig::with_workers(workers))
     }
 
@@ -1445,21 +1451,6 @@ mod tests {
         .unwrap();
         let err = rt.wait_all().unwrap_err();
         assert!(err.to_string().contains("did not set output"));
-    }
-
-    #[test]
-    fn get_after_failure_errors_instead_of_hanging() {
-        let rt = rt(2);
-        let d = rt.data::<i32>("d");
-        rt.submit(
-            TaskSpec::new("boom").output(d.id()),
-            Constraints::new(),
-            |_| {
-                panic!("dead");
-            },
-        )
-        .unwrap();
-        assert!(rt.get(&d).is_err());
     }
 
     #[test]
@@ -1671,33 +1662,6 @@ mod tests {
             "a 500-step inout chain must not retain intermediates, live = {}",
             rt.live_value_count()
         );
-    }
-
-    #[test]
-    fn type_mismatch_in_get_blames_the_producer() {
-        let rt = rt(2);
-        let d = rt.data::<String>("d");
-        let id = rt
-            .submit(
-                TaskSpec::new("w").output(d.id()),
-                Constraints::new(),
-                |ctx| ctx.set_output(0, 7i32),
-            )
-            .unwrap();
-        match rt.get(&d).unwrap_err() {
-            RuntimeError::BadTaskIo { task, .. } => assert_eq!(task, id),
-            other => panic!("expected BadTaskIo, got {other}"),
-        }
-    }
-
-    #[test]
-    fn missing_initial_value_is_a_data_error() {
-        let rt = rt(1);
-        let d = rt.data::<i32>("d");
-        match rt.get(&d).unwrap_err() {
-            RuntimeError::BadDataAccess { data, .. } => assert_eq!(data, d.id()),
-            other => panic!("expected BadDataAccess, got {other}"),
-        }
     }
 
     #[test]
@@ -1979,6 +1943,55 @@ mod tests {
         (out, open)
     }
 
+    /// Runs `f` on a thread of its own and fails the test if it takes
+    /// longer than `limit`: a hang shows as a failure, not a stuck run.
+    pub(super) fn within<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        let watched = thread::spawn(move || done.send(f()));
+        let out = result
+            .recv_timeout(limit)
+            .expect("watchdog deadline passed");
+        watched
+            .join()
+            .expect("watched thread")
+            .expect("result received");
+        out
+    }
+
+    /// A gate task a worker is running: it holds that worker until
+    /// `open` fires, and sets `done` as it lets go.
+    pub(super) struct Held {
+        pub(super) out: DataHandle<()>,
+        pub(super) open: std::sync::mpsc::Sender<()>,
+        pub(super) done: Arc<AtomicBool>,
+    }
+
+    /// Submits a gate with `constraints` and returns once a worker runs
+    /// it. No client may be waiting meanwhile, or it could take the gate.
+    pub(super) fn hold_a_worker(rt: &LocalRuntime, constraints: Constraints) -> Held {
+        let (open, wait) = std::sync::mpsc::channel::<()>();
+        let (started, running) = std::sync::mpsc::channel::<()>();
+        let done = Arc::new(AtomicBool::new(false));
+        let out = rt.data::<()>("gate");
+        let leaving = Arc::clone(&done);
+        rt.submit(
+            TaskSpec::new("gate").output(out.id()),
+            constraints,
+            move |ctx| {
+                started.send(()).expect("test waits for the start");
+                wait.recv().expect("gate opened");
+                leaving.store(true, Ordering::SeqCst);
+                ctx.set_output(0, ());
+            },
+        )
+        .unwrap();
+        running.recv().expect("a worker runs the gate");
+        Held { out, open, done }
+    }
+
     #[test]
     fn set_initial_reaches_readers_submitted_before_it() {
         // One reader registers against the untouched version 0, a
@@ -2059,59 +2072,6 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1, "d@v1 was dead on arrival");
         assert_eq!(rt.live_value_count(), 2, "gate and d@v2");
         assert_eq!(rt.get(&d).unwrap().0, 2);
-    }
-
-    #[test]
-    fn get_pins_a_version_against_its_last_readers_commit() {
-        // A `get` and a superseding writer start together while the
-        // version's only reader is about to commit, on 4 workers: the
-        // `get` returns whichever version was current when it looked,
-        // never an error, and every superseded payload is gone by the
-        // time `wait_all` returns.
-        const ROUNDS: u64 = 200;
-        let drops = Arc::new(AtomicUsize::new(0));
-        let rt = rt(4);
-        for round in 0..ROUNDS {
-            let d = rt.data::<Counted>("d");
-            let sink = rt.data::<u64>("sink");
-            let drops1 = Arc::clone(&drops);
-            rt.submit(
-                TaskSpec::new("v1").output(d.id()),
-                Constraints::new(),
-                move |ctx| ctx.set_output(0, Counted(round, drops1)),
-            )
-            .unwrap();
-            rt.submit(
-                TaskSpec::new("reader").input(d.id()).output(sink.id()),
-                Constraints::new(),
-                |ctx| {
-                    let v = ctx.input::<Counted>(0).0;
-                    ctx.set_output(0, v);
-                },
-            )
-            .unwrap();
-            let start = std::sync::Barrier::new(2);
-            let got = thread::scope(|scope| {
-                let getter = scope.spawn(|| {
-                    start.wait();
-                    rt.get(&d).map(|v| v.0)
-                });
-                start.wait();
-                let drops2 = Arc::clone(&drops);
-                rt.submit(
-                    TaskSpec::new("v2").output(d.id()),
-                    Constraints::new(),
-                    move |ctx| ctx.set_output(0, Counted(round + ROUNDS, drops2)),
-                )
-                .unwrap();
-                getter.join().expect("getter thread")
-            });
-            let got = got.expect("a pinned version is never lost");
-            assert!(got == round || got == round + ROUNDS, "got {got}");
-            rt.wait_all().unwrap();
-            assert_eq!(drops.load(Ordering::SeqCst) as u64, round + 1);
-            assert_eq!(rt.live_value_count() as u64, 2 * (round + 1));
-        }
     }
 
     #[test]

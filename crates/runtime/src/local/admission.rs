@@ -43,6 +43,16 @@ impl Demand {
         }
     }
 
+    /// What a task of this demand takes from the pool when a waiting
+    /// client runs it: the client's thread is its first core, and the
+    /// rest comes from the pool as for a worker.
+    pub(super) fn on_client(&self) -> Demand {
+        Demand {
+            cores: self.cores.saturating_sub(1),
+            ..*self
+        }
+    }
+
     /// Whether `self`, as free capacity, can host `d` right now.
     fn covers(&self, d: &Demand) -> bool {
         self.cores >= d.cores
@@ -97,10 +107,11 @@ pub(super) struct ResourcePool {
 }
 
 impl ResourcePool {
-    /// Claims resources for `meta`, or parks it and returns `false`.
-    fn try_admit(&mut self, meta: &Arc<TaskMeta>) -> bool {
-        if self.free.covers(&meta.demand) {
-            self.free.take(&meta.demand);
+    /// Takes `share` — all or part of `meta`'s demand — for `meta`, or
+    /// parks it and returns `false`.
+    fn try_admit(&mut self, meta: &Arc<TaskMeta>, share: &Demand) -> bool {
+        if self.free.covers(share) {
+            self.free.take(share);
             true
         } else {
             self.blocked[resource_class(&meta.demand)].push_back(Arc::clone(meta));
@@ -108,18 +119,19 @@ impl ResourcePool {
         }
     }
 
-    /// Releases a finished task's resources, admits the successor its
-    /// worker was handed (or parks it, returning `false`), and drains
-    /// every parked task that now fits into `out` for re-injection. The
-    /// handed task goes first: it is what the worker runs next.
+    /// Releases what a finished task took, admits the successor its
+    /// runner was handed with the share it takes (or parks it, returning
+    /// `false`), and drains every parked task that now fits into `out`
+    /// for re-injection. The handed task goes first: it is what the
+    /// runner runs next.
     pub(super) fn release_and_unblock(
         &mut self,
         done: &Demand,
-        handed: Option<&Arc<TaskMeta>>,
+        handed: Option<(&Arc<TaskMeta>, &Demand)>,
         out: &mut Vec<Arc<TaskMeta>>,
     ) -> bool {
         self.free.give(done);
-        let admitted = handed.is_none_or(|meta| self.try_admit(meta));
+        let admitted = handed.is_none_or(|(meta, share)| self.try_admit(meta, share));
         for queue in &mut self.blocked {
             for _ in 0..queue.len() {
                 let m = queue.pop_front().expect("length checked");
@@ -134,11 +146,11 @@ impl ResourcePool {
     }
 }
 
-/// Claims resources for the task or parks it in the pool's side
-/// queues (a completing task will re-inject it).
-pub(super) fn try_admit(shared: &Shared, meta: &Arc<TaskMeta>) -> bool {
+/// Claims `share` of the task's demand or parks the task in the pool's
+/// side queues (a completing task will re-inject it).
+pub(super) fn try_admit(shared: &Shared, meta: &Arc<TaskMeta>, share: &Demand) -> bool {
     let _order = lockorder::acquire(RANK_POOL, "pool");
-    let admitted = shared.pool.lock().try_admit(meta);
+    let admitted = shared.pool.lock().try_admit(meta, share);
     if !admitted {
         shared.blocked_count.fetch_add(1, Ordering::SeqCst);
     }

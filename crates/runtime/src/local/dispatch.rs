@@ -1,7 +1,8 @@
 //! Dispatch: the worker loop, how a worker finds its next task, and
-//! the run of a claimed task from its body to its commit.
+//! the run of a claimed task — a worker's or a waiting client's — from
+//! its body to its commit.
 
-use super::admission::try_admit;
+use super::admission::{try_admit, Demand};
 use super::record::{AsyncBody, CellRef, Claim, TaskMeta, TaskPayload};
 use super::{Shared, StreamEndpointCore, TaskContext};
 use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
@@ -19,31 +20,74 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::thread;
 
-/// Per-worker state: pooled buffers, reused across tasks so
+/// Per-runner state: pooled buffers, reused across tasks so
 /// steady-state dispatch performs no heap allocation of its own, the
-/// hand-off slot, and the worker's counts.
+/// hand-off slot, and the runner's counts. A worker keeps one for its
+/// lifetime; waiting clients borrow theirs from the graph state.
 #[derive(Default)]
-struct Scratch {
+pub(super) struct Scratch {
     inputs: Vec<Value>,
     outputs: Vec<Option<Value>>,
     ready_ids: Vec<TaskId>,
     ready: Vec<Arc<TaskMeta>>,
-    unblocked: Vec<Arc<TaskMeta>>,
-    /// The successor the last commit readied and kept for this worker
+    pub(super) unblocked: Vec<Arc<TaskMeta>>,
+    /// The successor the last commit readied and kept for this runner
     /// to run next: admitted, holding the committed task's `running`
     /// and in-flight slots, in no queue.
-    handed: Option<Arc<TaskMeta>>,
-    counts: WorkerCounts,
+    pub(super) handed: Option<Arc<TaskMeta>>,
+    pub(super) counts: WorkerCounts,
 }
 
-/// What one worker did, returned when its thread exits. Plain
-/// integers: nothing on the dispatch path is shared to count them.
+/// What one worker did, returned when its thread exits, or what waiting
+/// clients did, summed per wait. Plain integers: nothing on the
+/// dispatch path is shared to count them.
 #[derive(Debug, Default, Clone, Copy)]
 pub(super) struct WorkerCounts {
     /// Tasks run from the hand-off slot.
     pub(super) handoffs: u64,
-    /// Tasks stolen from a sibling's deque.
+    /// Tasks stolen from a worker's deque (a sibling's, for a worker).
     pub(super) steals: u64,
+}
+
+impl std::ops::AddAssign for WorkerCounts {
+    fn add_assign(&mut self, other: WorkerCounts) {
+        self.handoffs += other.handoffs;
+        self.steals += other.steals;
+    }
+}
+
+/// Who runs a task. It decides where the commit puts the successors it
+/// readies beyond the handed one, and what the task takes from the pool.
+#[derive(Clone, Copy)]
+pub(super) enum Runner<'a> {
+    /// A worker: readied successors go onto its own deque, and a task
+    /// takes its whole demand from the pool.
+    Worker(&'a WorkerQueue<Arc<TaskMeta>>),
+    /// A client waiting in `get` or `wait_all`: readied successors go to
+    /// the injector, and the client's own thread is the task's first
+    /// core ([`Demand::on_client`]).
+    Client,
+}
+
+impl Runner<'_> {
+    /// What a task of `demand` takes from the pool on this runner.
+    pub(super) fn share(self, demand: &Demand) -> Demand {
+        match self {
+            Runner::Worker(_) => *demand,
+            Runner::Client => demand.on_client(),
+        }
+    }
+
+    /// Queues readied successors where this runner's siblings find them.
+    fn push_ready(self, shared: &Shared, ready: &mut Vec<Arc<TaskMeta>>) {
+        shared.pending.fetch_add(ready.len(), Ordering::SeqCst);
+        for m in ready.drain(..) {
+            match self {
+                Runner::Worker(queue) => queue.push(m),
+                Runner::Client => shared.injector.push(m),
+            }
+        }
+    }
 }
 
 pub(super) fn worker_loop(
@@ -51,6 +95,7 @@ pub(super) fn worker_loop(
     queue: &WorkerQueue<Arc<TaskMeta>>,
     worker: u32,
 ) -> WorkerCounts {
+    let runner = Runner::Worker(queue);
     let mut scratch = Scratch::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -67,7 +112,7 @@ pub(super) fn worker_loop(
         }
         if let Some(meta) = scratch.handed.take() {
             scratch.counts.handoffs += 1;
-            execute(shared, queue, &meta, worker, &mut scratch);
+            execute(shared, runner, &meta, worker, &mut scratch);
             continue;
         }
         shared.sleeper.begin_search();
@@ -75,19 +120,29 @@ pub(super) fn worker_loop(
         shared.sleeper.end_search();
         match found {
             Some(meta) => {
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
-                if !meta.inflight_reserved.load(Ordering::SeqCst) {
-                    shared.note_inflight_start(&meta);
+                if admit_claimed(shared, runner, &meta) {
+                    execute(shared, runner, &meta, worker, &mut scratch);
                 }
-                if !try_admit(shared, &meta) {
-                    continue;
-                }
-                shared.running.fetch_add(1, Ordering::SeqCst);
-                execute(shared, queue, &meta, worker, &mut scratch);
             }
             None => sleep(shared),
         }
     }
+}
+
+/// Takes a task just claimed from a queue out of `pending`, into the
+/// in-flight set and through admission with `runner`'s share of its
+/// demand; `false` if it parked in a side queue instead. Admitted, it
+/// holds a `running` slot.
+pub(super) fn admit_claimed(shared: &Shared, runner: Runner, meta: &Arc<TaskMeta>) -> bool {
+    shared.pending.fetch_sub(1, Ordering::SeqCst);
+    if !meta.inflight_reserved.load(Ordering::SeqCst) {
+        shared.note_inflight_start(meta);
+    }
+    if !try_admit(shared, meta, &runner.share(&meta.demand)) {
+        return false;
+    }
+    shared.running.fetch_add(1, Ordering::SeqCst);
+    true
 }
 
 /// Own deque first (newest-first: dependency chains stay hot), then a
@@ -230,25 +285,25 @@ impl TaskContext {
     }
 }
 
-/// Runs one claimed, admitted task: the closure path executes the body
-/// to completion on this worker; the async path polls it, parking on
-/// `Poll::Pending`.
-fn execute(
+/// Runs one claimed, admitted task on `runner`, whose telemetry row is
+/// `worker`: the closure path executes the body to completion; the
+/// async path polls it, parking on `Poll::Pending`.
+pub(super) fn execute(
     shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
+    runner: Runner,
     meta: &Arc<TaskMeta>,
     worker: u32,
     s: &mut Scratch,
 ) {
     match &meta.payload {
-        TaskPayload::Closure => execute_closure(shared, queue, meta, worker, s),
-        TaskPayload::Async(abody) => poll_async(shared, queue, meta, abody, worker, s),
+        TaskPayload::Closure => execute_closure(shared, runner, meta, worker, s),
+        TaskPayload::Async(abody) => poll_async(shared, runner, meta, abody, worker, s),
     }
 }
 
 fn execute_closure(
     shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
+    runner: Runner,
     meta: &Arc<TaskMeta>,
     worker: u32,
     s: &mut Scratch,
@@ -311,7 +366,7 @@ fn execute_closure(
 
     commit_task(
         shared,
-        queue,
+        runner,
         meta,
         worker,
         failure_message,
@@ -321,7 +376,7 @@ fn execute_closure(
     );
 }
 
-/// Polls an async task body on the claiming worker. The first dispatch
+/// Polls an async task body on the claiming runner. The first dispatch
 /// resolves inputs and builds the future; `Poll::Pending` parks the
 /// task, freeing the worker *and* the task's admitted resources (a
 /// default task holds one core — without the release, parked
@@ -329,7 +384,7 @@ fn execute_closure(
 /// exactly like a finished closure.
 fn poll_async(
     shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
+    runner: Runner,
     meta: &Arc<TaskMeta>,
     abody: &AsyncBody,
     worker: u32,
@@ -376,7 +431,7 @@ fn poll_async(
                     }
                     let end_us = shared.stamp_us(meta);
                     let message = Some(panic_message(payload.as_ref()));
-                    commit_task(shared, queue, meta, worker, message, end_us, end_us, s);
+                    commit_task(shared, runner, meta, worker, message, end_us, end_us, s);
                     return;
                 }
             }
@@ -397,7 +452,7 @@ fn poll_async(
                 drop(fut);
                 let end_us = shared.stamp_us(meta);
                 let message = Some(panic_message(payload.as_ref()));
-                commit_task(shared, queue, meta, worker, message, start_us, end_us, s);
+                commit_task(shared, runner, meta, worker, message, start_us, end_us, s);
                 return;
             }
             Ok(Poll::Ready(mut ctx)) => {
@@ -417,7 +472,7 @@ fn poll_async(
                 drop(ctx);
                 commit_task(
                     shared,
-                    queue,
+                    runner,
                     meta,
                     worker,
                     failure_message,
@@ -439,15 +494,15 @@ fn poll_async(
                 match abody.cell.try_park() {
                     ParkOutcome::Parked => {
                         // The task now costs one stored future. Free
-                        // the worker and release its admitted
-                        // resources; the resume path re-admits through
+                        // the runner and release what the task took;
+                        // the resume path re-admits through
                         // `try_admit` like any claimed task.
                         shared.running.fetch_sub(1, Ordering::SeqCst);
                         s.unblocked.clear();
                         {
                             let _order = lockorder::acquire(RANK_POOL, "pool");
                             shared.pool.lock().release_and_unblock(
-                                &meta.demand,
+                                &runner.share(&meta.demand),
                                 None,
                                 &mut s.unblocked,
                             );
@@ -487,13 +542,13 @@ fn poll_async(
 /// `failure_message == None` means the outputs are already published.
 ///
 /// The last successor the commit readies — the one the LIFO deque
-/// would pop first — is handed to this worker instead: it takes over
+/// would pop first — is handed to this runner instead: it takes over
 /// the committed task's `running` and in-flight slots, and its
 /// admission shares the pool section that releases its predecessor.
 #[allow(clippy::too_many_arguments)]
 fn commit_task(
     shared: &Arc<Shared>,
-    queue: &WorkerQueue<Arc<TaskMeta>>,
+    runner: Runner,
     meta: &Arc<TaskMeta>,
     worker: u32,
     failure_message: Option<String>,
@@ -557,11 +612,13 @@ fn commit_task(
     // -- resources: release, admit the handed task, unpark -------------
     s.unblocked.clear();
     let admitted = {
+        let handed = s.handed.as_ref().map(|h| (h, runner.share(&h.demand)));
         let _order = lockorder::acquire(RANK_POOL, "pool");
-        shared
-            .pool
-            .lock()
-            .release_and_unblock(&meta.demand, s.handed.as_ref(), &mut s.unblocked)
+        shared.pool.lock().release_and_unblock(
+            &runner.share(&meta.demand),
+            handed.as_ref().map(|(h, share)| (*h, share)),
+            &mut s.unblocked,
+        )
     };
     if !s.unblocked.is_empty() {
         shared
@@ -577,16 +634,13 @@ fn commit_task(
     }
 
     // -- dispatch -------------------------------------------------------
-    // The other readied successors go onto this worker's own deque and,
-    // like the unparked tasks, each warrants a wakeup: the handed one is
-    // what this worker runs next, hot in cache, and no sibling can
-    // steal it.
+    // The other readied successors go onto a worker's own deque, or a
+    // client's injector, and, like the unparked tasks, each warrants a
+    // wakeup: the handed one is what this runner runs next, hot in
+    // cache, and no sibling can steal it.
     let wake = s.ready.len() + s.unblocked.len();
     if !s.ready.is_empty() {
-        shared.pending.fetch_add(s.ready.len(), Ordering::SeqCst);
-        for m in s.ready.drain(..) {
-            queue.push(m);
-        }
+        runner.push_ready(shared, &mut s.ready);
     }
     shared.inject_ready(&mut s.unblocked);
     if wake > 0 {
@@ -639,6 +693,7 @@ fn missing_input_placeholder() -> Value {
 
 #[cfg(test)]
 mod tests {
+    use crate::local::tests::within;
     use crate::{LocalConfig, LocalRuntime, RuntimeError, TraceBuffer};
     use continuum_dag::TaskSpec;
     use continuum_platform::Constraints;
@@ -646,21 +701,6 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
-
-    /// Runs `f` on a thread of its own and fails the test if it takes
-    /// longer than `limit`: a hang shows as a failure, not a stuck run.
-    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (done, result) = mpsc::channel();
-        let watched = std::thread::spawn(move || done.send(f()));
-        let out = result
-            .recv_timeout(limit)
-            .expect("watchdog deadline passed");
-        watched
-            .join()
-            .expect("watched thread")
-            .expect("result received");
-        out
-    }
 
     #[test]
     fn a_handed_task_that_does_not_fit_parks_until_its_holder_releases() {
@@ -792,6 +832,9 @@ mod tests {
 
     #[test]
     fn a_one_worker_chain_is_handed_off_link_by_link() {
+        // Every link is readied by its predecessor's commit and run next
+        // by whoever committed it: the worker, or the client waiting in
+        // `get` if it claimed the gate first. Both count alike.
         const N: u64 = 64;
         let (buffer, telemetry) = TraceBuffer::collector();
         {
@@ -799,8 +842,7 @@ mod tests {
                 telemetry,
                 ..LocalConfig::with_workers(1)
             });
-            // The gate holds the only worker until the chain is in:
-            // every later link is readied by its predecessor's commit.
+            // The gate holds its runner until the chain is in.
             let (open, gate) = mpsc::channel::<()>();
             let acc = rt.data::<u64>("acc");
             rt.submit(

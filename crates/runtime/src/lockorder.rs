@@ -71,6 +71,31 @@ mod imp {
         LockToken { name }
     }
 
+    /// Runs `f` with the innermost tracked lock, `name`, taken off the
+    /// thread's record — for a caller that releases that lock around
+    /// `f`, so that `f` may take it, or any other, afresh. The record is
+    /// restored when `f` returns or unwinds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not the innermost lock the thread holds.
+    pub fn released<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+        let entry = HELD.with(|held| held.borrow_mut().pop());
+        assert_eq!(
+            entry.map(|(_, n)| n),
+            Some(name),
+            "only the innermost tracked lock can be released"
+        );
+        struct Restore(Option<(u8, &'static str)>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                HELD.with(|held| held.borrow_mut().extend(self.0.take()));
+            }
+        }
+        let _restore = Restore(entry);
+        f()
+    }
+
     impl Drop for LockToken {
         fn drop(&mut self) {
             HELD.with(|held| {
@@ -95,9 +120,15 @@ mod imp {
     pub fn acquire(_rank: u8, _name: &'static str) -> LockToken {
         LockToken
     }
+
+    /// Release builds: runs `f`.
+    #[inline(always)]
+    pub fn released<R>(_name: &'static str, f: impl FnOnce() -> R) -> R {
+        f()
+    }
 }
 
-pub use imp::acquire;
+pub use imp::{acquire, released};
 
 #[cfg(all(test, debug_assertions))]
 mod tests {
@@ -116,6 +147,16 @@ mod tests {
         }
         let _graph = acquire(RANK_GRAPH, "graph");
         let _sleep = acquire(RANK_SLEEP, "sleep");
+    }
+
+    #[test]
+    fn a_released_lock_can_be_taken_again_inside() {
+        let _graph = acquire(RANK_GRAPH, "graph");
+        released("graph", || {
+            let _graph = acquire(RANK_GRAPH, "graph");
+            let _pool = acquire(RANK_POOL, "pool");
+        });
+        let _pool = acquire(RANK_POOL, "pool");
     }
 
     #[test]

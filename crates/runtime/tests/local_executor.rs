@@ -13,8 +13,8 @@ use continuum_platform::Constraints;
 use continuum_runtime::{LocalConfig, LocalRuntime, TraceBuffer};
 use continuum_telemetry::{Event, TaskPhase, Track};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// Splitmix-style mixer so checksums depend on every bit.
 fn mix(x: u64) -> u64 {
@@ -521,5 +521,67 @@ fn constraint_parked_tasks_drain_with_light_traffic() {
     }
     for (i, d) in light.iter().enumerate() {
         assert_eq!(*rt.get(d).unwrap(), mix(i as u64).wrapping_mul(3));
+    }
+}
+
+/// A payload that counts its own drops.
+struct Counted(u64, Arc<AtomicUsize>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.1.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn get_pins_a_version_against_its_last_readers_commit() {
+    // A `get` and a superseding writer start together while the
+    // version's only reader is about to commit, on 4 workers: the
+    // `get` returns whichever version was current when it looked,
+    // never an error, and every superseded payload is gone by the
+    // time `wait_all` returns.
+    const ROUNDS: u64 = 200;
+    let drops = Arc::new(AtomicUsize::new(0));
+    let rt = LocalRuntime::new(LocalConfig::with_workers(4));
+    for round in 0..ROUNDS {
+        let d = rt.data::<Counted>("d");
+        let sink = rt.data::<u64>("sink");
+        let drops1 = Arc::clone(&drops);
+        rt.submit(
+            TaskSpec::new("v1").output(d.id()),
+            Constraints::new(),
+            move |ctx| ctx.set_output(0, Counted(round, drops1)),
+        )
+        .unwrap();
+        rt.submit(
+            TaskSpec::new("reader").input(d.id()).output(sink.id()),
+            Constraints::new(),
+            |ctx| {
+                let v = ctx.input::<Counted>(0).0;
+                ctx.set_output(0, v);
+            },
+        )
+        .unwrap();
+        let start = Barrier::new(2);
+        let got = std::thread::scope(|scope| {
+            let getter = scope.spawn(|| {
+                start.wait();
+                rt.get(&d).map(|v| v.0)
+            });
+            start.wait();
+            let drops2 = Arc::clone(&drops);
+            rt.submit(
+                TaskSpec::new("v2").output(d.id()),
+                Constraints::new(),
+                move |ctx| ctx.set_output(0, Counted(round + ROUNDS, drops2)),
+            )
+            .unwrap();
+            getter.join().expect("getter thread")
+        });
+        let got = got.expect("a pinned version is never lost");
+        assert!(got == round || got == round + ROUNDS, "got {got}");
+        rt.wait_all().unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst) as u64, round + 1);
+        assert_eq!(rt.live_value_count() as u64, 2 * (round + 1));
     }
 }

@@ -526,7 +526,9 @@ impl RunDiagnostics {
                     dur_us,
                     ctx: _,
                 } => {
-                    *phase_totals_us.entry(*phase).or_default() += dur_us;
+                    // Overlapping spans can sum past `u64::MAX`.
+                    let total = phase_totals_us.entry(*phase).or_default();
+                    *total = total.saturating_add(*dur_us);
                     if *track == Track::Run {
                         continue;
                     }
@@ -703,24 +705,7 @@ impl fmt::Display for RunDiagnostics {
             "idle_s",
             "busy%"
         )?;
-        let mut total = NodeAttribution {
-            track: Track::Run,
-            tasks: 0,
-            compute_us: 0,
-            stream_wait_us: 0,
-            transfer_us: 0,
-            sched_stall_us: 0,
-            queue_wait_us: 0,
-            idle_us: 0,
-        };
         for node in &self.nodes {
-            total.tasks += node.tasks;
-            total.compute_us += node.compute_us;
-            total.stream_wait_us += node.stream_wait_us;
-            total.transfer_us += node.transfer_us;
-            total.sched_stall_us += node.sched_stall_us;
-            total.queue_wait_us += node.queue_wait_us;
-            total.idle_us += node.idle_us;
             writeln!(
                 f,
                 "  {:<12} {:>6} {:>11.3} {:>10.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>6.1}%",
@@ -740,17 +725,25 @@ impl fmt::Display for RunDiagnostics {
             )?;
         }
         if self.nodes.len() > 1 {
+            // Each row's buckets sum to the makespan: on a trace ending
+            // near `u64::MAX` the rows' totals saturate.
+            let all = |bucket: fn(&NodeAttribution) -> Micros| {
+                s(self
+                    .nodes
+                    .iter()
+                    .fold(0, |sum, n| sum.saturating_add(bucket(n))))
+            };
             writeln!(
                 f,
                 "  {:<12} {:>6} {:>11.3} {:>10.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3}",
                 "all rows",
-                total.tasks,
-                s(total.compute_us),
-                s(total.stream_wait_us),
-                s(total.transfer_us),
-                s(total.sched_stall_us),
-                s(total.queue_wait_us),
-                s(total.idle_us)
+                self.nodes.iter().map(|n| n.tasks).sum::<u64>(),
+                all(|n| n.compute_us),
+                all(|n| n.stream_wait_us),
+                all(|n| n.transfer_us),
+                all(|n| n.sched_stall_us),
+                all(|n| n.queue_wait_us),
+                all(|n| n.idle_us)
             )?;
         }
         writeln!(

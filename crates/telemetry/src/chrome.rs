@@ -318,6 +318,10 @@ fn parse_entry(i: usize, entry: &Value) -> Result<Option<Event>, String> {
                     .get("dur")
                     .and_then(Value::as_u64)
                     .ok_or_else(|| format!("entry {i}: span missing \"dur\""))?;
+                // An end past the last microsecond has no `Micros`.
+                if ts.checked_add(dur).is_none() {
+                    return Err(format!("entry {i}: span ends past the largest timestamp"));
+                }
                 Ok(Some(Event::Span {
                     track,
                     name: name.to_string().into(),
@@ -344,6 +348,11 @@ fn parse_entry(i: usize, entry: &Value) -> Result<Option<Event>, String> {
                 .and_then(|a| a.get("value"))
                 .and_then(Value::as_f64)
                 .ok_or_else(|| format!("entry {i}: counter missing args.value"))?;
+            // Out of range for an `f64`, a value parses as infinite, and
+            // the writer has no number to give it back as.
+            if !value.is_finite() {
+                return Err(format!("entry {i}: counter value is not finite"));
+            }
             Ok(Some(Event::Counter {
                 key,
                 at_us: ts,

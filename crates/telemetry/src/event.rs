@@ -307,17 +307,23 @@ pub enum CounterKey {
     /// including parked async bodies) observed at once — the M:N
     /// executor's concurrency high-water mark.
     InflightTasksHighWater,
-    /// Tasks a local worker ran straight after the commit that readied
-    /// them, without a queue (the run's total, published at its end).
+    /// Tasks a local worker, or a waiting client, ran straight after the
+    /// commit that readied them, without a queue (the run's total,
+    /// published at its end).
     HandedOffTasks,
-    /// Tasks local workers took from a sibling worker's queue (the
-    /// run's total, published at its end).
+    /// Tasks local workers took from a sibling worker's queue, and
+    /// waiting clients from a worker's (the run's total, published at
+    /// its end).
     StolenTasks,
+    /// Tasks client threads ran while they waited in `get` or
+    /// `wait_all` (the run's total, summed per wait and published at
+    /// its end).
+    ClientTasks,
 }
 
 impl CounterKey {
     /// Every counter key.
-    pub const ALL: [CounterKey; 20] = [
+    pub const ALL: [CounterKey; 21] = [
         CounterKey::QueueDepth,
         CounterKey::RunningTasks,
         CounterKey::TransferBytes,
@@ -338,6 +344,7 @@ impl CounterKey {
         CounterKey::InflightTasksHighWater,
         CounterKey::HandedOffTasks,
         CounterKey::StolenTasks,
+        CounterKey::ClientTasks,
     ];
 
     /// Inverse of [`CounterKey::as_str`].
@@ -368,6 +375,7 @@ impl CounterKey {
             CounterKey::InflightTasksHighWater => "inflight_tasks_high_water",
             CounterKey::HandedOffTasks => "handed_off_tasks",
             CounterKey::StolenTasks => "stolen_tasks",
+            CounterKey::ClientTasks => "client_tasks",
         }
     }
 }

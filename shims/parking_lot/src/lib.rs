@@ -15,9 +15,11 @@ pub struct Mutex<T: ?Sized> {
 
 /// Guard for [`Mutex`].
 ///
-/// Holds the std guard in an `Option` so [`Condvar::wait`] can move it
-/// out and back without unsafe code.
+/// Holds the std guard in an `Option` so [`Condvar::wait`] and
+/// [`MutexGuard::unlocked`] can move it out and back without unsafe
+/// code, and the mutex to take it again.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a sync::Mutex<T>,
     guard: Option<sync::MutexGuard<'a, T>>,
 }
 
@@ -41,6 +43,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking the current thread.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
+            mutex: &self.inner,
             guard: Some(
                 self.inner
                     .lock()
@@ -52,8 +55,12 @@ impl<T: ?Sized> Mutex<T> {
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(guard) => Some(MutexGuard { guard: Some(guard) }),
+            Ok(guard) => Some(MutexGuard {
+                mutex: &self.inner,
+                guard: Some(guard),
+            }),
             Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
+                mutex: &self.inner,
                 guard: Some(p.into_inner()),
             }),
             Err(sync::TryLockError::WouldBlock) => None,
@@ -69,6 +76,17 @@ impl<T: ?Sized> Mutex<T> {
 }
 
 impl<'a, T: ?Sized> MutexGuard<'a, T> {
+    /// Releases the lock while `f` runs and takes it again before
+    /// returning, as parking_lot's `MutexGuard::unlocked` does. If `f`
+    /// panics the lock stays released; dropping the guard then is a
+    /// no-op.
+    pub fn unlocked<F: FnOnce() -> U, U>(s: &mut Self, f: F) -> U {
+        drop(s.guard.take());
+        let out = f();
+        s.guard = Some(s.mutex.lock().unwrap_or_else(sync::PoisonError::into_inner));
+        out
+    }
+
     fn inner(&self) -> &sync::MutexGuard<'a, T> {
         self.guard
             .as_ref()
@@ -284,6 +302,20 @@ mod tests {
         drop(guard);
         worker.join().unwrap();
         assert_eq!(*lock.lock(), 10);
+    }
+
+    #[test]
+    fn unlocked_lets_others_in_and_relocks() {
+        let lock = Mutex::new(1u32);
+        let mut guard = lock.lock();
+        let seen = MutexGuard::unlocked(&mut guard, || {
+            let mut other = lock.try_lock().expect("released while unlocked");
+            *other += 1;
+            *other
+        });
+        assert_eq!(seen, 2);
+        assert!(lock.try_lock().is_none(), "held again");
+        assert_eq!(*guard, 2);
     }
 
     #[test]

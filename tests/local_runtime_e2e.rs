@@ -256,3 +256,34 @@ fn thousand_task_smoke() {
     assert_eq!(rt.completed_count(), 1000);
     assert_eq!(*rt.get(&outs[500]).unwrap(), 1000);
 }
+
+/// dislib's Lloyd loop blocks in `get` once per iteration, while the
+/// iteration's partial sums are still queued: on one worker, the main
+/// thread runs some of them itself, and the run's end counts them.
+#[test]
+fn kmeans_main_thread_runs_partials_while_it_waits() {
+    use continuum::dislib::{DistMatrix, KMeans};
+    use continuum::runtime::TraceBuffer;
+    use continuum::telemetry::{CounterKey, Event};
+
+    let (buffer, telemetry) = TraceBuffer::collector();
+    {
+        let rt = LocalRuntime::new(LocalConfig {
+            telemetry,
+            ..LocalConfig::with_workers(1)
+        });
+        let x = DistMatrix::random(&rt, 6_000, 16, 750, 42).unwrap();
+        rt.wait_all().unwrap();
+        let model = KMeans::new(32).max_iter(5).tol(0.0).seed(42);
+        assert_eq!(model.fit(&rt, &x).unwrap().iterations, 5);
+    }
+    let client_tasks = buffer.events().iter().find_map(|e| match e {
+        Event::Counter {
+            key: CounterKey::ClientTasks,
+            value,
+            ..
+        } => Some(*value),
+        _ => None,
+    });
+    assert!(client_tasks > Some(0.0), "client_tasks = {client_tasks:?}");
+}

@@ -42,7 +42,7 @@ GROUPS = [
     ("clock", r"Instant::now|Instant::elapsed|Timespec|clock_gettime|now_us"),
     ("value cells/liveness", r"value_cell::|local::record::|CellRef|DatumCells|publish_outputs|Shared::release|local::(Value|Live)\w+|local::GraphState::"),
     ("access processor + graph", r"dag::access::|dag::graph::|dag::ready::|dag::spec::|dag::inline_vec::|dag::seg_vec::"),
-    ("dispatch queues", r"crossbeam::deque|sleeper::|find_task|wake_workers|inject_ready|local::admission::|ResourcePool|Demand|try_admit"),
+    ("dispatch queues", r"crossbeam::deque|sleeper::|find_task|steal_one|wake_workers|inject_ready|local::admission::|ResourcePool|Demand|try_admit|local::client::"),
     ("placement (scheduler, can_host, satisfies)", r"scheduler::|can_host|NodeCapacity::satisfies|is_subset"),
     ("event queue", r"queue::|BinaryHeap"),
     ("dislib kernels", r"dislib::"),
