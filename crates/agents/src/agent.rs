@@ -12,11 +12,11 @@ use continuum_storage::{ObjectKey, StorageRuntime, StoredValue};
 use continuum_telemetry::{
     Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 
@@ -75,6 +75,11 @@ pub enum ExecReply {
     Failed(String),
 }
 
+/// A request in an agent's inbox. Every verb that answers carries a
+/// one-shot reply cell: an async caller awaits its receiver, a plain
+/// thread `wait`s on it, and a reply dropped unanswered (the agent or
+/// its orchestration thread died first) resolves the receiver to
+/// `None` instead of stranding the caller.
 pub(crate) enum Msg {
     Execute {
         op: String,
@@ -84,12 +89,10 @@ pub(crate) enum Msg {
         /// Causal context of the offload hop this execution serves; the
         /// agent parents its own transfer/execute spans under it.
         ctx: Option<SpanContext>,
-        /// One reply cell for both callers: an async task awaits its
-        /// receiver, the orchestrator's wave blocks on it.
         reply: OneshotSender<ExecReply>,
     },
     Probe {
-        reply: Sender<AgentInfo>,
+        reply: OneshotSender<AgentInfo>,
     },
     StartApplication {
         app: Application,
@@ -97,7 +100,7 @@ pub(crate) enum Msg {
         /// Inbound causal context when the application is itself a
         /// remote dispatch (nested orchestration).
         ctx: Option<SpanContext>,
-        reply: Sender<Result<AppReport, crate::error::AgentError>>,
+        reply: OneshotSender<Result<AppReport, crate::error::AgentError>>,
     },
     Shutdown,
 }
@@ -136,7 +139,7 @@ impl Agent {
         network: std::sync::Weak<NetworkInner>,
         telemetry: RecorderHandle,
     ) -> Self {
-        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let alive = Arc::new(AtomicBool::new(true));
         let executed = Arc::new(AtomicU64::new(0));
         let thread_alive = Arc::clone(&alive);
@@ -616,9 +619,9 @@ mod tests {
             std::sync::Weak::new(),
             RecorderHandle::noop(),
         );
-        let (tx, rx) = unbounded();
+        let (tx, rx) = continuum_platform::oneshot::channel();
         agent.sender().send(Msg::Probe { reply: tx }).unwrap();
-        let info = rx.recv().unwrap();
+        let info = rx.wait().unwrap();
         assert_eq!(info.id, AgentId(3));
         assert_eq!(info.class, DeviceClass::Edge);
         assert_eq!(info.status, AgentStatus::Alive);

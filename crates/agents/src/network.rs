@@ -6,10 +6,11 @@ use crate::error::AgentError;
 use crate::offload::OffloadPolicy;
 use crate::ops::OpRegistry;
 use crate::orchestrator::{AppReport, AppTask, Application};
-use continuum_platform::oneshot::OneshotReceiver;
+use continuum_platform::oneshot::{self, OneshotReceiver};
 use continuum_platform::DeviceClass;
 use continuum_storage::StorageRuntime;
 use std::fmt;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// Shared state of a network: what agents, the orchestrator and the
@@ -25,10 +26,7 @@ impl NetworkInner {
         self.agents.read().iter().map(Agent::info).collect()
     }
 
-    pub(crate) fn sender_of(
-        &self,
-        id: AgentId,
-    ) -> Result<crossbeam::channel::Sender<crate::agent::Msg>, AgentError> {
+    pub(crate) fn sender_of(&self, id: AgentId) -> Result<Sender<crate::agent::Msg>, AgentError> {
         let agents = self.agents.read();
         agents
             .get(id.index())
@@ -180,12 +178,12 @@ impl AgentNetwork {
     /// Returns [`AgentError::UnknownAgent`] if the id is not deployed
     /// or its thread is gone.
     pub fn probe(&self, id: AgentId) -> Result<AgentInfo, AgentError> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = oneshot::channel();
         self.sender_of(id)?
             .send(crate::agent::Msg::Probe { reply: tx })
             .map_err(|_| AgentError::UnknownAgent(id.to_string()))?;
-        rx.recv()
-            .map_err(|_| AgentError::UnknownAgent(id.to_string()))
+        rx.wait()
+            .ok_or_else(|| AgentError::UnknownAgent(id.to_string()))
     }
 
     /// The REST *execute* verb, asynchronously: ships one operation to
@@ -214,7 +212,7 @@ impl AgentNetwork {
     /// # }
     /// ```
     pub fn execute_async(&self, on: AgentId, task: &AppTask) -> Result<ExecFuture, AgentError> {
-        let (reply, rx) = continuum_platform::oneshot::channel();
+        let (reply, rx) = oneshot::channel();
         self.sender_of(on)?
             .send(crate::agent::Msg::Execute {
                 op: task.op.clone(),
@@ -266,7 +264,7 @@ impl AgentNetwork {
         policy: Box<dyn OffloadPolicy>,
         ctx: Option<continuum_telemetry::SpanContext>,
     ) -> Result<AppReport, AgentError> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = oneshot::channel();
         self.sender_of(on)?
             .send(crate::agent::Msg::StartApplication {
                 app,
@@ -275,14 +273,11 @@ impl AgentNetwork {
                 reply: tx,
             })
             .map_err(|_| AgentError::UnknownAgent(on.to_string()))?;
-        rx.recv()
-            .map_err(|_| AgentError::UnknownAgent(on.to_string()))?
+        rx.wait()
+            .ok_or_else(|| AgentError::UnknownAgent(on.to_string()))?
     }
 
-    pub(crate) fn sender_of(
-        &self,
-        id: AgentId,
-    ) -> Result<crossbeam::channel::Sender<crate::agent::Msg>, AgentError> {
+    pub(crate) fn sender_of(&self, id: AgentId) -> Result<Sender<crate::agent::Msg>, AgentError> {
         self.inner.sender_of(id)
     }
 

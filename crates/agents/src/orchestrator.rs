@@ -616,13 +616,13 @@ mod tests {
 
     #[test]
     fn agent_killed_mid_wave_yields_a_reexecution() {
-        use crossbeam::channel::unbounded;
         use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::channel;
         let net = network(1, 1);
         // The first `sense` announces itself and holds its agent until
         // the test has killed that agent under it.
-        let (started_tx, started_rx) = unbounded();
-        let (resume_tx, resume_rx) = unbounded::<()>();
+        let (started_tx, started_rx) = channel();
+        let (resume_tx, resume_rx) = channel::<()>();
         let resume_rx = parking_lot::Mutex::new(resume_rx);
         let first = AtomicBool::new(true);
         net.ops().register("sense", move |_| {
@@ -736,6 +736,41 @@ mod tests {
         assert!(net
             .start_application(AgentId(9), pipeline(), Box::new(RoundRobinOffload::new()))
             .is_err());
+    }
+
+    /// A policy that panics kills the agent's orchestration thread
+    /// before it answers: the dropped reply cell must surface as an
+    /// error, not leave the caller waiting forever.
+    #[test]
+    fn a_policy_panicking_on_the_agent_fails_start_application_instead_of_hanging() {
+        struct Panics;
+        impl OffloadPolicy for Panics {
+            fn name(&self) -> &str {
+                "panics"
+            }
+            fn choose(&mut self, _: &AppTask, _: &[crate::agent::AgentInfo]) -> Option<AgentId> {
+                panic!("policy gave up")
+            }
+        }
+        let net = Arc::new(network(1, 1));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let caller = {
+            let net = Arc::clone(&net);
+            std::thread::spawn(move || {
+                let result = net.start_application(AgentId(0), pipeline(), Box::new(Panics));
+                done_tx.send(result).unwrap();
+            })
+        };
+        let result = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("start_application hung after its orchestration thread panicked");
+        caller.join().unwrap();
+        assert!(
+            matches!(&result, Err(AgentError::UnknownAgent(id)) if id == "agent0"),
+            "{result:?}"
+        );
+        // The agent itself keeps serving.
+        assert!(net.probe(AgentId(0)).is_ok());
     }
 
     #[test]

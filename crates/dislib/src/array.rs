@@ -7,6 +7,7 @@ use continuum_platform::Constraints;
 use continuum_runtime::{DataHandle, LocalRuntime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use std::sync::Arc;
 
 /// A dense matrix partitioned into row blocks, each block a value in
@@ -187,22 +188,107 @@ impl DistMatrix {
         self
     }
 
-    /// Gathers all blocks into one in-memory matrix.
+    /// Gathers all blocks into one in-memory matrix, copying each block
+    /// once into a buffer of the final size.
     ///
     /// # Errors
     ///
-    /// Propagates failures of producing tasks.
+    /// * [`DislibError::ShapeMismatch`] if a block is not
+    ///   [`DistMatrix::cols`] wide (a width-changing
+    ///   [`DistMatrix::map_blocks`] without [`DistMatrix::with_cols`]);
+    /// * failures of producing tasks.
     pub fn collect(&self, rt: &LocalRuntime) -> Result<Matrix, DislibError> {
-        let mut out: Option<Matrix> = None;
+        let mut data = Vec::with_capacity(self.rows * self.cols);
         for h in &self.blocks {
             let block = rt.get(h)?;
-            out = Some(match out {
-                None => (*block).clone(),
-                Some(acc) => acc.vstack(&block),
-            });
+            if block.cols() != self.cols {
+                return Err(DislibError::ShapeMismatch(format!(
+                    "a block is {} wide, the matrix {} (see `with_cols`)",
+                    block.cols(),
+                    self.cols
+                )));
+            }
+            data.extend_from_slice(block.as_slice());
         }
-        Ok(out.expect("at least one block by construction"))
+        Ok(Matrix::from_vec(self.rows, self.cols, data))
     }
+
+    /// The block reduction the estimators are built on: one `map` task
+    /// per block, then one `fold` task over the partials in block
+    /// order, whose value is returned. `map` is given the block's first
+    /// row, the block, and the block of the same index of `paired` if
+    /// there is one (the caller checks that the two are row-aligned).
+    /// It is cloned once per block, so what it captures should be cheap
+    /// to clone (`Copy` values, `Arc`s).
+    ///
+    /// `tasks` names the map and the fold tasks. The fold's value is
+    /// named `tag` and block `i`'s partial `part_{i}_of_{tag}`.
+    pub(crate) fn reduce_blocks<P, T, F, R>(
+        &self,
+        rt: &LocalRuntime,
+        paired: Option<&DistMatrix>,
+        tasks: [&'static str; 2],
+        tag: fmt::Arguments<'_>,
+        map: F,
+        fold: R,
+    ) -> Result<Arc<T>, DislibError>
+    where
+        P: Send + Sync + 'static,
+        T: Send + Sync + 'static,
+        F: Fn(usize, &Matrix, Option<&Matrix>) -> P + Clone + Send + 'static,
+        R: FnOnce(&mut dyn Iterator<Item = &P>) -> T + Send + 'static,
+    {
+        let [map_task, fold_task] = tasks;
+        let with_paired = paired.is_some();
+        let mut parts = Vec::with_capacity(self.blocks.len());
+        let mut first_row = 0;
+        for (i, block) in self.blocks.iter().enumerate() {
+            // The leading literal sizes the string for the whole name,
+            // so each name is one allocation.
+            let part = rt.data::<P>(format!("part_{i}_of_{tag}"));
+            let mut spec = TaskSpec::new(map_task).input(block.id());
+            if let Some(paired) = paired {
+                spec = spec.input(paired.blocks[i].id());
+            }
+            let map = map.clone();
+            let row = first_row;
+            rt.submit(spec.output(part.id()), Constraints::new(), move |ctx| {
+                let y = with_paired.then(|| ctx.input::<Matrix>(1));
+                let partial = map(row, ctx.input(0), y);
+                ctx.set_output(0, partial);
+            })?;
+            parts.push(part);
+            first_row += self.rows_per_block[i];
+        }
+        let out = rt.data::<T>(fmt::format(tag));
+        let n = parts.len();
+        rt.submit(
+            TaskSpec::new(fold_task)
+                .inputs(parts.iter().map(|p| p.id()))
+                .output(out.id()),
+            Constraints::new(),
+            move |ctx| {
+                let value = fold(&mut (0..n).map(|i| ctx.input::<P>(i)));
+                ctx.set_output(0, value);
+            },
+        )?;
+        Ok(rt.get(&out)?)
+    }
+}
+
+/// Sums block partials in block order: the first is cloned and each
+/// of the rest is added to it in place. The order is part of the
+/// result, because floating-point addition does not reassociate; the
+/// pinned K-means model bits are those of block order.
+pub(crate) fn sum(parts: &mut dyn Iterator<Item = &Matrix>) -> Matrix {
+    let mut acc = parts
+        .next()
+        .expect("a distributed matrix has a block")
+        .clone();
+    for part in parts {
+        acc.add_assign(part);
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -230,6 +316,22 @@ mod tests {
         assert_eq!(dm.rows(), 5);
         assert_eq!(dm.cols(), 2);
         assert_eq!(dm.collect(&rt).unwrap(), m);
+        // One-row blocks: every block lands in the one buffer.
+        let dm = DistMatrix::from_matrix(&rt, &m, 1);
+        assert_eq!(dm.rows_per_block(), &[1; 5]);
+        assert_eq!(dm.collect(&rt).unwrap(), m);
+        // A width-changing map collects once its width is recorded.
+        let narrow = dm
+            .map_blocks(&rt, "first_col", |b| {
+                Matrix::from_vec(b.rows(), 1, (0..b.rows()).map(|r| b.at(r, 0)).collect())
+            })
+            .unwrap();
+        assert!(matches!(
+            narrow.collect(&rt),
+            Err(DislibError::ShapeMismatch(_))
+        ));
+        let firsts = narrow.with_cols(1).collect(&rt).unwrap();
+        assert_eq!(firsts.as_slice(), &[1.0, 3.0, 5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! K-means clustering with per-block partial reductions.
 
-use crate::array::DistMatrix;
+use crate::array::{sum, DistMatrix};
 use crate::error::DislibError;
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -14,10 +14,10 @@ use std::sync::Arc;
 
 /// K-means estimator (Lloyd's algorithm).
 ///
-/// Each iteration submits one *partial* task per block (assign points
-/// to the nearest centroid, accumulate per-cluster sums/counts and the
-/// block inertia) plus one reduction task; the runtime executes the
-/// partials in parallel.
+/// Each iteration is one block reduction: a *partial* task per block
+/// (assign points to the nearest centroid, accumulate per-cluster
+/// sums/counts and the block inertia) and one task summing the partials
+/// in block order; the runtime executes the partials in parallel.
 ///
 /// # Example
 ///
@@ -138,46 +138,27 @@ impl KMeans {
         let panel = Arc::new(centroids.transpose());
         // Partial layout: k rows of [sum_0..sum_d-1, count] plus one
         // extra row [inertia, 0, ...].
-        let mut partials = Vec::with_capacity(x.num_blocks());
-        for (i, block) in x.blocks().iter().enumerate() {
-            let out = rt.data::<Matrix>(format!("km_part_{iter}_{i}"));
-            let panel = Arc::clone(&panel);
-            rt.submit(
-                TaskSpec::new("kmeans_partial")
-                    .input(block.id())
-                    .output(out.id()),
-                Constraints::new(),
-                move |ctx| {
-                    let b: &Matrix = ctx.input(0);
-                    let mut acc = Matrix::zeros(k + 1, d + 1);
-                    let mut inertia = 0.0;
-                    kernels::nearest(&panel, b, |x, best, dist| {
-                        let sums = acc.row_mut(best);
-                        for (s, v) in sums.iter_mut().zip(x) {
-                            *s += v;
-                        }
-                        sums[d] += 1.0;
-                        inertia += dist;
-                    });
-                    acc.set(k, 0, inertia);
-                    ctx.set_output(0, acc);
-                },
-            )?;
-            partials.push(out);
-        }
-        let reduced = rt.data::<Matrix>(format!("km_red_{iter}"));
-        let spec = TaskSpec::new("kmeans_reduce")
-            .inputs(partials.iter().map(|p| p.id()))
-            .output(reduced.id());
-        let n_parts = partials.len();
-        rt.submit(spec, Constraints::new(), move |ctx| {
-            let mut acc: Matrix = ctx.input::<Matrix>(0).clone();
-            for i in 1..n_parts {
-                acc.add_assign(ctx.input::<Matrix>(i));
-            }
-            ctx.set_output(0, acc);
-        })?;
-        let acc = rt.get(&reduced)?;
+        let acc = x.reduce_blocks(
+            rt,
+            None,
+            ["kmeans_partial", "kmeans_reduce"],
+            format_args!("km_{iter}"),
+            move |_, b, _| {
+                let mut acc = Matrix::zeros(k + 1, d + 1);
+                let mut inertia = 0.0;
+                kernels::nearest(&panel, b, |x, best, dist| {
+                    let sums = acc.row_mut(best);
+                    for (s, v) in sums.iter_mut().zip(x) {
+                        *s += v;
+                    }
+                    sums[d] += 1.0;
+                    inertia += dist;
+                });
+                acc.set(k, 0, inertia);
+                acc
+            },
+            sum,
+        )?;
         // Fold the accumulator into new centroids; empty clusters keep
         // their previous position.
         let mut new_centroids = centroids.clone();

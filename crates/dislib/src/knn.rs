@@ -3,8 +3,6 @@
 use crate::array::DistMatrix;
 use crate::error::DislibError;
 use crate::matrix::Matrix;
-use continuum_dag::TaskSpec;
-use continuum_platform::Constraints;
 use continuum_runtime::LocalRuntime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,13 +34,13 @@ pub struct KnnClassifier {
     k: usize,
 }
 
-/// A fitted k-NN model: references to the training blocks plus the
-/// per-block label slices.
+/// A fitted k-NN model: references to the training blocks plus their
+/// labels in row order.
 #[derive(Debug, Clone)]
 pub struct KnnModel {
     k: usize,
     train: DistMatrix,
-    labels_per_block: Vec<Arc<Vec<usize>>>,
+    labels: Arc<[usize]>,
 }
 
 impl KnnClassifier {
@@ -56,8 +54,8 @@ impl KnnClassifier {
         KnnClassifier { k }
     }
 
-    /// "Fits" the model (k-NN is lazy: this validates shapes and
-    /// splits labels per block).
+    /// "Fits" the model (k-NN is lazy: this validates shapes and keeps
+    /// the labels).
     ///
     /// # Errors
     ///
@@ -83,16 +81,10 @@ impl KnnClassifier {
                 x.rows()
             )));
         }
-        let mut labels_per_block = Vec::with_capacity(x.num_blocks());
-        let mut offset = 0;
-        for rows in x.rows_per_block() {
-            labels_per_block.push(Arc::new(labels[offset..offset + rows].to_vec()));
-            offset += rows;
-        }
         Ok(KnnModel {
             k: self.k,
             train: x.clone(),
-            labels_per_block,
+            labels: labels.into(),
         })
     }
 }
@@ -114,57 +106,36 @@ impl KnnModel {
             )));
         }
         let shared_q = Arc::new(queries.clone());
+        let labels = Arc::clone(&self.labels);
         let k = self.k;
-        // Per-block candidate search tasks.
-        let mut parts = Vec::with_capacity(self.train.num_blocks());
-        for (i, (block, labels)) in self
-            .train
-            .blocks()
-            .iter()
-            .zip(&self.labels_per_block)
-            .enumerate()
-        {
-            let out = rt.data::<Candidates>(format!("knn_cand_{i}"));
-            let q = Arc::clone(&shared_q);
-            let labels = Arc::clone(labels);
-            rt.submit(
-                TaskSpec::new("knn_partial")
-                    .input(block.id())
-                    .output(out.id()),
-                Constraints::new(),
-                move |ctx| {
-                    let b: &Matrix = ctx.input(0);
-                    let mut all: Candidates = Vec::with_capacity(q.rows());
-                    for qi in 0..q.rows() {
-                        let mut cands: Vec<(f64, usize)> = (0..b.rows())
-                            .map(|r| (q.row_distance_sq(qi, b, r), r))
-                            .collect();
-                        keep_k_nearest(&mut cands, k);
-                        for cand in &mut cands {
-                            cand.1 = labels[cand.1];
-                        }
-                        all.push(cands);
-                    }
-                    ctx.set_output(0, all);
-                },
-            )?;
-            parts.push(out);
-        }
-        // Merge + vote.
-        let merged = rt.data::<Vec<usize>>("knn_labels");
-        let n_parts = parts.len();
         let n_queries = queries.rows();
-        rt.submit(
-            TaskSpec::new("knn_merge")
-                .inputs(parts.iter().map(|p| p.id()))
-                .output(merged.id()),
-            Constraints::new(),
-            move |ctx| {
+        // Per-block candidate search, then merge + vote.
+        let voted = self.train.reduce_blocks(
+            rt,
+            None,
+            ["knn_partial", "knn_merge"],
+            format_args!("knn"),
+            move |first_row, b, _| {
+                let mut all: Candidates = Vec::with_capacity(shared_q.rows());
+                for qi in 0..shared_q.rows() {
+                    let mut cands: Vec<(f64, usize)> = (0..b.rows())
+                        .map(|r| (shared_q.row_distance_sq(qi, b, r), r))
+                        .collect();
+                    keep_k_nearest(&mut cands, k);
+                    for cand in &mut cands {
+                        cand.1 = labels[first_row + cand.1];
+                    }
+                    all.push(cands);
+                }
+                all
+            },
+            move |parts| {
+                let parts: Vec<&Candidates> = parts.collect();
                 let mut labels = Vec::with_capacity(n_queries);
                 for qi in 0..n_queries {
                     let mut cands: Vec<(f64, usize)> = Vec::new();
-                    for p in 0..n_parts {
-                        cands.extend(ctx.input::<Candidates>(p)[qi].iter().copied());
+                    for part in &parts {
+                        cands.extend(part[qi].iter().copied());
                     }
                     // Stable: equal distances stay in block, then row, order.
                     cands.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -180,10 +151,10 @@ impl KnnModel {
                         .unwrap_or(0);
                     labels.push(best);
                 }
-                ctx.set_output(0, labels);
+                labels
             },
         )?;
-        Ok(rt.get(&merged)?.as_ref().clone())
+        Ok(voted.as_ref().clone())
     }
 }
 

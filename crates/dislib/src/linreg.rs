@@ -1,10 +1,8 @@
 //! Ordinary least squares via blocked normal equations.
 
-use crate::array::DistMatrix;
+use crate::array::{sum, DistMatrix};
 use crate::error::DislibError;
 use crate::matrix::Matrix;
-use continuum_dag::TaskSpec;
-use continuum_platform::Constraints;
 use continuum_runtime::LocalRuntime;
 
 /// Linear regression (with intercept) fitted by solving the normal
@@ -71,53 +69,31 @@ impl LinearRegression {
         let d = x.cols();
         let t = y.cols();
         // Per block: [G | B] where G = Xaᵀ Xa ((d+1)²) and B = Xaᵀ y.
-        let mut partials = Vec::with_capacity(x.num_blocks());
-        for (i, (bx, by)) in x.blocks().iter().zip(y.blocks()).enumerate() {
-            let out = rt.data::<Matrix>(format!("lr_part_{i}"));
-            rt.submit(
-                TaskSpec::new("linreg_partial")
-                    .input(bx.id())
-                    .input(by.id())
-                    .output(out.id()),
-                Constraints::new(),
-                move |ctx| {
-                    let bx: &Matrix = ctx.input(0);
-                    let by: &Matrix = ctx.input(1);
-                    let xa = augment_ones(bx);
-                    let xat = xa.transpose();
-                    let g = xat.matmul(&xa);
-                    let b = xat.matmul(by);
-                    // Pack [G | B] side by side.
-                    let mut packed = Matrix::zeros(d + 1, d + 1 + t);
-                    for r in 0..d + 1 {
-                        for c in 0..d + 1 {
-                            packed.set(r, c, g.at(r, c));
-                        }
-                        for c in 0..t {
-                            packed.set(r, d + 1 + c, b.at(r, c));
-                        }
+        let packed = x.reduce_blocks(
+            rt,
+            Some(y),
+            ["linreg_partial", "linreg_reduce"],
+            format_args!("lr"),
+            move |_, bx, by| {
+                let by = by.expect("paired with y");
+                let xa = augment_ones(bx);
+                let xat = xa.transpose();
+                let g = xat.matmul(&xa);
+                let b = xat.matmul(by);
+                // Pack [G | B] side by side.
+                let mut packed = Matrix::zeros(d + 1, d + 1 + t);
+                for r in 0..d + 1 {
+                    for c in 0..d + 1 {
+                        packed.set(r, c, g.at(r, c));
                     }
-                    ctx.set_output(0, packed);
-                },
-            )?;
-            partials.push(out);
-        }
-        let reduced = rt.data::<Matrix>("lr_reduced");
-        let n_parts = partials.len();
-        rt.submit(
-            TaskSpec::new("linreg_reduce")
-                .inputs(partials.iter().map(|p| p.id()))
-                .output(reduced.id()),
-            Constraints::new(),
-            move |ctx| {
-                let mut acc = ctx.input::<Matrix>(0).clone();
-                for i in 1..n_parts {
-                    acc = acc.add(ctx.input::<Matrix>(i));
+                    for c in 0..t {
+                        packed.set(r, d + 1 + c, b.at(r, c));
+                    }
                 }
-                ctx.set_output(0, acc);
+                packed
             },
+            sum,
         )?;
-        let packed = rt.get(&reduced)?;
         // Unpack and solve.
         let mut g = Matrix::zeros(d + 1, d + 1);
         let mut b = Matrix::zeros(d + 1, t);

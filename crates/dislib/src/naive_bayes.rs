@@ -1,10 +1,8 @@
 //! Gaussian naive Bayes with blocked sufficient statistics.
 
-use crate::array::DistMatrix;
+use crate::array::{sum, DistMatrix};
 use crate::error::DislibError;
 use crate::matrix::Matrix;
-use continuum_dag::TaskSpec;
-use continuum_platform::Constraints;
 use continuum_runtime::LocalRuntime;
 use std::sync::Arc;
 
@@ -92,52 +90,27 @@ impl GaussianNb {
         }
         // Per block: a (3 * n_classes) × d matrix of stacked
         // [sums; sums of squares; counts-in-col-0] per class.
-        let mut offset = 0;
-        let mut partials = Vec::with_capacity(x.num_blocks());
-        for (i, block) in x.blocks().iter().enumerate() {
-            let rows = x.rows_per_block()[i];
-            let block_labels: Arc<Vec<usize>> = Arc::new(labels[offset..offset + rows].to_vec());
-            offset += rows;
-            let out = rt.data::<Matrix>(format!("gnb_part_{i}"));
-            let bl = Arc::clone(&block_labels);
-            rt.submit(
-                TaskSpec::new("gnb_partial")
-                    .input(block.id())
-                    .output(out.id()),
-                Constraints::new(),
-                move |ctx| {
-                    let b: &Matrix = ctx.input(0);
-                    let mut acc = Matrix::zeros(3 * n_classes, d.max(1));
-                    for r in 0..b.rows() {
-                        let c = bl[r];
-                        for f in 0..d {
-                            let v = b.at(r, f);
-                            acc.set(c, f, acc.at(c, f) + v);
-                            acc.set(n_classes + c, f, acc.at(n_classes + c, f) + v * v);
-                        }
-                        acc.set(2 * n_classes + c, 0, acc.at(2 * n_classes + c, 0) + 1.0);
+        let all_labels: Arc<[usize]> = labels.into();
+        let acc = x.reduce_blocks(
+            rt,
+            None,
+            ["gnb_partial", "gnb_reduce"],
+            format_args!("gnb"),
+            move |first_row, b, _| {
+                let bl = &all_labels[first_row..first_row + b.rows()];
+                let mut acc = Matrix::zeros(3 * n_classes, d.max(1));
+                for (r, &c) in bl.iter().enumerate() {
+                    for f in 0..d {
+                        let v = b.at(r, f);
+                        acc.set(c, f, acc.at(c, f) + v);
+                        acc.set(n_classes + c, f, acc.at(n_classes + c, f) + v * v);
                     }
-                    ctx.set_output(0, acc);
-                },
-            )?;
-            partials.push(out);
-        }
-        let reduced = rt.data::<Matrix>("gnb_reduced");
-        let n_parts = partials.len();
-        rt.submit(
-            TaskSpec::new("gnb_reduce")
-                .inputs(partials.iter().map(|p| p.id()))
-                .output(reduced.id()),
-            Constraints::new(),
-            move |ctx| {
-                let mut acc = ctx.input::<Matrix>(0).clone();
-                for i in 1..n_parts {
-                    acc = acc.add(ctx.input::<Matrix>(i));
+                    acc.set(2 * n_classes + c, 0, acc.at(2 * n_classes + c, 0) + 1.0);
                 }
-                ctx.set_output(0, acc);
+                acc
             },
+            sum,
         )?;
-        let acc = rt.get(&reduced)?;
         let total = labels.len() as f64;
         let mut classes = Vec::new();
         for c in 0..n_classes {

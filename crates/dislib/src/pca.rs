@@ -1,12 +1,10 @@
 //! Principal component analysis via blocked covariance and power
 //! iteration with deflation.
 
-use crate::array::DistMatrix;
+use crate::array::{sum, DistMatrix};
 use crate::error::DislibError;
 use crate::matrix::Matrix;
 use crate::scaler::StandardScaler;
-use continuum_dag::TaskSpec;
-use continuum_platform::Constraints;
 use continuum_runtime::LocalRuntime;
 
 /// PCA estimator: centers the data (blocked), accumulates the `d × d`
@@ -94,38 +92,16 @@ impl Pca {
             out
         })?;
         // Blocked covariance: sum of per-block XᵀX.
-        let mut partials = Vec::with_capacity(centered.num_blocks());
-        for (i, block) in centered.blocks().iter().enumerate() {
-            let out = rt.data::<Matrix>(format!("pca_part_{i}"));
-            rt.submit(
-                TaskSpec::new("pca_partial")
-                    .input(block.id())
-                    .output(out.id()),
-                Constraints::new(),
-                move |ctx| {
-                    let b: &Matrix = ctx.input(0);
-                    ctx.set_output(0, b.transpose().matmul(b));
-                },
-            )?;
-            partials.push(out);
-        }
-        let reduced = rt.data::<Matrix>("pca_reduced");
-        let n_parts = partials.len();
-        rt.submit(
-            TaskSpec::new("pca_reduce")
-                .inputs(partials.iter().map(|p| p.id()))
-                .output(reduced.id()),
-            Constraints::new(),
-            move |ctx| {
-                let mut acc = ctx.input::<Matrix>(0).clone();
-                for i in 1..n_parts {
-                    acc = acc.add(ctx.input::<Matrix>(i));
-                }
-                ctx.set_output(0, acc);
-            },
+        let gram = centered.reduce_blocks(
+            rt,
+            None,
+            ["pca_partial", "pca_reduce"],
+            format_args!("pca"),
+            |_, b, _| b.transpose().matmul(b),
+            sum,
         )?;
         let denom = (x.rows().max(2) - 1) as f64;
-        let mut cov = rt.get(&reduced)?.scale(1.0 / denom);
+        let mut cov = gram.scale(1.0 / denom);
 
         // Power iteration with deflation, locally on the small d × d.
         let mut components = Matrix::zeros(self.n_components, d);

@@ -1,10 +1,8 @@
 //! Per-column standardisation (zero mean, unit variance).
 
-use crate::array::DistMatrix;
+use crate::array::{sum, DistMatrix};
 use crate::error::DislibError;
 use crate::matrix::Matrix;
-use continuum_dag::TaskSpec;
-use continuum_platform::Constraints;
 use continuum_runtime::LocalRuntime;
 
 /// Standard scaler: `fit` computes per-column mean/std with blocked
@@ -39,46 +37,25 @@ impl StandardScaler {
     pub fn fit(rt: &LocalRuntime, x: &DistMatrix) -> Result<StandardScaler, DislibError> {
         let d = x.cols();
         // Partial: 3 × d matrix of [sum; sum of squares; count].
-        let mut partials = Vec::with_capacity(x.num_blocks());
-        for (i, block) in x.blocks().iter().enumerate() {
-            let out = rt.data::<Matrix>(format!("scaler_part_{i}"));
-            rt.submit(
-                TaskSpec::new("scaler_partial")
-                    .input(block.id())
-                    .output(out.id()),
-                Constraints::new(),
-                move |ctx| {
-                    let b: &Matrix = ctx.input(0);
-                    let mut acc = Matrix::zeros(3, d);
-                    for r in 0..b.rows() {
-                        for c in 0..d {
-                            let v = b.at(r, c);
-                            acc.set(0, c, acc.at(0, c) + v);
-                            acc.set(1, c, acc.at(1, c) + v * v);
-                            acc.set(2, c, acc.at(2, c) + 1.0);
-                        }
+        let acc = x.reduce_blocks(
+            rt,
+            None,
+            ["scaler_partial", "scaler_reduce"],
+            format_args!("scaler"),
+            move |_, b, _| {
+                let mut acc = Matrix::zeros(3, d);
+                for r in 0..b.rows() {
+                    for c in 0..d {
+                        let v = b.at(r, c);
+                        acc.set(0, c, acc.at(0, c) + v);
+                        acc.set(1, c, acc.at(1, c) + v * v);
+                        acc.set(2, c, acc.at(2, c) + 1.0);
                     }
-                    ctx.set_output(0, acc);
-                },
-            )?;
-            partials.push(out);
-        }
-        let reduced = rt.data::<Matrix>("scaler_reduced");
-        let n_parts = partials.len();
-        rt.submit(
-            TaskSpec::new("scaler_reduce")
-                .inputs(partials.iter().map(|p| p.id()))
-                .output(reduced.id()),
-            Constraints::new(),
-            move |ctx| {
-                let mut acc = ctx.input::<Matrix>(0).clone();
-                for i in 1..n_parts {
-                    acc = acc.add(ctx.input::<Matrix>(i));
                 }
-                ctx.set_output(0, acc);
+                acc
             },
+            sum,
         )?;
-        let acc = rt.get(&reduced)?;
         let mut mean = Vec::with_capacity(d);
         let mut std = Vec::with_capacity(d);
         for c in 0..d {

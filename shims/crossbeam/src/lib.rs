@@ -1,11 +1,11 @@
 //! Offline drop-in stand-in for the `crossbeam` crate surface this
-//! workspace uses: `channel::{unbounded, bounded, Sender, Receiver}`
-//! and `deque::{Worker, Stealer, Injector, Steal}`. Channels are
-//! backed by `std::sync::mpsc`, whose `Sender` has been `Sync` since
-//! Rust 1.72, so the sharing patterns crossbeam enables still work;
-//! deques are backed by mutex-guarded ring buffers, preserving the
-//! crossbeam semantics (owner pops one end, thieves steal the other,
-//! contended steals report `Retry`) without the lock-free unsafe code.
+//! workspace uses: `deque::{Worker, Stealer, Injector, Steal}`, plus
+//! the test [`hooks`] the deques report to. The deques are backed by
+//! mutex-guarded ring buffers, preserving the crossbeam semantics
+//! (owner pops one end, thieves steal the other, contended steals
+//! report `Retry`) without the lock-free unsafe code. It has no
+//! channels: the agents' inboxes are `std::sync::mpsc` and their
+//! replies `continuum_platform::oneshot` cells.
 
 /// Test hooks for deterministic-interleaving and chaos testing.
 ///
@@ -253,146 +253,6 @@ pub mod hooks {
                 });
             }
         }
-    }
-}
-
-/// Multi-producer channels, mirroring `crossbeam::channel`.
-pub mod channel {
-    use std::fmt;
-    use std::sync::mpsc;
-
-    /// Error returned when the receiving side has hung up.
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T: Send> std::error::Error for SendError<T> {}
-
-    /// Error returned when the channel is empty and disconnected.
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty, disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub enum TryRecvError {
-        /// Channel currently empty.
-        Empty,
-        /// Channel empty and all senders dropped.
-        Disconnected,
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("channel is empty"),
-                TryRecvError::Disconnected => f.write_str("channel is disconnected"),
-            }
-        }
-    }
-
-    impl std::error::Error for TryRecvError {}
-
-    /// The sending half of a channel.
-    pub struct Sender<T> {
-        inner: mpsc::Sender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a message, failing if all receivers are gone.
-        ///
-        /// # Errors
-        ///
-        /// [`SendError`] returning the unsent message.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            self.inner
-                .send(msg)
-                .map_err(|mpsc::SendError(v)| SendError(v))
-        }
-    }
-
-    /// The receiving half of a channel.
-    pub struct Receiver<T> {
-        inner: mpsc::Receiver<T>,
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or all senders are dropped.
-        ///
-        /// # Errors
-        ///
-        /// [`RecvError`] once the channel is empty and disconnected.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv().map_err(|_| RecvError)
-        }
-
-        /// Non-blocking receive.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] or [`TryRecvError::Disconnected`].
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-
-        /// A blocking iterator over received messages.
-        pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-            self.inner.iter()
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender { inner: tx }, Receiver { inner: rx })
-    }
-
-    /// Creates a "bounded" channel. The std backing is unbounded; the
-    /// capacity is accepted for API compatibility, which is safe for the
-    /// workspace's uses (bounds there only limit memory, not semantics).
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
     }
 }
 
@@ -844,40 +704,5 @@ mod deque_tests {
             sums.push(t.join().unwrap());
         }
         assert_eq!(sums.iter().sum::<u64>(), total * (total - 1) / 2);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{unbounded, RecvError, TryRecvError};
-
-    #[test]
-    fn send_recv_across_threads() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || {
-            tx2.send(41u32).unwrap();
-            tx.send(1).unwrap();
-        });
-        h.join().unwrap();
-        assert_eq!(rx.recv().unwrap() + rx.recv().unwrap(), 42);
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn try_recv_reports_state() {
-        let (tx, rx) = unbounded();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(5u8).unwrap();
-        assert_eq!(rx.try_recv(), Ok(5));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn send_fails_after_receiver_drop() {
-        let (tx, rx) = unbounded();
-        drop(rx);
-        assert!(tx.send(1u8).is_err());
     }
 }
