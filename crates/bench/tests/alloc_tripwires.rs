@@ -1,5 +1,6 @@
 //! Allocation tripwires: how many times the hot paths ask the
-//! allocator for memory, per task or per element. The counts depend on
+//! allocator for memory, per task or per element, and how many bytes
+//! the trace export holds beside its output. The counts depend on
 //! neither the opt level nor the host's speed, so they gate where the
 //! timings of these same runs could not.
 //!
@@ -9,14 +10,14 @@
 
 mod workloads;
 
-use continuum_bench::alloc::{allocations, CountingAllocator};
+use continuum_bench::alloc::{allocations, live_bytes, peak_bytes, reset_peak, CountingAllocator};
 use continuum_dag::{AccessProcessor, TaskSpec, SEGMENT_SLOTS};
 use continuum_dislib::{DistMatrix, KMeans};
 use continuum_platform::presets::hybrid_hpc_cloud;
 use continuum_platform::Constraints;
 use continuum_runtime::{ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
-use continuum_telemetry::TraceBuffer;
+use continuum_telemetry::{chrome_trace, TraceBuffer};
 use continuum_workflows::patterns::stencil;
 use continuum_workflows::{parse_wdl, to_wdl};
 use std::sync::Mutex;
@@ -55,6 +56,13 @@ const MAX_KMEANS_ALLOCS_PER_TASK: f64 = 16.0;
 /// task, or a name copied into each of a task's half-dozen events,
 /// lands well above it.
 const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 7.0;
+
+/// Heap bytes per event `chrome_trace` may hold at its peak beyond the
+/// text it returns: the export order as a four-byte index per event,
+/// the track set, the name table. The sort keys are gone before the
+/// text is allocated; kept while the rows are written (32 bytes each
+/// and more) they land well above it.
+const MAX_EXPORT_BYTES_PER_EVENT: f64 = 8.0;
 
 /// Heap allocations per 16-input merge `AccessProcessor::register`
 /// makes, on average: its consumed-value and predecessor lists, sized
@@ -103,7 +111,7 @@ fn hot_paths_do_not_allocate_per_unit() {
     // per task, one task type and one group label per row.
     let text = to_wdl(&stencil(30, 30, 10.0, 1_000_000));
     let platform = hybrid_hpc_cloud(16, 4, 8);
-    let ((tasks, lint), total) = count(|| {
+    let ((tasks, lint, buffer), total) = count(|| {
         let workload = parse_wdl(&text).expect("generated WDL parses");
         let (report, lint) = count(|| workload.lint_bundle(&platform).verify());
         assert!(!continuum_analyze::has_errors(&report), "{report:?}");
@@ -117,7 +125,7 @@ fn hot_paths_do_not_allocate_per_unit() {
             .run(&workload, &mut plan, &FaultPlan::new())
             .expect("stencil completes");
         assert!(buffer.len() > 5 * run.tasks_completed, "the run was traced");
-        (run.tasks_completed, lint)
+        (run.tasks_completed, lint, buffer)
     });
     assert_eq!(tasks, 900);
     let (per_task, lint_per_task) = (total as f64 / tasks as f64, lint as f64 / tasks as f64);
@@ -129,6 +137,27 @@ fn hot_paths_do_not_allocate_per_unit() {
     assert!(
         lint_per_task <= MAX_LINT_ALLOCS_PER_TASK,
         "lint allocates {lint_per_task:.2} times per task, limit {MAX_LINT_ALLOCS_PER_TASK}"
+    );
+
+    // The trace back end of the same run: the events are handed over
+    // without the capacity the recording grew into, and the export
+    // keeps its order and track set beside the text it returns, not a
+    // sort key per event.
+    let events = buffer.take();
+    assert_eq!(
+        events.len(),
+        events.capacity(),
+        "take hands the events over at their length"
+    );
+    reset_peak();
+    let before = live_bytes();
+    let trace = chrome_trace(&events);
+    let kept = peak_bytes() - before - trace.capacity() as u64;
+    let per_event = kept as f64 / events.len() as f64;
+    assert!(
+        per_event <= MAX_EXPORT_BYTES_PER_EVENT,
+        "the Chrome export keeps {per_event:.1} bytes per event beside its output, \
+         limit {MAX_EXPORT_BYTES_PER_EVENT}"
     );
 
     // Fan-in: sixteen leaves, each writing a datum, then one merge

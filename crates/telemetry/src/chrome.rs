@@ -10,11 +10,15 @@
 //! [`Event`]s, so analysis tools work on standalone trace files.
 //!
 //! Neither direction builds the document: the writer puts each row
-//! straight into the output (one buffer, one sort-key vector and the
-//! track set are all it allocates), the reader turns one array entry at
-//! a time into an [`Event`].
+//! straight into the output (one buffer, the export order as four bytes
+//! per event and the track set are all it keeps while writing; the
+//! `order` module computes the order), the reader turns one array entry
+//! at a time into an [`Event`].
+
+mod order;
 
 use crate::event::{CounterKey, Event, SpanContext, TaskPhase, Track};
+use order::export_order;
 use serde::json::{write_json_f64, write_json_string, write_json_u64};
 use serde::Value;
 use std::collections::BTreeSet;
@@ -35,78 +39,6 @@ fn parse_ctx_args(entry: &Value) -> Option<SpanContext> {
         parent_span_id: args.get(CTX_PARENT).and_then(Value::as_u64),
         agent_id: u32::try_from(args.get(CTX_AGENT).and_then(Value::as_u64)?).ok()?,
     })
-}
-
-/// Where one event goes in the export: the integer part of the order
-/// `(timestamp, track, kind, longer spans first)`, computed once, and
-/// the event's arrival index.
-struct Slot {
-    key: (u64, u64, u64),
-    index: usize,
-}
-
-/// `(pid, tid, kind)` as one integer that orders like the triple: the
-/// kind needs two bits, a `tid` at most 32 (see [`Track::chrome_tid`]).
-fn row_key(track: Track, kind: u64) -> u64 {
-    track.chrome_pid() << 34 | track.chrome_tid() << 2 | kind
-}
-
-/// The fields that order two events whose [`Slot::key`]s tie.
-fn tie_key(event: &Event) -> (&str, &str, u64) {
-    match event {
-        Event::Span {
-            name, phase, ctx, ..
-        } => (name, phase.as_str(), ctx.map_or(0, |c| c.span_id)),
-        Event::Instant { name, phase, .. } => (name, phase.as_str(), 0),
-        Event::Counter { key, .. } => (key.as_str(), "", 0),
-    }
-}
-
-/// One pass over the events: their export order and the tracks that
-/// need a metadata row.
-///
-/// The order is `(timestamp, track, kind, duration, name, phase, span
-/// id)` with arrival order between events equal in all of it, so that
-/// equal-timestamp events export identically regardless of recorder
-/// interleaving (worker threads racing to a shared buffer must not
-/// change the bytes on disk). Names are only looked at between events
-/// whose integers tie, and because the arrival index decides last no
-/// two slots compare equal: any correct sort gives the one order (the
-/// stable one is the faster here, traces arrive in runs).
-fn export_order(events: &[Event]) -> (Vec<Slot>, BTreeSet<Track>) {
-    let mut tracks = BTreeSet::new();
-    let mut last_track = None;
-    let mut slots = Vec::with_capacity(events.len());
-    for (index, event) in events.iter().enumerate() {
-        let key = match event {
-            Event::Span {
-                track,
-                start_us,
-                dur_us,
-                ..
-            } => (
-                *start_us,
-                row_key(*track, 0),
-                u64::MAX - dur_us, // longer spans first: parents enclose children
-            ),
-            Event::Instant { track, at_us, .. } => (*at_us, row_key(*track, 1), 0),
-            Event::Counter { at_us, .. } => (*at_us, 2, 0),
-        };
-        if let Event::Span { track, .. } | Event::Instant { track, .. } = event {
-            if last_track != Some(*track) {
-                tracks.insert(*track);
-                last_track = Some(*track);
-            }
-        }
-        slots.push(Slot { key, index });
-    }
-    slots.sort_by(|a, b| {
-        a.key
-            .cmp(&b.key)
-            .then_with(|| tie_key(&events[a.index]).cmp(&tie_key(&events[b.index])))
-            .then(a.index.cmp(&b.index))
-    });
-    (slots, tracks)
 }
 
 /// `{"name":<name>,"ph":"<ph>","ts":<ts>,"pid":<pid>,"tid":<tid>` — the
@@ -203,7 +135,7 @@ fn write_event<W: fmt::Write>(out: &mut W, event: &Event) -> fmt::Result {
 fn write_rows<W: fmt::Write>(
     out: &mut W,
     events: &[Event],
-    order: &[Slot],
+    order: &[u32],
     tracks: &BTreeSet<Track>,
 ) -> fmt::Result {
     out.write_char('[')?;
@@ -226,9 +158,9 @@ fn write_rows<W: fmt::Write>(
         separate(out)?;
         write_name_row(out, "thread_name", *track, &track.label())?;
     }
-    for slot in order {
+    for &index in order {
         separate(out)?;
-        write_event(out, &events[slot.index])?;
+        write_event(out, &events[index as usize])?;
     }
     out.write_char(']')
 }

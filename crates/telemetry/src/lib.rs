@@ -40,6 +40,7 @@ pub mod event;
 pub mod gantt;
 pub mod merge;
 pub mod metrics;
+mod names;
 pub mod paraver;
 pub mod prometheus;
 pub mod recorder;

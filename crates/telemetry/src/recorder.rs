@@ -172,9 +172,13 @@ impl TraceBuffer {
         self.events.lock().expect("buffer lock").clone()
     }
 
-    /// Drains the buffer.
+    /// Drains the buffer, handing the events over at their length: the
+    /// capacity the recording grew into is given back (in place), not
+    /// carried through the exports that read the events next.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("buffer lock"))
+        let mut events = std::mem::take(&mut *self.events.lock().expect("buffer lock"));
+        events.shrink_to_fit();
+        events
     }
 
     /// Number of buffered events.
@@ -228,7 +232,9 @@ mod tests {
         let events = buffer.events();
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].at_us() <= w[1].at_us()));
-        assert_eq!(buffer.take().len(), 3);
+        let taken = buffer.take();
+        assert_eq!(taken.len(), 3);
+        assert_eq!(taken.capacity(), 3, "handed over at its length");
         assert!(buffer.is_empty());
     }
 }

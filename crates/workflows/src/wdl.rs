@@ -276,25 +276,19 @@ pub fn to_wdl(w: &SimWorkload) -> String {
     for node in w.graph().nodes() {
         let spec = node.spec();
         out.push_str(&format!("task {}", spec.name().replace(' ', "_")));
-        let fmt_list = |ids: Vec<DataId>| {
-            ids.iter()
-                .map(|d| format!("d{}", d.as_u64()))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        // Exhaustive over Direction::ALL with the label as the key: a
-        // direction added without a WDL spelling cannot be silently
-        // dropped from dumps (and `parse_wdl` accepts any label).
-        for dir in Direction::ALL {
-            let ids: Vec<DataId> = spec
-                .params()
-                .iter()
-                .filter(|p| p.direction == dir)
-                .map(|p| p.data)
-                .collect();
-            if !ids.is_empty() {
-                out.push_str(&format!(" {}={}", dir.as_str(), fmt_list(ids)));
+        // One `label=d1,d2` list per run of equal directions, in
+        // declaration order, so the spec reads back with its parameters
+        // in the order it has. The key is the direction's label, which
+        // `parse_wdl` accepts for every direction, present and future.
+        let mut last = None;
+        for param in spec.params() {
+            if last == Some(param.direction) {
+                out.push(',');
+            } else {
+                out.push_str(&format!(" {}=", param.direction.as_str()));
+                last = Some(param.direction);
             }
+            out.push_str(&format!("d{}", param.data.as_u64()));
         }
         let profile = w.profile(node.id());
         out.push_str(&format!(" dur={}", profile.duration_s()));
@@ -314,13 +308,13 @@ pub fn to_wdl(w: &SimWorkload) -> String {
         if profile.output_size(0) > 0 {
             out.push_str(&format!(" out_bytes={}", profile.output_size(0)));
         }
-        if spec.stream_writes().next().is_some() {
-            if profile.stream_elements_count() != 1 {
-                out.push_str(&format!(" elems={}", profile.stream_elements_count()));
-            }
-            if profile.stream_element_size() > 0 {
-                out.push_str(&format!(" elem_bytes={}", profile.stream_element_size()));
-            }
+        // Written whatever the task's accesses: `parse_wdl` takes both
+        // keys on any task, and what it took must come back.
+        if profile.stream_elements_count() != 1 {
+            out.push_str(&format!(" elems={}", profile.stream_elements_count()));
+        }
+        if profile.stream_element_size() > 0 {
+            out.push_str(&format!(" elem_bytes={}", profile.stream_element_size()));
         }
         if let Some(g) = spec.group_label() {
             out.push_str(&format!(" group={}", g.replace(' ', "_")));
