@@ -410,7 +410,7 @@ fn agent_loop(
                                 phase: TaskPhase::Transferring,
                                 start_us: dequeued_us,
                                 dur_us: fetched_us - dequeued_us,
-                                ctx: exec_ctx,
+                                ctx: exec_ctx.map(Box::new),
                             });
                             telemetry.record(TelemetryEvent::Span {
                                 track: Track::Agent(id.0),
@@ -418,7 +418,7 @@ fn agent_loop(
                                 phase: TaskPhase::Executing,
                                 start_us: fetched_us,
                                 dur_us: done_us - fetched_us,
-                                ctx: exec_ctx,
+                                ctx: exec_ctx.map(Box::new),
                             });
                             telemetry.record(TelemetryEvent::Instant {
                                 track: Track::Agent(id.0),
@@ -531,7 +531,7 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                TelemetryEvent::Span { phase, ctx, .. } => ctx.map(|c| (*phase, c)),
+                TelemetryEvent::Span { phase, ctx, .. } => ctx.as_deref().map(|c| (*phase, *c)),
                 _ => None,
             })
             .collect();

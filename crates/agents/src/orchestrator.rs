@@ -335,7 +335,7 @@ pub(crate) fn run_application(
                     phase: TaskPhase::Offloading,
                     start_us: sent_us,
                     dur_us: end_us.saturating_sub(sent_us),
-                    ctx: hop_ctx,
+                    ctx: hop_ctx.map(Box::new),
                 });
                 telemetry.record(TelemetryEvent::Instant {
                     track,
@@ -375,7 +375,7 @@ pub(crate) fn run_application(
             phase: TaskPhase::Executing,
             start_us: run_start_us,
             dur_us: end_us.saturating_sub(run_start_us),
-            ctx: run_ctx,
+            ctx: run_ctx.map(Box::new),
         });
     }
     Ok(AppReport {
@@ -544,7 +544,7 @@ mod tests {
                     track: Track::Run,
                     ctx,
                     ..
-                } => *ctx,
+                } => ctx.as_deref().copied(),
                 _ => None,
             })
             .expect("root span carries a context");
@@ -555,7 +555,7 @@ mod tests {
                     phase: TaskPhase::Offloading,
                     ctx,
                     ..
-                } => *ctx,
+                } => ctx.as_deref().copied(),
                 _ => None,
             })
             .collect();

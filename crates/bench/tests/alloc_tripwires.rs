@@ -17,7 +17,7 @@ use continuum_platform::presets::hybrid_hpc_cloud;
 use continuum_platform::Constraints;
 use continuum_runtime::{ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
-use continuum_telemetry::{chrome_trace, TraceBuffer};
+use continuum_telemetry::{chrome_trace, Event, TraceBuffer};
 use continuum_workflows::patterns::stencil;
 use continuum_workflows::{parse_wdl, to_wdl};
 use std::sync::Mutex;
@@ -148,6 +148,11 @@ fn hot_paths_do_not_allocate_per_unit() {
         events.len(),
         events.capacity(),
         "take hands the events over at their length"
+    );
+    assert_eq!(
+        events.capacity() * std::mem::size_of::<Event>(),
+        64 * events.len(),
+        "take hands over 64 bytes per event"
     );
     reset_peak();
     let before = live_bytes();

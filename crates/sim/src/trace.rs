@@ -43,13 +43,14 @@ impl TraceRecord {
         let start_us = micros_from_seconds(self.start_s);
         let exec_start_us = micros_from_seconds(self.start_s + self.transfer_stall_s);
         let end_us = micros_from_seconds(self.end_s);
+        let ctx = ctx.map(Box::new);
         let transfer = (exec_start_us > start_us).then(|| Event::Span {
             track,
             name: name.clone(),
             phase: TaskPhase::Transferring,
             start_us,
             dur_us: exec_start_us - start_us,
-            ctx,
+            ctx: ctx.clone(),
         });
         let exec = Event::Span {
             track,

@@ -11,17 +11,16 @@
 //!
 //! Neither direction builds the document: the writer puts each row
 //! straight into the output (one buffer, the export order as four bytes
-//! per event and the track set are all it keeps while writing; the
-//! `order` module computes the order), the reader turns one array entry
-//! at a time into an [`Event`].
+//! per event, the track set and each distinct name escaped once are all
+//! it keeps while writing; the `order` module computes them), the reader
+//! turns one array entry at a time into an [`Event`].
 
 mod order;
 
 use crate::event::{CounterKey, Event, SpanContext, TaskPhase, Track};
-use order::export_order;
+use order::{export_plan, Plan};
 use serde::json::{write_json_f64, write_json_string, write_json_u64};
 use serde::Value;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Span-context `args` keys, in the fixed order the exporter writes
@@ -42,17 +41,17 @@ fn parse_ctx_args(entry: &Value) -> Option<SpanContext> {
 }
 
 /// `{"name":<name>,"ph":"<ph>","ts":<ts>,"pid":<pid>,"tid":<tid>` — the
-/// fields every row starts with; `ph_ts` is the literal between the
-/// name and the timestamp.
+/// fields every row starts with; `quoted` is the name as a JSON string,
+/// `ph_ts` the literal between it and the timestamp.
 fn write_row_head<W: fmt::Write>(
     out: &mut W,
-    name: &str,
+    quoted: &str,
     ph_ts: &'static str,
     ts: u64,
     track: Track,
 ) -> fmt::Result {
     out.write_str("{\"name\":")?;
-    write_json_string(name, out)?;
+    out.write_str(quoted)?;
     out.write_str(ph_ts)?;
     write_json_u64(ts, out)?;
     out.write_str(",\"pid\":")?;
@@ -61,8 +60,13 @@ fn write_row_head<W: fmt::Write>(
     write_json_u64(track.chrome_tid(), out)
 }
 
-fn write_name_row<W: fmt::Write>(out: &mut W, row: &str, track: Track, name: &str) -> fmt::Result {
-    write_row_head(out, row, ",\"ph\":\"M\",\"ts\":", 0, track)?;
+fn write_name_row<W: fmt::Write>(
+    out: &mut W,
+    quoted_row: &'static str,
+    track: Track,
+    name: &str,
+) -> fmt::Result {
+    write_row_head(out, quoted_row, ",\"ph\":\"M\",\"ts\":", 0, track)?;
     out.write_str(",\"args\":{\"name\":")?;
     write_json_string(name, out)?;
     out.write_str("}}")
@@ -75,17 +79,17 @@ fn write_ctx_field<W: fmt::Write>(out: &mut W, sep: &str, key: &str, value: u64)
     write_json_u64(value, out)
 }
 
-fn write_event<W: fmt::Write>(out: &mut W, event: &Event) -> fmt::Result {
+fn write_event<W: fmt::Write>(out: &mut W, event: &Event, quoted: &str) -> fmt::Result {
     match event {
         Event::Span {
             track,
-            name,
             phase,
             start_us,
             dur_us,
             ctx,
+            ..
         } => {
-            write_row_head(out, name, ",\"ph\":\"X\",\"ts\":", *start_us, *track)?;
+            write_row_head(out, quoted, ",\"ph\":\"X\",\"ts\":", *start_us, *track)?;
             out.write_str(",\"dur\":")?;
             write_json_u64(*dur_us, out)?;
             out.write_str(",\"cat\":")?;
@@ -104,23 +108,17 @@ fn write_event<W: fmt::Write>(out: &mut W, event: &Event) -> fmt::Result {
         }
         Event::Instant {
             track,
-            name,
             phase,
             at_us,
+            ..
         } => {
-            write_row_head(out, name, ",\"ph\":\"i\",\"ts\":", *at_us, *track)?;
+            write_row_head(out, quoted, ",\"ph\":\"i\",\"ts\":", *at_us, *track)?;
             out.write_str(",\"cat\":")?;
             write_json_string(phase.as_str(), out)?;
             out.write_str(",\"s\":\"t\"}")
         }
-        Event::Counter { key, at_us, value } => {
-            write_row_head(
-                out,
-                key.as_str(),
-                ",\"ph\":\"C\",\"ts\":",
-                *at_us,
-                Track::Run,
-            )?;
+        Event::Counter { at_us, value, .. } => {
+            write_row_head(out, quoted, ",\"ph\":\"C\",\"ts\":", *at_us, Track::Run)?;
             out.write_str(",\"args\":{\"value\":")?;
             write_json_f64(*value, out)?;
             out.write_str("}}")
@@ -132,12 +130,7 @@ fn write_event<W: fmt::Write>(out: &mut W, event: &Event) -> fmt::Result {
 /// process (track family) once and each thread (track), in sorted
 /// order so viewers group rows predictably, then the events in export
 /// order.
-fn write_rows<W: fmt::Write>(
-    out: &mut W,
-    events: &[Event],
-    order: &[u32],
-    tracks: &BTreeSet<Track>,
-) -> fmt::Result {
+fn write_rows<W: fmt::Write>(out: &mut W, events: &[Event], plan: &Plan) -> fmt::Result {
     out.write_char('[')?;
     let mut first = true;
     let mut separate = |out: &mut W| {
@@ -148,19 +141,20 @@ fn write_rows<W: fmt::Write>(
         }
     };
     let mut named_pid = 0;
-    for track in tracks {
+    for track in &plan.tracks {
         // Tracks iterate family by family, so a new pid shows once.
         if named_pid != track.chrome_pid() {
             named_pid = track.chrome_pid();
             separate(out)?;
-            write_name_row(out, "process_name", *track, track.family_name())?;
+            write_name_row(out, "\"process_name\"", *track, track.family_name())?;
         }
         separate(out)?;
-        write_name_row(out, "thread_name", *track, &track.label())?;
+        write_name_row(out, "\"thread_name\"", *track, &track.label())?;
     }
-    for &index in order {
+    for &index in &plan.order {
         separate(out)?;
-        write_event(out, &events[index as usize])?;
+        let event = &events[index as usize];
+        write_event(out, event, plan.quoted_name(event))?;
     }
     out.write_char(']')
 }
@@ -173,16 +167,15 @@ fn write_rows<W: fmt::Write>(
 ///
 /// Only those of the sink.
 pub fn write_chrome_trace<W: fmt::Write>(events: &[Event], out: &mut W) -> fmt::Result {
-    let (order, tracks) = export_order(events);
-    write_rows(out, events, &order, &tracks)
+    write_rows(out, events, &export_plan(events))
 }
 
 /// Renders events as a Chrome `trace_event` JSON array.
 pub fn chrome_trace(events: &[Event]) -> String {
-    let (order, tracks) = export_order(events);
+    let plan = export_plan(events);
     // A row of a sim trace is about 90 bytes.
-    let mut out = String::with_capacity(96 * (events.len() + tracks.len()) + 64);
-    write_rows(&mut out, events, &order, &tracks).expect("writing to a String cannot fail");
+    let mut out = String::with_capacity(96 * (events.len() + plan.tracks.len()) + 64);
+    write_rows(&mut out, events, &plan).expect("writing to a String cannot fail");
     out
 }
 
@@ -260,7 +253,7 @@ fn parse_entry(i: usize, entry: &Value) -> Result<Option<Event>, String> {
                     phase,
                     start_us: ts,
                     dur_us: dur,
-                    ctx: parse_ctx_args(entry),
+                    ctx: parse_ctx_args(entry).map(Box::new),
                 }))
             } else {
                 Ok(Some(Event::Instant {
@@ -301,6 +294,7 @@ mod tests {
     use crate::event::{CounterKey, Micros, TaskPhase};
     use proptest::prelude::*;
     use rand::prelude::*;
+    use std::collections::BTreeSet;
 
     /// The order of payload rows, as the exporter defined it before the
     /// one-pass writer: a stable sort on this key.
@@ -321,7 +315,7 @@ mod tests {
                 u64::MAX - dur_us,
                 name.as_str(),
                 phase.as_str(),
-                ctx.map_or(0, |c| c.span_id),
+                ctx.as_ref().map_or(0, |c| c.span_id),
             ),
             Event::Instant {
                 track,
@@ -438,14 +432,18 @@ mod tests {
 
     /// Event lists drawn from small pools, so that timestamps, tracks,
     /// durations, names and span ids collide often: every track variant
-    /// (a `Remote` whose agent overflows its 16 bits shares a `tid` with
-    /// another track), every phase and counter key, names that need
-    /// every escape, floats on every branch of the number writer, and
-    /// exact duplicates.
+    /// (`Remote` at both ends of its 16-bit fields, and one whose agent
+    /// overflows them and so shares a `tid` with another track), every
+    /// phase and counter key, names that need every escape, floats on
+    /// every branch of the number writer, and exact duplicates. Half the
+    /// lists also draw timestamps, durations and span contexts (with and
+    /// without a parent) from the whole `u64` range, so the fields
+    /// overflow a 16-byte key, and half put most of their events on one
+    /// timestamp: runs of a hundred and more.
     fn colliding_events(seed: u64, n: usize) -> Vec<Event> {
         const TIMES: [Micros; 6] = [0, 1, 100, 100, 1_585_508_610, u64::MAX];
         const DURS: [Micros; 5] = [0, 1, 50, 12_000_000, u64::MAX];
-        const TRACKS: [Track; 10] = [
+        const TRACKS: [Track; 13] = [
             Track::Run,
             Track::Node(0),
             Track::Node(7),
@@ -455,6 +453,9 @@ mod tests {
             Track::Remote(3, 1),
             Track::Remote(0x1_0003, 1),
             Track::Remote(3, Track::REMOTE_RUN_ROW),
+            Track::Remote(0, 0),
+            Track::Remote(0, 0xFFFE),
+            Track::Remote(0xFFFF, 0),
             Track::Remote(0xFFFF, 0xFFFF),
         ];
         const NAMES: [&str; 10] = [
@@ -488,8 +489,12 @@ mod tests {
             f64::NEG_INFINITY,
         ];
         let mut rng = StdRng::seed_from_u64(seed);
+        let wide = rng.gen_bool(0.5);
+        let run_at = rng
+            .gen_bool(0.5)
+            .then(|| TIMES[rng.gen_range(0..TIMES.len())]);
         let root = SpanContext::root(rng.gen_range(1..4), rng.gen_range(0..3));
-        let contexts = [
+        let mut contexts = vec![
             None,
             Some(root),
             Some(root.child(1, 1)),
@@ -499,9 +504,25 @@ mod tests {
                 ..root.child(1, 1) // same span id, different recorder
             }),
         ];
+        if wide {
+            for parent in [None, Some(rng.gen())] {
+                contexts.push(Some(SpanContext {
+                    trace_id: rng.gen(),
+                    span_id: rng.gen(),
+                    parent_span_id: parent,
+                    agent_id: rng.gen(),
+                }));
+            }
+            contexts.push(Some(SpanContext::root(u64::MAX, u32::MAX)));
+        }
         fn pick<T: Copy>(rng: &mut StdRng, pool: &[T]) -> T {
             pool[rng.gen_range(0..pool.len())]
         }
+        let time = |rng: &mut StdRng, pool: &[Micros]| match run_at {
+            Some(at) if rng.gen_bool(0.7) => at,
+            _ if wide && rng.gen_bool(0.5) => rng.gen(),
+            _ => pick(rng, pool),
+        };
         let mut events: Vec<Event> = Vec::with_capacity(n);
         for _ in 0..n {
             let event = match rng.gen_range(0..10u32) {
@@ -510,19 +531,23 @@ mod tests {
                     track: pick(&mut rng, &TRACKS),
                     name: pick(&mut rng, &NAMES).to_string().into(),
                     phase: pick(&mut rng, &TaskPhase::ALL),
-                    start_us: pick(&mut rng, &TIMES),
-                    dur_us: pick(&mut rng, &DURS),
-                    ctx: pick(&mut rng, &contexts),
+                    start_us: time(&mut rng, &TIMES),
+                    dur_us: if wide && rng.gen_bool(0.5) {
+                        rng.gen()
+                    } else {
+                        pick(&mut rng, &DURS)
+                    },
+                    ctx: contexts[rng.gen_range(0..contexts.len())].map(Box::new),
                 },
                 5..=6 => Event::Instant {
                     track: pick(&mut rng, &TRACKS),
                     name: pick(&mut rng, &NAMES).to_string().into(),
                     phase: pick(&mut rng, &TaskPhase::ALL),
-                    at_us: pick(&mut rng, &TIMES),
+                    at_us: time(&mut rng, &TIMES),
                 },
                 _ => Event::Counter {
                     key: pick(&mut rng, &CounterKey::ALL),
-                    at_us: pick(&mut rng, &TIMES),
+                    at_us: time(&mut rng, &TIMES),
                     value: pick(&mut rng, &VALUES),
                 },
             };
@@ -537,7 +562,7 @@ mod tests {
         /// The one-pass writer produces, byte for byte, what the
         /// tree-building exporter did — whatever collides.
         #[test]
-        fn export_matches_the_reference_exporter(seed in 0u64..1 << 48, n in 0usize..64) {
+        fn export_matches_the_reference_exporter(seed in 0u64..1 << 48, n in 0usize..300) {
             let events = colliding_events(seed, n);
             let text = chrome_trace(&events);
             prop_assert_eq!(&text, &chrome_trace_reference(&events));
@@ -715,7 +740,7 @@ mod tests {
         let mut events = sample();
         if let Event::Span { name, ctx, .. } = &mut events[0] {
             *name = "s\u{fc}m \"\\\u{1}".into();
-            *ctx = Some(SpanContext::root(7, 1).child(2, 3));
+            *ctx = Some(Box::new(SpanContext::root(7, 1).child(2, 3)));
         }
         let text = chrome_trace(&events);
         assert_eq!(parse_chrome_trace(&text).unwrap().len(), 3);

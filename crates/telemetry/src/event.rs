@@ -397,8 +397,10 @@ pub enum Event {
         /// Interval length.
         dur_us: Micros,
         /// Causal identity for cross-agent correlation, `None` for
-        /// spans that never leave one engine's trace.
-        ctx: Option<SpanContext>,
+        /// spans that never leave one engine's trace. Boxed: only agent
+        /// spans carry one, and inline it would make every event of
+        /// every engine 32 bytes larger.
+        ctx: Option<Box<SpanContext>>,
     },
     /// A point-in-time marker (e.g. a task commit).
     Instant {
@@ -457,7 +459,7 @@ mod tests {
     /// A traced run buffers half a dozen of these per task.
     #[test]
     fn event_did_not_grow() {
-        assert_eq!(std::mem::size_of::<Event>(), 96);
+        assert_eq!(std::mem::size_of::<Event>(), 64);
     }
 
     #[test]

@@ -267,7 +267,7 @@ fn build_ctx_tree(events: &[Event]) -> (Vec<CtxNode>, Vec<usize>) {
         let end = start_us + dur_us;
         let idx = *by_id.entry(ctx.span_id).or_insert_with(|| {
             nodes.push(CtxNode {
-                ctx: *ctx,
+                ctx: **ctx,
                 lo: *start_us,
                 hi: end,
                 spans: Vec::new(),
@@ -537,7 +537,7 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
                             ));
                         }
                     } else {
-                        root = Some((ti, *ctx));
+                        root = Some((ti, **ctx));
                     }
                 }
             }
@@ -746,7 +746,7 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
                     phase: *phase,
                     start_us: shift(*start_us, off),
                     dur_us: *dur_us,
-                    ctx: *ctx,
+                    ctx: ctx.clone(),
                 },
                 Event::Instant {
                     track,
@@ -797,7 +797,7 @@ fn event_order(e: &Event) -> (Micros, u64, u64, u8, Micros, Label, &'static str,
             u64::MAX - dur_us,
             name.clone(),
             phase.as_str(),
-            ctx.map_or(0, |c| c.span_id),
+            ctx.as_ref().map_or(0, |c| c.span_id),
         ),
         Event::Instant {
             track,
@@ -838,7 +838,7 @@ mod tests {
             phase,
             start_us: start,
             dur_us: dur,
-            ctx: Some(ctx),
+            ctx: Some(Box::new(ctx)),
         }
     }
 

@@ -9,6 +9,7 @@
 //! one sort. Two copies of one text at different addresses (names built
 //! from a `String` each time) get the same rank all the same.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -75,18 +76,63 @@ impl<'a> NameRanks<'a> {
     /// The rank of every id handed out, indexed by id: equal texts rank
     /// equal, and ranks order as their texts do.
     pub(crate) fn ranks(self) -> Vec<u32> {
+        self.ranked().0
+    }
+
+    /// [`NameRanks::ranks`], and the table turned into a lookup of the
+    /// rank of each name it has seen.
+    pub(crate) fn ranked(self) -> (Vec<u32>, Ranked<'a>) {
         let names = self.names;
         let mut by_text: Vec<u32> = (0..names.len() as u32).collect();
         by_text.sort_unstable_by_key(|&id| names[id as usize]);
         let mut ranks = vec![0; names.len()];
-        let mut rank = 0;
-        for (i, &id) in by_text.iter().enumerate() {
-            if i > 0 && names[by_text[i - 1] as usize] != names[id as usize] {
-                rank += 1;
+        let mut texts: Vec<&str> = Vec::with_capacity(names.len());
+        for &id in &by_text {
+            let text = names[id as usize];
+            if texts.last() != Some(&text) {
+                texts.push(text);
             }
-            ranks[id as usize] = rank;
+            ranks[id as usize] = texts.len() as u32 - 1;
         }
-        ranks
+        let mut places = self.ids;
+        for id in places.values_mut() {
+            *id = ranks[*id as usize];
+        }
+        let lookup = Ranked {
+            places,
+            last: Cell::new(None),
+            texts,
+        };
+        (ranks, lookup)
+    }
+}
+
+/// The rank of each name a [`NameRanks`] saw, found by its place.
+pub(crate) struct Ranked<'a> {
+    /// The rank of each place.
+    places: HashMap<Place, u32, BuildHasherDefault<PlaceHasher>>,
+    /// The previous lookup, tried first.
+    last: Cell<Option<(Place, u32)>>,
+    /// The distinct texts, in rank order.
+    pub(crate) texts: Vec<&'a str>,
+}
+
+impl Ranked<'_> {
+    /// The rank of `name`.
+    ///
+    /// # Panics
+    ///
+    /// If no name at `name`'s place was ranked.
+    pub(crate) fn rank(&self, name: &str) -> u32 {
+        let place = (name.as_ptr() as usize, name.len());
+        match self.last.get() {
+            Some((seen, rank)) if seen == place => rank,
+            _ => {
+                let rank = self.places[&place];
+                self.last.set(Some((place, rank)));
+                rank
+            }
+        }
     }
 }
 
@@ -101,8 +147,11 @@ mod tests {
         let texts = [gamma, "beta", "", copy.as_str(), "alpha", gamma, "beta"];
         let ids: Vec<u32> = texts.iter().map(|t| table.id(t)).collect();
         assert_eq!(ids[0], ids[5], "one place, one id");
-        let ranks = table.ranks();
+        let (ranks, lookup) = table.ranked();
         let ranked: Vec<u32> = ids.iter().map(|&id| ranks[id as usize]).collect();
         assert_eq!(ranked, [3, 2, 0, 2, 1, 3, 2]);
+        assert_eq!(lookup.texts, ["", "alpha", "beta", "gamma"]);
+        let looked_up: Vec<u32> = texts.iter().map(|t| lookup.rank(t)).collect();
+        assert_eq!(looked_up, ranked, "every place finds its rank");
     }
 }

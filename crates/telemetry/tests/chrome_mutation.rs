@@ -108,7 +108,8 @@ fn corpus() -> Vec<Event> {
                 0 => None,
                 1 => Some(root),
                 _ => Some(root.child(2, n)),
-            },
+            }
+            .map(Box::new),
         });
         events.push(Event::Span {
             track,

@@ -27,7 +27,7 @@ fn span(
         phase,
         start_us: start,
         dur_us: dur,
-        ctx,
+        ctx: ctx.map(Box::new),
     }
 }
 

@@ -255,7 +255,8 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut items = Vec::new();
     let scalar = parse_array_elements(input, |item| items.push(item))?;
@@ -280,10 +281,10 @@ pub fn parse_array_elements(
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
     let scalar = if bytes.get(pos) == Some(&b'[') {
-        parse_elements(bytes, &mut pos, each)?;
+        parse_elements(bytes, &mut pos, 1, each)?;
         None
     } else {
-        Some(parse_value(bytes, &mut pos)?)
+        Some(parse_value(bytes, &mut pos, 0)?)
     };
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
@@ -314,8 +315,17 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// How deep arrays and objects may nest: each level is a frame of the
+/// recursive descent, and a document of a few hundred kilobytes of `[`
+/// would otherwise overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, itself inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -324,7 +334,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b'[') => {
             let mut items = Vec::new();
-            parse_elements(bytes, pos, |item| items.push(item))?;
+            parse_elements(bytes, pos, depth + 1, |item| items.push(item))?;
             Ok(Value::Arr(items))
         }
         Some(b'{') => {
@@ -343,7 +353,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                     return Err(err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -360,10 +370,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-/// Parses the array whose `[` is at `pos`, element by element.
+/// Parses the array whose `[` is at `pos`, element by element; the
+/// elements are inside `depth` arrays and objects.
 fn parse_elements(
     bytes: &[u8],
     pos: &mut usize,
+    depth: usize,
     mut each: impl FnMut(Value),
 ) -> Result<(), ParseError> {
     *pos += 1;
@@ -373,7 +385,7 @@ fn parse_elements(
         return Ok(());
     }
     loop {
-        each(parse_value(bytes, pos)?);
+        each(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -465,7 +477,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             return Ok(Value::U64(n));
         }
         if let Ok(n) = text.parse::<i64>() {
-            return Ok(Value::I64(n));
+            // `-0` is zero, which the model holds as a `U64`.
+            return Ok(u64::try_from(n).map_or(Value::I64(n), Value::U64));
         }
     }
     text.parse::<f64>()
