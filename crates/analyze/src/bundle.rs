@@ -4,7 +4,7 @@ use crate::diag::Diagnostic;
 use crate::verify::{lint_nodes, LintColumns, LintNode, LintView, StreamInfo};
 use continuum_dag::{DataId, TaskGraph, TaskId};
 use continuum_platform::{Constraints, Platform};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// The owned, serializable form of a [`LintView`]: the graph, the
 /// platform's nodes and the per-task metadata as plain vectors.
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Its JSON form is the input format of the `continuum-lint` CLI and
 /// the dump format of `experiments --dump-lint`. Verifying a bundle
 /// runs the passes over [`LintBundle::view`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LintBundle {
     /// The task graph to verify.
     pub graph: TaskGraph,
@@ -100,6 +100,31 @@ impl LintBundle {
     /// bundle.
     pub fn verify(&self) -> Vec<Diagnostic> {
         self.view().verify()
+    }
+}
+
+/// Reads back what `Serialize` wrote, refusing a weight that is not a
+/// finite number: JSON can spell one (`1e400`), but the writer could
+/// only give it back as `null`.
+impl Deserialize for LintBundle {
+    fn from_json_value(value: &Value) -> Option<Self> {
+        fn field<T: Deserialize>(value: &Value, name: &str) -> Option<T> {
+            T::from_json_value(value.get(name)?)
+        }
+        let bundle = LintBundle {
+            graph: field(value, "graph")?,
+            data_names: field(value, "data_names")?,
+            nodes: field(value, "nodes")?,
+            constraints: field(value, "constraints")?,
+            weights: field(value, "weights")?,
+            initial_data: field(value, "initial_data")?,
+            streams: field(value, "streams")?,
+        };
+        bundle
+            .weights
+            .iter()
+            .all(|w| w.is_finite())
+            .then_some(bundle)
     }
 }
 

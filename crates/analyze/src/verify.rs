@@ -198,7 +198,7 @@ impl<'a> LintView<'a> {
     /// tasks with the same constraints scans the nodes once.
     fn check_constraints<'s>(
         &'s self,
-        node: &TaskNode,
+        node: TaskNode<'_>,
         hosted: &mut Option<&'s Constraints>,
         report: &mut Vec<Diagnostic>,
     ) {
@@ -715,7 +715,7 @@ impl Facts {
         }
     }
 
-    fn gather(&mut self, node: &TaskNode, weight: f64) {
+    fn gather(&mut self, node: TaskNode<'_>, weight: f64) {
         let id = node.id();
         self.produced
             .extend(node.produced().iter().map(|vd| (*vd, id)));
@@ -886,7 +886,7 @@ pub fn check_task_constraints(
         )
         .with_suggestion(format!(
             "add satisfying nodes or lower the node count below {}",
-            req.required_nodes() + 1
+            req.required_nodes().saturating_add(1)
         ))
     } else {
         // Nearest miss: the node failing the fewest dimensions.

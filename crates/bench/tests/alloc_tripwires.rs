@@ -15,7 +15,9 @@ use continuum_dag::{AccessProcessor, TaskSpec, SEGMENT_SLOTS};
 use continuum_dislib::{DistMatrix, KMeans};
 use continuum_platform::presets::hybrid_hpc_cloud;
 use continuum_platform::Constraints;
-use continuum_runtime::{ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
+use continuum_runtime::{
+    DataHandle, ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime,
+};
 use continuum_sim::FaultPlan;
 use continuum_telemetry::{chrome_trace, Event, TraceBuffer};
 use continuum_workflows::patterns::stencil;
@@ -404,4 +406,125 @@ fn million_task_campaign_stays_lazy() {
     assert!(out.peak_evacuated_slots >= 21);
     let violation = sim::allocation_violation(campaign.task_count(), allocations);
     assert_eq!(violation, None);
+}
+
+/// Live heap bytes per pending closure task the GWAS storm below may
+/// hold once submitted: the task record, its body's box, its output
+/// cell, its edges and run slot, and the runtime's per-task columns —
+/// 340 B measured. A graph that keeps every task's spec and version
+/// lists after the record is built, instead of retiring them, holds
+/// 507 B.
+const MAX_PENDING_BYTES_PER_TASK: f64 = 360.0;
+
+/// The benchmark's `gwas_local` shape at about 20 k tasks: per
+/// chromosome, filter → impute → association per chunk and a 16-way
+/// merge tree over the associations, then one merge of the chromosome
+/// results. Submitted while a gate task holds the only worker, so every
+/// task is still pending when the live heap is read.
+#[test]
+fn pending_gwas_storm_keeps_few_bytes_per_task() {
+    use std::sync::{Arc, Condvar};
+    let _serial = COUNTER.lock().unwrap();
+    const CHROMOSOMES: usize = 22;
+    const CHUNKS: usize = 290;
+    const FAN_IN: usize = 16;
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let held = Arc::clone(&gate);
+    let gate_out = rt.data::<()>("gate");
+    rt.submit(
+        TaskSpec::new("gate").output(gate_out.id()),
+        Constraints::new(),
+        move |ctx| {
+            let (open, cv) = &*held;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+            ctx.set_output(0, ());
+        },
+    )
+    .unwrap();
+    // Every datum is declared before the storm, as the benchmark's
+    // set-up does: per chromosome its chunks' three data and its merge
+    // tree's levels, leaves' parents first.
+    let chromosomes: Vec<_> = (0..CHROMOSOMES)
+        .map(|c| {
+            let [filtered, imputed, assoc] = ["filt", "imp", "assoc"]
+                .map(|stage| rt.data_batch::<u64>(&format!("c{c}_{stage}"), CHUNKS));
+            let mut merges = Vec::new();
+            let mut width = CHUNKS;
+            while width > 1 {
+                width = width.div_ceil(FAN_IN);
+                merges.push(rt.data_batch::<u64>(&format!("c{c}_m{}_", merges.len()), width));
+            }
+            (filtered, imputed, assoc, merges)
+        })
+        .collect();
+    let summary = rt.data::<u64>("summary");
+    let merge = |inputs: &[DataHandle<u64>], out: &DataHandle<u64>| {
+        let n = inputs.len();
+        rt.submit(
+            TaskSpec::new("merge")
+                .inputs(inputs.iter().map(DataHandle::id))
+                .output(out.id()),
+            Constraints::new(),
+            move |ctx| {
+                let sum = (0..n).fold(0u64, |a, i| a.wrapping_add(*ctx.input::<u64>(i)));
+                ctx.set_output(0, sum);
+            },
+        )
+        .unwrap();
+    };
+    let before = live_bytes();
+    let mut tasks = 0;
+    let mut results = Vec::new();
+    for (c, (filtered, imputed, assoc, merges)) in chromosomes.iter().enumerate() {
+        for chunk in 0..CHUNKS {
+            let seed = (c * CHUNKS + chunk) as u64;
+            rt.submit(
+                TaskSpec::new("filter").output(filtered[chunk].id()),
+                Constraints::new(),
+                move |ctx| ctx.set_output(0, seed),
+            )
+            .unwrap();
+            for (input, out, name) in [
+                (&filtered[chunk], &imputed[chunk], "impute"),
+                (&imputed[chunk], &assoc[chunk], "association"),
+            ] {
+                rt.submit(
+                    TaskSpec::new(name).input(input.id()).output(out.id()),
+                    Constraints::new(),
+                    |ctx| {
+                        let x = *ctx.input::<u64>(0);
+                        ctx.set_output(0, x.wrapping_mul(31) + 7);
+                    },
+                )
+                .unwrap();
+            }
+            tasks += 3;
+        }
+        let mut level = assoc;
+        for outputs in merges {
+            for (group, out) in level.chunks(FAN_IN).zip(outputs) {
+                merge(group, out);
+                tasks += 1;
+            }
+            level = outputs;
+        }
+        results.push(level[0]);
+    }
+    merge(&results, &summary);
+    tasks += 1;
+    let per_task = live_bytes().saturating_sub(before) as f64 / tasks as f64;
+    let (open, cv) = &*gate;
+    *open.lock().unwrap() = true;
+    cv.notify_all();
+    rt.wait_all().unwrap();
+    assert_eq!(rt.completed_count(), tasks + 1);
+    assert!(
+        per_task <= MAX_PENDING_BYTES_PER_TASK,
+        "a pending task of the GWAS storm holds {per_task:.1} heap bytes, \
+         limit {MAX_PENDING_BYTES_PER_TASK}"
+    );
 }

@@ -1,13 +1,15 @@
-//! The task dependency graph, which holds only structure, and
+//! The task dependency graph, which holds no run state, and
 //! [`GraphRun`], the one task lifecycle both engines drive over it.
 
+mod node;
+
 use crate::error::DagError;
-use crate::ids::{TaskId, VersionedData};
-use crate::inline_vec::InlineVec;
+use crate::ids::TaskId;
 use crate::ready::ReadySet;
 use crate::seg_vec::{Retired, SegVec};
 use crate::spec::TaskSpec;
-use serde::{Deserialize, Serialize, Value};
+use node::{IdList, StreamEdges, ValueList};
+pub use node::{NodeEdges, NodePayload, TaskNode};
 
 /// Lifecycle state of a task in a [`GraphRun`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,84 +33,8 @@ impl TaskState {
     }
 }
 
-/// Dependency and access lists of a node: one entry fits inline, which
-/// covers every stage of a linear pipeline.
-type IdList = InlineVec<TaskId, 1>;
-type ValueList = InlineVec<VersionedData, 1>;
-
-/// First-element (stream) edges of a task. Boxed on the node because
-/// most tasks have none.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct StreamEdges {
-    /// Producers of streams this task consumes. Unlike `preds`, these
-    /// edges release at the producer's *first element* (or completion,
-    /// whichever comes first), not at completion.
-    preds: IdList,
-    /// Consumers of streams this task produces.
-    succs: IdList,
-}
-
-/// One task in the graph: its spec, dependency wiring and data
-/// accesses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TaskNode {
-    id: TaskId,
-    spec: TaskSpec,
-    preds: IdList,
-    succs: IdList,
-    streams: Option<Box<StreamEdges>>,
-    consumed: ValueList,
-    produced: ValueList,
-}
-
-impl TaskNode {
-    /// The task's id.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
-
-    /// The task's spec (name, parameter accesses).
-    pub fn spec(&self) -> &TaskSpec {
-        &self.spec
-    }
-
-    /// Direct predecessors (tasks this one depends on).
-    pub fn predecessors(&self) -> &[TaskId] {
-        &self.preds
-    }
-
-    /// Direct successors (tasks depending on this one).
-    pub fn successors(&self) -> &[TaskId] {
-        &self.succs
-    }
-
-    /// Versioned data this task reads.
-    pub fn consumed(&self) -> &[VersionedData] {
-        &self.consumed
-    }
-
-    /// Versioned data this task produces.
-    pub fn produced(&self) -> &[VersionedData] {
-        &self.produced
-    }
-
-    /// Producers of streams this task consumes (first-element edges).
-    pub fn stream_predecessors(&self) -> &[TaskId] {
-        self.streams.as_ref().map_or(&[], |s| &s.preds)
-    }
-
-    /// Consumers of streams this task produces.
-    pub fn stream_successors(&self) -> &[TaskId] {
-        self.streams.as_ref().map_or(&[], |s| &s.succs)
-    }
-
-    fn streams_mut(&mut self) -> &mut StreamEdges {
-        self.streams.get_or_insert_with(Box::default)
-    }
-}
-
 /// A task dependency graph: tasks, their completion and stream edges,
-/// and the versioned data each reads and writes — structure only.
+/// and the versioned data each reads and writes.
 ///
 /// The graph is append-only (tasks and edges are added by the access
 /// processor) and holds no run state: what has run, what is ready and
@@ -116,14 +42,21 @@ impl TaskNode {
 /// graph can be executed, analysed and serialized without a lifecycle
 /// riding along.
 ///
-/// Nodes live in a [`SegVec`]: ids are dense and never reissued, but a
-/// segment nearly all of whose tasks were
-/// [retired](TaskGraph::retire_payload) gives up its block, after
-/// which [`TaskGraph::node`] reports the retired ids as unknown.
-/// Graphs that never retire keep every node.
-#[derive(Debug, Clone, Default, Serialize)]
+/// Each task is kept in two [`SegVec`] columns: its edges
+/// ([`NodeEdges`], what a [`GraphRun`] walks) and its payload
+/// ([`NodePayload`]: spec and resolved versions, what an engine reads
+/// to set the task up). [`TaskGraph::node`] reads both as one
+/// [`TaskNode`]. Ids are dense and never reissued. An engine that has
+/// set a task up [retires its payload](TaskGraph::retire_spec) and
+/// keeps walking its edges; one done with a task
+/// [retires it](TaskGraph::retire_payload) in both columns, after
+/// which a segment nearly all of whose tasks went gives up its blocks
+/// and [`TaskGraph::node`] reports the retired ids as unknown. Graphs
+/// that never retire keep every node whole.
+#[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
-    nodes: SegVec<TaskNode>,
+    edges: SegVec<NodeEdges>,
+    payload: SegVec<NodePayload>,
 }
 
 impl TaskGraph {
@@ -134,7 +67,7 @@ impl TaskGraph {
 
     /// The id the next added task will receive.
     pub(crate) fn next_task_id(&self) -> TaskId {
-        TaskId(self.nodes.len() as u64)
+        TaskId(self.edges.len() as u64)
     }
 
     /// Adds a task with the given dependency wiring. Called by the
@@ -152,12 +85,12 @@ impl TaskGraph {
     ) -> TaskId {
         let id = self.next_task_id();
         for p in &preds {
-            if let Some(pred) = self.nodes.get_mut(p.index()) {
+            if let Some(pred) = self.edges.get_mut(p.index()) {
                 pred.succs.push(id);
             }
         }
         for p in &stream_preds {
-            if let Some(pred) = self.nodes.get_mut(p.index()) {
+            if let Some(pred) = self.edges.get_mut(p.index()) {
                 pred.streams_mut().succs.push(id);
             }
         }
@@ -167,12 +100,14 @@ impl TaskGraph {
                 succs: IdList::new(),
             })
         });
-        self.nodes.push(TaskNode {
+        self.edges.push(NodeEdges {
             id,
-            spec,
             preds,
             succs: IdList::new(),
             streams,
+        });
+        self.payload.push(NodePayload {
+            spec,
             consumed,
             produced,
         });
@@ -181,25 +116,35 @@ impl TaskGraph {
 
     /// Number of task ids issued (retired tasks included).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.edges.len()
     }
 
     /// Returns `true` if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.edges.is_empty()
     }
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.preds.len()).sum()
+        self.edges.iter().map(|e| e.preds.len()).sum()
     }
 
     /// Total number of stream (first-element) edges.
     pub fn stream_edge_count(&self) -> usize {
-        self.nodes
+        self.edges
             .iter()
-            .map(|n| n.stream_predecessors().len())
+            .map(|e| e.stream_predecessors().len())
             .sum()
+    }
+
+    /// The view of a held structure slot, with its payload if that is
+    /// still held.
+    fn view<'g>(&'g self, edges: &'g NodeEdges) -> TaskNode<'g> {
+        let payload = match self.payload.get(edges.id.index()) {
+            Some(payload) => payload,
+            None => NodePayload::retired(),
+        };
+        TaskNode { edges, payload }
     }
 
     /// Looks up a task node.
@@ -208,50 +153,62 @@ impl TaskGraph {
     ///
     /// Returns [`DagError::UnknownTask`] for ids not in the graph,
     /// including retired ids whose segment was dropped or evacuated.
-    pub fn node(&self, id: TaskId) -> Result<&TaskNode, DagError> {
-        self.nodes.get(id.index()).ok_or(DagError::UnknownTask(id))
+    pub fn node(&self, id: TaskId) -> Result<TaskNode<'_>, DagError> {
+        let edges = self
+            .edges
+            .get(id.index())
+            .ok_or(DagError::UnknownTask(id))?;
+        Ok(self.view(edges))
     }
 
     /// Iterates over all resident task nodes in submission order.
-    pub fn nodes(&self) -> impl DoubleEndedIterator<Item = &TaskNode> {
-        self.nodes.iter()
+    pub fn nodes(&self) -> impl DoubleEndedIterator<Item = TaskNode<'_>> {
+        self.edges.iter().map(|edges| self.view(edges))
     }
 
-    /// Node segments currently resident (see [`SegVec`]).
+    /// Structure segments currently resident (see [`SegVec`]).
     pub fn resident_segments(&self) -> usize {
-        self.nodes.resident_segments()
+        self.edges.resident_segments()
+    }
+
+    /// Payload segments currently resident: as many as the structure's
+    /// while the graph retires whole tasks or nothing, one or two for
+    /// an engine that retires each payload once it set its task up.
+    pub fn resident_payload_segments(&self) -> usize {
+        self.payload.resident_segments()
     }
 
     /// Live nodes kept on behalf of evacuated segments (see
     /// [`SegVec::evacuated_slots`]).
     pub fn evacuated_slots(&self) -> usize {
-        self.nodes.evacuated_slots()
+        self.edges.evacuated_slots()
     }
 
     /// Direct predecessors of a task. Panics on unknown ids are avoided
     /// by returning an empty slice.
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        self.nodes.get(id.index()).map_or(&[], |n| &n.preds)
+        self.edges.get(id.index()).map_or(&[], |e| &e.preds)
     }
 
     /// Direct successors of a task.
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        self.nodes.get(id.index()).map_or(&[], |n| &n.succs)
+        self.edges.get(id.index()).map_or(&[], |e| &e.succs)
     }
 
-    /// Retires a finished task: frees its heap payload — spec,
-    /// dependency and data-access lists — at once, and marks its slot
-    /// retired (see [`SegVec::retire`]). The id stays valid (ids never
-    /// shift) while its segment is resident; once the segment is down
-    /// to a few live tasks it is evacuated, and dropped with the last
-    /// of them — from then on [`TaskGraph::node`] reports the retired
-    /// ids as unknown. The result says which happened, so the caller
-    /// can make the columns it keeps beside the graph
-    /// [follow](SegVec::follow). Lazily-materialized runs call this
-    /// once a task *and every value it produced* have been retired:
-    /// nothing will traverse it again, so resident memory is bounded
-    /// by the live tasks instead of the whole campaign. Retiring twice
-    /// is a no-op.
+    /// Retires a finished task in both columns: frees its heap
+    /// payload — spec, dependency and data-access lists — at once, and
+    /// marks its slot retired (see [`SegVec::retire`]). The id stays
+    /// valid (ids never shift) while its segment is resident; once the
+    /// segment is down to a few live tasks it is evacuated, and dropped
+    /// with the last of them — from then on [`TaskGraph::node`]
+    /// reports the retired ids as unknown. The payload column follows
+    /// the structure's, and the result says what happened, so the
+    /// caller can make the columns it keeps beside the graph
+    /// [follow](SegVec::follow) too. Lazily-materialized runs call
+    /// this once a task *and every value it produced* have been
+    /// retired: nothing will traverse it again, so resident memory is
+    /// bounded by the live tasks instead of the whole campaign.
+    /// Retiring twice is a no-op.
     ///
     /// Completion is the *caller's* claim: the graph holds no run
     /// state (see [`GraphRun`]), so no state check is possible here.
@@ -261,17 +218,44 @@ impl TaskGraph {
     ///
     /// Returns [`DagError::UnknownTask`] for unknown ids.
     pub fn retire_payload(&mut self, id: TaskId) -> Result<Retired, DagError> {
-        let node = self
-            .nodes
+        let edges = self
+            .edges
             .get_mut(id.index())
             .ok_or(DagError::UnknownTask(id))?;
-        node.spec = TaskSpec::new("");
-        node.preds.clear();
-        node.succs.clear();
-        node.streams = None;
-        node.consumed.clear();
-        node.produced.clear();
-        Ok(self.nodes.retire(id.index()))
+        edges.preds.clear();
+        edges.succs.clear();
+        edges.streams = None;
+        if let Some(payload) = self.payload.get_mut(id.index()) {
+            *payload = NodePayload::default();
+        }
+        let outcome = self.edges.retire(id.index());
+        self.payload.follow(&outcome);
+        Ok(outcome)
+    }
+
+    /// Retires a task's payload — its spec and the versions it read
+    /// and wrote — and keeps its edges: the task reads an empty spec
+    /// and empty access lists from now on, while a [`GraphRun`] still
+    /// walks it and [`TaskGraph::node`] still knows it. For an engine
+    /// that has set the task up and reads nothing of it but its edges
+    /// after that. Payload segments whose every task went are dropped
+    /// and their blocks reused; no other column follows them.
+    /// Retiring twice is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DagError::UnknownTask`] for unknown ids.
+    pub fn retire_spec(&mut self, id: TaskId) -> Result<(), DagError> {
+        if self.edges.get(id.index()).is_none() {
+            return Err(DagError::UnknownTask(id));
+        }
+        if let Some(payload) = self.payload.get_mut(id.index()) {
+            *payload = NodePayload::default();
+        }
+        // No column is kept in lockstep with the payload, so whatever
+        // the retirement did to its segment has nobody to follow it.
+        let _ = self.payload.retire(id.index());
+        Ok(())
     }
 
     /// Topological order of all tasks (submission order is already
@@ -280,9 +264,9 @@ impl TaskGraph {
     pub fn topological_order(&self) -> Vec<TaskId> {
         // Kahn's algorithm over the full graph — completion and stream
         // edges alike.
-        let mut indeg = vec![0usize; self.nodes.len()];
+        let mut indeg = vec![0usize; self.edges.len()];
         let mut queue = Vec::new();
-        for n in self.nodes.iter() {
+        for n in self.edges.iter() {
             let d = n.preds.len() + n.stream_predecessors().len();
             indeg[n.id.index()] = d;
             if d == 0 {
@@ -292,7 +276,7 @@ impl TaskGraph {
         let mut order = Vec::with_capacity(queue.len());
         while let Some(id) = queue.pop() {
             order.push(id);
-            let n = &self.nodes[id.index()];
+            let n = &self.edges[id.index()];
             for &s in n.succs.iter().chain(n.stream_successors()) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
@@ -302,22 +286,10 @@ impl TaskGraph {
         }
         debug_assert_eq!(
             order.len(),
-            self.nodes.iter().count(),
+            self.edges.iter().count(),
             "graph must be acyclic"
         );
         order
-    }
-}
-
-/// Reads back what `Serialize` wrote, refusing a graph whose node at
-/// position *i* does not carry id *i*: every table indexed by task id —
-/// the graph's own, a run's, the verifier's — would otherwise attribute
-/// that node's edges and accesses to another task, or to none.
-impl Deserialize for TaskGraph {
-    fn from_json_value(value: &Value) -> Option<Self> {
-        let nodes = SegVec::<TaskNode>::from_json_value(value.get("nodes")?)?;
-        let numbered = nodes.iter().enumerate().all(|(i, n)| n.id.index() == i);
-        numbered.then_some(TaskGraph { nodes })
     }
 }
 
@@ -340,12 +312,13 @@ struct RunSlot {
 /// Running → Completed (or Failed and re-queued), with stream
 /// consumers released at their producer's first element.
 ///
-/// The graph holds only structure; this is the one state machine both
+/// The graph holds no run state; this is the one state machine both
 /// engines drive — the simulator over a graph it may materialize
 /// lazily, the local executor over one that gains a task at every
 /// submission. Either way tasks enter through [`GraphRun::grow`], and
-/// completion and stream edges are released by one walker. Nothing of
-/// the structure is copied, so one graph can be run repeatedly.
+/// completion and stream edges are released by one walker, which reads
+/// the graph's edges and nothing of its payload. Nothing of the
+/// structure is copied, so one graph can be run repeatedly.
 #[derive(Debug, Clone, Default)]
 pub struct GraphRun {
     slots: SegVec<RunSlot>,
@@ -358,7 +331,7 @@ impl GraphRun {
     /// [`GraphRun::grow`] from empty.
     pub fn new(graph: &TaskGraph) -> Self {
         debug_assert_eq!(
-            graph.nodes.iter().count(),
+            graph.edges.iter().count(),
             graph.len(),
             "a run starts from a graph that retired nothing"
         );
@@ -398,7 +371,7 @@ impl GraphRun {
     /// necessarily completed.
     pub fn grow(&mut self, graph: &TaskGraph) -> usize {
         let old = self.slots.len();
-        for node in graph.nodes.iter_from(old) {
+        for node in graph.edges.iter_from(old) {
             let unfinished = node
                 .preds
                 .iter()
@@ -620,9 +593,9 @@ impl GraphRun {
     fn release_walk(&mut self, graph: &TaskGraph, id: TaskId, on_ready: &mut impl FnMut(TaskId)) {
         self.slots[id.index()].released = true;
         let consumers = graph
-            .nodes
+            .edges
             .get(id.index())
-            .map_or(&[][..], TaskNode::stream_successors);
+            .map_or(&[][..], NodeEdges::stream_successors);
         for &s in consumers {
             self.release_edge(s, true, on_ready);
         }
@@ -695,7 +668,8 @@ mod tests {
     #[test]
     fn node_and_spec_did_not_grow() {
         assert_eq!(std::mem::size_of::<TaskSpec>(), 88);
-        assert_eq!(std::mem::size_of::<TaskNode>(), 216);
+        assert_eq!(std::mem::size_of::<NodeEdges>(), 64);
+        assert_eq!(std::mem::size_of::<NodePayload>(), 152);
         assert_eq!(std::mem::size_of::<RunSlot>(), 12);
     }
 

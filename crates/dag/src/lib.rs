@@ -10,7 +10,7 @@
 //! dependency graph on the fly using data versioning, exactly like the
 //! *AP* component of the COMPSs runtime.
 //!
-//! The produced [`TaskGraph`] holds structure only; a [`GraphRun`] over
+//! The produced [`TaskGraph`] holds no run state; a [`GraphRun`] over
 //! it tracks the task lifecycle and the ready set for dynamic
 //! scheduling, and [`GraphAnalysis`] the static analyses (levels,
 //! critical path, bottom levels) needed by baseline schedulers such as
@@ -58,7 +58,7 @@ pub use access::{AccessProcessor, DataCatalog, StreamEndpoints, VersionInfo};
 pub use analysis::{CriticalPath, GraphAnalysis, LevelStats};
 pub use dot::DotOptions;
 pub use error::DagError;
-pub use graph::{GraphRun, TaskGraph, TaskNode, TaskState};
+pub use graph::{GraphRun, NodeEdges, NodePayload, TaskGraph, TaskNode, TaskState};
 pub use ids::{DataId, DataVersion, TaskId, VersionedData};
 pub use inline_vec::InlineVec;
 pub use label::Label;

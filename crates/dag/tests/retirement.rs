@@ -1,12 +1,13 @@
-//! Retirement of tasks and data: payloads are freed at once, a
-//! segment gives up its block when its last few slots are all that is
-//! live and is dropped with the last of them, and ids stay stable
-//! throughout.
+//! Retirement of tasks and data: payloads are freed at once, alone or
+//! with the task's edges, a segment gives up its block when its last
+//! few slots are all that is live and is dropped with the last of
+//! them, and ids stay stable throughout.
 
 use continuum_dag::{
-    AccessProcessor, DagError, DataId, GraphRun, Retired, TaskId, TaskNode, TaskSpec,
+    AccessProcessor, DagError, DataId, GraphRun, NodeEdges, NodePayload, Retired, TaskId, TaskSpec,
     EVACUATE_LIVE, SEGMENT_SLOTS,
 };
+use std::mem::size_of;
 
 /// A chain of `n` tasks, each reading its predecessor's output.
 fn chain(n: usize) -> (AccessProcessor, Vec<DataId>) {
@@ -26,19 +27,32 @@ fn chain(n: usize) -> (AccessProcessor, Vec<DataId>) {
 
 #[test]
 fn task_nodes_stay_within_their_memory_budget() {
-    // 168 697 of these stay alive in the benchmark's `gwas_local`; the
-    // node was 256 bytes when its lists were six `Vec`s.
-    assert!(
-        std::mem::size_of::<TaskNode>() <= 256,
-        "TaskNode grew to {} bytes",
-        std::mem::size_of::<TaskNode>()
-    );
+    // 168 697 tasks are pending at once in the benchmark's
+    // `gwas_local`, whose engine keeps only their edges. A node was
+    // 256 bytes when its lists were six `Vec`s, and 216 in one column.
+    let (edges, payload) = (size_of::<NodeEdges>(), size_of::<NodePayload>());
+    assert!(edges <= 64, "a task's edges grew to {edges} bytes");
+    assert!(payload <= 152, "a task's payload grew to {payload} bytes");
 }
 
 #[test]
 fn retiring_a_task_frees_its_payload_and_keeps_its_id() {
     let (mut ap, _) = chain(3);
-    let t1 = TaskId::from_raw(1);
+    let [t0, t1, t2] = [0, 1, 2].map(TaskId::from_raw);
+    // The payload alone: spec and accesses read empty, edges stay.
+    assert_eq!(ap.graph_mut().retire_spec(t1), Ok(()));
+    let node = ap.graph().node(t1).unwrap();
+    assert_eq!(node.spec().name(), "");
+    assert!(node.consumed().is_empty() && node.produced().is_empty());
+    assert_eq!(
+        (node.predecessors(), node.successors()),
+        (&[t0][..], &[t2][..])
+    );
+    assert_eq!(ap.graph_mut().retire_spec(t1), Ok(()), "idempotent");
+    let mut run = GraphRun::new(ap.graph());
+    assert_eq!(run.complete(ap.graph(), t0), Ok(1), "t1 is still released");
+    assert_eq!(run.complete(ap.graph(), t1), Ok(1), "and releases t2");
+    // The whole task: its edges go too.
     assert_eq!(ap.graph_mut().retire_payload(t1), Ok(Retired::Nothing));
     let node = ap.graph().node(t1).unwrap();
     assert_eq!(node.id(), t1);
@@ -52,7 +66,43 @@ fn retiring_a_task_frees_its_payload_and_keeps_its_id() {
         ap.graph_mut().retire_payload(bogus),
         Err(DagError::UnknownTask(bogus))
     );
+    assert_eq!(
+        ap.graph_mut().retire_spec(bogus),
+        Err(DagError::UnknownTask(bogus))
+    );
     assert_eq!(ap.graph().len(), 3);
+}
+
+#[test]
+fn retiring_each_payload_at_once_keeps_one_payload_segment() {
+    // As the local engine does: every task's payload goes as soon as
+    // it is registered, its edges stay for the run.
+    let n = 3 * SEGMENT_SLOTS + 5;
+    let mut ap = AccessProcessor::new();
+    let mut last = None;
+    for i in 0..n {
+        let out = ap.new_data_fmt(format_args!("d{i}"));
+        let spec = TaskSpec::new("stage").output(out);
+        let id = ap
+            .register(match last {
+                Some(prev) => spec.input(prev),
+                None => spec,
+            })
+            .unwrap();
+        ap.graph_mut().retire_spec(id).unwrap();
+        last = Some(out);
+    }
+    assert_eq!(ap.graph().resident_segments(), 4);
+    assert_eq!(ap.graph().resident_payload_segments(), 1, "the tail's");
+    let node = ap.graph().node(TaskId::from_raw(5)).unwrap();
+    assert_eq!(node.spec().name(), "", "a dropped payload reads empty");
+    assert_eq!(node.predecessors(), &[TaskId::from_raw(4)]);
+    let mut run = GraphRun::new(ap.graph());
+    for i in 0..n {
+        run.complete(ap.graph(), TaskId::from_raw(i as u64))
+            .unwrap();
+    }
+    assert!(run.all_completed());
 }
 
 #[test]

@@ -80,9 +80,7 @@ use crate::stream::{PollRecv, PollSend, Side, StreamChannel};
 use crate::task_cell::TaskCell;
 use crate::value_cell::{Slots, Value, ValueCell};
 use admission::{Demand, ResourcePool};
-use continuum_analyze::{
-    check_task_constraints, has_errors, read_without_producer, Diagnostic, LintMode, LintNode,
-};
+use continuum_analyze::{has_errors, read_without_producer, LintMode};
 use continuum_dag::{AccessProcessor, DagError, DataId, GraphRun, TaskId, TaskSpec, TaskState};
 use continuum_platform::sync;
 use continuum_platform::{Constraints, NodeCapacity};
@@ -1074,33 +1072,7 @@ impl LocalRuntime {
         // equals the static total, this is a single O(1) comparison —
         // no scan over the graph or the running set.
         if !self.shared.total.satisfies(&constraints) {
-            let _order = lockorder::acquire(RANK_GRAPH, "graph");
-            let next = self.shared.graph.lock().ap.graph().len();
-            let task = TaskId::from_raw(next as u64);
-            if self.shared.strict_lints != LintMode::Off {
-                let machine = LintNode {
-                    name: "local".to_string(),
-                    capacity: self.shared.total.clone(),
-                };
-                let diagnostics: Vec<Diagnostic> = check_task_constraints(
-                    task,
-                    spec.name(),
-                    &constraints,
-                    std::slice::from_ref(&machine),
-                )
-                .into_iter()
-                .collect();
-                if self.shared.strict_lints == LintMode::Reject {
-                    return Err(RuntimeError::LintRejected { diagnostics });
-                }
-                for d in &diagnostics {
-                    eprintln!("{d}");
-                }
-            }
-            return Err(RuntimeError::Unschedulable {
-                task,
-                reason: "constraints exceed the local machine capacity".into(),
-            });
+            return Err(self.shared.unschedulable(&spec, &constraints));
         }
         let submitted_name = self
             .shared
@@ -1190,6 +1162,9 @@ impl LocalRuntime {
                     index: i as u32,
                 })
             }));
+            // The record holds what the engine needs of the task; from
+            // here on the graph is walked for its edges alone.
+            ap.graph_mut().retire_spec(id).expect("just registered");
             debug_assert_eq!(metas.len(), id.index());
             metas.push(Some(meta));
             if run.state(id) == Some(TaskState::Ready) {

@@ -1,9 +1,13 @@
-//! Admission: the machine's free capacity and the ready tasks parked
-//! until a release makes room for them.
+//! Admission: the machine's free capacity, the ready tasks parked
+//! until a release makes room for them, and the error for a task the
+//! machine could never host.
 
 use super::record::TaskMeta;
 use super::Shared;
-use crate::lockorder::{self, RANK_POOL};
+use crate::error::RuntimeError;
+use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
+use continuum_analyze::{check_task_constraints, Diagnostic, LintMode, LintNode};
+use continuum_dag::{TaskId, TaskSpec};
 use continuum_platform::{Constraints, NodeCapacity};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -155,6 +159,42 @@ pub(super) fn try_admit(shared: &Shared, meta: &Arc<TaskMeta>, share: &Demand) -
         shared.blocked_count.fetch_add(1, Ordering::SeqCst);
     }
     admitted
+}
+
+impl Shared {
+    /// The error for a task whose constraints exceed the machine's
+    /// static capacity: the constraint lint's diagnostics if strict
+    /// lints reject, the same diagnostics printed beside
+    /// [`RuntimeError::Unschedulable`] if they warn.
+    pub(super) fn unschedulable(&self, spec: &TaskSpec, constraints: &Constraints) -> RuntimeError {
+        let _order = lockorder::acquire(RANK_GRAPH, "graph");
+        let next = self.graph.lock().ap.graph().len();
+        let task = TaskId::from_raw(next as u64);
+        if self.strict_lints != LintMode::Off {
+            let machine = LintNode {
+                name: "local".to_string(),
+                capacity: self.total.clone(),
+            };
+            let diagnostics: Vec<Diagnostic> = check_task_constraints(
+                task,
+                spec.name(),
+                constraints,
+                std::slice::from_ref(&machine),
+            )
+            .into_iter()
+            .collect();
+            if self.strict_lints == LintMode::Reject {
+                return RuntimeError::LintRejected { diagnostics };
+            }
+            for d in &diagnostics {
+                eprintln!("{d}");
+            }
+        }
+        RuntimeError::Unschedulable {
+            task,
+            reason: "constraints exceed the local machine capacity".into(),
+        }
+    }
 }
 
 #[cfg(test)]

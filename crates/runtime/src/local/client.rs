@@ -138,7 +138,7 @@ impl GraphState {
             let node = ap
                 .graph()
                 .node(id)
-                .expect("the local graph retires nothing");
+                .expect("the local graph keeps every task's edges");
             for &p in node.predecessors().iter().chain(node.stream_predecessors()) {
                 if !seen[p.index()] && open(p) {
                     seen[p.index()] = true;

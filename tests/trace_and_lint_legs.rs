@@ -2,10 +2,10 @@
 //! `experiments` binary or member crates' suites, which the root suite
 //! never builds: the trace pipeline's fixed point (export → read-back →
 //! re-export) on a real engine trace, the export's bytes on a traced WDL
-//! run, strict-lint rejection of a bad workflow, and the GWAS campaign
-//! running the same built as streamed.
+//! run, the task graph's JSON, strict-lint rejection of a bad workflow,
+//! and the GWAS campaign running the same built as streamed.
 
-use continuum::dag::TaskSpec;
+use continuum::dag::{AccessProcessor, TaskGraph, TaskSpec};
 use continuum::platform::{NodeSpec, PlatformBuilder};
 use continuum::runtime::{
     FifoScheduler, LintMode, ListScheduler, LocalityScheduler, RuntimeError, SimOptions,
@@ -127,6 +127,55 @@ fn stencil_trace_export_bytes_are_pinned() {
         0xe1a0_2ee4_e91b_c164,
         "export bytes changed"
     );
+}
+
+/// Two producers of one stream, a stage that streams on and logs, and
+/// a consumer gated on a versioned input and a stream at once: stream
+/// edges, spilled edge lists and group labels in one small graph.
+fn streamed_graph() -> TaskGraph {
+    let mut ap = AccessProcessor::new();
+    let [raw, feats, model, log, report] =
+        ["raw", "feats", "model", "log", "report"].map(|name| ap.new_data(name));
+    for spec in [
+        TaskSpec::new("train").output(model),
+        TaskSpec::new("sensor_a").group("edge").stream_out(raw),
+        TaskSpec::new("sensor_b").group("edge").stream_out(raw),
+        TaskSpec::new("featurize")
+            .stream_in(raw)
+            .stream_out(feats)
+            .inout(log),
+        TaskSpec::new("infer")
+            .input(model)
+            .stream_in(feats)
+            .inout(log)
+            .output(report),
+    ] {
+        ap.register(spec).expect("valid task");
+    }
+    ap.into_parts().1
+}
+
+/// The JSON of a task graph — what lint bundles and stored graphs
+/// hold — pinned by length and FNV-1a digest for a seeded 4 × 8 GWAS
+/// campaign and a streamed graph, and read back to the same text.
+#[test]
+fn task_graph_json_is_pinned_and_round_trips() {
+    let gwas = GwasWorkload::new()
+        .chromosomes(4)
+        .chunks_per_chromosome(8)
+        .seed(7)
+        .build();
+    let streamed = streamed_graph();
+    for (name, graph, len, digest) in [
+        ("gwas", gwas.graph(), 25_946, 0x3a34_0c3b_ba56_b2d5),
+        ("streamed", &streamed, 1_247, 0x22bc_2036_40ec_b701),
+    ] {
+        let text = serde::to_string(graph);
+        let back: TaskGraph = serde::from_str(&text).expect("own JSON parses");
+        assert_eq!(serde::to_string(&back), text, "{name}: read-back differs");
+        assert_eq!(text.len(), len, "{name}: JSON length changed");
+        assert_eq!(fnv1a(text.as_bytes()), digest, "{name}: JSON bytes changed");
+    }
 }
 
 /// `build()` is the lazy generator drained in full, so an eager run of
