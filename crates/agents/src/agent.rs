@@ -3,12 +3,12 @@
 use crate::network::NetworkInner;
 use crate::offload::OffloadPolicy;
 use crate::ops::OpRegistry;
-use crate::orchestrator::{run_application, AppReport, Application};
+use crate::orchestrator::{run_application, AppReport, AppTask, Application, Budget};
 use bytes::Bytes;
 use continuum_platform::oneshot::OneshotSender;
 use continuum_platform::sync::panic_message;
 use continuum_platform::DeviceClass;
-use continuum_storage::{ObjectKey, StorageRuntime, StoredValue};
+use continuum_storage::{StorageRuntime, StoredValue};
 use continuum_telemetry::{
     Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
 };
@@ -82,10 +82,8 @@ pub enum ExecReply {
 /// `None` instead of stranding the caller.
 pub(crate) enum Msg {
     Execute {
-        op: String,
-        inputs: Vec<ObjectKey>,
-        output: ObjectKey,
-        output_class: Option<String>,
+        /// The task, shared with the application that lists it.
+        task: Arc<AppTask>,
         /// Causal context of the offload hop this execution serves; the
         /// agent parents its own transfer/execute spans under it.
         ctx: Option<SpanContext>,
@@ -161,6 +159,9 @@ impl Agent {
                     &telemetry,
                 );
             })
+            // INVARIANT: spawning fails only when the OS refuses a
+            // thread. An agent is its thread, so without one there is
+            // no agent to return; `std::thread::spawn` panics alike.
             .expect("spawn agent thread");
         Agent {
             id,
@@ -224,6 +225,19 @@ impl Agent {
         }
     }
 
+    /// Brings `info` up to this agent's snapshot in place: the name is
+    /// rewritten only if it differs, so an unchanged agent costs no
+    /// allocation.
+    pub(crate) fn refresh_info(&self, info: &mut AgentInfo) {
+        info.id = self.id;
+        if info.name != self.name {
+            info.name.clone_from(&self.name);
+        }
+        info.class = self.class;
+        info.status = self.status();
+        info.executed = self.executed();
+    }
+
     pub(crate) fn sender(&self) -> Sender<Msg> {
         self.sender.clone()
     }
@@ -259,6 +273,10 @@ fn agent_loop(
     let now_us = || origin.elapsed().as_micros() as u64;
     // Monotone per-agent sequence for derived child span ids.
     let mut span_seq: u64 = 0;
+    // An execution's inputs, staged in one buffer kept across
+    // executions and emptied as soon as they are used, so it pins no
+    // stored value between executions.
+    let mut in_values: Vec<Bytes> = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Shutdown => break,
@@ -292,7 +310,7 @@ fn agent_loop(
                                 &inner,
                                 &app,
                                 policy.as_mut(),
-                                10,
+                                Budget::DEFAULT,
                                 &telemetry,
                                 origin,
                                 id.0,
@@ -304,6 +322,10 @@ fn agent_loop(
                         };
                         let _ = reply.send(result);
                     })
+                    // INVARIANT: spawning fails only when the OS
+                    // refuses a thread. The panic ends this agent's
+                    // loop, which drops every reply cell it holds, so
+                    // each caller's wait resolves to `None`.
                     .expect("spawn orchestration thread");
             }
             Msg::Probe { reply } => {
@@ -319,14 +341,14 @@ fn agent_loop(
                     executed: executed.load(Ordering::SeqCst),
                 });
             }
-            Msg::Execute {
-                op,
-                inputs,
-                output,
-                output_class,
-                ctx,
-                reply,
-            } => {
+            Msg::Execute { task, ctx, reply } => {
+                let AppTask {
+                    op,
+                    inputs,
+                    output,
+                    output_class,
+                    ..
+                } = &*task;
                 let dequeued_us = now_us();
                 if !alive.load(Ordering::SeqCst) {
                     // A dead device leaves no trace — the hop shows up
@@ -345,20 +367,19 @@ fn agent_loop(
                     if telemetry.enabled() {
                         telemetry.record(TelemetryEvent::Instant {
                             track: Track::Agent(id.0),
-                            name: Label::shared(&op),
+                            name: Label::shared(op),
                             phase: TaskPhase::Failed,
                             at_us,
                         });
                     }
                     let _ = reply.send(ExecReply::Failed(reason));
                 };
-                let Some(f) = ops.get(&op) else {
+                let Some(f) = ops.get(op) else {
                     fail(format!("unknown op `{op}`"), now_us());
                     continue;
                 };
-                let mut in_values: Vec<Bytes> = Vec::with_capacity(inputs.len());
                 let mut failed = None;
-                for key in &inputs {
+                for key in inputs {
                     match store.get(key) {
                         Ok(v) => in_values.push(v.payload),
                         Err(e) => {
@@ -368,13 +389,16 @@ fn agent_loop(
                     }
                 }
                 if let Some(msg) = failed {
+                    in_values.clear();
                     fail(msg, now_us());
                     continue;
                 }
                 let fetched_us = now_us();
                 // A panicking op is that op's failure, not the
                 // device's: the agent answers and keeps serving.
-                let result = match catch_unwind(AssertUnwindSafe(|| f(&in_values))) {
+                let result = catch_unwind(AssertUnwindSafe(|| f(&in_values)));
+                in_values.clear();
+                let result = match result {
                     Ok(result) => result,
                     Err(payload) => {
                         let what = panic_message(payload.as_ref());
@@ -390,10 +414,10 @@ fn agent_loop(
                     continue;
                 }
                 let value = match output_class {
-                    Some(c) => StoredValue::object(result, c),
+                    Some(c) => StoredValue::object(result, c.clone()),
                     None => StoredValue::blob(result),
                 };
-                match store.put(output, value, None) {
+                match store.put(output.clone(), value, None) {
                     Ok(_) => {
                         executed.fetch_add(1, Ordering::SeqCst);
                         let done_us = now_us();
@@ -403,7 +427,7 @@ fn agent_loop(
                             // carry the derived child context and sit
                             // strictly inside the submitter's
                             // [send, reply] hop interval.
-                            let name = Label::shared(&op);
+                            let name = Label::shared(op);
                             telemetry.record(TelemetryEvent::Span {
                                 track: Track::Agent(id.0),
                                 name: name.clone(),
@@ -442,7 +466,7 @@ fn agent_loop(
 mod tests {
     use super::*;
     use continuum_platform::NodeId;
-    use continuum_storage::{KvConfig, KvStore};
+    use continuum_storage::{KvConfig, KvStore, ObjectKey};
 
     fn store() -> Arc<dyn StorageRuntime> {
         Arc::new(
@@ -469,10 +493,7 @@ mod tests {
         agent
             .sender()
             .send(Msg::Execute {
-                op: op.to_string(),
-                inputs,
-                output,
-                output_class: None,
+                task: Arc::new(AppTask::new(op, inputs, output)),
                 ctx,
                 reply,
             })

@@ -25,6 +25,14 @@ pub enum AgentError {
         /// Attempts made.
         attempts: usize,
     },
+    /// Every attempt at a task outlived the orchestrator's reply
+    /// deadline.
+    DeadlineExceeded {
+        /// The operation whose replies kept coming late.
+        op: String,
+        /// Attempts made.
+        attempts: usize,
+    },
     /// The application's task list is not a valid DAG (unknown input
     /// key with no producer and not initial).
     InvalidApplication(String),
@@ -42,6 +50,9 @@ impl fmt::Display for AgentError {
             AgentError::UnknownOp(op) => write!(f, "operation `{op}` is not registered"),
             AgentError::RetriesExhausted { op, attempts } => {
                 write!(f, "task `{op}` lost {attempts} times; retries exhausted")
+            }
+            AgentError::DeadlineExceeded { op, attempts } => {
+                write!(f, "task `{op}` missed its reply deadline {attempts} times")
             }
             AgentError::InvalidApplication(msg) => {
                 write!(f, "invalid application: {msg}")

@@ -23,7 +23,23 @@ pub(crate) struct NetworkInner {
 
 impl NetworkInner {
     pub(crate) fn infos(&self) -> Vec<AgentInfo> {
-        self.agents.read().iter().map(Agent::info).collect()
+        let mut infos = Vec::new();
+        self.infos_into(&mut infos);
+        infos
+    }
+
+    /// Refreshes `infos` to a snapshot of every agent, in place: an
+    /// entry for an agent it already lists is updated field by field,
+    /// its name rewritten only if the agent's differs, so a refresh of
+    /// an unchanged fleet allocates nothing.
+    pub(crate) fn infos_into(&self, infos: &mut Vec<AgentInfo>) {
+        let agents = self.agents.read();
+        infos.truncate(agents.len());
+        for (info, agent) in infos.iter_mut().zip(agents.iter()) {
+            agent.refresh_info(info);
+        }
+        let known = infos.len();
+        infos.extend(agents[known..].iter().map(Agent::info));
     }
 
     pub(crate) fn sender_of(&self, id: AgentId) -> Result<Sender<crate::agent::Msg>, AgentError> {
@@ -215,10 +231,7 @@ impl AgentNetwork {
         let (reply, rx) = oneshot::channel();
         self.sender_of(on)?
             .send(crate::agent::Msg::Execute {
-                op: task.op.clone(),
-                inputs: task.inputs.clone(),
-                output: task.output.clone(),
-                output_class: task.output_class.clone(),
+                task: Arc::new(task.clone()),
                 ctx: None,
                 reply,
             })

@@ -42,11 +42,10 @@ impl OffloadPolicy for RoundRobinOffload {
     }
 
     fn choose(&mut self, _task: &AppTask, agents: &[AgentInfo]) -> Option<AgentId> {
-        let live: Vec<&AgentInfo> = alive(agents).collect();
-        if live.is_empty() {
-            return None;
-        }
-        let pick = live[self.cursor % live.len()].id;
+        // Two passes over the snapshot instead of a list of the live:
+        // a choice allocates nothing, whatever the fleet size.
+        let live = alive(agents).count();
+        let pick = alive(agents).nth(self.cursor.checked_rem(live)?)?.id;
         self.cursor = self.cursor.wrapping_add(1);
         Some(pick)
     }

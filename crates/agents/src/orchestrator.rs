@@ -1,7 +1,7 @@
 //! The orchestrating agent: drives an application's task list over
 //! the network, offloading per policy and recovering lost tasks.
 
-use crate::agent::{AgentId, ExecReply, Msg};
+use crate::agent::{AgentId, AgentInfo, ExecReply, Msg};
 use crate::error::AgentError;
 use crate::network::{AgentNetwork, NetworkInner};
 use crate::offload::OffloadPolicy;
@@ -12,6 +12,8 @@ use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
 };
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// One task of an agent application: an operation applied to stored
 /// inputs, producing one stored output.
@@ -70,10 +72,14 @@ impl AppTask {
 
 /// A named list of tasks; dependencies are implied by output→input
 /// key chains.
+///
+/// Each task sits behind an `Arc`, which is what a dispatch ships to
+/// the executing agent: sending a task costs a reference-count bump,
+/// whatever its input list holds.
 #[derive(Debug, Clone, Default)]
 pub struct Application {
     name: String,
-    tasks: Vec<AppTask>,
+    tasks: Vec<Arc<AppTask>>,
 }
 
 impl Application {
@@ -87,7 +93,7 @@ impl Application {
 
     /// Appends a task.
     pub fn task(mut self, task: AppTask) -> Self {
-        self.tasks.push(task);
+        self.tasks.push(Arc::new(task));
         self
     }
 
@@ -97,7 +103,7 @@ impl Application {
     }
 
     /// The task list.
-    pub fn tasks(&self) -> &[AppTask] {
+    pub fn tasks(&self) -> &[Arc<AppTask>] {
         &self.tasks
     }
 }
@@ -113,29 +119,62 @@ pub struct AppReport {
     pub executions_per_agent: HashMap<AgentId, usize>,
 }
 
+/// How often, and how long each time, a run tries one task.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Budget {
+    /// Attempts per task before the run gives up.
+    pub(crate) max_attempts: usize,
+    /// How long one attempt may wait for its reply, from the send;
+    /// `None` waits as long as the agent takes.
+    pub(crate) reply_deadline: Option<Duration>,
+}
+
+impl Budget {
+    /// Ten attempts, no deadline: an [`Orchestrator`] left at its
+    /// defaults, and every nested *Start Application* run.
+    pub(crate) const DEFAULT: Budget = Budget {
+        max_attempts: 10,
+        reply_deadline: None,
+    };
+}
+
 /// The agent that starts and supervises an application (the paper's
 /// *Start Application* verb plus monitoring).
 #[derive(Debug)]
 pub struct Orchestrator<'n> {
     network: &'n AgentNetwork,
-    max_attempts: usize,
+    budget: Budget,
     telemetry: RecorderHandle,
 }
 
 impl<'n> Orchestrator<'n> {
     /// Creates an orchestrator over a network; a task is retried on a
-    /// different agent up to 10 times before giving up.
+    /// different agent up to 10 times before giving up, and each
+    /// attempt waits for its reply as long as the agent takes.
     pub fn new(network: &'n AgentNetwork) -> Self {
         Orchestrator {
             network,
-            max_attempts: 10,
+            budget: Budget::DEFAULT,
             telemetry: RecorderHandle::noop(),
         }
     }
 
     /// Sets the per-task attempt budget.
     pub fn max_attempts(mut self, attempts: usize) -> Self {
-        self.max_attempts = attempts.max(1);
+        self.budget.max_attempts = attempts.max(1);
+        self
+    }
+
+    /// Bounds how long one attempt waits for its agent's reply,
+    /// counted from the send, so it covers the time the task queues in
+    /// the agent's inbox. An attempt past its deadline counts as a
+    /// re-execution and the task is re-submitted next wave, as if its
+    /// agent had been lost; a task whose every attempt times out ends
+    /// the run in [`AgentError::DeadlineExceeded`]. The late agent is
+    /// not stopped: its reply is discarded, but the output it stores
+    /// still lands.
+    pub fn reply_deadline(mut self, deadline: Duration) -> Self {
+        self.budget.reply_deadline = Some(deadline);
         self
     }
 
@@ -158,6 +197,8 @@ impl<'n> Orchestrator<'n> {
     ///   ready task;
     /// * [`AgentError::RetriesExhausted`] if a task keeps getting
     ///   lost or keeps failing (unreadable input, panicking operation);
+    /// * [`AgentError::DeadlineExceeded`] if every attempt of a task
+    ///   outlives the [`reply_deadline`](Self::reply_deadline);
     /// * [`AgentError::UnknownOp`] if an agent reports an unknown
     ///   operation.
     pub fn run(
@@ -169,7 +210,7 @@ impl<'n> Orchestrator<'n> {
             self.network.inner(),
             app,
             policy,
-            self.max_attempts,
+            self.budget,
             &self.telemetry,
             std::time::Instant::now(),
             SpanContext::COORDINATOR,
@@ -211,7 +252,7 @@ pub(crate) fn run_application(
     network: &NetworkInner,
     app: &Application,
     policy: &mut dyn OffloadPolicy,
-    max_attempts: usize,
+    budget: Budget,
     telemetry: &RecorderHandle,
     origin: std::time::Instant,
     self_agent: u32,
@@ -233,9 +274,12 @@ pub(crate) fn run_application(
     let mut hop_seq: u64 = 0;
     let total = app.tasks().len();
     let mut done: HashSet<usize> = HashSet::new();
-    let mut attempts: Vec<usize> = vec![0; total];
+    let mut tries: Vec<Tries> = vec![Tries::default(); total];
     let mut reexecutions = 0usize;
     let mut per_agent: HashMap<AgentId, usize> = HashMap::new();
+    // The fleet as the policy sees it, refreshed in place before each
+    // choice: one vector per run, not one per dispatch.
+    let mut infos: Vec<AgentInfo> = Vec::new();
 
     while done.len() < total {
         // A wave: submit every task whose inputs are in the store.
@@ -255,17 +299,20 @@ pub(crate) fn run_application(
             if !ready {
                 continue;
             }
-            let infos = network.infos();
+            network.infos_into(&mut infos);
             let Some(agent) = policy.choose(task, &infos) else {
                 return Err(AgentError::NoAgentAvailable {
                     op: task.op.clone(),
                 });
             };
-            attempts[idx] += 1;
-            if attempts[idx] > max_attempts {
-                return Err(AgentError::RetriesExhausted {
-                    op: task.op.clone(),
-                    attempts: attempts[idx] - 1,
+            let tried = &mut tries[idx];
+            tried.made += 1;
+            if tried.made as usize > budget.max_attempts {
+                let (op, attempts) = (task.op.clone(), budget.max_attempts);
+                return Err(if tried.timed_out as usize == attempts {
+                    AgentError::DeadlineExceeded { op, attempts }
+                } else {
+                    AgentError::RetriesExhausted { op, attempts }
                 });
             }
             let (reply, rx) = oneshot::channel();
@@ -282,10 +329,7 @@ pub(crate) fn run_application(
             network
                 .sender_of(agent)?
                 .send(Msg::Execute {
-                    op: task.op.clone(),
-                    inputs: task.inputs.clone(),
-                    output: task.output.clone(),
-                    output_class: task.output_class.clone(),
+                    task: Arc::clone(task),
                     ctx: hop_ctx,
                     reply,
                 })
@@ -314,11 +358,18 @@ pub(crate) fn run_application(
             )));
         }
         for (idx, agent, sent_us, hop_ctx, rx) in in_flight {
-            let reply = rx.wait();
+            // `Err` hands back a receiver whose deadline passed.
+            let reply = match budget.reply_deadline {
+                None => Ok(rx.wait()),
+                Some(deadline) => {
+                    let due = Duration::from_micros(sent_us).saturating_add(deadline);
+                    rx.wait_timeout(due.saturating_sub(origin.elapsed()))
+                }
+            };
             let outcome = match &reply {
-                Some(ExecReply::Done) => TaskPhase::Committed,
-                Some(ExecReply::Lost) | None => TaskPhase::Replayed,
-                Some(ExecReply::Failed(_)) => TaskPhase::Failed,
+                Ok(Some(ExecReply::Done)) => TaskPhase::Committed,
+                Ok(Some(ExecReply::Lost) | None) | Err(_) => TaskPhase::Replayed,
+                Ok(Some(ExecReply::Failed(_))) => TaskPhase::Failed,
             };
             if telemetry.enabled() {
                 let op = app.tasks()[idx].op.clone();
@@ -345,14 +396,21 @@ pub(crate) fn run_application(
                 });
             }
             match reply {
-                Some(ExecReply::Done) => {
+                Ok(Some(ExecReply::Done)) => {
                     done.insert(idx);
                     *per_agent.entry(agent).or_insert(0) += 1;
                 }
                 // Lost with its device, or the agent thread itself is
                 // gone: re-submitted next wave.
-                Some(ExecReply::Lost) | None => reexecutions += 1,
-                Some(ExecReply::Failed(msg)) => {
+                Ok(Some(ExecReply::Lost) | None) => reexecutions += 1,
+                // Past its deadline: re-submitted next wave like a lost
+                // task. Dropping the receiver discards the late reply;
+                // the output the late agent stores still lands.
+                Err(_late) => {
+                    reexecutions += 1;
+                    tries[idx].timed_out += 1;
+                }
+                Ok(Some(ExecReply::Failed(msg))) => {
                     if msg.starts_with("unknown op") {
                         return Err(AgentError::UnknownOp(app.tasks()[idx].op.clone()));
                     }
@@ -383,6 +441,14 @@ pub(crate) fn run_application(
         reexecutions,
         executions_per_agent: per_agent,
     })
+}
+
+/// Attempts made at one task, and how many of them outlived their
+/// reply deadline.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tries {
+    made: u32,
+    timed_out: u32,
 }
 
 /// Checks every input key is either pre-stored or produced.

@@ -3,7 +3,7 @@
 //! paper-scale fog-to-cloud experiments.
 
 use continuum_dag::TaskId;
-use continuum_platform::{DeviceClass, NodeId};
+use continuum_platform::{DeviceClass, Node, NodeId};
 use continuum_runtime::{PlacementView, Scheduler};
 use std::collections::HashMap;
 
@@ -83,11 +83,13 @@ impl Scheduler for ContinuumScheduler {
             let req = view.workload().profile(task).constraints_ref();
             let cu = req.required_compute_units().max(1);
             let duration = view.workload().profile(task).duration_s();
-            let mut best: Option<(f64, NodeId, f64)> = None;
+            let mut best: Option<(f64, &Node, f64)> = None;
             for st in view.nodes() {
                 let node = st.id();
-                let spec = view.platform().node(node).expect("node in platform").spec();
-                if !self.policy.allows(spec.device_class()) {
+                // INVARIANT: the view's node states are the platform's
+                // own nodes, indexed alike, so every id is in it.
+                let pnode = view.platform().node(node).expect("node in platform");
+                if !self.policy.allows(pnode.spec().device_class()) {
                     continue;
                 }
                 if !st.is_alive() || !st.total_capacity().satisfies(req) {
@@ -102,7 +104,7 @@ impl Scheduler for ContinuumScheduler {
                         let slots = (st.total_capacity().cores() / cu).max(1);
                         let waves = (queue / slots) as f64;
                         let transfer = view.estimated_transfer_seconds(task, node);
-                        let zone = view.platform().node(node).expect("node in platform").zone();
+                        let zone = pnode.zone();
                         let backlog = if transfer > 0.0 {
                             // In-flight occupancy of the uplink plus
                             // what this round already committed to it.
@@ -120,10 +122,11 @@ impl Scheduler for ContinuumScheduler {
                     _ => (st.running_count() as f64 + queue as f64, 0.0),
                 };
                 if best.is_none_or(|(s, _, _)| score < s) {
-                    best = Some((score, node, transfer));
+                    best = Some((score, pnode, transfer));
                 }
             }
-            if let Some((_, node, transfer)) = best {
+            if let Some((_, pnode, transfer)) = best {
+                let node = pnode.id();
                 *committed.entry(node).or_insert(0) += 1;
                 // Emit only what actually fits right now; the rest of
                 // the queue stays ready and is re-offered next round.
@@ -132,7 +135,7 @@ impl Scheduler for ContinuumScheduler {
                 if st.can_host(req) && st.free_capacity().cores() >= used * cu + cu {
                     *accepted.entry(node).or_insert(0) += 1;
                     if transfer > 0.0 {
-                        let zone = view.platform().node(node).expect("node").zone();
+                        let zone = pnode.zone();
                         *uplink_backlog.entry(zone.index() as u16).or_insert(0.0) += transfer;
                     }
                     out.push((task, node));

@@ -10,15 +10,20 @@
 
 mod workloads;
 
+use bytes::Bytes;
+use continuum_agents::{
+    AgentNetwork, AppTask, Application, OpRegistry, Orchestrator, RoundRobinOffload,
+};
 use continuum_bench::alloc::{allocations, live_bytes, peak_bytes, reset_peak, CountingAllocator};
 use continuum_dag::{AccessProcessor, TaskSpec, SEGMENT_SLOTS};
 use continuum_dislib::{DistMatrix, KMeans};
 use continuum_platform::presets::hybrid_hpc_cloud;
-use continuum_platform::Constraints;
+use continuum_platform::{Constraints, DeviceClass, NodeId};
 use continuum_runtime::{
     DataHandle, ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime,
 };
 use continuum_sim::FaultPlan;
+use continuum_storage::{KvConfig, KvStore, ObjectKey, StoredValue};
 use continuum_telemetry::{chrome_trace, Event, TraceBuffer};
 use continuum_workflows::patterns::stencil;
 use continuum_workflows::{parse_wdl, to_wdl};
@@ -372,6 +377,107 @@ fn ping_pong_allocations(elements: u64) -> u64 {
     assert_eq!(*rt.get(&total).unwrap(), elements * (elements - 1) / 2);
     assert_eq!(rt.parked_count(), 0);
     allocations
+}
+
+/// How far the allocations per task of one fan through the orchestrator
+/// may differ between a fleet of 2 agents and one of 16. Snapshotting
+/// the fleet afresh for each dispatch costs a vector and a name per
+/// agent: 14 more allocations per task at 16 agents than at 2.
+const MAX_FLEET_ALLOCS_SPREAD_PER_TASK: f64 = 0.1;
+
+/// How many more allocations one dispatch of a 2 000-input task may
+/// make than one of a 20-input task. Copying the task's input list into
+/// the message costs one per input key.
+const MAX_FAN_IN_ALLOCS_SPREAD_PER_DISPATCH: u64 = 8;
+
+/// `agents` fog agents over a two-replica store; `sense` and `count`
+/// allocate nothing of their own but their one-word output.
+fn agent_network(agents: usize) -> AgentNetwork {
+    let store = KvStore::new(
+        (0..4).map(NodeId::from_raw).collect(),
+        KvConfig { replication: 2 },
+    )
+    .expect("store config");
+    let ops = OpRegistry::new();
+    ops.register("sense", |_| Bytes::from_static(b"reading"));
+    ops.register("count", |ins| {
+        Bytes::copy_from_slice(&(ins.len() as u64).to_le_bytes())
+    });
+    let net = AgentNetwork::new(std::sync::Arc::new(store), ops);
+    for i in 0..agents {
+        net.deploy(format!("fog-{i}"), DeviceClass::Fog);
+    }
+    net
+}
+
+/// Allocations of one `Orchestrator::run` of `app`, which must
+/// complete all its tasks.
+fn run_allocations(net: &AgentNetwork, app: &Application) -> u64 {
+    let (report, allocations) = count(|| {
+        Orchestrator::new(net)
+            .run(app, &mut RoundRobinOffload::new())
+            .expect("the application completes")
+    });
+    assert_eq!(report.completed, app.tasks().len());
+    allocations
+}
+
+/// One agent dispatch costs the same whatever the fleet size and the
+/// task's fan-in: the policy sees a fleet snapshot refreshed in place,
+/// the message carries the task by reference, and the agent stages
+/// inputs in a buffer it keeps.
+#[test]
+fn agent_dispatch_allocates_the_same_at_any_fleet_size_and_fan_in() {
+    let _serial = COUNTER.lock().unwrap();
+    const FAN: usize = 256;
+    let fan = (0..FAN).fold(Application::new("fan"), |app, i| {
+        app.task(AppTask::new("sense", vec![], format!("out{i}")))
+    });
+    // Four runs after a first that grows the store's tables to the
+    // fan's keys: an agent's inbox allocates a block per 31 messages,
+    // which at 16 agents lands in every other run.
+    const RUNS: u64 = 4;
+    let [small, large] = [2, 16].map(|agents| {
+        let net = agent_network(agents);
+        run_allocations(&net, &fan);
+        let total: u64 = (0..RUNS).map(|_| run_allocations(&net, &fan)).sum();
+        total as f64 / (RUNS * FAN as u64) as f64
+    });
+    assert!(
+        (large - small).abs() <= MAX_FLEET_ALLOCS_SPREAD_PER_TASK,
+        "a fan task allocates {small:.2} times at 2 agents and {large:.2} at 16, \
+         spread limit {MAX_FLEET_ALLOCS_SPREAD_PER_TASK}"
+    );
+
+    const WIDE: usize = 2_000;
+    let net = agent_network(2);
+    for i in 0..WIDE {
+        net.store()
+            .put(
+                ObjectKey::new(format!("in{i}")),
+                StoredValue::blob(vec![1]),
+                None,
+            )
+            .expect("input stored");
+    }
+    let gather = |fan_in: usize| {
+        let inputs = (0..fan_in)
+            .map(|i| ObjectKey::new(format!("in{i}")))
+            .collect();
+        Application::new("gather").task(AppTask::new("count", inputs, "gathered"))
+    };
+    let (narrow, wide) = (gather(20), gather(WIDE));
+    // The first runs grow the agent's input buffer and the store's
+    // entry for the output.
+    run_allocations(&net, &wide);
+    run_allocations(&net, &narrow);
+    let narrow = run_allocations(&net, &narrow);
+    let wide = run_allocations(&net, &wide);
+    assert!(
+        wide <= narrow + MAX_FAN_IN_ALLOCS_SPREAD_PER_DISPATCH,
+        "dispatching a {WIDE}-input task allocates {wide} times, a 20-input one {narrow}, \
+         spread limit {MAX_FAN_IN_ALLOCS_SPREAD_PER_DISPATCH}"
+    );
 }
 
 /// PR 7's paper-scale headline; ≈ 2 s with `--release`:

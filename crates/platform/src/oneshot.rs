@@ -8,7 +8,8 @@
 //! [`Future`] an async task awaits, parking itself (costing a waker
 //! clone, not a thread) until the reply lands — or, for a caller that
 //! is a plain thread, [`wait`](OneshotReceiver::wait) blocks on the
-//! same future. Dropping the sender without sending resolves the
+//! same future, or [`wait_timeout`](OneshotReceiver::wait_timeout) until
+//! a deadline, after which the caller gets the receiver back. Dropping the sender without sending resolves the
 //! receiver to `None`, so a dying service thread can never strand a
 //! parked task.
 //!
@@ -26,6 +27,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::time::{Duration, Instant};
 
 struct Inner<T> {
     /// The reply, once sent.
@@ -137,6 +139,31 @@ impl<T> OneshotReceiver<T> {
             }
         }
     }
+
+    /// [`wait`](Self::wait) with a deadline: `Ok(reply)` as `wait`
+    /// would return it if the reply (or the sender's drop) lands
+    /// within `timeout`, and `Err(self)` if it does not. The receiver
+    /// handed back is still connected, so the caller may keep waiting
+    /// on it or drop it; a reply sent after the drop is discarded.
+    ///
+    /// A timeout too large to add to the clock waits without one.
+    pub fn wait_timeout(mut self, timeout: Duration) -> Result<Option<T>, Self> {
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Ok(self.wait());
+        };
+        let waker = sync::thread_waker();
+        let mut cx = Context::from_waker(&waker);
+        loop {
+            if let Poll::Ready(reply) = Pin::new(&mut self).poll(&mut cx) {
+                return Ok(reply);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(self);
+            }
+            sync::park_timeout(deadline - now);
+        }
+    }
 }
 
 impl<T> std::fmt::Debug for OneshotSender<T> {
@@ -227,5 +254,47 @@ mod tests {
             }
             assert_eq!(waiter.join().unwrap(), reply);
         }
+    }
+
+    #[test]
+    fn wait_timeout_returns_a_reply_that_lands_before_the_deadline() {
+        let (tx, rx) = channel::<u32>();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(tx.send(5));
+        });
+        assert_eq!(rx.wait_timeout(Duration::from_secs(30)).ok(), Some(Some(5)));
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn wait_timeout_hands_the_receiver_back_and_a_later_wait_gets_the_value() {
+        let (tx, rx) = channel::<u32>();
+        let start = Instant::now();
+        let rx = rx
+            .wait_timeout(Duration::from_millis(30))
+            .expect_err("no reply was sent");
+        assert!(
+            start.elapsed() >= Duration::from_millis(30),
+            "returned early"
+        );
+        // Still connected: the reply sent after the deadline is the
+        // one a later wait sees.
+        assert!(tx.send(11));
+        assert_eq!(rx.wait(), Some(11));
+    }
+
+    #[test]
+    fn wait_timeout_sees_a_dropped_sender_as_no_reply() {
+        let (tx, rx) = channel::<u32>();
+        drop(tx);
+        assert_eq!(rx.wait_timeout(Duration::from_secs(30)).ok(), Some(None));
+        let (tx, rx) = channel::<u32>();
+        let dropper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(tx);
+        });
+        assert_eq!(rx.wait_timeout(Duration::from_secs(30)).ok(), Some(None));
+        dropper.join().unwrap();
     }
 }

@@ -31,11 +31,13 @@ use std::task::{Wake, Waker};
 
 #[cfg(feature = "conc-instrument")]
 pub use instrumented::{
-    park, park_handle, AtomicBool, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, ParkHandle,
+    park, park_handle, park_timeout, AtomicBool, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
+    ParkHandle,
 };
 #[cfg(not(feature = "conc-instrument"))]
 pub use uninstrumented::{
-    park, park_handle, AtomicBool, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, ParkHandle,
+    park, park_handle, park_timeout, AtomicBool, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
+    ParkHandle,
 };
 
 /// Waker that unparks a blocked OS thread: the bridge that lets a
@@ -132,6 +134,7 @@ mod uninstrumented {
     pub use parking_lot::{Condvar, Mutex, MutexGuard};
     pub use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize};
     use std::thread;
+    use std::time::Duration;
 
     /// A handle that can unpark one specific thread (clone of
     /// `std::thread::Thread` with the instrumentable surface).
@@ -160,6 +163,13 @@ mod uninstrumented {
     pub fn park() {
         thread::park();
     }
+
+    /// Parks the calling thread until unparked or `dur` elapses,
+    /// whichever comes first (std token semantics).
+    #[inline]
+    pub fn park_timeout(dur: Duration) {
+        thread::park_timeout(dur);
+    }
 }
 
 #[cfg(feature = "conc-instrument")]
@@ -172,6 +182,7 @@ mod instrumented {
     use crossbeam::hooks::sched::{self, Grant, OpEvent, SyncOp};
     use std::ops::{Deref, DerefMut};
     use std::thread;
+    use std::time::Duration;
 
     pub use atomics::{AtomicBool, AtomicU8, AtomicUsize};
 
@@ -477,6 +488,23 @@ mod instrumented {
             }
         }
         thread::park();
+    }
+
+    /// Parks the calling thread until unparked or `dur` elapses. The
+    /// controller has no clock, so under it a timed park is a
+    /// scheduling point that returns at once, as if `dur` had elapsed:
+    /// every caller re-checks its condition and its own deadline after
+    /// a park, and a pending unpark token is left for the next park.
+    pub fn park_timeout(dur: Duration) {
+        if let Some(tid) = sched::current_tid() {
+            if sched::sync_op(OpEvent {
+                op: SyncOp::Yield,
+                obj: tid,
+            }) {
+                return;
+            }
+        }
+        thread::park_timeout(dur);
     }
 }
 

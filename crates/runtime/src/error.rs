@@ -5,6 +5,7 @@ use continuum_dag::{DagError, DataId, TaskId};
 use continuum_storage::StorageError;
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
 
 /// Errors produced by the runtime engines.
 #[derive(Debug)]
@@ -62,6 +63,12 @@ pub enum RuntimeError {
         /// The full lint report, in canonical order.
         diagnostics: Vec<Diagnostic>,
     },
+    /// An awaited operation did not finish within its deadline
+    /// ([`crate::TaskContext::timeout`]).
+    DeadlineExceeded {
+        /// The deadline that passed.
+        after: Duration,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -100,6 +107,9 @@ impl fmt::Display for RuntimeError {
                     write!(f, "\n{d}")?;
                 }
                 Ok(())
+            }
+            RuntimeError::DeadlineExceeded { after } => {
+                write!(f, "deadline of {after:?} exceeded")
             }
         }
     }

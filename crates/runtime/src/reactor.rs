@@ -1,5 +1,6 @@
 //! The reactor: a hashed timer wheel driving `sleep`/deadline futures
-//! for the M:N executor.
+//! for the M:N executor, and [`TaskContext::timeout`], the deadline an
+//! async body puts on any future it awaits.
 //!
 //! One reactor thread serves every timer in the runtime. Deadlines are
 //! bucketed into wheel slots by tick index (`slot = tick & (SLOTS-1)`),
@@ -24,6 +25,7 @@
 #![deny(clippy::await_holding_lock)]
 
 use crate::lockorder::{self, RANK_REACTOR};
+use crate::{RuntimeError, TaskContext};
 use parking_lot::{Condvar, Mutex};
 use std::future::Future;
 use std::pin::Pin;
@@ -268,6 +270,41 @@ impl Future for Sleep {
     }
 }
 
+impl TaskContext {
+    /// Awaits `fut` for at most `dur`: `Ok` with its output if it
+    /// finishes first, [`RuntimeError::DeadlineExceeded`] if the
+    /// deadline passes first. The deadline is a [`Sleep`] on the
+    /// runtime's timer wheel, so the wait parks the task, not its
+    /// worker, and fires at tick granularity. On timeout `fut` is
+    /// dropped: a reply cell it awaited discards a late reply.
+    ///
+    /// # Panics
+    ///
+    /// Panics in a closure task body (see [`TaskContext::sleep`]).
+    pub fn timeout<F: Future>(
+        &self,
+        dur: Duration,
+        fut: F,
+    ) -> impl Future<Output = Result<F::Output, RuntimeError>> {
+        let mut deadline = self.sleep(dur);
+        async move {
+            let mut fut = std::pin::pin!(fut);
+            std::future::poll_fn(|cx| {
+                if let Poll::Ready(out) = fut.as_mut().poll(cx) {
+                    return Poll::Ready(Ok(out));
+                }
+                match Pin::new(&mut deadline).poll(cx) {
+                    Poll::Ready(()) => {
+                        Poll::Ready(Err(RuntimeError::DeadlineExceeded { after: dur }))
+                    }
+                    Poll::Pending => Poll::Pending,
+                }
+            })
+            .await
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,5 +499,30 @@ mod tests {
         ));
         reactor.stop();
         assert_eq!(reactor.inner().pending_timers(), 0);
+    }
+
+    #[test]
+    fn timeout_passes_a_prompt_future_through_and_cuts_a_stuck_one() {
+        use crate::{LocalConfig, LocalRuntime};
+        use continuum_dag::TaskSpec;
+        use continuum_platform::Constraints;
+        let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+        let out = rt.data::<(bool, bool)>("out");
+        rt.submit_async(
+            TaskSpec::new("t").output(out.id()),
+            Constraints::new(),
+            |mut ctx| async move {
+                let prompt = ctx.sleep(Duration::from_millis(1));
+                let prompt = ctx.timeout(Duration::from_secs(30), prompt).await;
+                let stuck = std::future::pending::<()>();
+                let stuck = ctx.timeout(Duration::from_millis(5), stuck).await;
+                let cut = matches!(stuck, Err(RuntimeError::DeadlineExceeded { after })
+                    if after == Duration::from_millis(5));
+                ctx.set_output(0, (prompt.is_ok(), cut));
+                ctx
+            },
+        )
+        .unwrap();
+        assert_eq!(*rt.get(&out).unwrap(), (true, true));
     }
 }
