@@ -517,10 +517,12 @@ fn million_task_campaign_stays_lazy() {
 /// Live heap bytes per pending closure task the GWAS storm below may
 /// hold once submitted: the task record, its body's box, its output
 /// cell, its edges and run slot, and the runtime's per-task columns —
-/// 340 B measured. A graph that keeps every task's spec and version
-/// lists after the record is built, instead of retiring them, holds
-/// 507 B.
-const MAX_PENDING_BYTES_PER_TASK: f64 = 360.0;
+/// 299.6 B measured. A record that keeps the telemetry name and 64-bit
+/// demand fields, with a version-0 cell pointer in every datum's
+/// column entry, holds 339.6 B; a graph that keeps every task's spec
+/// and version lists after the record is built, instead of retiring
+/// them, 507 B.
+const MAX_PENDING_BYTES_PER_TASK: f64 = 310.0;
 
 /// The benchmark's `gwas_local` shape at about 20 k tasks: per
 /// chromosome, filter → impute → association per chunk and a 16-way
@@ -632,5 +634,29 @@ fn pending_gwas_storm_keeps_few_bytes_per_task() {
         per_task <= MAX_PENDING_BYTES_PER_TASK,
         "a pending task of the GWAS storm holds {per_task:.1} heap bytes, \
          limit {MAX_PENDING_BYTES_PER_TASK}"
+    );
+}
+
+/// Live heap bytes per datum a declared batch of 20 000 may hold: the
+/// catalog slot (24 B), its name in the segment's arena and the handle
+/// returned — 40.45 B measured, and 10 % for slack. A slot that keeps
+/// its producer as an `Option<TaskId>` beside the version holds 56.9 B.
+const MAX_DECLARED_BYTES_PER_DATUM: f64 = 44.5;
+
+/// What declaring data costs before any task touches them: the
+/// catalog's slot and name bytes, and the handle returned.
+#[test]
+fn declared_data_keep_few_bytes_per_datum() {
+    let _serial = COUNTER.lock().unwrap();
+    const DATA: usize = 20_000;
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    let before = live_bytes();
+    let data = rt.data_batch::<u64>("d", DATA);
+    let per_datum = live_bytes().saturating_sub(before) as f64 / DATA as f64;
+    assert_eq!(data.len(), DATA);
+    assert!(
+        per_datum <= MAX_DECLARED_BYTES_PER_DATUM,
+        "a declared datum holds {per_datum:.1} heap bytes, \
+         limit {MAX_DECLARED_BYTES_PER_DATUM}"
     );
 }

@@ -43,6 +43,12 @@ fn await_heavy_parks_the_whole_storm_on_two_workers() {
     let outcome = run(&case, 2);
     assert_eq!(outcome.completed, case.tasks);
     assert!(
+        outcome.parked_samples > 0,
+        "the deadline passed before the storm was submitted ({:?}): the \
+         parked plateau was never sampled",
+        outcome.submit
+    );
+    assert!(
         outcome.parked_peak >= case.tasks * 9 / 10,
         "parked plateau reached only {} of {} tasks",
         outcome.parked_peak,

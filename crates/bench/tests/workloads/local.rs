@@ -15,6 +15,8 @@
 use continuum_dag::TaskSpec;
 use continuum_platform::Constraints;
 use continuum_runtime::{LocalConfig, LocalRuntime};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One storm: a shape and how many tasks it submits.
@@ -52,6 +54,11 @@ pub struct Outcome {
     /// Highest concurrently-parked async task count sampled (0 for
     /// closure-only cases).
     pub parked_peak: usize,
+    /// How many times an await-heavy run sampled its parked count
+    /// between the last submission and the deadline.
+    pub parked_samples: usize,
+    /// How long an await-heavy run took to submit its storm.
+    pub submit: Duration,
     /// Highest OS thread count of the whole process sampled during an
     /// await-heavy run (`/proc/self/status`; 0 where unavailable).
     pub os_threads_peak: usize,
@@ -170,29 +177,59 @@ fn run_diamond(rt: &LocalRuntime, total_tasks: usize, out: &mut Outcome) {
     out.checksum = *rt.get(&carry).expect("value present");
 }
 
+/// The await-heavy storm is submitted in this many slices, and the
+/// deadline re-derived after each.
+const AWAIT_SLICES: usize = 20;
+
+/// The shortest await-heavy deadline, after the first submission.
+const AWAIT_MIN_DEADLINE: Duration = Duration::from_millis(400);
+
 /// Submits `n` async tasks that all `sleep_until` one common absolute
 /// deadline, then samples the parked plateau until the deadline fires.
-/// The deadline is sized so every submission lands (and every task is
-/// polled to its first `Pending`) well before it passes — the plateau
-/// therefore reaches `n` parked tasks regardless of worker count.
+/// The deadline must pass well after every submission lands (and every
+/// task is polled to its first `Pending`), so that the plateau reaches
+/// `n` parked tasks regardless of worker count. How long submission
+/// takes depends on the host and on what else runs beside this test,
+/// so the deadline is derived from it: after the first slice of the
+/// storm, and again after each later one, it moves out to three times
+/// the whole storm's submission at the pace measured so far, never in.
+/// Until the first slice is in, its tasks park on
+/// [`AWAIT_MIN_DEADLINE`]; a task woken by a deadline that has since
+/// moved parks again on the new one.
 fn run_await_heavy(rt: &LocalRuntime, n: usize, out: &mut Outcome) {
-    let deadline =
-        Instant::now() + Duration::from_micros(n as u64 * 6).max(Duration::from_millis(400));
     let outs = rt.data_batch::<u64>("a", n);
+    let start = Instant::now();
+    let deadline_us = Arc::new(AtomicU64::new(AWAIT_MIN_DEADLINE.as_micros() as u64));
+    let slice = (n / AWAIT_SLICES).max(1);
     for (i, d) in outs.iter().enumerate() {
+        if i > 0 && i % slice == 0 {
+            let projected = start.elapsed().mul_f64(3.0 * n as f64 / i as f64);
+            deadline_us.fetch_max(projected.as_micros() as u64, Ordering::Relaxed);
+        }
         let seed = i as u64;
+        let deadline_us = Arc::clone(&deadline_us);
         rt.submit_async(
             TaskSpec::new("a").output(d.id()),
             Constraints::new(),
             move |mut ctx| async move {
-                ctx.sleep_until(deadline).await;
+                loop {
+                    let us = deadline_us.load(Ordering::Relaxed);
+                    let deadline = start + Duration::from_micros(us);
+                    if Instant::now() >= deadline {
+                        break;
+                    }
+                    ctx.sleep_until(deadline).await;
+                }
                 ctx.set_output(0, mix(seed));
                 ctx
             },
         )
         .expect("admitted");
     }
+    out.submit = start.elapsed();
+    let deadline = start + Duration::from_micros(deadline_us.load(Ordering::Relaxed));
     while Instant::now() < deadline {
+        out.parked_samples += 1;
         out.parked_peak = out.parked_peak.max(rt.parked_count());
         out.os_threads_peak = out.os_threads_peak.max(os_thread_count());
         std::thread::sleep(Duration::from_millis(1));

@@ -21,15 +21,6 @@ pub struct VersionInfo {
     pub producer: Option<TaskId>,
 }
 
-impl VersionInfo {
-    fn initial() -> Self {
-        VersionInfo {
-            version: DataVersion::INITIAL,
-            producer: None,
-        }
-    }
-}
-
 /// Which dependency discipline a datum is accessed through. A datum is
 /// either a renamed whole value or a channel of elements, never both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +33,30 @@ enum Discipline {
     Stream,
 }
 
-/// Everything the catalog knows about one datum.
+/// Everything the catalog knows about one datum, at 24 bytes: the
+/// current [`VersionInfo`] is kept packed, its producer as a raw id.
 #[derive(Debug, Clone, Copy)]
 struct DataSlot {
     /// Byte range of the name in its segment's arena.
     name: (u32, u32),
-    current: VersionInfo,
+    /// Raw id of the task that produced the current version, or
+    /// [`NO_PRODUCER`] while that is the initial value.
+    producer: u64,
+    version: DataVersion,
     discipline: Discipline,
+}
+
+/// [`DataSlot::producer`] of a datum at its initial version: no task
+/// id is ever this large.
+const NO_PRODUCER: u64 = u64::MAX;
+
+impl DataSlot {
+    fn current(&self) -> VersionInfo {
+        VersionInfo {
+            version: self.version,
+            producer: (self.producer != NO_PRODUCER).then_some(TaskId(self.producer)),
+        }
+    }
 }
 
 /// Registry of logical data known to an [`AccessProcessor`].
@@ -113,7 +121,8 @@ impl DataCatalog {
         write_name(arena);
         self.slots.push(DataSlot {
             name: (start, arena.len() as u32),
-            current: VersionInfo::initial(),
+            producer: NO_PRODUCER,
+            version: DataVersion::INITIAL,
             discipline: Discipline::Untouched,
         });
         DataId(id as u64)
@@ -163,7 +172,7 @@ impl DataCatalog {
     /// Returns [`DagError::UnknownData`] if the id is not registered
     /// or was retired and its segment dropped or evacuated since.
     pub fn current(&self, data: DataId) -> Result<VersionInfo, DagError> {
-        self.slot(data).map(|s| s.current)
+        self.slot(data).map(DataSlot::current)
     }
 
     /// Retires a datum: its name reads as `""` from now on and its
@@ -208,10 +217,11 @@ impl DataCatalog {
     }
 
     fn bump(&mut self, data: DataId, producer: TaskId) -> Result<DataVersion, DagError> {
-        let info = &mut self.slot_mut(data)?.current;
-        info.version = info.version.next();
-        info.producer = Some(producer);
-        Ok(info.version)
+        debug_assert_ne!(producer.0, NO_PRODUCER, "task id of the sentinel");
+        let slot = self.slot_mut(data)?;
+        slot.version = slot.version.next();
+        slot.producer = producer.0;
+        Ok(slot.version)
     }
 }
 
@@ -518,6 +528,14 @@ mod tests {
         let mut ap = AccessProcessor::new();
         let ids = ap.new_data_batch("d", n);
         (ap, ids)
+    }
+
+    #[test]
+    fn data_slot_stays_on_budget() {
+        // One slot per datum ever declared, resident while its segment
+        // is: a GWAS storm's catalog holds one per task.
+        let size = std::mem::size_of::<DataSlot>();
+        assert!(size <= 24, "data slot is {size} B");
     }
 
     #[test]

@@ -81,14 +81,16 @@ use crate::task_cell::TaskCell;
 use crate::value_cell::{Slots, Value, ValueCell};
 use admission::{Demand, ResourcePool};
 use continuum_analyze::{has_errors, read_without_producer, LintMode};
-use continuum_dag::{AccessProcessor, DagError, DataId, GraphRun, TaskId, TaskSpec, TaskState};
+use continuum_dag::{
+    AccessProcessor, DagError, DataId, GraphRun, Label, TaskId, TaskSpec, TaskState,
+};
 use continuum_platform::sync;
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{CounterKey, Event as TelemetryEvent, RecorderHandle, TaskPhase, Track};
 use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
 use dispatch::{release_stream_successors, worker_loop, WorkerCounts};
 use parking_lot::{Condvar, Mutex};
-use record::{AsyncBody, CellRef, Claim, DatumCells, TaskBody, TaskMeta, TaskPayload};
+use record::{AsyncBody, CellColumn, CellRef, Claim, Named, TaskBody, TaskMeta, TaskPayload};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -594,8 +596,8 @@ struct GraphState {
     /// again). An async task's stays until then: teardown breaks the
     /// `Arc` cycles of abandoned futures through this column.
     metas: Vec<Option<Arc<TaskMeta>>>,
-    /// One entry per datum, by dense data id ([`Self::size_cells`]).
-    cells: Vec<DatumCells>,
+    /// Each datum's cells, grown by [`Self::size_cells`].
+    cells: CellColumn,
     /// One bounded channel per stream datum, created by
     /// [`LocalRuntime::stream`] or on demand at first use.
     channels: HashMap<DataId, Arc<StreamChannel>>,
@@ -613,19 +615,9 @@ impl GraphState {
         Ok(id)
     }
 
-    /// Grows the cell column to the catalog's size — when a datum is
-    /// touched, not declared: data come in bulk, long before their use.
+    /// Grows the cell column to the catalog's size.
     fn size_cells(&mut self) {
-        let known = self.ap.catalog().len();
-        if self.cells.len() < known {
-            self.cells.resize_with(known, DatumCells::default);
-        }
-    }
-
-    /// The column's reference to the datum's current version, if it
-    /// has a cell yet.
-    fn current(&self, data: DataId) -> Option<&CellRef> {
-        self.cells.get(data.index())?.current.as_ref()
+        self.cells.size(self.ap.catalog().len());
     }
 
     /// The dispatch record of a task that just became ready: moved out
@@ -759,8 +751,8 @@ impl Shared {
 
     /// Wall-clock µs for a task's telemetry, or 0 for a task that
     /// carries no name and will emit none.
-    fn stamp_us(&self, meta: &TaskMeta) -> u64 {
-        meta.name.as_ref().map_or(0, |_| self.now_us())
+    fn stamp_us(&self, name: Option<&Label>) -> u64 {
+        name.map_or(0, |_| self.now_us())
     }
 
     /// The timer reactor, starting its tick thread on first use. The
@@ -856,7 +848,7 @@ impl LocalRuntime {
                 ap: AccessProcessor::new(),
                 run: GraphRun::default(),
                 metas: Vec::new(),
-                cells: Vec::new(),
+                cells: CellColumn::default(),
                 channels: HashMap::new(),
                 failure: None,
                 clients: Default::default(),
@@ -960,13 +952,9 @@ impl LocalRuntime {
             let _order = lockorder::acquire(RANK_GRAPH, "graph");
             let mut g = self.shared.graph.lock();
             g.size_cells();
-            // No entry: not a datum of this runtime.
-            let Some(cells) = g.cells.get_mut(handle.id.index()) else {
-                return;
-            };
-            cells.touch();
-            // `None`: superseded before anyone read or set version 0.
-            let Some(cell) = cells.initial.clone() else {
+            // `None`: not a datum of this runtime, or superseded before
+            // anyone read or set version 0.
+            let Some(cell) = g.cells.initial(handle.id) else {
                 return;
             };
             cell
@@ -994,12 +982,13 @@ impl LocalRuntime {
     where
         F: FnOnce(&mut TaskContext) + Send + 'static,
     {
-        self.submit_inner(
-            spec,
-            constraints,
-            TaskPayload::Closure,
-            Some(Box::new(body)),
-        )
+        let body: TaskBody = if self.shared.telemetry.enabled() {
+            let name = Some(spec.name_label().clone());
+            Box::new(Named { name, body })
+        } else {
+            Box::new(body)
+        };
+        self.submit_inner(spec, constraints, TaskPayload::Closure, Some(body))
     }
 
     /// Submits a task with a poll-based async body, multiplexed over
@@ -1052,6 +1041,11 @@ impl LocalRuntime {
             cell: TaskCell::new(),
             future: Mutex::new(None),
             parked_at_us: AtomicU64::new(0),
+            name: self
+                .shared
+                .telemetry
+                .enabled()
+                .then(|| spec.name_label().clone()),
             shared: Arc::downgrade(&self.shared),
             factory: Mutex::new(Some(body)),
         });
@@ -1102,7 +1096,7 @@ impl LocalRuntime {
                     };
                     // An empty cell — made for a reader that came
                     // before `set_initial` — is not a value.
-                    let provided = g.current(data).is_some_and(|c| c.cell().is_set());
+                    let provided = g.cells.current(data).is_some_and(|c| c.cell().is_set());
                     if vd.version.is_initial() && !provided {
                         let data_name = g.ap.catalog().name(data).unwrap_or("?").to_string();
                         findings.push(read_without_producer(next, spec.name(), data, &data_name));
@@ -1140,11 +1134,10 @@ impl LocalRuntime {
             let inputs = Slots::collect(
                 node.consumed()
                     .iter()
-                    .map(|vd| cells[vd.data.index()].touch().retain()),
+                    .map(|vd| cells.touch(vd.data).retain()),
             );
             let meta = Arc::new(TaskMeta {
                 id,
-                name: submitted_name.clone(),
                 demand: Demand::of(&constraints),
                 claim: Mutex::new(Claim { inputs, body }),
                 outputs: Slots::collect(node.produced().iter().map(|_| ValueCell::new())),
@@ -1157,10 +1150,11 @@ impl LocalRuntime {
             // Each new cell's first reference is the column's; the
             // version it supersedes loses that one (after the unlock).
             superseded = Slots::collect(node.produced().iter().enumerate().map(|(i, vd)| {
-                cells[vd.data.index()].current.replace(CellRef::Output {
+                let cell = CellRef::Output {
                     producer: Arc::clone(&meta),
                     index: i as u32,
-                })
+                };
+                cells.replace(vd.data, cell)
             }));
             // The record holds what the engine needs of the task; from
             // here on the graph is walked for its edges alone.
@@ -2059,7 +2053,9 @@ mod tests {
         let out = rt.data::<u64>("out");
         let cell_is_set = || {
             let g = rt.shared.graph.lock();
-            g.current(d.id()).map(|current| current.cell().is_set())
+            g.cells
+                .current(d.id())
+                .map(|current| current.cell().is_set())
         };
         assert_eq!(cell_is_set(), None);
         rt.submit(
@@ -2096,7 +2092,7 @@ mod tests {
         rt.wait_all().unwrap();
         let g = rt.shared.graph.lock();
         assert!(g.metas.iter().all(Option::is_none));
-        let Some(CellRef::Output { producer, .. }) = g.current(acc.id()) else {
+        let Some(CellRef::Output { producer, .. }) = g.cells.current(acc.id()) else {
             panic!("the chain's last task produced the current version");
         };
         assert!(

@@ -18,12 +18,22 @@ use std::sync::Arc;
 /// not here: they are checked once, at submit, against the static
 /// capacity, and the free capacity always has the same sets, so a
 /// claim-time check of them could never fail.
+///
+/// Megabytes are counted in `u32`, saturating: a task's demand is
+/// packed only after submit checked it against the machine, so a
+/// saturated demand meets a capacity saturated the same way, and a
+/// demand no larger than the capacity stays no larger.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Demand {
     pub(super) cores: u32,
     pub(super) gpus: u32,
-    pub(super) memory_mb: u64,
-    pub(super) disk_mb: u64,
+    pub(super) memory_mb: u32,
+    pub(super) disk_mb: u32,
+}
+
+/// `mb` in a [`Demand`] field, saturating.
+fn packed_mb(mb: u64) -> u32 {
+    u32::try_from(mb).unwrap_or(u32::MAX)
 }
 
 impl Demand {
@@ -32,8 +42,8 @@ impl Demand {
         Demand {
             cores: c.required_compute_units(),
             gpus: c.required_gpus(),
-            memory_mb: c.required_memory_mb(),
-            disk_mb: c.required_disk_mb(),
+            memory_mb: packed_mb(c.required_memory_mb()),
+            disk_mb: packed_mb(c.required_disk_mb()),
         }
     }
 
@@ -42,8 +52,8 @@ impl Demand {
         Demand {
             cores: total.cores(),
             gpus: total.gpus(),
-            memory_mb: total.memory_mb(),
-            disk_mb: total.disk_mb(),
+            memory_mb: packed_mb(total.memory_mb()),
+            disk_mb: packed_mb(total.disk_mb()),
         }
     }
 
@@ -199,12 +209,31 @@ impl Shared {
 
 #[cfg(test)]
 mod tests {
+    use super::Demand;
     use crate::{LintMode, LocalConfig, LocalRuntime, RuntimeError};
     use continuum_dag::TaskSpec;
-    use continuum_platform::Constraints;
+    use continuum_platform::{Constraints, NodeCapacity};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+
+    #[test]
+    fn megabytes_past_u32_saturate_on_both_sides() {
+        // A machine of 2³² + 100 MB hosts a 4·10⁹-MB task. Packed, both
+        // saturate, and the demand stays within the capacity; truncated,
+        // the capacity would read 100 MB.
+        let total = NodeCapacity::new(1, (1 << 32) + 100);
+        let task = Constraints::new()
+            .memory_mb(4_000_000_000)
+            .disk_mb(u64::MAX / 2);
+        assert!(total.satisfies(&task));
+        let mut free = Demand::capacity(&total);
+        let demand = Demand::of(&task);
+        assert!(free.covers(&demand));
+        free.take(&demand);
+        free.give(&demand);
+        assert_eq!((free.memory_mb, free.disk_mb), (u32::MAX, u32::MAX));
+    }
 
     #[test]
     fn arch_constraints_follow_the_host() {

@@ -352,7 +352,7 @@ impl LocalRuntime {
         // The pin is a reference of its own: the version stays
         // materialized however many writers supersede it and readers
         // start while this call waits. `None`: an untouched version 0.
-        let pin = g.current(handle.id).map(CellRef::retain);
+        let pin = g.cells.current(handle.id).map(CellRef::retain);
         let result = loop {
             if let Some(v) = pin.as_ref().and_then(|pin| pin.cell().read()) {
                 break v.downcast::<T>().map_err(|_| match producer {

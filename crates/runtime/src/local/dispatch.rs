@@ -10,7 +10,7 @@ use crate::reactor::ReactorInner;
 use crate::stream::StreamChannel;
 use crate::task_cell::ParkOutcome;
 use crate::value_cell::{Slots, Value};
-use continuum_dag::TaskId;
+use continuum_dag::{Label, TaskId};
 use continuum_platform::sync::panic_message;
 use continuum_telemetry::{CounterKey, Event as TelemetryEvent, TaskPhase, Track};
 use crossbeam::deque::{Steal, Worker as WorkerQueue};
@@ -312,8 +312,9 @@ fn execute_closure(
         inputs: claimed,
         body,
     } = std::mem::take(&mut *meta.claim.lock());
-    let body = body.expect("task body runs once");
-    if let Some(name) = &meta.name {
+    let mut body = body.expect("task body runs once");
+    let name = body.take_name();
+    if let Some(name) = &name {
         shared.telemetry.record(TelemetryEvent::Instant {
             track: Track::Worker(worker),
             name: name.clone(),
@@ -321,24 +322,21 @@ fn execute_closure(
             at_us: shared.now_us(),
         });
     }
-    let start_us = shared.stamp_us(meta);
+    let start_us = shared.stamp_us(name.as_ref());
     // The scratch buffers come back cleared (below).
     let (inputs, outputs) = (
         std::mem::take(&mut s.inputs),
         std::mem::take(&mut s.outputs),
     );
     let mut ctx = TaskContext::for_task(shared, meta, worker, claimed, inputs, outputs, None);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let body = body;
-        body(&mut ctx);
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| body.run(&mut ctx)));
     // Writer close: whether the body committed, failed or never sent,
     // this producer is done — once every producer of a channel has
     // closed, drained readers observe end-of-stream.
     for chan in meta.stream_outs() {
         chan.writer_done();
     }
-    let end_us = shared.stamp_us(meta);
+    let end_us = shared.stamp_us(name.as_ref());
 
     let failure_message = match &result {
         Ok(()) => ctx
@@ -364,14 +362,15 @@ fn execute_closure(
     s.inputs = inputs;
     s.outputs = outputs;
 
+    let times = (start_us, end_us);
     commit_task(
         shared,
         runner,
         meta,
+        name.as_ref(),
         worker,
         failure_message,
-        start_us,
-        end_us,
+        times,
         s,
     );
 }
@@ -391,6 +390,7 @@ fn poll_async(
     s: &mut Scratch,
 ) {
     abody.cell.claim();
+    let name = abody.name.as_ref();
     let resumed = abody.future.lock().take();
     let mut fut = match resumed {
         Some(fut) => fut,
@@ -407,7 +407,7 @@ fn poll_async(
                     .ensure_running(meta.id)
                     .expect("claimed task was ready");
             }
-            if let Some(name) = &meta.name {
+            if let Some(name) = name {
                 shared.telemetry.record(TelemetryEvent::Instant {
                     track: Track::Worker(worker),
                     name: name.clone(),
@@ -429,15 +429,16 @@ fn poll_async(
                     for chan in meta.stream_outs() {
                         chan.writer_done();
                     }
-                    let end_us = shared.stamp_us(meta);
+                    let end_us = shared.stamp_us(name);
                     let message = Some(panic_message(payload.as_ref()));
-                    commit_task(shared, runner, meta, worker, message, end_us, end_us, s);
+                    let times = (end_us, end_us);
+                    commit_task(shared, runner, meta, name, worker, message, times, s);
                     return;
                 }
             }
         }
     };
-    let start_us = shared.stamp_us(meta);
+    let start_us = shared.stamp_us(name);
     let waker = Waker::from(Arc::clone(meta));
     let mut cx = Context::from_waker(&waker);
     loop {
@@ -450,9 +451,10 @@ fn poll_async(
                 // The failed body's context holds input values: gone
                 // before the commit, like a finished one's.
                 drop(fut);
-                let end_us = shared.stamp_us(meta);
+                let end_us = shared.stamp_us(name);
                 let message = Some(panic_message(payload.as_ref()));
-                commit_task(shared, runner, meta, worker, message, start_us, end_us, s);
+                let times = (start_us, end_us);
+                commit_task(shared, runner, meta, name, worker, message, times, s);
                 return;
             }
             Ok(Poll::Ready(mut ctx)) => {
@@ -460,7 +462,7 @@ fn poll_async(
                 for chan in meta.stream_outs() {
                     chan.writer_done();
                 }
-                let end_us = shared.stamp_us(meta);
+                let end_us = shared.stamp_us(name);
                 let failure_message = ctx
                     .outputs
                     .iter()
@@ -470,14 +472,15 @@ fn poll_async(
                     shared.publish_outputs(meta, &mut ctx.outputs);
                 }
                 drop(ctx);
+                let times = (start_us, end_us);
                 commit_task(
                     shared,
                     runner,
                     meta,
+                    name,
                     worker,
                     failure_message,
-                    start_us,
-                    end_us,
+                    times,
                     s,
                 );
                 return;
@@ -489,7 +492,7 @@ fn poll_async(
                 *abody.future.lock() = Some(fut);
                 abody
                     .parked_at_us
-                    .store(shared.stamp_us(meta), Ordering::SeqCst);
+                    .store(shared.stamp_us(name), Ordering::SeqCst);
                 shared.parked.fetch_add(1, Ordering::SeqCst);
                 match abody.cell.try_park() {
                     ParkOutcome::Parked => {
@@ -539,7 +542,9 @@ fn poll_async(
 /// Commits a finished task body — shared tail of the closure and async
 /// paths: graph transition, resource release, in-flight count, dispatch
 /// of newly-runnable work, telemetry and client wakeup.
-/// `failure_message == None` means the outputs are already published.
+/// `failure_message == None` means the outputs are already published;
+/// `name` is the task's for telemetry, and `(start_us, end_us)` its
+/// executing span.
 ///
 /// The last successor the commit readies — the one the LIFO deque
 /// would pop first — is handed to this runner instead: it takes over
@@ -550,10 +555,10 @@ fn commit_task(
     shared: &Arc<Shared>,
     runner: Runner,
     meta: &Arc<TaskMeta>,
+    name: Option<&Label>,
     worker: u32,
     failure_message: Option<String>,
-    start_us: u64,
-    end_us: u64,
+    (start_us, end_us): (u64, u64),
     s: &mut Scratch,
 ) {
     let committed = failure_message.is_none();
@@ -648,7 +653,7 @@ fn commit_task(
     }
 
     // -- telemetry ------------------------------------------------------
-    if let Some(name) = &meta.name {
+    if let Some(name) = name {
         let track = Track::Worker(worker);
         shared.telemetry.record(TelemetryEvent::Span {
             track,

@@ -13,9 +13,10 @@ use super::{Shared, TaskContext};
 use crate::stream::StreamChannel;
 use crate::task_cell::{TaskCell, WakeOutcome};
 use crate::value_cell::{Slots, ValueCell};
-use continuum_dag::{Label, TaskId};
+use continuum_dag::{DataId, Label, TaskId};
 use continuum_telemetry::{Event as TelemetryEvent, TaskPhase, Track};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,7 +53,46 @@ impl CellRef {
     }
 }
 
-pub(super) type TaskBody = Box<dyn FnOnce(&mut TaskContext) + Send>;
+/// A closure task's body, in the record's [`Claim`] until its first
+/// dispatch: with telemetry on a [`Named`] closure, which carries the
+/// task's name to the events its run records; with telemetry off the
+/// closure alone, so a closure that captures nothing boxes nothing.
+pub(super) trait Body: Send {
+    /// Takes the task's name for telemetry out of the body; `None`
+    /// when telemetry is disabled.
+    fn take_name(&mut self) -> Option<Label>;
+
+    /// Runs the body to completion.
+    fn run(self: Box<Self>, ctx: &mut TaskContext);
+}
+
+pub(super) type TaskBody = Box<dyn Body>;
+
+impl<F: FnOnce(&mut TaskContext) + Send> Body for F {
+    fn take_name(&mut self) -> Option<Label> {
+        None
+    }
+
+    fn run(self: Box<Self>, ctx: &mut TaskContext) {
+        (*self)(ctx);
+    }
+}
+
+/// A closure body with its task's name, boxed in one block.
+pub(super) struct Named<F> {
+    pub(super) name: Option<Label>,
+    pub(super) body: F,
+}
+
+impl<F: FnOnce(&mut TaskContext) + Send> Body for Named<F> {
+    fn take_name(&mut self) -> Option<Label> {
+        self.name.take()
+    }
+
+    fn run(self: Box<Self>, ctx: &mut TaskContext) {
+        (self.body)(ctx);
+    }
+}
 
 /// A pinned, type-erased async task body between polls.
 pub(super) type TaskFuture = Pin<Box<dyn Future<Output = TaskContext> + Send>>;
@@ -97,6 +137,8 @@ pub(super) struct AsyncBody<S: ?Sized = dyn Start> {
     /// Wall-clock µs when the task last parked (for the
     /// [`TaskPhase::Parked`] telemetry span emitted at wake).
     pub(super) parked_at_us: AtomicU64,
+    /// Task name for telemetry; `None` when telemetry is disabled.
+    pub(super) name: Option<Label>,
     /// The runtime, for the task's waker to re-dispatch into. Weak, so
     /// stale waker clones (e.g. left in a timer-wheel bucket or channel
     /// waiter queue) can neither keep the executor alive nor form an
@@ -129,6 +171,8 @@ where
     fn start(&self, ctx: TaskContext) -> TaskFuture {
         // The guard is gone before the factory runs, so its panic
         // leaves the mutex clean.
+        // INVARIANT: a task's first poll, the only caller, runs once —
+        // a resumed task polls its stored future instead.
         let factory = self.lock().take().expect("async body constructed once");
         Box::pin(factory(ctx))
     }
@@ -143,8 +187,6 @@ where
 /// state. The [`Claim`] is taken exactly once, at first dispatch.
 pub(super) struct TaskMeta {
     pub(super) id: TaskId,
-    /// Task name for telemetry; `None` when telemetry is disabled.
-    pub(super) name: Option<Label>,
     /// What admission counts; the rest of the task's constraints was
     /// checked at submit.
     pub(super) demand: Demand,
@@ -206,7 +248,7 @@ impl Wake for TaskMeta {
             return; // runtime torn down; the task is abandoned
         };
         shared.parked.fetch_sub(1, Ordering::SeqCst);
-        if let Some(name) = &self.name {
+        if let Some(name) = &body.name {
             let now = shared.now_us();
             let start = body.parked_at_us.load(Ordering::SeqCst);
             shared.telemetry.record(TelemetryEvent::Span {
@@ -227,27 +269,68 @@ impl Wake for TaskMeta {
 /// The cells of one datum, in the column indexed by dense data id.
 #[derive(Default)]
 pub(super) struct DatumCells {
-    /// The version-0 cell, once `set_initial` or a reader of version 0
-    /// needed one. Kept past its supersession so that a late
-    /// `set_initial` still reaches readers registered before the
-    /// writer.
-    pub(super) initial: Option<Arc<ValueCell>>,
     /// The column's own reference to the current version's cell —
     /// what a reader registered now, or a `get`, would consume. `None`
     /// while that is a version 0 nobody has touched.
     pub(super) current: Option<CellRef>,
 }
 
-impl DatumCells {
-    /// The column's reference to the current version. A version 0
-    /// nobody has touched gets its (empty) cell here, so that a reader
-    /// registered before `set_initial` is found by it.
-    pub(super) fn touch(&mut self) -> &CellRef {
-        self.current.get_or_insert_with(|| {
+/// Every datum's cells: the column of current versions, and beside it
+/// the few version-0 cells that `set_initial` or a reader of version 0
+/// needed, keyed by datum.
+#[derive(Default)]
+pub(super) struct CellColumn {
+    /// One entry per datum, by dense data id ([`CellColumn::size`]).
+    data: Vec<DatumCells>,
+    /// The version-0 cells handed out so far. Kept past their
+    /// supersession so that a late `set_initial` still reaches readers
+    /// registered before the writer.
+    initial: HashMap<DataId, Arc<ValueCell>>,
+}
+
+impl CellColumn {
+    /// Grows the column to `known` data — when a datum is touched, not
+    /// declared: data come in bulk, long before their use.
+    pub(super) fn size(&mut self, known: usize) {
+        if self.data.len() < known {
+            self.data.resize_with(known, DatumCells::default);
+        }
+    }
+
+    /// The column's reference to the datum's current version, if it
+    /// has a cell yet.
+    pub(super) fn current(&self, data: DataId) -> Option<&CellRef> {
+        self.data.get(data.index())?.current.as_ref()
+    }
+
+    /// The column's reference to the current version of a datum in
+    /// the column. A version 0 nobody has touched gets its (empty)
+    /// cell here, so that a reader registered before `set_initial` is
+    /// found by it.
+    pub(super) fn touch(&mut self, data: DataId) -> &CellRef {
+        let initial = &mut self.initial;
+        self.data[data.index()].current.get_or_insert_with(|| {
             let cell = Arc::new(ValueCell::new());
-            self.initial = Some(Arc::clone(&cell));
+            initial.insert(data, Arc::clone(&cell));
             CellRef::Initial(cell)
         })
+    }
+
+    /// The version-0 cell `set_initial` publishes into, touched first;
+    /// `None` for a datum outside the column, or one superseded before
+    /// anyone read or set its version 0.
+    pub(super) fn initial(&mut self, data: DataId) -> Option<Arc<ValueCell>> {
+        if data.index() >= self.data.len() {
+            return None;
+        }
+        self.touch(data);
+        self.initial.get(&data).cloned()
+    }
+
+    /// Makes `cell` the datum's current version; returns the column's
+    /// reference to the one it supersedes.
+    pub(super) fn replace(&mut self, data: DataId, cell: CellRef) -> Option<CellRef> {
+        self.data[data.index()].current.replace(cell)
     }
 }
 
@@ -260,16 +343,27 @@ mod tests {
     fn task_record_stays_on_budget() {
         // Every record of a task storm is alive at its heap peak, so a
         // byte here is a byte per task; DESIGN §9.1 prices the fields.
-        assert_eq!(size_of::<Demand>(), 24);
+        assert_eq!(size_of::<Demand>(), 16);
         assert!(
             size_of::<TaskPayload>() <= 32,
             "payload is {} B",
             size_of::<TaskPayload>()
         );
         assert!(
-            size_of::<TaskMeta>() <= 184,
+            size_of::<TaskMeta>() <= 152,
             "record is {} B",
             size_of::<TaskMeta>()
+        );
+    }
+
+    #[test]
+    fn datum_cells_stay_on_budget() {
+        // One per datum of the column, alive as long as the runtime: the
+        // version-0 cells live in the side table, not here.
+        assert!(
+            size_of::<DatumCells>() <= 16,
+            "datum cells are {} B",
+            size_of::<DatumCells>()
         );
     }
 }

@@ -15,6 +15,7 @@ use continuum_telemetry::{
     chrome_trace, micros_from_seconds, paraver_trace, CounterKey, Event, MetricsSnapshot,
     TaskPhase, Track,
 };
+use std::collections::BTreeMap;
 
 /// A small diamond-heavy workload with transfers, so traces contain
 /// `Transferring` spans as well as `Executing` spans.
@@ -356,4 +357,107 @@ fn both_engines_emit_the_unified_run_end_counters() {
     // The diamond workload moves bytes and stalls on them.
     assert!(sim_snap.counters_last[&CounterKey::TransferBytes] > 0.0);
     assert!(sim_snap.counters_last[&CounterKey::TransferStallMicros] > 0.0);
+}
+
+/// Each task's telemetry on the local engine, by task name: the phase
+/// of every span and marker recorded under that name, sorted, with
+/// whether it was a span. The run span is left out.
+fn phases_by_task(events: &[Event]) -> BTreeMap<String, Vec<(TaskPhase, bool)>> {
+    let mut by_task: BTreeMap<String, Vec<(TaskPhase, bool)>> = BTreeMap::new();
+    for e in events {
+        let (name, phase, span) = match e {
+            Event::Span { name, phase, .. } => (name, *phase, true),
+            Event::Instant { name, phase, .. } => (name, *phase, false),
+            _ => continue,
+        };
+        if name.as_str() != "local-run" {
+            by_task
+                .entry(name.to_string())
+                .or_default()
+                .push((phase, span));
+        }
+    }
+    for phases in by_task.values_mut() {
+        phases.sort();
+    }
+    by_task
+}
+
+/// With telemetry on, every closure and every async task records its
+/// own name on each phase of its life, once per phase: submitted,
+/// scheduled, executed, then committed or failed; an async task also
+/// records the span it spent parked on its timer.
+#[test]
+fn local_tasks_record_their_names_on_every_phase() {
+    use TaskPhase::{Committed, Executing, Failed, Parked, Scheduled, Submitted};
+    const N: usize = 6;
+    let run = |fail: bool| {
+        let (buffer, telemetry) = TraceBuffer::collector();
+        {
+            let rt = LocalRuntime::new(LocalConfig {
+                workers: 2,
+                telemetry,
+                ..LocalConfig::default()
+            });
+            let outs = rt.data_batch::<u64>("o", 2 * N);
+            for i in 0..N {
+                rt.submit(
+                    TaskSpec::new(format!("closure{i}")).output(outs[i].id()),
+                    Constraints::new(),
+                    move |ctx| {
+                        assert!(!(fail && i == 0), "planted failure");
+                        ctx.set_output(0, i as u64);
+                    },
+                )
+                .unwrap();
+                rt.submit_async(
+                    TaskSpec::new(format!("async{i}")).output(outs[N + i].id()),
+                    Constraints::new(),
+                    move |mut ctx| async move {
+                        ctx.sleep(std::time::Duration::from_millis(5)).await;
+                        ctx.set_output(0, i as u64);
+                        ctx
+                    },
+                )
+                .unwrap();
+            }
+            let _ = rt.wait_all();
+        }
+        phases_by_task(&buffer.events())
+    };
+
+    let tasks = run(false);
+    assert_eq!(tasks.len(), 2 * N, "{:?}", tasks.keys());
+    let done = [
+        (Submitted, false),
+        (Scheduled, false),
+        (Executing, true),
+        (Committed, false),
+    ];
+    let mut parked = 0;
+    for i in 0..N {
+        assert_eq!(tasks[&format!("closure{i}")], done, "closure{i}");
+        // A timer that fires before its task parks makes the worker
+        // poll again at once, without a parked span.
+        let mut phases = tasks[&format!("async{i}")].clone();
+        phases.retain(|&phase| {
+            let is_parked = phase == (Parked, true);
+            parked += usize::from(is_parked);
+            !is_parked
+        });
+        assert_eq!(phases, done, "async{i}");
+    }
+    assert!(parked >= 1, "no async task recorded a parked span");
+
+    // A failing body records its name on the failure marker.
+    let tasks = run(true);
+    assert_eq!(
+        tasks["closure0"],
+        [
+            (Submitted, false),
+            (Scheduled, false),
+            (Executing, true),
+            (Failed, false)
+        ]
+    );
 }

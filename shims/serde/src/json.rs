@@ -102,6 +102,8 @@ impl Value {
 
     /// Writes the value as compact JSON into `out`.
     pub fn write(&self, out: &mut String) {
+        // INVARIANT: `fmt::Write` for `String` never returns an error,
+        // and `write_to` raises none of its own.
         self.write_to(out).expect("writing to a String cannot fail");
     }
 
@@ -173,6 +175,8 @@ pub fn write_json_u64<W: fmt::Write>(mut n: u64, out: &mut W) -> fmt::Result {
             break;
         }
     }
+    // INVARIANT: every byte written above is `b'0'..=b'9'`, so the
+    // slice is ASCII and valid UTF-8.
     out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
