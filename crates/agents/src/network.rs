@@ -12,6 +12,7 @@ use continuum_storage::StorageRuntime;
 use std::fmt;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Shared state of a network: what agents, the orchestrator and the
 /// REST-style verbs operate on.
@@ -187,19 +188,28 @@ impl AgentNetwork {
     /// Probes one agent through its message interface (the REST
     /// *probe* verb; unlike [`AgentNetwork::infos`] this round-trips
     /// through the agent's inbox, so it also verifies the agent thread
-    /// is responsive).
+    /// is responsive), waiting at most `deadline` for the answer. The
+    /// probe queues behind whatever the agent is executing.
     ///
     /// # Errors
     ///
-    /// Returns [`AgentError::UnknownAgent`] if the id is not deployed
-    /// or its thread is gone.
-    pub fn probe(&self, id: AgentId) -> Result<AgentInfo, AgentError> {
+    /// * [`AgentError::UnknownAgent`] if the id is not deployed or its
+    ///   thread is gone;
+    /// * [`AgentError::DeadlineExceeded`] (op `"probe"`, one attempt)
+    ///   if no answer came within `deadline`.
+    pub fn probe(&self, id: AgentId, deadline: Duration) -> Result<AgentInfo, AgentError> {
         let (tx, rx) = oneshot::channel();
         self.sender_of(id)?
             .send(crate::agent::Msg::Probe { reply: tx })
             .map_err(|_| AgentError::UnknownAgent(id.to_string()))?;
-        rx.wait()
-            .ok_or_else(|| AgentError::UnknownAgent(id.to_string()))
+        match rx.wait_timeout(deadline) {
+            Ok(Some(info)) => Ok(info),
+            Ok(None) => Err(AgentError::UnknownAgent(id.to_string())),
+            Err(_) => Err(AgentError::DeadlineExceeded {
+                op: "probe".to_string(),
+                attempts: 1,
+            }),
+        }
     }
 
     /// The REST *execute* verb, asynchronously: ships one operation to
@@ -333,10 +343,10 @@ mod tests {
     fn probe_round_trips_through_inbox() {
         let net = network();
         let a = net.deploy("fog-0", DeviceClass::Fog);
-        let info = net.probe(a).unwrap();
+        let info = net.probe(a, Duration::from_secs(10)).unwrap();
         assert_eq!(info.id, a);
         assert_eq!(info.status, AgentStatus::Alive);
-        assert!(net.probe(AgentId(7)).is_err());
+        assert!(net.probe(AgentId(7), Duration::from_secs(10)).is_err());
     }
 
     #[test]

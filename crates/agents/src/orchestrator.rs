@@ -733,7 +733,7 @@ mod tests {
         );
         // Every agent thread still answers its inbox and executes.
         for id in 0..3 {
-            let info = net.probe(AgentId(id)).unwrap();
+            let info = net.probe(AgentId(id), Duration::from_secs(10)).unwrap();
             assert_eq!(info.status, AgentStatus::Alive);
         }
         let app = fan(9);
@@ -836,7 +836,7 @@ mod tests {
             "{result:?}"
         );
         // The agent itself keeps serving.
-        assert!(net.probe(AgentId(0)).is_ok());
+        assert!(net.probe(AgentId(0), Duration::from_secs(10)).is_ok());
     }
 
     #[test]

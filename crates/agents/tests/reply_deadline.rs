@@ -2,7 +2,8 @@
 //! wait, never a hang. The orchestrator retries a timed-out task
 //! elsewhere and ends a run whose every attempt timed out in a typed
 //! error; an async caller bounds its `execute_async` with
-//! `TaskContext::timeout`. Each scenario runs on a thread of its own
+//! `TaskContext::timeout`; a probe of a busy agent gives up at its
+//! deadline. Each scenario runs on a thread of its own
 //! and the test thread holds a watchdog on it, so a regression fails
 //! the test instead of stalling the suite.
 
@@ -87,7 +88,9 @@ fn a_reply_past_its_deadline_is_retried_on_another_agent() {
         // time it answers, the late execution has committed its value,
         // which nothing stopped.
         release.send(()).unwrap();
-        let late = net.probe(net.infos()[0].id).expect("agent 0 answers");
+        let late = net
+            .probe(net.infos()[0].id, WATCHDOG)
+            .expect("agent 0 answers");
         (report, late.executed)
     });
     assert_eq!(report.completed, 1);
@@ -166,4 +169,36 @@ fn an_async_call_to_a_wedged_agent_ends_in_deadline_exceeded() {
         elapsed < Duration::from_secs(1),
         "the deadline fired late: {elapsed:?}"
     );
+}
+
+#[test]
+fn a_probe_of_a_wedged_agent_ends_in_deadline_exceeded() {
+    let (timed_out, elapsed, after) = watched(|| {
+        let ops = OpRegistry::new();
+        let release = gated(&ops, "wedge", || true);
+        let net = network(ops);
+        let fog = net.infos()[0].id;
+        // The agent takes the execution and sits in it: the probe
+        // queues behind it in the inbox.
+        let _pending = net
+            .execute_async(fog, &AppTask::new("wedge", vec![], ObjectKey::new("out")))
+            .expect("agent inbox open");
+        let start = Instant::now();
+        let timed_out = net.probe(fog, Duration::from_millis(100));
+        let elapsed = start.elapsed();
+        // Open the gate: the execution answers, and so does a probe.
+        release.send(()).unwrap();
+        let after = net.probe(fog, WATCHDOG);
+        (timed_out, elapsed, after)
+    });
+    assert!(
+        matches!(&timed_out, Err(AgentError::DeadlineExceeded { op, attempts: 1 }) if op == "probe"),
+        "{timed_out:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "the deadline fired late: {elapsed:?}"
+    );
+    let info = after.expect("the agent answers once the gate opens");
+    assert_eq!(info.executed, 1, "the wedged execution finished first");
 }

@@ -717,10 +717,8 @@ impl Facts {
 
     fn gather(&mut self, node: TaskNode<'_>, weight: f64) {
         let id = node.id();
-        self.produced
-            .extend(node.produced().iter().map(|vd| (*vd, id)));
-        self.consumed
-            .extend(node.consumed().iter().map(|vd| (*vd, id)));
+        self.produced.extend(node.produced().map(|vd| (vd, id)));
+        self.consumed.extend(node.consumed().map(|vd| (vd, id)));
         for p in node.spec().params() {
             if let Some(role) = p.direction.stream_role() {
                 self.stream_ends.push((p.data, role, id));

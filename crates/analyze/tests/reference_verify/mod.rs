@@ -96,15 +96,12 @@ impl Reference<'_> {
     /// produced by some task, or be an externally-provided initial
     /// value.
     fn pass_read_without_producer(&self, report: &mut Vec<Diagnostic>) {
-        let produced: HashSet<VersionedData> = self
-            .graph
-            .nodes()
-            .flat_map(|n| n.produced().iter().copied())
-            .collect();
+        let produced: HashSet<VersionedData> =
+            self.graph.nodes().flat_map(|n| n.produced()).collect();
         let initial: HashSet<DataId> = self.initial_data.iter().copied().collect();
         for node in self.graph.nodes() {
             for vd in node.consumed() {
-                if produced.contains(vd) {
+                if produced.contains(&vd) {
                     continue;
                 }
                 if vd.version.is_initial() && initial.contains(&vd.data) {
@@ -369,11 +366,8 @@ impl Reference<'_> {
     /// is not the datum's final version (the final version is presumed
     /// to be retrieved by the client).
     fn pass_dead_outputs(&self, report: &mut Vec<Diagnostic>) {
-        let consumed: HashSet<VersionedData> = self
-            .graph
-            .nodes()
-            .flat_map(|n| n.consumed().iter().copied())
-            .collect();
+        let consumed: HashSet<VersionedData> =
+            self.graph.nodes().flat_map(|n| n.consumed()).collect();
         let mut final_version: HashMap<DataId, u32> = HashMap::new();
         for node in self.graph.nodes() {
             for vd in node.produced() {
@@ -383,7 +377,7 @@ impl Reference<'_> {
         }
         for node in self.graph.nodes() {
             for vd in node.produced() {
-                if consumed.contains(vd) {
+                if consumed.contains(&vd) {
                     continue;
                 }
                 if final_version.get(&vd.data).copied() == Some(vd.version.as_u32()) {

@@ -56,13 +56,20 @@ const MAX_WIDE_ALLOCS_PER_TASK: f64 = 3.5;
 const MAX_KMEANS_ALLOCS_PER_TASK: f64 = 16.0;
 
 /// Heap allocations per task of the textual front door, WDL text to
-/// recorded trace: the parser's parameter list and the access
-/// processor's three edge lists (a stencil task has three inputs and
-/// three readers, past what the lists hold inline), plus the growth of
-/// tables, arenas and the event buffer. A name or group `String` per
+/// recorded trace: the parser's parameter list and the task's edge list
+/// (a stencil task has three inputs and three readers, past the three
+/// edges the list holds inline), plus the growth of tables, arenas and
+/// the event buffer. A name or group `String` per
 /// task, or a name copied into each of a task's half-dozen events,
 /// lands well above it.
 const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 7.0;
+
+/// Heap allocations per task of `parse_wdl` alone on the same
+/// stencil: the parameter list past its inline slots and the edge list
+/// once the successors join the predecessors, plus the parser's table
+/// growth. Separate predecessor, successor and consumed-version lists
+/// cost four.
+const MAX_PARSE_ALLOCS_PER_TASK: f64 = 2.2;
 
 /// Heap bytes per event `chrome_trace` may hold at its peak beyond the
 /// text it returns: the export order as a four-byte index per event,
@@ -72,9 +79,9 @@ const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 7.0;
 const MAX_EXPORT_BYTES_PER_EVENT: f64 = 8.0;
 
 /// Heap allocations per 16-input merge `AccessProcessor::register`
-/// makes, on average: its consumed-value and predecessor lists, sized
-/// once, plus the graph's and catalog's segment growth amortized over
-/// the run. Growing each list from its inline slot costs six.
+/// makes, on average: its version and edge lists, sized once, plus the
+/// graph's and catalog's segment growth amortized over the run. Growing
+/// each list from its inline slots costs six.
 const MAX_FAN_IN_ALLOCS_PER_MERGE: f64 = 2.1;
 
 /// … and of the lint step alone: the verifier's tables are a few dozen
@@ -135,6 +142,13 @@ fn hot_paths_do_not_allocate_per_unit() {
         (run.tasks_completed, lint, buffer)
     });
     assert_eq!(tasks, 900);
+    let (parsed, parsing) = count(|| parse_wdl(&text).expect("generated WDL parses"));
+    let parse_per_task = parsing as f64 / parsed.graph().len() as f64;
+    assert!(
+        parse_per_task <= MAX_PARSE_ALLOCS_PER_TASK,
+        "parsing the stencil's WDL allocates {parse_per_task:.2} times per task, \
+         limit {MAX_PARSE_ALLOCS_PER_TASK}"
+    );
     let (per_task, lint_per_task) = (total as f64 / tasks as f64, lint as f64 / tasks as f64);
     assert!(
         per_task <= MAX_FRONT_DOOR_ALLOCS_PER_TASK,

@@ -1,7 +1,7 @@
 //! The access processor: dependency detection through data versioning.
 
 use crate::error::DagError;
-use crate::graph::TaskGraph;
+use crate::graph::{TaskGraph, EDGES_INLINE};
 use crate::ids::{DataId, DataVersion, TaskId, VersionedData};
 use crate::inline_vec::InlineVec;
 use crate::param::{Param, StreamRole};
@@ -105,6 +105,9 @@ impl DataCatalog {
         self.push_named(|arena| {
             arena
                 .write_fmt(name)
+                // INVARIANT: a `String` accepts every write, so only a
+                // formatting impl that reports an error of its own
+                // could fail here, which `fmt`'s contract rules out.
                 .expect("formatting into a String cannot fail")
         })
     }
@@ -375,25 +378,37 @@ impl AccessProcessor {
 
         let id = self.graph.next_task_id();
         // Sized for every read up front: a 16-way merge then allocates
-        // each list once instead of growing it 1 → 4 → 8 → 16.
+        // each list once instead of growing it 1 → 4 → 8 → 16. An edge
+        // list past its inline slots gets room for the one successor a
+        // merge has, which is pushed onto the same list.
         let reads = spec.params().iter().filter(|p| p.direction.reads()).count();
-        let mut preds = InlineVec::with_capacity(reads);
+        let edges = if reads > EDGES_INLINE {
+            reads + 1
+        } else {
+            reads
+        };
+        let mut preds = InlineVec::with_capacity(edges);
         let mut stream_preds = InlineVec::new();
-        let mut consumed = InlineVec::with_capacity(reads);
-        let mut produced = InlineVec::new();
+        let mut versions = InlineVec::with_capacity(spec.params().len());
 
         for param in spec.params() {
+            // The version each parameter reads, or an `Out` writes; an
+            // `InOut` writes the one after what it read.
+            let mut version = DataVersion::INITIAL;
             if param.direction.reads() {
                 let info = self.catalog.current(param.data)?;
-                consumed.push(VersionedData::new(param.data, info.version));
+                version = info.version;
                 if let Some(p) = info.producer {
                     preds.push(p);
                 }
             }
             if param.direction.writes() {
-                let version = self.catalog.bump(param.data, id)?;
-                produced.push(VersionedData::new(param.data, version));
+                let written = self.catalog.bump(param.data, id)?;
+                if !param.direction.reads() {
+                    version = written;
+                }
             }
+            versions.push(version);
             if param.direction.stream_role() == Some(StreamRole::Consume) {
                 // Every registered producer is a structural stream
                 // edge; the graph only *gates* on those that have not
@@ -424,9 +439,7 @@ impl AccessProcessor {
             }
         }
 
-        let assigned = self
-            .graph
-            .add_task(spec, preds, stream_preds, consumed, produced);
+        let assigned = self.graph.add_task(spec, preds, stream_preds, versions);
         debug_assert_eq!(assigned, id);
         Ok(id)
     }
@@ -686,9 +699,11 @@ mod tests {
         let w = ap.register(TaskSpec::new("w").output(d[0])).unwrap();
         let u = ap.register(TaskSpec::new("u").inout(d[0])).unwrap();
         let g = ap.graph();
-        assert_eq!(g.node(w).unwrap().produced()[0].version.as_u32(), 1);
-        assert_eq!(g.node(u).unwrap().consumed()[0].version.as_u32(), 1);
-        assert_eq!(g.node(u).unwrap().produced()[0].version.as_u32(), 2);
+        let (w, u) = (g.node(w).unwrap(), g.node(u).unwrap());
+        let version = |vd: Option<VersionedData>| vd.map(|vd| vd.version.as_u32());
+        assert_eq!(version(w.produced().next()), Some(1));
+        assert_eq!(version(u.consumed().next()), Some(1));
+        assert_eq!(version(u.produced().next()), Some(2));
     }
 
     #[test]

@@ -117,36 +117,35 @@ impl<'g> GraphAnalysis<'g> {
 
     /// The weighted critical path: the heaviest source-to-sink chain.
     ///
-    /// Returns an empty path for an empty graph.
+    /// Returns an empty path for a graph without a source: an empty
+    /// one, or one whose every source was retired. Bottom levels are
+    /// compared by [`f64::total_cmp`], so a NaN weight yields a path
+    /// too.
     pub fn critical_path<F: Fn(TaskId) -> f64>(&self, weight: F) -> CriticalPath {
-        if self.graph.is_empty() {
+        let bl = self.bottom_levels(&weight);
+        // Start from the source with the highest bottom level; walk down
+        // following the successor with the highest bottom level.
+        let Some(start) = self
+            .graph
+            .nodes()
+            .filter(|n| n.predecessors().is_empty())
+            .map(|n| n.id())
+            .max_by(|a, b| bl[a.index()].total_cmp(&bl[b.index()]))
+        else {
             return CriticalPath {
                 tasks: Vec::new(),
                 length: 0.0,
             };
-        }
-        let bl = self.bottom_levels(&weight);
-        // Start from the source with the highest bottom level; walk down
-        // following the successor with the highest bottom level.
-        let start = self
-            .graph
-            .nodes()
-            .filter(|n| n.predecessors().is_empty())
-            .max_by(|a, b| {
-                bl[a.id().index()]
-                    .partial_cmp(&bl[b.id().index()])
-                    .expect("weights are finite")
-            })
-            .expect("acyclic non-empty graph has a source")
-            .id();
+        };
         let mut tasks = vec![start];
         let mut cur = start;
         loop {
-            let next = self.graph.successors(cur).iter().copied().max_by(|a, b| {
-                bl[a.index()]
-                    .partial_cmp(&bl[b.index()])
-                    .expect("weights are finite")
-            });
+            let next = self
+                .graph
+                .successors(cur)
+                .iter()
+                .copied()
+                .max_by(|a, b| bl[a.index()].total_cmp(&bl[b.index()]));
             match next {
                 Some(n) => {
                     tasks.push(n);
@@ -219,6 +218,8 @@ impl<'g> GraphAnalysis<'g> {
                             let start = path
                                 .iter()
                                 .position(|t| *t == s)
+                                // INVARIANT: a node is gray from when it
+                                // is pushed on `path` until it is popped.
                                 .expect("gray nodes are on the path");
                             return Some(path[start..].to_vec());
                         }
@@ -354,5 +355,22 @@ mod tests {
         let cp = a.critical_path(w);
         assert_eq!(cp.tasks, vec![src, heavy, sink]);
         assert!((cp.length - 12.0).abs() < 1e-9);
+    }
+
+    /// A weight callback may return anything: NaN bottom levels still
+    /// order, so two sources do not stop the walk.
+    #[test]
+    fn nan_weights_still_give_a_path() -> Result<(), crate::DagError> {
+        let mut ap = AccessProcessor::new();
+        let [x, y, z] = ["x", "y", "z"].map(|name| ap.new_data(name));
+        let a = ap.register(TaskSpec::new("a").output(x))?;
+        let b = ap.register(TaskSpec::new("b").output(y))?;
+        let join = ap.register(TaskSpec::new("join").input(x).input(y).output(z))?;
+        let cp = GraphAnalysis::new(ap.graph()).critical_path(|_| f64::NAN);
+        assert_eq!(cp.tasks.len(), 2);
+        assert!([a, b].contains(&cp.tasks[0]));
+        assert_eq!(cp.tasks[1], join);
+        assert!(cp.length.is_nan());
+        Ok(())
     }
 }

@@ -8,8 +8,10 @@ use crate::ids::TaskId;
 use crate::ready::ReadySet;
 use crate::seg_vec::{Retired, SegVec};
 use crate::spec::TaskSpec;
-use node::{IdList, StreamEdges, ValueList};
+pub(crate) use node::EDGES_INLINE;
+use node::{EdgeList, IdList, Listed, StreamEdges, VersionList};
 pub use node::{NodeEdges, NodePayload, TaskNode};
+use std::collections::BTreeMap;
 
 /// Lifecycle state of a task in a [`GraphRun`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,6 +59,9 @@ impl TaskState {
 pub struct TaskGraph {
     edges: SegVec<NodeEdges>,
     payload: SegVec<NodePayload>,
+    /// By task index, access lists read from JSON that the task's spec
+    /// does not resolve to.
+    listed: BTreeMap<usize, Listed>,
 }
 
 impl TaskGraph {
@@ -78,15 +83,14 @@ impl TaskGraph {
     pub(crate) fn add_task(
         &mut self,
         spec: TaskSpec,
-        preds: IdList,
+        preds: EdgeList,
         stream_preds: IdList,
-        consumed: ValueList,
-        produced: ValueList,
+        versions: VersionList,
     ) -> TaskId {
         let id = self.next_task_id();
         for p in &preds {
             if let Some(pred) = self.edges.get_mut(p.index()) {
-                pred.succs.push(id);
+                pred.adjacent.push(id);
             }
         }
         for p in &stream_preds {
@@ -100,17 +104,8 @@ impl TaskGraph {
                 succs: IdList::new(),
             })
         });
-        self.edges.push(NodeEdges {
-            id,
-            preds,
-            succs: IdList::new(),
-            streams,
-        });
-        self.payload.push(NodePayload {
-            spec,
-            consumed,
-            produced,
-        });
+        self.edges.push(NodeEdges::new(id, preds, streams));
+        self.payload.push(NodePayload { spec, versions });
         id
     }
 
@@ -126,7 +121,7 @@ impl TaskGraph {
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(|e| e.preds.len()).sum()
+        self.edges.iter().map(|e| e.preds as usize).sum()
     }
 
     /// Total number of stream (first-element) edges.
@@ -135,16 +130,6 @@ impl TaskGraph {
             .iter()
             .map(|e| e.stream_predecessors().len())
             .sum()
-    }
-
-    /// The view of a held structure slot, with its payload if that is
-    /// still held.
-    fn view<'g>(&'g self, edges: &'g NodeEdges) -> TaskNode<'g> {
-        let payload = match self.payload.get(edges.id.index()) {
-            Some(payload) => payload,
-            None => NodePayload::retired(),
-        };
-        TaskNode { edges, payload }
     }
 
     /// Looks up a task node.
@@ -187,12 +172,16 @@ impl TaskGraph {
     /// Direct predecessors of a task. Panics on unknown ids are avoided
     /// by returning an empty slice.
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        self.edges.get(id.index()).map_or(&[], |e| &e.preds)
+        self.edges
+            .get(id.index())
+            .map_or(&[], NodeEdges::predecessors)
     }
 
     /// Direct successors of a task.
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        self.edges.get(id.index()).map_or(&[], |e| &e.succs)
+        self.edges
+            .get(id.index())
+            .map_or(&[], NodeEdges::successors)
     }
 
     /// Retires a finished task in both columns: frees its heap
@@ -222,9 +211,8 @@ impl TaskGraph {
             .edges
             .get_mut(id.index())
             .ok_or(DagError::UnknownTask(id))?;
-        edges.preds.clear();
-        edges.succs.clear();
-        edges.streams = None;
+        edges.clear();
+        self.listed.remove(&id.index());
         if let Some(payload) = self.payload.get_mut(id.index()) {
             *payload = NodePayload::default();
         }
@@ -249,6 +237,7 @@ impl TaskGraph {
         if self.edges.get(id.index()).is_none() {
             return Err(DagError::UnknownTask(id));
         }
+        self.listed.remove(&id.index());
         if let Some(payload) = self.payload.get_mut(id.index()) {
             *payload = NodePayload::default();
         }
@@ -267,7 +256,7 @@ impl TaskGraph {
         let mut indeg = vec![0usize; self.edges.len()];
         let mut queue = Vec::new();
         for n in self.edges.iter() {
-            let d = n.preds.len() + n.stream_predecessors().len();
+            let d = n.preds as usize + n.stream_predecessors().len();
             indeg[n.id.index()] = d;
             if d == 0 {
                 queue.push(n.id);
@@ -277,7 +266,7 @@ impl TaskGraph {
         while let Some(id) = queue.pop() {
             order.push(id);
             let n = &self.edges[id.index()];
-            for &s in n.succs.iter().chain(n.stream_successors()) {
+            for &s in n.successors().iter().chain(n.stream_successors()) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     queue.push(s);
@@ -373,7 +362,7 @@ impl GraphRun {
         let old = self.slots.len();
         for node in graph.edges.iter_from(old) {
             let unfinished = node
-                .preds
+                .predecessors()
                 .iter()
                 .filter(|p| {
                     self.slots
@@ -668,8 +657,8 @@ mod tests {
     #[test]
     fn node_and_spec_did_not_grow() {
         assert_eq!(std::mem::size_of::<TaskSpec>(), 88);
-        assert_eq!(std::mem::size_of::<NodeEdges>(), 64);
-        assert_eq!(std::mem::size_of::<NodePayload>(), 152);
+        assert_eq!(std::mem::size_of::<NodeEdges>(), 56);
+        assert_eq!(std::mem::size_of::<NodePayload>(), 120);
         assert_eq!(std::mem::size_of::<RunSlot>(), 12);
     }
 

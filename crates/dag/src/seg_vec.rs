@@ -178,6 +178,9 @@ impl<T> SegVec<T> {
         }
         self.segments[index / SEGMENT_SLOTS]
             .as_mut()
+            // INVARIANT: only a full segment is dropped or evacuated,
+            // and the one a push lands in has room: it was created just
+            // above if the last one was full.
             .expect("the tail segment is never dropped")
             .push(value);
         self.len += 1;

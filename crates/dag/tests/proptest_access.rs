@@ -7,8 +7,8 @@
 //! registration at a time agreeing with one built from the whole graph.
 
 use continuum_dag::{
-    AccessProcessor, DagError, DataId, Direction, GraphRun, StreamRole, TaskGraph, TaskId,
-    TaskSpec, TaskState,
+    AccessProcessor, DagError, DataId, DataVersion, Direction, GraphRun, StreamRole, TaskGraph,
+    TaskId, TaskSpec, TaskState, VersionedData,
 };
 use proptest::prelude::*;
 
@@ -75,6 +75,36 @@ fn lifecycle_trace_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<Trace
     let op = proptest::collection::vec(access, 1..4).prop_map(|mut accesses| {
         accesses.sort_by_key(|(d, _)| *d);
         accesses.dedup_by_key(|(d, _)| *d);
+        TraceOp { accesses }
+    });
+    proptest::collection::vec(op, 1..max_tasks)
+}
+
+/// Specs in any parameter order: `In`, `Out` and `InOut` on versioned
+/// data, a datum read more than once, and stream ends. An access that
+/// would clash with an earlier one on its datum is dropped.
+fn repeated_reads_trace_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<TraceOp>> {
+    let stream_end = prop_oneof![
+        Just(Direction::Stream(StreamRole::Produce)),
+        Just(Direction::Stream(StreamRole::Consume)),
+    ];
+    let versioned = prop_oneof![
+        2 => Just(Direction::In),
+        1 => Just(Direction::Out),
+        1 => Just(Direction::InOut),
+    ];
+    let access = prop_oneof![
+        3 => (0..VERSIONED, versioned),
+        1 => (VERSIONED..VERSIONED + STREAMS, stream_end),
+    ];
+    let op = proptest::collection::vec(access, 1..7).prop_map(|drawn| {
+        let mut accesses: Vec<(usize, Direction)> = Vec::new();
+        for (d, dir) in drawn {
+            let both_read = |e: Direction| e == Direction::In && dir == Direction::In;
+            if accesses.iter().all(|&(e, edir)| e != d || both_read(edir)) {
+                accesses.push((d, dir));
+            }
+        }
         TraceOp { accesses }
     });
     proptest::collection::vec(op, 1..max_tasks)
@@ -290,6 +320,34 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// What a task reads and writes is the catalog's versions replayed
+    /// in submission and declaration order: a read sees the datum's
+    /// current version, a write bumps it, an `InOut` does both, and a
+    /// stream end does neither.
+    #[test]
+    fn accesses_equal_the_replayed_catalog(trace in repeated_reads_trace_strategy(40)) {
+        let mut ap = AccessProcessor::new();
+        let data = ap.new_data_batch("d", VERSIONED + STREAMS);
+        let mut current = [0u32; VERSIONED + STREAMS];
+        for (i, op) in trace.iter().enumerate() {
+            let id = ap.register(spec_of(i, op, &data)).expect("valid traces");
+            let (mut consumed, mut produced) = (Vec::new(), Vec::new());
+            for &(d, dir) in &op.accesses {
+                let at = |v: u32| VersionedData::new(data[d], DataVersion::from_raw(v));
+                if dir.reads() {
+                    consumed.push(at(current[d]));
+                }
+                if dir.writes() {
+                    current[d] += 1;
+                    produced.push(at(current[d]));
+                }
+            }
+            let node = ap.graph().node(id).expect("known");
+            prop_assert_eq!(node.consumed().collect::<Vec<_>>(), consumed, "t{} {:?}", i, op);
+            prop_assert_eq!(node.produced().collect::<Vec<_>>(), produced, "t{} {:?}", i, op);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Task resource constraints and node capacities.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 
 /// Resource requirements a task imposes on the node that hosts it.
@@ -22,18 +22,27 @@ use std::collections::BTreeSet;
 /// let node = NodeCapacity::new(48, 96_000).with_software(["blast"]);
 /// assert!(node.satisfies(&req));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Constraints {
     compute_units: u32,
     memory_mb: u64,
     disk_mb: u64,
     gpus: u32,
-    software: BTreeSet<String>,
-    arch: Option<String>,
+    /// Software and architecture requirements, which few tasks have:
+    /// `None` exactly when both are empty, so equal constraints
+    /// compare equal.
+    rare: Option<Box<RareConstraints>>,
     /// Number of whole nodes required (for rigid MPI tasks). 1 for
     /// ordinary tasks; >1 means the task simultaneously occupies
     /// `nodes` full nodes.
     nodes: u32,
+}
+
+/// The requirements of a [`Constraints`] kept out of line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct RareConstraints {
+    software: BTreeSet<String>,
+    arch: Option<String>,
 }
 
 impl Default for Constraints {
@@ -43,10 +52,49 @@ impl Default for Constraints {
             memory_mb: 0,
             disk_mb: 0,
             gpus: 0,
-            software: BTreeSet::new(),
-            arch: None,
+            rare: None,
             nodes: 1,
         }
+    }
+}
+
+/// The fields in the order the JSON form has always had them, the
+/// software set and the architecture among them.
+impl Serialize for Constraints {
+    fn to_json_value(&self) -> Value {
+        Value::Obj(vec![
+            (
+                "compute_units".to_string(),
+                self.compute_units.to_json_value(),
+            ),
+            ("memory_mb".to_string(), self.memory_mb.to_json_value()),
+            ("disk_mb".to_string(), self.disk_mb.to_json_value()),
+            ("gpus".to_string(), self.gpus.to_json_value()),
+            (
+                "software".to_string(),
+                self.required_software().to_json_value(),
+            ),
+            ("arch".to_string(), self.required_arch().to_json_value()),
+            ("nodes".to_string(), self.nodes.to_json_value()),
+        ])
+    }
+}
+
+impl Deserialize for Constraints {
+    fn from_json_value(value: &Value) -> Option<Self> {
+        let field = |key: &str| value.get(key);
+        let rare = RareConstraints {
+            software: Deserialize::from_json_value(field("software")?)?,
+            arch: Deserialize::from_json_value(field("arch")?)?,
+        };
+        Some(Constraints {
+            compute_units: Deserialize::from_json_value(field("compute_units")?)?,
+            memory_mb: Deserialize::from_json_value(field("memory_mb")?)?,
+            disk_mb: Deserialize::from_json_value(field("disk_mb")?)?,
+            gpus: Deserialize::from_json_value(field("gpus")?)?,
+            rare: (rare != RareConstraints::default()).then(|| Box::new(rare)),
+            nodes: Deserialize::from_json_value(field("nodes")?)?,
+        })
     }
 }
 
@@ -83,14 +131,18 @@ impl Constraints {
 
     /// Requires a software package to be present on the node.
     pub fn software(mut self, pkg: impl Into<String>) -> Self {
-        self.software.insert(pkg.into());
+        self.rare_mut().software.insert(pkg.into());
         self
     }
 
     /// Requires a processor architecture (e.g. `"x86_64"`).
     pub fn arch(mut self, arch: impl Into<String>) -> Self {
-        self.arch = Some(arch.into());
+        self.rare_mut().arch = Some(arch.into());
         self
+    }
+
+    fn rare_mut(&mut self) -> &mut RareConstraints {
+        self.rare.get_or_insert_with(Box::default)
     }
 
     /// Declares a rigid multi-node (MPI) task spanning `n` full nodes.
@@ -121,12 +173,13 @@ impl Constraints {
 
     /// Required software packages.
     pub fn required_software(&self) -> &BTreeSet<String> {
-        &self.software
+        static NONE: BTreeSet<String> = BTreeSet::new();
+        self.rare.as_ref().map_or(&NONE, |rare| &rare.software)
     }
 
     /// Required architecture, if constrained.
     pub fn required_arch(&self) -> Option<&str> {
-        self.arch.as_deref()
+        self.rare.as_ref()?.arch.as_deref()
     }
 
     /// Number of whole nodes required (1 = ordinary task).
@@ -232,8 +285,10 @@ impl NodeCapacity {
             && self.memory_mb >= req.required_memory_mb()
             && self.disk_mb >= req.required_disk_mb()
             && self.gpus >= req.required_gpus()
-            && (req.software.is_empty() || req.software.is_subset(&self.software))
-            && req.arch.as_deref().is_none_or(|a| a == self.arch)
+            && req.rare.as_ref().is_none_or(|rare| {
+                rare.software.is_subset(&self.software)
+                    && rare.arch.as_deref().is_none_or(|a| a == self.arch)
+            })
     }
 
     /// Subtracts a task's requirements from this capacity.
@@ -263,6 +318,14 @@ impl NodeCapacity {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A task profile holds one, and a lazily run campaign keeps a
+    /// profile per resident task.
+    #[test]
+    fn constraints_stay_on_budget() {
+        let size = std::mem::size_of::<Constraints>();
+        assert!(size <= 40, "constraints are {size} B");
+    }
 
     #[test]
     fn default_constraints_need_one_core() {
@@ -340,6 +403,45 @@ mod tests {
         let c = Constraints::new().nodes(4);
         assert!(c.is_multi_node());
         assert_eq!(c.required_nodes(), 4);
+    }
+
+    /// The JSON form is pinned key by key, in order, whatever the
+    /// struct keeps inline: workloads and lint bundles written before a
+    /// layout change must read back the same.
+    #[test]
+    fn constraints_json_is_pinned_and_round_trips() {
+        let cases = [
+            (
+                Constraints::new(),
+                r#"{"compute_units":1,"memory_mb":0,"disk_mb":0,"gpus":0,"software":[],"arch":null,"nodes":1}"#,
+            ),
+            (
+                Constraints::new().memory_mb(4_096),
+                r#"{"compute_units":1,"memory_mb":4096,"disk_mb":0,"gpus":0,"software":[],"arch":null,"nodes":1}"#,
+            ),
+            (
+                Constraints::new()
+                    .compute_units(8)
+                    .gpus(2)
+                    .software("samtools")
+                    .software("blast")
+                    .arch("aarch64")
+                    .nodes(3),
+                r#"{"compute_units":8,"memory_mb":0,"disk_mb":0,"gpus":2,"software":["blast","samtools"],"arch":"aarch64","nodes":3}"#,
+            ),
+        ];
+        for (constraints, json) in cases {
+            assert_eq!(serde::to_string(&constraints), json);
+            assert_eq!(serde::from_str(json).ok(), Some(constraints));
+        }
+        // Software alone, and an architecture alone, read back as such.
+        for constraints in [
+            Constraints::new().software("bwa"),
+            Constraints::new().arch("x86_64"),
+        ] {
+            let json = serde::to_string(&constraints);
+            assert_eq!(serde::from_str(&json).ok(), Some(constraints));
+        }
     }
 
     #[test]

@@ -258,12 +258,15 @@ mod instrumented {
         type Target = T;
 
         fn deref(&self) -> &T {
+            // INVARIANT: only `Condvar::wait` empties `inner`, and it
+            // holds the guard's one `&mut` until it puts it back.
             self.inner.as_ref().expect("guard present outside wait")
         }
     }
 
     impl<T> DerefMut for MutexGuard<'_, T> {
         fn deref_mut(&mut self) -> &mut T {
+            // INVARIANT: as for `deref`.
             self.inner.as_mut().expect("guard present outside wait")
         }
     }
@@ -315,6 +318,8 @@ mod instrumented {
                     return;
                 }
             }
+            // INVARIANT: a guard holds its lock from `lock` on, except
+            // inside a wait, and this thread is not in one.
             let mut inner = guard.inner.take().expect("guard present before wait");
             self.inner.wait(&mut inner);
             guard.inner = Some(inner);

@@ -753,7 +753,7 @@ fn sleeper_target() -> SchedTarget {
 /// The executor's idle loop over the real [`CountedSleeper`], deficit
 /// rule included: each worker advertises itself as searching, scans
 /// (here: takes one unit off `pending`, the stand-in for the queues),
-/// stops searching, and sleeps unless work or shutdown is visible; the
+/// stops searching (passing a wake on), and sleeps unless work or shutdown is visible; the
 /// producer publishes `items` units one by one, each followed by
 /// [`CountedSleeper::wake_for`], which skips the notification when a
 /// scanner is guaranteed to find the work. The last taker raises
@@ -793,7 +793,7 @@ fn executor_sleep_scenario(workers: usize, items: usize) -> Scenario {
                     break true;
                 }
             };
-            sleeper.end_search();
+            sleeper.end_search(|| found && pending.load(Ordering::SeqCst) > 0);
             if !found {
                 sleeper.sleep_unless(|| {
                     pending.load(Ordering::SeqCst) != 0 || shutdown.load(Ordering::SeqCst)

@@ -1131,16 +1131,12 @@ impl LocalRuntime {
             // its datum's current one: this task's own writes reach
             // the column only below, and a written datum appears once
             // in a spec.
-            let inputs = Slots::collect(
-                node.consumed()
-                    .iter()
-                    .map(|vd| cells.touch(vd.data).retain()),
-            );
+            let inputs = Slots::collect(node.consumed().map(|vd| cells.touch(vd.data).retain()));
             let meta = Arc::new(TaskMeta {
                 id,
                 demand: Demand::of(&constraints),
                 claim: Mutex::new(Claim { inputs, body }),
-                outputs: Slots::collect(node.produced().iter().map(|_| ValueCell::new())),
+                outputs: Slots::collect(node.produced().map(|_| ValueCell::new())),
                 streams,
                 writers: writers as u32,
                 streams_released: AtomicBool::new(false),
@@ -1149,7 +1145,7 @@ impl LocalRuntime {
             });
             // Each new cell's first reference is the column's; the
             // version it supersedes loses that one (after the unlock).
-            superseded = Slots::collect(node.produced().iter().enumerate().map(|(i, vd)| {
+            superseded = Slots::collect(node.produced().enumerate().map(|(i, vd)| {
                 let cell = CellRef::Output {
                     producer: Arc::clone(&meta),
                     index: i as u32,

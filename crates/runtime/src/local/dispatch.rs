@@ -117,7 +117,9 @@ pub(super) fn worker_loop(
         }
         shared.sleeper.begin_search();
         let found = find_task(shared, queue, worker, &mut scratch.counts);
-        shared.sleeper.end_search();
+        // A found task counts in `pending` until it is admitted.
+        let more = || found.is_some() && shared.pending.load(Ordering::SeqCst) > 1;
+        shared.sleeper.end_search(more);
         match found {
             Some(meta) => {
                 if admit_claimed(shared, runner, &meta) {

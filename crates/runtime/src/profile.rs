@@ -122,6 +122,15 @@ impl TaskProfile {
 mod tests {
     use super::*;
 
+    /// A lazily run campaign keeps a profile per resident task: one
+    /// that kept its constraints' software set and architecture inline
+    /// took 136 B.
+    #[test]
+    fn profile_stays_on_budget() {
+        let size = std::mem::size_of::<TaskProfile>();
+        assert!(size <= 96, "task profile is {size} B");
+    }
+
     #[test]
     fn defaults() {
         let p = TaskProfile::default();

@@ -147,20 +147,15 @@ impl<'a> PlacementView<'a> {
         let record = self.workload.graph().node(task).expect("task in workload");
         record
             .consumed()
-            .iter()
-            .filter(|vd| self.registry.is_on(**vd, node))
-            .map(|vd| self.registry.size_of(*vd))
+            .filter(|vd| self.registry.is_on(*vd, node))
+            .map(|vd| self.registry.size_of(vd))
             .sum()
     }
 
     /// Total input bytes of `task`.
     pub fn total_input_bytes(&self, task: TaskId) -> u64 {
         let record = self.workload.graph().node(task).expect("task in workload");
-        record
-            .consumed()
-            .iter()
-            .map(|vd| self.registry.size_of(*vd))
-            .sum()
+        record.consumed().map(|vd| self.registry.size_of(vd)).sum()
     }
 
     /// Estimated seconds to move `task`'s remote inputs to `node`.
@@ -168,17 +163,17 @@ impl<'a> PlacementView<'a> {
         let record = self.workload.graph().node(task).expect("task in workload");
         let mut total = 0.0;
         for vd in record.consumed() {
-            if self.registry.is_on(*vd, node) {
+            if self.registry.is_on(vd, node) {
                 continue;
             }
-            let bytes = self.registry.size_of(*vd);
+            let bytes = self.registry.size_of(vd);
             if bytes == 0 {
                 continue;
             }
             // Cheapest live source (allocation-free index probe).
             let best = self
                 .registry
-                .locations_iter(*vd)
+                .locations_iter(vd)
                 .map(|src| self.platform.transfer_seconds(bytes, src, node))
                 .fold(f64::INFINITY, f64::min);
             if best.is_finite() {
@@ -262,7 +257,7 @@ impl InputScratch {
         let record = view.workload.graph().node(task).expect("task in workload");
         for vd in record.consumed() {
             // One probe answers size, replicas and ubiquity.
-            let (bytes, locs, ubiquitous) = match view.registry.get(*vd) {
+            let (bytes, locs, ubiquitous) = match view.registry.get(vd) {
                 Some(rec) => (rec.bytes(), rec.replicas(), rec.is_ubiquitous()),
                 None => (0, &[][..], false),
             };
@@ -726,7 +721,6 @@ impl HeftScheduler {
                         let record = graph.node(task).expect("task exists");
                         let bytes: u64 = record
                             .consumed()
-                            .iter()
                             .map(|vd| workload.initial_size(vd.data).max(1024))
                             .sum();
                         arrive += platform.transfer_seconds(
@@ -1061,7 +1055,7 @@ mod tests {
         let mut nodes = states(&p);
         let mut reg = DataRegistry::new();
         // Simulate: producer ran on node 2 and its output lives there.
-        let vd = w.graph().node(producer).unwrap().produced()[0];
+        let vd = w.graph().node(producer).unwrap().produced().next().unwrap();
         reg.record_production(vd, NodeId::from_raw(2), 1_000_000);
         nodes[0].advance(continuum_sim::VirtualTime::ZERO);
         let view = PlacementView::new(&w, &nodes, &reg, &p);
@@ -1214,7 +1208,7 @@ mod tests {
             .build();
         let nodes = states(&p);
         let mut reg = DataRegistry::new();
-        let vd = w.graph().node(producer).unwrap().produced()[0];
+        let vd = w.graph().node(producer).unwrap().produced().next().unwrap();
         reg.record_production(vd, NodeId::from_raw(0), 120_000_000);
         let view = PlacementView::new(&w, &nodes, &reg, &p);
         assert_eq!(

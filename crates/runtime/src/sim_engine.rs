@@ -691,7 +691,7 @@ impl<'w, 's> Engine<'w, 's> {
     fn index_producers(&mut self) {
         for node in self.workload.graph().nodes() {
             for vd in node.produced() {
-                self.registry.set_producer(*vd, node.id());
+                self.registry.set_producer(vd, node.id());
             }
         }
     }
@@ -970,7 +970,7 @@ impl<'w, 's> Engine<'w, 's> {
     fn record_outputs(&mut self, task: TaskId, node: NodeId, now: VirtualTime) {
         let mut produced = std::mem::take(&mut self.produced_scratch);
         produced.clear();
-        produced.extend_from_slice(
+        produced.extend(
             self.workload
                 .graph()
                 .node(task)
@@ -1042,10 +1042,10 @@ impl<'w, 's> Engine<'w, 's> {
                 ..TaskSlot::default()
             });
             for vd in node.produced() {
-                self.registry.set_producer(*vd, id);
+                self.registry.set_producer(vd, id);
             }
             for vd in node.consumed() {
-                self.registry.add_reader(*vd);
+                self.registry.add_reader(vd);
             }
             let spec = node.spec();
             Self::open_channels(&mut self.channels, spec);
@@ -1101,8 +1101,8 @@ impl<'w, 's> Engine<'w, 's> {
         consumed.clear();
         {
             let node = self.workload.graph().node(task).expect("task in graph");
-            produced.extend_from_slice(node.produced());
-            consumed.extend_from_slice(node.consumed());
+            produced.extend(node.produced());
+            consumed.extend(node.consumed());
         }
         for &vd in &consumed {
             self.settle_value(vd, Settle::ReaderDone);
@@ -1239,7 +1239,7 @@ impl<'w, 's> Engine<'w, 's> {
     fn still_needed(&self, vd: VersionedData) -> bool {
         // A datum is needed if any non-completed task consumes it.
         self.workload.graph().nodes().any(|n| {
-            self.run.state(n.id()) != Some(TaskState::Completed) && n.consumed().contains(&vd)
+            self.run.state(n.id()) != Some(TaskState::Completed) && n.consumed().any(|c| c == vd)
         })
     }
 
@@ -1510,7 +1510,7 @@ impl<'w, 's> Engine<'w, 's> {
     fn inputs_ready(&mut self, task: TaskId, now: VirtualTime) -> Result<bool, RuntimeError> {
         let mut consumed = std::mem::take(&mut self.consumed_scratch);
         consumed.clear();
-        consumed.extend_from_slice(
+        consumed.extend(
             self.workload
                 .graph()
                 .node(task)
@@ -1558,7 +1558,7 @@ impl<'w, 's> Engine<'w, 's> {
             .node(producer)
             .expect("producer in graph")
             .consumed()
-            .to_vec();
+            .collect();
         for dep in deps {
             if !self.ensure_available(dep, now)? {
                 deps_ok = false;
@@ -1864,7 +1864,7 @@ impl<'w, 's> Engine<'w, 's> {
     fn plan_input_transfers(&mut self, task: TaskId, node: NodeId, now: VirtualTime) -> f64 {
         let mut consumed = std::mem::take(&mut self.transfer_scratch);
         consumed.clear();
-        consumed.extend_from_slice(
+        consumed.extend(
             self.workload
                 .graph()
                 .node(task)

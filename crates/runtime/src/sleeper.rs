@@ -21,7 +21,12 @@
 //! `searching` while they scan the queues, and [`CountedSleeper::wake_for`]
 //! wakes only as many sleepers as new work exceeds scanners — a scanner
 //! either finds the work or fails its scan, stops searching and is
-//! caught by the re-check. `sched::executor-sleep` explores it.
+//! caught by the re-check. A scanner that finds a task may have found
+//! one queued before the work a producer counted it for, so the last
+//! scanner to stop with a task in hand wakes one sleeper while work is
+//! left ([`CountedSleeper::end_search`]); that sleeper, done scanning,
+//! passes the wake on in turn. `sched::executor-sleep`
+//! explores it.
 //!
 //! The primitives come from [`continuum_platform::sync`], so under the
 //! `conc-instrument` feature every operation here is visible to the
@@ -119,9 +124,21 @@ impl CountedSleeper {
     /// found none must call this *before* [`sleep_unless`]: from here
     /// on producers count it as a sleeper-to-be, not a scanner.
     ///
+    /// A producer that saw this worker scanning skipped a wake-up,
+    /// counting on the scan to find its work — but the scan may have
+    /// found a task queued earlier, whose own wake-up started it. So
+    /// the last scanner to stop wakes one sleeper if `more_work` holds:
+    /// the scan found a task and queued work is left beyond it. Against
+    /// a producer this is the sleep protocol's publish-then-read
+    /// pairing: either the producer reads `searching` after this
+    /// decrement and wakes a sleeper itself, or `more_work` sees its
+    /// work.
+    ///
     /// [`sleep_unless`]: CountedSleeper::sleep_unless
-    pub(crate) fn end_search(&self) {
-        self.searching.fetch_sub(1, Ordering::SeqCst);
+    pub(crate) fn end_search(&self, more_work: impl FnOnce() -> bool) {
+        if self.searching.fetch_sub(1, Ordering::SeqCst) == 1 && more_work() {
+            self.wake(1);
+        }
     }
 
     /// Makes `count` units of new queued work eligible to be picked

@@ -40,7 +40,7 @@ fn engines_agree_on_happens_before() {
         for vd in node.consumed() {
             spec = spec.input(handles[vd.data.index()].id());
         }
-        let out_idx: Vec<usize> = node.produced().iter().map(|vd| vd.data.index()).collect();
+        let out_idx: Vec<usize> = node.produced().map(|vd| vd.data.index()).collect();
         for idx in &out_idx {
             spec = spec.output(handles[*idx].id());
         }
