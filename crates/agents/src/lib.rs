@@ -14,10 +14,12 @@
 //! paper describes.
 //!
 //! Placement across the fog/cloud layers is delegated to an
-//! [`OffloadPolicy`] (local-first, cloud-first, or latency-aware); the
-//! same policies are available as [`ContinuumScheduler`] for the
-//! simulated engine, which is how the offloading experiments sweep
-//! network conditions at scale.
+//! [`OffloadPolicy`]. The policies of §VI-B — fog-only, cloud-only and
+//! latency-aware — are one rule, [`ContinuumScheduler`], which is also
+//! the simulated engine's [`Scheduler`](continuum_runtime::Scheduler):
+//! the offloading experiments sweep network conditions at scale with
+//! the code the agents run. [`RoundRobinOffload`] is the class-blind
+//! baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +35,7 @@ mod sim_sched;
 pub use agent::{Agent, AgentId, AgentInfo, AgentStatus, ExecReply};
 pub use error::AgentError;
 pub use network::{AgentNetwork, ExecFuture};
-pub use offload::{LatencyAwareOffload, OffloadPolicy, PreferClass, RoundRobinOffload};
+pub use offload::{OffloadPolicy, RoundRobinOffload};
 pub use ops::OpRegistry;
 pub use orchestrator::{AppReport, AppTask, Application, Orchestrator};
 pub use sim_sched::{ContinuumPolicy, ContinuumScheduler};

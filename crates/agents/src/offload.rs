@@ -1,14 +1,14 @@
 //! Offloading policies: which agent runs the next task.
 //!
 //! The paper frames fog-to-cloud (and cloud-to-fog) offloading as a
-//! trade-off between device capability, network cost and energy.
-//! Policies here choose among *live* agents; the latency-aware policy
-//! keeps data-heavy tasks near the fog (data gravity) and ships
-//! compute-heavy, data-light tasks to the cloud.
+//! trade-off between device capability, network cost and energy. The
+//! policies of §VI-B are [`ContinuumScheduler`](crate::ContinuumScheduler),
+//! the same rule the simulator places by; [`RoundRobinOffload`] is the
+//! class-blind baseline. Every policy chooses among *live* agents, and
+//! only among those of a task's pinned class when it has one.
 
 use crate::agent::{AgentId, AgentInfo, AgentStatus};
 use crate::orchestrator::AppTask;
-use continuum_platform::DeviceClass;
 
 /// Chooses the agent for a task; `None` means no live candidate.
 pub trait OffloadPolicy: Send {
@@ -23,7 +23,7 @@ fn alive(agents: &[AgentInfo]) -> impl Iterator<Item = &AgentInfo> {
     agents.iter().filter(|a| a.status == AgentStatus::Alive)
 }
 
-/// Rotates over live agents regardless of class.
+/// Rotates over live agents regardless of class, save a task's pin.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobinOffload {
     cursor: usize,
@@ -41,135 +41,25 @@ impl OffloadPolicy for RoundRobinOffload {
         "round-robin"
     }
 
-    fn choose(&mut self, _task: &AppTask, agents: &[AgentInfo]) -> Option<AgentId> {
+    fn choose(&mut self, task: &AppTask, agents: &[AgentInfo]) -> Option<AgentId> {
         // Two passes over the snapshot instead of a list of the live:
         // a choice allocates nothing, whatever the fleet size.
-        let live = alive(agents).count();
-        let pick = alive(agents).nth(self.cursor.checked_rem(live)?)?.id;
+        let eligible = |a: &&AgentInfo| task.preferred_class.is_none_or(|c| a.class == c);
+        let live = alive(agents).filter(eligible).count();
+        let pick = alive(agents)
+            .filter(eligible)
+            .nth(self.cursor.checked_rem(live)?)?
+            .id;
         self.cursor = self.cursor.wrapping_add(1);
         Some(pick)
-    }
-}
-
-/// Prefers device classes in the given order (e.g. fog-first for
-/// data-local execution, cloud-first for compute offloading); within a
-/// class, picks the least-used live agent.
-#[derive(Debug, Clone)]
-pub struct PreferClass {
-    order: Vec<DeviceClass>,
-    label: &'static str,
-}
-
-impl PreferClass {
-    /// Fog devices first, then cloud (fog-to-fog before fog-to-cloud).
-    pub fn fog_first() -> Self {
-        PreferClass {
-            order: vec![
-                DeviceClass::Fog,
-                DeviceClass::Edge,
-                DeviceClass::CloudVm,
-                DeviceClass::Hpc,
-            ],
-            label: "fog-first",
-        }
-    }
-
-    /// Cloud first (offload everything).
-    pub fn cloud_first() -> Self {
-        PreferClass {
-            order: vec![
-                DeviceClass::CloudVm,
-                DeviceClass::Hpc,
-                DeviceClass::Fog,
-                DeviceClass::Edge,
-            ],
-            label: "cloud-first",
-        }
-    }
-
-    /// A custom class order.
-    pub fn custom(order: Vec<DeviceClass>) -> Self {
-        PreferClass {
-            order,
-            label: "custom-order",
-        }
-    }
-}
-
-impl OffloadPolicy for PreferClass {
-    fn name(&self) -> &str {
-        self.label
-    }
-
-    fn choose(&mut self, task: &AppTask, agents: &[AgentInfo]) -> Option<AgentId> {
-        // A task may pin a class (e.g. sensors produce only locally).
-        if let Some(pinned) = task.preferred_class {
-            return alive(agents)
-                .filter(|a| a.class == pinned)
-                .min_by_key(|a| (a.executed, a.id))
-                .map(|a| a.id);
-        }
-        for class in &self.order {
-            if let Some(agent) = alive(agents)
-                .filter(|a| a.class == *class)
-                .min_by_key(|a| (a.executed, a.id))
-            {
-                return Some(agent.id);
-            }
-        }
-        alive(agents).map(|a| a.id).next()
-    }
-}
-
-/// Latency-aware offloading: tasks whose input volume exceeds the
-/// threshold stay on fog/edge devices (shipping the data to the cloud
-/// would dominate); lighter tasks are offloaded to the cloud.
-#[derive(Debug, Clone)]
-pub struct LatencyAwareOffload {
-    /// Input-bytes threshold above which the task stays in the fog.
-    pub data_gravity_bytes: u64,
-}
-
-impl LatencyAwareOffload {
-    /// Creates the policy with the given data-gravity threshold.
-    pub fn new(data_gravity_bytes: u64) -> Self {
-        LatencyAwareOffload { data_gravity_bytes }
-    }
-}
-
-impl OffloadPolicy for LatencyAwareOffload {
-    fn name(&self) -> &str {
-        "latency-aware"
-    }
-
-    fn choose(&mut self, task: &AppTask, agents: &[AgentInfo]) -> Option<AgentId> {
-        let heavy = task.input_bytes_hint > self.data_gravity_bytes;
-        let (preferred, fallback): (Vec<DeviceClass>, Vec<DeviceClass>) = if heavy {
-            (
-                vec![DeviceClass::Fog, DeviceClass::Edge],
-                vec![DeviceClass::CloudVm, DeviceClass::Hpc],
-            )
-        } else {
-            (
-                vec![DeviceClass::CloudVm, DeviceClass::Hpc],
-                vec![DeviceClass::Fog, DeviceClass::Edge],
-            )
-        };
-        for classes in [preferred, fallback] {
-            if let Some(agent) = alive(agents)
-                .filter(|a| classes.contains(&a.class))
-                .min_by_key(|a| (a.executed, a.id))
-            {
-                return Some(agent.id);
-            }
-        }
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ContinuumPolicy, ContinuumScheduler};
+    use continuum_platform::DeviceClass;
 
     fn infos() -> Vec<AgentInfo> {
         let mk = |i: u32, class, status, executed| AgentInfo {
@@ -204,32 +94,44 @@ mod tests {
     }
 
     #[test]
-    fn fog_first_prefers_least_used_fog() {
-        let mut p = PreferClass::fog_first();
-        assert_eq!(p.choose(&task(0), &infos()), Some(AgentId(1)));
+    fn round_robin_keeps_a_pin() {
+        // One fog and one cloud agent: four fog-pinned tasks, all fog.
+        let (mut p, fleet) = (RoundRobinOffload::new(), &infos()[1..3]);
+        let pinned = task(0).prefer_class(DeviceClass::Fog);
+        let picks: Vec<_> = (0..4).map(|_| p.choose(&pinned, fleet)).collect();
+        assert_eq!(picks, [Some(AgentId(1)); 4]);
+        let hpc = task(0).prefer_class(DeviceClass::Hpc);
+        assert_eq!(p.choose(&hpc, fleet), None, "no live agent of the pin");
     }
 
     #[test]
-    fn cloud_first_prefers_live_cloud() {
-        let mut p = PreferClass::cloud_first();
-        assert_eq!(p.choose(&task(0), &infos()), Some(AgentId(2)));
+    fn class_policies_balance_by_their_own_dispatches() {
+        // The agents report `executed` 5 and 2; the rule counts what it
+        // dispatched itself, which moves within a wave.
+        let mut fog = ContinuumScheduler::new(ContinuumPolicy::FogOnly);
+        let picks: Vec<_> = (0..3).map(|_| fog.choose(&task(0), &infos())).collect();
+        assert_eq!(picks, [0, 1, 0].map(|i| Some(AgentId(i))));
+        // Agent 3 is dead, and a pin replaces the policy's classes.
+        let mut cloud = ContinuumScheduler::new(ContinuumPolicy::CloudOnly);
+        let pinned = task(0).prefer_class(DeviceClass::Fog);
+        let picks = [task(0), task(0), pinned].map(|t| cloud.choose(&t, &infos()));
+        assert_eq!(picks, [2, 2, 0].map(|i| Some(AgentId(i))));
     }
 
     #[test]
-    fn pinned_class_wins_over_order() {
-        let mut p = PreferClass::cloud_first();
-        let pinned = AppTask::new("op", vec![], "out").prefer_class(DeviceClass::Fog);
-        assert_eq!(p.choose(&pinned, &infos()), Some(AgentId(1)));
-    }
-
-    #[test]
-    fn latency_aware_splits_by_data_volume() {
-        let mut p = LatencyAwareOffload::new(1_000_000);
-        // Light task: cloud.
-        assert_eq!(p.choose(&task(10), &infos()), Some(AgentId(2)));
-        // Heavy task: fog.
-        let heavy = p.choose(&task(10_000_000), &infos()).unwrap();
-        assert!(heavy == AgentId(0) || heavy == AgentId(1));
+    fn latency_aware_weighs_the_wan_against_the_queue() {
+        let mut p = ContinuumScheduler::new(ContinuumPolicy::LatencyAware);
+        // Without input bytes every agent ties at 1 s: the first wins.
+        assert_eq!(p.choose(&task(0), &infos()), Some(AgentId(0)));
+        // 1 MB crosses the WAN in 0.03 s, less than a queued task on
+        // fog-0 (1 s) but more than nothing on fog-1.
+        assert_eq!(p.choose(&task(1_000_000), &infos()), Some(AgentId(1)));
+        assert_eq!(p.choose(&task(1_000_000), &infos()), Some(AgentId(2)));
+        // 1 GB keeps to the fog behind a queue of one.
+        assert_eq!(p.choose(&task(1_000_000_000), &infos()), Some(AgentId(0)));
+        // With the fog gone, the cloud takes it whatever the bytes.
+        let only_cloud = &infos()[2..];
+        assert_eq!(p.choose(&task(1_000_000_000), only_cloud), Some(AgentId(2)));
     }
 
     #[test]
@@ -239,17 +141,13 @@ mod tests {
             a.status = AgentStatus::Dead;
         }
         assert_eq!(RoundRobinOffload::new().choose(&task(0), &dead), None);
-        assert_eq!(PreferClass::fog_first().choose(&task(0), &dead), None);
-        assert_eq!(LatencyAwareOffload::new(0).choose(&task(0), &dead), None);
-    }
-
-    #[test]
-    fn fallback_to_other_layer_when_preferred_empty() {
-        let mut only_cloud = infos();
-        only_cloud[0].status = AgentStatus::Dead;
-        only_cloud[1].status = AgentStatus::Dead;
-        let mut p = LatencyAwareOffload::new(100);
-        // Heavy task prefers fog, but only cloud is alive.
-        assert_eq!(p.choose(&task(1_000), &only_cloud), Some(AgentId(2)));
+        for policy in [
+            ContinuumPolicy::FogOnly,
+            ContinuumPolicy::CloudOnly,
+            ContinuumPolicy::LatencyAware,
+        ] {
+            let mut p = ContinuumScheduler::new(policy);
+            assert_eq!(p.choose(&task(0), &dead), None);
+        }
     }
 }

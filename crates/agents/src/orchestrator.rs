@@ -470,8 +470,9 @@ fn validate(network: &NetworkInner, app: &Application) -> Result<(), AgentError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offload::{PreferClass, RoundRobinOffload};
+    use crate::offload::RoundRobinOffload;
     use crate::ops::OpRegistry;
+    use crate::sim_sched::{ContinuumPolicy, ContinuumScheduler};
     use bytes::Bytes;
     use continuum_platform::NodeId;
     use continuum_storage::{KvConfig, KvStore, StoredValue};
@@ -648,10 +649,13 @@ mod tests {
     }
 
     #[test]
-    fn fog_first_policy_uses_fog_agents() {
+    fn fog_only_policy_uses_fog_agents() {
         let net = network(2, 1);
         let report = Orchestrator::new(&net)
-            .run(&pipeline(), &mut PreferClass::fog_first())
+            .run(
+                &pipeline(),
+                &mut ContinuumScheduler::new(ContinuumPolicy::FogOnly),
+            )
             .unwrap();
         let infos = net.infos();
         let fog_execs: usize = report
@@ -705,8 +709,10 @@ mod tests {
                 net.kill(AgentId(0)).unwrap();
                 resume_tx.send(()).unwrap();
             });
+            // Every agent ties at 1 s, so the first pick is fog-0.
+            let mut latency_aware = ContinuumScheduler::new(ContinuumPolicy::LatencyAware);
             Orchestrator::new(net)
-                .run(&pipeline(), &mut PreferClass::fog_first())
+                .run(&pipeline(), &mut latency_aware)
                 .unwrap()
         });
         assert_eq!(report.completed, 3);
@@ -782,7 +788,11 @@ mod tests {
         let net = network(2, 1);
         let fog0 = AgentId(0);
         let report = net
-            .start_application(fog0, pipeline(), Box::new(PreferClass::fog_first()))
+            .start_application(
+                fog0,
+                pipeline(),
+                Box::new(ContinuumScheduler::new(ContinuumPolicy::FogOnly)),
+            )
             .unwrap();
         assert_eq!(report.completed, 3);
         assert!(net.store().contains(&"result".into()));

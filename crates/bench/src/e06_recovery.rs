@@ -112,6 +112,16 @@ mod tests {
     #[test]
     fn persistence_beats_restart_under_churn() {
         let t = run(Scale::Quick);
+        // Cell for cell: the agents run the same placement rule.
+        let expected = [
+            ["40", "persistence + resubmit (paper)", "103.6", "12"],
+            ["40", "no persistence, lineage replay", "247.9", "47"],
+            ["40", "no persistence, restart workflow", "381.3", "210"],
+            ["150", "persistence + resubmit (paper)", "105.0", "10"],
+            ["150", "no persistence, lineage replay", "109.1", "21"],
+            ["150", "no persistence, restart workflow", "123.4", "29"],
+        ];
+        assert_eq!(t.rows, expected.map(|row| row.map(String::from).to_vec()));
         // Rows come in triples per mtbf; compare within the harsher
         // (first) mtbf block.
         let persist_makespan: f64 = t.rows[0][2].parse().unwrap();

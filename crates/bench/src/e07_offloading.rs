@@ -81,6 +81,16 @@ mod tests {
     #[test]
     fn crossover_and_adaptive_policy() {
         let t = run(Scale::Quick);
+        // Cell for cell: the agents run the same placement rule.
+        let expected = [
+            ["0.6", "fog-only", "60.0", "0.00"],
+            ["0.6", "cloud-only", "1348.5", "0.80"],
+            ["0.6", "latency-aware", "60.0", "0.00"],
+            ["60", "fog-only", "60.0", "0.00"],
+            ["60", "cloud-only", "28.5", "0.80"],
+            ["60", "latency-aware", "28.5", "0.80"],
+        ];
+        assert_eq!(t.rows, expected.map(|row| row.map(String::from).to_vec()));
         // Rows: [slow-bw fog, cloud, adaptive, fast-bw fog, cloud, adaptive].
         let slow_fog: f64 = t.rows[0][2].parse().unwrap();
         let slow_cloud: f64 = t.rows[1][2].parse().unwrap();

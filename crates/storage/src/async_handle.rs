@@ -110,6 +110,10 @@ impl AsyncStorage {
                     }
                 }
             })
+            // INVARIANT: spawning fails only when the OS refuses a
+            // thread. The handle is its service thread, so without one
+            // there is nothing to return; `std::thread::spawn` panics
+            // alike.
             .expect("spawn storage service thread");
         AsyncStorage {
             tx,

@@ -168,6 +168,7 @@ impl KvStore {
     fn place(&self, inner: &Inner, key: &ObjectKey, hint: Option<NodeId>) -> Vec<NodeId> {
         let start = match hint {
             Some(h) if self.nodes.contains(&h) && !inner.down.contains(&h) => {
+                // INVARIANT: the guard just found `h` in `self.nodes`.
                 self.nodes.iter().position(|n| *n == h).expect("contains")
             }
             _ => self.primary_index(key),

@@ -610,24 +610,21 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
         feasible_hi_us: 0,
         via: traces[root_trace].agent_id,
     });
-    let mut queue = std::collections::VecDeque::from([root_trace]);
-    while let Some(at) = queue.pop_front() {
-        let base = offset[at].unwrap();
+    let mut queue = std::collections::VecDeque::from([(root_trace, 0)]);
+    while let Some((at, base)) = queue.pop_front() {
         // Deterministic neighbor order: ascending trace index.
         for next in 0..n {
             if offset[next].is_some() {
                 continue;
             }
             // Constraint in either direction.
-            let interval = if let Some(i) = pair_intervals.get(&(at, next)) {
-                Some(*i)
-            } else {
-                pair_intervals.get(&(next, at)).map(|i| PairInterval {
-                    lo: -i.hi,
-                    hi: -i.lo,
-                })
-            };
-            let Some(PairInterval { lo, hi }) = interval else {
+            let reversed = pair_intervals.get(&(next, at)).map(|i| PairInterval {
+                lo: -i.hi,
+                hi: -i.lo,
+            });
+            let Some(PairInterval { lo, hi }) =
+                pair_intervals.get(&(at, next)).copied().or(reversed)
+            else {
                 continue;
             };
             if lo > hi {
@@ -648,30 +645,33 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
                 feasible_hi_us: hi.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
                 via: traces[at].agent_id,
             });
-            queue.push_back(next);
+            queue.push_back((next, base + mid));
         }
     }
-    for (ti, trace) in traces.iter().enumerate() {
-        if offset[ti].is_none() {
-            violations.insert(format!(
-                "agent {} shares no offload handshake with the aligned set; merged unaligned",
-                trace.agent_id
-            ));
-            offset[ti] = Some(0);
-            alignments.push(ClockAlignment {
-                agent_id: trace.agent_id,
-                offset_us: 0,
-                feasible_lo_us: 0,
-                feasible_hi_us: 0,
-                via: trace.agent_id,
-            });
-        }
-    }
+    // Agents outside the aligned set merge at offset 0.
+    let offset: Vec<i128> = (0..n)
+        .map(|ti| {
+            offset[ti].unwrap_or_else(|| {
+                let agent_id = traces[ti].agent_id;
+                violations.insert(format!(
+                    "agent {agent_id} shares no offload handshake with the aligned set; merged unaligned"
+                ));
+                alignments.push(ClockAlignment {
+                    agent_id,
+                    offset_us: 0,
+                    feasible_lo_us: 0,
+                    feasible_hi_us: 0,
+                    via: agent_id,
+                });
+                0
+            })
+        })
+        .collect();
     alignments.sort_by_key(|a| a.agent_id);
 
     // Validate happens-before under the chosen global offsets.
     for (ti, trace) in traces.iter().enumerate() {
-        let off_a = offset[ti].unwrap();
+        let off_a = offset[ti];
         for event in &trace.events {
             let Event::Span {
                 phase: TaskPhase::Offloading,
@@ -692,7 +692,7 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
                 let Some(&home) = ctx_home.get(child) else {
                     continue;
                 };
-                let off_b = offset[home].unwrap();
+                let off_b = offset[home];
                 let (c1, c2) = envelopes[child];
                 if (c1 as i128 + off_b) < s || (c2 as i128 + off_b) > r {
                     violations.insert(format!(
@@ -706,7 +706,7 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
     // Apply offsets, rebase the timeline to zero, and remap tracks.
     let mut min_ts = i128::MAX;
     for (ti, trace) in traces.iter().enumerate() {
-        let off = offset[ti].unwrap();
+        let off = offset[ti];
         for event in &trace.events {
             min_ts = min_ts.min(event.at_us() as i128 + off);
         }
@@ -717,7 +717,7 @@ pub fn merge_traces(traces: &[AgentTrace]) -> Result<MergeReport, MergeError> {
     let shift = |t: Micros, off: i128| -> Micros { (t as i128 + off - min_ts).max(0) as u64 };
     let mut merged: Vec<Event> = Vec::new();
     for (ti, trace) in traces.iter().enumerate() {
-        let off = offset[ti].unwrap();
+        let off = offset[ti];
         let remap = |track: Track| -> Track {
             if ti == root_trace {
                 return track;

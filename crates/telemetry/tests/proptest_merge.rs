@@ -240,3 +240,45 @@ proptest! {
         prop_assert_eq!(report.hops.len(), hops + 1, "root row plus one row per hop");
     }
 }
+
+/// An agent that shares no offload handshake with the aligned set
+/// merges at offset 0, aligned through itself, and the report says so.
+#[test]
+fn an_agent_without_a_handshake_merges_unaligned() {
+    let root = SpanContext::root(7, SpanContext::COORDINATOR);
+    let lone = root.child(5, 0);
+    let traces = [
+        AgentTrace {
+            agent_id: SpanContext::COORDINATOR,
+            events: vec![span(
+                Track::Run,
+                "app",
+                TaskPhase::Executing,
+                10,
+                90,
+                Some(root),
+            )],
+        },
+        AgentTrace {
+            agent_id: 5,
+            events: vec![span(
+                Track::Run,
+                "other",
+                TaskPhase::Executing,
+                40,
+                20,
+                Some(lone),
+            )],
+        },
+    ];
+    let report = merge_traces(&traces).expect("two well-formed traces merge");
+    let lone_alignment = report.alignments.iter().find(|a| a.agent_id == 5);
+    assert_eq!(lone_alignment.map(|a| (a.offset_us, a.via)), Some((0, 5)));
+    assert_eq!(
+        report.violations,
+        ["agent 5 shares no offload handshake with the aligned set; merged unaligned"]
+    );
+    // Both timelines keep their own clocks, rebased to the earliest event.
+    let starts: Vec<Micros> = report.events.iter().map(Event::at_us).collect();
+    assert_eq!(starts, [0, 30]);
+}

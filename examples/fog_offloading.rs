@@ -13,8 +13,8 @@
 
 use bytes::Bytes;
 use continuum::agents::{
-    AgentNetwork, AppTask, Application, LatencyAwareOffload, OffloadPolicy, OpRegistry,
-    Orchestrator, PreferClass, RoundRobinOffload,
+    AgentNetwork, AppTask, Application, ContinuumPolicy, ContinuumScheduler, OffloadPolicy,
+    OpRegistry, Orchestrator, RoundRobinOffload,
 };
 use continuum::platform::{DeviceClass, NodeId};
 use continuum::storage::{KvConfig, KvStore};
@@ -83,9 +83,9 @@ fn main() {
 
     let mut policies: Vec<Box<dyn OffloadPolicy>> = vec![
         Box::new(RoundRobinOffload::new()),
-        Box::new(PreferClass::fog_first()),
-        Box::new(PreferClass::cloud_first()),
-        Box::new(LatencyAwareOffload::new(64 * 1024)),
+        Box::new(ContinuumScheduler::new(ContinuumPolicy::FogOnly)),
+        Box::new(ContinuumScheduler::new(ContinuumPolicy::CloudOnly)),
+        Box::new(ContinuumScheduler::new(ContinuumPolicy::LatencyAware)),
     ];
     for policy in policies.iter_mut() {
         let report = Orchestrator::new(&net)
@@ -138,7 +138,11 @@ fn main() {
     // The REST "Start Application" verb (paper Fig. 6): a fog device
     // orchestrates the application itself, using its peers as workers.
     let report = net
-        .start_application(fog_ids[2], app(4), Box::new(PreferClass::fog_first()))
+        .start_application(
+            fog_ids[2],
+            app(4),
+            Box::new(ContinuumScheduler::new(ContinuumPolicy::FogOnly)),
+        )
         .expect("fog-orchestrated application completes");
     println!(
         "\nfog-2 orchestrated the app itself (fog-to-fog): {} tasks done across {} agents",

@@ -4,7 +4,8 @@
 
 use bytes::Bytes;
 use continuum::agents::{
-    AgentNetwork, AppTask, Application, OpRegistry, Orchestrator, PreferClass, RoundRobinOffload,
+    AgentNetwork, AppTask, Application, ContinuumPolicy, ContinuumScheduler, OpRegistry,
+    Orchestrator, RoundRobinOffload,
 };
 use continuum::dag::TaskSpec;
 use continuum::platform::{DeviceClass, NodeId, NodeSpec, PlatformBuilder};
@@ -111,7 +112,10 @@ fn agent_app_survives_storage_replica_failure() {
     // storage node.
     let stage1 = Application::new("produce").task(AppTask::new("produce", vec![], "mid"));
     Orchestrator::new(&net)
-        .run(&stage1, &mut PreferClass::fog_first())
+        .run(
+            &stage1,
+            &mut ContinuumScheduler::new(ContinuumPolicy::FogOnly),
+        )
         .unwrap();
     let replicas = store.locations(&"mid".into()).unwrap();
     store.fail_node(replicas[0]);
