@@ -1,9 +1,9 @@
 //! The owned, serializable form of the verifier's input.
 
 use crate::diag::Diagnostic;
-use crate::verify::{lint_nodes, LintColumns, LintNode, LintView, StreamInfo};
+use crate::verify::{LintColumns, LintNode, LintView, StreamInfo};
 use continuum_dag::{DataId, TaskGraph, TaskId};
-use continuum_platform::{Constraints, Platform};
+use continuum_platform::Constraints;
 use serde::{Deserialize, Serialize, Value};
 
 /// The owned, serializable form of a [`LintView`]: the graph, the
@@ -47,12 +47,6 @@ impl LintBundle {
             initial_data: Vec::new(),
             streams: Vec::new(),
         }
-    }
-
-    /// Populates `nodes` from a platform description.
-    pub fn with_platform(mut self, platform: &Platform) -> Self {
-        self.nodes = lint_nodes(platform);
-        self
     }
 
     /// Sets the platform nodes explicitly.

@@ -165,12 +165,6 @@ impl NodeSpec {
         self
     }
 
-    /// Overrides the power model.
-    pub fn with_power(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
     /// Sets the disk capacity.
     pub fn with_disk_mb(mut self, mb: u64) -> Self {
         self.capacity = self.capacity.clone().with_disk_mb(mb);

@@ -210,20 +210,6 @@ impl PlatformBuilder {
         }
     }
 
-    /// Sets the default inter-zone link.
-    pub fn default_inter_zone(mut self, link: LinkSpec) -> Self {
-        let mut net = NetworkModel::new(link);
-        // Re-register existing zones to preserve their intra links.
-        for z in &self.zones {
-            let intra = self.network.link(z.id, z.id);
-            net.add_zone(intra);
-        }
-        // Note: overrides set before this call are discarded; callers
-        // should set the default first. Builder order documented.
-        self.network = net;
-        self
-    }
-
     fn add_zone(
         &mut self,
         name: &str,

@@ -207,6 +207,9 @@ impl Reactor {
             thread::Builder::new()
                 .name("continuum-reactor".into())
                 .spawn(move || reactor_loop(&inner))
+                // INVARIANT: spawning fails only when the OS refuses a
+                // thread. Without its timer thread there is no reactor
+                // to return; `std::thread::spawn` panics alike.
                 .expect("spawn reactor thread")
         };
         Reactor {

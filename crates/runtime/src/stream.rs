@@ -359,6 +359,9 @@ impl StreamChannel {
                 }
                 return PollSend::Full;
             }
+            // INVARIANT: the slot empties only here, on `Accepted`, and
+            // no caller polls again after that: `send` returns, and
+            // `StreamSend` is a future polled only until it is ready.
             queue.push_back(value.take().expect("poll_send needs an element"));
             let occupancy = queue.len() as u64;
             st.stats.occupancy_high_water = st.stats.occupancy_high_water.max(occupancy);

@@ -21,13 +21,13 @@
 //! * **Complete** — the future returned `Poll::Ready`; wakes are no-ops.
 //!
 //! The transitions live here, away from the executor, so they can be
-//! unit-tested and chaos-tested (`crossbeam::hooks::yield_point`
-//! preemption points sit between every load and CAS) in isolation.
+//! unit-tested and schedule-explored in isolation: every load and CAS
+//! goes through `continuum_platform::sync::AtomicU8`, which the
+//! explorer preempts at under the `conc-instrument` feature.
 
 #![deny(clippy::await_holding_lock)]
 
 use continuum_platform::sync::AtomicU8;
-use crossbeam::hooks::yield_point;
 use std::sync::atomic::Ordering;
 
 /// Queued for dispatch; no worker owns the task.
@@ -86,7 +86,6 @@ impl TaskCell {
     /// Valid from `Scheduled` only — queues hold exactly the tasks in
     /// that state.
     pub(crate) fn claim(&self) {
-        yield_point();
         let prev = self.state.swap(RUNNING, Ordering::SeqCst);
         debug_assert_eq!(prev, SCHEDULED, "claimed a task that was not scheduled");
     }
@@ -97,7 +96,6 @@ impl TaskCell {
     /// concurrent wake may re-queue the task and another worker may
     /// resume it.
     pub(crate) fn try_park(&self) -> ParkOutcome {
-        yield_point();
         match self
             .state
             .compare_exchange(RUNNING, PARKED, Ordering::SeqCst, Ordering::SeqCst)
@@ -106,7 +104,6 @@ impl TaskCell {
             Err(observed) => {
                 debug_assert_eq!(observed, NOTIFIED, "park raced an unexpected state");
                 // Consume the notification; the poller keeps ownership.
-                yield_point();
                 self.state.store(RUNNING, Ordering::SeqCst);
                 ParkOutcome::MustRepoll
             }
@@ -116,7 +113,6 @@ impl TaskCell {
     /// The future returned `Poll::Ready`; late wakes from stale waker
     /// clones become no-ops.
     pub(crate) fn complete(&self) {
-        yield_point();
         self.state.store(COMPLETE, Ordering::SeqCst);
     }
 
@@ -125,11 +121,9 @@ impl TaskCell {
     /// wakes produce at most one enqueue per park.
     pub(crate) fn wake(&self) -> WakeOutcome {
         loop {
-            yield_point();
             let state = self.state.load(Ordering::SeqCst);
             match state {
                 PARKED => {
-                    yield_point();
                     if self
                         .state
                         .compare_exchange(PARKED, SCHEDULED, Ordering::SeqCst, Ordering::SeqCst)
@@ -139,7 +133,6 @@ impl TaskCell {
                     }
                 }
                 RUNNING => {
-                    yield_point();
                     if self
                         .state
                         .compare_exchange(RUNNING, NOTIFIED, Ordering::SeqCst, Ordering::SeqCst)

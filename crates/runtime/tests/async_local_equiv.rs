@@ -5,14 +5,15 @@
 //! every worker count — the async path is a scheduling change, not a
 //! semantic one. A companion check asserts the emitted telemetry is
 //! well-formed: every submitted task commits exactly once and parked
-//! intervals appear as `Parked` spans.
+//! intervals appear as `Parked` spans. A third races timer wakes
+//! against parks, where a lost wakeup would hang the run.
 
 use continuum_dag::TaskSpec;
 use continuum_platform::Constraints;
 use continuum_runtime::{LocalConfig, LocalRuntime, TraceBuffer};
 use continuum_telemetry::{Event, TaskPhase};
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One generated workload: a layered graph `layers × width`, each task
 /// reading every task of the previous layer (dense fan), mixing the
@@ -185,4 +186,51 @@ fn async_run_telemetry_is_well_formed() {
     });
     let hw = high_water.expect("run end reports the in-flight high-water counter");
     assert!(hw >= 1.0 && hw <= N as f64, "high water {hw} out of range");
+}
+
+/// Lost-wakeup stress for the park/wake handshake. Short sleeps on a
+/// fine tick land reactor wakes while pollers are still between
+/// `Poll::Pending` and `try_park`, taking both the Parked → Enqueue and
+/// the NOTIFIED → MustRepoll paths; zero-length sleeps take the
+/// refused-registration self-wake. A lost wakeup leaves a task parked
+/// and the run hangs. `sched::task-cell` explores the same handshake
+/// exhaustively at two threads; this runs it on four workers.
+#[test]
+fn timer_wakes_racing_parks_are_never_lost() {
+    const ROUNDS: usize = 25;
+    const TASKS: usize = 32;
+    for round in 0..ROUNDS {
+        let rt = LocalRuntime::new(
+            LocalConfig::default()
+                .worker_threads(4)
+                .reactor_tick(Duration::from_micros(50)),
+        );
+        let outs = rt.data_batch::<u64>("o", TASKS);
+        for (i, o) in outs.iter().enumerate() {
+            let dur = Duration::from_micros(((round * TASKS + i) % 7) as u64 * 40);
+            rt.submit_async(
+                TaskSpec::new("racy").output(o.id()),
+                Constraints::new(),
+                move |mut ctx| async move {
+                    // Three parks per task: each is a fresh race.
+                    ctx.sleep(dur).await;
+                    ctx.sleep(dur / 2).await;
+                    ctx.sleep(Duration::ZERO).await;
+                    ctx.set_output(0, i as u64);
+                    ctx
+                },
+            )
+            .unwrap();
+        }
+        let t0 = Instant::now();
+        rt.wait_all().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "round {round} took pathologically long — suspected lost wakeup"
+        );
+        for (i, o) in outs.iter().enumerate() {
+            assert_eq!(*rt.get(o).unwrap(), i as u64);
+        }
+        assert_eq!(rt.parked_count(), 0, "round {round} left a task parked");
+    }
 }

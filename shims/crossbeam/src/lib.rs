@@ -7,40 +7,11 @@
 //! channels: the agents' inboxes are `std::sync::mpsc` and their
 //! replies `continuum_platform::oneshot` cells.
 
-/// Test hooks for deterministic-interleaving and chaos testing.
-///
-/// The deque operations call [`hooks::yield_point`] at the entry of
-/// every critical section. By default this is a single relaxed atomic
-/// load; concurrency tests (`continuum-analyze`'s chaos stress tests)
-/// enable chaos mode to insert scheduler yields at exactly the points
-/// where a preemption widens the push/steal race windows, driving the
-/// thread interleaving through far more schedules per run than the OS
-/// would produce naturally.
+/// Test hooks for deterministic-interleaving testing: the deque
+/// operations report the entry of every critical section to
+/// [`hooks::sched`], so a schedule explorer can preempt a thread at
+/// exactly the points where the push/steal race windows open.
 pub mod hooks {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static CHAOS: AtomicBool = AtomicBool::new(false);
-
-    /// Globally enables or disables chaos yields. Affects every deque
-    /// in the process; intended for dedicated stress-test binaries or
-    /// serial `#[test]`s, not production.
-    pub fn set_chaos(enabled: bool) {
-        CHAOS.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Returns `true` if chaos mode is on.
-    pub fn chaos_enabled() -> bool {
-        CHAOS.load(Ordering::Relaxed)
-    }
-
-    /// The controllable yield point: a no-op unless chaos mode is on.
-    #[inline]
-    pub fn yield_point() {
-        if CHAOS.load(Ordering::Relaxed) {
-            std::thread::yield_now();
-        }
-    }
-
     /// Scheduler-controlled execution: the channel through which a
     /// deterministic exploration scheduler (see
     /// `continuum_analyze::conc::sched`) observes and serializes every
@@ -267,7 +238,6 @@ pub mod hooks {
 /// the API level.
 pub mod deque {
     use crate::hooks::sched::yield_op;
-    use crate::hooks::yield_point;
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -307,13 +277,6 @@ pub mod deque {
         }
     }
 
-    /// Pop order of a [`Worker`]'s owner end.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Flavor {
-        Fifo,
-        Lifo,
-    }
-
     #[derive(Debug)]
     struct Buffer<T> {
         items: VecDeque<T>,
@@ -341,27 +304,16 @@ pub mod deque {
     /// A deque owned by one worker thread.
     pub struct Worker<T> {
         queue: Arc<Mutex<Buffer<T>>>,
-        flavor: Flavor,
     }
 
     impl<T> Worker<T> {
-        fn with_flavor(flavor: Flavor) -> Self {
+        /// Creates a worker whose owner pops newest-first.
+        pub fn new_lifo() -> Self {
             Worker {
                 queue: Arc::new(Mutex::new(Buffer {
                     items: VecDeque::new(),
                 })),
-                flavor,
             }
-        }
-
-        /// Creates a worker whose owner pops oldest-first.
-        pub fn new_fifo() -> Self {
-            Worker::with_flavor(Flavor::Fifo)
-        }
-
-        /// Creates a worker whose owner pops newest-first.
-        pub fn new_lifo() -> Self {
-            Worker::with_flavor(Flavor::Lifo)
         }
 
         /// Creates a [`Stealer`] handle for other threads.
@@ -379,20 +331,14 @@ pub mod deque {
 
         /// Pushes an item onto the owner end.
         pub fn push(&self, item: T) {
-            yield_point();
             yield_op(self.obj());
             self.lock().items.push_back(item);
         }
 
-        /// Pops an item from the owner end (per the flavor).
+        /// Pops the newest item from the owner end.
         pub fn pop(&self) -> Option<T> {
-            yield_point();
             yield_op(self.obj());
-            let mut buf = self.lock();
-            match self.flavor {
-                Flavor::Fifo => buf.items.pop_front(),
-                Flavor::Lifo => buf.items.pop_back(),
-            }
+            self.lock().items.pop_back()
         }
 
         /// Returns `true` if the deque is empty.
@@ -441,7 +387,6 @@ pub mod deque {
 
         /// Steals one item from the front (oldest) end.
         pub fn steal(&self) -> Steal<T> {
-            yield_point();
             yield_op(self.obj());
             match lock_or_retry(&self.queue) {
                 Ok(mut buf) => match buf.items.pop_front() {
@@ -455,7 +400,6 @@ pub mod deque {
         /// Steals up to half the items (capped) into `dest`, returning
         /// one of them.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            yield_point();
             yield_op(self.obj());
             let (first, rest) = match lock_or_retry(&self.queue) {
                 Ok(mut buf) => match take_batch(&mut buf.items) {
@@ -467,7 +411,6 @@ pub mod deque {
             // The stolen batch is only visible to this thread here: a
             // preemption between the source drain and the dest publish
             // is the widest race window in the protocol.
-            yield_point();
             yield_op(dest.obj());
             if !rest.is_empty() {
                 let mut dst = dest.lock();
@@ -585,6 +528,7 @@ pub mod deque {
 #[cfg(test)]
 mod deque_tests {
     use super::deque::{Injector, Steal, Worker};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
     use std::sync::Arc;
 
     #[test]
@@ -600,16 +544,6 @@ mod deque_tests {
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
         assert!(s.steal().is_empty());
-    }
-
-    #[test]
-    fn fifo_owner_pops_oldest() {
-        let w = Worker::new_fifo();
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(w.pop(), Some(2));
-        assert!(w.is_empty());
     }
 
     #[test]
@@ -659,50 +593,89 @@ mod deque_tests {
         assert!(Steal::<u32>::Retry.is_retry());
     }
 
-    #[test]
-    fn concurrent_producers_and_thieves_lose_nothing() {
-        let inj = Arc::new(Injector::new());
-        let total = 4000u64;
-        let producer = {
-            let inj = Arc::clone(&inj);
-            std::thread::spawn(move || {
-                for i in 0..total {
-                    inj.push(i);
-                }
-            })
+    /// Three thieves race the pushes through every steal path, the
+    /// injector's and the owner deque's, one item and batches; every
+    /// item is consumed exactly once. With `owner_deque` the owner puts
+    /// every other item on its LIFO deque and pops between pushes;
+    /// without it, everything goes through the injector.
+    fn each_item_consumed_once(owner_deque: bool) {
+        const ITEMS: usize = 20_000;
+        let seen: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..ITEMS).map(|_| AtomicUsize::new(0)).collect());
+        let consumed = Arc::new(AtomicUsize::new(0));
+        let take = {
+            let (seen, consumed) = (Arc::clone(&seen), Arc::clone(&consumed));
+            move |i: usize| {
+                seen[i].fetch_add(1, SeqCst);
+                consumed.fetch_add(1, SeqCst);
+            }
         };
-        let mut sums = Vec::new();
+        let injector = Arc::new(Injector::new());
+        let owner = Worker::new_lifo();
         let thieves: Vec<_> = (0..3)
             .map(|_| {
-                let inj = Arc::clone(&inj);
+                let (injector, stealer) = (Arc::clone(&injector), owner.stealer());
+                let (consumed, take) = (Arc::clone(&consumed), take.clone());
                 std::thread::spawn(move || {
                     let local = Worker::new_lifo();
-                    let mut sum = 0u64;
-                    let mut dry = 0;
-                    while dry < 200 {
-                        match inj.steal_batch_and_pop(&local) {
-                            Steal::Success(v) => {
-                                dry = 0;
-                                sum += v;
-                                while let Some(v) = local.pop() {
-                                    sum += v;
-                                }
-                            }
-                            Steal::Retry => {}
-                            Steal::Empty => {
-                                dry += 1;
-                                std::thread::yield_now();
+                    while consumed.load(SeqCst) < ITEMS {
+                        let mut progress = false;
+                        for got in [
+                            injector.steal_batch_and_pop(&local),
+                            injector.steal(),
+                            stealer.steal_batch_and_pop(&local),
+                            stealer.steal(),
+                        ] {
+                            if let Steal::Success(i) = got {
+                                take(i);
+                                progress = true;
                             }
                         }
+                        while let Some(i) = local.pop() {
+                            take(i);
+                            progress = true;
+                        }
+                        if !progress {
+                            std::thread::yield_now();
+                        }
                     }
-                    sum
                 })
             })
             .collect();
-        producer.join().unwrap();
-        for t in thieves {
-            sums.push(t.join().unwrap());
+        for i in 0..ITEMS {
+            if owner_deque && i % 2 == 0 {
+                owner.push(i);
+            } else {
+                injector.push(i);
+            }
+            if owner_deque && i % 3 == 0 {
+                if let Some(j) = owner.pop() {
+                    take(j);
+                }
+            }
         }
-        assert_eq!(sums.iter().sum::<u64>(), total * (total - 1) / 2);
+        while consumed.load(SeqCst) < ITEMS {
+            match owner.pop() {
+                Some(j) => take(j),
+                None => std::thread::yield_now(),
+            }
+        }
+        for t in thieves {
+            t.join().unwrap();
+        }
+        for (i, n) in seen.iter().enumerate() {
+            let n = n.load(SeqCst);
+            assert_eq!(
+                n, 1,
+                "item {i} consumed {n} times (owner deque: {owner_deque})"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_producers_and_thieves_lose_nothing() {
+        for owner_deque in [false, true] {
+            each_item_consumed_once(owner_deque);
+        }
     }
 }
