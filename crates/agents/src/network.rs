@@ -253,7 +253,10 @@ impl AgentNetwork {
     /// agent to orchestrate `app` itself — a fog device deploying and
     /// coordinating an application over its peers (fog-to-fog), or a
     /// cloud agent using fog devices as workers. Blocks until the
-    /// application finishes.
+    /// application finishes, or at most `deadline`. The start queues
+    /// behind whatever the agent is executing; one that gives up at its
+    /// deadline still runs when the agent gets to it, and its report
+    /// is dropped.
     ///
     /// # Errors
     ///
@@ -261,14 +264,18 @@ impl AgentNetwork {
     ///   its thread is gone;
     /// * [`AgentError::NoAgentAvailable`] if the orchestrating agent is
     ///   dead;
+    /// * [`AgentError::DeadlineExceeded`] (op `"start_application"`,
+    ///   one attempt) if the application did not finish within
+    ///   `deadline`;
     /// * any orchestration error the application run produces.
     pub fn start_application(
         &self,
         on: AgentId,
         app: Application,
         policy: Box<dyn OffloadPolicy>,
+        deadline: Duration,
     ) -> Result<AppReport, AgentError> {
-        self.start_application_traced(on, app, policy, None)
+        self.start_application_traced(on, app, policy, None, deadline)
     }
 
     /// [`AgentNetwork::start_application`] with an inbound span
@@ -286,6 +293,7 @@ impl AgentNetwork {
         app: Application,
         policy: Box<dyn OffloadPolicy>,
         ctx: Option<continuum_telemetry::SpanContext>,
+        deadline: Duration,
     ) -> Result<AppReport, AgentError> {
         let (tx, rx) = oneshot::channel();
         self.sender_of(on)?
@@ -296,8 +304,14 @@ impl AgentNetwork {
                 reply: tx,
             })
             .map_err(|_| AgentError::UnknownAgent(on.to_string()))?;
-        rx.wait()
-            .ok_or_else(|| AgentError::UnknownAgent(on.to_string()))?
+        match rx.wait_timeout(deadline) {
+            Ok(Some(result)) => result,
+            Ok(None) => Err(AgentError::UnknownAgent(on.to_string())),
+            Err(_) => Err(AgentError::DeadlineExceeded {
+                op: "start_application".to_string(),
+                attempts: 1,
+            }),
+        }
     }
 
     pub(crate) fn sender_of(&self, id: AgentId) -> Result<Sender<crate::agent::Msg>, AgentError> {

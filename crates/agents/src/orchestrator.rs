@@ -792,6 +792,7 @@ mod tests {
                 fog0,
                 pipeline(),
                 Box::new(ContinuumScheduler::new(ContinuumPolicy::FogOnly)),
+                Duration::from_secs(30),
             )
             .unwrap();
         assert_eq!(report.completed, 3);
@@ -805,13 +806,13 @@ mod tests {
     fn dead_agent_refuses_start_application() {
         let net = network(1, 1);
         net.kill(AgentId(0)).unwrap();
-        let err = net
-            .start_application(AgentId(0), pipeline(), Box::new(RoundRobinOffload::new()))
-            .unwrap_err();
+        let start = |on| {
+            let policy = Box::new(RoundRobinOffload::new());
+            net.start_application(on, pipeline(), policy, Duration::from_secs(30))
+        };
+        let err = start(AgentId(0)).unwrap_err();
         assert!(matches!(err, AgentError::NoAgentAvailable { .. }), "{err}");
-        assert!(net
-            .start_application(AgentId(9), pipeline(), Box::new(RoundRobinOffload::new()))
-            .is_err());
+        assert!(start(AgentId(9)).is_err());
     }
 
     /// A policy that panics kills the agent's orchestration thread
@@ -833,7 +834,12 @@ mod tests {
         let caller = {
             let net = Arc::clone(&net);
             std::thread::spawn(move || {
-                let result = net.start_application(AgentId(0), pipeline(), Box::new(Panics));
+                let result = net.start_application(
+                    AgentId(0),
+                    pipeline(),
+                    Box::new(Panics),
+                    Duration::from_secs(30),
+                );
                 done_tx.send(result).unwrap();
             })
         };

@@ -2,10 +2,10 @@
 //! wait, never a hang. The orchestrator retries a timed-out task
 //! elsewhere and ends a run whose every attempt timed out in a typed
 //! error; an async caller bounds its `execute_async` with
-//! `TaskContext::timeout`; a probe of a busy agent gives up at its
-//! deadline. Each scenario runs on a thread of its own
-//! and the test thread holds a watchdog on it, so a regression fails
-//! the test instead of stalling the suite.
+//! `TaskContext::timeout`; a probe or an application start on a busy
+//! agent gives up at its deadline. Each scenario runs on a thread of
+//! its own and the test thread holds a watchdog on it, so a regression
+//! fails the test instead of stalling the suite.
 
 use bytes::Bytes;
 use continuum_agents::{
@@ -201,4 +201,49 @@ fn a_probe_of_a_wedged_agent_ends_in_deadline_exceeded() {
     );
     let info = after.expect("the agent answers once the gate opens");
     assert_eq!(info.executed, 1, "the wedged execution finished first");
+}
+
+#[test]
+fn a_start_application_on_a_wedged_agent_ends_in_deadline_exceeded() {
+    let (timed_out, elapsed, after) = watched(|| {
+        let ops = OpRegistry::new();
+        let first = AtomicBool::new(true);
+        let release = gated(&ops, "wedge", move || first.swap(false, Ordering::SeqCst));
+        let net = network(ops);
+        let fog = net.infos()[0].id;
+        // The agent sits in the first execution: the start queues
+        // behind it in the inbox.
+        let _pending = net
+            .execute_async(fog, &AppTask::new("wedge", vec![], ObjectKey::new("out")))
+            .expect("agent inbox open");
+        let app = Application::new("late").task(AppTask::new("wedge", vec![], "late-out"));
+        let start = Instant::now();
+        let timed_out = net.start_application(
+            fog,
+            app,
+            Box::new(RoundRobinOffload::new()),
+            Duration::from_millis(100),
+        );
+        let elapsed = start.elapsed();
+        // Open the gate: the agent runs the queued start, whose report
+        // goes to the dropped receiver, and keeps answering.
+        release.send(()).unwrap();
+        while !net.store().contains(&"late-out".into()) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let after = net.probe(fog, WATCHDOG);
+        (timed_out, elapsed, after)
+    });
+    assert!(
+        matches!(
+            &timed_out,
+            Err(AgentError::DeadlineExceeded { op, attempts: 1 }) if op == "start_application"
+        ),
+        "{timed_out:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "the deadline fired late: {elapsed:?}"
+    );
+    after.expect("the agent answers after the late start ran");
 }

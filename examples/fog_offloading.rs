@@ -142,6 +142,7 @@ fn main() {
             fog_ids[2],
             app(4),
             Box::new(ContinuumScheduler::new(ContinuumPolicy::FogOnly)),
+            std::time::Duration::from_secs(60),
         )
         .expect("fog-orchestrated application completes");
     println!(

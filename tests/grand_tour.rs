@@ -12,6 +12,7 @@ use continuum::sim::FaultPlan;
 use continuum::storage::{KvConfig, KvStore};
 use continuum::workflows::{parse_wdl, to_wdl};
 use std::sync::Arc;
+use std::time::Duration;
 
 const CAMPAIGN: &str = "
 data observations size=500M home=0
@@ -97,6 +98,7 @@ fn agents_and_dislib_share_the_same_ecosystem() {
             net.infos()[1].id,
             Application::new("acquire").task(AppTask::new("sample", vec![], "points")),
             Box::new(RoundRobinOffload::new()),
+            Duration::from_secs(60),
         )
         .expect("acquisition completes");
     assert_eq!(report.completed, 1);
