@@ -143,6 +143,10 @@ impl Agent {
         let thread_alive = Arc::clone(&alive);
         let thread_executed = Arc::clone(&executed);
         let thread_name = name.clone();
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: spawning fails only when the OS refuses a thread. An agent is its thread, so without one there is no agent to return; `std::thread::spawn` panics alike."
+        )]
         let handle = thread::Builder::new()
             .name(format!("agent-{id}"))
             .spawn(move || {
@@ -159,9 +163,6 @@ impl Agent {
                     &telemetry,
                 );
             })
-            // INVARIANT: spawning fails only when the OS refuses a
-            // thread. An agent is its thread, so without one there is
-            // no agent to return; `std::thread::spawn` panics alike.
             .expect("spawn agent thread");
         Agent {
             id,
@@ -299,7 +300,10 @@ fn agent_loop(
                 }
                 let network = network.clone();
                 let telemetry = telemetry.clone();
-                thread::Builder::new()
+                // Spawning fails only when the OS refuses a thread. The
+                // refused closure drops `reply`, so the caller's wait
+                // resolves to `None`, and this agent serves on.
+                let _ = thread::Builder::new()
                     .name(format!("agent-{id}-orchestrator"))
                     .spawn(move || {
                         let result = match network.upgrade() {
@@ -321,12 +325,7 @@ fn agent_loop(
                             }),
                         };
                         let _ = reply.send(result);
-                    })
-                    // INVARIANT: spawning fails only when the OS
-                    // refuses a thread. The panic ends this agent's
-                    // loop, which drops every reply cell it holds, so
-                    // each caller's wait resolves to `None`.
-                    .expect("spawn orchestration thread");
+                    });
             }
             Msg::Probe { reply } => {
                 let _ = reply.send(AgentInfo {

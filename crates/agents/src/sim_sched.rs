@@ -139,10 +139,9 @@ impl Scheduler for ContinuumScheduler {
                 .filter(|st| st.is_alive() && st.total_capacity().satisfies(req))
                 .map(|st| {
                     let node = st.id();
-                    // INVARIANT: the view's node states are the
-                    // platform's own nodes, indexed alike, so every id
-                    // is in it.
-                    let pnode = view.platform().node(node).expect("node in platform");
+                    // The view's node states are the platform's own
+                    // nodes, indexed alike.
+                    let pnode = view.platform().node_by_index(node.index());
                     let transfer = if latency_aware {
                         view.estimated_transfer_seconds(task, node)
                     } else {

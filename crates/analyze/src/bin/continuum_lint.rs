@@ -12,6 +12,8 @@
 //! Exit codes: 0 no error-severity findings, 1 usage error, 2
 //! unreadable/unparseable bundle, 3 error-severity findings present.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use continuum_analyze::{has_errors, Diagnostic, Lint, LintBundle, Severity};
 use continuum_telemetry::{render_table, Align};
 

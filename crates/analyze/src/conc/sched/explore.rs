@@ -585,10 +585,10 @@ struct Node {
     sleep: BTreeSet<usize>,
 }
 
-impl Node {
-    fn chosen_op(&self) -> StepOp {
-        self.pending[self.chosen].expect("chosen thread has a pending op")
-    }
+/// The pending op of `thread`, which `enabled` lists.
+#[expect(clippy::expect_used, reason = "INVARIANT: enabled threads have an op")]
+fn op_of(pending: &[Option<StepOp>], thread: usize) -> StepOp {
+    pending[thread].expect("enabled thread has a pending op")
 }
 
 enum RunKind {
@@ -814,7 +814,7 @@ fn run_once(
                         Pruning::Dpor => stack
                             .last()
                             .map(|parent| {
-                                let parent_op = parent.chosen_op();
+                                let parent_op = op_of(&parent.pending, parent.chosen);
                                 parent
                                     .sleep
                                     .iter()
@@ -865,13 +865,13 @@ fn run_once(
                          {enabled:?}"
                     ));
                 }
-                let op = pending[choice].expect("enabled thread has a pending op");
+                let op = op_of(&pending, choice);
                 log.push(format!("{depth:>4}: T{choice} {}", describe(op)));
                 (choice, false)
             }
         };
 
-        let op = pending[choice].expect("enabled thread has a pending op");
+        let op = op_of(&pending, choice);
         if dpor {
             if let Driver::Explore(stack, _) = &mut driver {
                 model.dpor_step(choice, op, stack);

@@ -65,6 +65,10 @@ impl DatumIndex {
         };
         // Counting sort by slot: sizes, offsets, then placement.
         for (vd, _) in produced {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the slots are sized by, or the compacted ids are, exactly the data `produced` and `consumed` mention"
+            )]
             let slot = index
                 .slot(vd.data)
                 .expect("every mentioned datum has a slot");
@@ -81,6 +85,10 @@ impl DatumIndex {
         index.entries = vec![filler; produced.len()];
         let mut cursor = index.start.clone();
         for &(vd, task) in produced {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: as in the counting pass above"
+            )]
             let slot = index
                 .slot(vd.data)
                 .expect("every mentioned datum has a slot");

@@ -304,6 +304,7 @@ impl<'a> LintView<'a> {
                         path.push((s, 0));
                     }
                     Some(GRAY) => {
+                        #[expect(clippy::expect_used, reason = "INVARIANT: gray tasks are on path")]
                         let start = path
                             .iter()
                             .position(|&(t, _)| t == s)
@@ -471,6 +472,7 @@ impl<'a> LintView<'a> {
                     Some(Color::Grey) => {
                         // Cycle: from `succ`'s position in the path
                         // through `task`, closed by edge `via`.
+                        #[expect(clippy::expect_used, reason = "INVARIANT: grey tasks are on path")]
                         let start = path
                             .iter()
                             .position(|&(t, _)| t == succ)
@@ -483,9 +485,8 @@ impl<'a> LintView<'a> {
                             cycle_tasks.push(t);
                             witness.push_str(&self.stream_edge_witness(t, d));
                         }
-                        let (last, _) = *path.last().expect("non-empty path");
-                        cycle_tasks.push(last);
-                        witness.push_str(&self.stream_edge_witness(last, via));
+                        cycle_tasks.push(task);
+                        witness.push_str(&self.stream_edge_witness(task, via));
                         witness.push_str(&format!("{succ} '{}'", self.task_name(succ)));
                         report.push(
                             Diagnostic::new(
@@ -866,13 +867,12 @@ pub fn check_task_constraints(
     if satisfying >= req.required_nodes() {
         return None;
     }
-    let mut d = if nodes.is_empty() {
-        Diagnostic::new(
-            Lint::UnsatisfiableConstraints,
-            format!("task '{task_name}' cannot run: the platform has no nodes"),
-        )
-        .with_suggestion("add nodes to the platform")
-    } else if req.is_multi_node() && satisfying > 0 {
+    // Nearest miss: the node failing the fewest dimensions.
+    let nearest = nodes
+        .iter()
+        .map(|n| (n, unmet_dimensions(&n.capacity, req)))
+        .min_by_key(|(_, m)| m.len());
+    let mut d = if req.is_multi_node() && satisfying > 0 {
         Diagnostic::new(
             Lint::UnsatisfiableConstraints,
             format!(
@@ -886,13 +886,7 @@ pub fn check_task_constraints(
             "add satisfying nodes or lower the node count below {}",
             req.required_nodes().saturating_add(1)
         ))
-    } else {
-        // Nearest miss: the node failing the fewest dimensions.
-        let (best, misses) = nodes
-            .iter()
-            .map(|n| (n, unmet_dimensions(&n.capacity, req)))
-            .min_by_key(|(_, m)| m.len())
-            .expect("nodes is non-empty");
+    } else if let Some((best, misses)) = nearest {
         let mut diag = Diagnostic::new(
             Lint::UnsatisfiableConstraints,
             format!(
@@ -915,6 +909,12 @@ pub fn check_task_constraints(
             diag = diag.with_witness(format!("'{}': {m}", best.name));
         }
         diag
+    } else {
+        Diagnostic::new(
+            Lint::UnsatisfiableConstraints,
+            format!("task '{task_name}' cannot run: the platform has no nodes"),
+        )
+        .with_suggestion("add nodes to the platform")
     };
     d = d.with_task(task);
     Some(d)

@@ -14,6 +14,8 @@
 //! the e1 campaign as Chrome `trace_event` JSON with virtual
 //! timestamps (open in `chrome://tracing` or Perfetto).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use continuum_bench::{e01_scalability, fixtures, run_experiment, Scale, ALL_EXPERIMENTS};
 
 /// The value following `flag` on the command line.
@@ -62,10 +64,11 @@ fn main() {
     let mut unknown = Vec::new();
     for id in ids {
         match run_experiment(id, scale) {
-            Some(table) => {
+            Some(Ok(table)) => {
                 println!("{table}");
                 tables.push(table);
             }
+            Some(Err(err)) => die(&format!("{id} failed: {err}")),
             None => unknown.push(id.to_string()),
         }
     }
@@ -84,7 +87,10 @@ fn main() {
         println!("wrote {} experiment result(s) to {path}", tables.len());
     }
     if let Some(path) = trace_path {
-        write_or_die(&path, &e01_scalability::chrome_trace(scale));
+        match e01_scalability::chrome_trace(scale) {
+            Ok(trace) => write_or_die(&path, &trace),
+            Err(err) => die(&format!("e1 trace failed: {err}")),
+        }
         println!("wrote e1 Chrome trace to {path}");
     }
     if let Some(dir) = lint_dir {
@@ -104,16 +110,15 @@ fn main() {
 /// ready for `continuum-lint check`.
 fn dump_lint_bundles(dir: &str, tables: &[continuum_bench::ExperimentTable]) {
     if let Err(err) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {dir}: {err}");
-        std::process::exit(1);
+        die(&format!("cannot create {dir}: {err}"));
     }
     let mut written = 0usize;
     for id in tables.iter().map(|t| t.id.as_str()) {
         let Some(bundle) = fixtures::lint_fixture(id) else {
             continue;
         };
-        let number: u32 = id[1..].parse().expect("experiment ids are eNN");
-        let path = format!("{dir}/e{number:02}.lint.json");
+        // Ids are `e` and a number; the file name pads it to two digits.
+        let path = format!("{dir}/e{:0>2}.lint.json", &id[1..]);
         write_or_die(&path, &serde::to_string(&bundle));
         written += 1;
     }
@@ -122,7 +127,11 @@ fn dump_lint_bundles(dir: &str, tables: &[continuum_bench::ExperimentTable]) {
 
 fn write_or_die(path: &str, contents: &str) {
     if let Err(err) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {err}");
-        std::process::exit(1);
+        die(&format!("cannot write {path}: {err}"));
     }
+}
+
+fn die(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
 }

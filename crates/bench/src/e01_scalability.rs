@@ -2,7 +2,7 @@
 //! executed with up to 100 nodes of the Marenostrum supercomputer
 //! (4800 cores), showing good scalability."
 
-use crate::table::{fmt_s, fmt_x, ExperimentTable, Scale};
+use crate::table::{fmt_s, fmt_x, ExperimentError, ExperimentTable, Scale};
 use continuum_platform::{NodeSpec, PlatformBuilder};
 use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
@@ -12,7 +12,7 @@ use continuum_workflows::GwasWorkload;
 const LAZY_WINDOW: usize = 256;
 
 /// Runs the node-count sweep and returns the speedup table.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let (chroms, chunks, node_counts): (usize, usize, Vec<usize>) = scale.pick(
         (4, 8, vec![1, 2, 4, 8]),
         (22, 48, vec![1, 2, 4, 8, 16, 32, 64, 100]),
@@ -47,16 +47,12 @@ pub fn run(scale: Scale) -> ExperimentTable {
             .cluster("mn4", n, NodeSpec::hpc(48, 96_000))
             .build();
         let runtime = SimRuntime::new(platform, SimOptions::default());
-        let report = runtime
-            .run(&workload, &mut LocalityScheduler::new(), &FaultPlan::new())
-            .expect("gwas campaign completes");
-        let lazy = runtime
-            .run_lazy(
-                &mut campaign.clone().into_source(LAZY_WINDOW),
-                &mut LocalityScheduler::new(),
-                &FaultPlan::new(),
-            )
-            .expect("lazy gwas campaign completes");
+        let report = runtime.run(&workload, &mut LocalityScheduler::new(), &FaultPlan::new())?;
+        let lazy = runtime.run_lazy(
+            &mut campaign.clone().into_source(LAZY_WINDOW),
+            &mut LocalityScheduler::new(),
+            &FaultPlan::new(),
+        )?;
         let base = *baseline.get_or_insert(report.makespan_s);
         let speedup = base / report.makespan_s;
         table.row([
@@ -77,14 +73,14 @@ pub fn run(scale: Scale) -> ExperimentTable {
          (inherent parallelism {:.0}); scaling follows the workload's width, as the paper claims",
         stats.average_parallelism
     ));
-    table
+    Ok(table)
 }
 
 /// Runs the largest configuration of the sweep once with a telemetry
 /// collector attached and returns the run as Chrome `trace_event`
 /// JSON. Timestamps are *virtual* microseconds from the simulated
 /// clock, so the trace is byte-identical across runs.
-pub fn chrome_trace(scale: Scale) -> String {
+pub fn chrome_trace(scale: Scale) -> Result<String, ExperimentError> {
     let (chroms, chunks, nodes): (usize, usize, usize) = scale.pick((4, 8, 8), (22, 48, 100));
     let workload = GwasWorkload::new()
         .chromosomes(chroms)
@@ -99,10 +95,12 @@ pub fn chrome_trace(scale: Scale) -> String {
         telemetry,
         ..SimOptions::default()
     };
-    SimRuntime::new(platform, options)
-        .run(&workload, &mut LocalityScheduler::new(), &FaultPlan::new())
-        .expect("gwas campaign completes");
-    continuum_telemetry::chrome_trace(&buffer.events())
+    SimRuntime::new(platform, options).run(
+        &workload,
+        &mut LocalityScheduler::new(),
+        &FaultPlan::new(),
+    )?;
+    Ok(continuum_telemetry::chrome_trace(&buffer.events()))
 }
 
 #[cfg(test)]
@@ -111,7 +109,7 @@ mod tests {
 
     #[test]
     fn scaling_is_monotonic_and_meaningful() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         assert_eq!(t.rows.len(), 4);
         // Makespans decrease with node count.
         for w in t.rows.windows(2) {
@@ -134,8 +132,8 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_and_virtual_time_deterministic() {
-        let a = chrome_trace(Scale::Quick);
-        let b = chrome_trace(Scale::Quick);
+        let a = chrome_trace(Scale::Quick).unwrap();
+        let b = chrome_trace(Scale::Quick).unwrap();
         assert_eq!(a, b, "virtual clock makes traces byte-identical");
         let value = serde::json::parse(&a).expect("valid JSON");
         let events = value.as_arr().expect("trace_event array format");

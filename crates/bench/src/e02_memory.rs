@@ -3,7 +3,7 @@
 //! execution of the tasks inherent to the COMPSs programming model has
 //! enabled to reduce the execution time by 50%."
 
-use crate::table::{fmt_pct, fmt_s, ExperimentTable, Scale};
+use crate::table::{fmt_pct, fmt_s, ExperimentError, ExperimentTable, Scale};
 use continuum_platform::{NodeSpec, PlatformBuilder};
 use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
@@ -22,7 +22,7 @@ fn gwas(scale: Scale, worst_case: bool) -> continuum_runtime::SimWorkload {
         .build()
 }
 
-fn run_config(scale: Scale, worst_case: bool, barriers: bool) -> f64 {
+fn run_config(scale: Scale, worst_case: bool, barriers: bool) -> Result<f64, ExperimentError> {
     let nodes = scale.pick(4, 16);
     let platform = PlatformBuilder::new()
         .cluster("mn4", nodes, NodeSpec::hpc(48, 96_000))
@@ -31,27 +31,25 @@ fn run_config(scale: Scale, worst_case: bool, barriers: bool) -> f64 {
         barrier_levels: barriers,
         ..SimOptions::default()
     };
-    SimRuntime::new(platform, opts)
-        .run(
-            &gwas(scale, worst_case),
-            &mut LocalityScheduler::new(),
-            &FaultPlan::new(),
-        )
-        .expect("gwas completes")
-        .makespan_s
+    let report = SimRuntime::new(platform, opts).run(
+        &gwas(scale, worst_case),
+        &mut LocalityScheduler::new(),
+        &FaultPlan::new(),
+    )?;
+    Ok(report.makespan_s)
 }
 
 /// Runs the three-way ablation (static sizing + barriers → static
 /// sizing + dataflow → per-task constraints + dataflow).
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let mut table = ExperimentTable::new(
         "e2",
         "per-task memory constraints + async dataflow cut GWAS runtime ~50% (§VI-A)",
         &["configuration", "makespan_s", "reduction_vs_baseline"],
     );
-    let baseline = run_config(scale, true, true);
-    let dataflow_only = run_config(scale, true, false);
-    let full = run_config(scale, false, false);
+    let baseline = run_config(scale, true, true)?;
+    let dataflow_only = run_config(scale, true, false)?;
+    let full = run_config(scale, false, false)?;
     for (name, makespan) in [
         (
             "worst-case memory + stage barriers (static baseline)",
@@ -73,7 +71,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
         "combined reduction {} (paper reports ~50%); both ingredients contribute",
         fmt_pct(1.0 - full / baseline)
     ));
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -82,7 +80,7 @@ mod tests {
 
     #[test]
     fn constraints_plus_dataflow_halve_runtime() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let baseline: f64 = t.rows[0][1].parse().unwrap();
         let dataflow: f64 = t.rows[1][1].parse().unwrap();
         let full: f64 = t.rows[2][1].parse().unwrap();

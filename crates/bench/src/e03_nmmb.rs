@@ -4,7 +4,7 @@
 //! scripts", in a workflow that mixes scripts with a multi-node MPI
 //! simulation.
 
-use crate::table::{fmt_s, fmt_x, ExperimentTable, Scale};
+use crate::table::{fmt_s, fmt_x, ExperimentError, ExperimentTable, Scale};
 use continuum_platform::{NodeSpec, PlatformBuilder};
 use continuum_runtime::{FifoScheduler, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
@@ -23,7 +23,7 @@ fn forecast(scale: Scale, parallel_init: bool) -> continuum_runtime::SimWorkload
 }
 
 /// Runs sequential-init vs parallel-init forecasts.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let platform = PlatformBuilder::new()
         .cluster("mn4", 6, NodeSpec::hpc(48, 96_000))
         .build();
@@ -37,13 +37,11 @@ pub fn run(scale: Scale) -> ExperimentTable {
         ("original driver (sequential init scripts)", false),
         ("PyCOMPSs port (parallel init scripts)", true),
     ] {
-        let report = SimRuntime::new(platform.clone(), SimOptions::default())
-            .run(
-                &forecast(scale, parallel),
-                &mut FifoScheduler::new(),
-                &FaultPlan::new(),
-            )
-            .expect("forecast completes");
+        let report = SimRuntime::new(platform.clone(), SimOptions::default()).run(
+            &forecast(scale, parallel),
+            &mut FifoScheduler::new(),
+            &FaultPlan::new(),
+        )?;
         results.push((name, report.makespan_s));
     }
     let base = results[0].1;
@@ -55,7 +53,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          (MPI step dominates the rest, as in the paper)",
         base / results[1].1
     ));
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -64,7 +62,7 @@ mod tests {
 
     #[test]
     fn parallel_init_is_faster_by_the_script_chain() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let seq: f64 = t.rows[0][1].parse().unwrap();
         let par: f64 = t.rows[1][1].parse().unwrap();
         assert!(par < seq, "parallel init must win");

@@ -2,7 +2,7 @@
 //! will enable the runtime to exploit the locality of the data by
 //! scheduling tasks in the location where the data resides."
 
-use crate::table::{fmt_pct, fmt_s, ExperimentTable, Scale};
+use crate::table::{fmt_pct, fmt_s, ExperimentError, ExperimentTable, Scale};
 use continuum_dag::TaskSpec;
 use continuum_platform::{NodeSpec, PlatformBuilder};
 use continuum_runtime::{
@@ -14,35 +14,35 @@ use continuum_storage::{KvConfig, KvStore, StorageRuntime, StoredValue};
 /// Builds a map-reduce workload whose inputs are partitions of a
 /// replicated KV store (Hecuba-style): partition homes come from the
 /// store's `locations` — the real SRI call.
-fn partitioned_workload(store: &KvStore, partitions: usize, bytes: u64) -> (SimWorkload, usize) {
+fn partitioned_workload(
+    store: &KvStore,
+    partitions: usize,
+    bytes: u64,
+) -> Result<(SimWorkload, usize), ExperimentError> {
     let mut w = SimWorkload::new();
     let mut outs = Vec::with_capacity(partitions);
     for i in 0..partitions {
         let key: continuum_storage::ObjectKey = format!("table:part{i}").into();
-        store
-            .put(key.clone(), StoredValue::blob(vec![0u8; 64]), None)
-            .expect("store put");
-        let home = store.locations(&key).expect("stored")[0];
+        store.put(key.clone(), StoredValue::blob(vec![0u8; 64]), None)?;
+        let home = store.locations(&key)?[0];
         let part = w.initial_data(format!("part{i}"), bytes, Some(home));
         let out = w.data(format!("mapped{i}"));
         w.task(
             TaskSpec::new("map").input(part).output(out),
             TaskProfile::new(5.0).outputs_bytes(bytes / 100),
-        )
-        .expect("valid task");
+        )?;
         outs.push(out);
     }
     let result = w.data("result");
     w.task(
         TaskSpec::new("reduce").inputs(outs).output(result),
         TaskProfile::new(10.0),
-    )
-    .expect("valid task");
-    (w, partitions)
+    )?;
+    Ok((w, partitions))
 }
 
 /// Runs locality-aware vs locality-blind scheduling over KV data.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let nodes = scale.pick(4, 16);
     let partitions = scale.pick(32, 256);
     let bytes = 200_000_000u64; // 200 MB per partition
@@ -52,9 +52,8 @@ pub fn run(scale: Scale) -> ExperimentTable {
     let store = KvStore::new(
         platform.nodes().iter().map(|n| n.id()).collect(),
         KvConfig { replication: 2 },
-    )
-    .expect("valid store");
-    let (workload, _) = partitioned_workload(&store, partitions, bytes);
+    )?;
+    let (workload, _) = partitioned_workload(&store, partitions, bytes)?;
 
     let mut table = ExperimentTable::new(
         "e4",
@@ -76,9 +75,11 @@ pub fn run(scale: Scale) -> ExperimentTable {
         ("locality-aware (data gravity)", &mut strict),
     ];
     for (name, sched) in schedulers {
-        let report = SimRuntime::new(platform.clone(), SimOptions::default())
-            .run(&workload, sched, &FaultPlan::new())
-            .expect("map-reduce completes");
+        let report = SimRuntime::new(platform.clone(), SimOptions::default()).run(
+            &workload,
+            sched,
+            &FaultPlan::new(),
+        )?;
         table.row([
             name.to_string(),
             fmt_s(report.makespan_s),
@@ -87,15 +88,15 @@ pub fn run(scale: Scale) -> ExperimentTable {
             fmt_pct(report.locality_rate),
         ]);
     }
-    let blind_gb: f64 = table.rows[0][3].parse().unwrap();
-    let strict_gb: f64 = table.rows[2][3].parse().unwrap();
+    let blind_gb: f64 = table.rows[0][3].parse()?;
+    let strict_gb: f64 = table.rows[2][3].parse()?;
     table.finding(format!(
         "getLocations placement cuts data movement from {blind_gb:.2} GB to {strict_gb:.2} GB \
          ({partitions} × {} MB partitions); strict data gravity trades a little makespan \
          for near-zero network pressure",
         bytes / 1_000_000
     ));
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -104,7 +105,7 @@ mod tests {
 
     #[test]
     fn locality_slashes_transfers_and_makespan() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let blind_makespan: f64 = t.rows[0][1].parse().unwrap();
         let aware_makespan: f64 = t.rows[1][1].parse().unwrap();
         let strict_makespan: f64 = t.rows[2][1].parse().unwrap();

@@ -4,7 +4,7 @@
 //! because no longer in the fog area), retrieving the data already
 //! produced by a task and resubmitting it on another node."
 
-use crate::table::{fmt_s, ExperimentTable, Scale};
+use crate::table::{fmt_s, ExperimentError, ExperimentTable, Scale};
 use continuum_agents::{ContinuumPolicy, ContinuumScheduler};
 use continuum_dag::TaskSpec;
 use continuum_platform::{NodeId, NodeSpec, Platform, PlatformBuilder};
@@ -19,7 +19,7 @@ fn fog_platform() -> Platform {
 }
 
 /// Sensor pipelines of 8 stages, 5 MB intermediates.
-fn pipelines(scale: Scale) -> SimWorkload {
+fn pipelines(scale: Scale) -> Result<SimWorkload, ExperimentError> {
     let n = scale.pick(12, 48);
     let mut w = SimWorkload::new();
     for p in 0..n {
@@ -31,22 +31,21 @@ fn pipelines(scale: Scale) -> SimWorkload {
                 spec = spec.input(prev);
             }
             spec = spec.output(out);
-            w.task(spec, TaskProfile::new(10.0).outputs_bytes(5_000_000))
-                .expect("valid pipeline task");
+            w.task(spec, TaskProfile::new(10.0).outputs_bytes(5_000_000))?;
             prev = Some(out);
         }
     }
-    w
+    Ok(w)
 }
 
 /// Runs the churn sweep under the three recovery modes.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let mut table = ExperimentTable::new(
         "e6",
         "persisted outputs let agents recover fog churn by resubmission (§VI-B)",
         &["mtbf_s", "recovery", "makespan_s", "reexecuted"],
     );
-    let workload = pipelines(scale);
+    let workload = pipelines(scale)?;
     let fog_nodes: Vec<NodeId> = (0..6).map(NodeId::from_raw).collect();
     let storage = NodeId::from_raw(6); // the cloud node hosts the store
     let mtbfs = scale.pick(vec![40.0, 150.0], vec![40.0, 80.0, 150.0, 400.0]);
@@ -102,7 +101,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          work and degrades sharply as churn increases"
             .to_string(),
     );
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -111,7 +110,7 @@ mod tests {
 
     #[test]
     fn persistence_beats_restart_under_churn() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         // Cell for cell: the agents run the same placement rule.
         let expected = [
             ["40", "persistence + resubmit (paper)", "103.6", "12"],
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn lineage_replay_sits_between() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let lineage_redo: f64 = t.rows[1][3].parse().unwrap();
         let restart_redo: f64 = t.rows[2][3].parse().unwrap();
         assert!(lineage_redo <= restart_redo);

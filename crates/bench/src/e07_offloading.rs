@@ -3,7 +3,7 @@
 //! bandwidth) on the performance of the entire framework"; the
 //! framework supports fog-to-cloud and cloud-to-fog placement.
 
-use crate::table::{fmt_s, ExperimentTable, Scale};
+use crate::table::{fmt_s, ExperimentError, ExperimentTable, Scale};
 use continuum_agents::{ContinuumPolicy, ContinuumScheduler};
 use continuum_dag::TaskSpec;
 use continuum_platform::{LinkSpec, NodeId, NodeSpec, Platform, PlatformBuilder};
@@ -19,7 +19,7 @@ fn platform(uplink_mbps: f64) -> Platform {
 }
 
 /// Sensor-analysis tasks whose 100 MB inputs are born on fog devices.
-fn sensor_workload(scale: Scale) -> SimWorkload {
+fn sensor_workload(scale: Scale) -> Result<SimWorkload, ExperimentError> {
     let tasks = scale.pick(8, 32);
     let mut w = SimWorkload::new();
     for i in 0..tasks {
@@ -32,20 +32,19 @@ fn sensor_workload(scale: Scale) -> SimWorkload {
         w.task(
             TaskSpec::new("analyze").input(raw).output(out),
             TaskProfile::new(60.0).outputs_bytes(1_000_000),
-        )
-        .expect("valid task");
+        )?;
     }
-    w
+    Ok(w)
 }
 
 /// Sweeps the fog→cloud uplink bandwidth across the three policies.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let mut table = ExperimentTable::new(
         "e7",
         "offloading must weigh network bandwidth: fog vs cloud crossover (§VI-B)",
         &["uplink_mb_s", "policy", "makespan_s", "moved_gb"],
     );
-    let workload = sensor_workload(scale);
+    let workload = sensor_workload(scale)?;
     let bandwidths = scale.pick(vec![0.6, 60.0], vec![0.6, 6.0, 60.0, 600.0]);
     for &bw in &bandwidths {
         for policy in [
@@ -55,9 +54,11 @@ pub fn run(scale: Scale) -> ExperimentTable {
         ] {
             let mut sched = ContinuumScheduler::new(policy);
             let name = Scheduler::name(&sched).to_string();
-            let report = SimRuntime::new(platform(bw), SimOptions::default())
-                .run(&workload, &mut sched, &FaultPlan::new())
-                .expect("offload workload completes");
+            let report = SimRuntime::new(platform(bw), SimOptions::default()).run(
+                &workload,
+                &mut sched,
+                &FaultPlan::new(),
+            )?;
             table.row([
                 format!("{bw}"),
                 name,
@@ -71,7 +72,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          cloud; the latency-aware policy tracks the winner on both sides of the crossover"
             .to_string(),
     );
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -80,7 +81,7 @@ mod tests {
 
     #[test]
     fn crossover_and_adaptive_policy() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         // Cell for cell: the agents run the same placement rule.
         let expected = [
             ["0.6", "fog-only", "60.0", "0.00"],

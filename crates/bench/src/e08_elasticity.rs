@@ -1,7 +1,7 @@
 //! E8 — elasticity (§VI-A): "COMPSs runtime also supports elasticity
 //! in clouds, federated clouds and in SLURM managed clusters."
 
-use crate::table::{fmt_s, ExperimentTable, Scale};
+use crate::table::{fmt_s, ExperimentError, ExperimentTable, Scale};
 use continuum_dag::TaskSpec;
 use continuum_platform::{ElasticityPolicy, NodeSpec, PlatformBuilder};
 use continuum_runtime::{ElasticConfig, FifoScheduler, SimOptions, SimRuntime};
@@ -12,14 +12,13 @@ use continuum_sim::FaultPlan;
 /// wall-clock terms) by a long sequential analysis chain that keeps
 /// only one core busy — the shape where static large allocations burn
 /// idle node-hours.
-fn bursty_workload(scale: Scale) -> SimWorkload {
+fn bursty_workload(scale: Scale) -> Result<SimWorkload, ExperimentError> {
     let burst = scale.pick(64, 512);
     let tail = scale.pick(12, 30);
     let mut w = SimWorkload::new();
     let outs = w.data_batch("burst", burst);
     for o in &outs {
-        w.task(TaskSpec::new("burst").output(*o), TaskProfile::new(60.0))
-            .expect("valid task");
+        w.task(TaskSpec::new("burst").output(*o), TaskProfile::new(60.0))?;
     }
     // Sequential tail: a chain seeded by the first burst output.
     let mut prev = outs[0];
@@ -28,17 +27,16 @@ fn bursty_workload(scale: Scale) -> SimWorkload {
         w.task(
             TaskSpec::new("analysis").input(prev).output(next),
             TaskProfile::new(60.0),
-        )
-        .expect("valid task");
+        )?;
         prev = next;
     }
-    w
+    Ok(w)
 }
 
 /// Runs the phased campaign under fixed-small, fixed-large and elastic
 /// allocations, reporting makespan and node-hours (the cloud bill).
-pub fn run(scale: Scale) -> ExperimentTable {
-    let workload = bursty_workload(scale);
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
+    let workload = bursty_workload(scale)?;
     let mut table = ExperimentTable::new(
         "e8",
         "elastic pools approach big-allocation speed at small-allocation cost (§VI-A)",
@@ -49,9 +47,11 @@ pub fn run(scale: Scale) -> ExperimentTable {
     let small = PlatformBuilder::new()
         .cloud("ec2", 2, NodeSpec::cloud_vm(4, 16_000))
         .build();
-    let r = SimRuntime::new(small, SimOptions::default())
-        .run(&workload, &mut FifoScheduler::new(), &FaultPlan::new())
-        .expect("completes");
+    let r = SimRuntime::new(small, SimOptions::default()).run(
+        &workload,
+        &mut FifoScheduler::new(),
+        &FaultPlan::new(),
+    )?;
     table.row([
         "fixed 2 nodes".into(),
         fmt_s(r.makespan_s),
@@ -62,9 +62,11 @@ pub fn run(scale: Scale) -> ExperimentTable {
     let large = PlatformBuilder::new()
         .cloud("ec2", 16, NodeSpec::cloud_vm(4, 16_000))
         .build();
-    let r = SimRuntime::new(large, SimOptions::default())
-        .run(&workload, &mut FifoScheduler::new(), &FaultPlan::new())
-        .expect("completes");
+    let r = SimRuntime::new(large, SimOptions::default()).run(
+        &workload,
+        &mut FifoScheduler::new(),
+        &FaultPlan::new(),
+    )?;
     table.row([
         "fixed 16 nodes".into(),
         fmt_s(r.makespan_s),
@@ -89,23 +91,25 @@ pub fn run(scale: Scale) -> ExperimentTable {
         }),
         ..SimOptions::default()
     };
-    let r = SimRuntime::new(elastic_platform, opts)
-        .run(&workload, &mut FifoScheduler::new(), &FaultPlan::new())
-        .expect("completes");
+    let r = SimRuntime::new(elastic_platform, opts).run(
+        &workload,
+        &mut FifoScheduler::new(),
+        &FaultPlan::new(),
+    )?;
     table.row([
         "elastic 2..16 nodes".into(),
         fmt_s(r.makespan_s),
         format!("{:.3}", r.node_hours),
     ]);
 
-    let large_hours: f64 = table.rows[1][2].parse().unwrap();
-    let elastic_hours: f64 = table.rows[2][2].parse().unwrap();
+    let large_hours: f64 = table.rows[1][2].parse()?;
+    let elastic_hours: f64 = table.rows[2][2].parse()?;
     table.finding(format!(
         "the pool grows for the burst and shrinks during the sequential tail: \
          {elastic_hours:.2} node-hours vs {large_hours:.2} static — near-large-allocation \
          speed at a fraction of the bill"
     ));
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -114,7 +118,7 @@ mod tests {
 
     #[test]
     fn elastic_balances_speed_and_cost() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let small_makespan: f64 = t.rows[0][1].parse().unwrap();
         let large_makespan: f64 = t.rows[1][1].parse().unwrap();
         let large_hours: f64 = t.rows[1][2].parse().unwrap();

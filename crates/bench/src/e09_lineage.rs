@@ -5,7 +5,7 @@
 //! unconventional strategies to reduce cost of storage and optimize
 //! computing."
 
-use crate::table::{ExperimentTable, Scale};
+use crate::table::{ExperimentError, ExperimentTable, Scale};
 use continuum_runtime::{LineageChain, LineagePolicy, Stage};
 
 fn chain(storage_price: f64) -> LineageChain {
@@ -42,7 +42,7 @@ fn chain(storage_price: f64) -> LineageChain {
 }
 
 /// Sweeps the storage price and evaluates the three policies.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let prices = scale.pick(
         vec![0.01, 1.0, 100.0],
         vec![0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0],
@@ -76,7 +76,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          policy crosses over gradually and never loses to either extreme"
             .to_string(),
     );
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn hybrid_never_loses_and_crossover_exists() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         for row in &t.rows {
             let store: f64 = row[1].parse().unwrap();
             let recompute: f64 = row[2].parse().unwrap();

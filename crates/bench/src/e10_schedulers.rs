@@ -11,7 +11,7 @@
 //! behind stragglers while other nodes idle; dynamic runtimes route
 //! around them.
 
-use crate::table::{fmt_s, fmt_x, ExperimentTable, Scale};
+use crate::table::{fmt_s, fmt_x, ExperimentError, ExperimentTable, Scale};
 use continuum_dag::{TaskId, TaskSpec};
 use continuum_platform::{NodeSpec, Platform, PlatformBuilder};
 use continuum_runtime::{
@@ -32,7 +32,7 @@ fn heterogeneous_platform() -> Platform {
 /// Layered DAG whose *actual* durations include 8× stragglers on 15%
 /// of the tasks; `base` returns the straggler-free estimates a static
 /// planner would work from.
-fn straggler_workload(scale: Scale) -> (SimWorkload, Vec<f64>) {
+fn straggler_workload(scale: Scale) -> Result<(SimWorkload, Vec<f64>), ExperimentError> {
     let (layers, width) = scale.pick((6, 10), (12, 24));
     let mut rng = StdRng::seed_from_u64(31);
     let mut w = SimWorkload::new();
@@ -57,18 +57,17 @@ fn straggler_workload(scale: Scale) -> (SimWorkload, Vec<f64>) {
             let straggles = rng.gen::<f64>() < 0.15;
             let actual = if straggles { estimate * 8.0 } else { estimate };
             base.push(estimate);
-            w.task(spec, TaskProfile::new(actual).outputs_bytes(1_000_000))
-                .expect("valid task");
+            w.task(spec, TaskProfile::new(actual).outputs_bytes(1_000_000))?;
             this.push(out);
         }
         prev = this;
     }
-    (w, base)
+    Ok((w, base))
 }
 
 /// Runs the scheduler shoot-out under straggler-induced variance.
-pub fn run(scale: Scale) -> ExperimentTable {
-    let (workload, estimates) = straggler_workload(scale);
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
+    let (workload, estimates) = straggler_workload(scale)?;
     let platform = heterogeneous_platform();
 
     let mut table = ExperimentTable::new(
@@ -83,32 +82,32 @@ pub fn run(scale: Scale) -> ExperimentTable {
             barrier_levels: barrier,
             ..SimOptions::default()
         };
-        let report = SimRuntime::new(platform.clone(), opts)
-            .run(&workload, sched, &FaultPlan::new())
-            .expect("dag completes");
+        let report =
+            SimRuntime::new(platform.clone(), opts).run(&workload, sched, &FaultPlan::new())?;
         results.push((name.to_string(), report.makespan_s));
+        Ok::<(), ExperimentError>(())
     };
 
     // The static planner sees only the estimates (it cannot know which
     // tasks will straggle at run time).
     let mut heft_blind =
         HeftScheduler::plan(&workload, &platform, |t: TaskId| estimates[t.index()]);
-    run_one("static HEFT (pre-run estimates)", &mut heft_blind, false);
+    run_one("static HEFT (pre-run estimates)", &mut heft_blind, false)?;
     // Oracle bound: a static plan computed from the true durations.
     let mut heft_oracle =
         HeftScheduler::plan(&workload, &platform, |t| workload.profile(t).duration_s());
-    run_one("static HEFT (oracle durations)", &mut heft_oracle, false);
+    run_one("static HEFT (oracle durations)", &mut heft_oracle, false)?;
     run_one(
         "stage barriers + fifo (batch engine)",
         &mut FifoScheduler::new(),
         true,
-    );
-    run_one("dynamic fifo", &mut FifoScheduler::new(), false);
-    run_one("dynamic locality", &mut LocalityScheduler::new(), false);
+    )?;
+    run_one("dynamic fifo", &mut FifoScheduler::new(), false)?;
+    run_one("dynamic locality", &mut LocalityScheduler::new(), false)?;
     // The COMPSs-style intelligent runtime: same pre-run estimates as
     // the static plan, but placement decided live.
     let mut list = ListScheduler::plan(&workload, |t: TaskId| estimates[t.index()]);
-    run_one("dynamic list (COMPSs-style)", &mut list, false);
+    run_one("dynamic list (COMPSs-style)", &mut list, false)?;
 
     let best = results
         .iter()
@@ -122,7 +121,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          and barriers serialise waves; dynamic dataflow routes around both"
             .to_string(),
     );
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn dynamic_beats_blind_static_and_barriers() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let get = |name: &str| -> f64 {
             t.rows
                 .iter()

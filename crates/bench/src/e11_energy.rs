@@ -3,7 +3,7 @@
 //! energy", reducing "the carbon footprint since the energy consumed
 //! by HPC and other infrastructures is not negligible".
 
-use crate::table::{fmt_s, fmt_x, ExperimentTable, Scale};
+use crate::table::{fmt_s, fmt_x, ExperimentError, ExperimentTable, Scale};
 use continuum_platform::{NodeSpec, PlatformBuilder};
 use continuum_runtime::{EnergyScheduler, FifoScheduler, Scheduler, SimOptions, SimRuntime};
 use continuum_sim::FaultPlan;
@@ -11,7 +11,7 @@ use continuum_workflows::patterns;
 
 /// Runs an under-loaded cluster with spreading vs consolidating
 /// schedulers under node-level power management.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     // Parallelism ~8 on a 16-node cluster: plenty of slack for
     // consolidation to exploit.
     let ensembles = scale.pick(4, 16);
@@ -37,9 +37,11 @@ pub fn run(scale: Scale) -> ExperimentTable {
         ("energy-aware consolidation", &mut energy),
     ];
     for (name, sched) in schedulers {
-        let report = SimRuntime::new(platform.clone(), opts.clone())
-            .run(&workload, sched, &FaultPlan::new())
-            .expect("completes");
+        let report = SimRuntime::new(platform.clone(), opts.clone()).run(
+            &workload,
+            sched,
+            &FaultPlan::new(),
+        )?;
         results.push((name, report.makespan_s, report.energy.total_kwh()));
     }
     let base_kwh = results[0].2;
@@ -56,7 +58,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          {:.2}x less energy at equal makespan",
         base_kwh / results[1].2
     ));
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -65,7 +67,7 @@ mod tests {
 
     #[test]
     fn consolidation_saves_energy_without_hurting_makespan() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         let fifo_makespan: f64 = t.rows[0][1].parse().unwrap();
         let fifo_kwh: f64 = t.rows[0][2].parse().unwrap();
         let cons_makespan: f64 = t.rows[1][1].parse().unwrap();

@@ -7,7 +7,7 @@
 //! Unlike E1–E11 this experiment runs on the *real* threaded
 //! `LocalRuntime`, so the reported times are wall-clock.
 
-use crate::table::{fmt_x, ExperimentTable, Scale};
+use crate::table::{fmt_x, ExperimentError, ExperimentTable, Scale};
 use continuum_dag::TaskSpec;
 use continuum_dislib::{DistMatrix, KMeans};
 use continuum_platform::{NodeSpec, PlatformBuilder};
@@ -20,38 +20,35 @@ use std::time::Instant;
 /// The K-means task graph as a cost-modelled workload: `iters`
 /// iterations of `blocks` parallel partials plus one reduction, for
 /// strong-scaling on simulated platforms.
-fn kmeans_dag(iters: usize, blocks: usize, partial_s: f64) -> SimWorkload {
+fn kmeans_dag(iters: usize, blocks: usize, partial_s: f64) -> Result<SimWorkload, ExperimentError> {
     let mut w = SimWorkload::new();
     let mut centroids = w.data("centroids0");
     w.task(
         TaskSpec::new("init").output(centroids),
         TaskProfile::new(0.1),
-    )
-    .expect("valid task");
+    )?;
     for it in 0..iters {
         let parts = w.data_batch(&format!("part{it}_"), blocks);
         for p in &parts {
             w.task(
                 TaskSpec::new("partial").input(centroids).output(*p),
                 TaskProfile::new(partial_s),
-            )
-            .expect("valid task");
+            )?;
         }
         let next = w.data(format!("centroids{}", it + 1));
         w.task(
             TaskSpec::new("reduce").inputs(parts).output(next),
             TaskProfile::new(0.2),
-        )
-        .expect("valid task");
+        )?;
         centroids = next;
     }
-    w
+    Ok(w)
 }
 
 /// Strong-scaling K-means: wall-clock on the threaded runtime (bounded
 /// by the host's physical cores) plus the same task graph on simulated
 /// workers (the paper-scale shape).
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let (samples, dims, k, workers): (usize, usize, usize, Vec<usize>) = scale.pick(
         (20_000, 8, 8, vec![1, 2, 4]),
         (200_000, 16, 16, vec![1, 2, 4, 8]),
@@ -66,17 +63,15 @@ pub fn run(scale: Scale) -> ExperimentTable {
         let rt = LocalRuntime::new(LocalConfig::with_workers(w));
         // 4 blocks per worker keeps the task graph wide enough.
         let block_rows = (samples / (w * 4)).max(1);
-        let data = DistMatrix::random(&rt, samples, dims, block_rows, 42)
-            .expect("generation tasks submit");
+        let data = DistMatrix::random(&rt, samples, dims, block_rows, 42)?;
         // Materialise the data before timing the fit.
-        let _ = data.collect(&rt).expect("generation completes");
+        let _ = data.collect(&rt)?;
         let start = Instant::now();
         let model = KMeans::new(k)
             .max_iter(10)
             .tol(0.0) // fixed iteration count for fair timing
             .seed(7)
-            .fit(&rt, &data)
-            .expect("kmeans fits");
+            .fit(&rt, &data)?;
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(model.centroids.rows(), k);
         let base = *base_ms.get_or_insert(elapsed_ms);
@@ -89,16 +84,18 @@ pub fn run(scale: Scale) -> ExperimentTable {
     }
     // Simulated strong scaling of the same task-graph shape.
     let blocks = scale.pick(32, 64);
-    let dag = kmeans_dag(10, blocks, 1.0);
+    let dag = kmeans_dag(10, blocks, 1.0)?;
     let sim_workers = scale.pick(vec![1usize, 2, 4, 8], vec![1, 2, 4, 8, 16, 32]);
     let mut sim_base = None;
     for &n in &sim_workers {
         let platform = PlatformBuilder::new()
             .cluster("c", n, NodeSpec::hpc(1, 8_000))
             .build();
-        let report = SimRuntime::new(platform, SimOptions::default())
-            .run(&dag, &mut FifoScheduler::new(), &FaultPlan::new())
-            .expect("kmeans dag completes");
+        let report = SimRuntime::new(platform, SimOptions::default()).run(
+            &dag,
+            &mut FifoScheduler::new(),
+            &FaultPlan::new(),
+        )?;
         let base = *sim_base.get_or_insert(report.makespan_s);
         table.row([
             "simulated".into(),
@@ -113,7 +110,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          {host} physical core(s) of this host, while the simulated sweep shows the \
          inherent near-linear strong scaling of the block-partial structure"
     ));
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -122,7 +119,7 @@ mod tests {
 
     #[test]
     fn kmeans_scales_with_workers() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         assert_eq!(t.rows.len(), 3 + 4);
         // Wall-clock on shared (possibly single-core) CI boxes is
         // noisy; require only that 4 threads are not much slower. A

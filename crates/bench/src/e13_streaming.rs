@@ -11,7 +11,7 @@
 //! below the service capacity the pipeline saturates and latency grows
 //! with every batch; above it latency is flat (interactive).
 
-use crate::table::{ExperimentTable, Scale};
+use crate::table::{ExperimentError, ExperimentTable, Scale};
 use continuum_agents::{ContinuumPolicy, ContinuumScheduler};
 use continuum_platform::{LinkSpec, NodeSpec, Platform, PlatformBuilder};
 use continuum_runtime::{SimOptions, SimRuntime};
@@ -62,7 +62,7 @@ fn batch_latencies(trace: &ExecutionTrace, batches: usize, stages: usize) -> Vec
 }
 
 /// Sweeps the arrival interval and reports latency statistics.
-pub fn run(scale: Scale) -> ExperimentTable {
+pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
     let batches = scale.pick(20, 60);
     // Two processing stages per batch: 20 s + 12 s of reference
     // compute (5 s + 3 s on the 4x cloud cores).
@@ -83,13 +83,15 @@ pub fn run(scale: Scale) -> ExperimentTable {
         let workload =
             patterns::streaming_pipeline(batches, interval, &stage_durations, 20_000_000);
         let mut sched = ContinuumScheduler::new(ContinuumPolicy::LatencyAware);
-        let (_, trace) = SimRuntime::new(platform(), SimOptions::default())
-            .run_traced(&workload, &mut sched, &FaultPlan::new())
-            .expect("stream completes");
+        let (_, trace) = SimRuntime::new(platform(), SimOptions::default()).run_traced(
+            &workload,
+            &mut sched,
+            &FaultPlan::new(),
+        )?;
         let mut lat = batch_latencies(&trace, batches, stages);
         let last = lat[batches - 1];
         let mean = lat.iter().sum::<f64>() / lat.len() as f64;
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        lat.sort_by(f64::total_cmp);
         let p95 = lat[(lat.len() as f64 * 0.95) as usize - 1];
         table.row([
             format!("{interval}"),
@@ -104,7 +106,7 @@ pub fn run(scale: Scale) -> ExperimentTable {
          without bound — the platform must provision the continuum for the stream rate"
             .to_string(),
     );
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -113,7 +115,7 @@ mod tests {
 
     #[test]
     fn latency_saturates_below_capacity_and_is_flat_above() {
-        let t = run(Scale::Quick);
+        let t = run(Scale::Quick).unwrap();
         // Rows: interval 0.5 (over-driven), 2.0, 6.0 (comfortable).
         let overdriven_last = t.cell_f64(0, 3);
         let comfortable_mean = t.cell_f64(2, 1);

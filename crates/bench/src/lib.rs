@@ -17,6 +17,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod alloc;
 pub mod e01_scalability;
@@ -35,12 +36,12 @@ pub mod e13_streaming;
 pub mod fixtures;
 mod table;
 
-pub use table::{ExperimentTable, Scale};
+pub use table::{ExperimentError, ExperimentTable, Scale};
 
-/// Runs one experiment by id (`"e1"` … `"e12"`).
+/// Runs one experiment by id (`"e1"` … `"e13"`).
 ///
 /// Returns `None` for unknown ids.
-pub fn run_experiment(id: &str, scale: Scale) -> Option<ExperimentTable> {
+pub fn run_experiment(id: &str, scale: Scale) -> Option<Result<ExperimentTable, ExperimentError>> {
     let table = match id {
         "e1" => e01_scalability::run(scale),
         "e2" => e02_memory::run(scale),

@@ -22,6 +22,11 @@ impl Scale {
     }
 }
 
+/// Why an experiment could not produce its table: the error of the
+/// layer it drove (a workload that would not build, a run that did not
+/// complete, a store or runtime call that failed).
+pub type ExperimentError = Box<dyn std::error::Error>;
+
 /// One experiment's output: a titled table plus free-form findings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentTable {

@@ -101,13 +101,14 @@ impl DataCatalog {
 
     /// Registers a new logical datum whose name is formatted straight
     /// into the catalog's arena (no temporary `String`).
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: a `String` accepts every write, so only a formatting impl that reports an error of its own could fail here, which `fmt`'s contract rules out"
+    )]
     pub fn new_data_fmt(&mut self, name: fmt::Arguments<'_>) -> DataId {
         self.push_named(|arena| {
             arena
                 .write_fmt(name)
-                // INVARIANT: a `String` accepts every write, so only a
-                // formatting impl that reports an error of its own
-                // could fail here, which `fmt`'s contract rules out.
                 .expect("formatting into a String cannot fail")
         })
     }

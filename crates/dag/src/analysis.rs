@@ -215,11 +215,13 @@ impl<'g> GraphAnalysis<'g> {
                             stack.push((s, 0));
                         }
                         Some(GRAY) => {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "INVARIANT: a node is gray from when it is pushed on `path` until it is popped"
+                            )]
                             let start = path
                                 .iter()
                                 .position(|t| *t == s)
-                                // INVARIANT: a node is gray from when it
-                                // is pushed on `path` until it is popped.
                                 .expect("gray nodes are on the path");
                             return Some(path[start..].to_vec());
                         }

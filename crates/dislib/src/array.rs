@@ -281,6 +281,10 @@ impl DistMatrix {
 /// result, because floating-point addition does not reassociate; the
 /// pinned K-means model bits are those of block order.
 pub(crate) fn sum(parts: &mut dyn Iterator<Item = &Matrix>) -> Matrix {
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: the constructors reject an empty matrix, so a distributed matrix has a block"
+    )]
     let mut acc = parts
         .next()
         .expect("a distributed matrix has a block")

@@ -75,6 +75,10 @@ impl LinearRegression {
             ["linreg_partial", "linreg_reduce"],
             format_args!("lr"),
             move |_, bx, by| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: `fit` passes `y` as the paired matrix, so every block comes with its `y` block"
+                )]
                 let by = by.expect("paired with y");
                 let xa = augment_ones(bx);
                 let xat = xa.transpose();

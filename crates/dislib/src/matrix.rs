@@ -246,15 +246,13 @@ impl Matrix {
         let mut a = self.data.clone();
         let mut rhs = b.data.clone();
         for col in 0..n {
-            // Partial pivot.
-            let pivot = (col..n)
-                .max_by(|x, y| {
-                    a[x * n + col]
-                        .abs()
-                        .partial_cmp(&a[y * n + col].abs())
-                        .expect("finite")
-                })
-                .expect("non-empty");
+            // Partial pivot: the largest magnitude, the last on ties.
+            let mut pivot = col;
+            for row in col + 1..n {
+                if a[row * n + col].abs() >= a[pivot * n + col].abs() {
+                    pivot = row;
+                }
+            }
             if a[pivot * n + col].abs() < 1e-12 {
                 return None;
             }

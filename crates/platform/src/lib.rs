@@ -39,6 +39,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::await_holding_lock)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod constraints;
 mod elastic;

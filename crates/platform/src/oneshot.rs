@@ -20,8 +20,6 @@
 //! own locks (the runtime's scheduler does) cannot deadlock through a
 //! reply.
 
-#![deny(clippy::await_holding_lock)]
-
 use crate::sync::{self, Mutex};
 use std::future::Future;
 use std::pin::Pin;

@@ -257,16 +257,18 @@ mod instrumented {
     impl<T> Deref for MutexGuard<'_, T> {
         type Target = T;
 
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: only `Condvar::wait` empties `inner`, and it holds the guard's one `&mut` until it puts it back"
+        )]
         fn deref(&self) -> &T {
-            // INVARIANT: only `Condvar::wait` empties `inner`, and it
-            // holds the guard's one `&mut` until it puts it back.
             self.inner.as_ref().expect("guard present outside wait")
         }
     }
 
     impl<T> DerefMut for MutexGuard<'_, T> {
+        #[expect(clippy::expect_used, reason = "INVARIANT: as for `deref`")]
         fn deref_mut(&mut self) -> &mut T {
-            // INVARIANT: as for `deref`.
             self.inner.as_mut().expect("guard present outside wait")
         }
     }
@@ -318,8 +320,10 @@ mod instrumented {
                     return;
                 }
             }
-            // INVARIANT: a guard holds its lock from `lock` on, except
-            // inside a wait, and this thread is not in one.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: a guard holds its lock from `lock` on, except inside a wait, and this thread is not in one."
+            )]
             let mut inner = guard.inner.take().expect("guard present before wait");
             self.inner.wait(&mut inner);
             guard.inner = Some(inner);

@@ -370,10 +370,8 @@ fn oneshot_target() -> SchedTarget {
 
             let receiver = {
                 let got = Arc::clone(&got);
-                move || {
-                    let v = rx.wait().expect("sender sent before dropping");
-                    got.store(v, Ordering::SeqCst);
-                }
+                // A lost reply leaves 0, which the check reports.
+                move || got.store(rx.wait().unwrap_or(0), Ordering::SeqCst)
             };
             let sender = move || {
                 tx.send(5);
@@ -572,8 +570,7 @@ struct ValueCellRun {
 
 impl ValueCellRun {
     fn read(&self) {
-        if let Some(v) = self.cell.read() {
-            let v = v.downcast::<u64>().expect("the producer stores a u64");
+        if let Some(v) = self.cell.read().and_then(|v| v.downcast::<u64>().ok()) {
             self.observed.fetch_add(*v, Ordering::SeqCst);
         }
         // What a body does with its input, found or not.

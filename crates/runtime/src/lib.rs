@@ -29,6 +29,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::await_holding_lock)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 #[cfg(feature = "conc-instrument")]
 pub mod conc_targets;

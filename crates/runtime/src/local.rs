@@ -298,6 +298,7 @@ impl TaskContext {
     /// # Panics
     ///
     /// Panics in a closure task body (see [`TaskContext::sleep`]).
+    #[expect(clippy::expect_used, reason = "misuse in a closure body: `# Panics`")]
     pub fn sleep_until(&self, deadline: Instant) -> Sleep {
         let inner = self
             .reactor
@@ -624,6 +625,7 @@ impl GraphState {
     /// of the column for a closure task, cloned for an async one.
     fn take_ready(&mut self, id: TaskId) -> Arc<TaskMeta> {
         let slot = &mut self.metas[id.index()];
+        #[expect(clippy::expect_used, reason = "INVARIANT: a task becomes ready once")]
         let meta = slot.take().expect("a task becomes ready once");
         if let TaskPayload::Async(_) = meta.payload {
             *slot = Some(Arc::clone(&meta));
@@ -724,19 +726,6 @@ impl Shared {
             self.injector.push(m);
         }
         self.sleeper.wake_for(n);
-    }
-
-    /// Publishes a finished body's outputs into the task's cells.
-    /// Called before the graph commit, so a successor that the commit
-    /// releases always finds its inputs.
-    fn publish_outputs(&self, meta: &TaskMeta, outputs: &mut Vec<Option<Value>>) {
-        for (cell, value) in meta.outputs.as_slice().iter().zip(outputs.drain(..)) {
-            if cell.publish(value.expect("all outputs set")) {
-                // Relaxed: a statistic; readers that need it exact
-                // (after `wait_all`) are ordered by the graph mutex.
-                self.live_values.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Ends one reference; the last one to a cell frees its value.
@@ -1126,6 +1115,7 @@ impl LocalRuntime {
                 cells,
                 ..
             } = &mut *g;
+            #[expect(clippy::expect_used, reason = "INVARIANT: registered above, same lock")]
             let node = ap.graph().node(id).expect("just registered");
             // Every version the access processor resolved a read to is
             // its datum's current one: this task's own writes reach
@@ -1154,6 +1144,7 @@ impl LocalRuntime {
             }));
             // The record holds what the engine needs of the task; from
             // here on the graph is walked for its edges alone.
+            #[expect(clippy::expect_used, reason = "INVARIANT: as for the lookup above")]
             ap.graph_mut().retire_spec(id).expect("just registered");
             debug_assert_eq!(metas.len(), id.index());
             metas.push(Some(meta));

@@ -148,7 +148,7 @@ impl ResourcePool {
         let admitted = handed.is_none_or(|(meta, share)| self.try_admit(meta, share));
         for queue in &mut self.blocked {
             for _ in 0..queue.len() {
-                let m = queue.pop_front().expect("length checked");
+                let Some(m) = queue.pop_front() else { break };
                 if self.free.covers(&m.demand) {
                     out.push(m);
                 } else {

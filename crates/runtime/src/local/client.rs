@@ -135,6 +135,7 @@ impl GraphState {
         let mut next = 0;
         while let Some(&id) = queue.get(next) {
             next += 1;
+            #[expect(clippy::expect_used, reason = "INVARIANT: only specs are retired")]
             let node = ap
                 .graph()
                 .node(id)
@@ -197,6 +198,7 @@ impl Helper {
             shared.client_waiters.fetch_sub(1, Ordering::SeqCst);
             return;
         };
+        #[expect(clippy::expect_used, reason = "INVARIANT: a claim takes the buffers")]
         let s = self.scratch.as_mut().expect("a claim takes the buffers");
         // A client's tasks show on the row after the last worker's.
         let row = shared.stealers.len() as u32;

@@ -10,7 +10,7 @@ use crate::reactor::ReactorInner;
 use crate::stream::StreamChannel;
 use crate::task_cell::ParkOutcome;
 use crate::value_cell::{Slots, Value};
-use continuum_dag::{Label, TaskId};
+use continuum_dag::{DagError, Label, TaskId};
 use continuum_platform::sync::panic_message;
 use continuum_telemetry::{CounterKey, Event as TelemetryEvent, TaskPhase, Track};
 use crossbeam::deque::{Steal, Worker as WorkerQueue};
@@ -287,6 +287,29 @@ impl TaskContext {
     }
 }
 
+/// Publishes a finished body's outputs into the task's cells, or names
+/// the first one the body did not set and publishes none. Called before
+/// the graph commit, so a successor that the commit releases always
+/// finds its inputs.
+fn publish_outputs(
+    shared: &Shared,
+    meta: &TaskMeta,
+    outputs: &mut Vec<Option<Value>>,
+) -> Option<String> {
+    if let Some(i) = outputs.iter().position(Option::is_none) {
+        return Some(format!("task body did not set output {i}"));
+    }
+    let values = outputs.drain(..).flatten();
+    for (cell, value) in meta.outputs.as_slice().iter().zip(values) {
+        if cell.publish(value) {
+            // Relaxed: a statistic; readers that need it exact (after
+            // `wait_all`) are ordered by the graph mutex.
+            shared.live_values.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    None
+}
+
 /// Runs one claimed, admitted task on `runner`, whose telemetry row is
 /// `worker`: the closure path executes the body to completion; the
 /// async path polls it, parking on `Poll::Pending`.
@@ -314,6 +337,7 @@ fn execute_closure(
         inputs: claimed,
         body,
     } = std::mem::take(&mut *meta.claim.lock());
+    #[expect(clippy::expect_used, reason = "INVARIANT: a closure runs once")]
     let mut body = body.expect("task body runs once");
     let name = body.take_name();
     if let Some(name) = &name {
@@ -341,16 +365,9 @@ fn execute_closure(
     let end_us = shared.stamp_us(name.as_ref());
 
     let failure_message = match &result {
-        Ok(()) => ctx
-            .outputs
-            .iter()
-            .position(Option::is_none)
-            .map(|i| format!("task body did not set output {i}")),
+        Ok(()) => publish_outputs(shared, meta, &mut ctx.outputs),
         Err(payload) => Some(panic_message(payload.as_ref())),
     };
-    if failure_message.is_none() {
-        shared.publish_outputs(meta, &mut ctx.outputs);
-    }
     // Recycle the context buffers into the worker's scratch.
     let TaskContext {
         mut inputs,
@@ -402,12 +419,7 @@ fn poll_async(
             // run must already reflect that it started.
             {
                 let _order = lockorder::acquire(RANK_GRAPH, "graph");
-                shared
-                    .graph
-                    .lock()
-                    .run
-                    .ensure_running(meta.id)
-                    .expect("claimed task was ready");
+                transition(shared.graph.lock().run.ensure_running(meta.id));
             }
             if let Some(name) = name {
                 shared.telemetry.record(TelemetryEvent::Instant {
@@ -465,14 +477,7 @@ fn poll_async(
                     chan.writer_done();
                 }
                 let end_us = shared.stamp_us(name);
-                let failure_message = ctx
-                    .outputs
-                    .iter()
-                    .position(Option::is_none)
-                    .map(|i| format!("task body did not set output {i}"));
-                if failure_message.is_none() {
-                    shared.publish_outputs(meta, &mut ctx.outputs);
-                }
+                let failure_message = publish_outputs(shared, meta, &mut ctx.outputs);
                 drop(ctx);
                 let times = (start_us, end_us);
                 commit_task(
@@ -529,11 +534,13 @@ fn poll_async(
                         // would re-enter admission and double-allocate
                         // the task's resources.
                         shared.parked.fetch_sub(1, Ordering::SeqCst);
-                        fut = abody
+                        #[expect(clippy::expect_used, reason = "INVARIANT: a failed park keeps it")]
+                        let retained = abody
                             .future
                             .lock()
                             .take()
                             .expect("repolling owner retains the future");
+                        fut = retained;
                     }
                 }
             }
@@ -572,9 +579,7 @@ fn commit_task(
         let g = &mut *shared.graph.lock();
         match failure_message {
             None => {
-                g.run
-                    .complete_into(g.ap.graph(), meta.id, &mut s.ready_ids)
-                    .expect("claimed task can complete");
+                transition(g.run.complete_into(g.ap.graph(), meta.id, &mut s.ready_ids));
                 for id in &s.ready_ids {
                     s.ready.push(g.take_ready(*id));
                 }
@@ -582,10 +587,8 @@ fn commit_task(
             Some(message) => {
                 // Closure tasks arrive here still `Ready`; async tasks
                 // moved to `Running` at first dispatch.
-                g.run
-                    .ensure_running(meta.id)
-                    .expect("claimed task was ready or running");
-                g.run.mark_failed(meta.id).expect("running task can fail");
+                transition(g.run.ensure_running(meta.id));
+                transition(g.run.mark_failed(meta.id));
                 if g.failure.is_none() {
                     g.failure = Some((meta.id, message));
                 }
@@ -696,6 +699,14 @@ fn commit_task(
 fn missing_input_placeholder() -> Value {
     struct MissingInput;
     Arc::new(MissingInput)
+}
+
+/// The outcome of a lifecycle transition of a task this worker claimed.
+/// The task is `Ready` until its first dispatch makes it `Running`, and
+/// only its claimant moves it on, so each such transition is valid.
+#[expect(clippy::expect_used, reason = "INVARIANT: only the claimant moves it")]
+fn transition(result: Result<(), DagError>) {
+    result.expect("valid transition of a claimed task");
 }
 
 #[cfg(test)]

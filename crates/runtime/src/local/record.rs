@@ -169,10 +169,10 @@ where
     Fut: Future<Output = TaskContext> + Send + 'static,
 {
     fn start(&self, ctx: TaskContext) -> TaskFuture {
-        // The guard is gone before the factory runs, so its panic
-        // leaves the mutex clean.
-        // INVARIANT: a task's first poll, the only caller, runs once —
-        // a resumed task polls its stored future instead.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: a task's first poll, the only caller, runs once — a resumed task polls its stored future instead."
+        )]
         let factory = self.lock().take().expect("async body constructed once");
         Box::pin(factory(ctx))
     }

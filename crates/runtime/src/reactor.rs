@@ -22,8 +22,6 @@
 //! into a no-op by the task cell. The cost of a parked timer is one
 //! waker clone in a wheel bucket.
 
-#![deny(clippy::await_holding_lock)]
-
 use crate::lockorder::{self, RANK_REACTOR};
 use crate::{RuntimeError, TaskContext};
 use parking_lot::{Condvar, Mutex};
@@ -204,12 +202,13 @@ impl Reactor {
         });
         let thread = {
             let inner = Arc::clone(&inner);
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: spawning fails only when the OS refuses a thread. Without its timer thread there is no reactor to return; `std::thread::spawn` panics alike."
+            )]
             thread::Builder::new()
                 .name("continuum-reactor".into())
                 .spawn(move || reactor_loop(&inner))
-                // INVARIANT: spawning fails only when the OS refuses a
-                // thread. Without its timer thread there is no reactor
-                // to return; `std::thread::spawn` panics alike.
                 .expect("spawn reactor thread")
         };
         Reactor {

@@ -17,6 +17,7 @@ use crate::workload::SimWorkload;
 use continuum_dag::{DataId, GraphAnalysis, TaskId};
 use continuum_platform::{NodeId, Platform, ZoneId};
 use continuum_sim::{NodeState, VirtualTime};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Read-only view of the machine offered to schedulers.
@@ -130,12 +131,7 @@ impl<'a> PlacementView<'a> {
         if sites.is_empty() {
             return 0;
         }
-        let spec = self
-            .workload
-            .graph()
-            .node(task)
-            .expect("task in workload")
-            .spec();
+        let spec = self.workload.task_node(task).spec();
         spec.stream_reads()
             .chain(spec.stream_writes())
             .filter(|d| sites.get(d) == Some(&node))
@@ -144,7 +140,7 @@ impl<'a> PlacementView<'a> {
 
     /// Input bytes of `task` already resident on `node`.
     pub fn local_input_bytes(&self, task: TaskId, node: NodeId) -> u64 {
-        let record = self.workload.graph().node(task).expect("task in workload");
+        let record = self.workload.task_node(task);
         record
             .consumed()
             .filter(|vd| self.registry.is_on(*vd, node))
@@ -154,13 +150,13 @@ impl<'a> PlacementView<'a> {
 
     /// Total input bytes of `task`.
     pub fn total_input_bytes(&self, task: TaskId) -> u64 {
-        let record = self.workload.graph().node(task).expect("task in workload");
+        let record = self.workload.task_node(task);
         record.consumed().map(|vd| self.registry.size_of(vd)).sum()
     }
 
     /// Estimated seconds to move `task`'s remote inputs to `node`.
     pub fn estimated_transfer_seconds(&self, task: TaskId, node: NodeId) -> f64 {
-        let record = self.workload.graph().node(task).expect("task in workload");
+        let record = self.workload.task_node(task);
         let mut total = 0.0;
         for vd in record.consumed() {
             if self.registry.is_on(vd, node) {
@@ -254,7 +250,7 @@ impl InputScratch {
         }
         self.resident.resize(view.nodes.len(), 0);
         self.ubiquitous_bytes = 0;
-        let record = view.workload.graph().node(task).expect("task in workload");
+        let record = view.workload.task_node(task);
         for vd in record.consumed() {
             // One probe answers size, replicas and ubiquity.
             let (bytes, locs, ubiquitous) = match view.registry.get(vd) {
@@ -293,7 +289,7 @@ impl InputScratch {
                     let best = locs
                         .iter()
                         .map(|src| {
-                            let src_zone = view.platform.node(*src).expect("replica node").zone();
+                            let src_zone = view.platform.node_by_index(src.index()).zone();
                             network.transfer_seconds(bytes, src_zone, zone)
                         })
                         .fold(f64::INFINITY, f64::min);
@@ -696,7 +692,7 @@ impl HeftScheduler {
         order.sort_by(|a, b| {
             bl[b.index()]
                 .partial_cmp(&bl[a.index()])
-                .expect("finite weights")
+                .unwrap_or(Ordering::Equal)
                 .then(a.cmp(b))
         });
 
@@ -718,7 +714,7 @@ impl HeftScheduler {
                 for pred in graph.predecessors(task) {
                     let mut arrive = task_finish[pred.index()];
                     if task_node[pred.index()] != idx {
-                        let record = graph.node(task).expect("task exists");
+                        let record = workload.task_node(task);
                         let bytes: u64 = record
                             .consumed()
                             .map(|vd| workload.initial_size(vd.data).max(1024))
@@ -829,7 +825,7 @@ impl Scheduler for ListScheduler {
         self.ordered.sort_unstable_by(|a, b| {
             priority[b.index()]
                 .partial_cmp(&priority[a.index()])
-                .expect("finite priorities")
+                .unwrap_or(Ordering::Equal)
                 .then(a.cmp(b))
         });
         self.scratch.reset(view.nodes(), ready.len());
@@ -856,7 +852,7 @@ impl Scheduler for ListScheduler {
                 }
                 let slots = (st.free_capacity().cores() / cu).max(1);
                 let waves = (extra / slots) as f64;
-                let zone = view.platform().node(node).expect("node in platform").zone();
+                let zone = view.platform().node_by_index(node.index()).zone();
                 let score = self.inputs.transfer_seconds(node, zone)
                     + (waves + 1.0) * duration / st.speed();
                 if best.is_none_or(|(s, _)| score < s) {

@@ -671,7 +671,7 @@ impl<'w, 's> Engine<'w, 's> {
     }
 
     fn record_outputs(&mut self, task: TaskId, node: NodeId, now: VirtualTime) {
-        let outputs = self.workload.graph().node(task).expect("task in graph");
+        let outputs = self.workload.task_node(task);
         for (i, vd) in outputs.produced().enumerate() {
             let bytes = self.workload.profile(task).output_size(i);
             self.registry.record_production(vd, node, bytes);

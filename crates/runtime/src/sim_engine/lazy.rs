@@ -183,7 +183,7 @@ impl Engine<'_, '_> {
         let at_us = micros_from_seconds(now.as_seconds());
         for idx in tasks_before..graph_len {
             let id = TaskId::from_raw(idx as u64);
-            let node = self.workload.graph().node(id).expect("just integrated");
+            let node = self.workload.task_node(id);
             self.slots.push(TaskSlot {
                 outstanding: node.produced().len() as u32,
                 ..TaskSlot::default()
@@ -242,7 +242,7 @@ impl Engine<'_, '_> {
         // Inputs, then outputs, in the one scratch buffer.
         let mut values = std::mem::take(&mut self.value_scratch);
         values.clear();
-        let node = self.workload.graph().node(task).expect("task in graph");
+        let node = self.workload.task_node(task);
         values.extend(node.consumed());
         let inputs = values.len();
         values.extend(node.produced());

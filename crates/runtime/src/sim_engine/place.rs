@@ -196,7 +196,7 @@ impl Engine<'_, '_> {
     fn inputs_ready(&mut self, task: TaskId, now: VirtualTime) -> Result<bool, RuntimeError> {
         let mut consumed = std::mem::take(&mut self.value_scratch);
         consumed.clear();
-        let node = self.workload.graph().node(task).expect("task in graph");
+        let node = self.workload.task_node(task);
         consumed.extend(node.consumed());
         let mut all = true;
         for &vd in &consumed {

@@ -118,11 +118,7 @@ impl Engine<'_, '_> {
         }
         // Recursively make sure the producer's own inputs exist.
         let mut deps_ok = true;
-        let node = self
-            .workload
-            .graph()
-            .node(producer)
-            .expect("producer in graph");
+        let node = self.workload.task_node(producer);
         let deps: Vec<VersionedData> = node.consumed().collect();
         for dep in deps {
             if !self.ensure_available(dep, now)? {
@@ -186,10 +182,8 @@ impl Engine<'_, '_> {
                             let added = self.platform.grow_zone(zone);
                             if let Some(id) = added {
                                 debug_assert_eq!(id.index(), self.nodes.len());
-                                let mut st = NodeState::new_at(
-                                    self.platform.node(id).expect("just added"),
-                                    now,
-                                );
+                                let mut st =
+                                    NodeState::new_at(self.platform.node_by_index(id.index()), now);
                                 st.set_idle_accounting(!self.options.power_off_idle);
                                 // Joins after the provisioning delay.
                                 st.fail(now);

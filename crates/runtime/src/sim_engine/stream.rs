@@ -91,11 +91,13 @@ impl Streams {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: `open` registered a channel for every stream datum of every task before the task could run"
+    )]
     fn channel(&mut self, data: DataId) -> &mut SimChannel {
         self.channels
             .get_mut(&data)
-            // INVARIANT: `open` registered a channel for every stream
-            // datum of every task before the task could run.
             .expect("channel for stream datum")
     }
 
@@ -158,9 +160,7 @@ impl Engine<'_, '_> {
         exec_s: f64,
         epoch: u64,
     ) {
-        // INVARIANT: only tasks of the graph start, and a task is not
-        // retired before it completes.
-        let record = self.workload.graph().node(task).expect("task in graph");
+        let record = self.workload.task_node(task);
         let spec = record.spec();
         let elems = self.workload.profile(task).stream_elements_count();
         for data in spec.stream_writes() {

@@ -47,11 +47,10 @@ impl Transfers {
         request_at: VirtualTime,
     ) -> f64 {
         let secs = platform.transfer_seconds(bytes, src, dst);
-        // INVARIANT: sources are replica holders or the storage home
-        // and destinations are hosts, all nodes of the run's platform.
-        let src_zone = platform.node(src).expect("src in platform").zone();
-        // INVARIANT: as above.
-        let dst_zone = platform.node(dst).expect("dst in platform").zone();
+        // Sources are replica holders or the storage home and
+        // destinations are hosts, all nodes of the run's platform.
+        let src_zone = platform.node_by_index(src.index()).zone();
+        let dst_zone = platform.node_by_index(dst.index()).zone();
         let (start, finish) = if src_zone == dst_zone {
             (request_at, request_at.after(secs))
         } else {
@@ -91,9 +90,7 @@ impl Engine<'_, '_> {
         node: NodeId,
         now: VirtualTime,
     ) -> f64 {
-        // INVARIANT: only tasks of the graph are placed, and a placed
-        // task is not retired before it completes.
-        let inputs = self.workload.graph().node(task).expect("task in graph");
+        let inputs = self.workload.task_node(task);
         let mut total = 0.0;
         for vd in inputs.consumed() {
             let known = self.registry.is_known(vd);

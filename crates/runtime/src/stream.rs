@@ -63,8 +63,6 @@
 //! after the guard is released: a task waker acquires the executor's
 //! sleep lock, an equal-rank leaf, and an element's `Drop` is user code.
 
-#![deny(clippy::await_holding_lock)]
-
 use crate::lockorder::{self, RANK_STREAM};
 use continuum_platform::sync::{self, Mutex};
 use std::any::Any;
@@ -359,9 +357,10 @@ impl StreamChannel {
                 }
                 return PollSend::Full;
             }
-            // INVARIANT: the slot empties only here, on `Accepted`, and
-            // no caller polls again after that: `send` returns, and
-            // `StreamSend` is a future polled only until it is ready.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the slot empties only here, on `Accepted`, and no caller polls again after that: `send` returns, and `StreamSend` is a future polled only until it is ready."
+            )]
             queue.push_back(value.take().expect("poll_send needs an element"));
             let occupancy = queue.len() as u64;
             st.stats.occupancy_high_water = st.stats.occupancy_high_water.max(occupancy);

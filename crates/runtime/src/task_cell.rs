@@ -25,8 +25,6 @@
 //! goes through `continuum_platform::sync::AtomicU8`, which the
 //! explorer preempts at under the `conc-instrument` feature.
 
-#![deny(clippy::await_holding_lock)]
-
 use continuum_platform::sync::AtomicU8;
 use std::sync::atomic::Ordering;
 

@@ -120,9 +120,8 @@ impl<T> Slots<T> {
     pub(crate) fn collect(mut items: impl ExactSizeIterator<Item = T>) -> Self {
         match items.len() {
             0 => Slots::None,
-            // INVARIANT: an exact-size iterator of length 1 yields one
-            // item.
-            1 => Slots::One(items.next().expect("length checked")),
+            // An exact-size iterator of length 1 yields one item.
+            1 => items.next().map_or(Slots::None, Slots::One),
             _ => Slots::Many(items.collect()),
         }
     }

@@ -4,7 +4,7 @@ use crate::profile::TaskProfile;
 use continuum_analyze::{lint_nodes, LintColumns, LintView};
 use continuum_dag::{
     AccessProcessor, DagError, DataCatalog, DataId, ExpandSink, GraphAnalysis, Retired, SegVec,
-    TaskGraph, TaskId, TaskSpec,
+    TaskGraph, TaskId, TaskNode, TaskSpec,
 };
 use continuum_platform::{Constraints, NodeId, Platform};
 use std::fmt;
@@ -164,6 +164,19 @@ impl SimWorkload {
     /// Panics if the task id is not from this workload.
     pub fn profile(&self, task: TaskId) -> &TaskProfile {
         &self.profiles[task.index()]
+    }
+
+    /// The graph node of a task the engines or a scheduler hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task id is not from this workload or was retired.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: the engines and the placement view ask only for tasks of the run they drive, and a lazy run retires a task only after it completed and nothing asks for it again"
+    )]
+    pub(crate) fn task_node(&self, task: TaskId) -> TaskNode<'_> {
+        self.graph().node(task).expect("task in workload")
     }
 
     /// The profiles of all resident tasks, in task-id order.

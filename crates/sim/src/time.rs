@@ -58,10 +58,11 @@ impl Eq for VirtualTime {}
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for VirtualTime {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Finite by construction, so partial_cmp never fails.
+        // Finite by construction, so `partial_cmp` always answers; and
+        // unlike `total_cmp` it keeps -0.0 and 0.0 equal, as `==` does.
         self.0
             .partial_cmp(&other.0)
-            .expect("virtual time is finite")
+            .unwrap_or(std::cmp::Ordering::Equal)
     }
 }
 

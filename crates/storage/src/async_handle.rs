@@ -16,8 +16,6 @@
 //! it works under the runtime's M:N workers, a hand-rolled poll loop,
 //! or any other executor.
 
-#![deny(clippy::await_holding_lock)]
-
 use crate::error::StorageError;
 use crate::interface::{ObjectKey, StorageRuntime, StoredValue};
 use continuum_platform::oneshot::{self, OneshotReceiver, OneshotSender};
@@ -83,6 +81,10 @@ impl AsyncStorage {
     /// handle.
     pub fn new(store: Arc<dyn StorageRuntime>) -> Self {
         let (tx, rx) = mpsc::channel::<Req>();
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: spawning fails only when the OS refuses a thread. The handle is its service thread, so without one there is nothing to return; `std::thread::spawn` panics alike."
+        )]
         let service = thread::Builder::new()
             .name("continuum-storage-async".to_string())
             .spawn(move || {
@@ -110,10 +112,6 @@ impl AsyncStorage {
                     }
                 }
             })
-            // INVARIANT: spawning fails only when the OS refuses a
-            // thread. The handle is its service thread, so without one
-            // there is nothing to return; `std::thread::spawn` panics
-            // alike.
             .expect("spawn storage service thread");
         AsyncStorage {
             tx,

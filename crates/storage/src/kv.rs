@@ -166,13 +166,10 @@ impl KvStore {
     /// placement hint. The hint — if it names a live storage node —
     /// becomes the primary, so producers can co-locate outputs.
     fn place(&self, inner: &Inner, key: &ObjectKey, hint: Option<NodeId>) -> Vec<NodeId> {
-        let start = match hint {
-            Some(h) if self.nodes.contains(&h) && !inner.down.contains(&h) => {
-                // INVARIANT: the guard just found `h` in `self.nodes`.
-                self.nodes.iter().position(|n| *n == h).expect("contains")
-            }
-            _ => self.primary_index(key),
-        };
+        let start = hint
+            .filter(|h| !inner.down.contains(h))
+            .and_then(|h| self.nodes.iter().position(|n| *n == h))
+            .unwrap_or_else(|| self.primary_index(key));
         let mut replicas = Vec::with_capacity(self.config.replication);
         let n = self.nodes.len();
         for off in 0..n {

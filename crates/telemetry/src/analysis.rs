@@ -133,17 +133,14 @@ pub fn join_with_graph(graph: &TaskGraph, events: &[Event]) -> BTreeMap<TaskId, 
             continue;
         };
         let k = cursor.entry(obs.name.clone()).or_insert(0);
-        let id = if *k < ids.len() {
-            let id = ids[*k];
-            *k += 1;
-            id
-        } else {
-            // More observations than graph tasks with this name: a
-            // lineage replay of some earlier execution. Which body it
-            // re-ran is unknowable from names alone, so fold it onto
-            // the bucket's last id (keeps totals conservative).
-            *ids.last().expect("non-empty name bucket")
+        // More observations than graph tasks with this name: a lineage
+        // replay of some earlier execution. Which body it re-ran is
+        // unknowable from names alone, so fold it onto the bucket's
+        // last id (keeps totals conservative).
+        let Some(&id) = ids.get(*k).or(ids.last()) else {
+            continue;
         };
+        *k += 1;
         match joined.get_mut(&id) {
             Some(existing) if existing.end_us >= obs.end_us => {}
             _ => {

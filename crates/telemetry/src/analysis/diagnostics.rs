@@ -245,6 +245,7 @@ impl Rows {
         let rows = &mut self.rows;
         let index = *self.index.entry(track).or_insert_with(|| {
             rows.push(Row::new(track));
+            #[expect(clippy::expect_used, reason = "INVARIANT: fewer than 2^32 tracks")]
             u32::try_from(rows.len() - 1).expect("fewer than 2^32 rows")
         });
         self.last = Some((track, index));

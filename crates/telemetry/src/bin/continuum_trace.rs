@@ -26,6 +26,8 @@
 //! trace, 3 parseable trace with nothing to attribute (empty run),
 //! 4 `merge --check` invariant violation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use continuum_telemetry::{
     chrome_trace, cross_agent_report, merge_traces, paraver_trace, parse_chrome_trace,
     prometheus_text, render_table, trace_critical_chain, write_chrome_trace, AgentTrace, Align,

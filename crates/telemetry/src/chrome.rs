@@ -175,8 +175,10 @@ pub fn chrome_trace(events: &[Event]) -> String {
     let plan = export_plan(events);
     // A row of a sim trace is about 90 bytes.
     let mut out = String::with_capacity(96 * (events.len() + plan.tracks.len()) + 64);
-    // INVARIANT: `fmt::Write` for `String` never returns an error, and
-    // `write_rows` raises none of its own.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: `fmt::Write` for `String` never returns an error, and `write_rows` raises none of its own."
+    )]
     write_rows(&mut out, events, &plan).expect("writing to a String cannot fail");
     out
 }

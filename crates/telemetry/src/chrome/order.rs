@@ -214,6 +214,10 @@ pub(super) fn export_plan(events: &[Event]) -> Plan<'_> {
     let mut row_rank = |track: Track, kind: u64| {
         let pair = pid_tid(track);
         if last_pair.0 != pair {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: `pairs` holds the pair of every track in the plan, and rows are ranked only for those tracks"
+            )]
             let place = pairs.binary_search(&pair).expect("every track was seen");
             last_pair = (pair, 1 + 2 * place as u64);
         }
@@ -295,6 +299,10 @@ pub(super) fn export_plan(events: &[Event]) -> Plan<'_> {
     let mut quoted = String::with_capacity(names.texts.iter().map(|t| t.len() + 2).sum());
     let mut ends = Vec::with_capacity(names.texts.len());
     for text in &names.texts {
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: `fmt::Write` for `String` never returns an error, and `write_json_string` raises none of its own"
+        )]
         write_json_string(text, &mut quoted).expect("writing to a String cannot fail");
         ends.push(quoted.len());
     }

@@ -38,7 +38,7 @@ pub fn render(rows: &[(String, Vec<GanttSpan>)], width: usize) -> String {
         }
         out.push_str(&format!(
             "{label:<label_width$} |{}|\n",
-            String::from_utf8(row).expect("ascii")
+            String::from_utf8_lossy(&row)
         ));
     }
     out.push_str(&format!(

@@ -33,6 +33,7 @@
 //! Chrome-JSON trace files (read back via [`parse_chrome_trace`]).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod analysis;
 pub mod chrome;

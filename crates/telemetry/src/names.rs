@@ -67,6 +67,7 @@ impl<'a> NameRanks<'a> {
         let names = &mut self.names;
         let id = *self.ids.entry(place).or_insert_with(|| {
             names.push(name);
+            #[expect(clippy::expect_used, reason = "INVARIANT: fewer than 2^32 names")]
             u32::try_from(names.len() - 1).expect("fewer than 2^32 distinct names")
         });
         self.last = Some((place, id));

@@ -7,7 +7,7 @@
 
 use crate::event::{CounterKey, Event, Micros};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A sink for telemetry events.
 pub trait Recorder: Send + Sync {
@@ -169,26 +169,32 @@ impl TraceBuffer {
 
     /// A copy of the buffered events.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("buffer lock").clone()
+        self.lock_events().clone()
     }
 
     /// Drains the buffer, handing the events over at their length: the
     /// capacity the recording grew into is given back (in place), not
     /// carried through the exports that read the events next.
     pub fn take(&self) -> Vec<Event> {
-        let mut events = std::mem::take(&mut *self.events.lock().expect("buffer lock"));
+        let mut events = std::mem::take(&mut *self.lock_events());
         events.shrink_to_fit();
         events
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("buffer lock").len()
+        self.lock_events().len()
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The buffer. Nothing that holds it can panic midway (a push, a
+    /// clone, a take), so a poisoned lock still guards whole events.
+    fn lock_events(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -198,7 +204,7 @@ impl Recorder for TraceBuffer {
     }
 
     fn record(&self, event: Event) {
-        self.events.lock().expect("buffer lock").push(event);
+        self.lock_events().push(event);
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::event::Event;
 use crate::recorder::{Recorder, RecorderHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug, Default)]
 struct RingState {
@@ -80,7 +80,7 @@ impl RingRecorder {
 
     /// Number of currently retained events (≤ capacity, always).
     pub fn len(&self) -> usize {
-        self.state.lock().expect("ring lock").slots.len()
+        self.lock_state().slots.len()
     }
 
     /// Whether nothing is retained.
@@ -90,7 +90,7 @@ impl RingRecorder {
 
     /// Events evicted to make room (0 until the ring wraps).
     pub fn overwritten(&self) -> u64 {
-        self.state.lock().expect("ring lock").overwritten
+        self.lock_state().overwritten
     }
 
     /// Spans skipped by 1-in-N sampling.
@@ -101,7 +101,7 @@ impl RingRecorder {
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        let state = self.state.lock().expect("ring lock");
+        let state = self.lock_state();
         if state.slots.len() < self.capacity {
             state.slots.clone()
         } else {
@@ -110,6 +110,13 @@ impl RingRecorder {
             out.extend_from_slice(&state.slots[..state.next]);
             out
         }
+    }
+
+    /// The ring. Nothing that holds it can panic midway (a push, a
+    /// slot overwrite, a clone), so a poisoned lock still guards a
+    /// consistent ring.
+    fn lock_state(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -127,7 +134,7 @@ impl Recorder for RingRecorder {
                 return;
             }
         }
-        let mut state = self.state.lock().expect("ring lock");
+        let mut state = self.lock_state();
         if state.slots.len() < self.capacity {
             state.slots.push(event);
             state.next = state.slots.len() % self.capacity;

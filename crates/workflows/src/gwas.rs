@@ -142,6 +142,10 @@ impl GwasWorkload {
     /// the same costs.
     pub fn build(&self) -> SimWorkload {
         let mut w = SimWorkload::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the source emits only specs it built from data it declared, like every generator here, so priming cannot fail"
+        )]
         self.clone()
             .into_source(usize::MAX)
             .prime(&mut w)

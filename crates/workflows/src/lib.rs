@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod gwas;
 mod nmmb;
@@ -35,3 +36,18 @@ pub use gwas::{GwasSource, GwasWorkload};
 pub use nmmb::NmmbWorkload;
 pub use rng::LogNormal;
 pub use wdl::{parse_wdl, to_wdl, WdlError};
+
+use continuum_dag::{TaskId, TaskSpec};
+use continuum_runtime::{SimWorkload, TaskProfile};
+
+/// Adds a task a generator built itself: every spec writes a datum and
+/// names only ids declared on `w`, each with one direction, so none of
+/// the checks [`SimWorkload::task`] makes on user-written specs fails.
+fn add_task(w: &mut SimWorkload, spec: TaskSpec, profile: TaskProfile) -> TaskId {
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: generator specs are well-formed by construction"
+    )]
+    let id = w.task(spec, profile).expect("valid generator task");
+    id
+}

@@ -16,6 +16,7 @@
 //! 4. post-processing;
 //! 5. archiving.
 
+use crate::add_task;
 use continuum_dag::TaskSpec;
 use continuum_platform::Constraints;
 use continuum_runtime::{SimWorkload, TaskProfile};
@@ -128,23 +129,23 @@ impl NmmbWorkload {
                     }
                 }
                 spec = spec.output(out);
-                w.task(
+                add_task(
+                    &mut w,
                     spec,
                     TaskProfile::new(self.init_script_s).outputs_bytes(50_000_000),
-                )
-                .expect("valid nmmb task");
+                );
                 prev_script = Some(out);
                 init_outputs.push(out);
             }
             // 2. Fixed-data preparation.
             let fixed = w.data(format!("fixed_d{day}"));
-            w.task(
+            add_task(
+                &mut w,
                 TaskSpec::new("fixed_prep")
                     .group(format!("day{day}"))
                     .output(fixed),
                 TaskProfile::new(self.fixed_prep_s).outputs_bytes(100_000_000),
-            )
-            .expect("valid nmmb task");
+            );
             // 3. Rigid MPI simulation: all init outputs + fixed data +
             //    the previous day's restart file.
             let sim_out = w.data(format!("sim_d{day}"));
@@ -156,33 +157,33 @@ impl NmmbWorkload {
                 spec = spec.input(restart);
             }
             spec = spec.output(sim_out);
-            w.task(
+            add_task(
+                &mut w,
                 spec,
                 TaskProfile::new(self.mpi_s)
                     .constraints(Constraints::new().nodes(self.mpi_nodes))
                     .outputs_bytes(self.restart_bytes),
-            )
-            .expect("valid nmmb task");
+            );
             // 4. Post-processing.
             let post = w.data(format!("post_d{day}"));
-            w.task(
+            add_task(
+                &mut w,
                 TaskSpec::new("postprocess")
                     .group(format!("day{day}"))
                     .input(sim_out)
                     .output(post),
                 TaskProfile::new(self.post_s).outputs_bytes(self.restart_bytes / 10),
-            )
-            .expect("valid nmmb task");
+            );
             // 5. Archiving.
             let archive = w.data(format!("archive_d{day}"));
-            w.task(
+            add_task(
+                &mut w,
                 TaskSpec::new("archive")
                     .group(format!("day{day}"))
                     .input(post)
                     .output(archive),
                 TaskProfile::new(self.archive_s).outputs_bytes(0),
-            )
-            .expect("valid nmmb task");
+            );
             prev_restart = Some(sim_out);
         }
         w

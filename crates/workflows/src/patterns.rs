@@ -1,5 +1,6 @@
 //! Generic DAG patterns for tests, micro-benchmarks and ablations.
 
+use crate::add_task;
 use continuum_dag::TaskSpec;
 use continuum_runtime::{SimWorkload, TaskProfile};
 use rand::rngs::StdRng;
@@ -10,11 +11,11 @@ pub fn embarrassingly_parallel(n: usize, duration_s: f64) -> SimWorkload {
     let mut w = SimWorkload::new();
     let outs = w.data_batch("ep_out", n);
     for o in &outs {
-        w.task(
+        add_task(
+            &mut w,
             TaskSpec::new("work").output(*o),
             TaskProfile::new(duration_s),
-        )
-        .expect("valid pattern task");
+        );
     }
     w
 }
@@ -26,17 +27,17 @@ pub fn map_reduce(mappers: usize, map_s: f64, reduce_s: f64, bytes: u64) -> SimW
     let outs = w.data_batch("map_out", mappers);
     let result = w.data("reduced");
     for o in &outs {
-        w.task(
+        add_task(
+            &mut w,
             TaskSpec::new("map").output(*o),
             TaskProfile::new(map_s).outputs_bytes(bytes),
-        )
-        .expect("valid pattern task");
+        );
     }
-    w.task(
+    add_task(
+        &mut w,
         TaskSpec::new("reduce").inputs(outs).output(result),
         TaskProfile::new(reduce_s),
-    )
-    .expect("valid pattern task");
+    );
     w
 }
 
@@ -44,17 +45,17 @@ pub fn map_reduce(mappers: usize, map_s: f64, reduce_s: f64, bytes: u64) -> SimW
 pub fn chain(n: usize, duration_s: f64) -> SimWorkload {
     let mut w = SimWorkload::new();
     let d = w.data("chain");
-    w.task(
+    add_task(
+        &mut w,
         TaskSpec::new("stage0").output(d),
         TaskProfile::new(duration_s),
-    )
-    .expect("valid pattern task");
+    );
     for i in 1..n {
-        w.task(
+        add_task(
+            &mut w,
             TaskSpec::new(format!("stage{i}")).inout(d),
             TaskProfile::new(duration_s),
-        )
-        .expect("valid pattern task");
+        );
     }
     w
 }
@@ -65,37 +66,37 @@ pub fn fork_join(ensembles: usize, width: usize, depth: usize, duration_s: f64) 
     let mut w = SimWorkload::new();
     for e in 0..ensembles {
         let root = w.data(format!("fj{e}_root"));
-        w.task(
+        add_task(
+            &mut w,
             TaskSpec::new("fork").group(format!("ens{e}")).output(root),
             TaskProfile::new(duration_s),
-        )
-        .expect("valid pattern task");
+        );
         let mut lasts = Vec::with_capacity(width);
         for b in 0..width {
             let mut prev = root;
             for s in 0..depth {
                 let next = w.data(format!("fj{e}_b{b}_s{s}"));
-                w.task(
+                add_task(
+                    &mut w,
                     TaskSpec::new("branch")
                         .group(format!("ens{e}"))
                         .input(prev)
                         .output(next),
                     TaskProfile::new(duration_s),
-                )
-                .expect("valid pattern task");
+                );
                 prev = next;
             }
             lasts.push(prev);
         }
         let joined = w.data(format!("fj{e}_join"));
-        w.task(
+        add_task(
+            &mut w,
             TaskSpec::new("join")
                 .group(format!("ens{e}"))
                 .inputs(lasts)
                 .output(joined),
             TaskProfile::new(duration_s),
-        )
-        .expect("valid pattern task");
+        );
     }
     w
 }
@@ -123,8 +124,11 @@ pub fn stencil(rows: usize, cols: usize, duration_s: f64, bytes: u64) -> SimWork
                     spec = spec.input(*p);
                 }
             }
-            w.task(spec, TaskProfile::new(duration_s).outputs_bytes(bytes))
-                .expect("valid pattern task");
+            add_task(
+                &mut w,
+                spec,
+                TaskProfile::new(duration_s).outputs_bytes(bytes),
+            );
             this_row.push(out);
         }
         prev_row = this_row;
@@ -141,11 +145,11 @@ pub fn tree_reduce(leaves: usize, leaf_s: f64, merge_s: f64, bytes: u64) -> SimW
     let mut frontier: Vec<continuum_dag::DataId> = Vec::with_capacity(leaves);
     for i in 0..leaves {
         let out = w.data(format!("leaf{i}"));
-        w.task(
+        add_task(
+            &mut w,
             TaskSpec::new("produce").group("leaves").output(out),
             TaskProfile::new(leaf_s).outputs_bytes(bytes),
-        )
-        .expect("valid pattern task");
+        );
         frontier.push(out);
     }
     let mut level = 0;
@@ -157,15 +161,15 @@ pub fn tree_reduce(leaves: usize, leaf_s: f64, merge_s: f64, bytes: u64) -> SimW
                 continue;
             }
             let out = w.data(format!("merge_{level}_{i}"));
-            w.task(
+            add_task(
+                &mut w,
                 TaskSpec::new("merge")
                     .group(format!("level{level}"))
                     .input(pair[0])
                     .input(pair[1])
                     .output(out),
                 TaskProfile::new(merge_s).outputs_bytes(bytes),
-            )
-            .expect("valid pattern task");
+            );
             next.push(out);
         }
         frontier = next;
@@ -203,19 +207,20 @@ pub fn streaming_pipeline(
         if let Some(prev) = prev_tick {
             spec = spec.input(prev);
         }
-        w.task(
+        add_task(
+            &mut w,
             spec,
             TaskProfile::new(interval_s)
                 .constraints(continuum_platform::Constraints::new().software("edge-source"))
                 .outputs_bytes(batch_bytes),
-        )
-        .expect("valid pattern task");
+        );
         prev_tick = Some(tick);
         // Per-batch processing stages.
         let mut upstream = tick;
         for (s, dur) in stage_durations.iter().enumerate() {
             let out = w.data(format!("b{b}_s{s}"));
-            w.task(
+            add_task(
+                &mut w,
                 TaskSpec::new(format!("stage{s}"))
                     .group(format!("batch{b}"))
                     .input(upstream)
@@ -223,8 +228,7 @@ pub fn streaming_pipeline(
                 TaskProfile::new(*dur)
                     .constraints(continuum_platform::Constraints::new().memory_mb(1_000))
                     .outputs_bytes(batch_bytes / 2),
-            )
-            .expect("valid pattern task");
+            );
             upstream = out;
         }
     }
@@ -254,14 +258,15 @@ pub fn continuous_inference(frames: u64, frame_bytes: u64, stage_s: f64) -> SimW
     let feats = w.data("ci_feats");
     let preds = w.data("ci_preds");
     let report = w.data("ci_report");
-    w.task(
+    add_task(
+        &mut w,
         TaskSpec::new("sensor").group("ci").stream_out(raw),
         TaskProfile::new(stage_s)
             .stream_elements(frames)
             .stream_element_bytes(frame_bytes),
-    )
-    .expect("valid pattern task");
-    w.task(
+    );
+    add_task(
+        &mut w,
         TaskSpec::new("featurize")
             .group("ci")
             .stream_in(raw)
@@ -269,9 +274,9 @@ pub fn continuous_inference(frames: u64, frame_bytes: u64, stage_s: f64) -> SimW
         TaskProfile::new(stage_s)
             .stream_elements(frames)
             .stream_element_bytes(frame_bytes / 4),
-    )
-    .expect("valid pattern task");
-    w.task(
+    );
+    add_task(
+        &mut w,
         TaskSpec::new("model")
             .group("ci")
             .stream_in(feats)
@@ -279,16 +284,15 @@ pub fn continuous_inference(frames: u64, frame_bytes: u64, stage_s: f64) -> SimW
         TaskProfile::new(stage_s)
             .stream_elements(frames)
             .stream_element_bytes(64),
-    )
-    .expect("valid pattern task");
-    w.task(
+    );
+    add_task(
+        &mut w,
         TaskSpec::new("sink")
             .group("ci")
             .stream_in(preds)
             .output(report),
         TaskProfile::new(stage_s).outputs_bytes(frames * 64),
-    )
-    .expect("valid pattern task");
+    );
     w
 }
 
@@ -305,35 +309,35 @@ pub fn batch_inference(frames: u64, frame_bytes: u64, stage_s: f64) -> SimWorklo
     let preds = w.data("ci_preds");
     let report = w.data("ci_report");
     let window = frames * frame_bytes;
-    w.task(
+    add_task(
+        &mut w,
         TaskSpec::new("sensor").group("ci").output(raw),
         TaskProfile::new(stage_s).outputs_bytes(window),
-    )
-    .expect("valid pattern task");
-    w.task(
+    );
+    add_task(
+        &mut w,
         TaskSpec::new("featurize")
             .group("ci")
             .input(raw)
             .output(feats),
         TaskProfile::new(stage_s).outputs_bytes(window / 4),
-    )
-    .expect("valid pattern task");
-    w.task(
+    );
+    add_task(
+        &mut w,
         TaskSpec::new("model")
             .group("ci")
             .input(feats)
             .output(preds),
         TaskProfile::new(stage_s).outputs_bytes(frames * 64),
-    )
-    .expect("valid pattern task");
-    w.task(
+    );
+    add_task(
+        &mut w,
         TaskSpec::new("sink")
             .group("ci")
             .input(preds)
             .output(report),
         TaskProfile::new(stage_s).outputs_bytes(frames * 64),
-    )
-    .expect("valid pattern task");
+    );
     w
 }
 
@@ -373,8 +377,11 @@ pub fn random_layered(
                 spec = spec.input(pick);
             }
             let duration = min_s + rng.gen::<f64>() * (max_s - min_s);
-            w.task(spec, TaskProfile::new(duration).outputs_bytes(1_000_000))
-                .expect("valid pattern task");
+            add_task(
+                &mut w,
+                spec,
+                TaskProfile::new(duration).outputs_bytes(1_000_000),
+            );
             this_layer.push(out);
         }
         prev_layer = this_layer;

@@ -5,6 +5,9 @@
 //! `from_static`, `copy_from_slice`, deref to `[u8]`); zero-copy
 //! sub-slicing is not provided.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Deref;

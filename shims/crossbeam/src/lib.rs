@@ -7,6 +7,9 @@
 //! channels: the agents' inboxes are `std::sync::mpsc` and their
 //! replies `continuum_platform::oneshot` cells.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Test hooks for deterministic-interleaving testing: the deque
 /// operations report the entry of every critical section to
 /// [`hooks::sched`], so a schedule explorer can preempt a thread at

@@ -3,6 +3,9 @@
 //! `Condvar::wait(&mut guard)`), backed by `std::sync`. Poisoning is
 //! transparently ignored, matching parking_lot semantics.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
@@ -87,12 +90,24 @@ impl<'a, T: ?Sized> MutexGuard<'a, T> {
         out
     }
 
+    /// The std guard, out of its slot until the `Condvar` wait that
+    /// took it puts it back.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: the slot is empty only while `unlocked` runs its closure or a `Condvar` waits, and neither lends the guard"
+    )]
+    fn take_for_wait(&mut self) -> sync::MutexGuard<'a, T> {
+        self.guard.take().expect("guard present before wait")
+    }
+
+    #[expect(clippy::expect_used, reason = "INVARIANT: as for `take_for_wait`")]
     fn inner(&self) -> &sync::MutexGuard<'a, T> {
         self.guard
             .as_ref()
             .expect("guard present outside Condvar::wait")
     }
 
+    #[expect(clippy::expect_used, reason = "INVARIANT: as for `take_for_wait`")]
     fn inner_mut(&mut self) -> &mut sync::MutexGuard<'a, T> {
         self.guard
             .as_mut()
@@ -146,18 +161,16 @@ impl Condvar {
     /// Atomically releases the guard's lock and waits for a
     /// notification, reacquiring before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.guard.take().expect("guard present before wait");
         let inner = self
             .inner
-            .wait(inner)
+            .wait(guard.take_for_wait())
             .unwrap_or_else(sync::PoisonError::into_inner);
         guard.guard = Some(inner);
     }
 
     /// Waits with a timeout; returns `true` if the wait timed out.
     pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
-        let inner = guard.guard.take().expect("guard present before wait");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
+        let (inner, result) = match self.inner.wait_timeout(guard.take_for_wait(), timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => {
                 let (g, r) = p.into_inner();

@@ -8,6 +8,9 @@
 //! name), so runs are reproducible. Failing cases are reported with
 //! their case number; there is no shrinking.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use rand::prelude::*;
 use std::ops::Range;
 

@@ -7,6 +7,9 @@
 //! relies on seeded determinism and distribution quality, not on exact
 //! reference values.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::ops::Range;
 
 /// Low-level 64-bit generator interface.

@@ -13,6 +13,9 @@
 //! and the std types implemented below. `#[serde(...)]` attributes and
 //! generic deriving types are unsupported.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod json;
 
 pub use json::Value;

@@ -7,6 +7,9 @@
 //! unit, tuple, or struct variants. `#[serde(...)]` attributes are not
 //! interpreted.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]
@@ -37,19 +40,22 @@ enum Item {
 /// Derives the shim's `serde::Serialize`.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_serialize(&item)
-        .parse()
-        .expect("serde shim: generated Serialize impl must parse")
+    emit(gen_serialize(&parse_item(input)))
 }
 
 /// Derives the shim's `serde::Deserialize`.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("serde shim: generated Deserialize impl must parse")
+    emit(gen_deserialize(&parse_item(input)))
+}
+
+/// The generated impl as tokens.
+#[expect(
+    clippy::expect_used,
+    reason = "INVARIANT: the generators emit well-formed Rust for every item `parse_item` accepts"
+)]
+fn emit(code: String) -> TokenStream {
+    code.parse().expect("serde shim: generated impl must parse")
 }
 
 // ---------------------------------------------------------------------

@@ -33,6 +33,8 @@
 //! deliberately misclassified target so the exit paths themselves stay
 //! testable.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use continuum_analyze::conc::{explore, SleeperModel, SleeperVariant, Violation};
 
 #[cfg(feature = "conc-instrument")]

@@ -42,6 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub use continuum_agents as agents;
 pub use continuum_dag as dag;
