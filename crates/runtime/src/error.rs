@@ -1,6 +1,6 @@
 //! Runtime error type.
 
-use continuum_analyze::Diagnostic;
+use continuum_analyze::{has_errors, Diagnostic, LintMode};
 use continuum_dag::{DagError, DataId, TaskId};
 use continuum_storage::StorageError;
 use std::error::Error;
@@ -135,6 +135,27 @@ impl From<StorageError> for RuntimeError {
     fn from(e: StorageError) -> Self {
         RuntimeError::Storage(e)
     }
+}
+
+/// What a strict-lint mode makes of the findings `lint` produces, the
+/// one reading both engines share. `Off` runs no lint. Under `Reject`,
+/// an error-severity finding fails with [`RuntimeError::LintRejected`]
+/// carrying every finding. Otherwise the findings come back for the
+/// caller to print, outside any lock, before it goes on.
+pub(crate) fn lint_verdict(
+    mode: LintMode,
+    lint: impl FnOnce() -> Vec<Diagnostic>,
+) -> Result<Vec<Diagnostic>, RuntimeError> {
+    if mode == LintMode::Off {
+        return Ok(Vec::new());
+    }
+    let findings = lint();
+    if mode == LintMode::Reject && has_errors(&findings) {
+        return Err(RuntimeError::LintRejected {
+            diagnostics: findings,
+        });
+    }
+    Ok(findings)
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 
 use super::record::TaskMeta;
 use super::Shared;
-use crate::error::RuntimeError;
+use crate::error::{lint_verdict, RuntimeError};
 use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
-use continuum_analyze::{check_task_constraints, Diagnostic, LintMode, LintNode};
+use continuum_analyze::{check_task_constraints, LintNode};
 use continuum_dag::{TaskId, TaskSpec};
 use continuum_platform::{Constraints, NodeCapacity};
 use std::collections::VecDeque;
@@ -171,34 +171,55 @@ pub(super) fn try_admit(shared: &Shared, meta: &Arc<TaskMeta>, share: &Demand) -
     admitted
 }
 
+/// Gives back `done`, what a finished or parked task took, admits the
+/// `handed` successor with its share (or parks it and returns `false`),
+/// and moves every parked task that now fits out of the side queues into
+/// `unblocked`, for the caller to re-inject.
+pub(super) fn release(
+    shared: &Shared,
+    done: &Demand,
+    handed: Option<(&Arc<TaskMeta>, &Demand)>,
+    unblocked: &mut Vec<Arc<TaskMeta>>,
+) -> bool {
+    unblocked.clear();
+    let admitted = {
+        let _order = lockorder::acquire(RANK_POOL, "pool");
+        shared
+            .pool
+            .lock()
+            .release_and_unblock(done, handed, unblocked)
+    };
+    if !unblocked.is_empty() {
+        shared
+            .blocked_count
+            .fetch_sub(unblocked.len(), Ordering::SeqCst);
+    }
+    admitted
+}
+
 impl Shared {
     /// The error for a task whose constraints exceed the machine's
     /// static capacity: the constraint lint's diagnostics if strict
     /// lints reject, the same diagnostics printed beside
     /// [`RuntimeError::Unschedulable`] if they warn.
     pub(super) fn unschedulable(&self, spec: &TaskSpec, constraints: &Constraints) -> RuntimeError {
-        let _order = lockorder::acquire(RANK_GRAPH, "graph");
-        let next = self.graph.lock().ap.graph().len();
+        let next = {
+            let _order = lockorder::acquire(RANK_GRAPH, "graph");
+            self.graph.lock().ap.graph().len()
+        };
         let task = TaskId::from_raw(next as u64);
-        if self.strict_lints != LintMode::Off {
+        let verdict = lint_verdict(self.strict_lints, || {
             let machine = LintNode {
                 name: "local".to_string(),
                 capacity: self.total.clone(),
             };
-            let diagnostics: Vec<Diagnostic> = check_task_constraints(
-                task,
-                spec.name(),
-                constraints,
-                std::slice::from_ref(&machine),
-            )
-            .into_iter()
-            .collect();
-            if self.strict_lints == LintMode::Reject {
-                return RuntimeError::LintRejected { diagnostics };
-            }
-            for d in &diagnostics {
-                eprintln!("{d}");
-            }
+            check_task_constraints(task, spec.name(), constraints, &[machine])
+                .into_iter()
+                .collect()
+        });
+        match verdict {
+            Ok(warnings) => warnings.iter().for_each(|d| eprintln!("{d}")),
+            Err(rejected) => return rejected,
         }
         RuntimeError::Unschedulable {
             task,

@@ -22,11 +22,12 @@
 //! ([`Runner::share`]). A thread that runs task bodies — a worker, or a
 //! client inside one — never helps: its waits block as they always did.
 
+use super::admission::release;
 use super::dispatch::{admit_claimed, execute, Runner, Scratch, WorkerCounts};
 use super::record::{CellRef, TaskMeta};
 use super::{DataHandle, GraphState, LocalRuntime, Shared};
 use crate::error::RuntimeError;
-use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
+use crate::lockorder::{self, RANK_GRAPH};
 use continuum_dag::TaskId;
 use crossbeam::deque::Steal;
 use parking_lot::MutexGuard;
@@ -269,18 +270,12 @@ impl Helper {
         let Some(meta) = s.handed.take() else {
             return;
         };
-        s.unblocked.clear();
-        {
-            let _order = lockorder::acquire(RANK_POOL, "pool");
-            shared.pool.lock().release_and_unblock(
-                &Runner::Client.share(&meta.demand),
-                None,
-                &mut s.unblocked,
-            );
-        }
-        shared
-            .blocked_count
-            .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
+        release(
+            shared,
+            &Runner::Client.share(&meta.demand),
+            None,
+            &mut s.unblocked,
+        );
         meta.inflight_reserved.store(false, Ordering::SeqCst);
         shared.inflight.fetch_sub(1, Ordering::Relaxed);
         shared.running.fetch_sub(1, Ordering::SeqCst);

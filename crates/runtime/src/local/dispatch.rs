@@ -2,14 +2,12 @@
 //! the run of a claimed task — a worker's or a waiting client's — from
 //! its body to its commit.
 
-use super::admission::{try_admit, Demand};
-use super::record::{AsyncBody, CellRef, Claim, TaskMeta, TaskPayload};
-use super::{Shared, StreamEndpointCore, TaskContext};
-use crate::lockorder::{self, RANK_GRAPH, RANK_POOL};
-use crate::reactor::ReactorInner;
-use crate::stream::StreamChannel;
+use super::admission::{release, try_admit, Demand};
+use super::record::{AsyncBody, Claim, TaskMeta, TaskPayload};
+use super::{Shared, TaskContext};
+use crate::lockorder::{self, RANK_GRAPH};
 use crate::task_cell::ParkOutcome;
-use crate::value_cell::{Slots, Value};
+use crate::value_cell::Value;
 use continuum_dag::{DagError, Label, TaskId};
 use continuum_platform::sync::panic_message;
 use continuum_telemetry::{CounterKey, Event as TelemetryEvent, TaskPhase, Track};
@@ -247,46 +245,6 @@ pub(super) fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
     shared.inject_ready(&mut ready);
 }
 
-impl TaskContext {
-    /// The context `meta`'s body runs in on `worker`: the values behind
-    /// the task's input references `claimed`, each released once read,
-    /// one empty slot per output, and its stream endpoints. `inputs`
-    /// and `outputs` are empty buffers.
-    fn for_task(
-        shared: &Arc<Shared>,
-        meta: &Arc<TaskMeta>,
-        worker: u32,
-        claimed: Slots<CellRef>,
-        mut inputs: Vec<Value>,
-        mut outputs: Vec<Option<Value>>,
-        reactor: Option<Arc<ReactorInner>>,
-    ) -> TaskContext {
-        claimed.into_each(|input| {
-            inputs.push(
-                input
-                    .cell()
-                    .read()
-                    .unwrap_or_else(missing_input_placeholder),
-            );
-            shared.release(input);
-        });
-        outputs.resize_with(meta.outputs.as_slice().len(), || None);
-        let endpoint = |chan: &Arc<StreamChannel>| StreamEndpointCore {
-            chan: Arc::clone(chan),
-            shared: Arc::clone(shared),
-            meta: Arc::clone(meta),
-            worker,
-        };
-        TaskContext {
-            inputs,
-            outputs,
-            stream_outs: meta.stream_outs().iter().map(endpoint).collect(),
-            stream_ins: meta.stream_ins().iter().map(endpoint).collect(),
-            reactor,
-        }
-    }
-}
-
 /// Publishes a finished body's outputs into the task's cells, or names
 /// the first one the body did not set and publishes none. Called before
 /// the graph commit, so a successor that the commit releases always
@@ -340,14 +298,7 @@ fn execute_closure(
     #[expect(clippy::expect_used, reason = "INVARIANT: a closure runs once")]
     let mut body = body.expect("task body runs once");
     let name = body.take_name();
-    if let Some(name) = &name {
-        shared.telemetry.record(TelemetryEvent::Instant {
-            track: Track::Worker(worker),
-            name: name.clone(),
-            phase: TaskPhase::Scheduled,
-            at_us: shared.now_us(),
-        });
-    }
+    note_scheduled(shared, name.as_ref(), worker);
     let start_us = shared.stamp_us(name.as_ref());
     // The scratch buffers come back cleared (below).
     let (inputs, outputs) = (
@@ -356,42 +307,32 @@ fn execute_closure(
     );
     let mut ctx = TaskContext::for_task(shared, meta, worker, claimed, inputs, outputs, None);
     let result = catch_unwind(AssertUnwindSafe(|| body.run(&mut ctx)));
-    // Writer close: whether the body committed, failed or never sent,
-    // this producer is done — once every producer of a channel has
-    // closed, drained readers observe end-of-stream.
-    for chan in meta.stream_outs() {
-        chan.writer_done();
-    }
-    let end_us = shared.stamp_us(name.as_ref());
-
-    let failure_message = match &result {
-        Ok(()) => publish_outputs(shared, meta, &mut ctx.outputs),
-        Err(payload) => Some(panic_message(payload.as_ref())),
+    let outcome = |s: &mut Scratch| {
+        let failure_message = match &result {
+            Ok(()) => publish_outputs(shared, meta, &mut ctx.outputs),
+            Err(payload) => Some(panic_message(payload.as_ref())),
+        };
+        // Recycle the context buffers into the runner's scratch.
+        (s.inputs, s.outputs) = (ctx.inputs, ctx.outputs);
+        s.inputs.clear();
+        s.outputs.clear();
+        failure_message
     };
-    // Recycle the context buffers into the worker's scratch.
-    let TaskContext {
-        mut inputs,
-        mut outputs,
-        stream_outs: _,
-        stream_ins: _,
-        reactor: _,
-    } = ctx;
-    inputs.clear();
-    outputs.clear();
-    s.inputs = inputs;
-    s.outputs = outputs;
+    let at = (name.as_ref(), worker, Some(start_us));
+    finish_task(shared, runner, meta, at, outcome, s);
+}
 
-    let times = (start_us, end_us);
-    commit_task(
-        shared,
-        runner,
-        meta,
-        name.as_ref(),
-        worker,
-        failure_message,
-        times,
-        s,
-    );
+/// Emits a named task's [`TaskPhase::Scheduled`] instant on `worker`'s
+/// row, at its first dispatch.
+fn note_scheduled(shared: &Shared, name: Option<&Label>, worker: u32) {
+    if let Some(name) = name {
+        shared.telemetry.record(TelemetryEvent::Instant {
+            track: Track::Worker(worker),
+            name: name.clone(),
+            phase: TaskPhase::Scheduled,
+            at_us: shared.now_us(),
+        });
+    }
 }
 
 /// Polls an async task body on the claiming runner. The first dispatch
@@ -421,14 +362,7 @@ fn poll_async(
                 let _order = lockorder::acquire(RANK_GRAPH, "graph");
                 transition(shared.graph.lock().run.ensure_running(meta.id));
             }
-            if let Some(name) = name {
-                shared.telemetry.record(TelemetryEvent::Instant {
-                    track: Track::Worker(worker),
-                    name: name.clone(),
-                    phase: TaskPhase::Scheduled,
-                    at_us: shared.now_us(),
-                });
-            }
+            note_scheduled(shared, name, worker);
             let reactor = Some(shared.reactor_inner());
             let claimed = std::mem::take(&mut meta.claim.lock().inputs);
             let (inputs, outputs) = (Vec::new(), Vec::new());
@@ -440,13 +374,9 @@ fn poll_async(
                     // The factory (the synchronous prefix of an async
                     // fn) panicked before producing a future.
                     abody.cell.complete();
-                    for chan in meta.stream_outs() {
-                        chan.writer_done();
-                    }
-                    let end_us = shared.stamp_us(name);
-                    let message = Some(panic_message(payload.as_ref()));
-                    let times = (end_us, end_us);
-                    commit_task(shared, runner, meta, name, worker, message, times, s);
+                    let message = panic_message(payload.as_ref());
+                    let at = (name, worker, None);
+                    finish_task(shared, runner, meta, at, |_| Some(message), s);
                     return;
                 }
             }
@@ -455,43 +385,10 @@ fn poll_async(
     let start_us = shared.stamp_us(name);
     let waker = Waker::from(Arc::clone(meta));
     let mut cx = Context::from_waker(&waker);
-    loop {
+    let ended = loop {
         match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
-            Err(payload) => {
-                abody.cell.complete();
-                for chan in meta.stream_outs() {
-                    chan.writer_done();
-                }
-                // The failed body's context holds input values: gone
-                // before the commit, like a finished one's.
-                drop(fut);
-                let end_us = shared.stamp_us(name);
-                let message = Some(panic_message(payload.as_ref()));
-                let times = (start_us, end_us);
-                commit_task(shared, runner, meta, name, worker, message, times, s);
-                return;
-            }
-            Ok(Poll::Ready(mut ctx)) => {
-                abody.cell.complete();
-                for chan in meta.stream_outs() {
-                    chan.writer_done();
-                }
-                let end_us = shared.stamp_us(name);
-                let failure_message = publish_outputs(shared, meta, &mut ctx.outputs);
-                drop(ctx);
-                let times = (start_us, end_us);
-                commit_task(
-                    shared,
-                    runner,
-                    meta,
-                    name,
-                    worker,
-                    failure_message,
-                    times,
-                    s,
-                );
-                return;
-            }
+            Err(payload) => break Err(panic_message(payload.as_ref())),
+            Ok(Poll::Ready(ctx)) => break Ok(ctx),
             Ok(Poll::Pending) => {
                 // Store the future back BEFORE the park CAS: the moment
                 // the CAS lands, a concurrent wake may re-queue the
@@ -508,20 +405,7 @@ fn poll_async(
                         // the resume path re-admits through
                         // `try_admit` like any claimed task.
                         shared.running.fetch_sub(1, Ordering::SeqCst);
-                        s.unblocked.clear();
-                        {
-                            let _order = lockorder::acquire(RANK_POOL, "pool");
-                            shared.pool.lock().release_and_unblock(
-                                &runner.share(&meta.demand),
-                                None,
-                                &mut s.unblocked,
-                            );
-                        }
-                        if !s.unblocked.is_empty() {
-                            shared
-                                .blocked_count
-                                .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
-                        }
+                        release(shared, &runner.share(&meta.demand), None, &mut s.unblocked);
                         shared.inject_ready(&mut s.unblocked);
                         // A waiter in `wait_all` watching a failed run
                         // drain needs the `running` transition.
@@ -545,15 +429,51 @@ fn poll_async(
                 }
             }
         }
-    }
+    };
+    abody.cell.complete();
+    // A failed body's context holds input values: gone before the
+    // commit, like a finished one's.
+    drop(fut);
+    let outcome = |_: &mut Scratch| match ended {
+        Ok(mut ctx) => publish_outputs(shared, meta, &mut ctx.outputs),
+        Err(message) => Some(message),
+    };
+    let at = (name, worker, Some(start_us));
+    finish_task(shared, runner, meta, at, outcome, s);
 }
 
-/// Commits a finished task body — shared tail of the closure and async
-/// paths: graph transition, resource release, in-flight count, dispatch
-/// of newly-runnable work, telemetry and client wakeup.
-/// `failure_message == None` means the outputs are already published;
-/// `name` is the task's for telemetry, and `(start_us, end_us)` its
-/// executing span.
+/// Ends a task body however it ended — the one tail of the closure and
+/// async paths: the writers close, the end time is stamped, and the task
+/// commits. `outcome` is the body's own part, run once the writers are
+/// closed: it publishes the outputs and returns `None`, or returns the
+/// failure message. `at` is the task's name for telemetry, its runner's
+/// row and the start of its executing span (`None`: it ends where it
+/// starts).
+fn finish_task(
+    shared: &Arc<Shared>,
+    runner: Runner,
+    meta: &Arc<TaskMeta>,
+    (name, worker, start_us): (Option<&Label>, u32, Option<u64>),
+    outcome: impl FnOnce(&mut Scratch) -> Option<String>,
+    s: &mut Scratch,
+) {
+    // Writer close: whether the body committed, failed or never sent,
+    // this producer is done — once every producer of a channel has
+    // closed, drained readers observe end-of-stream.
+    for chan in meta.stream_outs() {
+        chan.writer_done();
+    }
+    let end_us = shared.stamp_us(name);
+    let failure = outcome(s);
+    let times = (start_us.unwrap_or(end_us), end_us);
+    commit_task(shared, runner, meta, name, worker, failure, times, s);
+}
+
+/// Commits a finished task body: graph transition, resource release,
+/// in-flight count, dispatch of newly-runnable work, telemetry and
+/// client wakeup. `failure_message == None` means the outputs are
+/// already published; `name` is the task's for telemetry, and
+/// `(start_us, end_us)` its executing span.
 ///
 /// The last successor the commit readies — the one the LIFO deque
 /// would pop first — is handed to this runner instead: it takes over
@@ -620,22 +540,10 @@ fn commit_task(
     }
 
     // -- resources: release, admit the handed task, unpark -------------
-    s.unblocked.clear();
-    let admitted = {
-        let handed = s.handed.as_ref().map(|h| (h, runner.share(&h.demand)));
-        let _order = lockorder::acquire(RANK_POOL, "pool");
-        shared.pool.lock().release_and_unblock(
-            &runner.share(&meta.demand),
-            handed.as_ref().map(|(h, share)| (*h, share)),
-            &mut s.unblocked,
-        )
-    };
-    if !s.unblocked.is_empty() {
-        shared
-            .blocked_count
-            .fetch_sub(s.unblocked.len(), Ordering::SeqCst);
-    }
-    if !admitted {
+    let handed = s.handed.as_ref().map(|h| (h, runner.share(&h.demand)));
+    let handed = handed.as_ref().map(|(h, share)| (*h, share));
+    let done = runner.share(&meta.demand);
+    if !release(shared, &done, handed, &mut s.unblocked) {
         // Parked in a side queue, as a claimed task would be: a release
         // re-injects it, and it runs from a queue then.
         s.handed = None;
@@ -678,27 +586,14 @@ fn commit_task(
             },
             at_us: end_us,
         });
-        shared.telemetry.record(TelemetryEvent::Counter {
-            key: CounterKey::RunningTasks,
-            at_us: end_us,
-            value: shared.running.load(Ordering::SeqCst) as f64,
-        });
-        shared.telemetry.record(TelemetryEvent::Counter {
-            key: CounterKey::QueueDepth,
-            at_us: end_us,
-            value: (shared.pending.load(Ordering::SeqCst)
-                + shared.blocked_count.load(Ordering::SeqCst)) as f64,
-        });
+        let running = shared.running.load(Ordering::SeqCst);
+        let queued =
+            shared.pending.load(Ordering::SeqCst) + shared.blocked_count.load(Ordering::SeqCst);
+        let telemetry = &shared.telemetry;
+        telemetry.counter(CounterKey::RunningTasks, end_us, running as f64);
+        telemetry.counter(CounterKey::QueueDepth, end_us, queued as f64);
     }
     shared.notify_clients();
-}
-
-/// Placeholder for inputs whose value is missing (initial data never
-/// set). Task bodies that touch it fail with a type error, which the
-/// runtime reports as a task failure.
-fn missing_input_placeholder() -> Value {
-    struct MissingInput;
-    Arc::new(MissingInput)
 }
 
 /// The outcome of a lifecycle transition of a task this worker claimed.

@@ -10,11 +10,11 @@ mod stream;
 mod transfer;
 
 use crate::data::DataRegistry;
-use crate::error::RuntimeError;
+use crate::error::{lint_verdict, RuntimeError};
 use crate::profile::TaskProfile;
 use crate::scheduler::Scheduler;
 use crate::workload::SimWorkload;
-use continuum_analyze::{has_errors, LintMode};
+use continuum_analyze::LintMode;
 use continuum_dag::{
     DataId, GraphAnalysis, GraphRun, GraphSource, InlineVec, Label, SegVec, TaskId, VersionedData,
 };
@@ -267,17 +267,9 @@ impl SimRuntime {
         scheduler: &mut dyn Scheduler,
         faults: &FaultPlan,
     ) -> Result<(RunReport, ExecutionTrace), RuntimeError> {
-        if self.options.strict_lints != LintMode::Off {
-            let report = workload.lint_bundle(&self.platform).verify();
-            for d in &report {
-                eprintln!("{d}");
-            }
-            if self.options.strict_lints == LintMode::Reject && has_errors(&report) {
-                return Err(RuntimeError::LintRejected {
-                    diagnostics: report,
-                });
-            }
-        }
+        let lint = || workload.lint_bundle(&self.platform).verify();
+        let warnings = lint_verdict(self.options.strict_lints, lint)?;
+        warnings.iter().for_each(|d| eprintln!("{d}"));
         let mut engine = Engine::new(
             WorkloadRef::Borrowed(workload),
             None,

@@ -172,3 +172,30 @@ fn local_off_mode_keeps_the_legacy_unschedulable_error() {
         .unwrap_err();
     assert!(matches!(err, RuntimeError::Unschedulable { .. }));
 }
+
+#[test]
+fn local_warn_mode_reports_but_submits() {
+    let rt = LocalRuntime::new(LocalConfig {
+        workers: 1,
+        strict_lints: LintMode::Warn,
+        ..LocalConfig::default()
+    });
+    let never = rt.data::<i32>("never");
+    let out = rt.data::<i32>("out");
+    // The same read without producer `Reject` refuses: `Warn` prints the
+    // finding and submits the task.
+    let id = rt
+        .submit(
+            TaskSpec::new("reader").input(never.id()).output(out.id()),
+            Constraints::new(),
+            |ctx| {
+                let v: &i32 = ctx.input(0);
+                ctx.set_output(0, v + 1);
+            },
+        )
+        .expect("warn mode must not reject");
+    assert_eq!(id, TaskId::from_raw(0));
+    // A value set afterwards reaches the reader submitted before it.
+    rt.set_initial(&never, 41);
+    assert_eq!(*rt.get(&out).unwrap(), 42);
+}

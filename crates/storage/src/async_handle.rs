@@ -23,6 +23,12 @@ use continuum_platform::NodeId;
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
+
+/// How long dropping an [`AsyncStorage`] waits for its service thread
+/// to drain the queue and exit before it detaches the thread instead of
+/// joining it.
+const DROP_JOIN_WAIT: Duration = Duration::from_secs(1);
 
 /// A pending reply from the storage service thread. Resolves to `None`
 /// only if the service thread died before answering (the handle was
@@ -73,7 +79,9 @@ enum Req {
 /// ```
 pub struct AsyncStorage {
     tx: Sender<Req>,
-    service: Option<thread::JoinHandle<()>>,
+    /// The service thread, and the cell that resolves when it leaves
+    /// its loop (or dies).
+    service: Option<(thread::JoinHandle<()>, OneshotReceiver<()>)>,
 }
 
 impl AsyncStorage {
@@ -81,6 +89,7 @@ impl AsyncStorage {
     /// handle.
     pub fn new(store: Arc<dyn StorageRuntime>) -> Self {
         let (tx, rx) = mpsc::channel::<Req>();
+        let (exit, exited) = oneshot::channel();
         #[expect(
             clippy::expect_used,
             reason = "INVARIANT: spawning fails only when the OS refuses a thread. The handle is its service thread, so without one there is nothing to return; `std::thread::spawn` panics alike."
@@ -111,11 +120,12 @@ impl AsyncStorage {
                         Req::Shutdown => break,
                     }
                 }
+                exit.send(());
             })
             .expect("spawn storage service thread");
         AsyncStorage {
             tx,
-            service: Some(service),
+            service: Some((service, exited)),
         }
     }
 
@@ -170,8 +180,13 @@ impl Drop for AsyncStorage {
         // reply cell the service thread never reaches resolves to
         // `None` when its sender is dropped with the queue.
         let _ = self.tx.send(Req::Shutdown);
-        if let Some(h) = self.service.take() {
-            let _ = h.join();
+        // A backend wedged in a call holds the service thread: wait a
+        // bounded time for it to exit, then join it, or detach it and
+        // let it drain the queue whenever the backend lets go.
+        if let Some((service, exited)) = self.service.take() {
+            if exited.wait_timeout(DROP_JOIN_WAIT).is_ok() {
+                let _ = service.join();
+            }
         }
     }
 }

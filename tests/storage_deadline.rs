@@ -3,9 +3,12 @@
 //! bounds a `get` with `TaskContext::timeout`; a blocking caller bounds
 //! it with `wait_timeout` and gets its receiver back. Each scenario
 //! runs on a thread of its own and the test thread holds a watchdog on
-//! it, so a regression fails the test instead of stalling the suite;
-//! each also releases the backend at its end, so that dropping the
-//! handle, which joins its service thread, returns.
+//! it, so a regression fails the test instead of stalling the suite.
+//! Dropping the handle is bounded too: it joins the service thread if
+//! that thread exits within a fixed wait and detaches it otherwise, so a
+//! scenario may drop its handle while the backend is still wedged, and
+//! what was queued behind the wedged call still runs once the backend
+//! lets go.
 
 use continuum::dag::TaskSpec;
 use continuum::platform::{Constraints, NodeId};
@@ -36,18 +39,22 @@ fn watched<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> 
 }
 
 /// A backend whose every `get` blocks until the test sends it one `()`
-/// and then finds nothing.
+/// and then finds nothing, and whose every `put` reports its key.
 struct WedgedStore {
     gate: Mutex<mpsc::Receiver<()>>,
+    landed: Mutex<mpsc::Sender<ObjectKey>>,
 }
 
 impl StorageRuntime for WedgedStore {
     fn put(
         &self,
-        _key: ObjectKey,
+        key: ObjectKey,
         _value: StoredValue,
         _hint: Option<NodeId>,
     ) -> Result<Vec<NodeId>, StorageError> {
+        if let Ok(landed) = self.landed.lock() {
+            let _ = landed.send(key);
+        }
         Ok(Vec::new())
     }
 
@@ -69,20 +76,22 @@ impl StorageRuntime for WedgedStore {
     }
 }
 
-/// An async handle over a [`WedgedStore`], and the sender that
-/// releases its `get`s one at a time.
-fn wedged() -> (AsyncStorage, mpsc::Sender<()>) {
+/// An async handle over a [`WedgedStore`], the sender that releases
+/// its `get`s one at a time, and the keys its `put`s landed.
+fn wedged() -> (AsyncStorage, mpsc::Sender<()>, mpsc::Receiver<ObjectKey>) {
     let (release, gate) = mpsc::channel();
+    let (landed, puts) = mpsc::channel();
     let store = WedgedStore {
         gate: Mutex::new(gate),
+        landed: Mutex::new(landed),
     };
-    (AsyncStorage::new(Arc::new(store)), release)
+    (AsyncStorage::new(Arc::new(store)), release, puts)
 }
 
 #[test]
 fn an_async_get_from_a_wedged_store_ends_in_deadline_exceeded() {
     let (timed_out, elapsed) = watched(|| {
-        let (storage, release) = wedged();
+        let (storage, release, _) = wedged();
         let pending = storage.get(ObjectKey::new("k"));
         let rt = LocalRuntime::new(LocalConfig::with_workers(1));
         let out = rt.data::<(bool, Duration)>("outcome");
@@ -115,7 +124,7 @@ fn an_async_get_from_a_wedged_store_ends_in_deadline_exceeded() {
 #[test]
 fn a_blocking_get_from_a_wedged_store_hands_its_receiver_back() {
     let (timed_out, elapsed, late) = watched(|| {
-        let (storage, release) = wedged();
+        let (storage, release, _) = wedged();
         let start = Instant::now();
         let reply = storage.get(ObjectKey::new("k")).wait_timeout(DEADLINE);
         let elapsed = start.elapsed();
@@ -135,5 +144,36 @@ fn a_blocking_get_from_a_wedged_store_hands_its_receiver_back() {
     assert!(
         matches!(late, Some(Err(StorageError::NotFound(_)))),
         "the late reply reached the receiver handed back: {late:?}"
+    );
+}
+
+#[test]
+fn dropping_a_handle_over_a_wedged_store_returns_and_its_queue_still_drains() {
+    let (dropped_in, early, late) = watched(|| {
+        let (storage, release, puts) = wedged();
+        // The get wedges the service thread; the put queues behind it.
+        let _wedged = storage.get(ObjectKey::new("k"));
+        let _ack = storage.put(ObjectKey::new("queued"), StoredValue::blob(vec![1]), None);
+        let start = Instant::now();
+        drop(storage);
+        let dropped_in = start.elapsed();
+        let early = puts.try_recv().ok();
+        // Unwedge the backend: the detached service thread runs the put.
+        release.send(()).expect("the service thread holds the gate");
+        let late = puts.recv_timeout(WATCHDOG).ok();
+        (dropped_in, early, late)
+    });
+    assert!(
+        dropped_in < Duration::from_secs(10),
+        "the drop waited on the wedged backend: {dropped_in:?}"
+    );
+    assert_eq!(
+        early, None,
+        "nothing ran past the wedged get before the drop"
+    );
+    assert_eq!(
+        late,
+        Some(ObjectKey::new("queued")),
+        "the queued put landed"
     );
 }
