@@ -116,17 +116,65 @@ pub fn run(scale: Scale) -> Result<ExperimentTable, ExperimentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use continuum_runtime::TraceBuffer;
+    use continuum_telemetry::{Event, TaskPhase};
+
+    /// The most task bodies that ran at once in a traced quick-scale
+    /// fit on `workers` workers: the peak overlap of its executing
+    /// spans.
+    fn peak_concurrent_bodies(workers: usize) -> Result<usize, ExperimentError> {
+        let (buffer, telemetry) = TraceBuffer::collector();
+        {
+            let rt = LocalRuntime::new(LocalConfig {
+                telemetry,
+                ..LocalConfig::with_workers(workers)
+            });
+            let data = DistMatrix::random(&rt, 20_000, 8, 20_000 / (workers * 4), 42)?;
+            KMeans::new(8)
+                .max_iter(10)
+                .tol(0.0)
+                .seed(7)
+                .fit(&rt, &data)?;
+        }
+        // A span opens at its start and closes at its end; at a tie the
+        // close sorts first, so back-to-back bodies do not overlap.
+        let mut edges: Vec<(u64, i64)> = buffer
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span {
+                    phase: TaskPhase::Executing,
+                    start_us,
+                    dur_us,
+                    ..
+                } => Some([(*start_us, 1), (start_us + dur_us, -1)]),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        edges.sort_unstable();
+        let (mut open, mut peak) = (0i64, 0i64);
+        for (_, step) in edges {
+            open += step;
+            peak = peak.max(open);
+        }
+        Ok(peak as usize)
+    }
 
     #[test]
-    fn kmeans_scales_with_workers() {
-        let t = run(Scale::Quick).unwrap();
+    fn kmeans_scales_with_workers() -> Result<(), ExperimentError> {
+        let t = run(Scale::Quick)?;
         assert_eq!(t.rows.len(), 3 + 4);
-        // Wall-clock on shared (possibly single-core) CI boxes is
-        // noisy; require only that 4 threads are not much slower. A
-        // single contended core has shown 4-thread overheads past 0.8,
-        // so the bar is "no collapse", not "no overhead".
-        let s4 = t.cell_f64(2, 3);
-        assert!(s4 >= 0.5, "4-worker thread speedup collapsed: {s4}");
+        // The thread rows are single wall-clock samples of a fit lasting
+        // a few milliseconds, on a host shared with this binary's other
+        // tests: their ratio is not a verdict. That 4 workers do not
+        // collapse into one is checked by a count instead: a traced
+        // 4-worker fit runs task bodies side by side.
+        let peak = peak_concurrent_bodies(4)?;
+        assert!(
+            peak >= 2,
+            "a 4-worker fit never ran two task bodies at once"
+        );
         // The simulated sweep must show the inherent strong scaling.
         let sim1 = t.cell_f64(3, 3);
         let sim8 = t.cell_f64(6, 3);
@@ -135,5 +183,6 @@ mod tests {
             sim8 > 5.0,
             "8 simulated workers should give >5x, got {sim8}"
         );
+        Ok(())
     }
 }

@@ -34,7 +34,7 @@
 use crate::sleeper::CountedSleeper;
 use crate::stream::{PollSend, Side, StreamChannel};
 use crate::task_cell::{ParkOutcome, TaskCell, WakeOutcome, COMPLETE, RUNNING};
-use crate::value_cell::ValueCell;
+use crate::value_cell::{Value, ValueCell};
 use continuum_analyze::conc::sched::{Expect, Scenario, SchedTarget};
 use continuum_platform::oneshot;
 use continuum_platform::sync::{self, RaceCell};
@@ -570,8 +570,8 @@ struct ValueCellRun {
 
 impl ValueCellRun {
     fn read(&self) {
-        if let Some(v) = self.cell.read().and_then(|v| v.downcast::<u64>().ok()) {
-            self.observed.fetch_add(*v, Ordering::SeqCst);
+        if let Some(Value::U64(v)) = self.cell.read() {
+            self.observed.fetch_add(v, Ordering::SeqCst);
         }
         // What a body does with its input, found or not.
         let _ = self.payload.get();
@@ -607,7 +607,7 @@ fn value_cell_scenario(publish_first: bool) -> Scenario {
         move || {
             let publish = || {
                 run.payload.set(21);
-                assert!(run.cell.publish(Arc::new(21u64)), "references are held");
+                assert!(run.cell.publish(Value::new(21u64)), "references are held");
             };
             let commit = || {
                 *run.graph.lock() = true;

@@ -85,7 +85,7 @@ use crate::reactor::{Reactor, ReactorInner};
 use crate::sleeper::CountedSleeper;
 use crate::stream::StreamChannel;
 use crate::task_cell::TaskCell;
-use crate::value_cell::{Slots, ValueCell};
+use crate::value_cell::{Slots, Value, ValueCell};
 use admission::{Demand, ResourcePool};
 use continuum_analyze::{read_without_producer, LintMode};
 use continuum_dag::{
@@ -97,7 +97,9 @@ use continuum_telemetry::{CounterKey, Event as TelemetryEvent, RecorderHandle, T
 use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
 use dispatch::{worker_loop, WorkerCounts};
 use parking_lot::{Condvar, Mutex};
-use record::{AsyncBody, CellColumn, CellRef, Claim, Named, TaskBody, TaskMeta, TaskPayload};
+use record::{
+    AsyncBody, CellColumn, CellRef, Claim, Named, StreamPorts, TaskBody, TaskMeta, TaskPayload,
+};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -555,7 +557,7 @@ impl LocalRuntime {
             };
             cell
         };
-        if cell.publish(Arc::new(value)) {
+        if cell.publish(Value::new(value)) {
             self.shared.live_values.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -701,14 +703,21 @@ impl LocalRuntime {
                 findings
             })?;
             id = g.register(spec)?;
-            let streams: Box<[Arc<StreamChannel>]> =
-                stream_ids.iter().map(|d| g.stream_channel(*d)).collect();
-            // Count this producer as an open writer until its body
-            // finishes — readers see end-of-stream only after every
-            // registered producer is done.
-            for chan in &streams[..writers] {
-                chan.register_writer();
-            }
+            let streams = (!stream_ids.is_empty()).then(|| {
+                let channels: Box<[Arc<StreamChannel>]> =
+                    stream_ids.iter().map(|d| g.stream_channel(*d)).collect();
+                // Count this producer as an open writer until its body
+                // finishes — readers see end-of-stream only after every
+                // registered producer is done.
+                for chan in &channels[..writers] {
+                    chan.register_writer();
+                }
+                Box::new(StreamPorts {
+                    channels,
+                    writers: writers as u32,
+                    released: AtomicBool::new(false),
+                })
+            });
             g.size_cells();
             let GraphState {
                 ap,
@@ -730,8 +739,6 @@ impl LocalRuntime {
                 claim: Mutex::new(Claim { inputs, body }),
                 outputs: Slots::collect(node.produced().map(|_| ValueCell::new())),
                 streams,
-                writers: writers as u32,
-                streams_released: AtomicBool::new(false),
                 inflight_reserved: AtomicBool::new(false),
                 payload,
             });

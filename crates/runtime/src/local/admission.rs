@@ -193,6 +193,12 @@ pub(super) fn release(
         shared
             .blocked_count
             .fetch_sub(unblocked.len(), Ordering::SeqCst);
+        #[cfg(test)]
+        shared
+            .sleeper
+            .tally
+            .unblocked
+            .fetch_add(unblocked.len(), Ordering::Relaxed);
     }
     admitted
 }

@@ -352,7 +352,7 @@ impl LocalRuntime {
         let pin = g.cells.current(handle.id).map(CellRef::retain);
         let result = loop {
             if let Some(v) = pin.as_ref().and_then(|pin| pin.cell().read()) {
-                break v.downcast::<T>().map_err(|_| match producer {
+                break v.into_shared().downcast::<T>().map_err(|_| match producer {
                     Some(task) => RuntimeError::BadTaskIo {
                         task,
                         detail: format!("value {target} does not have the requested type"),

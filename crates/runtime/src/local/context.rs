@@ -128,7 +128,8 @@ impl TaskContext {
             .unwrap_or_else(|| panic!("input {i} has unexpected type"))
     }
 
-    /// Clones the `i`-th input `Arc`, downcast to `T`.
+    /// Clones the `i`-th input `Arc`, downcast to `T`. A scalar input
+    /// (see [`TaskContext::set_output`]) is copied into a new `Arc`.
     ///
     /// # Panics
     ///
@@ -136,17 +137,20 @@ impl TaskContext {
     pub fn input_arc<T: Send + Sync + 'static>(&self, i: usize) -> Arc<T> {
         self.inputs[i]
             .clone()
+            .into_shared()
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("input {i} has unexpected type"))
     }
 
-    /// Fills the `i`-th output slot.
+    /// Fills the `i`-th output slot. A value of `()`, `bool`, `i32`,
+    /// `u32`, `i64`, `u64`, `usize` or `f64` is stored in the task's
+    /// record; any other is moved into an `Arc` of its own.
     ///
     /// # Panics
     ///
     /// Panics if the index is out of range.
     pub fn set_output<T: Send + Sync + 'static>(&mut self, i: usize, value: T) {
-        self.outputs[i] = Some(Arc::new(value));
+        self.outputs[i] = Some(Value::new(value));
     }
 
     /// The number of `stream_out` params.
@@ -268,7 +272,7 @@ impl TaskContext {
 /// runtime reports as a task failure.
 fn missing_input_placeholder() -> Value {
     struct MissingInput;
-    Arc::new(MissingInput)
+    Value::new(MissingInput)
 }
 
 /// Shared plumbing of one stream endpoint inside a running task: the

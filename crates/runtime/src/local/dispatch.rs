@@ -76,15 +76,21 @@ impl Runner<'_> {
         }
     }
 
-    /// Queues readied successors where this runner's siblings find them.
+    /// Queues readied successors where this runner's siblings find
+    /// them, and wakes workers for them.
     fn push_ready(self, shared: &Shared, ready: &mut Vec<Arc<TaskMeta>>) {
-        shared.pending.fetch_add(ready.len(), Ordering::SeqCst);
+        let n = ready.len();
+        if n == 0 {
+            return;
+        }
+        shared.pending.fetch_add(n, Ordering::SeqCst);
         for m in ready.drain(..) {
             match self {
                 Runner::Worker(queue) => queue.push(m),
                 Runner::Client => shared.injector.push(m),
             }
         }
+        shared.sleeper.wake_for(n);
     }
 }
 
@@ -223,9 +229,10 @@ fn park_poisoned(shared: &Shared) {
 /// [`StreamWriter::send`] *before* the potentially-blocking push, so
 /// consumers are queued before backpressure can park their producer.
 pub(super) fn release_stream_successors(shared: &Shared, meta: &TaskMeta) {
-    if meta.streams_released.load(Ordering::Acquire)
-        || meta.streams_released.swap(true, Ordering::AcqRel)
-    {
+    let Some(ports) = &meta.streams else {
+        return;
+    };
+    if ports.released.load(Ordering::Acquire) || ports.released.swap(true, Ordering::AcqRel) {
         return;
     }
     let mut ready: Vec<Arc<TaskMeta>> = Vec::new();
@@ -553,17 +560,11 @@ fn commit_task(
 
     // -- dispatch -------------------------------------------------------
     // The other readied successors go onto a worker's own deque, or a
-    // client's injector, and, like the unparked tasks, each warrants a
-    // wakeup: the handed one is what this runner runs next, hot in
+    // client's injector, and, like the unparked tasks, each warrants
+    // one wakeup: the handed one is what this runner runs next, hot in
     // cache, and no sibling can steal it.
-    let wake = s.ready.len() + s.unblocked.len();
-    if !s.ready.is_empty() {
-        runner.push_ready(shared, &mut s.ready);
-    }
+    runner.push_ready(shared, &mut s.ready);
     shared.inject_ready(&mut s.unblocked);
-    if wake > 0 {
-        shared.sleeper.wake_for(wake);
-    }
 
     // -- telemetry ------------------------------------------------------
     if let Some(name) = name {
@@ -614,6 +615,46 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_release_wakes_once_per_task_it_unblocks() -> Result<(), RuntimeError> {
+        // A constraint-heavy storm: 400-MB tasks on a 1 000-MB machine
+        // and four workers, so two run at a time and the other claims
+        // park; the bodies hold until one has. A task is queued once
+        // when submitted and once more per unpark, and each queueing
+        // asks for one wake-up.
+        const TASKS: usize = 400;
+        let rt = LocalRuntime::new(LocalConfig {
+            memory_mb: 1000,
+            ..LocalConfig::with_workers(4)
+        });
+        let open = Arc::new(AtomicBool::new(false));
+        for (i, out) in (0u64..).zip(&rt.data_batch::<u64>("o", TASKS)) {
+            let open = Arc::clone(&open);
+            rt.submit(
+                TaskSpec::new("heavy").output(out.id()),
+                Constraints::new().memory_mb(400),
+                move |ctx| {
+                    while !open.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::hint::black_box((0..2_000u64).fold(i, |a, k| a.wrapping_mul(31) ^ k));
+                    ctx.set_output(0, i);
+                },
+            )?;
+        }
+        while rt.shared.blocked_count.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        open.store(true, Ordering::SeqCst);
+        rt.wait_all()?;
+        let tally = &rt.shared.sleeper.tally;
+        let requested = tally.requested.load(Ordering::Relaxed);
+        let unblocked = tally.unblocked.load(Ordering::Relaxed);
+        assert!(unblocked > 0, "no task parked");
+        assert_eq!(requested, TASKS + unblocked, "{unblocked} tasks unparked");
+        Ok(())
+    }
 
     #[test]
     fn a_handed_task_that_does_not_fit_parks_until_its_holder_releases() {

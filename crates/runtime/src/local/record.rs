@@ -195,17 +195,9 @@ pub(super) struct TaskMeta {
     /// One cell per written parameter, in declaration order, reached
     /// through [`CellRef::Output`].
     pub(super) outputs: Slots<ValueCell>,
-    /// Channels behind the spec's stream params: the first `writers`
-    /// are its `stream_out` ones, the rest its `stream_in` ones, each
-    /// in declaration order. Empty, with no heap block, for a task
-    /// without streams.
-    pub(super) streams: Box<[Arc<StreamChannel>]>,
-    /// How many of `streams` this task writes; it is a registered
-    /// writer of each until its body finishes.
-    pub(super) writers: u32,
-    /// Whether this producer's first element already released its
-    /// stream consumers (checked lock-free on every send).
-    pub(super) streams_released: AtomicBool,
+    /// The channels behind the spec's stream params; `None`, one empty
+    /// pointer, for a task without streams.
+    pub(super) streams: Option<Box<StreamPorts>>,
     /// Whether this task was already counted into the in-flight set
     /// (set at its first claim, or when a commit hands it to its
     /// worker; resource-blocked and resumed re-dispatches must not
@@ -214,15 +206,33 @@ pub(super) struct TaskMeta {
     pub(super) payload: TaskPayload,
 }
 
+/// What only a stream task's record needs, boxed apart so that every
+/// other record pays one empty pointer for it.
+pub(super) struct StreamPorts {
+    /// The first `writers` are the spec's `stream_out` channels, the
+    /// rest its `stream_in` ones, each in declaration order.
+    pub(super) channels: Box<[Arc<StreamChannel>]>,
+    /// How many of `channels` this task writes; it is a registered
+    /// writer of each until its body finishes.
+    pub(super) writers: u32,
+    /// Whether this producer's first element already released its
+    /// stream consumers (checked lock-free on every send).
+    pub(super) released: AtomicBool,
+}
+
 impl TaskMeta {
     /// Channels behind the spec's `stream_out` params.
     pub(super) fn stream_outs(&self) -> &[Arc<StreamChannel>] {
-        &self.streams[..self.writers as usize]
+        self.streams
+            .as_ref()
+            .map_or(&[], |p| &p.channels[..p.writers as usize])
     }
 
     /// Channels behind the spec's `stream_in` params.
     pub(super) fn stream_ins(&self) -> &[Arc<StreamChannel>] {
-        &self.streams[self.writers as usize..]
+        self.streams
+            .as_ref()
+            .map_or(&[], |p| &p.channels[p.writers as usize..])
     }
 }
 

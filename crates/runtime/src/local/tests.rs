@@ -816,3 +816,68 @@ fn finished_tasks_let_go_of_their_records() {
         "the newest record holds no predecessor"
     );
 }
+
+/// A handle of another element type to the same datum, as a caller who
+/// mixed up two handles holds.
+fn retyped<T, U>(handle: &DataHandle<T>) -> DataHandle<U> {
+    DataHandle {
+        id: handle.id,
+        _marker: PhantomData,
+    }
+}
+
+#[test]
+fn a_value_got_as_another_type_keeps_its_error() -> Result<(), RuntimeError> {
+    let rt = rt(1);
+    let [made, initial] = ["made", "initial"].map(|d| rt.data::<u64>(d));
+    rt.set_initial(&initial, 7);
+    rt.submit(
+        TaskSpec::new("make").output(made.id()),
+        Constraints::new(),
+        |ctx| ctx.set_output(0, 7u64),
+    )?;
+    rt.wait_all()?;
+    let got = rt.get(&retyped::<_, f64>(&made));
+    assert!(
+        matches!(got, Err(RuntimeError::BadTaskIo { .. })),
+        "{got:?}"
+    );
+    let got = rt.get(&retyped::<_, f64>(&initial));
+    assert!(
+        matches!(got, Err(RuntimeError::BadDataAccess { .. })),
+        "{got:?}"
+    );
+    assert_eq!((*rt.get(&made)?, *rt.get(&initial)?), (7, 7));
+    Ok(())
+}
+
+#[test]
+fn an_input_read_as_another_type_fails_its_task() -> Result<(), RuntimeError> {
+    for by_arc in [false, true] {
+        let rt = rt(1);
+        let [made, seen] = ["made", "seen"].map(|d| rt.data::<u64>(d));
+        rt.submit(
+            TaskSpec::new("make").output(made.id()),
+            Constraints::new(),
+            |ctx| ctx.set_output(0, 7u64),
+        )?;
+        rt.submit(
+            TaskSpec::new("misread").input(made.id()).output(seen.id()),
+            Constraints::new(),
+            move |ctx| {
+                let v = match by_arc {
+                    false => *ctx.input::<i64>(0),
+                    true => *ctx.input_arc::<i64>(0),
+                };
+                ctx.set_output(0, v as u64);
+            },
+        )?;
+        match rt.wait_all() {
+            Err(RuntimeError::TaskPanicked { message, .. }) => {
+                assert!(message.contains("input 0 has unexpected type"), "{message}");
+            }
+            other => panic!("by_arc {by_arc}: {other:?}"),
+        }
+    }
+    Ok(())
+}

@@ -49,6 +49,21 @@ pub(crate) struct CountedSleeper {
     /// Workers currently scanning the queues for work. New work skips
     /// the wakeup when a scanner is already guaranteed to find it.
     searching: AtomicUsize,
+    /// What tests count of the wake-ups asked for.
+    #[cfg(test)]
+    pub(crate) tally: Tally,
+}
+
+/// Test-only counts of wake-ups asked for and of the tasks that
+/// warranted them.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Work units every [`CountedSleeper::wake_for`] so far asked to
+    /// wake for.
+    pub(crate) requested: std::sync::atomic::AtomicUsize,
+    /// Parked tasks an executor's releases moved back to its queues.
+    pub(crate) unblocked: std::sync::atomic::AtomicUsize,
 }
 
 impl CountedSleeper {
@@ -58,6 +73,8 @@ impl CountedSleeper {
             cv: Condvar::new(),
             mirror: AtomicUsize::new(0),
             searching: AtomicUsize::new(0),
+            #[cfg(test)]
+            tally: Tally::default(),
         }
     }
 
@@ -146,6 +163,8 @@ impl CountedSleeper {
     /// find the work anyway. Same publish-before-wake contract as
     /// [`wake`](CountedSleeper::wake).
     pub(crate) fn wake_for(&self, count: usize) {
+        #[cfg(test)]
+        self.tally.requested.fetch_add(count, Ordering::Relaxed);
         let deficit = count.saturating_sub(self.searching.load(Ordering::SeqCst));
         self.wake(deficit);
     }

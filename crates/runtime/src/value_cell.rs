@@ -21,8 +21,63 @@ use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A shareable, type-erased value flowing between tasks.
-pub(crate) type Value = Arc<dyn Any + Send + Sync>;
+/// Declares [`Value`] with one by-value variant per listed scalar type.
+macro_rules! value {
+    ($($variant:ident($ty:ty)),* $(,)?) => {
+        /// A type-erased value flowing between tasks: a scalar of one
+        /// of the listed types stored by value, anything else shared
+        /// behind an `Arc`. The type alone picks the representation,
+        /// so a scalar never costs a heap block of its own.
+        #[derive(Clone)]
+        pub(crate) enum Value {
+            /// Any other type.
+            Shared(Arc<dyn Any + Send + Sync>),
+            $($variant($ty),)*
+        }
+
+        impl Value {
+            /// Wraps `value`: by value if its type is a listed scalar,
+            /// in a new `Arc` otherwise.
+            pub(crate) fn new<T: Send + Sync + 'static>(value: T) -> Value {
+                let any: &dyn Any = &value;
+                $(if let Some(v) = any.downcast_ref::<$ty>() {
+                    return Value::$variant(*v);
+                })*
+                Value::Shared(Arc::new(value))
+            }
+
+            /// The value, if it is a `T`.
+            pub(crate) fn downcast_ref<T: 'static>(&self) -> Option<&T> {
+                let any: &dyn Any = match self {
+                    Value::Shared(v) => &**v,
+                    $(Value::$variant(v) => v,)*
+                };
+                any.downcast_ref()
+            }
+
+            /// The value as a shared `Arc`: the stored one, or a new
+            /// one around a scalar.
+            pub(crate) fn into_shared(self) -> Arc<dyn Any + Send + Sync> {
+                match self {
+                    Value::Shared(v) => v,
+                    $(Value::$variant(v) => Arc::new(v),)*
+                }
+            }
+        }
+    };
+}
+
+// The scalars the runtime's users pass between tasks.
+value! {
+    Unit(()),
+    Bool(bool),
+    I32(i32),
+    U32(u32),
+    I64(i64),
+    U64(u64),
+    Usize(usize),
+    F64(f64),
+}
 
 /// Storage and reference count of one version of a datum.
 ///
@@ -150,12 +205,11 @@ mod tests {
     use super::*;
 
     fn value(v: u64) -> Value {
-        Arc::new(v)
+        Value::new(v)
     }
 
     fn get(cell: &ValueCell) -> Option<u64> {
-        cell.read()
-            .map(|v| *v.downcast::<u64>().expect("u64 stored"))
+        cell.read().and_then(|v| v.downcast_ref::<u64>().copied())
     }
 
     #[test]
@@ -167,7 +221,7 @@ mod tests {
         assert!(cell.release().is_none(), "one reference remains");
         assert!(cell.is_set());
         let freed = cell.release().expect("last reference frees");
-        assert_eq!(*freed.downcast::<u64>().unwrap(), 7);
+        assert_eq!(freed.downcast_ref::<u64>(), Some(&7));
         assert!(!cell.is_set());
     }
 
@@ -175,10 +229,26 @@ mod tests {
     fn publication_into_a_dead_cell_is_dropped() {
         let cell = ValueCell::new();
         assert!(cell.release().is_none(), "nothing stored yet");
-        let payload = Arc::new(1u64);
-        assert!(!cell.publish(Arc::clone(&payload) as Value));
+        let payload: Arc<dyn Any + Send + Sync> = Arc::new(vec![1u64]);
+        assert!(!cell.publish(Value::Shared(Arc::clone(&payload))));
         assert!(!cell.is_set());
         assert_eq!(Arc::strong_count(&payload), 1, "dead on arrival");
+    }
+
+    #[test]
+    fn scalars_are_stored_by_value_and_the_rest_shared() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert!(matches!(Value::new(()), Value::Unit(())));
+        assert!(matches!(Value::new(7u64), Value::U64(7)));
+        assert!(matches!(Value::new(-0.5f64), Value::F64(v) if v == -0.5));
+        // Neither a narrower integer nor a scalar already in an `Arc`
+        // is one of the eight.
+        assert!(matches!(Value::new(7u8), Value::Shared(_)));
+        assert!(matches!(Value::new(Arc::new(7u64)), Value::Shared(_)));
+        let v = Value::new(7u64);
+        assert_eq!(v.downcast_ref::<u64>(), Some(&7));
+        assert_eq!(v.downcast_ref::<i64>(), None);
+        assert!(v.into_shared().downcast::<u64>().is_ok_and(|v| *v == 7));
     }
 
     #[test]

@@ -585,3 +585,53 @@ fn get_pins_a_version_against_its_last_readers_commit() {
         assert_eq!(rt.live_value_count() as u64, 2 * (round + 1));
     }
 }
+
+/// Sends `value` down every path a datum's value takes: a task's output
+/// and `set_initial`, each to a reader's `input` and `input_arc` and to
+/// the client's `get`.
+fn round_trip<T: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static>(name: &str, value: T) {
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    let [made, initial] = ["made", "initial"].map(|d| rt.data::<T>(d));
+    rt.set_initial(&initial, value);
+    rt.submit(
+        TaskSpec::new("make").output(made.id()),
+        Constraints::new(),
+        move |ctx| ctx.set_output(0, value),
+    )
+    .unwrap();
+    for source in [made, initial] {
+        let copy = rt.data::<T>("copy");
+        rt.submit(
+            TaskSpec::new("read").input(source.id()).output(copy.id()),
+            Constraints::new(),
+            |ctx| {
+                assert_eq!(*ctx.input_arc::<T>(0), *ctx.input::<T>(0));
+                ctx.set_output(0, *ctx.input::<T>(0));
+            },
+        )
+        .unwrap();
+        assert_eq!(*rt.get(&copy).unwrap(), value, "{name} through a task");
+        assert_eq!(*rt.get(&source).unwrap(), value, "{name} read back");
+    }
+    rt.wait_all().unwrap();
+    assert_eq!(rt.live_value_count(), 4, "{name}");
+}
+
+#[test]
+fn every_scalar_round_trips_through_its_cell() {
+    // The eight types a cell stores by value, and one it shares.
+    let table: [fn(); 9] = [
+        || round_trip("()", ()),
+        || round_trip("bool", true),
+        || round_trip("i32", -7i32),
+        || round_trip("u32", u32::MAX),
+        || round_trip("i64", i64::MIN),
+        || round_trip("u64", u64::MAX - 1),
+        || round_trip("usize", usize::MAX),
+        || round_trip("f64", -0.5f64),
+        || round_trip("u8", 3u8),
+    ];
+    for check in table {
+        check();
+    }
+}
