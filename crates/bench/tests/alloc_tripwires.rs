@@ -62,20 +62,18 @@ const MAX_ALLOCS_PER_SCALAR_GET: f64 = 1.0;
 const MAX_KMEANS_ALLOCS_PER_TASK: f64 = 16.0;
 
 /// Heap allocations per task of the textual front door, WDL text to
-/// recorded trace: the parser's parameter list and the task's edge list
-/// (a stencil task has three inputs and three readers, past the three
-/// edges the list holds inline), plus the growth of tables, arenas and
-/// the event buffer. A name or group `String` per
-/// task, or a name copied into each of a task's half-dozen events,
-/// lands well above it.
-const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 7.0;
+/// recorded trace: none of a task's own, only the growth of tables,
+/// arenas and the event buffer amortized over the run (0.53 on this
+/// 30 × 30 stencil). A heap block per task — its parameter list or its
+/// edge list spilled, a name or group `String` — lands above it.
+const MAX_FRONT_DOOR_ALLOCS_PER_TASK: f64 = 0.7;
 
 /// Heap allocations per task of `parse_wdl` alone on the same
-/// stencil: the parameter list past its inline slots and the edge list
-/// once the successors join the predecessors, plus the parser's table
-/// growth. Separate predecessor, successor and consumed-version lists
-/// cost four.
-const MAX_PARSE_ALLOCS_PER_TASK: f64 = 2.2;
+/// stencil: the parser's table growth (0.16). A stencil task's four
+/// parameters and its three predecessors and three successors all stay
+/// in place; spilling either list costs one per task, and separate
+/// predecessor, successor and consumed-version lists cost four.
+const MAX_PARSE_ALLOCS_PER_TASK: f64 = 0.2;
 
 /// Heap bytes per event `chrome_trace` may hold at its peak beyond the
 /// text it returns: the export order as a four-byte index per event,
@@ -726,5 +724,58 @@ fn declared_data_keep_few_bytes_per_datum() {
         per_datum <= MAX_DECLARED_BYTES_PER_DATUM,
         "a declared datum holds {per_datum:.1} heap bytes, \
          limit {MAX_DECLARED_BYTES_PER_DATUM}"
+    );
+}
+
+/// What `parse_wdl` of a stencil the size of the benchmark's
+/// `wdl_stencil_sim` (140 × 140) allocates and keeps, printed for the
+/// workload's profile in EXPERIMENTS.md: run it with `cargo test
+/// --release -p continuum-bench --test alloc_tripwires -- --ignored
+/// --nocapture wdl_front_door_census`. The counts of lists past two
+/// and four parameters, and past three and six edges, read both the
+/// inline widths of this tree and those of the layout before it.
+#[test]
+#[ignore = "prints a census for EXPERIMENTS.md"]
+fn wdl_front_door_census() {
+    let _serial = COUNTER.lock().unwrap();
+    let text = to_wdl(&stencil(140, 140, 10.0, 1_000_000));
+    let before = live_bytes();
+    let (workload, allocations) = count(|| parse_wdl(&text).expect("generated WDL parses"));
+    let held = live_bytes() - before;
+    let graph = workload.graph();
+    let tasks = graph.len();
+    let params_past = |n: usize| {
+        graph
+            .nodes()
+            .filter(|t| t.spec().params().len() > n)
+            .count()
+    };
+    let edges_past = |n: usize| {
+        graph
+            .nodes()
+            .filter(|t| t.predecessors().len() + t.successors().len() > n)
+            .count()
+    };
+    println!(
+        "parse_wdl, 140 × 140 stencil: {tasks} tasks, {} edges",
+        graph.edge_count()
+    );
+    println!(
+        "allocations: {allocations} ({:.3} per task)",
+        allocations as f64 / tasks as f64
+    );
+    println!(
+        "heap held after the parse: {held} B ({:.1} per task)",
+        held as f64 / tasks as f64
+    );
+    println!(
+        "tasks past 2 / 4 parameters: {} / {}",
+        params_past(2),
+        params_past(4)
+    );
+    println!(
+        "nodes past 3 / 6 edges: {} / {}",
+        edges_past(3),
+        edges_past(6)
     );
 }

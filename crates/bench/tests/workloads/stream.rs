@@ -20,8 +20,11 @@
 
 use continuum_dag::TaskSpec;
 use continuum_platform::{Constraints, NodeSpec, PlatformBuilder};
-use continuum_runtime::{FifoScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime};
+use continuum_runtime::{
+    FifoScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime, TraceBuffer,
+};
 use continuum_sim::FaultPlan;
+use continuum_telemetry::{Event, TaskPhase};
 use continuum_workflows::patterns::{batch_inference, continuous_inference};
 use std::time::Instant;
 
@@ -108,6 +111,22 @@ fn checksum(values: &[u64]) -> u64 {
 pub fn run_streamed(case: &StreamCase) -> (u64, f64) {
     let rt = LocalRuntime::new(LocalConfig::with_workers(case.min_workers()));
     let start = Instant::now();
+    let sum = streamed_on(&rt, case);
+    (sum, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The name of the streamed rendition's `s`-th task: the sensor, each
+/// stage by its position, then the sink.
+fn streamed_task_name(case: &StreamCase, s: usize) -> String {
+    match s {
+        0 => "sensor".to_string(),
+        s if s > case.stages => "sink".to_string(),
+        s => format!("stage{s}"),
+    }
+}
+
+/// Runs the streamed rendition on `rt`; returns the sink checksum.
+fn streamed_on(rt: &LocalRuntime, case: &StreamCase) -> u64 {
     let mut prev = rt.stream::<u64>("s0", case.capacity);
     let (n, rounds, cadence_us) = (case.elements, case.rounds, case.cadence_us);
     rt.submit(
@@ -127,7 +146,7 @@ pub fn run_streamed(case: &StreamCase) -> (u64, f64) {
     for s in 0..case.stages {
         let next = rt.stream::<u64>(format!("s{}", s + 1), case.capacity);
         rt.submit(
-            TaskSpec::new("stage")
+            TaskSpec::new(streamed_task_name(case, s + 1))
                 .stream_in(prev.id())
                 .stream_out(next.id()),
             Constraints::new(),
@@ -160,7 +179,48 @@ pub fn run_streamed(case: &StreamCase) -> (u64, f64) {
     .expect("admitted");
     let sum = *rt.get(&out).expect("sink output");
     rt.wait_all().expect("completes");
-    (sum, start.elapsed().as_secs_f64() * 1e3)
+    sum
+}
+
+/// Runs the streamed rendition traced; returns the sink checksum and
+/// how many of its hops overlapped: those whose consumer's first
+/// executing span starts before its producer's last one ends. A
+/// producer of more elements than its channel holds cannot finish
+/// before its consumer drains it, so on a working transport every hop
+/// overlaps, on any host and at any load.
+pub fn overlapped_hops(case: &StreamCase) -> (u64, usize) {
+    let (buffer, telemetry) = TraceBuffer::collector();
+    let sum = {
+        let rt = LocalRuntime::new(LocalConfig {
+            telemetry,
+            ..LocalConfig::with_workers(case.min_workers())
+        });
+        streamed_on(&rt, case)
+    };
+    let events = buffer.events();
+    let executing = |task: &str| {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span {
+                    name,
+                    phase: TaskPhase::Executing,
+                    start_us,
+                    dur_us,
+                    ..
+                } if &**name == task => Some((*start_us, start_us + dur_us)),
+                _ => None,
+            })
+            .reduce(|(s0, e0), (s1, e1)| (s0.min(s1), e0.max(e1)))
+    };
+    let overlapped = (1..=case.stages + 1)
+        .filter(|&s| {
+            let producer = executing(&streamed_task_name(case, s - 1));
+            let consumer = executing(&streamed_task_name(case, s));
+            matches!((producer, consumer), (Some((_, end)), Some((start, _))) if start < end)
+        })
+        .count();
+    (sum, overlapped)
 }
 
 /// Runs the batch rendition of the same computation; returns
@@ -226,18 +286,6 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Runs `case` streamed then batch on the local engine.
-    pub fn local(case: &StreamCase) -> Comparison {
-        let (checksum_streamed, streamed_ms) = run_streamed(case);
-        let (checksum_batch, batch_ms) = run_batch(case);
-        Comparison {
-            streamed_ms,
-            batch_ms,
-            checksum_streamed,
-            checksum_batch,
-        }
-    }
-
     /// Runs the calibrated continuous-inference window on the
     /// simulated engine (virtual time, exact and deterministic); the
     /// "checksums" are the completed task counts.

@@ -6,7 +6,7 @@ use crate::ids::{DataId, DataVersion, TaskId, VersionedData};
 use crate::inline_vec::InlineVec;
 use crate::param::{Param, StreamRole};
 use crate::seg_vec::{Retired, SegVec, SEGMENT_SLOTS};
-use crate::spec::TaskSpec;
+use crate::spec::{Params, TaskSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -235,7 +235,7 @@ const PAIRWISE_SCAN_MAX: usize = 32;
 
 /// A task declares `param` after `earlier`, both on the same datum:
 /// legal only if both merely read it.
-fn check_repeated_access(spec: &TaskSpec, earlier: &Param, param: &Param) -> Result<(), DagError> {
+fn check_repeated_access(spec: &TaskSpec, earlier: Param, param: Param) -> Result<(), DagError> {
     if earlier.direction.is_stream() != param.direction.is_stream() {
         return Err(DagError::MixedAccess {
             task: spec.name().to_string(),
@@ -253,21 +253,24 @@ fn check_repeated_access(spec: &TaskSpec, earlier: &Param, param: &Param) -> Res
 
 /// The parameters of one spec grouped by datum.
 struct SameDatum {
-    /// Parameter indices sorted by (datum, index).
-    order: Vec<u32>,
+    /// Each parameter's datum and index, sorted.
+    order: Vec<(DataId, u32)>,
     /// For each parameter: where its datum's group starts in `order`,
     /// and its own position there.
     span: Vec<(u32, u32)>,
 }
 
 impl SameDatum {
-    fn group(params: &[Param]) -> Self {
-        let mut order: Vec<u32> = (0..params.len() as u32).collect();
-        order.sort_unstable_by_key(|&k| (params[k as usize].data, k));
-        let mut span = vec![(0, 0); params.len()];
+    fn group(params: Params<'_>) -> Self {
+        let mut order: Vec<(DataId, u32)> = params
+            .enumerate()
+            .map(|(k, p)| (p.data, k as u32))
+            .collect();
+        order.sort_unstable();
+        let mut span = vec![(0, 0); order.len()];
         let mut start = 0;
-        for (at, &k) in order.iter().enumerate() {
-            if params[k as usize].data != params[order[start] as usize].data {
+        for (at, &(data, k)) in order.iter().enumerate() {
+            if data != order[start].0 {
                 start = at;
             }
             span[k as usize] = (start as u32, at as u32);
@@ -277,9 +280,11 @@ impl SameDatum {
 
     /// Indices of the parameters before `i` on the same datum,
     /// ascending.
-    fn earlier(&self, i: usize) -> &[u32] {
+    fn earlier(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         let (start, at) = self.span[i];
-        &self.order[start as usize..at as usize]
+        self.order[start as usize..at as usize]
+            .iter()
+            .map(|&(_, k)| k as usize)
     }
 }
 
@@ -372,7 +377,7 @@ impl AccessProcessor {
     ///   stream and as a versioned value (within this spec or across
     ///   submissions).
     pub fn register(&mut self, spec: TaskSpec) -> Result<TaskId, DagError> {
-        if spec.params().is_empty() {
+        if spec.params().len() == 0 {
             return Err(DagError::EmptyTask(spec.name().to_string()));
         }
         self.validate_accesses(&spec)?;
@@ -382,7 +387,7 @@ impl AccessProcessor {
         // each list once instead of growing it 1 → 4 → 8 → 16. An edge
         // list past its inline slots gets room for the one successor a
         // merge has, which is pushed onto the same list.
-        let reads = spec.params().iter().filter(|p| p.direction.reads()).count();
+        let reads = spec.params().filter(|p| p.direction.reads()).count();
         let edges = if reads > EDGES_INLINE {
             reads + 1
         } else {
@@ -453,8 +458,8 @@ impl AccessProcessor {
         // parameters by datum first, which visits the same pairs in
         // the same order without the quadratic scan.
         let params = spec.params();
-        let grouped = (params.len() > PAIRWISE_SCAN_MAX).then(|| SameDatum::group(params));
-        for (i, param) in params.iter().enumerate() {
+        let grouped = (params.len() > PAIRWISE_SCAN_MAX).then(|| SameDatum::group(params.clone()));
+        for (i, param) in params.clone().enumerate() {
             // Cross-submission discipline check: a datum is either a
             // channel of elements or a renamed whole-value, never both.
             let mixed = match self.catalog.slot(param.data)?.discipline {
@@ -470,13 +475,13 @@ impl AccessProcessor {
             }
             match &grouped {
                 None => {
-                    for earlier in params[..i].iter().filter(|e| e.data == param.data) {
+                    for earlier in params.clone().take(i).filter(|e| e.data == param.data) {
                         check_repeated_access(spec, earlier, param)?;
                     }
                 }
                 Some(grouped) => {
-                    for &j in grouped.earlier(i) {
-                        check_repeated_access(spec, &params[j as usize], param)?;
+                    for earlier in grouped.earlier(i).filter_map(|j| params.clone().nth(j)) {
+                        check_repeated_access(spec, earlier, param)?;
                     }
                 }
             }

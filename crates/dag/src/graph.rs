@@ -9,7 +9,7 @@ use crate::ready::ReadySet;
 use crate::seg_vec::{Retired, SegVec};
 use crate::spec::TaskSpec;
 pub(crate) use node::EDGES_INLINE;
-use node::{EdgeList, IdList, Listed, StreamEdges, VersionList};
+use node::{EdgeList, IdList, Listed, VersionList};
 pub use node::{NodeEdges, NodePayload, TaskNode};
 use std::collections::BTreeMap;
 
@@ -90,21 +90,15 @@ impl TaskGraph {
         let id = self.next_task_id();
         for p in &preds {
             if let Some(pred) = self.edges.get_mut(p.index()) {
-                pred.adjacent.push(id);
+                pred.push_successor(id);
             }
         }
         for p in &stream_preds {
             if let Some(pred) = self.edges.get_mut(p.index()) {
-                pred.streams_mut().succs.push(id);
+                pred.push_stream_successor(id);
             }
         }
-        let streams = (!stream_preds.is_empty()).then(|| {
-            Box::new(StreamEdges {
-                preds: stream_preds,
-                succs: IdList::new(),
-            })
-        });
-        self.edges.push(NodeEdges::new(id, preds, streams));
+        self.edges.push(NodeEdges::new(preds, stream_preds));
         self.payload.push(NodePayload { spec, versions });
         id
     }
@@ -121,7 +115,7 @@ impl TaskGraph {
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(|e| e.preds as usize).sum()
+        self.edges.iter().map(|e| e.predecessors().len()).sum()
     }
 
     /// Total number of stream (first-element) edges.
@@ -143,12 +137,14 @@ impl TaskGraph {
             .edges
             .get(id.index())
             .ok_or(DagError::UnknownTask(id))?;
-        Ok(self.view(edges))
+        Ok(self.view(id.index(), edges))
     }
 
     /// Iterates over all resident task nodes in submission order.
     pub fn nodes(&self) -> impl DoubleEndedIterator<Item = TaskNode<'_>> {
-        self.edges.iter().map(|edges| self.view(edges))
+        self.edges
+            .indexed_from(0)
+            .map(|(i, edges)| self.view(i, edges))
     }
 
     /// Structure segments currently resident (see [`SegVec`]).
@@ -255,11 +251,11 @@ impl TaskGraph {
         // edges alike.
         let mut indeg = vec![0usize; self.edges.len()];
         let mut queue = Vec::new();
-        for n in self.edges.iter() {
-            let d = n.preds as usize + n.stream_predecessors().len();
-            indeg[n.id.index()] = d;
+        for (index, n) in self.edges.indexed_from(0) {
+            let d = n.predecessors().len() + n.stream_predecessors().len();
+            indeg[index] = d;
             if d == 0 {
-                queue.push(n.id);
+                queue.push(TaskId(index as u64));
             }
         }
         let mut order = Vec::with_capacity(queue.len());
@@ -360,7 +356,7 @@ impl GraphRun {
     /// necessarily completed.
     pub fn grow(&mut self, graph: &TaskGraph) -> usize {
         let old = self.slots.len();
-        for node in graph.edges.iter_from(old) {
+        for (index, node) in graph.edges.indexed_from(old) {
             let unfinished = node
                 .predecessors()
                 .iter()
@@ -380,7 +376,7 @@ impl GraphRun {
                 })
                 .count();
             let state = if unfinished == 0 && unreleased == 0 {
-                self.ready.insert(node.id);
+                self.ready.insert(TaskId(index as u64));
                 TaskState::Ready
             } else {
                 TaskState::Pending

@@ -7,7 +7,7 @@ use crate::ids::{DataVersion, TaskId, VersionedData};
 use crate::inline_vec::InlineVec;
 use crate::param::{Direction, Param};
 use crate::seg_vec::SEGMENT_SLOTS;
-use crate::spec::TaskSpec;
+use crate::spec::{Params, TaskSpec};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::OnceLock;
 
@@ -15,13 +15,13 @@ use std::sync::OnceLock;
 /// every stage of a linear pipeline.
 pub(super) type IdList = InlineVec<TaskId, 1>;
 
-/// A node's completion edges, predecessors then successors: a chain
-/// stage's one of each stays inline, and so do a stencil task's three
-/// predecessors until its first successor arrives.
+/// The predecessors the access processor gathers for a new task, kept
+/// in place as long as [`NodeEdges`] would keep them.
 pub(super) type EdgeList = InlineVec<TaskId, EDGES_INLINE>;
 
-/// Edges an [`EdgeList`] holds in place, in the 32 bytes it takes.
-pub(crate) const EDGES_INLINE: usize = 3;
+/// Completion edges a [`NodeEdges`] holds in place: a stencil task's
+/// three predecessors and three successors.
+pub(crate) const EDGES_INLINE: usize = 6;
 
 /// One version per parameter of a task's spec: the version an `In` or
 /// `InOut` parameter reads, the version an `Out` parameter writes
@@ -40,55 +40,159 @@ pub(super) struct StreamEdges {
     pub(super) succs: IdList,
 }
 
-/// One slot of a graph's structure column: a task's id and its
-/// completion and stream edges — all an engine walks once the task
-/// is submitted.
+/// One slot of a graph's structure column: a task's completion and
+/// stream edges — all an engine walks once the task is submitted. The
+/// slot's index is the task's id.
 #[derive(Debug, Clone)]
-pub struct NodeEdges {
-    pub(super) id: TaskId,
-    /// Completion predecessors, then successors as later tasks add
-    /// them.
-    pub(super) adjacent: EdgeList,
-    /// How many of `adjacent` are predecessors.
-    pub(super) preds: u32,
-    pub(super) streams: Option<Box<StreamEdges>>,
+pub struct NodeEdges(Edges);
+
+/// The two forms of a [`NodeEdges`]. Completion edges are kept
+/// predecessors first, then successors as later tasks add them.
+#[derive(Debug, Clone)]
+enum Edges {
+    /// Up to [`EDGES_INLINE`] completion edges and no stream edge.
+    Inline {
+        /// Live edges in `buf`; the rest is filler.
+        len: u8,
+        /// How many of the live edges are predecessors.
+        preds: u8,
+        buf: [TaskId; EDGES_INLINE],
+    },
+    /// More completion edges than fit in place, or any stream edge.
+    Heap {
+        /// How many of `adjacent` are predecessors.
+        preds: u32,
+        adjacent: Vec<TaskId>,
+        streams: Option<Box<StreamEdges>>,
+    },
 }
 
 impl NodeEdges {
-    pub(super) fn new(id: TaskId, preds: EdgeList, streams: Option<Box<StreamEdges>>) -> Self {
-        NodeEdges {
-            id,
-            preds: preds.len() as u32,
-            adjacent: preds,
-            streams,
+    /// A task with no edges.
+    fn empty() -> Self {
+        NodeEdges(Edges::Inline {
+            len: 0,
+            preds: 0,
+            buf: [TaskId::default(); EDGES_INLINE],
+        })
+    }
+
+    /// A new task's edges: its completion and stream predecessors.
+    pub(super) fn new(preds: EdgeList, stream_preds: IdList) -> Self {
+        let streams = (!stream_preds.is_empty()).then(|| {
+            Box::new(StreamEdges {
+                preds: stream_preds,
+                succs: IdList::new(),
+            })
+        });
+        Self::with_streams(preds, streams)
+    }
+
+    /// A task's edges as its predecessors and stream edges give them;
+    /// its successors are pushed after.
+    fn with_streams(preds: EdgeList, streams: Option<Box<StreamEdges>>) -> Self {
+        let count = preds.len();
+        match (preds, streams) {
+            (InlineVec::Inline { len, buf }, None) => NodeEdges(Edges::Inline {
+                len,
+                preds: len,
+                buf,
+            }),
+            (InlineVec::Inline { len, buf }, streams) => NodeEdges(Edges::Heap {
+                preds: u32::from(len),
+                adjacent: buf[..usize::from(len)].to_vec(),
+                streams,
+            }),
+            (InlineVec::Heap(adjacent), streams) => NodeEdges(Edges::Heap {
+                preds: count as u32,
+                adjacent,
+                streams,
+            }),
         }
     }
 
-    pub(super) fn predecessors(&self) -> &[TaskId] {
-        &self.adjacent[..self.preds as usize]
+    /// Appends a completion successor.
+    #[inline]
+    pub(super) fn push_successor(&mut self, id: TaskId) {
+        match &mut self.0 {
+            Edges::Inline { len, buf, .. } if usize::from(*len) < EDGES_INLINE => {
+                buf[usize::from(*len)] = id;
+                *len += 1;
+            }
+            Edges::Inline { preds, buf, .. } => {
+                let mut adjacent = Vec::with_capacity(2 * EDGES_INLINE);
+                adjacent.extend_from_slice(buf);
+                adjacent.push(id);
+                self.0 = Edges::Heap {
+                    preds: u32::from(*preds),
+                    adjacent,
+                    streams: None,
+                };
+            }
+            Edges::Heap { adjacent, .. } => adjacent.push(id),
+        }
     }
 
+    /// Appends a stream successor, moving the completion edges out of
+    /// place if they are still there.
+    pub(super) fn push_stream_successor(&mut self, id: TaskId) {
+        match &mut self.0 {
+            Edges::Heap { streams, .. } => streams.get_or_insert_with(Box::default).succs.push(id),
+            Edges::Inline { len, preds, buf } => {
+                let streams = StreamEdges {
+                    preds: IdList::new(),
+                    succs: [id].into_iter().collect(),
+                };
+                self.0 = Edges::Heap {
+                    preds: u32::from(*preds),
+                    adjacent: buf[..usize::from(*len)].to_vec(),
+                    streams: Some(Box::new(streams)),
+                };
+            }
+        }
+    }
+
+    #[inline]
+    pub(super) fn predecessors(&self) -> &[TaskId] {
+        match &self.0 {
+            Edges::Inline { preds, buf, .. } => &buf[..usize::from(*preds)],
+            Edges::Heap {
+                preds, adjacent, ..
+            } => &adjacent[..*preds as usize],
+        }
+    }
+
+    #[inline]
     pub(super) fn successors(&self) -> &[TaskId] {
-        &self.adjacent[self.preds as usize..]
+        match &self.0 {
+            Edges::Inline { len, preds, buf } => &buf[usize::from(*preds)..usize::from(*len)],
+            Edges::Heap {
+                preds, adjacent, ..
+            } => &adjacent[*preds as usize..],
+        }
     }
 
     /// Drops every edge, completion and stream.
     pub(super) fn clear(&mut self) {
-        self.adjacent.clear();
-        self.preds = 0;
-        self.streams = None;
+        *self = NodeEdges::empty();
+    }
+
+    pub(super) fn streams(&self) -> Option<&StreamEdges> {
+        match &self.0 {
+            Edges::Heap {
+                streams: Some(streams),
+                ..
+            } => Some(streams),
+            _ => None,
+        }
     }
 
     pub(super) fn stream_predecessors(&self) -> &[TaskId] {
-        self.streams.as_ref().map_or(&[], |s| &s.preds)
+        self.streams().map_or(&[], |s| &s.preds)
     }
 
     pub(super) fn stream_successors(&self) -> &[TaskId] {
-        self.streams.as_ref().map_or(&[], |s| &s.succs)
-    }
-
-    pub(super) fn streams_mut(&mut self) -> &mut StreamEdges {
-        self.streams.get_or_insert_with(Box::default)
+        self.streams().map_or(&[], |s| &s.succs)
     }
 }
 
@@ -147,7 +251,7 @@ impl Listed {
 /// versions: the data it reads, or the data it writes.
 #[derive(Clone)]
 struct AccessList<'g> {
-    params: std::slice::Iter<'g, Param>,
+    params: Params<'g>,
     versions: std::slice::Iter<'g, DataVersion>,
     writes: bool,
 }
@@ -187,6 +291,7 @@ impl ExactSizeIterator for AccessList<'_> {}
 /// in full reads no edges either.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskNode<'g> {
+    pub(super) id: TaskId,
     pub(super) edges: &'g NodeEdges,
     pub(super) payload: &'g NodePayload,
     pub(super) listed: Option<&'g Listed>,
@@ -195,7 +300,7 @@ pub struct TaskNode<'g> {
 impl<'g> TaskNode<'g> {
     /// The task's id.
     pub fn id(self) -> TaskId {
-        self.edges.id
+        self.id
     }
 
     /// The task's spec (name, parameter accesses).
@@ -218,11 +323,11 @@ impl<'g> TaskNode<'g> {
     #[inline]
     fn access_list(self, writes: bool) -> AccessList<'g> {
         let (params, versions) = match self.listed {
-            Some(listed) => (&listed.params[..], &listed.versions[..]),
+            Some(listed) => (Params::of(&listed.params), &listed.versions[..]),
             None => (self.payload.spec.params(), &self.payload.versions[..]),
         };
         AccessList {
-            params: params.iter(),
+            params,
             versions: versions.iter(),
             writes,
         }
@@ -252,15 +357,16 @@ impl<'g> TaskNode<'g> {
 }
 
 impl TaskGraph {
-    /// The view of a held structure slot, with its payload if that is
-    /// still held.
-    pub(super) fn view<'g>(&'g self, edges: &'g NodeEdges) -> TaskNode<'g> {
-        let payload = match self.payload.get(edges.id.index()) {
+    /// The view of the held structure slot at `index`, with its
+    /// payload if that is still held.
+    pub(super) fn view<'g>(&'g self, index: usize, edges: &'g NodeEdges) -> TaskNode<'g> {
+        let payload = match self.payload.get(index) {
             Some(payload) => payload,
             None => NodePayload::retired(),
         };
-        let listed = self.listed.get(&edges.id.index());
+        let listed = self.listed.get(&index);
         TaskNode {
+            id: TaskId(index as u64),
             edges,
             payload,
             listed,
@@ -274,11 +380,11 @@ impl Serialize for TaskNode<'_> {
     fn to_json_value(&self) -> Value {
         let (edges, payload) = (self.edges, self.payload);
         Value::Obj(vec![
-            ("id".to_string(), edges.id.to_json_value()),
+            ("id".to_string(), self.id.to_json_value()),
             ("spec".to_string(), payload.spec.to_json_value()),
             ("preds".to_string(), edges.predecessors().to_json_value()),
             ("succs".to_string(), edges.successors().to_json_value()),
-            ("streams".to_string(), edges.streams.to_json_value()),
+            ("streams".to_string(), edges.streams().to_json_value()),
             ("consumed".to_string(), list(self.consumed())),
             ("produced".to_string(), list(self.produced())),
         ])
@@ -379,8 +485,10 @@ impl Deserialize for TaskGraph {
                 graph.listed.insert(i, listed);
                 VersionList::new()
             });
-            let mut edges = NodeEdges::new(id, preds, streams);
-            edges.adjacent.extend(succs);
+            let mut edges = NodeEdges::with_streams(preds, streams);
+            for succ in succs {
+                edges.push_successor(succ);
+            }
             graph.edges.push(edges);
             graph.payload.push(NodePayload { spec, versions });
         }

@@ -10,7 +10,7 @@
 //!
 //! The implementation is safe code: inline slots are initialised with
 //! `T::default()`, which is why elements must be `Copy + Default`
-//! (ids, parameter accesses).
+//! (ids, versions).
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;

@@ -67,4 +67,4 @@ pub use param::{Direction, Param, StreamRole};
 pub use ready::{ReadyIter, ReadySet};
 pub use seg_vec::{Retired, SegVec, EVACUATE_LIVE, SEGMENT_SLOTS};
 pub use source::{ExpandSink, GraphSource};
-pub use spec::TaskSpec;
+pub use spec::{Params, TaskSpec};

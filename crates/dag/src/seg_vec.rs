@@ -225,17 +225,23 @@ impl<T> SegVec<T> {
         }
     }
 
-    /// What `segment` still holds at index `>= from`, in index order:
-    /// its block, or its evacuated slots.
-    fn segment_slots(&self, segment: usize, from: usize) -> impl DoubleEndedIterator<Item = &T> {
+    /// What `segment` still holds at index `>= from`, in index order,
+    /// each slot beside its index: its block, or its evacuated slots.
+    fn segment_slots(
+        &self,
+        segment: usize,
+        from: usize,
+    ) -> impl DoubleEndedIterator<Item = (usize, &T)> {
+        let first = from.max(segment * SEGMENT_SLOTS);
         let (block, side): (&[T], &[(usize, T)]) = match &self.segments[segment] {
-            Some(block) => {
-                let skip = from.saturating_sub(segment * SEGMENT_SLOTS);
-                (&block[skip.min(block.len())..], &[])
-            }
+            Some(block) => (&block[(first % SEGMENT_SLOTS).min(block.len())..], &[]),
             None => (&[], &self.evacuated[self.evacuated_range(segment, from)]),
         };
-        block.iter().chain(side.iter().map(|(_, value)| value))
+        let block = block
+            .iter()
+            .enumerate()
+            .map(move |(k, value)| (first + k, value));
+        block.chain(side.iter().map(|(index, value)| (*index, value)))
     }
 
     /// Iterates the slots still held — resident or evacuated — in
@@ -247,6 +253,11 @@ impl<T> SegVec<T> {
     /// Iterates the slots still held with index `>= start`, in index
     /// order.
     pub fn iter_from(&self, start: usize) -> impl DoubleEndedIterator<Item = &T> {
+        self.indexed_from(start).map(|(_, value)| value)
+    }
+
+    /// [`SegVec::iter_from`] with each slot's index beside it.
+    pub fn indexed_from(&self, start: usize) -> impl DoubleEndedIterator<Item = (usize, &T)> {
         (start / SEGMENT_SLOTS..self.segments.len())
             .flat_map(move |segment| self.segment_slots(segment, start))
     }

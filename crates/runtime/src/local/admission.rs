@@ -135,9 +135,11 @@ impl ResourcePool {
 
     /// Releases what a finished task took, admits the successor its
     /// runner was handed with the share it takes (or parks it, returning
-    /// `false`), and drains every parked task that now fits into `out`
-    /// for re-injection. The handed task goes first: it is what the
-    /// runner runs next.
+    /// `false`), and drains into `out`, for re-injection, the parked
+    /// tasks that now fit together. The handed task goes first: it is
+    /// what the runner runs next. The rest are counted against a copy of
+    /// the free capacity, so a release of room for one task unparks one,
+    /// not every task that would fit on its own to re-park but one.
     pub(super) fn release_and_unblock(
         &mut self,
         done: &Demand,
@@ -146,10 +148,12 @@ impl ResourcePool {
     ) -> bool {
         self.free.give(done);
         let admitted = handed.is_none_or(|(meta, share)| self.try_admit(meta, share));
+        let mut room = self.free;
         for queue in &mut self.blocked {
             for _ in 0..queue.len() {
                 let Some(m) = queue.pop_front() else { break };
-                if self.free.covers(&m.demand) {
+                if room.covers(&m.demand) {
+                    room.take(&m.demand);
                     out.push(m);
                 } else {
                     queue.push_back(m);
@@ -173,8 +177,8 @@ pub(super) fn try_admit(shared: &Shared, meta: &Arc<TaskMeta>, share: &Demand) -
 
 /// Gives back `done`, what a finished or parked task took, admits the
 /// `handed` successor with its share (or parks it and returns `false`),
-/// and moves every parked task that now fits out of the side queues into
-/// `unblocked`, for the caller to re-inject.
+/// and moves the parked tasks that now fit together out of the side
+/// queues into `unblocked`, for the caller to re-inject.
 pub(super) fn release(
     shared: &Shared,
     done: &Demand,

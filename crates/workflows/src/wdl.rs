@@ -503,7 +503,6 @@ task model stream_in=feats out=preds dur=30 out_bytes=2M
                 .unwrap()
                 .spec()
                 .params()
-                .iter()
                 .map(|p| p.direction)
                 .collect();
             assert_eq!(spec_dirs, vec![dir], "{}", dir.as_str());

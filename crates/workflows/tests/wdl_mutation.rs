@@ -234,7 +234,7 @@ fn round_trip_mismatch(first: &SimWorkload, again: &SimWorkload) -> Option<Strin
             return Some(format!("task {t}: {a:?} became {b:?}"));
         }
         let same_params = a.params().len() == b.params().len()
-            && a.params().iter().zip(b.params()).all(|(p, q)| {
+            && a.params().zip(b.params()).all(|(p, q)| {
                 p.direction == q.direction
                     && *forward.entry(p.data).or_insert(q.data) == q.data
                     && *backward.entry(q.data).or_insert(p.data) == p.data
