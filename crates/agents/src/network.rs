@@ -1,16 +1,15 @@
 //! A network of agents sharing an operation registry and a persistent
 //! store (the deployment of paper Fig. 6).
 
-use crate::agent::{Agent, AgentId, AgentInfo, ExecReply};
+use crate::agent::{Agent, AgentId, AgentInfo, ExecReply, Msg};
 use crate::error::AgentError;
 use crate::offload::OffloadPolicy;
 use crate::ops::OpRegistry;
 use crate::orchestrator::{AppReport, AppTask, Application};
-use continuum_platform::oneshot::{self, OneshotReceiver};
+use continuum_platform::oneshot::{self, OneshotReceiver, OneshotSender};
 use continuum_platform::DeviceClass;
 use continuum_storage::StorageRuntime;
 use std::fmt;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,12 +22,6 @@ pub(crate) struct NetworkInner {
 }
 
 impl NetworkInner {
-    pub(crate) fn infos(&self) -> Vec<AgentInfo> {
-        let mut infos = Vec::new();
-        self.infos_into(&mut infos);
-        infos
-    }
-
     /// Refreshes `infos` to a snapshot of every agent, in place: an
     /// entry for an agent it already lists is updated field by field,
     /// its name rewritten only if the agent's differs, so a refresh of
@@ -43,12 +36,39 @@ impl NetworkInner {
         infos.extend(agents[known..].iter().map(Agent::info));
     }
 
-    pub(crate) fn sender_of(&self, id: AgentId) -> Result<Sender<crate::agent::Msg>, AgentError> {
+    /// `f` of agent `id`.
+    fn agent<R>(&self, id: AgentId, f: impl FnOnce(&Agent) -> R) -> Result<R, AgentError> {
         let agents = self.agents.read();
-        agents
-            .get(id.index())
-            .map(Agent::sender)
-            .ok_or_else(|| AgentError::UnknownAgent(id.to_string()))
+        let found = agents.get(id.index()).map(f);
+        found.ok_or_else(|| AgentError::UnknownAgent(id.to_string()))
+    }
+
+    /// Puts `msg` in agent `to`'s inbox.
+    pub(crate) fn send(&self, to: AgentId, msg: Msg) -> Result<(), AgentError> {
+        let sent = self.agent(to, |agent| agent.sender().send(msg).ok())?;
+        sent.ok_or_else(|| AgentError::UnknownAgent(to.to_string()))
+    }
+
+    /// Sends agent `on` the message `msg` makes around a reply cell,
+    /// and waits at most `deadline` for the reply; a timeout is a
+    /// [`AgentError::DeadlineExceeded`] of `op`.
+    fn call<R>(
+        &self,
+        on: AgentId,
+        op: &str,
+        deadline: Duration,
+        msg: impl FnOnce(OneshotSender<R>) -> Msg,
+    ) -> Result<R, AgentError> {
+        let (reply, rx) = oneshot::channel();
+        self.send(on, msg(reply))?;
+        match rx.wait_timeout(deadline) {
+            Ok(Some(reply)) => Ok(reply),
+            Ok(None) => Err(AgentError::UnknownAgent(on.to_string())),
+            Err(_) => Err(AgentError::DeadlineExceeded {
+                op: op.to_string(),
+                attempts: 1,
+            }),
+        }
     }
 }
 
@@ -158,12 +178,7 @@ impl AgentNetwork {
     ///
     /// Returns [`AgentError::UnknownAgent`] for ids not in the network.
     pub fn kill(&self, id: AgentId) -> Result<(), AgentError> {
-        let agents = self.inner.agents.read();
-        let agent = agents
-            .get(id.index())
-            .ok_or_else(|| AgentError::UnknownAgent(id.to_string()))?;
-        agent.kill();
-        Ok(())
+        self.inner.agent(id, Agent::kill)
     }
 
     /// Revives a dead agent.
@@ -172,17 +187,14 @@ impl AgentNetwork {
     ///
     /// Returns [`AgentError::UnknownAgent`] for ids not in the network.
     pub fn revive(&self, id: AgentId) -> Result<(), AgentError> {
-        let agents = self.inner.agents.read();
-        let agent = agents
-            .get(id.index())
-            .ok_or_else(|| AgentError::UnknownAgent(id.to_string()))?;
-        agent.revive();
-        Ok(())
+        self.inner.agent(id, Agent::revive)
     }
 
     /// Probe snapshots of every agent.
     pub fn infos(&self) -> Vec<AgentInfo> {
-        self.inner.infos()
+        let mut infos = Vec::new();
+        self.inner.infos_into(&mut infos);
+        infos
     }
 
     /// Probes one agent through its message interface (the REST
@@ -198,18 +210,8 @@ impl AgentNetwork {
     /// * [`AgentError::DeadlineExceeded`] (op `"probe"`, one attempt)
     ///   if no answer came within `deadline`.
     pub fn probe(&self, id: AgentId, deadline: Duration) -> Result<AgentInfo, AgentError> {
-        let (tx, rx) = oneshot::channel();
-        self.sender_of(id)?
-            .send(crate::agent::Msg::Probe { reply: tx })
-            .map_err(|_| AgentError::UnknownAgent(id.to_string()))?;
-        match rx.wait_timeout(deadline) {
-            Ok(Some(info)) => Ok(info),
-            Ok(None) => Err(AgentError::UnknownAgent(id.to_string())),
-            Err(_) => Err(AgentError::DeadlineExceeded {
-                op: "probe".to_string(),
-                attempts: 1,
-            }),
-        }
+        self.inner
+            .call(id, "probe", deadline, |reply| Msg::Probe { reply })
     }
 
     /// The REST *execute* verb, asynchronously: ships one operation to
@@ -239,13 +241,15 @@ impl AgentNetwork {
     /// ```
     pub fn execute_async(&self, on: AgentId, task: &AppTask) -> Result<ExecFuture, AgentError> {
         let (reply, rx) = oneshot::channel();
-        self.sender_of(on)?
-            .send(crate::agent::Msg::Execute {
-                task: Arc::new(task.clone()),
+        let task = Arc::new(task.clone());
+        self.inner.send(
+            on,
+            Msg::Execute {
+                task,
                 ctx: None,
                 reply,
-            })
-            .map_err(|_| AgentError::UnknownAgent(on.to_string()))?;
+            },
+        )?;
         Ok(rx)
     }
 
@@ -295,27 +299,13 @@ impl AgentNetwork {
         ctx: Option<continuum_telemetry::SpanContext>,
         deadline: Duration,
     ) -> Result<AppReport, AgentError> {
-        let (tx, rx) = oneshot::channel();
-        self.sender_of(on)?
-            .send(crate::agent::Msg::StartApplication {
-                app,
-                policy,
-                ctx,
-                reply: tx,
-            })
-            .map_err(|_| AgentError::UnknownAgent(on.to_string()))?;
-        match rx.wait_timeout(deadline) {
-            Ok(Some(result)) => result,
-            Ok(None) => Err(AgentError::UnknownAgent(on.to_string())),
-            Err(_) => Err(AgentError::DeadlineExceeded {
-                op: "start_application".to_string(),
-                attempts: 1,
-            }),
-        }
-    }
-
-    pub(crate) fn sender_of(&self, id: AgentId) -> Result<Sender<crate::agent::Msg>, AgentError> {
-        self.inner.sender_of(id)
+        let start = |reply| Msg::StartApplication {
+            app,
+            policy,
+            ctx,
+            reply,
+        };
+        self.inner.call(on, "start_application", deadline, start)?
     }
 
     pub(crate) fn inner(&self) -> &Arc<NetworkInner> {

@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn class_policies_balance_by_their_own_dispatches() {
         // The agents report `executed` 5 and 2; the rule counts what it
-        // dispatched itself, which moves within a wave.
+        // dispatched itself, which moves before any reply.
         let mut fog = ContinuumScheduler::new(ContinuumPolicy::FogOnly);
         let picks: Vec<_> = (0..3).map(|_| fog.choose(&task(0), &infos())).collect();
         assert_eq!(picks, [0, 1, 0].map(|i| Some(AgentId(i))));

@@ -5,15 +5,19 @@ use crate::agent::{AgentId, AgentInfo, ExecReply, Msg};
 use crate::error::AgentError;
 use crate::network::{AgentNetwork, NetworkInner};
 use crate::offload::OffloadPolicy;
-use continuum_platform::oneshot::{self, OneshotReceiver};
+use continuum_dag::{
+    AccessProcessor, DagError, DataId, GraphRun, Param, TaskGraph, TaskId, TaskSpec, TaskState,
+};
+use continuum_platform::oneshot::ReplyQueue;
 use continuum_platform::DeviceClass;
-use continuum_storage::ObjectKey;
+use continuum_storage::{ObjectKey, StorageRuntime};
 use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
 };
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One task of an agent application: an operation applied to stored
 /// inputs, producing one stored output.
@@ -168,7 +172,7 @@ impl<'n> Orchestrator<'n> {
     /// Bounds how long one attempt waits for its agent's reply,
     /// counted from the send, so it covers the time the task queues in
     /// the agent's inbox. An attempt past its deadline counts as a
-    /// re-execution and the task is re-submitted next wave, as if its
+    /// re-execution and the task is re-dispatched at once, as if its
     /// agent had been lost; a task whose every attempt times out ends
     /// the run in [`AgentError::DeadlineExceeded`]. The late agent is
     /// not stopped: its reply is discarded, but the output it stores
@@ -186,13 +190,20 @@ impl<'n> Orchestrator<'n> {
         self
     }
 
-    /// Runs an application to completion: submits tasks whose inputs
-    /// exist, in waves, re-submitting tasks lost to agent churn.
+    /// Runs an application to completion as dataflow: a task goes out
+    /// once the tasks writing its inputs are done, and a lost, failed
+    /// or late attempt goes out again at once. The store holds one
+    /// value per key, so a key is written by one task only, a task
+    /// listed before the writer of an input reads the stored value
+    /// (which must exist), and a task whose output is also an input
+    /// updates it in place, as its one write.
     ///
     /// # Errors
     ///
-    /// * [`AgentError::InvalidApplication`] if a task reads a key that
-    ///   neither pre-exists nor is produced by any task;
+    /// * [`AgentError::InvalidApplication`], before anything is
+    ///   dispatched, if a task reads a key that no task listed before
+    ///   it writes and the store does not hold, or writes a key that a
+    ///   task listed before it writes;
     /// * [`AgentError::NoAgentAvailable`] if no live agent can take a
     ///   ready task;
     /// * [`AgentError::RetriesExhausted`] if a task keeps getting
@@ -212,7 +223,7 @@ impl<'n> Orchestrator<'n> {
             policy,
             self.budget,
             &self.telemetry,
-            std::time::Instant::now(),
+            Instant::now(),
             SpanContext::COORDINATOR,
             None,
         )
@@ -232,9 +243,10 @@ fn derive_trace_id(app: &Application) -> u64 {
 }
 
 /// Orchestration core, shared by the external [`Orchestrator`] and by
-/// agents handling the *Start Application* verb: runs an application to
-/// completion over the network's agents, re-submitting tasks lost to
-/// churn.
+/// agents handling the *Start Application* verb: drives one
+/// [`GraphRun`] over the application's task graph. Every reply comes
+/// back on one [`ReplyQueue`] under its task and attempt, so the late
+/// reply of an attempt sent again since is told apart and dropped.
 ///
 /// `origin` is the clock every telemetry timestamp is relative to (the
 /// orchestrating agent's own origin for nested runs, so all of one
@@ -254,11 +266,11 @@ pub(crate) fn run_application(
     policy: &mut dyn OffloadPolicy,
     budget: Budget,
     telemetry: &RecorderHandle,
-    origin: std::time::Instant,
+    origin: Instant,
     self_agent: u32,
     parent_ctx: Option<SpanContext>,
 ) -> Result<AppReport, AgentError> {
-    validate(network, app)?;
+    let graph = task_graph(network.store.as_ref(), app)?;
     let now_us = || origin.elapsed().as_micros() as u64;
     let run_start_us = now_us();
     // The orchestration's own span context: a child of the inbound hop
@@ -271,41 +283,28 @@ pub(crate) fn run_application(
     } else {
         None
     };
-    let mut hop_seq: u64 = 0;
-    let total = app.tasks().len();
-    let mut done: HashSet<usize> = HashSet::new();
-    let mut tries: Vec<Tries> = vec![Tries::default(); total];
-    let mut reexecutions = 0usize;
+    let mut run = GraphRun::new(&graph);
+    let mut tries = vec![Tries::default(); app.tasks().len()];
+    let replies = ReplyQueue::with_capacity(app.tasks().len());
+    // Each attempt's deadline, soonest first, with the attempt's reply
+    // tag: its task's index, then its number.
+    let mut deadlines: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
+    let (mut in_flight, mut reexecutions) = (0usize, 0usize);
     let mut per_agent: HashMap<AgentId, usize> = HashMap::new();
     // The fleet as the policy sees it, refreshed in place before each
     // choice: one vector per run, not one per dispatch.
     let mut infos: Vec<AgentInfo> = Vec::new();
-
-    while done.len() < total {
-        // A wave: submit every task whose inputs are in the store.
-        type InFlight = (
-            usize,
-            AgentId,
-            u64,
-            Option<SpanContext>,
-            OneshotReceiver<ExecReply>,
-        );
-        let mut in_flight: Vec<InFlight> = Vec::new();
-        for (idx, task) in app.tasks().iter().enumerate() {
-            if done.contains(&idx) {
-                continue;
-            }
-            let ready = task.inputs.iter().all(|k| network.store.contains(k));
-            if !ready {
-                continue;
-            }
+    loop {
+        while let Some(id) = run.ready_tasks().first() {
+            run.mark_running(id).map_err(broken)?;
+            let task = &app.tasks()[id.index()];
             network.infos_into(&mut infos);
             let Some(agent) = policy.choose(task, &infos) else {
                 return Err(AgentError::NoAgentAvailable {
                     op: task.op.clone(),
                 });
             };
-            let tried = &mut tries[idx];
+            let tried = &mut tries[id.index()];
             tried.made += 1;
             if tried.made as usize > budget.max_attempts {
                 let (op, attempts) = (task.op.clone(), budget.max_attempts);
@@ -315,111 +314,110 @@ pub(crate) fn run_application(
                     AgentError::RetriesExhausted { op, attempts }
                 });
             }
-            let (reply, rx) = oneshot::channel();
+            let tag = (id.index() as u64) << 32 | u64::from(tried.made);
             // One span context per offload hop, shipped with the
             // message so the executing agent parents its work under
             // this dispatch. `sent_us` is taken *before* the send: the
             // hop interval must bracket everything the remote side
             // records against the hop's clock handshake.
-            let hop_ctx = run_ctx.map(|c| {
-                hop_seq += 1;
-                c.child(self_agent, hop_seq)
-            });
-            let sent_us = now_us();
-            network
-                .sender_of(agent)?
-                .send(Msg::Execute {
+            tried.hop_ctx = run_ctx.map(|c| c.child(self_agent, tag));
+            (tried.agent, tried.sent_us) = (agent.0, now_us());
+            network.send(
+                agent,
+                Msg::Execute {
                     task: Arc::clone(task),
-                    ctx: hop_ctx,
-                    reply,
-                })
-                .map_err(|_| AgentError::UnknownAgent(agent.to_string()))?;
+                    ctx: tried.hop_ctx,
+                    reply: replies.sender(tag),
+                },
+            )?;
+            // A deadline too far to add to the clock is none.
+            let due = budget
+                .reply_deadline
+                .and_then(|d| Instant::now().checked_add(d));
+            deadlines.extend(due.map(|due| Reverse((due, tag))));
+            in_flight += 1;
             if telemetry.enabled() {
                 telemetry.record(TelemetryEvent::Instant {
                     track: Track::Agent(agent.index() as u32),
                     name: Label::shared(&task.op),
                     phase: TaskPhase::Submitted,
-                    at_us: sent_us,
+                    at_us: tried.sent_us,
                 });
             }
-            in_flight.push((idx, agent, sent_us, hop_ctx, rx));
         }
         if telemetry.enabled() {
             telemetry.record(TelemetryEvent::Counter {
                 key: CounterKey::RunningTasks,
                 at_us: now_us(),
-                value: in_flight.len() as f64,
+                value: in_flight as f64,
             });
         }
-        if in_flight.is_empty() {
-            return Err(AgentError::InvalidApplication(format!(
-                "no progress: {} of {total} tasks stuck waiting for inputs",
-                total - done.len()
-            )));
+        if run.all_completed() {
+            break;
         }
-        for (idx, agent, sent_us, hop_ctx, rx) in in_flight {
-            // `Err` hands back a receiver whose deadline passed.
-            let reply = match budget.reply_deadline {
-                None => Ok(rx.wait()),
-                Some(deadline) => {
-                    let due = Duration::from_micros(sent_us).saturating_add(deadline);
-                    rx.wait_timeout(due.saturating_sub(origin.elapsed()))
-                }
-            };
-            let outcome = match &reply {
-                Ok(Some(ExecReply::Done)) => TaskPhase::Committed,
-                Ok(Some(ExecReply::Lost) | None) | Err(_) => TaskPhase::Replayed,
-                Ok(Some(ExecReply::Failed(_))) => TaskPhase::Failed,
-            };
-            if telemetry.enabled() {
-                let op = app.tasks()[idx].op.clone();
-                let track = Track::Agent(agent.index() as u32);
-                let end_us = now_us();
-                // The offload hop as seen from the submitter: the
-                // whole submit→reply interval. The executing agent's
-                // own Transferring/Executing spans (children of
-                // `hop_ctx`) refine it; the clock-alignment pass in
-                // `merge_traces` uses the pair as its handshake.
-                telemetry.record(TelemetryEvent::Span {
-                    track,
-                    name: format!("offload:{op}").into(),
-                    phase: TaskPhase::Offloading,
-                    start_us: sent_us,
-                    dur_us: end_us.saturating_sub(sent_us),
-                    ctx: hop_ctx.map(Box::new),
-                });
-                telemetry.record(TelemetryEvent::Instant {
-                    track,
-                    name: op.into(),
-                    phase: outcome,
-                    at_us: end_us,
-                });
+        // `Err`: the soonest deadline passed first. Tag 0 names no
+        // attempt.
+        let due = deadlines.peek().map(|Reverse((due, _))| *due);
+        let (tag, reply) = match replies.wait_until(due) {
+            Some((tag, reply)) => (tag, Ok(reply)),
+            None => (deadlines.pop().map_or(0, |Reverse((_, tag))| tag), Err(())),
+        };
+        // The late reply of an attempt sent again since, or the
+        // deadline of one that answered in time: nothing to do.
+        let id = TaskId::from_raw(tag >> 32);
+        let tried = &mut tries[id.index()];
+        if run.state(id) != Some(TaskState::Running) || tried.made != tag as u32 {
+            continue;
+        }
+        in_flight -= 1;
+        let op = &app.tasks()[id.index()].op;
+        let outcome = match reply {
+            Ok(Some(ExecReply::Done)) => {
+                *per_agent.entry(AgentId(tried.agent)).or_insert(0) += 1;
+                run.complete(&graph, id).map_err(broken)?;
+                TaskPhase::Committed
             }
-            match reply {
-                Ok(Some(ExecReply::Done)) => {
-                    done.insert(idx);
-                    *per_agent.entry(agent).or_insert(0) += 1;
-                }
-                // Lost with its device, or the agent thread itself is
-                // gone: re-submitted next wave.
-                Ok(Some(ExecReply::Lost) | None) => reexecutions += 1,
-                // Past its deadline: re-submitted next wave like a lost
-                // task. Dropping the receiver discards the late reply;
-                // the output the late agent stores still lands.
-                Err(_late) => {
-                    reexecutions += 1;
-                    tries[idx].timed_out += 1;
-                }
-                Ok(Some(ExecReply::Failed(msg))) => {
-                    if msg.starts_with("unknown op") {
-                        return Err(AgentError::UnknownOp(app.tasks()[idx].op.clone()));
-                    }
-                    // Input unavailable (e.g. store replica down) or
-                    // the op panicked: retry next wave counts against
-                    // the budget.
-                    reexecutions += 1;
+            Ok(Some(ExecReply::Failed(msg))) if msg.starts_with("unknown op") => {
+                return Err(AgentError::UnknownOp(op.clone()));
+            }
+            // Lost with its device, the agent thread gone, an input
+            // unreadable (e.g. store replica down), the op panicked, or
+            // past its deadline: sent again at once, against the same
+            // budget. A late agent is not stopped: its reply is dropped
+            // when it lands, but the output it stores still lands.
+            reply => {
+                reexecutions += 1;
+                tried.timed_out += u32::from(reply.is_err());
+                run.mark_failed(id).map_err(broken)?;
+                run.requeue_failed(id).map_err(broken)?;
+                match reply {
+                    Ok(Some(ExecReply::Failed(_))) => TaskPhase::Failed,
+                    _ => TaskPhase::Replayed,
                 }
             }
+        };
+        if telemetry.enabled() {
+            let track = Track::Agent(tried.agent);
+            let end_us = now_us();
+            // The offload hop as seen from the submitter: the whole
+            // submit→reply interval. The executing agent's own
+            // Transferring/Executing spans (children of the hop's
+            // context) refine it; the clock-alignment pass in
+            // `merge_traces` uses the pair as its handshake.
+            telemetry.record(TelemetryEvent::Span {
+                track,
+                name: format!("offload:{op}").into(),
+                phase: TaskPhase::Offloading,
+                start_us: tried.sent_us,
+                dur_us: end_us.saturating_sub(tried.sent_us),
+                ctx: tried.hop_ctx.map(Box::new),
+            });
+            telemetry.record(TelemetryEvent::Instant {
+                track,
+                name: op.clone().into(),
+                phase: outcome,
+                at_us: end_us,
+            });
         }
     }
     if telemetry.enabled() {
@@ -437,449 +435,71 @@ pub(crate) fn run_application(
         });
     }
     Ok(AppReport {
-        completed: done.len(),
+        completed: run.completed_count(),
         reexecutions,
         executions_per_agent: per_agent,
     })
 }
 
-/// Attempts made at one task, and how many of them outlived their
-/// reply deadline.
+/// The attempts made at one task: how many, how many of them outlived
+/// their reply deadline, and the agent, send time and hop context of
+/// the latest.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tries {
     made: u32,
     timed_out: u32,
+    agent: u32,
+    sent_us: u64,
+    hop_ctx: Option<SpanContext>,
 }
 
-/// Checks every input key is either pre-stored or produced.
-fn validate(network: &NetworkInner, app: &Application) -> Result<(), AgentError> {
-    let produced: HashSet<&ObjectKey> = app.tasks().iter().map(|t| &t.output).collect();
+/// The application's task graph, tasks in list order (id = index): an
+/// `In` per input key's datum and an `Out` for the output, or an `InOut`
+/// if it is also an input; refuses what [`Orchestrator::run`] says. The
+/// map and buffer are sized once and data go nameless, so no allocation
+/// grows with a task's fan-in.
+fn task_graph(store: &dyn StorageRuntime, app: &Application) -> Result<TaskGraph, AgentError> {
+    let (keys, widest) = app.tasks().iter().fold((0, 0), |(keys, widest), t| {
+        (keys + t.inputs.len() + 1, widest.max(t.inputs.len() + 1))
+    });
+    // Each key's datum, and whether a task listed so far writes it.
+    let mut data: HashMap<&ObjectKey, (DataId, bool)> = HashMap::with_capacity(keys);
+    let mut params: Vec<Param> = Vec::with_capacity(widest);
+    let mut ap = AccessProcessor::new();
     for task in app.tasks() {
-        for input in &task.inputs {
-            if !produced.contains(input) && !network.store.contains(input) {
-                return Err(AgentError::InvalidApplication(format!(
-                    "task `{}` reads `{input}`, which nothing produces",
-                    task.op
-                )));
+        let (op, output) = (&task.op, &task.output);
+        let out = (!task.inputs.contains(output)).then_some((false, output));
+        for (reads, key) in task.inputs.iter().map(|key| (true, key)).chain(out) {
+            let (datum, written) = data.entry(key).or_insert_with(|| (ap.new_data(""), false));
+            let why = if key == output && *written {
+                "an earlier task writes it"
+            } else if reads && !*written && !store.contains(key) {
+                "no earlier task writes it, nor does the store hold it"
+            } else {
+                ""
+            };
+            if !why.is_empty() {
+                let msg = format!("task `{op}` cannot take `{key}`: {why}");
+                return Err(AgentError::InvalidApplication(msg));
             }
+            *written |= key == output;
+            params.push(match (reads, key == output) {
+                (true, false) => Param::input(*datum),
+                (true, true) => Param::inout(*datum),
+                (false, _) => Param::output(*datum),
+            });
         }
+        ap.register(TaskSpec::new("app-task").params_from(params.drain(..)))
+            .map_err(broken)?;
     }
-    Ok(())
+    Ok(ap.into_parts().1)
+}
+
+/// A graph or run transition the orchestrator's bookkeeping rules out, or a
+/// task list the access processor refuses.
+fn broken(e: DagError) -> AgentError {
+    AgentError::InvalidApplication(format!("task graph: {e}"))
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::offload::RoundRobinOffload;
-    use crate::ops::OpRegistry;
-    use crate::sim_sched::{ContinuumPolicy, ContinuumScheduler};
-    use bytes::Bytes;
-    use continuum_platform::NodeId;
-    use continuum_storage::{KvConfig, KvStore, StoredValue};
-    use std::sync::Arc;
-
-    fn pipeline_ops() -> OpRegistry {
-        let ops = OpRegistry::new();
-        ops.register("sense", |_| Bytes::from(vec![1u8; 100]));
-        ops.register("filter", |ins| {
-            Bytes::from(
-                ins[0]
-                    .iter()
-                    .filter(|b| **b > 0)
-                    .copied()
-                    .collect::<Vec<u8>>(),
-            )
-        });
-        ops.register("aggregate", |ins| {
-            let sum: u64 = ins.iter().flat_map(|b| b.iter()).map(|b| *b as u64).sum();
-            Bytes::copy_from_slice(&sum.to_le_bytes())
-        });
-        ops
-    }
-
-    fn network(fogs: usize, clouds: usize) -> AgentNetwork {
-        let store = Arc::new(
-            KvStore::new(
-                (0..4).map(NodeId::from_raw).collect(),
-                KvConfig { replication: 2 },
-            )
-            .unwrap(),
-        );
-        let net = AgentNetwork::new(store, pipeline_ops());
-        for i in 0..fogs {
-            net.deploy(format!("fog-{i}"), DeviceClass::Fog);
-        }
-        for i in 0..clouds {
-            net.deploy(format!("cloud-{i}"), DeviceClass::CloudVm);
-        }
-        net
-    }
-
-    fn fan(n: usize) -> Application {
-        (0..n).fold(Application::new("fan"), |app, i| {
-            app.task(AppTask::new("sense", vec![], format!("out{i}")))
-        })
-    }
-
-    fn pipeline() -> Application {
-        Application::new("sense-filter-aggregate")
-            .task(AppTask::new("sense", vec![], "raw"))
-            .task(AppTask::new("filter", vec!["raw".into()], "clean"))
-            .task(AppTask::new("aggregate", vec!["clean".into()], "result"))
-    }
-
-    #[test]
-    fn pipeline_completes_and_result_is_correct() {
-        let net = network(2, 1);
-        let report = Orchestrator::new(&net)
-            .run(&pipeline(), &mut RoundRobinOffload::new())
-            .unwrap();
-        assert_eq!(report.completed, 3);
-        assert_eq!(report.reexecutions, 0);
-        let result = net.store().get(&"result".into()).unwrap();
-        let sum = u64::from_le_bytes(result.payload[..8].try_into().unwrap());
-        assert_eq!(sum, 100);
-    }
-
-    #[test]
-    fn telemetry_captures_message_bus_events() {
-        use continuum_telemetry::TraceBuffer;
-        let net = network(2, 1);
-        let (buffer, handle) = TraceBuffer::collector();
-        Orchestrator::new(&net)
-            .telemetry(handle)
-            .run(&pipeline(), &mut RoundRobinOffload::new())
-            .unwrap();
-        let events = buffer.events();
-        let submits = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TelemetryEvent::Instant {
-                        phase: TaskPhase::Submitted,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let commits = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TelemetryEvent::Instant {
-                        phase: TaskPhase::Committed,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let hops = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TelemetryEvent::Span {
-                        phase: TaskPhase::Offloading,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let roots = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TelemetryEvent::Span {
-                        track: Track::Run,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(submits, 3, "one submit marker per task");
-        assert_eq!(commits, 3, "every task commits");
-        assert_eq!(hops, 3, "one offload-hop span per dispatch");
-        assert_eq!(roots, 1, "one orchestration root span per run");
-        // Every hop is a distinct child of the run's root context.
-        let root_ctx = events
-            .iter()
-            .find_map(|e| match e {
-                TelemetryEvent::Span {
-                    track: Track::Run,
-                    ctx,
-                    ..
-                } => ctx.as_deref().copied(),
-                _ => None,
-            })
-            .expect("root span carries a context");
-        let hop_ctxs: Vec<SpanContext> = events
-            .iter()
-            .filter_map(|e| match e {
-                TelemetryEvent::Span {
-                    phase: TaskPhase::Offloading,
-                    ctx,
-                    ..
-                } => ctx.as_deref().copied(),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(hop_ctxs.len(), 3, "every hop span carries a context");
-        for hop in &hop_ctxs {
-            assert_eq!(hop.trace_id, root_ctx.trace_id);
-            assert_eq!(hop.parent_span_id, Some(root_ctx.span_id));
-        }
-        let distinct: std::collections::HashSet<u64> = hop_ctxs.iter().map(|c| c.span_id).collect();
-        assert_eq!(distinct.len(), 3, "hop span ids are distinct");
-        assert!(
-            events.iter().all(|e| !matches!(
-                e,
-                TelemetryEvent::Span {
-                    track: Track::Node(_) | Track::Worker(_),
-                    ..
-                } | TelemetryEvent::Instant {
-                    track: Track::Node(_) | Track::Worker(_),
-                    ..
-                }
-            )),
-            "agent runs only touch agent tracks"
-        );
-    }
-
-    #[test]
-    fn fog_only_policy_uses_fog_agents() {
-        let net = network(2, 1);
-        let report = Orchestrator::new(&net)
-            .run(
-                &pipeline(),
-                &mut ContinuumScheduler::new(ContinuumPolicy::FogOnly),
-            )
-            .unwrap();
-        let infos = net.infos();
-        let fog_execs: usize = report
-            .executions_per_agent
-            .iter()
-            .filter(|(id, _)| infos[id.index()].class == DeviceClass::Fog)
-            .map(|(_, n)| *n)
-            .sum();
-        assert_eq!(fog_execs, 3, "everything fits in the fog layer");
-    }
-
-    #[test]
-    fn churn_recovery_resubmits_elsewhere() {
-        let net = network(2, 1);
-        // Kill fog-0 before the run: every task it receives is lost
-        // once, then the orchestrator routes around it.
-        net.kill(AgentId(0)).unwrap();
-        let report = Orchestrator::new(&net)
-            .run(&pipeline(), &mut RoundRobinOffload::new())
-            .unwrap();
-        assert_eq!(report.completed, 3);
-        assert!(
-            !report.executions_per_agent.contains_key(&AgentId(0)),
-            "dead agent executed nothing"
-        );
-        assert!(net.store().contains(&"result".into()));
-    }
-
-    #[test]
-    fn agent_killed_mid_wave_yields_a_reexecution() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::mpsc::channel;
-        let net = network(1, 1);
-        // The first `sense` announces itself and holds its agent until
-        // the test has killed that agent under it.
-        let (started_tx, started_rx) = channel();
-        let (resume_tx, resume_rx) = channel::<()>();
-        let resume_rx = parking_lot::Mutex::new(resume_rx);
-        let first = AtomicBool::new(true);
-        net.ops().register("sense", move |_| {
-            if first.swap(false, Ordering::SeqCst) {
-                started_tx.send(()).unwrap();
-                resume_rx.lock().recv().unwrap();
-            }
-            Bytes::from(vec![1u8; 100])
-        });
-        let net = &net;
-        let report = std::thread::scope(|scope| {
-            scope.spawn(move || {
-                started_rx.recv().unwrap();
-                net.kill(AgentId(0)).unwrap();
-                resume_tx.send(()).unwrap();
-            });
-            // Every agent ties at 1 s, so the first pick is fog-0.
-            let mut latency_aware = ContinuumScheduler::new(ContinuumPolicy::LatencyAware);
-            Orchestrator::new(net)
-                .run(&pipeline(), &mut latency_aware)
-                .unwrap()
-        });
-        assert_eq!(report.completed, 3);
-        assert_eq!(
-            report.reexecutions, 1,
-            "the value computed on the dead device is lost"
-        );
-        assert!(!report.executions_per_agent.contains_key(&AgentId(0)));
-    }
-
-    #[test]
-    fn panicking_op_exhausts_its_retries_and_the_fleet_survives() {
-        use crate::agent::AgentStatus;
-        let net = network(2, 1);
-        net.ops().register("boom", |_| panic!("kaboom"));
-        let app = Application::new("bad").task(AppTask::new("boom", vec![], "o"));
-        let err = Orchestrator::new(&net)
-            .max_attempts(4)
-            .run(&app, &mut RoundRobinOffload::new())
-            .unwrap_err();
-        assert!(
-            matches!(&err, AgentError::RetriesExhausted { op, attempts: 4 } if op == "boom"),
-            "{err}"
-        );
-        // Every agent thread still answers its inbox and executes.
-        for id in 0..3 {
-            let info = net.probe(AgentId(id), Duration::from_secs(10)).unwrap();
-            assert_eq!(info.status, AgentStatus::Alive);
-        }
-        let app = fan(9);
-        let report = Orchestrator::new(&net)
-            .run(&app, &mut RoundRobinOffload::new())
-            .unwrap();
-        assert_eq!(report.completed, 9);
-        assert_eq!(report.executions_per_agent.len(), 3, "all agents used");
-    }
-
-    #[test]
-    fn all_dead_reports_no_agent() {
-        let net = network(1, 0);
-        net.kill(AgentId(0)).unwrap();
-        let err = Orchestrator::new(&net)
-            .run(&pipeline(), &mut RoundRobinOffload::new())
-            .unwrap_err();
-        assert!(matches!(err, AgentError::NoAgentAvailable { .. }), "{err}");
-    }
-
-    #[test]
-    fn invalid_application_rejected() {
-        let net = network(1, 0);
-        let app = Application::new("bad").task(AppTask::new("filter", vec!["ghost".into()], "o"));
-        let err = Orchestrator::new(&net)
-            .run(&app, &mut RoundRobinOffload::new())
-            .unwrap_err();
-        assert!(matches!(err, AgentError::InvalidApplication(_)), "{err}");
-    }
-
-    #[test]
-    fn unknown_op_surfaces() {
-        let net = network(1, 0);
-        let app = Application::new("bad").task(AppTask::new("ghost-op", vec![], "o"));
-        let err = Orchestrator::new(&net)
-            .run(&app, &mut RoundRobinOffload::new())
-            .unwrap_err();
-        assert!(matches!(err, AgentError::UnknownOp(_)), "{err}");
-    }
-
-    #[test]
-    fn start_application_verb_runs_on_an_agent() {
-        // A fog device orchestrates the whole application itself — the
-        // paper's fog-to-fog deployment (Fig. 6) — while still acting
-        // as a worker for its own tasks.
-        let net = network(2, 1);
-        let fog0 = AgentId(0);
-        let report = net
-            .start_application(
-                fog0,
-                pipeline(),
-                Box::new(ContinuumScheduler::new(ContinuumPolicy::FogOnly)),
-                Duration::from_secs(30),
-            )
-            .unwrap();
-        assert_eq!(report.completed, 3);
-        assert!(net.store().contains(&"result".into()));
-        // The orchestrating agent also executed work (no deadlock on
-        // self-submission).
-        assert!(report.executions_per_agent.contains_key(&fog0));
-    }
-
-    #[test]
-    fn dead_agent_refuses_start_application() {
-        let net = network(1, 1);
-        net.kill(AgentId(0)).unwrap();
-        let start = |on| {
-            let policy = Box::new(RoundRobinOffload::new());
-            net.start_application(on, pipeline(), policy, Duration::from_secs(30))
-        };
-        let err = start(AgentId(0)).unwrap_err();
-        assert!(matches!(err, AgentError::NoAgentAvailable { .. }), "{err}");
-        assert!(start(AgentId(9)).is_err());
-    }
-
-    /// A policy that panics kills the agent's orchestration thread
-    /// before it answers: the dropped reply cell must surface as an
-    /// error, not leave the caller waiting forever.
-    #[test]
-    fn a_policy_panicking_on_the_agent_fails_start_application_instead_of_hanging() {
-        struct Panics;
-        impl OffloadPolicy for Panics {
-            fn name(&self) -> &str {
-                "panics"
-            }
-            fn choose(&mut self, _: &AppTask, _: &[crate::agent::AgentInfo]) -> Option<AgentId> {
-                panic!("policy gave up")
-            }
-        }
-        let net = Arc::new(network(1, 1));
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let caller = {
-            let net = Arc::clone(&net);
-            std::thread::spawn(move || {
-                let result = net.start_application(
-                    AgentId(0),
-                    pipeline(),
-                    Box::new(Panics),
-                    Duration::from_secs(30),
-                );
-                done_tx.send(result).unwrap();
-            })
-        };
-        let result = done_rx
-            .recv_timeout(std::time::Duration::from_secs(20))
-            .expect("start_application hung after its orchestration thread panicked");
-        caller.join().unwrap();
-        assert!(
-            matches!(&result, Err(AgentError::UnknownAgent(id)) if id == "agent0"),
-            "{result:?}"
-        );
-        // The agent itself keeps serving.
-        assert!(net.probe(AgentId(0), Duration::from_secs(10)).is_ok());
-    }
-
-    #[test]
-    fn pre_stored_inputs_satisfy_validation() {
-        let net = network(1, 0);
-        net.store()
-            .put("raw".into(), StoredValue::blob(vec![3u8; 10]), None)
-            .unwrap();
-        let app = Application::new("from-store").task(AppTask::new(
-            "filter",
-            vec!["raw".into()],
-            "clean",
-        ));
-        let report = Orchestrator::new(&net)
-            .run(&app, &mut RoundRobinOffload::new())
-            .unwrap();
-        assert_eq!(report.completed, 1);
-    }
-
-    #[test]
-    fn wide_fan_out_distributes_over_agents() {
-        let net = network(3, 0);
-        let app = fan(9);
-        let report = Orchestrator::new(&net)
-            .run(&app, &mut RoundRobinOffload::new())
-            .unwrap();
-        assert_eq!(report.completed, 9);
-        assert_eq!(report.executions_per_agent.len(), 3, "all agents used");
-    }
-}
+mod tests;

@@ -91,7 +91,8 @@ impl ContinuumPolicy {
 pub struct ContinuumScheduler {
     policy: ContinuumPolicy,
     /// Dispatches made to each agent, by agent index: the agents'
-    /// queue depth, counted here so a wave sees its own choices.
+    /// queue depth, counted here so dispatches made before any reply
+    /// see each other.
     dispatched: Vec<u32>,
 }
 

@@ -1,7 +1,7 @@
 //! Where the offloading rule puts tasks on real agent threads. It counts
-//! its own dispatches, so a wave spreads before any reply and every
-//! placement below is a fixed number; a fog-only run without a live fog
-//! agent ends in an error, never a hang.
+//! its own dispatches, so tasks sent before any reply still spread and
+//! every placement below is a fixed number; a fog-only run without a
+//! live fog agent ends in an error, never a hang.
 
 use bytes::Bytes;
 use continuum_agents::{
@@ -102,8 +102,9 @@ fn the_example_app_places_as_each_policy_says() -> Result<(), AgentError> {
     }
     let cleaned = (0..6).map(|s| format!("clean{s}").into()).collect();
     let app = app.task(AppTask::new("aggregate", cleaned, "result").input_bytes_hint(16));
-    // With every input already stored, each run is one wave in list
-    // order, so the placement does not depend on reply timing.
+    // Each run sends the six senses first, then a filter as its sense
+    // answers, then the aggregate. The filters are alike, so the order
+    // they go out in does not move the placement.
     let net = network(4, 2)?;
     for key in (0..6).flat_map(|s| [format!("raw{s}"), format!("clean{s}")]) {
         net.store()

@@ -19,10 +19,18 @@
 //! the internal lock is released, so executors whose wakers take their
 //! own locks (the runtime's scheduler does) cannot deadlock through a
 //! reply.
+//!
+//! A thread that waits on many replies at once takes them from one
+//! [`ReplyQueue`] instead: each of its [senders](ReplyQueue::sender) is
+//! an ordinary [`OneshotSender`] that shares the queue and carries a
+//! tag, so the replies arrive tagged, in the order they land, with no
+//! cell of their own.
 
 use crate::sync::{self, Mutex};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
@@ -38,7 +46,19 @@ struct Inner<T> {
 
 /// Producer half: fulfilled once by the service thread.
 pub struct OneshotSender<T> {
-    inner: Arc<Mutex<Inner<T>>>,
+    to: Target<T>,
+}
+
+/// Where a sender's one reply goes.
+enum Target<T> {
+    /// The cell its [`channel`]'s receiver reads.
+    Cell(Arc<Mutex<Inner<T>>>),
+    /// A [`ReplyQueue`], under `tag`; `sent` once a reply went.
+    Queue {
+        queue: Arc<Mutex<Queued<T>>>,
+        tag: u64,
+        sent: AtomicBool,
+    },
 }
 
 /// Consumer half: a [`Future`] resolving to `Some(reply)`, or `None`
@@ -56,7 +76,7 @@ pub fn channel<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
     }));
     (
         OneshotSender {
-            inner: Arc::clone(&inner),
+            to: Target::Cell(Arc::clone(&inner)),
         },
         OneshotReceiver { inner },
     )
@@ -66,16 +86,32 @@ impl<T> OneshotSender<T> {
     /// Delivers the reply and wakes the awaiting task. Returns `false`
     /// if a reply was already delivered (the extra value is dropped).
     pub fn send(&self, value: T) -> bool {
-        let waker = {
-            let mut s = self.inner.lock();
-            if s.closed {
-                return false;
+        self.deliver(Some(value))
+    }
+
+    /// Delivers `reply` unless one went already: a value, or `None`
+    /// for a sender dropped unanswered. The waker is woken outside the
+    /// lock, as it may re-enter the executor.
+    fn deliver(&self, reply: Option<T>) -> bool {
+        let waker = match &self.to {
+            Target::Cell(inner) => {
+                let mut s = inner.lock();
+                if s.closed {
+                    return false;
+                }
+                s.value = reply;
+                s.closed = true;
+                s.waker.take()
             }
-            s.value = Some(value);
-            s.closed = true;
-            s.waker.take()
+            Target::Queue { queue, tag, sent } => {
+                if sent.swap(true, Ordering::Relaxed) {
+                    return false;
+                }
+                let mut q = queue.lock();
+                q.replies.push_back((*tag, reply));
+                q.waker.take()
+            }
         };
-        // Outside the lock: the waker may re-enter the executor.
         if let Some(w) = waker {
             w.wake();
         }
@@ -84,20 +120,96 @@ impl<T> OneshotSender<T> {
 }
 
 impl<T> Drop for OneshotSender<T> {
+    /// No reply will ever come: the receiver resolves to `None`, and a
+    /// queue gets `None` under the sender's tag, rather than the waiter
+    /// being stranded.
     fn drop(&mut self) {
-        let waker = {
-            let mut s = self.inner.lock();
-            if s.closed {
-                return;
-            }
-            // No reply will ever come; resolve the receiver to `None`
-            // rather than stranding it parked.
-            s.closed = true;
-            s.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
+        self.deliver(None);
+    }
+}
+
+/// Replies of many [`OneshotSender`]s, taken by one waiting thread in
+/// the order they land, each under the tag its sender was made with.
+/// A sender holds the queue's one shared block: making one allocates
+/// nothing.
+pub struct ReplyQueue<T> {
+    shared: Arc<Mutex<Queued<T>>>,
+}
+
+struct Queued<T> {
+    /// Replies not yet taken; `None` from a sender dropped unanswered.
+    replies: VecDeque<(u64, Option<T>)>,
+    /// The waiting thread's waker, registered when it found no reply.
+    waker: Option<Waker>,
+}
+
+impl<T> ReplyQueue<T> {
+    /// An empty queue with room for `capacity` replies before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ReplyQueue {
+            shared: Arc::new(Mutex::new(Queued {
+                replies: VecDeque::with_capacity(capacity),
+                waker: None,
+            })),
         }
+    }
+
+    /// A sender whose one reply arrives here under `tag`.
+    pub fn sender(&self, tag: u64) -> OneshotSender<T> {
+        OneshotSender {
+            to: Target::Queue {
+                queue: Arc::clone(&self.shared),
+                tag,
+                sent: AtomicBool::new(false),
+            },
+        }
+    }
+
+    /// The earliest reply not yet taken, blocking the calling thread
+    /// until one lands; `None` once `deadline` passes without one. With
+    /// no deadline, waits as long as it takes.
+    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<(u64, Option<T>)> {
+        park_until(deadline, |cx| {
+            let mut q = self.shared.lock();
+            let reply = q.replies.pop_front();
+            if reply.is_none() {
+                register(&mut q.waker, cx);
+            }
+            reply.map_or(Poll::Pending, Poll::Ready)
+        })
+    }
+}
+
+/// Stores `cx`'s waker in `slot`, unless the one there already wakes
+/// the same task.
+fn register(slot: &mut Option<Waker>, cx: &Context<'_>) {
+    if !slot.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+        *slot = Some(cx.waker().clone());
+    }
+}
+
+/// Polls with the calling thread's own unpark waker registered, parking
+/// the thread between polls, until `poll` is ready; `None` once
+/// `deadline` passes first.
+fn park_until<R>(
+    deadline: Option<Instant>,
+    mut poll: impl FnMut(&mut Context<'_>) -> Poll<R>,
+) -> Option<R> {
+    let waker = sync::thread_waker();
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        if let Poll::Ready(ready) = poll(&mut cx) {
+            return Some(ready);
+        }
+        let Some(deadline) = deadline else {
+            sync::park();
+            continue;
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return None;
+        }
+        sync::park_timeout(deadline - now);
     }
 }
 
@@ -112,12 +224,7 @@ impl<T> Future for OneshotReceiver<T> {
         if s.closed {
             return Poll::Ready(None);
         }
-        // Re-register only when the stored waker would not already
-        // wake this task.
-        match &s.waker {
-            Some(w) if w.will_wake(cx.waker()) => {}
-            _ => s.waker = Some(cx.waker().clone()),
-        }
+        register(&mut s.waker, cx);
         Poll::Pending
     }
 }
@@ -128,14 +235,7 @@ impl<T> OneshotReceiver<T> {
     /// the thread parked between polls. `None` if the sender was
     /// dropped without replying.
     pub fn wait(mut self) -> Option<T> {
-        let waker = sync::thread_waker();
-        let mut cx = Context::from_waker(&waker);
-        loop {
-            match Pin::new(&mut self).poll(&mut cx) {
-                Poll::Ready(reply) => return reply,
-                Poll::Pending => sync::park(),
-            }
-        }
+        park_until(None, |cx| Pin::new(&mut self).poll(cx)).flatten()
     }
 
     /// [`wait`](Self::wait) with a deadline: `Ok(reply)` as `wait`
@@ -146,21 +246,8 @@ impl<T> OneshotReceiver<T> {
     ///
     /// A timeout too large to add to the clock waits without one.
     pub fn wait_timeout(mut self, timeout: Duration) -> Result<Option<T>, Self> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Ok(self.wait());
-        };
-        let waker = sync::thread_waker();
-        let mut cx = Context::from_waker(&waker);
-        loop {
-            if let Poll::Ready(reply) = Pin::new(&mut self).poll(&mut cx) {
-                return Ok(reply);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self);
-            }
-            sync::park_timeout(deadline - now);
-        }
+        let deadline = Instant::now().checked_add(timeout);
+        park_until(deadline, |cx| Pin::new(&mut self).poll(cx)).ok_or(self)
     }
 }
 
@@ -243,7 +330,10 @@ mod tests {
             let waiter = std::thread::spawn(move || rx.wait());
             // The receiver registers its waker (under the cell's lock)
             // only on its way to `park`.
-            while tx.inner.lock().waker.is_none() {
+            let Target::Cell(cell) = &tx.to else {
+                unreachable!("a channel's sender feeds its cell")
+            };
+            while cell.lock().waker.is_none() {
                 std::thread::yield_now();
             }
             match reply {
@@ -294,5 +384,29 @@ mod tests {
         });
         assert_eq!(rx.wait_timeout(Duration::from_secs(30)).ok(), Some(None));
         dropper.join().unwrap();
+    }
+
+    #[test]
+    fn a_queue_takes_tagged_replies_in_landing_order() {
+        let queue = ReplyQueue::with_capacity(2);
+        let (first, second, dropped) = (queue.sender(7), queue.sender(3), queue.sender(5));
+        assert!(second.send("b"));
+        assert!(!second.send("again"), "one reply per sender");
+        drop(dropped);
+        assert!(first.send("a"));
+        drop(first);
+        let now = Some(Instant::now());
+        assert_eq!(queue.wait_until(now), Some((3, Some("b"))));
+        assert_eq!(queue.wait_until(now), Some((5, None)), "dropped unanswered");
+        assert_eq!(queue.wait_until(now), Some((7, Some("a"))));
+        assert_eq!(queue.wait_until(now), None, "nothing more, deadline passed");
+        // A reply from another thread wakes a waiter without a deadline.
+        let late = queue.sender(9);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            late.send("c")
+        });
+        assert_eq!(queue.wait_until(None), Some((9, Some("c"))));
+        assert!(matches!(sender.join(), Ok(true)));
     }
 }

@@ -95,7 +95,7 @@ use continuum_platform::sync;
 use continuum_platform::{Constraints, NodeCapacity};
 use continuum_telemetry::{CounterKey, Event as TelemetryEvent, RecorderHandle, TaskPhase, Track};
 use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
-use dispatch::{worker_loop, WorkerCounts};
+use dispatch::{worker_loop, Scratch, WorkerCounts};
 use parking_lot::{Condvar, Mutex};
 use record::{
     AsyncBody, CellColumn, CellRef, Claim, Named, StreamPorts, TaskBody, TaskMeta, TaskPayload,
@@ -449,7 +449,7 @@ impl LocalRuntime {
                 cells: CellColumn::default(),
                 channels: HashMap::new(),
                 failure: None,
-                clients: Default::default(),
+                clients: client::Clients::new(),
             }),
             client_cv: Condvar::new(),
             live_values: AtomicUsize::new(0),
@@ -481,10 +481,10 @@ impl LocalRuntime {
             .into_iter()
             .enumerate()
             .map(|(i, queue)| {
-                let shared = Arc::clone(&shared);
+                let (shared, scratch) = (Arc::clone(&shared), Scratch::new());
                 // A worker runs task bodies all its life: it never helps.
                 thread::spawn(move || {
-                    client::running_tasks(|| worker_loop(&shared, &queue, i as u32))
+                    client::running_tasks(|| worker_loop(&shared, &queue, i as u32, scratch))
                 })
             })
             .collect();

@@ -52,6 +52,15 @@ pub(super) struct Clients {
     pub(super) tasks: u64,
 }
 
+impl Clients {
+    /// With one client's buffers made up front (see [`Scratch::new`]).
+    pub(super) fn new() -> Self {
+        let mut clients = Clients::default();
+        clients.spare.push(Scratch::new());
+        clients
+    }
+}
+
 impl Shared {
     /// Wakes the clients parked in `get`/`wait_all`, if there are any.
     pub(super) fn notify_clients(&self) {

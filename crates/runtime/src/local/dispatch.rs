@@ -94,13 +94,31 @@ impl Runner<'_> {
     }
 }
 
+impl Scratch {
+    /// A runner's buffers, with room for a task of 16 inputs, outputs
+    /// and readied successors. The runtime makes them when it is built,
+    /// one per worker and one for a waiting client, so how the runners
+    /// happen to split a run's tasks does not move its allocations.
+    pub(super) fn new() -> Self {
+        const ROOM: usize = 16;
+        Scratch {
+            inputs: Vec::with_capacity(ROOM),
+            outputs: Vec::with_capacity(ROOM),
+            ready_ids: Vec::with_capacity(ROOM),
+            ready: Vec::with_capacity(ROOM),
+            unblocked: Vec::with_capacity(ROOM),
+            ..Scratch::default()
+        }
+    }
+}
+
 pub(super) fn worker_loop(
     shared: &Arc<Shared>,
     queue: &WorkerQueue<Arc<TaskMeta>>,
     worker: u32,
+    mut scratch: Scratch,
 ) -> WorkerCounts {
     let runner = Runner::Worker(queue);
-    let mut scratch = Scratch::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return scratch.counts;

@@ -243,7 +243,7 @@ pub mod deque {
     use crate::hooks::sched::yield_op;
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
     /// Most items a single batch steal may transfer, mirroring
     /// crossbeam's `MAX_BATCH`.
@@ -295,18 +295,23 @@ pub mod deque {
         }
     }
 
-    /// Takes the front half of `items` (at most [`MAX_BATCH`]) as the
-    /// item the thief runs now and the rest of its batch. A one-item
-    /// batch — a lone resumed task — has no rest and allocates nothing.
-    fn take_batch<T>(items: &mut VecDeque<T>) -> Option<(T, Vec<T>)> {
+    /// Takes the front half of `items` (at most [`MAX_BATCH`]): returns
+    /// the item the thief runs now and moves the rest of its batch to
+    /// `rest`.
+    fn take_batch<T>(items: &mut VecDeque<T>, rest: &mut Vec<T>) -> Option<T> {
         let n = items.len().div_ceil(2).min(MAX_BATCH);
         let first = items.pop_front()?;
-        Some((first, items.drain(..n - 1).collect()))
+        rest.extend(items.drain(..n - 1));
+        Some(first)
     }
 
     /// A deque owned by one worker thread.
     pub struct Worker<T> {
         queue: Arc<Mutex<Buffer<T>>>,
+        /// Where a batch stolen into this deque waits while the source
+        /// is locked, made at full size with the deque: a steal never
+        /// allocates, however often the source holds a batch.
+        batch: Mutex<Vec<T>>,
     }
 
     impl<T> Worker<T> {
@@ -316,6 +321,7 @@ pub mod deque {
                 queue: Arc::new(Mutex::new(Buffer {
                     items: VecDeque::new(),
                 })),
+                batch: Mutex::new(Vec::with_capacity(MAX_BATCH)),
             }
         }
 
@@ -357,9 +363,7 @@ pub mod deque {
         /// The owner blocks rather than retrying: its own operations
         /// never deadlock and contention windows are a few instructions.
         fn lock(&self) -> MutexGuard<'_, Buffer<T>> {
-            self.queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
@@ -404,9 +408,10 @@ pub mod deque {
         /// one of them.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             yield_op(self.obj());
-            let (first, rest) = match lock_or_retry(&self.queue) {
-                Ok(mut buf) => match take_batch(&mut buf.items) {
-                    Some(batch) => batch,
+            let mut rest = dest.batch.lock().unwrap_or_else(PoisonError::into_inner);
+            let first = match lock_or_retry(&self.queue) {
+                Ok(mut buf) => match take_batch(&mut buf.items, &mut rest) {
+                    Some(first) => first,
                     None => return Steal::Empty,
                 },
                 Err(()) => return Steal::Retry,
@@ -417,7 +422,7 @@ pub mod deque {
             yield_op(dest.obj());
             if !rest.is_empty() {
                 let mut dst = dest.lock();
-                dst.items.extend(rest);
+                dst.items.extend(rest.drain(..));
             }
             Steal::Success(first)
         }
@@ -468,7 +473,7 @@ pub mod deque {
             yield_op(self.obj());
             self.queue
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .items
                 .push_back(item);
         }
@@ -489,16 +494,17 @@ pub mod deque {
         /// one of them.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             yield_op(self.obj());
-            let (first, rest) = match lock_or_retry(&self.queue) {
-                Ok(mut buf) => match take_batch(&mut buf.items) {
-                    Some(batch) => batch,
+            let mut rest = dest.batch.lock().unwrap_or_else(PoisonError::into_inner);
+            let first = match lock_or_retry(&self.queue) {
+                Ok(mut buf) => match take_batch(&mut buf.items, &mut rest) {
+                    Some(first) => first,
                     None => return Steal::Empty,
                 },
                 Err(()) => return Steal::Retry,
             };
             if !rest.is_empty() {
                 let mut dst = dest.lock();
-                dst.items.extend(rest);
+                dst.items.extend(rest.drain(..));
             }
             Steal::Success(first)
         }
@@ -515,7 +521,7 @@ pub mod deque {
         pub fn len(&self) -> usize {
             self.queue
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .items
                 .len()
         }
