@@ -107,22 +107,48 @@ pub(crate) enum Msg {
 /// in-process equivalent of the paper's Docker-deployed agent with a
 /// REST interface.
 pub struct Agent {
+    card: Arc<Card>,
+    pub(crate) sender: Sender<Msg>,
+    handle: Option<thread::JoinHandle<()>>,
+}
+
+/// What an agent and its thread share: who it is, and its liveness and
+/// execution count.
+struct Card {
     id: AgentId,
     name: String,
     class: DeviceClass,
-    sender: Sender<Msg>,
-    alive: Arc<AtomicBool>,
-    executed: Arc<AtomicU64>,
-    handle: Option<thread::JoinHandle<()>>,
+    alive: AtomicBool,
+    executed: AtomicU64,
+}
+
+impl Card {
+    fn status(&self) -> AgentStatus {
+        if self.alive.load(Ordering::SeqCst) {
+            AgentStatus::Alive
+        } else {
+            AgentStatus::Dead
+        }
+    }
+
+    fn info(&self) -> AgentInfo {
+        AgentInfo {
+            id: self.id,
+            name: self.name.clone(),
+            class: self.class,
+            status: self.status(),
+            executed: self.executed.load(Ordering::SeqCst),
+        }
+    }
 }
 
 impl fmt::Debug for Agent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Agent")
-            .field("id", &self.id)
-            .field("name", &self.name)
-            .field("class", &self.class)
-            .field("alive", &self.alive.load(Ordering::SeqCst))
+            .field("id", &self.card.id)
+            .field("name", &self.card.name)
+            .field("class", &self.card.class)
+            .field("alive", &self.card.alive.load(Ordering::SeqCst))
             .finish()
     }
 }
@@ -138,11 +164,14 @@ impl Agent {
         telemetry: RecorderHandle,
     ) -> Self {
         let (tx, rx) = mpsc::channel();
-        let alive = Arc::new(AtomicBool::new(true));
-        let executed = Arc::new(AtomicU64::new(0));
-        let thread_alive = Arc::clone(&alive);
-        let thread_executed = Arc::clone(&executed);
-        let thread_name = name.clone();
+        let card = Arc::new(Card {
+            id,
+            name,
+            class,
+            alive: AtomicBool::new(true),
+            executed: AtomicU64::new(0),
+        });
+        let shared = Arc::clone(&card);
         #[expect(
             clippy::expect_used,
             reason = "INVARIANT: spawning fails only when the OS refuses a thread. An agent is its thread, so without one there is no agent to return; `std::thread::spawn` panics alike."
@@ -150,97 +179,69 @@ impl Agent {
         let handle = thread::Builder::new()
             .name(format!("agent-{id}"))
             .spawn(move || {
-                agent_loop(
-                    id,
-                    thread_name,
-                    class,
-                    &rx,
-                    &ops,
-                    store.as_ref(),
-                    &thread_alive,
-                    &thread_executed,
-                    &network,
-                    &telemetry,
-                );
+                agent_loop(&shared, &rx, &ops, store.as_ref(), &network, &telemetry);
             })
             .expect("spawn agent thread");
         Agent {
-            id,
-            name,
-            class,
+            card,
             sender: tx,
-            alive,
-            executed,
             handle: Some(handle),
         }
     }
 
     /// The agent's id.
     pub fn id(&self) -> AgentId {
-        self.id
+        self.card.id
     }
 
     /// The agent's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.card.name
     }
 
     /// The device class the agent runs on.
     pub fn class(&self) -> DeviceClass {
-        self.class
+        self.card.class
     }
 
     /// Current liveness.
     pub fn status(&self) -> AgentStatus {
-        if self.alive.load(Ordering::SeqCst) {
-            AgentStatus::Alive
-        } else {
-            AgentStatus::Dead
-        }
+        self.card.status()
     }
 
     /// Tasks executed successfully.
     pub fn executed(&self) -> u64 {
-        self.executed.load(Ordering::SeqCst)
+        self.card.executed.load(Ordering::SeqCst)
     }
 
     /// Simulates the device disappearing (low battery / out of range):
     /// in-flight and queued work is answered with *lost*.
     pub fn kill(&self) {
-        self.alive.store(false, Ordering::SeqCst);
+        self.card.alive.store(false, Ordering::SeqCst);
     }
 
     /// Brings the device back.
     pub fn revive(&self) {
-        self.alive.store(true, Ordering::SeqCst);
+        self.card.alive.store(true, Ordering::SeqCst);
     }
 
     /// Snapshot of the agent (the probe verb).
     pub fn info(&self) -> AgentInfo {
-        AgentInfo {
-            id: self.id,
-            name: self.name.clone(),
-            class: self.class,
-            status: self.status(),
-            executed: self.executed(),
-        }
+        self.card.info()
     }
 
     /// Brings `info` up to this agent's snapshot in place: the name is
     /// rewritten only if it differs, so an unchanged agent costs no
     /// allocation.
     pub(crate) fn refresh_info(&self, info: &mut AgentInfo) {
-        info.id = self.id;
-        if info.name != self.name {
-            info.name.clone_from(&self.name);
+        let card = &self.card;
+        info.id = card.id;
+        if info.name != card.name {
+            info.name.clone_from(&card.name);
         }
-        info.class = self.class;
-        info.status = self.status();
-        info.executed = self.executed();
-    }
-
-    pub(crate) fn sender(&self) -> Sender<Msg> {
-        self.sender.clone()
+        info.class = card.class;
+        info.status = card.status();
+        info.executed = card.executed.load(Ordering::SeqCst);
     }
 }
 
@@ -253,19 +254,15 @@ impl Drop for Agent {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn agent_loop(
-    id: AgentId,
-    name: String,
-    class: DeviceClass,
+    card: &Card,
     rx: &Receiver<Msg>,
     ops: &OpRegistry,
     store: &dyn StorageRuntime,
-    alive: &AtomicBool,
-    executed: &AtomicU64,
     network: &std::sync::Weak<NetworkInner>,
     telemetry: &RecorderHandle,
 ) {
+    let id = card.id;
     // The agent's own clock origin: every span this agent records is
     // stamped relative to its spawn instant, deliberately independent
     // of every other agent's origin — the federated merge re-aligns
@@ -292,7 +289,7 @@ fn agent_loop(
                 // handled on a separate thread so the agent can keep
                 // executing tasks — including those of the application
                 // it is orchestrating.
-                if !alive.load(Ordering::SeqCst) {
+                if !card.alive.load(Ordering::SeqCst) {
                     let _ = reply.send(Err(crate::error::AgentError::NoAgentAvailable {
                         op: app.name().to_string(),
                     }));
@@ -328,17 +325,7 @@ fn agent_loop(
                     });
             }
             Msg::Probe { reply } => {
-                let _ = reply.send(AgentInfo {
-                    id,
-                    name: name.clone(),
-                    class,
-                    status: if alive.load(Ordering::SeqCst) {
-                        AgentStatus::Alive
-                    } else {
-                        AgentStatus::Dead
-                    },
-                    executed: executed.load(Ordering::SeqCst),
-                });
+                let _ = reply.send(card.info());
             }
             Msg::Execute { task, ctx, reply } => {
                 let AppTask {
@@ -349,7 +336,7 @@ fn agent_loop(
                     ..
                 } = &*task;
                 let dequeued_us = now_us();
-                if !alive.load(Ordering::SeqCst) {
+                if !card.alive.load(Ordering::SeqCst) {
                     // A dead device leaves no trace — the hop shows up
                     // as pure network time on the submitter's side.
                     let _ = reply.send(ExecReply::Lost);
@@ -377,17 +364,12 @@ fn agent_loop(
                     fail(format!("unknown op `{op}`"), now_us());
                     continue;
                 };
-                let mut failed = None;
-                for key in inputs {
-                    match store.get(key) {
-                        Ok(v) => in_values.push(v.payload),
-                        Err(e) => {
-                            failed = Some(format!("input `{key}`: {e}"));
-                            break;
-                        }
-                    }
-                }
-                if let Some(msg) = failed {
+                let staged = inputs.iter().try_for_each(|key| {
+                    let value = store.get(key).map_err(|e| format!("input `{key}`: {e}"))?;
+                    in_values.push(value.payload);
+                    Ok(())
+                });
+                if let Err(msg) = staged {
                     in_values.clear();
                     fail(msg, now_us());
                     continue;
@@ -408,7 +390,7 @@ fn agent_loop(
                 // The paper's recovery hinge: if the device died while
                 // computing, the produced value never reaches the
                 // store and the orchestrator re-submits elsewhere.
-                if !alive.load(Ordering::SeqCst) {
+                if !card.alive.load(Ordering::SeqCst) {
                     let _ = reply.send(ExecReply::Lost);
                     continue;
                 }
@@ -418,7 +400,7 @@ fn agent_loop(
                 };
                 match store.put(output.clone(), value, None) {
                     Ok(_) => {
-                        executed.fetch_add(1, Ordering::SeqCst);
+                        card.executed.fetch_add(1, Ordering::SeqCst);
                         let done_us = now_us();
                         if telemetry.enabled() {
                             // Transfer = dequeue → inputs staged;
@@ -490,7 +472,7 @@ mod tests {
     ) -> ExecReply {
         let (reply, rx) = continuum_platform::oneshot::channel();
         agent
-            .sender()
+            .sender
             .send(Msg::Execute {
                 task: Arc::new(AppTask::new(op, inputs, output)),
                 ctx,
@@ -640,7 +622,7 @@ mod tests {
             RecorderHandle::noop(),
         );
         let (tx, rx) = continuum_platform::oneshot::channel();
-        agent.sender().send(Msg::Probe { reply: tx }).unwrap();
+        agent.sender.send(Msg::Probe { reply: tx }).unwrap();
         let info = rx.wait().unwrap();
         assert_eq!(info.id, AgentId(3));
         assert_eq!(info.class, DeviceClass::Edge);

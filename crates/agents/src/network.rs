@@ -45,7 +45,7 @@ impl NetworkInner {
 
     /// Puts `msg` in agent `to`'s inbox.
     pub(crate) fn send(&self, to: AgentId, msg: Msg) -> Result<(), AgentError> {
-        let sent = self.agent(to, |agent| agent.sender().send(msg).ok())?;
+        let sent = self.agent(to, |agent| agent.sender.send(msg).ok())?;
         sent.ok_or_else(|| AgentError::UnknownAgent(to.to_string()))
     }
 
@@ -241,15 +241,12 @@ impl AgentNetwork {
     /// ```
     pub fn execute_async(&self, on: AgentId, task: &AppTask) -> Result<ExecFuture, AgentError> {
         let (reply, rx) = oneshot::channel();
-        let task = Arc::new(task.clone());
-        self.inner.send(
-            on,
-            Msg::Execute {
-                task,
-                ctx: None,
-                reply,
-            },
-        )?;
+        let execute = Msg::Execute {
+            task: Arc::new(task.clone()),
+            ctx: None,
+            reply,
+        };
+        self.inner.send(on, execute)?;
         Ok(rx)
     }
 

@@ -14,8 +14,7 @@ use continuum_storage::{ObjectKey, StorageRuntime};
 use continuum_telemetry::{
     CounterKey, Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -193,17 +192,18 @@ impl<'n> Orchestrator<'n> {
     /// Runs an application to completion as dataflow: a task goes out
     /// once the tasks writing its inputs are done, and a lost, failed
     /// or late attempt goes out again at once. The store holds one
-    /// value per key, so a key is written by one task only, a task
-    /// listed before the writer of an input reads the stored value
-    /// (which must exist), and a task whose output is also an input
-    /// updates it in place, as its one write.
+    /// value per key, so only the first task in the list that takes a
+    /// key may write it; a task reading a key that no task before it
+    /// writes reads the stored value, which must exist, and which no
+    /// later task may then write; and a task whose output is also an
+    /// input updates it in place, as its one write.
     ///
     /// # Errors
     ///
     /// * [`AgentError::InvalidApplication`], before anything is
     ///   dispatched, if a task reads a key that no task listed before
     ///   it writes and the store does not hold, or writes a key that a
-    ///   task listed before it writes;
+    ///   task listed before it reads or writes;
     /// * [`AgentError::NoAgentAvailable`] if no live agent can take a
     ///   ready task;
     /// * [`AgentError::RetriesExhausted`] if a task keeps getting
@@ -286,9 +286,9 @@ pub(crate) fn run_application(
     let mut run = GraphRun::new(&graph);
     let mut tries = vec![Tries::default(); app.tasks().len()];
     let replies = ReplyQueue::with_capacity(app.tasks().len());
-    // Each attempt's deadline, soonest first, with the attempt's reply
-    // tag: its task's index, then its number.
-    let mut deadlines: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
+    // Each attempt's deadline with its reply tag (the task's index, then
+    // the attempt's number), in send order, which is deadline order.
+    let mut deadlines: VecDeque<(Instant, u64)> = VecDeque::new();
     let (mut in_flight, mut reexecutions) = (0usize, 0usize);
     let mut per_agent: HashMap<AgentId, usize> = HashMap::new();
     // The fleet as the policy sees it, refreshed in place before each
@@ -331,10 +331,8 @@ pub(crate) fn run_application(
                 },
             )?;
             // A deadline too far to add to the clock is none.
-            let due = budget
-                .reply_deadline
-                .and_then(|d| Instant::now().checked_add(d));
-            deadlines.extend(due.map(|due| Reverse((due, tag))));
+            let due = |d| Instant::now().checked_add(d).map(|due| (due, tag));
+            deadlines.extend(budget.reply_deadline.and_then(due));
             in_flight += 1;
             if telemetry.enabled() {
                 telemetry.record(TelemetryEvent::Instant {
@@ -345,22 +343,18 @@ pub(crate) fn run_application(
                 });
             }
         }
-        if telemetry.enabled() {
-            telemetry.record(TelemetryEvent::Counter {
-                key: CounterKey::RunningTasks,
-                at_us: now_us(),
-                value: in_flight as f64,
-            });
-        }
+        telemetry.counter(CounterKey::RunningTasks, now_us(), in_flight as f64);
         if run.all_completed() {
             break;
         }
-        // `Err`: the soonest deadline passed first. Tag 0 names no
-        // attempt.
-        let due = deadlines.peek().map(|Reverse((due, _))| *due);
-        let (tag, reply) = match replies.wait_until(due) {
-            Some((tag, reply)) => (tag, Ok(reply)),
-            None => (deadlines.pop().map_or(0, |Reverse((_, tag))| tag), Err(())),
+        // A reply, or `Err` for the attempt whose deadline, the
+        // soonest, passed first: only a deadline ends the wait empty.
+        let soonest = deadlines.front().map(|&(due, _)| due);
+        let Some((tag, reply)) = (replies.wait_until(soonest))
+            .map(|(tag, reply)| (tag, Ok(reply)))
+            .or_else(|| deadlines.pop_front().map(|(_, tag)| (tag, Err(()))))
+        else {
+            continue;
         };
         // The late reply of an attempt sent again since, or the
         // deadline of one that answered in time: nothing to do.
@@ -462,7 +456,7 @@ fn task_graph(store: &dyn StorageRuntime, app: &Application) -> Result<TaskGraph
     let (keys, widest) = app.tasks().iter().fold((0, 0), |(keys, widest), t| {
         (keys + t.inputs.len() + 1, widest.max(t.inputs.len() + 1))
     });
-    // Each key's datum, and whether a task listed so far writes it.
+    // Each key's datum, and whether the first task to take it wrote it.
     let mut data: HashMap<&ObjectKey, (DataId, bool)> = HashMap::with_capacity(keys);
     let mut params: Vec<Param> = Vec::with_capacity(widest);
     let mut ap = AccessProcessor::new();
@@ -470,23 +464,22 @@ fn task_graph(store: &dyn StorageRuntime, app: &Application) -> Result<TaskGraph
         let (op, output) = (&task.op, &task.output);
         let out = (!task.inputs.contains(output)).then_some((false, output));
         for (reads, key) in task.inputs.iter().map(|key| (true, key)).chain(out) {
-            let (datum, written) = data.entry(key).or_insert_with(|| (ap.new_data(""), false));
-            let why = if key == output && *written {
-                "an earlier task writes it"
-            } else if reads && !*written && !store.contains(key) {
-                "no earlier task writes it, nor does the store hold it"
-            } else {
-                ""
-            };
-            if !why.is_empty() {
-                let msg = format!("task `{op}` cannot take `{key}`: {why}");
-                return Err(AgentError::InvalidApplication(msg));
+            let (writes, written) = (key == output, data.get(key).map(|&(_, w)| w));
+            let readable = || written == Some(true) || store.contains(key);
+            if writes && written.is_some() || reads && !readable() {
+                return Err(AgentError::InvalidApplication(format!(
+                    "task `{op}` cannot take `{key}`: only the first task to take a key \
+                     may write it, and one that reads it first needs it stored"
+                )));
             }
-            *written |= key == output;
-            params.push(match (reads, key == output) {
-                (true, false) => Param::input(*datum),
-                (true, true) => Param::inout(*datum),
-                (false, _) => Param::output(*datum),
+            let datum = data
+                .entry(key)
+                .or_insert_with(|| (ap.new_data(""), writes))
+                .0;
+            params.push(match (reads, writes) {
+                (true, false) => Param::input(datum),
+                (true, true) => Param::inout(datum),
+                (false, _) => Param::output(datum),
             });
         }
         ap.register(TaskSpec::new("app-task").params_from(params.drain(..)))

@@ -228,13 +228,18 @@ fn a_key_written_twice_is_refused_before_any_dispatch() {
     let app = Application::new("twice")
         .task(AppTask::new("sense", vec![], "x"))
         .task(AppTask::new("sense", vec![], "x"));
-    let err = Orchestrator::new(&net).run(&app, &mut RoundRobinOffload::new());
+    refused(&net, &app);
+    assert!(!net.store().contains(&"x".into()));
+}
+
+/// Runs `app` on `net` and checks it is refused before any dispatch.
+fn refused(net: &AgentNetwork, app: &Application) {
+    let err = Orchestrator::new(net).run(app, &mut RoundRobinOffload::new());
     assert!(
         matches!(&err, Err(AgentError::InvalidApplication(_))),
         "{err:?}"
     );
-    assert_eq!(executed(&net), 0);
-    assert!(!net.store().contains(&"x".into()));
+    assert_eq!(executed(net), 0);
 }
 
 #[test]
@@ -246,18 +251,39 @@ fn a_reader_listed_before_its_producer_needs_a_stored_value() {
     let app = Application::new("early-reader")
         .task(AppTask::new("filter", vec!["x".into()], "y"))
         .task(AppTask::new("sense", vec![], "x"));
-    let err = Orchestrator::new(&net).run(&app, &mut RoundRobinOffload::new());
-    assert!(
-        matches!(&err, Err(AgentError::InvalidApplication(_))),
-        "{err:?}"
-    );
-    assert_eq!(executed(&net), 0);
-    // With the value stored, the reader reads it and does not wait.
+    refused(&net, &app);
+    assert!(!net.store().contains(&"y".into()));
+}
+
+#[test]
+fn a_key_read_from_the_store_is_not_written_by_a_later_task() {
+    // The writer of `x` would depend on nothing the reader does, so on
+    // two agents it could overwrite `x` while the reader still has to
+    // read it; the store keeps no older value, so the list is refused.
+    let ops = OpRegistry::new();
+    ops.register("copy", |ins| ins[0].clone());
+    logged(&ops, &Log::default(), "sense");
+    ops.register("write", |_| Bytes::from_static(b"new"));
+    let net = network(ops, 2);
     net.store()
         .put("x".into(), StoredValue::blob(b"old".to_vec()), None)
         .expect("stored");
-    let report = Orchestrator::new(&net).run(&app, &mut RoundRobinOffload::new());
+    let app = Application::new("write-after-read")
+        .task(AppTask::new("copy", vec!["x".into()], "y"))
+        .task(AppTask::new("sense", vec![], "p"))
+        .task(AppTask::new("write", vec!["p".into()], "x"));
+    refused(&net, &app);
+    let x = net.store().get(&"x".into()).expect("x stored");
+    assert_eq!(&x.payload[..], b"old");
+    assert!(!net.store().contains(&"y".into()));
+    // Reading the stored value, and only reading it, runs.
+    let readers = Application::new("readers")
+        .task(AppTask::new("copy", vec!["x".into()], "y"))
+        .task(AppTask::new("copy", vec!["x".into()], "z"));
+    let report = Orchestrator::new(&net).run(&readers, &mut RoundRobinOffload::new());
     assert_eq!(report.map(|r| r.completed).ok(), Some(2));
+    let y = net.store().get(&"y".into()).expect("y stored");
+    assert_eq!(&y.payload[..], b"old");
 }
 
 #[test]

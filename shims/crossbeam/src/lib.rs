@@ -295,14 +295,45 @@ pub mod deque {
         }
     }
 
-    /// Takes the front half of `items` (at most [`MAX_BATCH`]): returns
+    /// Steals the front item of `queue`.
+    fn steal<T>(queue: &Mutex<Buffer<T>>) -> Steal<T> {
+        match lock_or_retry(queue) {
+            Ok(mut buf) => buf.items.pop_front().map_or(Steal::Empty, Steal::Success),
+            Err(()) => Steal::Retry,
+        }
+    }
+
+    /// Steals the front half of `queue` (at most [`MAX_BATCH`]): returns
     /// the item the thief runs now and moves the rest of its batch to
-    /// `rest`.
-    fn take_batch<T>(items: &mut VecDeque<T>, rest: &mut Vec<T>) -> Option<T> {
-        let n = items.len().div_ceil(2).min(MAX_BATCH);
-        let first = items.pop_front()?;
-        rest.extend(items.drain(..n - 1));
-        Some(first)
+    /// `dest`, staged in `dest`'s batch buffer, calling `before_publish`
+    /// once the source is unlocked.
+    fn steal_batch<T>(
+        queue: &Mutex<Buffer<T>>,
+        dest: &Worker<T>,
+        before_publish: impl FnOnce(),
+    ) -> Steal<T> {
+        let mut rest = dest.batch.lock().unwrap_or_else(PoisonError::into_inner);
+        let first = match lock_or_retry(queue) {
+            Ok(mut buf) => {
+                let n = buf.items.len().div_ceil(2).min(MAX_BATCH);
+                let Some(first) = buf.items.pop_front() else {
+                    return Steal::Empty;
+                };
+                rest.extend(buf.items.drain(..n - 1));
+                first
+            }
+            Err(()) => return Steal::Retry,
+        };
+        before_publish();
+        if !rest.is_empty() {
+            dest.lock().items.extend(rest.drain(..));
+        }
+        Steal::Success(first)
+    }
+
+    /// Whether `queue` looks empty; a contended one does not.
+    fn looks_empty<T>(queue: &Mutex<Buffer<T>>) -> bool {
+        lock_or_retry(queue).is_ok_and(|buf| buf.items.is_empty())
     }
 
     /// A deque owned by one worker thread.
@@ -395,44 +426,22 @@ pub mod deque {
         /// Steals one item from the front (oldest) end.
         pub fn steal(&self) -> Steal<T> {
             yield_op(self.obj());
-            match lock_or_retry(&self.queue) {
-                Ok(mut buf) => match buf.items.pop_front() {
-                    Some(v) => Steal::Success(v),
-                    None => Steal::Empty,
-                },
-                Err(()) => Steal::Retry,
-            }
+            steal(&self.queue)
         }
 
         /// Steals up to half the items (capped) into `dest`, returning
         /// one of them.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             yield_op(self.obj());
-            let mut rest = dest.batch.lock().unwrap_or_else(PoisonError::into_inner);
-            let first = match lock_or_retry(&self.queue) {
-                Ok(mut buf) => match take_batch(&mut buf.items, &mut rest) {
-                    Some(first) => first,
-                    None => return Steal::Empty,
-                },
-                Err(()) => return Steal::Retry,
-            };
-            // The stolen batch is only visible to this thread here: a
-            // preemption between the source drain and the dest publish
+            // The stolen batch is only visible to this thread between
+            // the source drain and the dest publish: a preemption there
             // is the widest race window in the protocol.
-            yield_op(dest.obj());
-            if !rest.is_empty() {
-                let mut dst = dest.lock();
-                dst.items.extend(rest.drain(..));
-            }
-            Steal::Success(first)
+            steal_batch(&self.queue, dest, || yield_op(dest.obj()))
         }
 
         /// Returns `true` if the source deque looks empty.
         pub fn is_empty(&self) -> bool {
-            match lock_or_retry(&self.queue) {
-                Ok(buf) => buf.items.is_empty(),
-                Err(()) => false,
-            }
+            looks_empty(&self.queue)
         }
     }
 
@@ -481,40 +490,19 @@ pub mod deque {
         /// Steals one item from the front of the queue.
         pub fn steal(&self) -> Steal<T> {
             yield_op(self.obj());
-            match lock_or_retry(&self.queue) {
-                Ok(mut buf) => match buf.items.pop_front() {
-                    Some(v) => Steal::Success(v),
-                    None => Steal::Empty,
-                },
-                Err(()) => Steal::Retry,
-            }
+            steal(&self.queue)
         }
 
         /// Steals up to half the items (capped) into `dest`, returning
         /// one of them.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             yield_op(self.obj());
-            let mut rest = dest.batch.lock().unwrap_or_else(PoisonError::into_inner);
-            let first = match lock_or_retry(&self.queue) {
-                Ok(mut buf) => match take_batch(&mut buf.items, &mut rest) {
-                    Some(first) => first,
-                    None => return Steal::Empty,
-                },
-                Err(()) => return Steal::Retry,
-            };
-            if !rest.is_empty() {
-                let mut dst = dest.lock();
-                dst.items.extend(rest.drain(..));
-            }
-            Steal::Success(first)
+            steal_batch(&self.queue, dest, || {})
         }
 
         /// Returns `true` if the queue looks empty.
         pub fn is_empty(&self) -> bool {
-            match lock_or_retry(&self.queue) {
-                Ok(buf) => buf.items.is_empty(),
-                Err(()) => false,
-            }
+            looks_empty(&self.queue)
         }
 
         /// Number of queued items.
