@@ -4,15 +4,16 @@
 //! channel, the counted sleeper, the work-stealing deque — under a
 //! deterministic scheduler and enumerates their thread interleavings.
 //!
-//! Where the sibling explicit-state model ([`super::sleeper`]) checks
-//! a hand-written *abstraction* of one protocol, this module checks
-//! the protocols' *implementation*: scenario threads execute the real
+//! It checks the protocols' *implementation*, not a hand-written
+//! abstraction of them: scenario threads execute the real
 //! `continuum-runtime` / `continuum-platform` code, whose sync
 //! primitives (built with the `conc-instrument` feature) report every
 //! operation to an installed controller. The scheduler sequences the
 //! threads one operation at a time, backtracks, and re-runs the
 //! scenario under a different interleaving until the reduced schedule
-//! space is exhausted.
+//! space is exhausted. A thread that makes no instrumented operation
+//! runs straight to its end, so an op-less scenario is explored in one
+//! schedule in any build.
 //!
 //! Three layers (see `DESIGN.md` "Concurrency checking"):
 //!

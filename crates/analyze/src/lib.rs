@@ -29,10 +29,9 @@
 //!
 //! [`conc`] is a mini-loom: [`conc::sched`] runs the runtime's real
 //! protocol code under a DPOR scheduler and enumerates its
-//! interleavings at small bounds, and one explicit-state model (the
-//! counted-sleeper wake/sleep protocol) is explored exhaustively beside
-//! it; deliberately-broken variants prove the harness detects the
-//! historical failure modes. The `model_check` binary runs both in CI.
+//! interleavings at small bounds; deliberately-broken uses of the same
+//! code prove the harness detects the historical failure modes. The
+//! `model_check` binary runs them in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

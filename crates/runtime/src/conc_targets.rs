@@ -1,29 +1,22 @@
 //! Schedule-exploration targets over the runtime's **real** protocol
 //! code (only built with the `conc-instrument` feature).
 //!
-//! Each [`SchedTarget`] here wraps actual `continuum-runtime` /
+//! Each [`SchedTarget`] here runs actual `continuum-runtime` /
 //! `continuum-platform` code — the [`TaskCell`] park/wake handshake,
 //! the oneshot reply cell, the bounded [`StreamChannel`], the
-//! [`CountedSleeper`] with its `searching` deficit rule, the
-//! [`ValueCell`] tasks publish their outputs into and the
-//! `shims/crossbeam` work-stealing deque — in a small multi-threaded
-//! scenario whose synchronization operations the exploration scheduler
-//! ([`continuum_analyze::conc::sched::explore_sched`]) can enumerate
-//! exhaustively. This is the tree's one kind of protocol check: the
-//! hand-written deque and park/wake models are gone, and what they
-//! proved at their CI bounds is proved here on the code that ships
-//! (`sched::deque`, `sched::task-cell-requeue`). Only the sleeper keeps
-//! an explicit-state model beside its targets, because stateless DPOR
-//! cannot exhaust [2 workers, 2 items] over the real code (see
-//! `continuum_analyze::conc`).
+//! [`ValueCell`], the [`CountedSleeper`] and the `shims/crossbeam`
+//! work-stealing deque — in a small multi-threaded scenario whose
+//! synchronization operations the exploration scheduler enumerates
+//! exhaustively. No hand-written model sits beside these targets.
 //!
-//! Five targets carry **planted bugs**, each a harness-side misuse of
-//! the real API — no switch in production code: three data races
-//! (`*-racy-*`, `*-commit-before-publish`) the happens-before detector
-//! must flag, one lost wakeup (`task-cell-dropped-wake`) that must end
-//! in a deadlock, and one conservation break (`deque-double-take`) the
-//! final check must catch. CI asserts each stays detected *as its own
-//! kind* ([`Expect`]) — they are the proof the harness still works.
+//! Six targets carry **planted bugs**, each a harness-side misuse of the
+//! real API — no switch in production code: three data races (`*-racy-*`,
+//! `*-commit-before-publish`) the happens-before detector must flag, two
+//! lost wakeups (`task-cell-dropped-wake`, `sleeper-no-recheck`) that
+//! must end in a deadlock, and one conservation break
+//! (`deque-double-take`) the final check must catch. CI asserts each
+//! stays detected *as its own kind* ([`Expect`]): they prove the harness
+//! still works.
 //!
 //! Scenario payloads use [`RaceCell`], whose accesses are reported to
 //! the race detector as plain reads/writes; harness-side bookkeeping
@@ -57,7 +50,9 @@ pub fn sched_targets(smoke: bool) -> Vec<SchedTarget> {
         value_cell_target(),
         value_cell_commit_before_publish_target(),
         sleeper_target(),
+        sleeper_no_recheck_target(),
         executor_sleep_target(),
+        executor_sleep_pass_on_target(),
         deque_target(),
         deque_double_take_target(),
     ];
@@ -323,13 +318,11 @@ fn requeue_scenario(pollers: usize, polls: u64, drop_running_wake: bool) -> Scen
 }
 
 /// `sched::task-cell-requeue` — the park/wake handshake with the
-/// re-queue it exists for, at the bound the retired `parkwake` model
-/// ran in CI: two pollers, two `Pending` polls before `Ready`, one wake
-/// per poll. In every interleaving the task ends [`COMPLETE`] (a lost
-/// wake would leave it parked with every thread waiting — a deadlock),
-/// no wake enqueues it twice, and each hand-off between owners is
-/// ordered. Three polls need ≈ 10⁵ schedules, so the model's
-/// full-scale four are out of reach and not attempted.
+/// re-queue it exists for: two pollers, two `Pending` polls before
+/// `Ready`, one wake per poll. In every interleaving the task ends
+/// [`COMPLETE`] (a lost wake would leave it parked with every thread
+/// waiting — a deadlock), no wake enqueues it twice, and each hand-off
+/// between owners is ordered. Three polls need ≈ 10⁵ schedules.
 fn task_cell_requeue_target() -> SchedTarget {
     SchedTarget {
         name: "sched::task-cell-requeue",
@@ -340,10 +333,9 @@ fn task_cell_requeue_target() -> SchedTarget {
 }
 
 /// `sched::task-cell-dropped-wake` — **planted lost wakeup**: the event
-/// source peeks at the state and drops a wake that lands while the task
-/// is `RUNNING` (two pollers, one pending poll). The poller then parks
-/// on a consumed event and nothing re-queues it; the explorer must
-/// report the deadlock.
+/// source drops a wake that lands while the task is `RUNNING` (two
+/// pollers, one pending poll), so the poller parks on a consumed event
+/// and nothing re-queues it; the explorer must report the deadlock.
 fn task_cell_dropped_wake_target() -> SchedTarget {
     SchedTarget {
         name: "sched::task-cell-dropped-wake",
@@ -354,8 +346,7 @@ fn task_cell_dropped_wake_target() -> SchedTarget {
 }
 
 /// `sched::oneshot` — the real oneshot reply cell between a service
-/// thread and a receiver blocked in `OneshotReceiver::wait` (the path
-/// the agents' orchestrator takes for every offload). Every
+/// thread and a receiver blocked in `OneshotReceiver::wait`. Every
 /// interleaving must deliver the reply: sender-first resolves the
 /// first poll, receiver-first parks and is woken, send-between-poll-
 /// and-park is caught by the park token.
@@ -391,9 +382,8 @@ fn oneshot_target() -> SchedTarget {
     }
 }
 
-/// `sched::oneshot-racy-publish` — **planted race**: the sender
-/// publishes a side value *after* `send`, relying on the receiver
-/// "seeing the reply first". The reply's lock and wake edges order
+/// `sched::oneshot-racy-publish` — **planted race**: the sender writes a
+/// side value *after* `send`. The reply's lock and wake edges order
 /// everything up to the `send`, but nothing orders the late side-write
 /// against the receiver's read.
 fn oneshot_racy_publish_target() -> SchedTarget {
@@ -454,8 +444,7 @@ fn stream_target() -> SchedTarget {
                 let ch = Arc::clone(&ch);
                 move || {
                     for v in 1u64..=2 {
-                        let (accepted, _us) = ch.send(v);
-                        assert!(accepted, "channel is never force-closed here");
+                        assert!(ch.send(v).0, "channel is never force-closed here");
                     }
                     ch.writer_done();
                 }
@@ -686,9 +675,8 @@ fn value_cell_target() -> SchedTarget {
 }
 
 /// `sched::value-cell-commit-before-publish` — **planted race**: the
-/// producer commits to the graph before publishing, so a successor can
-/// run against an empty cell and reads the payload unordered with its
-/// write.
+/// producer commits before publishing, so a successor can run against
+/// an empty cell and read the payload unordered with its write.
 fn value_cell_commit_before_publish_target() -> SchedTarget {
     SchedTarget {
         name: "sched::value-cell-commit-before-publish",
@@ -698,65 +686,85 @@ fn value_cell_commit_before_publish_target() -> SchedTarget {
     }
 }
 
-/// `sched::sleeper` — the real [`CountedSleeper`] register-then-recheck
-/// protocol: a producer publishes one unit of work and wakes one
-/// worker; the worker loops between checking for work and sleeping.
-/// Lost-wakeup freedom **is** deadlock freedom here: the only way the
-/// scenario can fail is the worker asleep with work published and the
-/// wake already spent.
+/// One worker over the real [`CountedSleeper`] sleeps until it can take
+/// a published unit; a producer publishes one and wakes. Lost-wakeup
+/// freedom **is** deadlock freedom here, so there is no final check.
+/// `recheck == false` plants the bug register-then-recheck exists to
+/// prevent: the worker waits without looking. `pass_on` makes the
+/// producer a scanner: its `wake_for` is skipped, so only
+/// `end_search`'s pass-on wake-up reaches a worker asleep first.
+fn sleeper_scenario(recheck: bool, pass_on: bool) -> Scenario {
+    let sleeper = Arc::new(CountedSleeper::new());
+    let pending = Arc::new(sync::AtomicUsize::new(0));
+    let worker = {
+        let (sleeper, pending) = (Arc::clone(&sleeper), Arc::clone(&pending));
+        move || {
+            while pending.load(Ordering::SeqCst) == 0 {
+                // BUG (planted) unless `recheck`: waits without looking.
+                sleeper.sleep_unless(|| recheck && pending.load(Ordering::SeqCst) > 0);
+            }
+            pending.fetch_sub(1, Ordering::SeqCst);
+        }
+    };
+    let producer = move || {
+        if pass_on {
+            sleeper.begin_search();
+        }
+        // Publish before waking — the protocol's contract.
+        pending.fetch_add(1, Ordering::SeqCst);
+        if pass_on {
+            sleeper.wake_for(1); // skipped: a scanner is searching
+            sleeper.end_search(|| pending.load(Ordering::SeqCst) > 0);
+        } else {
+            sleeper.wake(1);
+        }
+    };
+    Scenario {
+        threads: vec![Box::new(worker), Box::new(producer)],
+        check: None,
+    }
+}
+
+/// `sched::sleeper` — the register-then-recheck protocol: no lost wakeup.
 fn sleeper_target() -> SchedTarget {
     SchedTarget {
         name: "sched::sleeper",
         about: "real CountedSleeper publish/wake vs register/recheck: no lost wakeup",
         expect: Expect::Clean,
-        make: Box::new(|| {
-            let sleeper = Arc::new(CountedSleeper::new());
-            let pending = Arc::new(sync::AtomicUsize::new(0));
+        make: Box::new(|| sleeper_scenario(true, false)),
+    }
+}
 
-            let worker = {
-                let (sleeper, pending) = (Arc::clone(&sleeper), Arc::clone(&pending));
-                move || loop {
-                    if pending.load(Ordering::SeqCst) > 0 {
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                        return;
-                    }
-                    let p = Arc::clone(&pending);
-                    sleeper.sleep_unless(move || p.load(Ordering::SeqCst) > 0);
-                }
-            };
-            let producer = {
-                let (sleeper, pending) = (Arc::clone(&sleeper), Arc::clone(&pending));
-                move || {
-                    // Publish before waking — the protocol's contract.
-                    pending.fetch_add(1, Ordering::SeqCst);
-                    sleeper.wake(1);
-                }
-            };
-            Scenario {
-                threads: vec![Box::new(worker), Box::new(producer)],
-                check: Some(Box::new(move || {
-                    let left = pending.load(Ordering::SeqCst);
-                    if left == 0 {
-                        Ok(())
-                    } else {
-                        Err(format!("{left} published units never consumed"))
-                    }
-                })),
-            }
-        }),
+/// `sched::sleeper-no-recheck` — **planted lost wakeup**: a worker that
+/// calls `sleep_unless(|| false)` after the wake was spent sleeps on.
+fn sleeper_no_recheck_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::sleeper-no-recheck",
+        about: "planted lost wakeup: the worker registers and waits without re-checking",
+        expect: Expect::Deadlock,
+        make: Box::new(|| sleeper_scenario(false, false)),
+    }
+}
+
+/// `sched::executor-sleep-pass-on` — without `end_search`'s wake-up, a
+/// worker asleep before the publish stays asleep.
+fn executor_sleep_pass_on_target() -> SchedTarget {
+    SchedTarget {
+        name: "sched::executor-sleep-pass-on",
+        about: "real CountedSleeper: a scanner whose wake_for is skipped wakes on end_search",
+        expect: Expect::Clean,
+        make: Box::new(|| sleeper_scenario(true, true)),
     }
 }
 
 /// The executor's idle loop over the real [`CountedSleeper`], deficit
 /// rule included: each worker advertises itself as searching, scans
-/// (here: takes one unit off `pending`, the stand-in for the queues),
-/// stops searching (passing a wake on), and sleeps unless work or shutdown is visible; the
-/// producer publishes `items` units one by one, each followed by
-/// [`CountedSleeper::wake_for`], which skips the notification when a
-/// scanner is guaranteed to find the work. The last taker raises
-/// shutdown and broadcasts, as `LocalRuntime`'s drop does. A wake the
-/// deficit rule wrongly skipped leaves a worker asleep with work
-/// published: a deadlock.
+/// (takes one unit off `pending`, the queues' stand-in), stops
+/// searching (passing a wake on) and sleeps unless work or shutdown is
+/// visible; the producer publishes `items` units, each followed by
+/// `wake_for`, which skips the wake when a scanner is bound to find it.
+/// The last taker raises shutdown and broadcasts, as `LocalRuntime`'s
+/// drop does. A wrongly skipped wake leaves a worker asleep on work.
 fn executor_sleep_scenario(workers: usize, items: usize) -> Scenario {
     let sleeper = Arc::new(CountedSleeper::new());
     let pending = Arc::new(sync::AtomicUsize::new(0));
@@ -832,9 +840,8 @@ fn executor_sleep_scenario(workers: usize, items: usize) -> Scenario {
     }
 }
 
-/// `sched::executor-sleep` — search → `sleep_unless` against
-/// `wake_for`'s deficit rule, one worker and two items: the bound
-/// stateless DPOR exhausts inside the smoke budget.
+/// `sched::executor-sleep` — the deficit rule at one worker and two
+/// items, a bound stateless DPOR exhausts inside the smoke budget.
 fn executor_sleep_target() -> SchedTarget {
     SchedTarget {
         name: "sched::executor-sleep",
@@ -844,10 +851,8 @@ fn executor_sleep_target() -> SchedTarget {
     }
 }
 
-/// `sched::executor-sleep[w=2,items=1]` — two workers contending for
-/// one item: tens of thousands of schedules, so outside `--smoke`.
-/// [2 workers, 2 items], the explicit-state sleeper model's CI bound,
-/// is not exhausted in 200 000 and is not attempted.
+/// `sched::executor-sleep[w=2,items=1]` — two workers, one item: tens of
+/// thousands of schedules, so outside `--smoke` ([2, 2] is out of reach).
 fn executor_sleep_two_workers_target() -> SchedTarget {
     SchedTarget {
         name: "sched::executor-sleep[w=2,items=1]",
@@ -858,11 +863,10 @@ fn executor_sleep_two_workers_target() -> SchedTarget {
 }
 
 /// The `shims/crossbeam` work-stealing deque driven the way
-/// `local.rs::find_task` drives it: a LIFO owner pushes four items and
-/// pops until empty while two thieves each make two
+/// `local/dispatch.rs::find_task` drives it: a LIFO owner pushes four
+/// items and pops until empty while two thieves each make two
 /// `steal_batch_and_pop` attempts into their own worker and drain it.
-/// `double_take` plants a thief that puts an item it has already taken
-/// back on its own deque.
+/// `double_take` plants a thief that re-publishes an item it took.
 fn deque_scenario(double_take: bool) -> Scenario {
     use crossbeam::deque::Worker;
     const ITEMS: u64 = 4;
@@ -930,13 +934,11 @@ fn deque_scenario(double_take: bool) -> Scenario {
     }
 }
 
-/// `sched::deque` — the real deque at the retired deque model's
-/// full-scale bound (4 items, 2 thieves, 2 attempts; its CI bound was
-/// 3 items). A thief's batch is
-/// invisible between the source drain and the publish to its own deque
-/// — the widest window in the protocol. Conservation must hold in every
-/// interleaving: each item is taken exactly once, whether popped,
-/// stolen or moved in a batch.
+/// `sched::deque` — the real deque, 4 items, 2 thieves × 2 attempts.
+/// A thief's batch is invisible between the source drain and the
+/// publish to its own deque — the widest window in the protocol.
+/// Conservation must hold in every interleaving: each item is taken
+/// exactly once, whether popped, stolen or moved in a batch.
 fn deque_target() -> SchedTarget {
     SchedTarget {
         name: "sched::deque",
@@ -1015,7 +1017,7 @@ mod tests {
                 target.name
             );
         }
-        assert_eq!(planted, 5, "3 races, 1 deadlock, 1 invariant");
+        assert_eq!(planted, 6, "3 races, 2 deadlocks, 1 invariant");
     }
 
     #[test]

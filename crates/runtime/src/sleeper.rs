@@ -14,8 +14,9 @@
 //! observes the registered sleeper and notifies under the same lock the
 //! sleeper waits on, or the sleeper's re-check observes the published
 //! work and never waits. This is exactly the invariant the
-//! `sleeper` explicit-state model and the `sched::sleeper` instrumented
-//! target verify (lost-wakeup freedom = deadlock freedom there).
+//! `sched::sleeper` instrumented target verifies (lost-wakeup freedom =
+//! deadlock freedom there); `sched::sleeper-no-recheck` waits without
+//! the re-check and must deadlock.
 //!
 //! The *deficit rule* lives here too: workers advertise themselves in
 //! `searching` while they scan the queues, and [`CountedSleeper::wake_for`]
@@ -25,8 +26,8 @@
 //! one queued before the work a producer counted it for, so the last
 //! scanner to stop with a task in hand wakes one sleeper while work is
 //! left ([`CountedSleeper::end_search`]); that sleeper, done scanning,
-//! passes the wake on in turn. `sched::executor-sleep`
-//! explores it.
+//! passes the wake on in turn. `sched::executor-sleep` explores the
+//! deficit rule and `sched::executor-sleep-pass-on` the pass-on alone.
 //!
 //! The primitives come from [`continuum_platform::sync`], so under the
 //! `conc-instrument` feature every operation here is visible to the

@@ -1,9 +1,9 @@
-//! `model_check` — explore the runtime's concurrency protocols: as
+//! `model_check` — explore the runtime's concurrency protocols as
 //! **real code** run under the DPOR schedule-exploration scheduler
 //! (`continuum_analyze::conc::sched` over
-//! `continuum_runtime::conc_targets`) when built with
-//! `--features conc-instrument`, plus the one explicit-state model that
-//! remains (`continuum_analyze::conc::sleeper`), which needs no feature.
+//! `continuum_runtime::conc_targets`). The targets need
+//! `--features conc-instrument`; without it the run reports them as
+//! skipped.
 //!
 //! ```text
 //! model_check [--smoke] [--json] [--only SUBSTR]
@@ -30,17 +30,18 @@
 //! bugs invalidates every other verdict in the run.
 //!
 //! The hidden flags `--demo-violation` / `--demo-missed-plant` append a
-//! deliberately misclassified target so the exit paths themselves stay
-//! testable.
+//! deliberately misclassified op-less target, which any build can
+//! explore, so the exit paths themselves stay testable.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use continuum_analyze::conc::{explore, SleeperModel, SleeperVariant, Violation};
+use continuum_analyze::conc::sched::{
+    explore_sched, format_schedule, Expect, ExploreOpts, Pruning, Scenario, SchedOutcome,
+    SchedTarget,
+};
 
 #[cfg(feature = "conc-instrument")]
-use continuum_analyze::conc::sched::{
-    explore_sched, format_schedule, parse_schedule, replay_schedule, Expect, ExploreOpts, Pruning,
-};
+use continuum_analyze::conc::sched::{parse_schedule, replay_schedule};
 #[cfg(feature = "conc-instrument")]
 use continuum_runtime::conc_targets::sched_targets;
 
@@ -49,20 +50,16 @@ const EXIT_USAGE: i32 = 1;
 const EXIT_VIOLATION: i32 = 2;
 const EXIT_PLANT_MISSED: i32 = 3;
 
-const MODEL_MAX_STATES: usize = 10_000_000;
-
 /// Per-target outcome, shared by text and JSON rendering.
 struct Report {
     name: String,
-    /// `"model"` (explicit-state) or `"sched"` (real-code exploration).
-    kind: &'static str,
     /// `"clean"` (must verify) or `"planted"` (must be detected).
     expect: &'static str,
     /// `"ok"`, `"detected"`, `"violation"`, `"missed"`, or `"skipped"`.
     status: &'static str,
     /// Violation description or skip reason.
     detail: Option<String>,
-    /// Replayable witness schedule (sched targets only).
+    /// Replayable witness schedule.
     witness: Option<String>,
     counters: Vec<(&'static str, u64)>,
 }
@@ -84,137 +81,97 @@ struct PruningReport {
     naive_schedules: u64,
 }
 
-/// Explores one sleeper-model row. A `planted` row must end in the
-/// deadlock its missing re-check causes; anything else is a miss.
-fn run_model(name: &str, model: &SleeperModel, planted: bool) -> Report {
-    let mut counters = Vec::new();
-    let (status, detail) = match (explore(model, MODEL_MAX_STATES), planted) {
-        (Ok(r), false) => {
-            counters = vec![
-                ("states", r.states as u64),
-                ("terminals", r.terminals as u64),
-                ("max_depth", r.max_depth as u64),
-            ];
-            ("ok", None)
-        }
-        (Err(v), false) => ("violation", Some(v.to_string())),
-        (Err(v @ Violation::Deadlock { .. }), true) => ("detected", Some(v.to_string())),
-        (Err(v), true) => ("missed", Some(format!("wrong violation kind: {v}"))),
-        (Ok(_), true) => (
-            "missed",
-            Some("explored clean; planted bug not found".to_string()),
-        ),
-    };
-    Report {
-        name: name.to_string(),
-        kind: "model",
-        expect: if planted { "planted" } else { "clean" },
-        status,
-        detail,
-        witness: None,
-        counters,
-    }
-}
-
-/// The explicit-state rows whose name `selected` accepts.
-fn model_reports(
-    smoke: bool,
-    demo_violation: bool,
-    demo_missed: bool,
-    selected: &dyn Fn(&str) -> bool,
-) -> Vec<Report> {
-    use SleeperVariant::{Correct, NoRecheck};
+/// Test hooks: op-less targets misclassified on purpose, one failing
+/// its final check while expected clean (exit 2), one expected to
+/// deadlock while it cannot (exit 3).
+fn demo_targets(violation: bool, missed: bool) -> Vec<SchedTarget> {
     let mut out = Vec::new();
-    let mut row = |name: String, workers, items, variant, planted| {
-        if selected(&name) {
-            let model = SleeperModel {
-                workers,
-                items,
-                variant,
-            };
-            out.push(run_model(&name, &model, planted));
-        }
-    };
-    let workers = if smoke { 2 } else { 3 };
-    row(
-        format!("sleeper[w={workers},items=2]"),
-        workers,
-        2,
-        Correct,
-        false,
-    );
-    row("sleeper[no-recheck]".into(), 2, 2, NoRecheck, true);
-    // Test hooks: misclassified targets exercising the exit paths.
-    if demo_violation {
-        row("demo[planted-as-clean]".into(), 2, 1, NoRecheck, false);
+    if violation {
+        out.push(SchedTarget {
+            name: "demo[planted-as-clean]",
+            about: "one op-less thread whose final check fails, expected clean",
+            expect: Expect::Clean,
+            make: Box::new(|| Scenario {
+                threads: vec![Box::new(|| {})],
+                check: Some(Box::new(|| Err("the demo check always fails".to_string()))),
+            }),
+        });
     }
-    if demo_missed {
-        row("demo[correct-as-planted]".into(), 2, 1, Correct, true);
+    if missed {
+        out.push(SchedTarget {
+            name: "demo[correct-as-planted]",
+            about: "one empty thread, expected to deadlock",
+            expect: Expect::Deadlock,
+            make: Box::new(|| Scenario {
+                threads: vec![Box::new(|| {})],
+                check: None,
+            }),
+        });
     }
     out
 }
 
+/// The row for one explored target. A planted target must be found as
+/// its own kind of violation; anything else is a miss.
+fn report(target: &SchedTarget, result: &SchedOutcome) -> Report {
+    let planted = target.expect != Expect::Clean;
+    let witness = result
+        .violation
+        .as_ref()
+        .and_then(|v| v.witness())
+        .map(|w| format_schedule(w));
+    let (status, detail) = match &result.violation {
+        None if planted => (
+            "missed",
+            Some(format!(
+                "explored clean; planted {:?} not found",
+                target.expect
+            )),
+        ),
+        None => ("ok", None),
+        Some(v) if !planted => ("violation", Some(v.to_string())),
+        Some(v) if target.expect.is_planted_kind(v) => ("detected", Some(v.to_string())),
+        Some(v) => ("missed", Some(format!("wrong violation kind: {v}"))),
+    };
+    Report {
+        name: target.name.to_string(),
+        expect: if planted { "planted" } else { "clean" },
+        status,
+        detail,
+        witness,
+        counters: vec![
+            ("schedules", result.stats.schedules),
+            ("redundant", result.stats.redundant),
+            ("steps", result.stats.steps),
+            ("max_depth", result.stats.max_depth as u64),
+        ],
+    }
+}
+
+/// The shipped targets whose name `selected` accepts, explored, and the
+/// DPOR-vs-naive comparison on the first clean one when it is selected.
 #[cfg(feature = "conc-instrument")]
 fn sched_reports(
+    opts: &ExploreOpts,
     smoke: bool,
     selected: &dyn Fn(&str) -> bool,
 ) -> (Vec<Report>, Option<PruningReport>) {
-    let opts = ExploreOpts {
-        max_schedules: if smoke { 20_000 } else { 200_000 },
-        pruning: Pruning::Dpor,
-    };
     let mut out = Vec::new();
     let mut pruning = None;
-
     let targets = sched_targets(smoke);
-    // The pruning ratio is measured on the first clean target of the
-    // list — when that target is selected at all.
     let measured = targets
         .iter()
         .find(|t| t.expect == Expect::Clean)
         .map(|t| t.name);
     for target in targets.iter().filter(|t| selected(t.name)) {
-        let result = explore_sched(target, &opts);
-        let planted = target.expect != Expect::Clean;
-        let witness = result
-            .violation
-            .as_ref()
-            .and_then(|v| v.witness())
-            .map(|w| format_schedule(w));
-        let (status, detail) = match &result.violation {
-            None if planted => (
-                "missed",
-                Some(format!(
-                    "explored clean; planted {:?} not found",
-                    target.expect
-                )),
-            ),
-            None => ("ok", None),
-            Some(v) if !planted => ("violation", Some(v.to_string())),
-            Some(v) if target.expect.is_planted_kind(v) => ("detected", Some(v.to_string())),
-            Some(v) => ("missed", Some(format!("wrong violation kind: {v}"))),
-        };
-        out.push(Report {
-            name: target.name.to_string(),
-            kind: "sched",
-            expect: if planted { "planted" } else { "clean" },
-            status,
-            detail,
-            witness,
-            counters: vec![
-                ("schedules", result.stats.schedules),
-                ("redundant", result.stats.redundant),
-                ("steps", result.stats.steps),
-                ("max_depth", result.stats.max_depth as u64),
-            ],
-        });
-
+        let result = explore_sched(target, opts);
+        out.push(report(target, &result));
         if measured == Some(target.name) {
             let naive = explore_sched(
                 target,
                 &ExploreOpts {
                     pruning: Pruning::Naive,
-                    ..opts
+                    ..*opts
                 },
             );
             if naive.violation.is_none() {
@@ -231,12 +188,12 @@ fn sched_reports(
 
 #[cfg(not(feature = "conc-instrument"))]
 fn sched_reports(
+    _opts: &ExploreOpts,
     _smoke: bool,
     selected: &dyn Fn(&str) -> bool,
 ) -> (Vec<Report>, Option<PruningReport>) {
     let placeholder = Report {
         name: "sched::*".to_string(),
-        kind: "sched",
         expect: "clean",
         status: "skipped",
         detail: Some(
@@ -272,7 +229,8 @@ fn render_json(reports: &[Report], pruning: Option<&PruningReport>, smoke: bool,
     for r in reports {
         let mut fields = vec![
             format!("\"name\":{}", json_string(&r.name)),
-            format!("\"kind\":{}", json_string(r.kind)),
+            // Every row is a real-code exploration.
+            "\"kind\":\"sched\"".to_string(),
             format!("\"expect\":{}", json_string(r.expect)),
             format!("\"status\":{}", json_string(r.status)),
         ];
@@ -433,9 +391,16 @@ fn main() {
 
     // Filter first: an unselected target costs nothing.
     let selected = |name: &str| only.as_ref().is_none_or(|pat| name.contains(pat.as_str()));
-    let mut reports = model_reports(smoke, demo_violation, demo_missed, &selected);
-    let (sched, pruning) = sched_reports(smoke, &selected);
-    reports.extend(sched);
+    let opts = ExploreOpts {
+        max_schedules: if smoke { 20_000 } else { 200_000 },
+        pruning: Pruning::Dpor,
+    };
+    let (mut reports, pruning) = sched_reports(&opts, smoke, &selected);
+    for demo in demo_targets(demo_violation, demo_missed) {
+        if selected(demo.name) {
+            reports.push(report(&demo, &explore_sched(&demo, &opts)));
+        }
+    }
 
     // 3 (harness regressed) dominates 2 (violation found) dominates 0.
     let exit = reports
