@@ -9,9 +9,7 @@ use continuum_platform::oneshot::OneshotSender;
 use continuum_platform::sync::panic_message;
 use continuum_platform::DeviceClass;
 use continuum_storage::{StorageRuntime, StoredValue};
-use continuum_telemetry::{
-    Event as TelemetryEvent, Label, RecorderHandle, SpanContext, TaskPhase, Track,
-};
+use continuum_telemetry::{Event as TelemetryEvent, RecorderHandle, SpanContext, TaskPhase, Track};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -353,7 +351,7 @@ fn agent_loop(
                     if telemetry.enabled() {
                         telemetry.record(TelemetryEvent::Instant {
                             track: Track::Agent(id.0),
-                            name: Label::shared(op),
+                            name: op.clone(),
                             phase: TaskPhase::Failed,
                             at_us,
                         });
@@ -408,7 +406,7 @@ fn agent_loop(
                             // carry the derived child context and sit
                             // strictly inside the submitter's
                             // [send, reply] hop interval.
-                            let name = Label::shared(op);
+                            let name = op.clone();
                             telemetry.record(TelemetryEvent::Span {
                                 track: Track::Agent(id.0),
                                 name: name.clone(),
@@ -474,7 +472,7 @@ mod tests {
         agent
             .sender
             .send(Msg::Execute {
-                task: Arc::new(AppTask::new(op, inputs, output)),
+                task: Arc::new(AppTask::new(op.to_string(), inputs, output)),
                 ctx,
                 reply,
             })

@@ -22,8 +22,9 @@ use std::time::{Duration, Instant};
 /// inputs, producing one stored output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppTask {
-    /// Registered operation name.
-    pub op: String,
+    /// Registered operation name: a string literal is kept as it is,
+    /// so copying the task copies no text.
+    pub op: Label,
     /// Input object keys (must exist in the store, or be produced by
     /// an earlier task).
     pub inputs: Vec<ObjectKey>,
@@ -39,11 +40,7 @@ pub struct AppTask {
 
 impl AppTask {
     /// Creates a task.
-    pub fn new(
-        op: impl Into<String>,
-        inputs: Vec<ObjectKey>,
-        output: impl Into<ObjectKey>,
-    ) -> Self {
+    pub fn new(op: impl Into<Label>, inputs: Vec<ObjectKey>, output: impl Into<ObjectKey>) -> Self {
         AppTask {
             op: op.into(),
             inputs,
@@ -301,13 +298,13 @@ pub(crate) fn run_application(
             network.infos_into(&mut infos);
             let Some(agent) = policy.choose(task, &infos) else {
                 return Err(AgentError::NoAgentAvailable {
-                    op: task.op.clone(),
+                    op: task.op.to_string(),
                 });
             };
             let tried = &mut tries[id.index()];
             tried.made += 1;
             if tried.made as usize > budget.max_attempts {
-                let (op, attempts) = (task.op.clone(), budget.max_attempts);
+                let (op, attempts) = (task.op.to_string(), budget.max_attempts);
                 return Err(if tried.timed_out as usize == attempts {
                     AgentError::DeadlineExceeded { op, attempts }
                 } else {
@@ -337,7 +334,7 @@ pub(crate) fn run_application(
             if telemetry.enabled() {
                 telemetry.record(TelemetryEvent::Instant {
                     track: Track::Agent(agent.index() as u32),
-                    name: Label::shared(&task.op),
+                    name: task.op.clone(),
                     phase: TaskPhase::Submitted,
                     at_us: tried.sent_us,
                 });
@@ -372,7 +369,7 @@ pub(crate) fn run_application(
                 TaskPhase::Committed
             }
             Ok(Some(ExecReply::Failed(msg))) if msg.starts_with("unknown op") => {
-                return Err(AgentError::UnknownOp(op.clone()));
+                return Err(AgentError::UnknownOp(op.to_string()));
             }
             // Lost with its device, the agent thread gone, an input
             // unreadable (e.g. store replica down), the op panicked, or
@@ -408,7 +405,7 @@ pub(crate) fn run_application(
             });
             telemetry.record(TelemetryEvent::Instant {
                 track,
-                name: op.clone().into(),
+                name: op.clone(),
                 phase: outcome,
                 at_us: end_us,
             });

@@ -12,7 +12,8 @@ mod workloads;
 
 use bytes::Bytes;
 use continuum_agents::{
-    AgentNetwork, AppTask, Application, OpRegistry, Orchestrator, RoundRobinOffload,
+    AgentId, AgentNetwork, AppTask, Application, ExecReply, OpRegistry, Orchestrator,
+    RoundRobinOffload,
 };
 use continuum_bench::alloc::{allocations, live_bytes, peak_bytes, reset_peak, CountingAllocator};
 use continuum_dag::{AccessProcessor, TaskSpec, SEGMENT_SLOTS};
@@ -23,7 +24,10 @@ use continuum_runtime::{
     DataHandle, ListScheduler, LocalConfig, LocalRuntime, SimOptions, SimRuntime,
 };
 use continuum_sim::FaultPlan;
-use continuum_storage::{KvConfig, KvStore, ObjectKey, StoredValue};
+use continuum_storage::{
+    AsyncStorage, KvConfig, KvStore, ObjectKey, StorageError, StorageRuntime, StoredValue,
+    WriteAheadLog,
+};
 use continuum_telemetry::{chrome_trace, Event, TraceBuffer};
 use continuum_workflows::patterns::stencil;
 use continuum_workflows::{parse_wdl, to_wdl};
@@ -532,6 +536,84 @@ fn agent_dispatch_allocates_the_same_at_any_fleet_size_and_fan_in() {
     );
 }
 
+/// Allocations of one `execute_async` round trip of a one-input task
+/// whose op hands its input back: the `Arc` around the task's copy, the
+/// copy's input list, the reply cell, and the replica set the agent's
+/// `put` returns. Each key copied as a `String`, the op name copied,
+/// or the store's replica list built twice costs one more: 9 in all.
+const MAX_HOP_ALLOCS: u64 = 4;
+
+/// A `put` of a value under a key it already holds, with the key's
+/// clone: the replica set it returns, and nothing for the key or for
+/// the entry's own copy of the set.
+const MAX_PUT_ALLOCS: u64 = 1;
+
+/// The fewest allocations of 64 runs of `run`. The harness starts the
+/// other tests' threads while this one counts, and their allocations
+/// land in a run or two; a count the code makes lands in all of them.
+/// An agent's inbox also takes a block per 31 messages.
+fn fewest<T>(mut run: impl FnMut() -> T) -> u64 {
+    (0..64).map(|_| count(&mut run).1).min().unwrap_or(0)
+}
+
+/// `net`'s agent `on` runs `task`, awaited as an async caller awaits
+/// it.
+fn hop(net: &AgentNetwork, on: AgentId, task: &AppTask) {
+    let reply = net.execute_async(on, task).expect("agent deployed").wait();
+    assert_eq!(reply, Some(ExecReply::Done));
+}
+
+/// One agent with a pass-through op over a two-replica store, the hop's
+/// input stored.
+fn pass_through_hop() -> (AgentNetwork, AgentId, AppTask) {
+    let net = agent_network(0);
+    net.ops().register("pass", |ins| ins[0].clone());
+    let agent = net.deploy("fog-0", DeviceClass::Fog);
+    net.store()
+        .put(
+            ObjectKey::new("sensor7:in"),
+            StoredValue::blob(vec![7; 64]),
+            None,
+        )
+        .expect("input stored");
+    let task = AppTask::new("pass", vec![ObjectKey::new("sensor7:in")], "sensor7:out");
+    (net, agent, task)
+}
+
+/// An agent hop hands keys and the op name on without copying them,
+/// and the store keeps a replica set without a second list.
+#[test]
+fn an_agent_hop_copies_no_key_and_no_name() {
+    let _serial = COUNTER.lock().unwrap();
+    let short = ObjectKey::new("sensor1999:b_clean");
+    let long = ObjectKey::new("campaign/chromosome-21/association.out");
+    for key in [&short, &long] {
+        let allocations = fewest(|| key.clone());
+        assert_eq!(allocations, 0, "cloning `{key}` allocates");
+    }
+
+    let store = KvStore::new(
+        (0..4).map(NodeId::from_raw).collect(),
+        KvConfig { replication: 2 },
+    )
+    .expect("store config");
+    let value = StoredValue::blob(vec![1; 64]);
+    for key in [&short, &long] {
+        let allocations = fewest(|| store.put(key.clone(), value.clone(), None));
+        assert!(
+            allocations <= MAX_PUT_ALLOCS,
+            "a put under `{key}` allocates {allocations} times, limit {MAX_PUT_ALLOCS}"
+        );
+    }
+
+    let (net, agent, task) = pass_through_hop();
+    let round_trip = fewest(|| hop(&net, agent, &task));
+    assert!(
+        round_trip <= MAX_HOP_ALLOCS,
+        "an execute_async round trip allocates {round_trip} times, limit {MAX_HOP_ALLOCS}"
+    );
+}
+
 /// PR 7's paper-scale headline; ≈ 2 s with `--release`:
 /// `cargo test -p continuum-bench --release -- --ignored`.
 #[test]
@@ -777,5 +859,220 @@ fn wdl_front_door_census() {
         "nodes past 3 / 6 edges: {} / {}",
         edges_past(3),
         edges_past(6)
+    );
+}
+
+/// The store `fog_storage`'s agents see: a two-replica store behind a
+/// write-ahead log that records every put first.
+struct LoggedStore {
+    kv: KvStore,
+    wal: WriteAheadLog,
+}
+
+impl StorageRuntime for LoggedStore {
+    fn put(
+        &self,
+        key: ObjectKey,
+        value: StoredValue,
+        hint: Option<NodeId>,
+    ) -> Result<Vec<NodeId>, StorageError> {
+        self.wal.append(key.clone(), value.clone());
+        self.kv.put(key, value, hint)
+    }
+
+    fn get(&self, key: &ObjectKey) -> Result<StoredValue, StorageError> {
+        self.kv.get(key)
+    }
+
+    fn locations(&self, key: &ObjectKey) -> Result<Vec<NodeId>, StorageError> {
+        self.kv.locations(key)
+    }
+
+    fn delete(&self, key: &ObjectKey) {
+        self.kv.delete(key);
+    }
+
+    fn contains(&self, key: &ObjectKey) -> bool {
+        self.kv.contains(key)
+    }
+}
+
+fn fog_key(prefix: &str, s: usize) -> ObjectKey {
+    ObjectKey::new(format!("{prefix}{s}"))
+}
+
+/// Allocations of `fog_storage`'s two phases over `sensors` sensors of
+/// 4 KiB on two agents: phase A through `Orchestrator::run`, phase B as
+/// async bodies on one worker (timer sleep, async storage read and
+/// write, two `execute_async` hops). Each phase runs `2 × sensors + 1`
+/// agent executions.
+fn fog_phase_allocations(sensors: usize) -> (u64, u64) {
+    use std::sync::Arc;
+    let kv = KvStore::new(
+        (0..4).map(NodeId::from_raw).collect(),
+        KvConfig { replication: 2 },
+    )
+    .expect("store config");
+    for s in 0..sensors {
+        kv.put(
+            fog_key("in", s),
+            StoredValue::blob(vec![s as u8; 4096]),
+            None,
+        )
+        .expect("pre-load");
+    }
+    let store: Arc<dyn StorageRuntime> = Arc::new(LoggedStore {
+        kv,
+        wal: WriteAheadLog::new(),
+    });
+    let ops = OpRegistry::new();
+    ops.register("sense", |ins| {
+        Bytes::from(ins[0].iter().map(|b| b ^ 0x5A).collect::<Vec<u8>>())
+    });
+    ops.register("filter", |ins| {
+        let sum: u64 = ins[0].iter().map(|b| u64::from(*b)).sum();
+        Bytes::copy_from_slice(&sum.to_le_bytes())
+    });
+    ops.register("aggregate", |ins| {
+        Bytes::copy_from_slice(&(ins.len() as u64).to_le_bytes())
+    });
+    let net = Arc::new(AgentNetwork::new(Arc::clone(&store), ops));
+    let agents: Arc<[AgentId]> = (0..2)
+        .map(|i| net.deploy(format!("fog-{i}"), DeviceClass::Fog))
+        .collect();
+    let mut app = Application::new("sense-filter-aggregate");
+    for s in 0..sensors {
+        app = app
+            .task(AppTask::new(
+                "sense",
+                vec![fog_key("in", s)],
+                fog_key("raw", s),
+            ))
+            .task(AppTask::new(
+                "filter",
+                vec![fog_key("raw", s)],
+                fog_key("clean", s),
+            ));
+    }
+    let cleaned = (0..sensors).map(|s| fog_key("clean", s)).collect();
+    let app = app.task(AppTask::new("aggregate", cleaned, "result"));
+    let rt = LocalRuntime::new(LocalConfig::with_workers(1));
+    let storage = Arc::new(AsyncStorage::new(store));
+
+    let (_, phase_a) = count(|| {
+        Orchestrator::new(&net)
+            .run(&app, &mut RoundRobinOffload::new())
+            .expect("phase A completes")
+    });
+    let ((), phase_b) = count(|| {
+        let done: Vec<_> = (0..sensors)
+            .map(|s| {
+                let marker = rt.data::<()>(format!("b_done{s}"));
+                let (net, agents, storage) =
+                    (Arc::clone(&net), Arc::clone(&agents), Arc::clone(&storage));
+                rt.submit_async(
+                    TaskSpec::new("sensor").output(marker.id()),
+                    Constraints::new(),
+                    move |mut ctx| async move {
+                        ctx.sleep(std::time::Duration::from_millis(1)).await;
+                        let value = storage.get(fog_key("in", s)).await;
+                        let value = value.and_then(Result::ok).expect("reading stored");
+                        let put = storage.put(fog_key("b_in", s), value, None).await;
+                        assert!(matches!(put, Some(Ok(_))));
+                        let agent = agents[s % agents.len()];
+                        for (op, from, to) in
+                            [("sense", "b_in", "b_raw"), ("filter", "b_raw", "b_clean")]
+                        {
+                            let task = AppTask::new(op, vec![fog_key(from, s)], fog_key(to, s));
+                            let reply = net.execute_async(agent, &task).expect("deployed").await;
+                            assert_eq!(reply, Some(ExecReply::Done));
+                        }
+                        ctx.set_output(0, ());
+                        ctx
+                    },
+                )
+                .expect("sensor admitted");
+                marker.id()
+            })
+            .collect();
+        let (net, agents) = (Arc::clone(&net), Arc::clone(&agents));
+        rt.submit_async(
+            TaskSpec::new("aggregate").inputs(done),
+            Constraints::new(),
+            move |ctx| async move {
+                let cleaned = (0..sensors).map(|s| fog_key("b_clean", s)).collect();
+                let task = AppTask::new("aggregate", cleaned, "b_result");
+                let reply = net.execute_async(agents[0], &task).expect("deployed").await;
+                assert_eq!(reply, Some(ExecReply::Done));
+                ctx
+            },
+        )
+        .expect("aggregate admitted");
+        rt.wait_all().expect("phase B completes");
+    });
+    (phase_a, phase_b)
+}
+
+/// What one agent hop and the storage calls under it allocate, and
+/// `fog_storage`'s two phases per execution at the benchmark's 2 000
+/// sensors, printed for the workload's profile in EXPERIMENTS.md: run
+/// it with `cargo test --release -p continuum-bench --test
+/// alloc_tripwires -- --ignored --nocapture fog_hop_census`.
+#[test]
+#[ignore = "prints a census for EXPERIMENTS.md"]
+fn fog_hop_census() {
+    let _serial = COUNTER.lock().unwrap();
+    let texts = [
+        "sensor1999:b_clean",
+        "campaign/chromosome-21/association.out",
+    ];
+    for text in texts {
+        let (key, made) = count(|| ObjectKey::new(text));
+        let (_, cloned) = count(|| key.clone());
+        println!("key of {} bytes: new {made}, clone {cloned}", text.len());
+    }
+    let logged = LoggedStore {
+        kv: KvStore::new(
+            (0..4).map(NodeId::from_raw).collect(),
+            KvConfig { replication: 2 },
+        )
+        .expect("store config"),
+        wal: WriteAheadLog::new(),
+    };
+    let (key, value) = (ObjectKey::new(texts[0]), StoredValue::blob(vec![1; 64]));
+    logged
+        .kv
+        .put(key.clone(), value.clone(), None)
+        .expect("put");
+    let (_, put) = count(|| logged.kv.put(key.clone(), value.clone(), None));
+    println!("KvStore::put of a stored key, with its clone: {put}");
+    logged.wal.append(key.clone(), value.clone());
+    let (_, appended) = count(|| logged.wal.append(key.clone(), value.clone()));
+    println!("WriteAheadLog::append, with the key's clone (amortized growth): {appended}");
+    let (net, agent, task) = pass_through_hop();
+    hop(&net, agent, &task);
+    let hops: Vec<u64> = (0..62)
+        .map(|_| count(|| hop(&net, agent, &task)).1)
+        .collect();
+    println!(
+        "execute_async round trip, pass-through op: fewest {}, {} over 62 hops",
+        hops.iter().min().unwrap_or(&0),
+        hops.iter().sum::<u64>()
+    );
+    const SENSORS: usize = 2_000;
+    let executions = 2 * SENSORS as u64 + 1;
+    let (a, b) = fog_phase_allocations(SENSORS);
+    println!("fog, {SENSORS} sensors, {executions} executions per phase:");
+    println!(
+        "  phase A, orchestrator: {a} ({:.3} per execution)",
+        a as f64 / executions as f64
+    );
+    println!(
+        "  phase B, async bodies: {b} ({:.3} per execution)",
+        b as f64 / executions as f64
+    );
+    println!(
+        "  both phases: {:.3} per execution",
+        (a + b) as f64 / (2 * executions) as f64
     );
 }

@@ -4,31 +4,134 @@
 use crate::error::StorageError;
 use bytes::Bytes;
 use continuum_platform::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Key identifying a persisted object.
 ///
 /// Runtimes typically derive keys from versioned data
 /// (`"d12@v3"`-style); applications may use arbitrary strings.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ObjectKey(String);
+///
+/// Every agent hop hands keys on (the task's inputs and output, the
+/// store's entry, the log's record), so cloning one never allocates: a
+/// key of up to 22 bytes is kept inside the key's own 24 bytes, and a
+/// longer one in an `Arc<str>` that clones share. Whichever form a key
+/// takes, it compares, orders, hashes, prints and serializes as its
+/// text, so `ObjectKey::new(s)` hashes exactly like `s`.
+///
+/// ```
+/// use continuum_storage::ObjectKey;
+///
+/// let short = ObjectKey::new("sensor7:raw");
+/// let long = ObjectKey::new("campaign/chromosome-21/association.out");
+/// assert_eq!(short.clone(), short);
+/// assert_eq!(long.as_str(), "campaign/chromosome-21/association.out");
+/// assert_eq!(std::mem::size_of::<ObjectKey>(), 24);
+/// ```
+#[derive(Clone)]
+pub struct ObjectKey(Repr);
+
+/// The longest key kept in place: with its length byte and the
+/// variant's tag it takes the 24 bytes an `Arc<str>` and a tag take.
+const INLINE: usize = 22;
+
+#[derive(Clone)]
+enum Repr {
+    /// `len` bytes of UTF-8 text at the front of `bytes`.
+    Inline { len: u8, bytes: [u8; INLINE] },
+    /// A longer key, shared by its clones.
+    Shared(Arc<str>),
+}
 
 impl ObjectKey {
-    /// Creates a key.
-    pub fn new(key: impl Into<String>) -> Self {
-        ObjectKey(key.into())
+    /// Creates a key, copying the text: in place if it fits, else into
+    /// one shared allocation.
+    pub fn new(key: impl AsRef<str>) -> Self {
+        let key = key.as_ref();
+        if key.len() > INLINE {
+            return ObjectKey(Repr::Shared(Arc::from(key)));
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..key.len()].copy_from_slice(key.as_bytes());
+        ObjectKey(Repr::Inline {
+            len: key.len() as u8,
+            bytes,
+        })
     }
 
     /// The key as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            // The bytes are a whole `str` copied in by `new`, so they
+            // are always valid UTF-8 and the fallback is never taken.
+            Repr::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The key's text as bytes, without re-checking the UTF-8.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(s) => s.as_bytes(),
+        }
     }
 }
 
 impl fmt::Display for ObjectKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
+    }
+}
+
+/// Prints as `ObjectKey("text")`, whichever form the key takes.
+impl fmt::Debug for ObjectKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ObjectKey").field(&self.as_str()).finish()
+    }
+}
+
+impl PartialEq for ObjectKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for ObjectKey {}
+
+impl PartialOrd for ObjectKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte order, which is the order of the text.
+impl Ord for ObjectKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Hashes as the `str`, so a key's placement does not depend on its
+/// form.
+impl Hash for ObjectKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl Serialize for ObjectKey {
+    fn to_json_value(&self) -> Value {
+        Value::Str(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for ObjectKey {
+    fn from_json_value(value: &Value) -> Option<Self> {
+        value.as_str().map(ObjectKey::new)
     }
 }
 
@@ -40,7 +143,7 @@ impl From<&str> for ObjectKey {
 
 impl From<String> for ObjectKey {
     fn from(s: String) -> Self {
-        ObjectKey(s)
+        ObjectKey::new(s)
     }
 }
 

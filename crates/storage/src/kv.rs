@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// Configuration of a [`KvStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,7 +45,64 @@ pub struct KvStats {
 #[derive(Debug)]
 struct Entry {
     value: StoredValue,
-    replicas: Vec<NodeId>,
+    replicas: Replicas,
+}
+
+/// Replica sets of this size or smaller stay in their entry.
+const INLINE_REPLICAS: usize = 4;
+
+/// An entry's replica set. Up to [`INLINE_REPLICAS`] nodes are kept in
+/// place, so a `put` at the usual replication makes one `Vec`: the set
+/// it returns to the caller.
+#[derive(Debug)]
+enum Replicas {
+    Inline {
+        len: u8,
+        nodes: [NodeId; INLINE_REPLICAS],
+    },
+    Heap(Vec<NodeId>),
+}
+
+impl Replicas {
+    fn new(set: &[NodeId]) -> Self {
+        if set.len() > INLINE_REPLICAS {
+            return Replicas::Heap(set.to_vec());
+        }
+        let mut nodes = [NodeId::default(); INLINE_REPLICAS];
+        nodes[..set.len()].copy_from_slice(set);
+        Replicas::Inline {
+            len: set.len() as u8,
+            nodes,
+        }
+    }
+
+    /// Drops `node` from the set, keeping the others' order.
+    fn remove(&mut self, node: NodeId) {
+        match self {
+            Replicas::Inline { len, nodes } => {
+                let mut kept = 0;
+                for i in 0..usize::from(*len) {
+                    if nodes[i] != node {
+                        nodes[kept] = nodes[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Replicas::Heap(nodes) => nodes.retain(|r| *r != node),
+        }
+    }
+}
+
+impl Deref for Replicas {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        match self {
+            Replicas::Inline { len, nodes } => &nodes[..usize::from(*len)],
+            Replicas::Heap(nodes) => nodes,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -132,7 +190,7 @@ impl KvStore {
         let mut inner = self.inner.lock();
         inner.bytes_per_node.remove(&node);
         for entry in inner.data.values_mut() {
-            entry.replicas.retain(|r| *r != node);
+            entry.replicas.remove(node);
         }
     }
 
@@ -210,11 +268,11 @@ impl StorageRuntime for KvStore {
             key,
             Entry {
                 value,
-                replicas: replicas.clone(),
+                replicas: Replicas::new(&replicas),
             },
         ) {
             let old_size = old.value.size() as u64;
-            for r in &old.replicas {
+            for r in old.replicas.iter() {
                 if let Some(b) = inner.bytes_per_node.get_mut(r) {
                     *b = b.saturating_sub(old_size);
                 }
@@ -257,7 +315,7 @@ impl StorageRuntime for KvStore {
         let mut inner = self.inner.lock();
         if let Some(entry) = inner.data.remove(key) {
             let size = entry.value.size() as u64;
-            for r in &entry.replicas {
+            for r in entry.replicas.iter() {
                 if let Some(b) = inner.bytes_per_node.get_mut(r) {
                     *b = b.saturating_sub(size);
                 }
@@ -380,6 +438,18 @@ mod tests {
         s.wipe_node(reps[0]);
         let locs = s.locations(&"k".into()).unwrap();
         assert!(locs.is_empty());
+    }
+
+    #[test]
+    fn wipe_keeps_the_other_replicas_in_order_in_place_and_spilled() {
+        for replication in [3, 5] {
+            let s = store(6, replication);
+            let reps = s.put("k".into(), StoredValue::blob(vec![1]), None).unwrap();
+            s.wipe_node(reps[1]);
+            let mut kept = reps.clone();
+            kept.remove(1);
+            assert_eq!(s.locations(&"k".into()).unwrap(), kept);
+        }
     }
 
     #[test]

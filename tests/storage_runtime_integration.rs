@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use continuum::agents::{
-    AgentNetwork, AppTask, Application, ContinuumPolicy, ContinuumScheduler, OpRegistry,
+    AgentNetwork, AppTask, Application, ContinuumPolicy, ContinuumScheduler, ExecReply, OpRegistry,
     Orchestrator, RoundRobinOffload,
 };
 use continuum::dag::TaskSpec;
@@ -12,7 +12,8 @@ use continuum::platform::{DeviceClass, NodeId, NodeSpec, PlatformBuilder};
 use continuum::runtime::{LocalityScheduler, SimOptions, SimRuntime, SimWorkload, TaskProfile};
 use continuum::sim::FaultPlan;
 use continuum::storage::{
-    ActiveStore, ClassDef, KvConfig, KvStore, ObjectKey, StorageRuntime, StoredValue, WriteAheadLog,
+    ActiveStore, AsyncStorage, ClassDef, KvConfig, KvStore, ObjectKey, StorageRuntime, StoredValue,
+    WriteAheadLog,
 };
 use std::sync::Arc;
 
@@ -187,4 +188,61 @@ fn sim_persistence_reads_back_from_storage_home() {
         "persisted output needs no replay"
     );
     assert_eq!(report.tasks_completed, 3);
+}
+
+/// A key of 22 bytes is kept in place and one of 23 bytes is shared;
+/// both travel alike through the store, its async handle and an agent
+/// hop: stored, read, cloned, located and deleted.
+#[test]
+fn keys_either_side_of_the_inline_edge_travel_alike() {
+    let nodes: Vec<NodeId> = (0..4).map(NodeId::from_raw).collect();
+    let kv = Arc::new(KvStore::new(nodes, KvConfig { replication: 2 }).unwrap());
+    let ops = OpRegistry::new();
+    ops.register("double", |ins| {
+        Bytes::from(ins[0].iter().map(|b| b * 2).collect::<Vec<u8>>())
+    });
+    let net = AgentNetwork::new(kv.clone(), ops);
+    let agent = net.deploy("fog-0", DeviceClass::Fog);
+    let storage = AsyncStorage::new(kv.clone());
+    for len in [22, 23] {
+        let key = |tag: &str| ObjectKey::new(format!("{tag}:{}", "k".repeat(len - tag.len() - 1)));
+        let (input, copy, output) = (key("in"), key("copy"), key("out"));
+        for k in [&input, &copy, &output] {
+            assert_eq!(k.as_str().len(), len);
+            assert_eq!(k.clone(), ObjectKey::new(k.as_str()));
+        }
+
+        let replicas = kv
+            .put(input.clone(), StoredValue::blob(vec![1, 2, 3]), None)
+            .unwrap();
+        assert_eq!(replicas.len(), 2);
+        assert_eq!(kv.locations(&input).unwrap(), replicas);
+        assert_eq!(kv.get(&input.clone()).unwrap().payload[..], [1, 2, 3]);
+
+        let value = storage.get(input.clone()).wait().unwrap().unwrap();
+        let placed = storage
+            .put(copy.clone(), value, None)
+            .wait()
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            storage.locations(copy.clone()).wait().unwrap().unwrap(),
+            placed
+        );
+        assert!(storage.contains(copy.clone()).wait().unwrap());
+
+        let task = AppTask::new("double", vec![copy.clone()], output.clone());
+        let reply = net.execute_async(agent, &task).unwrap().wait();
+        assert_eq!(reply, Some(ExecReply::Done));
+        assert_eq!(kv.get(&output).unwrap().payload[..], [2, 4, 6]);
+        assert_eq!(kv.locations(&output).unwrap().len(), 2);
+
+        kv.delete(&input);
+        storage.delete(copy.clone());
+        kv.delete(&output.clone());
+        // The async delete is queued ahead of this question.
+        assert!(!storage.contains(copy).wait().unwrap());
+        assert!(!kv.contains(&input) && !kv.contains(&output));
+    }
+    assert!(kv.is_empty());
 }
