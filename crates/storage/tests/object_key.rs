@@ -85,7 +85,6 @@ fn the_edge_between_the_forms_is_invisible() {
 #[test]
 fn a_key_takes_what_a_string_took() {
     assert_eq!(std::mem::size_of::<ObjectKey>(), 24);
-    assert_eq!(std::mem::size_of::<String>(), 24);
 }
 
 /// Key `i` of the pinned set: 6 to 41 bytes in turn (476 of the 1 000
